@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build test race bench bench-concurrent loadtest campaign-smoke campaign federation-smoke
+.PHONY: check fmt vet lint assembly build test race bench bench-concurrent loadtest campaign-smoke campaign federation-smoke
 
-# check is the CI gate: formatting, vet, the project linter, build, the
-# race-enabled tests, the batched-round smoke, the timeserve load smoke, the
-# campaign smoke and the federation smoke.
-check: fmt vet lint build race bench-concurrent loadtest campaign-smoke federation-smoke
+# check is the CI gate: formatting, vet, the project linter, the
+# one-assembly-path grep, build, the race-enabled tests, the batched-round
+# smoke, the timeserve load smoke, the campaign smoke and the federation
+# smoke.
+check: fmt vet lint assembly build race bench-concurrent loadtest campaign-smoke federation-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -20,6 +21,15 @@ vet:
 # concurrency invariants; see DESIGN.md §8). Exceptions live in lint.allow.
 lint:
 	$(GO) run ./cmd/ctslint
+
+# assembly holds the one-assembly-path rule (DESIGN.md §13): a replica is
+# wired in internal/node and nowhere else, so no other non-test Go outside
+# bench/ may call the layer constructors.
+assembly:
+	@if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=node --exclude-dir=bench \
+		'(replication|core|federation)\.New\(|\.EnableLease\(|timeserve\.Start\(' .; then \
+		echo "replica wiring outside internal/node (see above)"; exit 1; \
+	fi
 
 build:
 	$(GO) build ./...

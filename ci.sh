@@ -23,6 +23,15 @@ go vet ./...
 echo "== ctslint =="
 go run ./cmd/ctslint -v
 
+echo "== one assembly path =="
+# A replica is wired in internal/node and nowhere else (DESIGN.md §13): no
+# other non-test Go outside bench/ may call the layer constructors.
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=node --exclude-dir=bench \
+	'(replication|core|federation)\.New\(|\.EnableLease\(|timeserve\.Start\(' .; then
+	echo "replica wiring outside internal/node (see above)"
+	exit 1
+fi
+
 echo "== go build =="
 go build ./...
 

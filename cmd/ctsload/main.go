@@ -45,6 +45,7 @@ import (
 
 	"cts"
 	"cts/internal/federation"
+	"cts/internal/invariant"
 	"cts/internal/stats"
 	"cts/internal/testutil"
 	"cts/internal/timeserve"
@@ -109,124 +110,6 @@ type config struct {
 	seed      int64
 }
 
-// checker verifies the lease invariants across all workers. Both checks use
-// only happened-before ordering: a floor value is compared against a
-// response only when the floor was recorded BEFORE that response's request
-// was sent, so the server-side read it reflects strictly preceded ours.
-// Comparing responses by receipt order across workers would be unsound —
-// receipt order is not generation order.
-type checker struct {
-	// lowerFloor is the highest (group − bound) of any completed reading:
-	// readings sent after that completion must advertise intervals reaching
-	// it. It is global across replica groups — with -fed-groups this is the
-	// federation's promise, since every group's advertised bound folds the
-	// inter-group slack.
-	lowerFloor atomic.Int64
-	// nodes holds one served-clock floor per replica, for the per-replica
-	// regression check. The entry list only grows; workers snapshot it
-	// lock-free via the atomic pointer.
-	mu       sync.Mutex
-	nodeList atomic.Pointer[[]nodeEntry]
-
-	stalenessViolations  atomic.Uint64
-	regressionViolations atomic.Uint64
-}
-
-// nodeEntry keys the per-replica floor by (group, node), never node alone:
-// the wire response's node id is only unique within one replica group, so a
-// worker migrating across federated groups would otherwise fold two distinct
-// replicas' clocks into one floor and flag phantom regressions (or mask real
-// ones). The group here is the client-side identity of the group whose
-// frontend was queried — the response itself does not carry one.
-type nodeEntry struct {
-	group uint32
-	node  uint32
-	clock *atomic.Int64
-}
-
-// snapshot is a worker-local pre-send view of every floor. Buffers are
-// reused across exchanges.
-type snapshot struct {
-	floor   int64
-	entries []nodeEntry
-	clocks  []int64
-}
-
-// preSend records the floors a subsequent response must respect.
-func (c *checker) preSend(s *snapshot) {
-	s.floor = c.lowerFloor.Load()
-	s.entries = nil
-	if p := c.nodeList.Load(); p != nil {
-		s.entries = *p
-	}
-	s.clocks = s.clocks[:0]
-	for _, e := range s.entries {
-		s.clocks = append(s.clocks, e.clock.Load())
-	}
-}
-
-func (c *checker) nodeFloor(group, node uint32) *atomic.Int64 {
-	if p := c.nodeList.Load(); p != nil {
-		for _, e := range *p {
-			if e.group == group && e.node == node {
-				return e.clock
-			}
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var entries []nodeEntry
-	if p := c.nodeList.Load(); p != nil {
-		entries = *p
-		for _, e := range entries {
-			if e.group == group && e.node == node {
-				return e.clock
-			}
-		}
-	}
-	clock := new(atomic.Int64)
-	grown := append(append([]nodeEntry(nil), entries...), nodeEntry{group: group, node: node, clock: clock})
-	c.nodeList.Store(&grown)
-	return clock
-}
-
-// onResponse validates one leased response against the pre-send snapshot
-// and folds it into the floors. group identifies the replica group whose
-// frontend answered (always 0 for single-group runs).
-func (c *checker) onResponse(group uint32, r timeserve.Response, pre *snapshot) {
-	g, b := int64(r.Group), int64(r.Bound)
-	if g+b < pre.floor {
-		c.stalenessViolations.Add(1)
-	}
-	for i, e := range pre.entries {
-		if e.group == group && e.node == r.Node {
-			if g < pre.clocks[i] {
-				c.regressionViolations.Add(1)
-			}
-			break
-		}
-	}
-	nf := c.nodeFloor(group, r.Node)
-	for {
-		prev := nf.Load()
-		if g <= prev {
-			break
-		}
-		if nf.CompareAndSwap(prev, g) {
-			break
-		}
-	}
-	for {
-		prev := c.lowerFloor.Load()
-		if g-b <= prev {
-			break
-		}
-		if c.lowerFloor.CompareAndSwap(prev, g-b) {
-			break
-		}
-	}
-}
-
 // result is the machine-readable run record. Scenario and Seed identify
 // the row across bench files (every BENCH_*.json row carries both).
 type result struct {
@@ -285,6 +168,9 @@ func run(cfg config) error {
 	if cfg.maxSPQ > 0 && !cfg.inprocess {
 		return fmt.Errorf("-max-syscalls-per-query needs -inprocess (remote server counters are unreachable)")
 	}
+	// Probe the serve cycle's allocations before any other goroutine of this
+	// process exists: a live fleet's mallocs would land in the same counter.
+	allocsPerOp := measureAllocs()
 	var targetsByGroup [][]string
 	var fl *fleet
 	if cfg.inprocess {
@@ -317,7 +203,9 @@ func run(cfg config) error {
 	fmt.Printf("ctsload: %s loop, %d workers x %d datagram(s) x batch %d against %d target(s) in %d group(s) for %v\n",
 		cfg.mode, cfg.workers, cfg.dgrams, cfg.batch, ntargets, len(targetsByGroup), cfg.duration)
 
-	chk := &checker{}
+	// The staleness floor is global across replica groups: with -fed-groups
+	// that is the federation's promise.
+	chk := &invariant.Checker{}
 	var (
 		queries  atomic.Uint64
 		errs     atomic.Uint64
@@ -367,7 +255,7 @@ func run(cfg config) error {
 				interval = time.Duration(float64(cfg.batch*cfg.dgrams) / perWorker * float64(time.Second))
 			}
 			next := time.Now()
-			var pre snapshot
+			var pre invariant.Snapshot
 			gidx := w % len(clis)
 			for !stop.Load() {
 				if interval > 0 {
@@ -377,7 +265,7 @@ func run(cfg config) error {
 					}
 				}
 				cli := clis[gidx]
-				chk.preSend(&pre)
+				chk.Snap(&pre)
 				t0 := time.Now()
 				var resps []timeserve.Response
 				var err error
@@ -400,7 +288,7 @@ func run(cfg config) error {
 						continue
 					}
 					served++
-					chk.onResponse(uint32(gidx), r, &pre)
+					chk.Observe(&pre, invariant.Key{Group: uint32(gidx), Node: r.Node}, r.Group, r.Bound)
 				}
 				queries.Add(served)
 				gidx++
@@ -451,9 +339,8 @@ func run(cfg config) error {
 	res.QPS = float64(res.Queries) / elapsed.Seconds()
 	res.Errors = errs.Load()
 	res.SyscallsPerQuery = syscallsPerQuery
-	res.AllocsPerOp = measureAllocs()
-	res.Violations.Staleness = chk.stalenessViolations.Load()
-	res.Violations.Regression = chk.regressionViolations.Load()
+	res.AllocsPerOp = allocsPerOp
+	res.Violations.Staleness, res.Violations.Regression = chk.Violations()
 	if all.N() > 0 {
 		res.LatencyUS.P50 = float64(all.Percentile(50)) / float64(time.Microsecond)
 		res.LatencyUS.P99 = float64(all.Percentile(99)) / float64(time.Microsecond)
@@ -728,7 +615,7 @@ func startGroup(gi, n, shards int, lease time.Duration, serveIO string, links []
 		opts := []cts.Option{
 			cts.WithRuntime(loop),
 			cts.WithTransport(tr),
-			cts.WithRingMembers(ring),
+			cts.WithMembers(ring),
 			cts.WithGroup(fedLoadGroupID(gi)),
 			cts.WithTimeServe(cts.TimeServeConfig{
 				Addr:        "127.0.0.1:0",

@@ -37,7 +37,7 @@ func TestFacadeThreeReplicaGroup(t *testing.T) {
 		svc, err := cts.New(
 			cts.WithRuntime(k),
 			cts.WithTransport(net.Endpoint(id)),
-			cts.WithRingMembers(ring),
+			cts.WithMembers(ring),
 			cts.WithClock(hwclock.NewSim(k.Now, hwclock.WithOffset(offsets[id]))),
 			cts.WithStyle(cts.Active),
 			cts.WithObservability(rec),
@@ -137,7 +137,7 @@ func TestFacadeDefaultsAndValidation(t *testing.T) {
 	svc, err := cts.New(
 		cts.WithRuntime(k),
 		cts.WithTransport(net.Endpoint(1)),
-		cts.WithRingMembers([]transport.NodeID{1}),
+		cts.WithMembers([]transport.NodeID{1}),
 	)
 	if err != nil {
 		t.Fatalf("minimal New: %v", err)
@@ -154,7 +154,7 @@ func TestFacadeDefaultsAndValidation(t *testing.T) {
 	if _, err := cts.New(
 		cts.WithRuntime(k),
 		cts.WithTransport(net.Endpoint(2)),
-		cts.WithRingMembers([]transport.NodeID{2}),
+		cts.WithMembers([]transport.NodeID{2}),
 		cts.WithCompensation(cts.Compensation(99)),
 	); err == nil {
 		t.Error("invalid compensation mode accepted, want error")
@@ -162,7 +162,7 @@ func TestFacadeDefaultsAndValidation(t *testing.T) {
 	if _, err := cts.New(
 		cts.WithRuntime(k),
 		cts.WithTransport(net.Endpoint(3)),
-		cts.WithRingMembers([]transport.NodeID{3}),
+		cts.WithMembers([]transport.NodeID{3}),
 		cts.WithStyle(cts.Style(42)),
 	); err == nil {
 		t.Error("invalid replication style accepted, want error")
@@ -170,7 +170,7 @@ func TestFacadeDefaultsAndValidation(t *testing.T) {
 	if _, err := cts.New(
 		cts.WithRuntime(k),
 		cts.WithTransport(net.Endpoint(4)),
-		cts.WithRingMembers([]transport.NodeID{4}),
+		cts.WithMembers([]transport.NodeID{4}),
 		cts.WithCheckpointEvery(-1),
 	); err == nil {
 		t.Error("negative checkpoint interval accepted, want error")

@@ -28,7 +28,7 @@ func TestFacadeTimeServe(t *testing.T) {
 		svc, err := cts.New(
 			cts.WithRuntime(k),
 			cts.WithTransport(net.Endpoint(id)),
-			cts.WithRingMembers(ring),
+			cts.WithMembers(ring),
 			cts.WithClock(hwclock.NewSim(k.Now, hwclock.WithOffset(offsets[id]))),
 			cts.WithTimeServe(cts.TimeServeConfig{
 				Addr:         "127.0.0.1:0",
@@ -116,7 +116,7 @@ func TestStartFailureThenStop(t *testing.T) {
 	svc, err := cts.New(
 		cts.WithRuntime(k),
 		cts.WithTransport(net.Endpoint(1)),
-		cts.WithRingMembers(ring),
+		cts.WithMembers(ring),
 		cts.WithClock(hwclock.NewSim(k.Now)),
 		cts.WithTimeServe(cts.TimeServeConfig{
 			Addr:    "127.0.0.1:0",

@@ -4,65 +4,59 @@ import (
 	"fmt"
 	"time"
 
-	"cts/internal/core"
 	"cts/internal/faultinject"
-	"cts/internal/gcs"
 	"cts/internal/hwclock"
+	"cts/internal/node"
 	"cts/internal/obs"
 	"cts/internal/order"
-	"cts/internal/replication"
 	"cts/internal/sim"
 	"cts/internal/simnet"
 	"cts/internal/transport"
 	"cts/internal/wire"
 )
 
-// ServerGroup is the replicated time-service group of campaign deployments.
-const ServerGroup wire.GroupID = 100
+// clockEpoch is what every campaign hardware clock reads at virtual time
+// zero, before its planned offset. Real clocks count from an epoch; without
+// one a replica with a negative planned offset would read a negative time
+// when the refreshers fire their first round at start, the proposal would be
+// clamped to the causal floor, and the plan's offset would vanish from the
+// group clock.
+const clockEpoch = time.Hour
 
-// maxRefreshers is how many (lowest-id, currently-up) nodes drive lease
-// refresh rounds each tick. More than one for fault tolerance; few, because
-// concurrent refreshes coalesce into one round anyway and a thousand
-// redundant proposals per tick would be pure overhead.
-const maxRefreshers = 3
-
-// node is one deployed replica.
-type node struct {
-	id    transport.NodeID
-	stack *gcs.Stack
-	mgr   *replication.Manager
-	svc   *core.TimeService
-	clock hwclock.Clock
+// replica is one deployed node of a cell, assembled through internal/node —
+// the same wiring cts.New deploys, lease plane and duty-rotating refresher
+// included, minus the UDP listener.
+type replica struct {
+	*node.Node
+	id transport.NodeID
 	// up tracks the fault schedule's intent: false while the node is
 	// crashed or isolated, so the monitor knows not to demand service
 	// from it.
 	up bool
 }
 
-// nopApp is the replicated application of campaign nodes: the campaign
-// drives the lease plane directly, so no invocations ever arrive.
-type nopApp struct{}
+// placement is where a deployment sits in its cell: a single-group cell has
+// one deployment at the zero placement (plus its group id); a federated cell
+// has one per group. idBase keeps node ids (and thus obs streams) disjoint
+// across groups, and skew shifts the whole group's hardware clocks,
+// modelling federated sites whose clock planes start apart.
+type placement struct {
+	group  wire.GroupID
+	idBase transport.NodeID
+	skew   time.Duration
+	fed    *node.FederationConfig // nil outside federated cells
+}
 
-func (nopApp) Invoke(*replication.Ctx, string, []byte) []byte { return nil }
-func (nopApp) Snapshot() []byte                               { return nil }
-func (nopApp) Restore([]byte)                                 {}
-
-// deployment is one running cell: n replicas on nodes idBase+1..idBase+n.
+// deployment is one running group: n replicas on nodes idBase+1..idBase+n.
 type deployment struct {
 	k       *sim.Kernel
 	net     *simnet.Network
 	inj     *faultinject.Injector
 	rec     *obs.Recorder
-	hub     *order.InstantHub // nil for wire orderers
 	sc      Scenario
-	seed    int64
 	group   wire.GroupID
-	idBase  transport.NodeID
-	skew    time.Duration // added to every clock's phase offset
-	nodes   []*node
+	nodes   []*replica
 	orderer order.Kind
-	// refreshOff rotates lease-refresh proposal duty across the population.
-	refreshOff int
 }
 
 // build constructs and starts a cell's deployment on a fresh kernel and
@@ -73,17 +67,18 @@ func build(sc Scenario, nodes int, seed int64) (*deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildOn(k, rec, sc, nodes, seed, ServerGroup, 0, 0)
+	d, err := deploy(k, rec, sc, nodes, seed, placement{group: node.DefaultGroup})
+	if err != nil {
+		return nil, err
+	}
+	return d, d.settle()
 }
 
-// buildOn constructs a deployment on an existing kernel and recorder — the
-// substrate of federated cells, where several groups share one simulation.
-// Each group gets its own intra-group network; idBase keeps node ids (and
-// thus obs streams) disjoint across groups, and skew shifts the whole
-// group's hardware clocks, modelling federated sites whose clock planes
-// start apart.
-func buildOn(k *sim.Kernel, rec *obs.Recorder, sc Scenario, nodes int, seed int64,
-	group wire.GroupID, idBase transport.NodeID, skew time.Duration) (*deployment, error) {
+// deploy constructs a deployment on an existing kernel and recorder — the
+// substrate of federated cells, where several groups share one simulation —
+// and starts every replica. Each group gets its own intra-group network.
+// Nothing has run yet when it returns: the caller advances the kernel.
+func deploy(k *sim.Kernel, rec *obs.Recorder, sc Scenario, nodes int, seed int64, at placement) (*deployment, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -103,15 +98,18 @@ func buildOn(k *sim.Kernel, rec *obs.Recorder, sc Scenario, nodes int, seed int6
 		net:     simnet.NewNetwork(k, model),
 		rec:     rec,
 		sc:      sc,
-		seed:    seed,
-		group:   group,
-		idBase:  idBase,
-		skew:    skew,
+		group:   at.group,
 		orderer: sc.orderer(),
 	}
 	d.inj = faultinject.New(k, d.net)
-	if d.orderer == order.KindInstant {
-		d.hub = order.NewInstantHub()
+	opts := order.Options{Kind: d.orderer}
+	switch d.orderer {
+	case order.KindInstant:
+		opts.Instant = order.InstantTuning{Hub: order.NewInstantHub()}
+	case order.KindSeq:
+		opts.Seq = sc.Seq
+	case order.KindTotem:
+		opts.Totem = sc.Totem
 	}
 	if l := sc.Links.Loss; l > 0 {
 		d.net.SetLoss(l)
@@ -119,73 +117,41 @@ func buildOn(k *sim.Kernel, rec *obs.Recorder, sc Scenario, nodes int, seed int6
 
 	members := make([]transport.NodeID, nodes)
 	for i := range members {
-		members[i] = idBase + transport.NodeID(i+1)
+		members[i] = at.idBase + transport.NodeID(i+1)
 	}
-	for i := 0; i < nodes; i++ {
-		if err := d.addNode(members[i], sc.Clocks.Spec(seed, i, nodes), members); err != nil {
+	for i, id := range members {
+		spec := sc.Clocks.Spec(seed, i, nodes)
+		n, err := node.New(node.Config{
+			Runtime:   k,
+			Transport: d.net.Endpoint(id),
+			Members:   members,
+			Order:     opts,
+			Group:     at.group,
+			Clock: hwclock.NewSim(k.Now,
+				hwclock.WithOffset(clockEpoch+spec.Offset+at.skew), hwclock.WithDriftPPM(spec.DriftPPM)),
+			MeanDelay: sc.MeanDelay,
+			TimeServe: &node.TimeServeConfig{
+				// Leases stay valid for the whole cell: expiry is not under
+				// test, honest bound growth and epoch invalidation are.
+				LeaseWindow:  sc.Duration + 10*time.Second,
+				RefreshEvery: sc.refreshEvery(),
+			},
+			LeaseOnly:  true,
+			Federation: at.fed,
+			Obs:        rec,
+		})
+		if err != nil {
+			return nil, err
+		}
+		d.inj.Register(id, n.Stack())
+		d.nodes = append(d.nodes, &replica{Node: n, id: id, up: true})
+	}
+	for _, nd := range d.nodes {
+		if err := nd.Start(); err != nil {
 			return nil, err
 		}
 	}
-	for _, nd := range d.nodes {
-		nd.stack.Start()
-	}
-	if err := d.settle(); err != nil {
-		return nil, err
-	}
 	return d, nil
-}
-
-func (d *deployment) addNode(id transport.NodeID, spec ClockSpec, members []transport.NodeID) error {
-	opts := order.Options{Kind: d.orderer}
-	switch d.orderer {
-	case order.KindInstant:
-		opts.Instant = order.InstantTuning{Hub: d.hub}
-	case order.KindSeq:
-		opts.Seq = d.sc.Seq
-	case order.KindTotem:
-		opts.Totem = d.sc.Totem
-	}
-	stack, err := gcs.New(gcs.Config{
-		Runtime:   d.k,
-		Transport: d.net.Endpoint(id),
-		Members:   members,
-		Bootstrap: true,
-		Order:     opts,
-		Obs:       d.rec.ForNode(uint32(id)),
-	})
-	if err != nil {
-		return err
-	}
-	d.inj.Register(id, stack)
-	clock := hwclock.NewSim(d.k.Now,
-		hwclock.WithOffset(spec.Offset+d.skew), hwclock.WithDriftPPM(spec.DriftPPM))
-	mgr, err := replication.New(replication.Config{
-		Runtime: d.k,
-		Stack:   stack,
-		Group:   d.group,
-		Style:   replication.Active,
-		App:     nopApp{},
-		Obs:     d.rec.ForNode(uint32(id)),
-	})
-	if err != nil {
-		return err
-	}
-	svc, err := core.New(core.Config{Manager: mgr, Clock: clock, MeanDelay: d.sc.MeanDelay})
-	if err != nil {
-		return err
-	}
-	if err := svc.EnableLease(core.LeaseConfig{
-		// Leases stay valid for the whole cell: expiry is not under test,
-		// honest bound growth and epoch invalidation are.
-		Window: d.sc.Duration + 10*time.Second,
-	}); err != nil {
-		return err
-	}
-	if err := mgr.Start(); err != nil {
-		return err
-	}
-	d.nodes = append(d.nodes, &node{id: id, stack: stack, mgr: mgr, svc: svc, clock: clock, up: true})
-	return nil
 }
 
 // settle advances the simulation until every node reports a primary
@@ -199,46 +165,28 @@ func (d *deployment) settle() error {
 		}
 		budget += 100 * base
 	}
-	deadline := d.k.Now() + budget
-	for d.k.Now() < deadline {
-		if d.allPrimary() {
-			return nil
-		}
-		d.k.RunFor(time.Millisecond)
-	}
-	if !d.allPrimary() {
+	if !await(d.k, budget, time.Millisecond, d.allPrimary) {
 		return fmt.Errorf("campaign: %q/%d did not settle within %v", d.sc.Name, len(d.nodes), budget)
 	}
 	return nil
 }
 
+// await advances the simulation step by step until done reports true or the
+// budget runs out, and reports which.
+func await(k *sim.Kernel, budget, step time.Duration, done func() bool) bool {
+	for deadline := k.Now() + budget; k.Now() < deadline && !done(); {
+		k.RunFor(step)
+	}
+	return done()
+}
+
 func (d *deployment) allPrimary() bool {
 	for _, nd := range d.nodes {
-		if !nd.mgr.InPrimaryComponent() {
+		if !nd.Manager().InPrimaryComponent() {
 			return false
 		}
 	}
 	return true
-}
-
-// refreshTick drives one wave of lease-refresh rounds from a rotating set
-// of up nodes; concurrent proposals coalesce into one CCS round, and every
-// node adopts the decided value from the total order. Rotation matters for
-// bound honesty: a replica's ordering-lag estimate is fed only by rounds it
-// proposes itself, so cycling proposal duty through the population keeps
-// every node's estimator warm instead of only the first few ids'.
-func (d *deployment) refreshTick() {
-	n := len(d.nodes)
-	sent := 0
-	for i := 0; i < n && sent < maxRefreshers; i++ {
-		nd := d.nodes[(d.refreshOff+i)%n]
-		if !nd.up {
-			continue
-		}
-		nd.svc.RefreshLease()
-		sent++
-	}
-	d.refreshOff = (d.refreshOff + maxRefreshers) % n
 }
 
 // installSchedule arms the scenario's fault events relative to start.
@@ -299,7 +247,7 @@ func (d *deployment) installChurn(start time.Duration, ev FaultEvent) {
 		to := from + step*3/2
 		if d.orderer == order.KindInstant {
 			d.inj.StopAt(from, nd.id)
-			d.inj.StartAt(to, nd.stack.Start)
+			d.inj.StartAt(to, nd.Stack().Start)
 		} else {
 			d.inj.IsolateWindow(from, to, nd.id)
 		}
@@ -309,7 +257,7 @@ func (d *deployment) installChurn(start time.Duration, ev FaultEvent) {
 
 // markDownWindow records schedule intent for the monitor.
 func (d *deployment) markDownWindow(ids []transport.NodeID, from, to time.Duration) {
-	byID := make(map[transport.NodeID]*node, len(ids))
+	byID := make(map[transport.NodeID]*replica, len(ids))
 	for _, nd := range d.nodes {
 		byID[nd.id] = nd
 	}
@@ -349,8 +297,7 @@ func (d *deployment) lowIDs(k int) []transport.NodeID {
 // goroutine-leak gate.
 func (d *deployment) close() {
 	for _, nd := range d.nodes {
-		nd.stack.Stop()
-		nd.mgr.Stop()
+		nd.Stop()
 	}
 	d.k.RunFor(5 * time.Millisecond)
 }

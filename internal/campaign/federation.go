@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"cts/internal/federation"
+	"cts/internal/invariant"
+	"cts/internal/node"
 	"cts/internal/obs"
 	"cts/internal/order"
 	"cts/internal/sim"
@@ -13,8 +15,8 @@ import (
 )
 
 // fedGroupBase is the first federated group id; group i of a federated cell
-// is fedGroupBase+i. Distinct from ServerGroup so single-group and federated
-// artifacts never collide.
+// is fedGroupBase+i. Distinct from node.DefaultGroup so single-group and
+// federated artifacts never collide.
 const fedGroupBase wire.GroupID = 200
 
 // fedIDStride spaces the node-id ranges of federated groups so ids (and
@@ -200,25 +202,18 @@ type FedResult struct {
 	Failures      []string   `json:"failures,omitempty"`
 }
 
-// groupNode identifies one replica across the whole federation. Keying
-// monitor state by node id alone would collide across groups (the ctsload
-// floor bug this sweep fixes); the pair is the only safe key.
-type groupNode struct {
-	group wire.GroupID
-	node  transport.NodeID
-}
-
 // fedMonitor is the migrating client: each pass it reads every replica of
-// every group and holds all of them to ONE happened-before floor — exactly
-// what a client roaming across group boundaries observes. Regression state
-// is per (group, node); the staleness floor is global, which is the
-// federation's whole promise: a reading served anywhere, plus its bound,
+// every group and holds all of them to ONE happened-before floor
+// (internal/invariant) — exactly what a client roaming across group
+// boundaries observes. Regression floors are per (group, node), since node
+// ids alone collide across groups; the staleness floor is global, which is
+// the federation's whole promise: a reading served anywhere, plus its bound,
 // must cover the most advanced lower bound served anywhere else in an
 // earlier pass.
 type fedMonitor struct {
-	floor    time.Duration
-	lastSeen map[groupNode]time.Duration
-	m        FedMetrics
+	chk invariant.Checker
+	pre invariant.Snapshot
+	m   FedMetrics
 
 	gate          FedGates
 	faultEnd      time.Duration // heal instant (or start, with no sever)
@@ -226,35 +221,25 @@ type fedMonitor struct {
 }
 
 func newFedMonitor(gate FedGates) *fedMonitor {
-	return &fedMonitor{lastSeen: make(map[groupNode]time.Duration), gate: gate, reconvergedAt: -1}
+	return &fedMonitor{gate: gate, reconvergedAt: -1}
 }
 
 // sample runs one monitor pass over all groups between kernel steps.
 func (mo *fedMonitor) sample(groups []*deployment, now time.Duration) {
-	passMax := mo.floor
 	type seamPoint struct {
 		clock, bound time.Duration
 		ok           bool
 	}
 	seams := make([]seamPoint, len(groups))
+	mo.chk.Snap(&mo.pre)
 	for gi, d := range groups {
 		for _, nd := range d.nodes {
-			r, ok := nd.svc.LeaseRead()
+			r, ok := nd.LeaseRead()
 			if !ok {
 				continue
 			}
 			mo.m.Samples++
-			key := groupNode{group: d.group, node: nd.id}
-			if last, seen := mo.lastSeen[key]; seen && r.GroupClock < last {
-				mo.m.Regressions++
-			}
-			mo.lastSeen[key] = r.GroupClock
-			if r.GroupClock+r.Bound < mo.floor {
-				mo.m.StalenessViolations++
-			}
-			if lo := r.GroupClock - r.Bound; lo > passMax {
-				passMax = lo
-			}
+			mo.chk.Observe(&mo.pre, invariant.Key{Group: uint32(d.group), Node: uint32(nd.id)}, r.GroupClock, r.Bound)
 			bound := float64(r.Bound) / float64(time.Microsecond)
 			if bound > mo.m.MaxBoundUS {
 				mo.m.MaxBoundUS = bound
@@ -265,7 +250,6 @@ func (mo *fedMonitor) sample(groups []*deployment, now time.Duration) {
 			}
 		}
 	}
-	mo.floor = passMax
 
 	// Seam checks: adjacent groups must publish overlapping intervals, and
 	// their clock skew is the convergence signal.
@@ -301,6 +285,7 @@ func (mo *fedMonitor) sample(groups []*deployment, now time.Duration) {
 }
 
 func (mo *fedMonitor) finish() {
+	mo.m.StalenessViolations, mo.m.Regressions = mo.chk.Violations()
 	if mo.m.Samples > 0 {
 		mo.m.MeanBoundUS /= float64(mo.m.Samples)
 	}
@@ -322,37 +307,26 @@ func RunFederated(spec FedSpec, seed int64) (FedResult, error) {
 	// Intra-group scenario: instant orderer (the fabric under test is the
 	// federation plane, not the intra-group wire), stock clock plan.
 	intra := Scenario{
-		Name:     spec.Name + "-intra",
-		Orderer:  order.KindInstant,
-		Clocks:   DefaultClocks(),
-		Duration: spec.Duration,
-		Gates:    Gates{ReconvergeWithin: spec.Gates.ReconvergeWithin},
+		Name:         spec.Name + "-intra",
+		Orderer:      order.KindInstant,
+		Clocks:       DefaultClocks(),
+		Duration:     spec.Duration,
+		RefreshEvery: spec.refreshEvery(),
+		Gates:        Gates{ReconvergeWithin: spec.Gates.ReconvergeWithin},
 	}
 
 	fabric := federation.NewSimFabric(k, spec.fabricDelay())
 	groups := make([]*deployment, 0, spec.Groups)
-	var agents []*federation.Agent
 	defer func() {
-		for _, a := range agents {
-			a.Stop()
-		}
 		for _, d := range groups {
-			for _, nd := range d.nodes {
-				nd.stack.Stop()
-				nd.mgr.Stop()
-			}
+			d.close()
 		}
-		k.RunFor(5 * time.Millisecond)
 	}()
 
+	// Deploy every group before any of them runs: an agent's first summaries
+	// must find its neighbors registered on the fabric.
 	for gi := 0; gi < spec.Groups; gi++ {
 		gid := fedGroupBase + wire.GroupID(gi)
-		d, err := buildOn(k, rec, intra, spec.NodesPerGroup, seed+int64(gi),
-			gid, transport.NodeID(gi*fedIDStride), time.Duration(gi)*spec.groupSkew())
-		if err != nil {
-			return FedResult{}, fmt.Errorf("campaign: %q group %d: %w", spec.Name, gi, err)
-		}
-		groups = append(groups, d)
 		var neighbors []wire.GroupID
 		if gi > 0 {
 			neighbors = append(neighbors, gid-1)
@@ -360,27 +334,30 @@ func RunFederated(spec FedSpec, seed int64) (FedResult, error) {
 		if gi < spec.Groups-1 {
 			neighbors = append(neighbors, gid+1)
 		}
-		for _, nd := range d.nodes {
-			a, err := federation.New(federation.Config{
-				Runtime:       k,
-				Service:       nd.svc,
-				Manager:       nd.mgr,
-				Clock:         nd.clock,
+		d, err := deploy(k, rec, intra, spec.NodesPerGroup, seed+int64(gi), placement{
+			group:  gid,
+			idBase: transport.NodeID(gi * fedIDStride),
+			skew:   time.Duration(gi) * spec.groupSkew(),
+			fed: &node.FederationConfig{
 				Link:          fabric.Link(gid),
-				Group:         gid,
 				Neighbors:     neighbors,
 				ExchangeEvery: spec.exchangeEvery(),
 				MaxStep:       spec.maxStep(),
 				Precision:     spec.precision(),
 				InitialSlack:  spec.initialSlack(),
-				Obs:           rec.ForNode(uint32(nd.id)),
-			})
-			if err != nil {
-				return FedResult{}, err
-			}
-			fabric.Register(gid, a)
-			a.Start()
-			agents = append(agents, a)
+			},
+		})
+		if err != nil {
+			return FedResult{}, fmt.Errorf("campaign: %q group %d: %w", spec.Name, gi, err)
+		}
+		groups = append(groups, d)
+		for _, nd := range d.nodes {
+			fabric.Register(gid, nd.Federation())
+		}
+	}
+	for gi, d := range groups {
+		if err := d.settle(); err != nil {
+			return FedResult{}, fmt.Errorf("campaign: %q group %d: %w", spec.Name, gi, err)
 		}
 	}
 
@@ -398,58 +375,14 @@ func RunFederated(spec FedSpec, seed int64) (FedResult, error) {
 		k.At(healAt, func() { setAll(false) })
 	}
 
-	// Prime every group's lease plane before the clock starts.
-	refreshAll := func() {
-		for _, d := range groups {
-			d.refreshTick()
-		}
-	}
-	allPrimed := func() bool {
-		for _, d := range groups {
-			if !primed(d) {
-				return false
-			}
-		}
-		return true
-	}
-	refreshAll()
-	primeDeadline := k.Now() + 200*time.Millisecond + 20*spec.refreshEvery()
-	for k.Now() < primeDeadline {
-		k.RunFor(spec.refreshEvery())
-		refreshAll()
-		if allPrimed() {
-			break
-		}
-	}
-	if !allPrimed() {
+	// Every group's lease plane must serve before the clock starts.
+	if !prime(k, spec.refreshEvery(), groups...) {
 		return FedResult{}, fmt.Errorf("campaign: %q: lease planes did not prime", spec.Name)
 	}
 
 	mo := newFedMonitor(spec.Gates)
 	mo.faultEnd = healAt
 	end := start + spec.Duration
-
-	refreshEvery := spec.refreshEvery()
-	var refreshLoop func()
-	refreshLoop = func() {
-		refreshAll()
-		if k.Now()+refreshEvery <= end {
-			k.After(refreshEvery, refreshLoop)
-		}
-	}
-	k.After(refreshEvery, refreshLoop)
-
-	exchangeEvery := spec.exchangeEvery()
-	var exchangeLoop func()
-	exchangeLoop = func() {
-		for _, a := range agents {
-			a.ExchangeTick()
-		}
-		if k.Now()+exchangeEvery <= end {
-			k.After(exchangeEvery, exchangeLoop)
-		}
-	}
-	k.After(exchangeEvery, exchangeLoop)
 
 	sampleEvery := spec.sampleEvery()
 	for k.Now() < end {

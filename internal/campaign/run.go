@@ -3,6 +3,9 @@ package campaign
 import (
 	"fmt"
 	"time"
+
+	"cts/internal/invariant"
+	"cts/internal/sim"
 )
 
 // Metrics are one cell's plot-ready measurements. Everything is derived
@@ -50,44 +53,40 @@ type Result struct {
 	Failures []string `json:"failures,omitempty"`
 }
 
-// monitor folds lease samples into gate counters. The staleness check is
-// the load-generator's argument (see ctsload): the true group clock only
-// advances, so the highest lower bound (GroupClock−Bound) ever served is a
-// floor every later reading's upper bound must clear. Like ctsload, the
-// comparison is happened-before only — a reading is checked against the
-// floor recorded before its sample pass began, never against readings from
-// the same instant on other nodes. Lease bounds are honest about each
-// node's own timeline (margin, drift, measured ordering lag), but nodes
-// that adopt rounds they did not propose have no lag measurement of their
-// own, so simultaneous cross-node comparison would demand a worst-case
-// bound the lease plane never promises.
+// monitor folds lease samples into gate counters. The staleness and
+// regression checks are internal/invariant's happened-before discipline (the
+// one ctsload applies): one sample pass is one observer exchange — snapshot
+// the floors, read every node, and hold each reading to the floors as of the
+// previous pass, never to readings from the same instant on other nodes.
+// Lease bounds are honest about each node's own timeline (margin, drift,
+// measured ordering lag), but nodes that adopt rounds they did not propose
+// have no lag measurement of their own, so simultaneous cross-node comparison
+// would demand a worst-case bound the lease plane never promises.
 type monitor struct {
-	floor    time.Duration         // max of GroupClock−Bound from prior passes
-	lastSeen map[int]time.Duration // per node: last GroupClock served
-	m        Metrics
+	chk invariant.Checker
+	pre invariant.Snapshot
+	m   Metrics
 	// reconvergence bookkeeping
 	faultEnd      time.Duration // absolute time the last fault clears
 	reconvergedAt time.Duration // earliest all-serving sample after faultEnd
 }
 
 func newMonitor() *monitor {
-	return &monitor{lastSeen: make(map[int]time.Duration), reconvergedAt: -1}
+	return &monitor{reconvergedAt: -1}
 }
 
-// sample reads every node's lease between kernel steps. One call is one
-// pass: readings are compared against the floor as of the previous pass
-// (the happened-before discipline above), then this pass's lower bounds
-// are folded into the floor for the next one.
+// sample reads every node's lease between kernel steps; one call is one
+// pass.
 func (mo *monitor) sample(d *deployment, now time.Duration) {
 	var (
 		allUp    = true
 		okCount  int
-		passMax  = mo.floor // highest GroupClock−Bound seen this pass
 		minClock time.Duration
 		maxClock time.Duration
 	)
-	for i, nd := range d.nodes {
-		r, ok := nd.svc.LeaseRead()
+	mo.chk.Snap(&mo.pre)
+	for _, nd := range d.nodes {
+		r, ok := nd.LeaseRead()
 		if !ok {
 			if nd.up {
 				allUp = false
@@ -95,16 +94,7 @@ func (mo *monitor) sample(d *deployment, now time.Duration) {
 			continue
 		}
 		mo.m.Samples++
-		if last, seen := mo.lastSeen[i]; seen && r.GroupClock < last {
-			mo.m.Regressions++
-		}
-		mo.lastSeen[i] = r.GroupClock
-		if r.GroupClock+r.Bound < mo.floor {
-			mo.m.StalenessViolations++
-		}
-		if lo := r.GroupClock - r.Bound; lo > passMax {
-			passMax = lo
-		}
+		mo.chk.Observe(&mo.pre, invariant.Key{Group: uint32(d.group), Node: uint32(nd.id)}, r.GroupClock, r.Bound)
 		bound := float64(r.Bound) / float64(time.Microsecond)
 		if bound > mo.m.MaxBoundUS {
 			mo.m.MaxBoundUS = bound
@@ -118,7 +108,6 @@ func (mo *monitor) sample(d *deployment, now time.Duration) {
 		}
 		okCount++
 	}
-	mo.floor = passMax
 	if okCount > 1 {
 		if spread := float64(maxClock-minClock) / float64(time.Microsecond); spread > mo.m.MaxSpreadUS {
 			mo.m.MaxSpreadUS = spread
@@ -135,6 +124,7 @@ func (mo *monitor) sample(d *deployment, now time.Duration) {
 }
 
 func (mo *monitor) finish() {
+	mo.m.StalenessViolations, mo.m.Regressions = mo.chk.Violations()
 	if mo.m.Samples > 0 {
 		mo.m.MeanBoundUS /= float64(mo.m.Samples)
 	}
@@ -163,34 +153,16 @@ func Run(sc Scenario, nodes int, seed int64) (Result, error) {
 	}
 	d.installSchedule(start)
 
-	// Prime the lease plane: one refresh wave, then wait until every node
-	// serves, so the monitor starts from a converged baseline. The budget
-	// scales with the refresh cadence — WAN scenarios pace refreshes (and
-	// thus rounds) hundreds of ms apart.
-	d.refreshTick()
-	primeDeadline := k.Now() + 200*time.Millisecond + 20*sc.refreshEvery()
-	for k.Now() < primeDeadline {
-		k.RunFor(sc.refreshEvery())
-		d.refreshTick()
-		if primed(d) {
-			break
-		}
-	}
-	if !primed(d) {
+	// Prime the lease plane: the nodes' own refreshers are already proposing;
+	// wait until every node serves, so the monitor starts from a converged
+	// baseline. The budget scales with the refresh cadence — WAN scenarios
+	// pace refreshes (and thus rounds) hundreds of ms apart.
+	if !prime(k, sc.refreshEvery(), d) {
 		return Result{}, fmt.Errorf("campaign: %q/%d: lease plane did not prime", sc.Name, nodes)
 	}
 
-	// Main loop: refresh cadence and monitor sampling between kernel steps.
-	refreshEvery := sc.refreshEvery()
+	// Main loop: monitor sampling between kernel steps.
 	sampleEvery := sc.sampleEvery()
-	var tick func()
-	tick = func() {
-		d.refreshTick()
-		if k.Now()+refreshEvery <= end {
-			k.After(refreshEvery, tick)
-		}
-	}
-	k.After(refreshEvery, tick)
 	for k.Now() < end {
 		step := sampleEvery
 		if left := end - k.Now(); left < step {
@@ -210,14 +182,19 @@ func Run(sc Scenario, nodes int, seed int64) (Result, error) {
 	return res, nil
 }
 
-// primed reports whether every node serves a lease.
-func primed(d *deployment) bool {
-	for _, nd := range d.nodes {
-		if _, ok := nd.svc.LeaseRead(); !ok {
-			return false
+// prime advances the simulation until every node of every group serves a
+// lease, reporting whether that happened within the budget.
+func prime(k *sim.Kernel, refreshEvery time.Duration, groups ...*deployment) bool {
+	return await(k, 200*time.Millisecond+20*refreshEvery, refreshEvery, func() bool {
+		for _, d := range groups {
+			for _, nd := range d.nodes {
+				if _, ok := nd.LeaseRead(); !ok {
+					return false
+				}
+			}
 		}
-	}
-	return true
+		return true
+	})
 }
 
 // gather sums the deployment's obs-registry counters into the metrics.

@@ -3,12 +3,14 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"cts/internal/gcs"
 	"cts/internal/hwclock"
 	"cts/internal/obs"
+	"cts/internal/transport"
 	"cts/internal/wire"
 )
 
@@ -290,6 +292,39 @@ func (s *TimeService) LeaseReadIntra() (LeaseReading, bool) {
 // senders withdraw, and every replica republishes its lease on adoption.
 func (s *TimeService) RefreshLease() {
 	s.mgr.Runtime().Post(s.refreshLease)
+}
+
+// RefreshProposers is how many members of a view propose lease-refresh rounds
+// on one tick. More than one for fault tolerance; few, because concurrent
+// refreshes coalesce into one round anyway.
+const RefreshProposers = 3
+
+// RefreshDuty is the lease-refresh policy: whether local should call
+// RefreshLease on its tick-th refresh tick, given the sorted members of its
+// view. Duty rotates because a replica's ordering-lag estimate (lagEst) is
+// fed only by rounds it proposes itself: cycling duty through the population
+// keeps every member's bound honest instead of only the first few ids'.
+func RefreshDuty(members []transport.NodeID, local transport.NodeID, tick uint64) bool {
+	return OnDuty(members, local, tick, RefreshProposers)
+}
+
+// OnDuty reports whether local holds one of the width duty slots of tick: a
+// window over the sorted members that advances by width per tick, so every
+// member serves once per ⌈n/width⌉ ticks and at most width serve at once. A
+// view no larger than width (every 3-replica deployment; the empty view
+// before the first installation) puts everyone on duty on every tick; in a
+// larger one a node outside the view has none.
+func OnDuty(members []transport.NodeID, local transport.NodeID, tick uint64, width int) bool {
+	n := len(members)
+	if n <= width {
+		return true
+	}
+	i, member := slices.BinarySearch(members, local)
+	if !member {
+		return false
+	}
+	first := int(tick%uint64(n)) * width % n
+	return (i-first+n)%n < width
 }
 
 // refreshLease is the loop half of RefreshLease.

@@ -17,6 +17,7 @@ import (
 	"cts/internal/faultinject"
 	"cts/internal/gcs"
 	"cts/internal/hwclock"
+	"cts/internal/node"
 	"cts/internal/obs"
 	"cts/internal/order"
 	"cts/internal/replication"
@@ -212,6 +213,11 @@ func (c *Cluster) addStack(id transport.NodeID, bootstrap bool) error {
 	return nil
 }
 
+// addReplica wires one replica through internal/node on the stack addStack
+// built for id. The cluster keeps the stacks caller-owned so that NewCluster
+// starts all of them — the client's included — in one sweep after every
+// manager has joined. The baseline modes stop the node's wiring at the
+// replication manager and install their own clock on it.
 func (c *Cluster) addReplica(id transport.NodeID, spec ClockSpec, recovering bool) error {
 	clock := hwclock.NewSim(c.K.Now,
 		hwclock.WithOffset(spec.Offset), hwclock.WithDriftPPM(spec.DriftPPM))
@@ -219,49 +225,45 @@ func (c *Cluster) addReplica(id transport.NodeID, spec ClockSpec, recovering boo
 		rng:   rand.New(rand.NewSource(c.cfg.Seed*1000 + int64(id))),
 		clock: clock,
 	}
-	mgr, err := replication.New(replication.Config{
+	// The time-service fields are inert in the baseline modes.
+	ncfg := node.Config{
 		Runtime:         c.K,
 		Stack:           c.Stacks[id],
 		Group:           ServerGroup,
 		Style:           c.cfg.Style,
 		App:             app,
+		Clock:           clock,
 		Recovering:      recovering,
 		CheckpointEvery: c.cfg.CheckpointEvery,
-		Obs:             c.Obs.ForNode(uint32(id)),
-	})
+		Obs:             c.Obs,
+		NoTimeService:   c.cfg.Mode != ModeCTS,
+		AgreedCCS:       c.cfg.AgreedCCS,
+		DisableBatching: c.cfg.DisableBatching,
+		Compensation:    c.cfg.Compensation,
+		MeanDelay:       c.cfg.MeanDelay,
+		ExternalGain:    c.cfg.ExternalGain,
+		OnRound: func(r core.RoundReport) {
+			c.Reports[id] = append(c.Reports[id], r)
+		},
+	}
+	if c.cfg.Mode == ModeCTS && c.cfg.Compensation == core.CompExternal {
+		maxSkew := c.cfg.ExternalSkew
+		if maxSkew == 0 {
+			maxSkew = 500 * time.Microsecond
+		}
+		ncfg.External = timesource.New(c.K.Now, c.cfg.Seed+int64(id),
+			timesource.WithMaxSkew(maxSkew))
+	}
+	n, err := node.New(ncfg)
 	if err != nil {
 		return err
 	}
 	switch c.cfg.Mode {
 	case ModeCTS:
-		ccfg := core.Config{
-			Manager:         mgr,
-			Clock:           clock,
-			AgreedCCS:       c.cfg.AgreedCCS,
-			DisableBatching: c.cfg.DisableBatching,
-			Compensation:    c.cfg.Compensation,
-			MeanDelay:       c.cfg.MeanDelay,
-			ExternalGain:    c.cfg.ExternalGain,
-			OnRound: func(r core.RoundReport) {
-				c.Reports[id] = append(c.Reports[id], r)
-			},
-		}
-		if c.cfg.Compensation == core.CompExternal {
-			maxSkew := c.cfg.ExternalSkew
-			if maxSkew == 0 {
-				maxSkew = 500 * time.Microsecond
-			}
-			ccfg.External = timesource.New(c.K.Now, c.cfg.Seed+int64(id),
-				timesource.WithMaxSkew(maxSkew))
-		}
-		svc, err := core.New(ccfg)
-		if err != nil {
-			return err
-		}
-		c.Svcs[id] = svc
-		app.read = func(ctx *replication.Ctx) time.Duration { return svc.Gettimeofday(ctx) }
+		c.Svcs[id] = n.Core()
+		app.read = n.Gettimeofday
 	case ModePrimaryBackup:
-		pb, err := baseline.NewPrimaryBackup(mgr, clock, func(r baseline.Report) {
+		pb, err := baseline.NewPrimaryBackup(n.Manager(), clock, func(r baseline.Report) {
 			c.PBReports[id] = append(c.PBReports[id], r)
 		})
 		if err != nil {
@@ -273,10 +275,10 @@ func (c *Cluster) addReplica(id transport.NodeID, spec ClockSpec, recovering boo
 		lc := baseline.NewLocalClock(clock)
 		app.read = lc.Gettimeofday
 	}
-	if err := mgr.Start(); err != nil {
+	if err := n.Start(); err != nil {
 		return err
 	}
-	c.Mgrs[id] = mgr
+	c.Mgrs[id] = n.Manager()
 	c.Apps[id] = app
 	return nil
 }
@@ -286,23 +288,13 @@ func (c *Cluster) addReplica(id transport.NodeID, spec ClockSpec, recovering boo
 func (c *Cluster) AddRecoveringReplica(spec ClockSpec) (transport.NodeID, error) {
 	id := transport.NodeID(len(c.nodes))
 	c.nodes = append(c.nodes, id)
-	s, err := gcs.New(gcs.Config{
-		Runtime:   c.K,
-		Transport: c.Net.Endpoint(id),
-		Members:   c.nodes,
-		Bootstrap: false,
-		Order:     order.Options{Kind: c.cfg.Topology.Orderer},
-		Obs:       c.Obs.ForNode(uint32(id)),
-	})
-	if err != nil {
+	if err := c.addStack(id, false); err != nil {
 		return 0, err
 	}
-	c.Stacks[id] = s
-	c.Inject.Register(id, s)
 	if err := c.addReplica(id, spec, true); err != nil {
 		return 0, err
 	}
-	s.Start()
+	c.Stacks[id].Start()
 	return id, nil
 }
 

@@ -199,8 +199,8 @@ func (a *Agent) Stop() {
 }
 
 // ExchangeTick drives one exchange round. The caller invokes it every
-// ExchangeEvery (cts wires it next to the lease refresh ticker; campaigns
-// drive it from virtual time). Safe from any goroutine.
+// ExchangeEvery (internal/node wires it next to the lease refresh ticker).
+// Safe from any goroutine.
 func (a *Agent) ExchangeTick() {
 	a.cfg.Runtime.Post(a.tickLoop)
 }
@@ -224,11 +224,8 @@ func (a *Agent) tickLoop() {
 	if len(a.cfg.Neighbors) == 0 || !a.cfg.Manager.Live() {
 		return
 	}
-	members := a.cfg.Manager.Stack().GroupMembers(a.cfg.Group)
-	if len(members) == 0 {
-		return
-	}
-	if members[int(a.tick%uint64(len(members)))] != a.cfg.Manager.LocalNode() {
+	members := a.cfg.Manager.Members()
+	if len(members) == 0 || !core.OnDuty(members, a.cfg.Manager.LocalNode(), a.tick, 1) {
 		return
 	}
 	// Summaries carry the intra-group reading: the group clock and the

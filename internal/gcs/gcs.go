@@ -311,12 +311,6 @@ func (s *Stack) WatchViews(h ViewHandler) {
 	})
 }
 
-// GroupMembers reports the processors hosting members of group id. Must be
-// called on the runtime loop.
-func (s *Stack) GroupMembers(id wire.GroupID) []transport.NodeID {
-	return s.groupMembers(id)
-}
-
 // announceLocal broadcasts this processor's full local group list. It is
 // idempotent: receivers replace their record of this processor's groups.
 func (s *Stack) announceLocal() {

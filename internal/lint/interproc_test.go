@@ -3,6 +3,7 @@ package lint
 import (
 	"bytes"
 	"go/token"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -64,6 +65,22 @@ func TestAllocfreeRequiredRoots(t *testing.T) {
 	}
 	if got := required([]RequiredRoot{{PkgSuffix: "corpus/nosuchpkg", Func: "Root"}}); len(got) != 0 {
 		t.Fatalf("requirement for a package outside the load should be skipped, got %v", got)
+	}
+
+	// The project's own pins: TestRepoClean proves each exists and is
+	// annotated; this proves none is dropped from the list.
+	pinned := make(map[string]bool)
+	for _, r := range DefaultConfig().AllocfreeRequire {
+		pinned[r.Func] = true
+	}
+	want := []string{"Server.serveLoop", "Server.answerDatagram", "TimeService.LeaseRead"}
+	if runtime.GOOS == "linux" && (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64") {
+		want = append(want, "Server.serveBatch")
+	}
+	for _, fn := range want {
+		if !pinned[fn] {
+			t.Errorf("DefaultConfig().AllocfreeRequire no longer pins %s", fn)
+		}
 	}
 }
 

@@ -35,6 +35,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -113,7 +114,7 @@ type RequiredRoot struct {
 
 // DefaultConfig returns the project rule parameters.
 func DefaultConfig() Config {
-	return Config{
+	cfg := Config{
 		NotimeAllowed: []string{
 			"internal/hwclock",
 			"internal/timesource",
@@ -167,15 +168,21 @@ func DefaultConfig() Config {
 		AllocfreeConvFree: []string{
 			"time.Duration",
 		},
+		// The serving hot path: the sequential loop, the one per-datagram
+		// answer loop both I/O paths share, the lease read.
 		AllocfreeRequire: []RequiredRoot{
 			{PkgSuffix: "internal/timeserve", Func: "Server.serveLoop"},
-			// The batched drain-serve path; every build flavor carries an
-			// annotated serveBatch (mmsg_other.go stubs it), so the pin
-			// holds on platforms without the syscalls too.
-			{PkgSuffix: "internal/timeserve", Func: "Server.serveBatch"},
+			{PkgSuffix: "internal/timeserve", Func: "Server.answerDatagram"},
 			{PkgSuffix: "internal/core", Func: "TimeService.LeaseRead"},
 		},
 	}
+	// The batched drain-serve cycle exists where mmsg_linux.go builds; the
+	// loader follows the host's build constraints.
+	if runtime.GOOS == "linux" && (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64") {
+		cfg.AllocfreeRequire = append(cfg.AllocfreeRequire,
+			RequiredRoot{PkgSuffix: "internal/timeserve", Func: "Server.serveBatch"})
+	}
+	return cfg
 }
 
 func (c Config) enabled(rule string) bool {

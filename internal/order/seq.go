@@ -66,8 +66,8 @@ type seqPending struct {
 // proposals, so any two primary views intersect and the ordered history
 // stays consistent.
 //
-// All state is confined to the runtime loop (the transport invokes the
-// receiver there, and public methods post).
+// All state is confined to the runtime loop: the transport receiver copies
+// the datagram and posts, and public methods post.
 type seqNode struct {
 	env Env
 	tun SeqTuning
@@ -310,10 +310,21 @@ func (n *seqNode) sweepPending() {
 	n.pend = out
 }
 
-// receive dispatches one inbound datagram. The transport invokes it on the
-// runtime loop.
+// receive is the transport receiver: it copies the datagram and hops onto
+// the runtime loop. Only simnet happens to call it there; udptransport calls
+// it on its read goroutine, with a buffer it reuses.
 func (n *seqNode) receive(from transport.NodeID, payload []byte) {
-	if n.state == seqStopped || n.state == seqIdle || len(payload) == 0 {
+	if len(payload) == 0 {
+		return
+	}
+	cp := make([]byte, len(payload))
+	copy(cp, payload)
+	n.rt.Post(func() { n.dispatch(from, cp) })
+}
+
+// dispatch handles one inbound datagram. Loop-only.
+func (n *seqNode) dispatch(from transport.NodeID, payload []byte) {
+	if n.state == seqStopped || n.state == seqIdle {
 		return
 	}
 	body := payload[1:]

@@ -335,6 +335,11 @@ func (m *Manager) Runtime() sim.Runtime { return m.rt }
 // LocalNode reports the replica's transport identity.
 func (m *Manager) LocalNode() transport.NodeID { return m.me }
 
+// Members reports the sorted members of the server group's current view
+// (empty before the first view installs). The slice is shared with the view:
+// read-only. Loop-only.
+func (m *Manager) Members() []transport.NodeID { return m.view.Members }
+
 // IsPrimary reports whether this replica is the group's current primary
 // (first member of the current view). Loop-only.
 func (m *Manager) IsPrimary() bool {

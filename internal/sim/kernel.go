@@ -1,9 +1,9 @@
 package sim
 
 import (
-	"container/heap"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -15,7 +15,7 @@ import (
 // The zero value is not usable; construct with NewKernel.
 type Kernel struct {
 	mu   sync.Mutex
-	now  time.Duration
+	now  atomic.Int64 // virtual time; written under mu, read lock-free by Now
 	q    eventQueue
 	seq  uint64
 	rng  *rand.Rand
@@ -28,11 +28,7 @@ func NewKernel(seed int64) *Kernel {
 }
 
 // Now reports the current virtual time.
-func (k *Kernel) Now() time.Duration {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.now
-}
+func (k *Kernel) Now() time.Duration { return time.Duration(k.now.Load()) }
 
 // RNG returns the kernel's deterministic random source. It must only be used
 // from event callbacks (they run serially), never concurrently.
@@ -45,7 +41,7 @@ func (k *Kernel) After(d time.Duration, fn func()) Canceler {
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return k.scheduleLocked(k.now+d, fn)
+	return k.scheduleLocked(k.Now()+d, fn)
 }
 
 // At schedules fn at absolute virtual time t. Times in the past run at the
@@ -53,8 +49,8 @@ func (k *Kernel) After(d time.Duration, fn func()) Canceler {
 func (k *Kernel) At(t time.Duration, fn func()) Canceler {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if t < k.now {
-		t = k.now
+	if now := k.Now(); t < now {
+		t = now
 	}
 	return k.scheduleLocked(t, fn)
 }
@@ -64,13 +60,13 @@ func (k *Kernel) At(t time.Duration, fn func()) Canceler {
 func (k *Kernel) Post(fn func()) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.scheduleLocked(k.now, fn)
+	k.scheduleLocked(k.Now(), fn)
 }
 
 func (k *Kernel) scheduleLocked(t time.Duration, fn func()) *event {
 	ev := &event{at: t, seq: k.seq, fn: fn}
 	k.seq++
-	heap.Push(&k.q, ev)
+	k.q.push(ev)
 	return ev
 }
 
@@ -78,12 +74,12 @@ func (k *Kernel) scheduleLocked(t time.Duration, fn func()) *event {
 // timestamp. It reports whether an event was executed.
 func (k *Kernel) Step() bool {
 	k.mu.Lock()
-	for k.q.Len() > 0 {
-		ev := heap.Pop(&k.q).(*event)
+	for len(k.q) > 0 {
+		ev := k.q.pop()
 		if ev.cancelled {
 			continue
 		}
-		k.now = ev.at
+		k.now.Store(int64(ev.at))
 		ev.done = true
 		fn := ev.fn
 		ev.fn = nil
@@ -107,9 +103,9 @@ func (k *Kernel) Run() {
 func (k *Kernel) RunUntil(t time.Duration) {
 	for {
 		k.mu.Lock()
-		if k.halt || k.q.Len() == 0 || k.q[0].at > t {
-			if k.now < t && !k.halt {
-				k.now = t
+		if k.halt || len(k.q) == 0 || k.q[0].at > t {
+			if k.Now() < t && !k.halt {
+				k.now.Store(int64(t))
 			}
 			k.halt = false
 			k.mu.Unlock()
@@ -146,7 +142,7 @@ func (k *Kernel) halted() bool {
 func (k *Kernel) Pending() int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return k.q.Len()
+	return len(k.q)
 }
 
 // event is a scheduled callback; it implements Canceler.
@@ -154,7 +150,6 @@ type event struct {
 	at        time.Duration
 	seq       uint64
 	fn        func()
-	index     int
 	cancelled bool
 	done      bool
 }
@@ -170,35 +165,53 @@ func (e *event) Cancel() bool {
 	return true
 }
 
-// eventQueue is a min-heap ordered by (at, seq).
+// eventQueue is a binary min-heap ordered by (at, seq). The order is total
+// (seq is unique), so the pop sequence does not depend on the heap's layout.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return q[i].seq < q[j].seq
+	return e.seq < o.seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+func (q *eventQueue) push(ev *event) {
+	h := append(*q, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	*q = h
 }
 
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+// pop removes and returns the earliest event of a non-empty queue.
+func (q *eventQueue) pop() *event {
+	h := *q
+	top, n := h[0], len(h)-1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for child := 1; child < n; child = 2*i + 1 {
+			if child+1 < n && h[child+1].before(h[child]) {
+				child++
+			}
+			if !h[child].before(last) {
+				break
+			}
+			h[i] = h[child]
+			i = child
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
 }

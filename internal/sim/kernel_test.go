@@ -233,6 +233,59 @@ func TestKernelOrderingProperty(t *testing.T) {
 	}
 }
 
+// Property: the same holds when callbacks schedule as they run — zero-delay
+// events interleaved with events scheduled earlier for the same instant.
+// Every event runs in (time, scheduling order).
+func TestKernelNestedOrderingProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		k := NewKernel(seed)
+		rng := rand.New(rand.NewSource(seed))
+		type rec struct {
+			at  time.Duration
+			seq int
+		}
+		var got []rec
+		scheduled := 0
+		var spawn func(depth int)
+		spawn = func(depth int) {
+			at, seq := k.Now()+time.Duration(rng.Intn(3))*time.Microsecond, scheduled
+			scheduled++
+			fn := func() {
+				if k.Now() != at {
+					t.Errorf("event %d ran at %v, want %v", seq, k.Now(), at)
+				}
+				got = append(got, rec{at, seq})
+				for i := rng.Intn(3); depth < 6 && i > 0; i-- {
+					spawn(depth + 1)
+				}
+			}
+			switch rng.Intn(3) {
+			case 0:
+				k.At(at, fn)
+			case 1:
+				k.After(at-k.Now(), fn)
+			default:
+				at = k.Now()
+				k.Post(fn)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			spawn(0)
+		}
+		k.Run()
+		return len(got) == scheduled && k.Pending() == 0 &&
+			sort.SliceIsSorted(got, func(i, j int) bool {
+				if got[i].at != got[j].at {
+					return got[i].at < got[j].at
+				}
+				return got[i].seq < got[j].seq
+			})
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestKernelPendingCount(t *testing.T) {
 	k := NewKernel(1)
 	k.After(time.Millisecond, func() {})

@@ -71,8 +71,11 @@ func seqNonces(base uint64, n int) []uint64 {
 
 // TestMmsgSeqEquivalence replays the same request streams through the batched
 // and the sequential serve paths and asserts byte-identical response sets and
-// identical counters. Conforming datagrams (≤ MaxBatch requests) must be
-// indistinguishable between the two paths.
+// identical counters. Both paths answer through answerDatagram (whose parse
+// rules TestAnswerDatagram pins), so what this suite tests is the I/O
+// primitives around it: recvmmsg/sendmmsg staging against ReadFrom/WriteTo.
+// Conforming datagrams (≤ MaxBatch requests) must be indistinguishable
+// between the two paths.
 func TestMmsgSeqEquivalence(t *testing.T) {
 	over := make([]uint64, MaxBatch+5)
 	for i := range over {

@@ -243,12 +243,11 @@ func (s *Server) batchLoop(rc syscall.RawConn, sh *shard, r *mmsgRing) bool {
 	}
 }
 
-// serveBatch answers every datagram of the current drain in place: parse the
-// queries, serve them from one lease snapshot taken for the whole batch, and
-// stage one reply datagram per request datagram for the flush. Semantics
-// mirror the sequential loop exactly — MaxBatch backpressure, runt-tail and
-// malformed-request drops, no reply for datagrams with zero accepted
-// queries — plus one drop per kernel-truncated oversized datagram.
+// serveBatch answers every datagram of the current drain in place from one
+// lease snapshot taken for the whole batch (answerDatagram, the loop the
+// sequential path runs per datagram), and stages one reply datagram per
+// request datagram for the flush. A kernel-truncated oversized datagram
+// costs one extra drop.
 //
 //cts:allocfree
 func (s *Server) serveBatch(sh *shard, r *mmsgRing) {
@@ -259,53 +258,18 @@ func (s *Server) serveBatch(sh *shard, r *mmsgRing) {
 		if n > mmsgRecvSlot {
 			n = mmsgRecvSlot
 		}
-		if r.rhdr[i].hdr.Flags&syscall.MSG_TRUNC != 0 {
-			sh.drops.Add(1) // oversized datagram: the kernel cut the tail
-		}
-		buf := r.rbuf[i*mmsgRecvSlot : i*mmsgRecvSlot+n]
 		j := r.wcount
-		out := r.wbuf[j*mmsgReplySlot : j*mmsgReplySlot : (j+1)*mmsgReplySlot]
-		accepted := 0
-		for off := 0; off+ReqSize <= n; off += ReqSize {
-			if accepted == MaxBatch {
-				// Backpressure: excess queries in an oversized batch are
-				// dropped, not queued.
-				sh.drops.Add(uint64((n - off) / ReqSize))
-				break
-			}
-			q, err := ParseRequest(buf[off : off+ReqSize])
-			if err != nil {
-				sh.drops.Add(1)
-				continue
-			}
-			accepted++
-			resp := Response{Node: s.cfg.Node, Nonce: q.Nonce, Echo: q.Echo}
-			if haveLease {
-				resp.Flags = FlagOK
-				resp.Group = rd.GroupClock
-				resp.Bound = rd.Bound
-				resp.Epoch = rd.Epoch
-			} else {
-				resp.Flags = FlagStale
-			}
-			filled := len(out)
-			out = out[:filled+RespSize]
-			PutResponse(out[filled:], resp)
+		reply, accepted, drops := s.answerDatagram(r.rbuf[i*mmsgRecvSlot:i*mmsgRecvSlot+n],
+			r.wbuf[j*mmsgReplySlot:(j+1)*mmsgReplySlot], rd, haveLease)
+		if r.rhdr[i].hdr.Flags&syscall.MSG_TRUNC != 0 {
+			drops++ // oversized datagram: the kernel cut the tail
 		}
-		if n%ReqSize != 0 {
-			sh.drops.Add(1) // runt or trailing garbage
-		}
-		sh.queries.Add(uint64(accepted))
-		if haveLease {
-			sh.leaseHit.Add(uint64(accepted))
-		} else {
-			sh.staleRejected.Add(uint64(accepted))
-		}
+		sh.account(accepted, drops, haveLease)
 		if accepted == 0 {
 			continue
 		}
 		r.wiov[j].Base = &r.wbuf[j*mmsgReplySlot]
-		r.wiov[j].Len = uint64(len(out))
+		r.wiov[j].Len = uint64(reply)
 		r.whdr[j].hdr.Name = (*byte)(unsafe.Pointer(&r.names[i]))
 		r.whdr[j].hdr.Namelen = r.rhdr[i].hdr.Namelen
 		r.waccepted[j] = uint32(accepted)
@@ -480,6 +444,11 @@ func (steadySource) LeaseRead() (Reading, bool) {
 // dynamic counterpart of the static allocfree proof on batchLoop/serveBatch.
 // ctsload records it in the bench row and `make loadtest` gates it at 0.
 // Returns -1 on builds without the batched path.
+//
+// The measurement follows testing.AllocsPerRun: one warm-up cycle, a single
+// P for the duration so no other goroutine of the process runs (and mallocs)
+// in between, and whole-number division, so a stray runtime allocation does
+// not read as a fractional per-op cost.
 func ServeAllocsPerOp() float64 {
 	s := &Server{cfg: Config{Node: 1, Source: steadySource{}}}
 	sh := &shard{}
@@ -495,12 +464,13 @@ func ServeAllocsPerOp() float64 {
 	}
 	r.nrecv = mmsgRecvMsgs
 	const iters = 200
-	runtime.GC()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s.serveBatch(sh, r)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for it := 0; it < iters; it++ {
 		s.serveBatch(sh, r)
 	}
 	runtime.ReadMemStats(&m1)
-	return float64(m1.Mallocs-m0.Mallocs) / iters
+	return float64((m1.Mallocs - m0.Mallocs) / iters)
 }

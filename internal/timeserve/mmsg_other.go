@@ -6,24 +6,12 @@ import "net"
 
 // This platform has no recvmmsg/sendmmsg shim; shards always run the
 // sequential serve loop and burst clients fall back to one datagram per
-// syscall. The stubs keep the fallback ladder — and the pinned allocfree
-// root — identical across builds.
+// syscall. The stubs keep the fallback ladder identical across builds.
 const mmsgSupported = false
-
-// mmsgRing is the batched-I/O state on builds that have none.
-type mmsgRing struct{ nrecv int }
 
 // serveBatched reports that the batched path is unavailable; serve falls
 // back to the sequential loop.
 func (s *Server) serveBatched(pc net.PacketConn, sh *shard) bool { return false }
-
-// serveBatch is the pinned allocfree root of the batched serve path. On
-// builds without the syscalls it has nothing to do — the annotation (and the
-// Config.AllocfreeRequire pin) stay in force so the hot-path contract cannot
-// silently vanish on any platform.
-//
-//cts:allocfree
-func (s *Server) serveBatch(sh *shard, r *mmsgRing) {}
 
 // ServeAllocsPerOp reports -1: no batched path to measure on this build.
 func ServeAllocsPerOp() float64 { return -1 }

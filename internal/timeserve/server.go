@@ -24,9 +24,9 @@ type Reading struct {
 }
 
 // LeaseSource answers external reads from the replica's current lease.
-// core.TimeService.LeaseRead provides this (adapted by the cts facade); the
+// core.TimeService.LeaseRead provides this (adapted by internal/node); the
 // call must be safe from any goroutine and lock-free on the fast path, since
-// every shard invokes it per query.
+// every shard invokes it per drain (per datagram on the sequential path).
 type LeaseSource interface {
 	LeaseRead() (Reading, bool)
 }
@@ -263,14 +263,13 @@ func (s *Server) serve(pc net.PacketConn, sh *shard) {
 		})
 	}
 	buf := make([]byte, MaxDatagram)
-	out := make([]byte, 0, MaxBatch*RespSize)
+	out := make([]byte, MaxBatch*RespSize)
 	s.serveLoop(pc, sh, buf, out)
 }
 
-// serveLoop is one shard's receive loop: read a datagram, answer every valid
-// query in it from the lease, send one response datagram back. Buffers are
-// reused across iterations (responses are written in place via PutResponse
-// after reslicing within capacity); the loop allocates nothing in steady
+// serveLoop is one shard's sequential receive loop, a drain of one: read a
+// datagram, answer it from one lease read, send one response datagram back.
+// Buffers are reused across iterations; the loop allocates nothing in steady
 // state, and ctslint's allocfree rule proves it for every callee.
 //
 //cts:allocfree
@@ -285,47 +284,68 @@ func (s *Server) serveLoop(pc net.PacketConn, sh *shard, buf, out []byte) {
 			continue
 		}
 		sh.datagrams.Add(1)
-		out = out[:0]
-		accepted := 0
-		for off := 0; off+ReqSize <= n; off += ReqSize {
-			if accepted == MaxBatch {
-				// Backpressure: excess queries in an oversized batch are
-				// dropped, not queued.
-				sh.drops.Add(uint64((n - off) / ReqSize))
-				break
-			}
-			q, err := ParseRequest(buf[off : off+ReqSize])
-			if err != nil {
-				sh.drops.Add(1)
-				continue
-			}
-			accepted++
-			sh.queries.Add(1)
-			r := Response{Node: s.cfg.Node, Nonce: q.Nonce, Echo: q.Echo}
-			if rd, ok := s.cfg.Source.LeaseRead(); ok {
-				r.Flags = FlagOK
-				r.Group = rd.GroupClock
-				r.Bound = rd.Bound
-				r.Epoch = rd.Epoch
-				sh.leaseHit.Add(1)
-			} else {
-				r.Flags = FlagStale
-				sh.staleRejected.Add(1)
-			}
-			filled := len(out)
-			out = out[:filled+RespSize]
-			PutResponse(out[filled:], r)
-		}
-		if n%ReqSize != 0 {
-			sh.drops.Add(1) // runt or trailing garbage
-		}
-		if len(out) > 0 {
-			_, err := pc.WriteTo(out, from)
+		rd, ok := s.cfg.Source.LeaseRead()
+		reply, accepted, drops := s.answerDatagram(buf[:n], out, rd, ok)
+		sh.account(accepted, drops, ok)
+		if reply > 0 {
+			_, err := pc.WriteTo(out[:reply], from)
 			sh.syscalls.Add(1)
 			if err != nil && !s.closed.Load() {
 				sh.drops.Add(uint64(accepted))
 			}
 		}
+	}
+}
+
+// answerDatagram is the one per-datagram answer loop, shared by the
+// sequential and the batched I/O paths: parse the queries of request
+// datagram in, answer each from the lease reading (rd, ok) into out, and
+// report the reply length, the queries accepted and the queries dropped.
+// out must hold MaxBatch responses. At most MaxBatch queries are answered —
+// backpressure: the excess of an oversized batch is dropped, not queued —
+// malformed requests and a runt tail each count one drop, and a datagram
+// with no acceptable query gets no reply.
+//
+//cts:allocfree
+func (s *Server) answerDatagram(in, out []byte, rd Reading, ok bool) (reply, accepted, drops int) {
+	n := len(in)
+	for off := 0; off+ReqSize <= n; off += ReqSize {
+		if accepted == MaxBatch {
+			drops += (n - off) / ReqSize
+			break
+		}
+		q, err := ParseRequest(in[off : off+ReqSize])
+		if err != nil {
+			drops++
+			continue
+		}
+		accepted++
+		r := Response{Flags: FlagStale, Node: s.cfg.Node, Nonce: q.Nonce, Echo: q.Echo}
+		if ok {
+			r.Flags = FlagOK
+			r.Group = rd.GroupClock
+			r.Bound = rd.Bound
+			r.Epoch = rd.Epoch
+		}
+		PutResponse(out[reply:reply+RespSize], r)
+		reply += RespSize
+	}
+	if n%ReqSize != 0 {
+		drops++ // runt or trailing garbage
+	}
+	return reply, accepted, drops
+}
+
+// account folds one answered datagram into the shard counters.
+func (sh *shard) account(accepted, drops int, ok bool) {
+	sh.queries.Add(uint64(accepted))
+	if ok {
+		sh.leaseHit.Add(uint64(accepted))
+	} else {
+		sh.staleRejected.Add(uint64(accepted))
+	}
+	if drops > 0 {
+		sh.drops.Add(uint64(drops))
 	}
 }
 

@@ -308,3 +308,53 @@ func TestServerDropsMalformedAndOverBatch(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestAnswerDatagram pins the per-datagram parse rules once, without
+// sockets: both I/O paths answer through this one function, so the
+// mmsg-vs-seq equivalence suite only has to test the I/O primitives.
+func TestAnswerDatagram(t *testing.T) {
+	lease := Reading{GroupClock: 9 * time.Second, Bound: 33 * time.Microsecond, Epoch: 5}
+	cases := []struct {
+		name     string
+		in       []byte
+		ok       bool
+		nonces   []uint64 // answered queries, in order
+		accepted int
+		drops    int
+	}{
+		{"empty", nil, true, nil, 0, 0},
+		{"runt", []byte{1, 2, 3}, true, nil, 0, 1},
+		{"single", reqs([]uint64{7}, nil), true, []uint64{7}, 1, 0},
+		{"runt-tail", append(reqs([]uint64{7, 8}, nil), 0xAA), true, []uint64{7, 8}, 2, 1},
+		{"bad-magic-mid-batch", reqs(seqNonces(40, 3), map[int]bool{1: true}), true, []uint64{40, 42}, 2, 1},
+		{"all-bad-magic", reqs(seqNonces(40, 2), map[int]bool{0: true, 1: true}), true, nil, 0, 2},
+		{"full-batch", reqs(seqNonces(10, MaxBatch), nil), true, seqNonces(10, MaxBatch), MaxBatch, 0},
+		{"over-batch", reqs(seqNonces(1000, MaxBatch+5), nil), true, seqNonces(1000, MaxBatch), MaxBatch, 5},
+		{"stale", reqs(seqNonces(70, 8), nil), false, seqNonces(70, 8), 8, 0},
+	}
+	s := &Server{cfg: Config{Node: 3}}
+	out := make([]byte, MaxBatch*RespSize)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reply, accepted, drops := s.answerDatagram(tc.in, out, lease, tc.ok)
+			if accepted != tc.accepted || drops != tc.drops || reply != len(tc.nonces)*RespSize {
+				t.Fatalf("answerDatagram = (reply %d, accepted %d, drops %d), want (%d, %d, %d)",
+					reply, accepted, drops, len(tc.nonces)*RespSize, tc.accepted, tc.drops)
+			}
+			for i, nonce := range tc.nonces {
+				r, err := ParseResponse(out[i*RespSize : (i+1)*RespSize])
+				if err != nil {
+					t.Fatalf("response %d: %v", i, err)
+				}
+				want := Response{Flags: FlagStale, Node: 3, Nonce: nonce, Echo: nonce}
+				if tc.ok {
+					want = Response{Flags: FlagOK, Node: 3, Nonce: nonce, Echo: nonce,
+						Group: lease.GroupClock, Bound: lease.Bound, Epoch: lease.Epoch}
+				}
+				if r != want {
+					t.Fatalf("response %d = %+v, want %+v", i, r, want)
+				}
+			}
+		})
+	}
+}
