@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cts/internal/obs"
+	"cts/internal/order"
 )
 
 // TestFigure5RoundTrace drives the Figure 5 workload (three-way actively
@@ -96,5 +97,49 @@ func TestClusterObserveDisabledByDefault(t *testing.T) {
 	}
 	if len(res.Metrics) != 0 {
 		t.Fatalf("untraced run gathered %d metric samples, want 0", len(res.Metrics))
+	}
+}
+
+// TestFigure5RetentionBounded runs the Figure 5 loop long enough that a layer
+// keeping every ordered message would show it, and checks the retention
+// gauges of every node at the end: the orderer holds only the ring's last few
+// messages and no executor holds a request it has already run. (Under
+// -orderer=seq there is no totem gauge; the replication log is checked for
+// both orderers.)
+func TestFigure5RetentionBounded(t *testing.T) {
+	const (
+		invocations = 5000
+		maxRetained = 64 // a few token rotations' worth, not a function of invocations
+	)
+	res, err := RunFigure5Traced(1, invocations, nil)
+	if err != nil {
+		t.Fatalf("RunFigure5Traced: %v", err)
+	}
+	var logGauges, totemGauges int
+	for _, s := range res.Metrics {
+		switch s.Name {
+		case "totem.retained_msgs":
+			totemGauges++
+			if s.Value > maxRetained {
+				t.Errorf("node %d: totem.retained_msgs = %d after %d reads, want ≤ %d",
+					s.Node, s.Value, invocations, maxRetained)
+			}
+		case "totem.discard_point":
+			if s.Value < invocations {
+				t.Errorf("node %d: totem.discard_point = %d after %d reads", s.Node, s.Value, invocations)
+			}
+		case "replication.log_entries":
+			logGauges++
+			if s.Value > 1 {
+				t.Errorf("node %d: replication.log_entries = %d after %d reads, want ≤ 1",
+					s.Node, s.Value, invocations)
+			}
+		}
+	}
+	if logGauges == 0 {
+		t.Error("no replication.log_entries gauge gathered")
+	}
+	if DefaultOrderer == order.KindTotem && totemGauges == 0 {
+		t.Error("no totem.retained_msgs gauge gathered")
 	}
 }

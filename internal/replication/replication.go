@@ -215,6 +215,10 @@ type Manager struct {
 	// replicas whose delivery counters differ from the serving executor's.
 	getstatePos map[uint64]uint64
 
+	// log holds the ordered requests this replica may still have to run:
+	// everything since the last checkpoint at a passive backup (replayed on
+	// failover), and only the not-yet-executed suffix at an executor, which
+	// never re-reads log[:executed] (tryExecute releases it).
 	log      []logEntry
 	executed int // index of the next log entry to execute
 
@@ -375,6 +379,8 @@ func (m *Manager) ObsSamples() []obs.Sample {
 		{Node: id, Name: "repl.checkpoints_applied", Value: m.stats.CheckpointsApplied},
 		{Node: id, Name: "repl.replayed", Value: m.stats.Replayed},
 		{Node: id, Name: "repl.resyncs", Value: m.stats.Resyncs},
+		// Gauge: ordered requests retained for execution or failover replay.
+		{Node: id, Name: "replication.log_entries", Value: uint64(len(m.log))},
 	}
 }
 
@@ -544,6 +550,14 @@ func (m *Manager) tryExecute() {
 		case wire.TypeGetState:
 			m.handleGetState(e)
 		}
+	}
+	if m.executed > 0 && m.executed == len(m.log) {
+		// Everything logged has been handed to execution (the running
+		// invocation keeps its own copy): release the entries, so their
+		// payloads can be collected, and keep the capacity.
+		clear(m.log)
+		m.log = m.log[:0]
+		m.executed = 0
 	}
 }
 

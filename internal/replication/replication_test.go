@@ -71,7 +71,7 @@ func newRepHarness(t *testing.T, seed int64) *repHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &repHarness{
+	h := &repHarness{
 		t:      t,
 		k:      k,
 		net:    simnet.NewNetwork(k, nil),
@@ -80,6 +80,28 @@ func newRepHarness(t *testing.T, seed int64) *repHarness {
 		mgrs:   make(map[transport.NodeID]*Manager),
 		apps:   make(map[transport.NodeID]*counterApp),
 	}
+	t.Cleanup(func() {
+		var mgrs []*Manager
+		for _, m := range h.mgrs {
+			mgrs = append(mgrs, m)
+		}
+		retire(k, h.stacks, mgrs...)
+	})
+	return h
+}
+
+// retire drains in-flight invocations so every manager is idle, then stops
+// the stacks and retires the logical-thread goroutines; TestMain's leak check
+// fails the package if any survive.
+func retire(k *sim.Kernel, stacks map[transport.NodeID]*gcs.Stack, mgrs ...*Manager) {
+	k.RunFor(5 * time.Millisecond)
+	for _, s := range stacks {
+		s.Stop()
+	}
+	for _, m := range mgrs {
+		m.Stop()
+	}
+	k.RunFor(5 * time.Millisecond)
 }
 
 // counter reads one per-node counter from the obs registry, the only stats
@@ -442,6 +464,7 @@ func TestCtxCallAsyncCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer retire(k, map[transport.NodeID]*gcs.Stack{0: s}, m)
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -490,6 +513,7 @@ func TestSpawnThreadDistinctIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer retire(k, map[transport.NodeID]*gcs.Stack{0: s}, m)
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -677,6 +701,7 @@ func TestStatusCallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer retire(k, stacks, m)
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}

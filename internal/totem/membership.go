@@ -453,6 +453,7 @@ func (n *Node) enterRecover(ct *CommitToken) {
 	n.highSeq = 0
 	n.myAru = 0
 	n.delivered = 0
+	n.gcPoint = 0
 	n.prevTokenAru = 0
 	n.safePoint = 0
 	n.received = make(map[uint64]*DataMsg)
@@ -477,21 +478,36 @@ func (n *Node) enterRecover(ct *CommitToken) {
 			}
 		}
 		// holders[s] = lowest-id cohort member that holds old message s>low.
-		holders := make(map[uint64]transport.NodeID)
-		note := func(s uint64, id transport.NodeID) {
-			if cur, ok := holders[s]; !ok || id < cur {
-				holders[s] = id
+		// A member's Received list is an explicit claim: it holds exactly
+		// those. Its (low, Aru] range is only a claim to have DELIVERED them;
+		// it may have discarded a prefix since (discardThrough). So explicit
+		// claims win, and a range claim stands only for a sequence nobody
+		// lists — which proves the claimant still holds it: a member discards
+		// s only once every member has received it, and the member whose Aru
+		// is low has then received s without delivering it, so it lists s.
+		lowest := func(m map[uint64]transport.NodeID, s uint64, id transport.NodeID) {
+			if cur, ok := m[s]; !ok || id < cur {
+				m[s] = id
 			}
 		}
+		holders := make(map[uint64]transport.NodeID)
 		for _, info := range cohort {
-			for s := low + 1; s <= info.Aru; s++ {
-				note(s, info.ID)
-			}
 			for _, s := range info.Received {
 				if s > low {
-					note(s, info.ID)
+					lowest(holders, s, info.ID)
 				}
 			}
+		}
+		ranged := make(map[uint64]transport.NodeID)
+		for _, info := range cohort {
+			for s := low + 1; s <= info.Aru; s++ {
+				if _, listed := holders[s]; !listed {
+					lowest(ranged, s, info.ID)
+				}
+			}
+		}
+		for s, id := range ranged {
+			holders[s] = id
 		}
 		duty := make([]uint64, 0, len(holders))
 		for s, id := range holders {
@@ -503,7 +519,7 @@ func (n *Node) enterRecover(ct *CommitToken) {
 		for _, s := range duty {
 			orig, ok := n.oldHold[s]
 			if !ok {
-				continue // should not happen: duty is derived from our info
+				continue // should not happen: duty is derived from held messages
 			}
 			n.recq = append(n.recq, &DataMsg{
 				Kind:    KindRecovery,

@@ -161,12 +161,23 @@ type Node struct {
 	quorum  int
 
 	// Operational ring state.
-	receivedKeys map[uint64]bool // logical identities seen, for duplicate suppression
-	lastTokenSeq uint64
-	highSeq      uint64
-	myAru        uint64
-	received     map[uint64]*DataMsg
-	delivered    uint64
+	//
+	// keys and prevKeys are the logical identities seen, for duplicate
+	// suppression: a two-generation window (noteKey) that remembers at least
+	// the last keyGeneration identities and at most twice that. Keys outlive
+	// their message — discarding received[s] does not forget its key.
+	keys, prevKeys map[uint64]bool
+	lastTokenSeq   uint64
+	highSeq        uint64
+	myAru          uint64
+	// received holds the ring's messages above gcPoint. Everything at or
+	// below gcPoint has been delivered here and is held by every member (see
+	// discardThrough), so neither retransmission nor recovery can need it.
+	received  map[uint64]*DataMsg
+	delivered uint64
+	gcPoint   uint64
+	// prevTokenAru is the token's aru as it ARRIVED on the previous visit;
+	// with this visit's incoming aru it is the discard rule's evidence.
 	prevTokenAru uint64
 	safePoint    uint64
 	sendq        []*queuedMsg
@@ -227,16 +238,16 @@ func New(cfg Config) (*Node, error) {
 		quorum = len(members)/2 + 1
 	}
 	n := &Node{
-		cfg:          cfg,
-		rt:           cfg.Runtime,
-		tr:           cfg.Transport,
-		me:           me,
-		members:      members,
-		quorum:       quorum,
-		received:     make(map[uint64]*DataMsg),
-		receivedKeys: make(map[uint64]bool),
-		oldHold:      make(map[uint64]*DataMsg),
-		obs:          cfg.Obs,
+		cfg:      cfg,
+		rt:       cfg.Runtime,
+		tr:       cfg.Transport,
+		me:       me,
+		members:  members,
+		quorum:   quorum,
+		received: make(map[uint64]*DataMsg),
+		keys:     make(map[uint64]bool),
+		oldHold:  make(map[uint64]*DataMsg),
+		obs:      cfg.Obs,
 	}
 	cfg.Obs.Register(n)
 	cfg.Transport.SetReceiver(n.receive)
@@ -366,6 +377,9 @@ func (n *Node) ObsSamples() []obs.Sample {
 		{Node: id, Name: "totem.memberships", Value: n.stats.Memberships},
 		{Node: id, Name: "totem.token_retrans", Value: n.stats.TokenRetrans},
 		{Node: id, Name: "totem.token_losses", Value: n.stats.TokenLosses},
+		// Gauges: what the ring still retains, and up to where it let go.
+		{Node: id, Name: "totem.retained_msgs", Value: uint64(len(n.received))},
+		{Node: id, Name: "totem.discard_point", Value: n.gcPoint},
 	}
 }
 
@@ -439,6 +453,7 @@ func (n *Node) onToken(tk *Token) {
 	if tk.Aru > n.safePoint {
 		n.safePoint = tk.Aru
 	}
+	aruIn := tk.Aru
 	n.cancelTimer(&n.retransTimer)
 	n.cancelTimer(&n.lossTimer)
 
@@ -476,7 +491,7 @@ func (n *Node) onToken(tk *Token) {
 		if q.cancelled {
 			continue
 		}
-		if q.dupKey != 0 && n.receivedKeys[q.dupKey] {
+		if q.dupKey != 0 && n.seenKey(q.dupKey) {
 			// Duplicate detection: a message with the same logical identity
 			// has already been received from another processor (§4.3).
 			q.cancelled = true
@@ -515,12 +530,22 @@ func (n *Node) onToken(tk *Token) {
 	tk.Rtr = dedupSorted(rtr)
 	tk.Fcc = fcc
 
-	n.prevTokenAru = tk.Aru
-
 	// 5. Deliver.
 	n.tryDeliver()
 
-	// 6. Forward the token.
+	// 6. Discard what the whole ring holds. One incoming aru is not a full
+	// rotation of evidence (a holder of an aruNone token writes its own aru,
+	// in-flight broadcasts included), but no member can have been below the
+	// smaller of two consecutive incoming values: it would have lowered the
+	// token between the two visits, and only it could have raised it again.
+	// Recovery reads received (salvage, and oldHold aliases it), so a ring
+	// still recovering keeps everything.
+	if n.state == stateOperational {
+		n.discardThrough(minU64(n.delivered, minU64(aruIn, n.prevTokenAru)))
+	}
+	n.prevTokenAru = aruIn
+
+	// 7. Forward the token.
 	tk.TokenSeq++
 	n.forwardToken(tk)
 }
@@ -547,19 +572,44 @@ func (n *Node) onData(m *DataMsg) {
 }
 
 func (n *Node) storeReceived(m *DataMsg) {
-	if m.Seq == 0 {
-		return
+	if m.Seq <= n.gcPoint {
+		return // seq 0, or a late duplicate of a message already discarded
 	}
 	if _, ok := n.received[m.Seq]; !ok {
 		n.received[m.Seq] = m
 	}
 	if m.DupKey != 0 {
-		// Bound the table; losing old entries only costs a redundant send.
-		if len(n.receivedKeys) > 1<<17 {
-			n.receivedKeys = make(map[uint64]bool)
-		}
-		n.receivedKeys[m.DupKey] = true
+		n.noteKey(m.DupKey)
 	}
+}
+
+// discardThrough releases every retained message at or below limit.
+func (n *Node) discardThrough(limit uint64) {
+	for n.gcPoint < limit {
+		n.gcPoint++
+		delete(n.received, n.gcPoint)
+	}
+}
+
+// keyGeneration is the size at which the current key generation is retired:
+// the node remembers at least this many of the most recent logical
+// identities, and at most twice as many.
+const keyGeneration = 1 << 16
+
+func (n *Node) seenKey(k uint64) bool { return n.keys[k] || n.prevKeys[k] }
+
+// noteKey records a logical identity. The table is bounded by keeping two
+// generations and dropping the older one when the current fills; forgetting
+// an old key only costs a redundant send.
+func (n *Node) noteKey(k uint64) {
+	if n.keys[k] {
+		return
+	}
+	if len(n.keys) >= keyGeneration {
+		n.prevKeys = n.keys
+		n.keys = make(map[uint64]bool)
+	}
+	n.keys[k] = true
 }
 
 func (n *Node) updateAru() {

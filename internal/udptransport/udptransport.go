@@ -55,8 +55,12 @@ type Transport struct {
 	readErrors atomic.Uint64 // transient receive failures the loop survived
 	sendErrors atomic.Uint64 // failed datagram sends, summed over peers
 
-	mu     sync.Mutex
-	peers  map[transport.NodeID]*net.UDPAddr
+	mu    sync.Mutex
+	peers map[transport.NodeID]*net.UDPAddr
+	// dests is the broadcast fan-out: every peer but this node, sorted by
+	// id. SetPeer replaces it with a fresh slice, so a Broadcast may keep
+	// using the one it read after releasing mu.
+	dests  []dest
 	recv   transport.Receiver
 	closed bool
 
@@ -64,6 +68,12 @@ type Transport struct {
 }
 
 var _ transport.Transport = (*Transport)(nil)
+
+// dest is one broadcast destination.
+type dest struct {
+	id   transport.NodeID
+	addr *net.UDPAddr
+}
 
 // Option configures a Transport.
 type Option func(*options)
@@ -148,6 +158,14 @@ func (t *Transport) SetPeer(id transport.NodeID, addr string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.peers[id] = ua
+	dests := make([]dest, 0, len(t.peers))
+	for id, addr := range t.peers {
+		if id != t.id {
+			dests = append(dests, dest{id, addr})
+		}
+	}
+	sort.Slice(dests, func(i, j int) bool { return dests[i].id < dests[j].id })
+	t.dests = dests
 	return nil
 }
 
@@ -172,7 +190,10 @@ func (t *Transport) Send(to transport.NodeID, payload []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrUnknownPeer, to)
 	}
-	return t.writeTo(to, addr, payload)
+	frame := t.frame(payload)
+	err := t.writeFrame(to, addr, frame)
+	t.frames.Put(frame) //nolint:staticcheck // slice header boxing is fine here
+	return err
 }
 
 // Broadcast implements transport.Transport.
@@ -182,37 +203,32 @@ func (t *Transport) Broadcast(payload []byte) error {
 		t.mu.Unlock()
 		return ErrClosed
 	}
-	type dest struct {
-		id   transport.NodeID
-		addr *net.UDPAddr
-	}
-	dests := make([]dest, 0, len(t.peers))
-	for id, addr := range t.peers {
-		if id != t.id {
-			dests = append(dests, dest{id, addr})
-		}
-	}
+	dests := t.dests
 	t.mu.Unlock()
-	sort.Slice(dests, func(i, j int) bool { return dests[i].id < dests[j].id })
 	// Attempt every peer even after a failure — a broadcast that stops at the
 	// first bad peer would silently skip the rest of the ring — and report
 	// every failed destination, not just the first.
+	frame := t.frame(payload)
 	var errs []error
 	for _, d := range dests {
-		if err := t.writeTo(d.id, d.addr, payload); err != nil {
+		if err := t.writeFrame(d.id, d.addr, frame); err != nil {
 			errs = append(errs, err)
 		}
 	}
+	t.frames.Put(frame) //nolint:staticcheck // slice header boxing is fine here
 	return errors.Join(errs...)
 }
 
-func (t *Transport) writeTo(to transport.NodeID, addr *net.UDPAddr, payload []byte) error {
+// frame prefixes payload with the sender id in a pooled buffer; the caller
+// returns it to t.frames once sent.
+func (t *Transport) frame(payload []byte) []byte {
 	frame := t.frames.Get().([]byte)[:0]
 	frame = binary.BigEndian.AppendUint32(frame, uint32(t.id))
-	frame = append(frame, payload...)
-	_, err := t.conn.WriteToUDP(frame, addr)
-	t.frames.Put(frame) //nolint:staticcheck // slice header boxing is fine here
-	if err != nil {
+	return append(frame, payload...)
+}
+
+func (t *Transport) writeFrame(to transport.NodeID, addr *net.UDPAddr, frame []byte) error {
+	if _, err := t.conn.WriteToUDP(frame, addr); err != nil {
 		t.sendErrors.Add(1)
 		return fmt.Errorf("udptransport: send to node %v (%v): %w", to, addr, err)
 	}

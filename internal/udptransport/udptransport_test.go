@@ -330,3 +330,68 @@ func TestBroadcastPartialFailure(t *testing.T) {
 		t.Fatalf("udp.read_errors = %d, want 0", got)
 	}
 }
+
+// TestBroadcastFollowsPeerChanges pins the cached fan-out list: it is rebuilt
+// on every SetPeer (a new peer, a re-pointed peer), stays sorted by id
+// whatever the registration order, and never contains the local node.
+func TestBroadcastFollowsPeerChanges(t *testing.T) {
+	sender, err := New(5, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sender.Close() })
+	var rx [3]*Transport
+	var got [3]*collector
+	for i := range rx {
+		rx[i], err = New(transport.NodeID(10+i), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := rx[i]
+		t.Cleanup(func() { tr.Close() })
+		got[i] = newCollector()
+		rx[i].SetReceiver(got[i].receiver)
+	}
+	destIDs := func() []transport.NodeID {
+		sender.mu.Lock()
+		defer sender.mu.Unlock()
+		var ids []transport.NodeID
+		for _, d := range sender.dests {
+			ids = append(ids, d.id)
+		}
+		return ids
+	}
+
+	// Registered out of order, with the local node among them.
+	for _, p := range []struct {
+		id   transport.NodeID
+		addr string
+	}{{9, rx[1].LocalAddr()}, {5, sender.LocalAddr()}, {2, rx[0].LocalAddr()}} {
+		if err := sender.SetPeer(p.id, p.addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ids := destIDs(); len(ids) != 2 || ids[0] != 2 || ids[1] != 9 {
+		t.Fatalf("fan-out = %v, want [P2 P9]", ids)
+	}
+	if err := sender.Broadcast([]byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	got[0].wait(t, 1)
+	got[1].wait(t, 1)
+
+	// Re-point peer 9 at a different socket: the next broadcast goes there.
+	if err := sender.SetPeer(9, rx[2].LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sender.Broadcast([]byte("two")); err != nil {
+		t.Fatal(err)
+	}
+	got[0].wait(t, 1)
+	got[2].wait(t, 1)
+	got[1].mu.Lock()
+	defer got[1].mu.Unlock()
+	if len(got[1].data) != 1 {
+		t.Fatalf("old address of a re-pointed peer received %v", got[1].data)
+	}
+}
