@@ -1,12 +1,15 @@
 GO ?= go
 
-.PHONY: check fmt vet lint assembly build test race bench bench-concurrent loadtest campaign-smoke campaign federation-smoke
+.PHONY: check fmt vet lint assembly build test race wave-smoke bench bench-concurrent loadtest campaign-smoke campaign federation-smoke
 
 # check is the CI gate: formatting, vet, the project linter, the
-# one-assembly-path grep, build, the race-enabled tests, the batched-round
-# smoke, the timeserve load smoke, the campaign smoke and the federation
-# smoke.
-check: fmt vet lint assembly build race bench-concurrent loadtest campaign-smoke federation-smoke
+# one-assembly-path grep, build, the race-enabled tests, the gcs wave
+# smoke, the batched-round smoke, the timeserve load smoke, the campaign
+# smoke and the federation smoke. Targets that regenerate a committed
+# virtual-time output (BENCH_fig5*.json, BENCH_campaign_smoke.json,
+# BENCH_federation.json) do it through pinned.sh, which fails with the diff
+# if the file moved.
+check: fmt vet lint assembly build race wave-smoke bench-concurrent loadtest campaign-smoke federation-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -44,16 +47,21 @@ race:
 	$(GO) test -race -count=1 ./...
 	$(GO) test -race -count=1 ./internal/experiment -orderer=seq
 
+# wave-smoke runs one 1000-processor membership change through the gcs
+# group tables (DESIGN.md §6).
+wave-smoke:
+	$(GO) test -run '^$$' -bench ReannounceWave1000 -benchtime 1x ./internal/gcs
+
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-	$(GO) run ./cmd/ctsbench -exp fig5 -trace fig5.trace.jsonl -json BENCH_fig5.json
+	./pinned.sh BENCH_fig5.json $(GO) run ./cmd/ctsbench -exp fig5 -trace fig5.trace.jsonl -json BENCH_fig5.json
 
 # bench-concurrent smokes the batched-round path (DESIGN.md §9): ctsbench
 # exits nonzero unless concurrent readers coalesced rounds and their mean
 # per-read overhead is at most half the single-reader overhead. Writes
 # BENCH_fig5_concurrent.json.
 bench-concurrent:
-	$(GO) run ./cmd/ctsbench -exp fig5concurrent -jsonConcurrent BENCH_fig5_concurrent.json
+	./pinned.sh BENCH_fig5_concurrent.json $(GO) run ./cmd/ctsbench -exp fig5concurrent -jsonConcurrent BENCH_fig5_concurrent.json
 
 # loadtest smokes the external time-serving plane twice. The race-enabled
 # run checks the lease invariants (staleness bound, per-replica monotonicity)
@@ -70,7 +78,7 @@ loadtest:
 # each self-gates on zero group-clock regressions, zero staleness-bound
 # violations and bounded reconvergence. Deterministic: same seed, same JSON.
 campaign-smoke:
-	$(GO) run ./cmd/ctscampaign -scenarios churn-storm,slow-clocks -nodes 100 -json BENCH_campaign_smoke.json
+	./pinned.sh BENCH_campaign_smoke.json $(GO) run ./cmd/ctscampaign -scenarios churn-storm,slow-clocks -nodes 100 -json BENCH_campaign_smoke.json
 
 # campaign sweeps the full builtin scenario catalog and writes plot-ready
 # BENCH_campaign.json + BENCH_campaign.csv (see EXPERIMENTS.md).
@@ -83,4 +91,4 @@ campaign:
 # monotonicity fixes, seam skew under the ceiling, reconvergence in time.
 # Writes BENCH_federation.json.
 federation-smoke:
-	$(GO) run ./cmd/ctsbench -exp federation -jsonFederation BENCH_federation.json
+	./pinned.sh BENCH_federation.json $(GO) run ./cmd/ctsbench -exp federation -jsonFederation BENCH_federation.json

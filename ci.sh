@@ -44,13 +44,20 @@ echo "== go test -race (experiments under -orderer=seq) =="
 # skip themselves via totemOnly.
 go test -race -count=1 ./internal/experiment -orderer=seq
 
+echo "== gcs re-announce wave smoke =="
+# One 1000-processor membership change through the group tables
+# (DESIGN.md §6); the benchmark's setup and one iteration must run.
+go test -run '^$' -bench ReannounceWave1000 -benchtime 1x ./internal/gcs
+
+# The four virtual-time outputs below are regenerated through pinned.sh,
+# which fails with the diff if the committed file moved.
 echo "== ctsbench fig5 (BENCH_fig5.json) =="
-go run ./cmd/ctsbench -exp fig5 -trace fig5.trace.jsonl -json BENCH_fig5.json
+./pinned.sh BENCH_fig5.json go run ./cmd/ctsbench -exp fig5 -trace fig5.trace.jsonl -json BENCH_fig5.json
 
 echo "== ctsbench fig5concurrent (BENCH_fig5_concurrent.json) =="
 # Self-gating: exits nonzero unless concurrent readers coalesced rounds and
 # their mean per-read overhead is at most half the single-reader overhead.
-go run ./cmd/ctsbench -exp fig5concurrent -jsonConcurrent BENCH_fig5_concurrent.json
+./pinned.sh BENCH_fig5_concurrent.json go run ./cmd/ctsbench -exp fig5concurrent -jsonConcurrent BENCH_fig5_concurrent.json
 
 echo "== ctsload smoke: lease invariants under race (BENCH_timeserve_race.json) =="
 go run -race ./cmd/ctsload -inprocess -duration 5s -min-qps 100000 -json BENCH_timeserve_race.json
@@ -69,13 +76,13 @@ go run ./cmd/ctsload -inprocess -duration 2s -dgrams 4 -serve-io seq -min-qps 10
 echo "== ctscampaign smoke (BENCH_campaign_smoke.json) =="
 # Two 100-node campaign cells, each self-gating on zero group-clock
 # regressions, zero staleness-bound violations and bounded reconvergence.
-go run ./cmd/ctscampaign -scenarios churn-storm,slow-clocks -nodes 100 -json BENCH_campaign_smoke.json
+./pinned.sh BENCH_campaign_smoke.json go run ./cmd/ctscampaign -scenarios churn-storm,slow-clocks -nodes 100 -json BENCH_campaign_smoke.json
 
 echo "== ctsbench federation sweep (BENCH_federation.json) =="
 # Multi-group federation (E17): line topologies at 2/4/8 groups plus an
 # inter-group sever/heal cell. Self-gating — zero regressions, zero
 # cross-group staleness violations, seam skew under the ceiling.
-go run ./cmd/ctsbench -exp federation -jsonFederation BENCH_federation.json
+./pinned.sh BENCH_federation.json go run ./cmd/ctsbench -exp federation -jsonFederation BENCH_federation.json
 
 echo "== ctsload federated migrating clients =="
 # Two federated in-process groups; each worker migrates across them every

@@ -10,10 +10,11 @@
 package gcs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 
 	"cts/internal/obs"
 	"cts/internal/order"
@@ -90,6 +91,7 @@ type Stats struct {
 	Multicasts        uint64 // application messages queued for the total order
 	AppDelivered      uint64 // application messages delivered in total order
 	AnnounceDelivered uint64 // group-announcement messages delivered
+	AnnounceChanged   uint64 // of those, the ones that altered a membership table
 	ViewsEmitted      uint64 // group view changes emitted
 }
 
@@ -107,16 +109,18 @@ type Stack struct {
 
 	groups map[wire.GroupID]*Group // locally joined groups
 
-	// membership[g][p] records that processor p hosts a member of group g.
-	membership map[wire.GroupID]map[transport.NodeID]bool
-	ordView    order.View
-	lastViews  map[wire.GroupID]GroupView
-	// emitQueued debounces view emission: announce deliveries and ordering
-	// view changes mark the tables dirty and post one deferred emission,
-	// so a wave of same-instant announces (every member re-announcing after
-	// a membership change) yields one view diff instead of one per
-	// announce. At campaign scale that is the difference between O(N²) and
-	// O(N³) work per membership change.
+	// tables holds one membership table per group ever heard of, sorted by
+	// group id. A group that loses its last member keeps its (empty) table.
+	tables  []*groupTable
+	ordView order.View
+	// emitQueued debounces view emission: a table edit or an ordering view
+	// change marks the affected groups dirty and posts one deferred emission,
+	// so a wave of same-instant announces yields one view per changed group
+	// instead of one per announce. A re-announce of what the tables already
+	// record edits nothing and posts nothing, so the wave that follows every
+	// ordering view change (each of N members re-announces to all N) costs
+	// a processor O(G log N) per announce, G the groups it knows of, and
+	// O(N) per view it emits.
 	emitQueued bool
 
 	// viewWatchers receive every group view change, joined or not (used by
@@ -136,12 +140,10 @@ func New(cfg Config) (*Stack, error) {
 		return nil, err
 	}
 	s := &Stack{
-		rt:         cfg.Runtime,
-		me:         cfg.Transport.LocalID(),
-		groups:     make(map[wire.GroupID]*Group),
-		membership: make(map[wire.GroupID]map[transport.NodeID]bool),
-		lastViews:  make(map[wire.GroupID]GroupView),
-		obs:        cfg.Obs,
+		rt:     cfg.Runtime,
+		me:     cfg.Transport.LocalID(),
+		groups: make(map[wire.GroupID]*Group),
+		obs:    cfg.Obs,
 	}
 	ord, err := order.New(order.Env{
 		Runtime:   cfg.Runtime,
@@ -183,7 +185,10 @@ func (s *Stack) ObsSamples() []obs.Sample {
 		{Node: id, Name: "gcs.multicasts", Value: s.stats.Multicasts},
 		{Node: id, Name: "gcs.app_delivered", Value: s.stats.AppDelivered},
 		{Node: id, Name: "gcs.announce_delivered", Value: s.stats.AnnounceDelivered},
+		{Node: id, Name: "gcs.announce_changed", Value: s.stats.AnnounceChanged},
 		{Node: id, Name: "gcs.views_emitted", Value: s.stats.ViewsEmitted},
+		// Gauge: groups this processor keeps a membership table for.
+		{Node: id, Name: "gcs.groups", Value: uint64(len(s.tables))},
 	}
 }
 
@@ -318,7 +323,7 @@ func (s *Stack) announceLocal() {
 	for id := range s.groups {
 		gids = append(gids, id)
 	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
+	slices.Sort(gids)
 	env := make([]byte, 1+4*len(gids))
 	env[0] = envAnnounce
 	for i, id := range gids {
@@ -339,29 +344,89 @@ func getGroupID(b []byte) wire.GroupID {
 		wire.GroupID(b[2])<<8 | wire.GroupID(b[3])
 }
 
+// groupTable is what a stack records about one group: the processors hosting
+// members of it, and the view last emitted for it.
+type groupTable struct {
+	id      wire.GroupID
+	members []transport.NodeID // sorted
+	// dirty is set by every edit of members and by every ordering view
+	// change (ViewID and Primary are part of the view); emitChangedViews
+	// looks at no other table.
+	dirty bool
+	// The last emitted view. lastMembers is the table's own copy, so a
+	// handler that scribbles on the Members it was handed cannot disturb the
+	// comparison that decides the next emission.
+	emitted     bool
+	lastID      order.ViewID
+	lastPrimary bool
+	lastMembers []transport.NodeID
+}
+
+// add records that p hosts a member, reporting whether that is news.
+func (t *groupTable) add(p transport.NodeID) bool {
+	i, found := slices.BinarySearch(t.members, p)
+	if found {
+		return false
+	}
+	t.members = slices.Insert(t.members, i, p)
+	t.dirty = true
+	return true
+}
+
+// remove records that p hosts no member, reporting whether that is news.
+func (t *groupTable) remove(p transport.NodeID) bool {
+	i, found := slices.BinarySearch(t.members, p)
+	if !found {
+		return false
+	}
+	t.members = slices.Delete(t.members, i, i+1)
+	t.dirty = true
+	return true
+}
+
+// table returns the membership table of group g, creating an empty one the
+// first time g is heard of.
+func (s *Stack) table(g wire.GroupID) *groupTable {
+	i, found := slices.BinarySearchFunc(s.tables, g, func(t *groupTable, g wire.GroupID) int {
+		return cmp.Compare(t.id, g)
+	})
+	if !found {
+		s.tables = slices.Insert(s.tables, i, &groupTable{id: g})
+	}
+	return s.tables[i]
+}
+
 // onOrderView reacts to an ordering-layer membership change: group tables
 // are pruned to the new component, local memberships are re-announced (newly
 // merged processors have no record of them), and updated group views are
 // emitted.
 func (s *Stack) onOrderView(v order.View) {
 	s.ordView = v
-	in := make(map[transport.NodeID]bool, len(v.Members))
-	for _, id := range v.Members {
-		in[id] = true
-	}
-	for _, procs := range s.membership {
-		for p := range procs {
-			if !in[p] {
-				delete(procs, p)
-			}
-		}
+	for _, t := range s.tables {
+		t.members = keepOnly(t.members, v.Members)
+		t.dirty = true
 	}
 	// Local memberships survive the transition unconditionally.
 	for id := range s.groups {
-		s.noteMember(id, s.me)
+		s.table(id).add(s.me)
 	}
 	s.announceLocal()
 	s.scheduleEmitViews()
+}
+
+// keepOnly prunes members in place to those also in live. Both are sorted
+// (order.View promises it of its Members), so one merge pass decides.
+func keepOnly(members, live []transport.NodeID) []transport.NodeID {
+	kept := members[:0]
+	for _, p := range members {
+		for len(live) > 0 && live[0] < p {
+			live = live[1:]
+		}
+		if len(live) > 0 && live[0] == p {
+			kept = append(kept, p)
+		}
+	}
+	return kept
 }
 
 // scheduleEmitViews posts one deferred emitChangedViews for the current
@@ -376,15 +441,6 @@ func (s *Stack) scheduleEmitViews() {
 		s.emitQueued = false
 		s.emitChangedViews()
 	})
-}
-
-func (s *Stack) noteMember(g wire.GroupID, p transport.NodeID) {
-	procs := s.membership[g]
-	if procs == nil {
-		procs = make(map[transport.NodeID]bool)
-		s.membership[g] = procs
-	}
-	procs[p] = true
 }
 
 // onDeliver handles one totally-ordered delivery.
@@ -415,69 +471,61 @@ func (s *Stack) onDeliver(d order.Delivery) {
 			return
 		}
 		s.stats.AnnounceDelivered++
-		announced := make(map[wire.GroupID]bool, len(body)/4)
-		for off := 0; off+4 <= len(body); off += 4 {
-			announced[getGroupID(body[off:])] = true
+		var buf [8]wire.GroupID // a processor rarely hosts more groups; no allocation then
+		announced := buf[:0]
+		for off := 0; off < len(body); off += 4 {
+			announced = append(announced, getGroupID(body[off:]))
 		}
-		// Replace the sender's group set.
-		for g, procs := range s.membership {
-			if procs[d.Sender] && !announced[g] {
-				delete(procs, d.Sender)
-			}
+		slices.Sort(announced)
+		if s.setGroups(d.Sender, announced) {
+			s.stats.AnnounceChanged++
+			s.scheduleEmitViews()
 		}
-		for g := range announced {
-			s.noteMember(g, d.Sender)
-		}
-		s.scheduleEmitViews()
 	}
 }
 
-// emitChangedViews delivers a GroupView for every group whose view content
-// changed since the last emission.
-func (s *Stack) emitChangedViews() {
-	gids := make([]wire.GroupID, 0, len(s.membership))
-	for g := range s.membership {
-		gids = append(gids, g)
+// setGroups replaces the record of which groups p hosts members of with the
+// sorted (possibly repeating) list announced, reporting whether any table
+// changed. It diffs instead of rewriting: a re-announce of what is already
+// recorded touches nothing.
+func (s *Stack) setGroups(p transport.NodeID, announced []wire.GroupID) bool {
+	changed := false
+	for _, t := range s.tables {
+		if _, ok := slices.BinarySearch(announced, t.id); !ok && t.remove(p) {
+			changed = true
+		}
 	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-	for _, gid := range gids {
-		members := s.groupMembers(gid)
-		view := GroupView{Group: gid, Members: members,
-			ViewID: s.ordView.ID, Primary: s.ordView.Primary}
-		last, seen := s.lastViews[gid]
-		if seen && viewsEqual(last, view) {
+	for _, g := range announced {
+		if s.table(g).add(p) {
+			changed = true
+		}
+	}
+	return changed
+}
+
+// emitChangedViews delivers a GroupView, in group-id order, for every group
+// whose view content changed since the last emission.
+func (s *Stack) emitChangedViews() {
+	for _, t := range s.tables {
+		if !t.dirty {
 			continue
 		}
-		s.lastViews[gid] = view
+		t.dirty = false
+		if t.emitted && t.lastID == s.ordView.ID && t.lastPrimary == s.ordView.Primary &&
+			slices.Equal(t.lastMembers, t.members) {
+			continue
+		}
+		t.emitted, t.lastID, t.lastPrimary = true, s.ordView.ID, s.ordView.Primary
+		t.lastMembers = append(t.lastMembers[:0], t.members...)
+		// Handlers get a copy, never the table: non-nil even when empty.
+		view := GroupView{Group: t.id, Members: append([]transport.NodeID{}, t.members...),
+			ViewID: s.ordView.ID, Primary: s.ordView.Primary}
 		s.stats.ViewsEmitted++
-		if g, ok := s.groups[gid]; ok && g.onView != nil {
+		if g, ok := s.groups[t.id]; ok && g.onView != nil {
 			g.onView(view)
 		}
 		for _, w := range s.viewWatchers {
 			w(view)
 		}
 	}
-}
-
-func (s *Stack) groupMembers(gid wire.GroupID) []transport.NodeID {
-	procs := s.membership[gid]
-	members := make([]transport.NodeID, 0, len(procs))
-	for p := range procs {
-		members = append(members, p)
-	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	return members
-}
-
-func viewsEqual(a, b GroupView) bool {
-	if a.Group != b.Group || a.ViewID != b.ViewID || a.Primary != b.Primary ||
-		len(a.Members) != len(b.Members) {
-		return false
-	}
-	for i := range a.Members {
-		if a.Members[i] != b.Members[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,0 +1,468 @@
+package gcs
+
+import (
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+
+	"cts/internal/order"
+	"cts/internal/sim"
+	"cts/internal/simnet"
+	"cts/internal/transport"
+	"cts/internal/wire"
+)
+
+// The membership tables are tested below the orderer: a Stack is built by
+// hand over a stub orderer, and deliveries and ordering views are fed to
+// onDeliver/onOrderView directly, so the sequences are exact and the tests
+// cost microseconds. The two 1000-processor tests at the end run real stacks
+// over an InstantHub.
+
+// stubOrderer records what the stack broadcasts; the test decides what is
+// delivered.
+type stubOrderer struct {
+	me   transport.NodeID
+	sent [][]byte
+}
+
+func (o *stubOrderer) Start()                    {}
+func (o *stubOrderer) Stop()                     {}
+func (o *stubOrderer) LocalID() transport.NodeID { return o.me }
+func (o *stubOrderer) Broadcast(p []byte) error {
+	o.sent = append(o.sent, slices.Clone(p))
+	return nil
+}
+func (o *stubOrderer) BroadcastCancelable([]byte, bool, uint64) func() bool {
+	return func() bool { return false }
+}
+
+// tableRig is one hand-built stack and everything it emitted.
+type tableRig struct {
+	k       *sim.Kernel
+	ord     *stubOrderer
+	s       *Stack
+	emitted []GroupView
+}
+
+func newTableRig(me transport.NodeID) *tableRig {
+	r := &tableRig{k: sim.NewKernel(1), ord: &stubOrderer{me: me}}
+	r.s = &Stack{rt: r.k, me: me, ord: r.ord, groups: make(map[wire.GroupID]*Group)}
+	r.s.viewWatchers = []ViewHandler{func(v GroupView) { r.emitted = append(r.emitted, v) }}
+	return r
+}
+
+func announceEnv(gids ...wire.GroupID) []byte {
+	env := make([]byte, 1+4*len(gids))
+	env[0] = envAnnounce
+	for i, g := range gids {
+		putGroupID(env[1+4*i:], g)
+	}
+	return env
+}
+
+func (r *tableRig) announce(from transport.NodeID, gids ...wire.GroupID) {
+	r.s.onDeliver(order.Delivery{Sender: from, Payload: announceEnv(gids...)})
+}
+
+// flush ends the virtual instant: posted work (emission, Join/Leave) runs.
+func (r *tableRig) flush() { r.k.RunFor(0) }
+
+func nodeRange(n int) []transport.NodeID {
+	out := make([]transport.NodeID, n)
+	for i := range out {
+		out[i] = transport.NodeID(i)
+	}
+	return out
+}
+
+// refTables is the bookkeeping gcs.Stack had before the sorted tables: a
+// map of maps rewritten on every announce, and every group's member list
+// rebuilt and sorted at every emission. It is the model the new tables must
+// reproduce view for view.
+type refTables struct {
+	me         transport.NodeID
+	groups     map[wire.GroupID]bool
+	membership map[wire.GroupID]map[transport.NodeID]bool
+	ordView    order.View
+	lastViews  map[wire.GroupID]GroupView
+	emitted    []GroupView
+}
+
+func newRefTables(me transport.NodeID) *refTables {
+	return &refTables{
+		me:         me,
+		groups:     make(map[wire.GroupID]bool),
+		membership: make(map[wire.GroupID]map[transport.NodeID]bool),
+		lastViews:  make(map[wire.GroupID]GroupView),
+	}
+}
+
+func (r *refTables) noteMember(g wire.GroupID, p transport.NodeID) {
+	if r.membership[g] == nil {
+		r.membership[g] = make(map[transport.NodeID]bool)
+	}
+	r.membership[g][p] = true
+}
+
+func (r *refTables) onOrderView(v order.View) {
+	r.ordView = v
+	in := make(map[transport.NodeID]bool, len(v.Members))
+	for _, id := range v.Members {
+		in[id] = true
+	}
+	for _, procs := range r.membership {
+		for p := range procs {
+			if !in[p] {
+				delete(procs, p)
+			}
+		}
+	}
+	for id := range r.groups {
+		r.noteMember(id, r.me)
+	}
+}
+
+func (r *refTables) announce(from transport.NodeID, gids []wire.GroupID) {
+	announced := make(map[wire.GroupID]bool, len(gids))
+	for _, g := range gids {
+		announced[g] = true
+	}
+	for g, procs := range r.membership {
+		if procs[from] && !announced[g] {
+			delete(procs, from)
+		}
+	}
+	for g := range announced {
+		r.noteMember(g, from)
+	}
+}
+
+func (r *refTables) emitChangedViews() {
+	gids := make([]wire.GroupID, 0, len(r.membership))
+	for g := range r.membership {
+		gids = append(gids, g)
+	}
+	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
+	for _, gid := range gids {
+		members := make([]transport.NodeID, 0, len(r.membership[gid]))
+		for p := range r.membership[gid] {
+			members = append(members, p)
+		}
+		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+		view := GroupView{Group: gid, Members: members,
+			ViewID: r.ordView.ID, Primary: r.ordView.Primary}
+		last, seen := r.lastViews[gid]
+		if seen && last.ViewID == view.ViewID && last.Primary == view.Primary &&
+			slices.Equal(last.Members, view.Members) {
+			continue
+		}
+		r.lastViews[gid] = view
+		r.emitted = append(r.emitted, view)
+	}
+}
+
+// TestTablesMatchReferenceModel drives the stack and the reference with the
+// same random instants — local Join/Leave, announces (empty, repeating and
+// never-seen group sets, from members and strangers), ordering views that
+// shrink, grow, repeat and flip Primary — and requires the same emitted
+// sequence of (Group, Members, ViewID, Primary).
+func TestTablesMatchReferenceModel(t *testing.T) {
+	const me = transport.NodeID(3)
+	universe := nodeRange(12)
+	pool := []wire.GroupID{5, 10, 10, 20, 40, 41, 1 << 20} // 10 twice: repeats inside one announce
+	for seed := int64(1); seed <= 25; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rig, ref := newTableRig(me), newRefTables(me)
+		joined := make(map[wire.GroupID]*Group)
+		var joinedViews []GroupView // what the joined groups' own handlers saw
+		epoch := uint64(0)
+		view := order.View{}
+		emptyViews := 0
+
+		for instant := 0; instant < 300; instant++ {
+			// Local membership changes first; their posted halves run now and
+			// leave announces in the stub, delivered with the rest below.
+			for n := rng.Intn(3); n > 0; n-- {
+				g := pool[rng.Intn(4)]
+				if grp := joined[g]; grp != nil {
+					grp.Leave()
+					delete(joined, g)
+					delete(ref.groups, g)
+				} else {
+					grp, err := rig.s.Join(g, func(wire.Message, Meta) {},
+						func(v GroupView) { joinedViews = append(joinedViews, v) })
+					if err != nil {
+						t.Fatal(err)
+					}
+					joined[g] = grp
+					ref.groups[g] = true
+				}
+				rig.flush()
+			}
+			for n := rng.Intn(6); n > 0; n-- {
+				switch r := rng.Intn(10); {
+				case r < 2: // an ordering view
+					switch rng.Intn(4) {
+					case 0: // the same view again
+					case 1: // same configuration, Primary flipped
+						view.Primary = !view.Primary
+					default:
+						epoch++
+						members := []transport.NodeID{me}
+						for _, p := range universe {
+							if p != me && rng.Intn(3) > 0 {
+								members = append(members, p)
+							}
+						}
+						slices.Sort(members)
+						view = order.View{ID: order.ViewID{Epoch: epoch, Rep: members[0]},
+							Members: members, Primary: rng.Intn(2) == 0}
+					}
+					rig.s.onOrderView(view)
+					ref.onOrderView(view)
+				case r < 4 && len(rig.ord.sent) > 0: // the stack's own announce comes back
+					env := rig.ord.sent[0]
+					rig.ord.sent = rig.ord.sent[1:]
+					rig.s.onDeliver(order.Delivery{Sender: me, Payload: env})
+					gids := make([]wire.GroupID, 0, len(env)/4)
+					for off := 1; off < len(env); off += 4 {
+						gids = append(gids, getGroupID(env[off:]))
+					}
+					ref.announce(me, gids)
+				default: // someone else announces, in any order and with repeats
+					from := universe[rng.Intn(len(universe))]
+					gids := make([]wire.GroupID, rng.Intn(4))
+					for i := range gids {
+						gids[i] = pool[rng.Intn(len(pool))]
+					}
+					rig.announce(from, gids...)
+					ref.announce(from, gids)
+				}
+			}
+			rig.flush()
+			ref.emitChangedViews()
+
+			if len(rig.emitted) != len(ref.emitted) {
+				t.Fatalf("seed %d instant %d: stack emitted %d views, reference %d\nstack: %+v\nref:   %+v",
+					seed, instant, len(rig.emitted), len(ref.emitted), rig.emitted, ref.emitted)
+			}
+		}
+		for i, got := range rig.emitted {
+			want := ref.emitted[i]
+			if got.Members == nil {
+				t.Fatalf("seed %d view %d: nil Members in %+v", seed, i, got)
+			}
+			if got.Group != want.Group || got.ViewID != want.ViewID || got.Primary != want.Primary ||
+				!slices.Equal(got.Members, want.Members) {
+				t.Fatalf("seed %d view %d: stack %+v, reference %+v", seed, i, got, want)
+			}
+			if len(got.Members) == 0 {
+				emptyViews++
+			}
+		}
+		if emptyViews == 0 {
+			t.Fatalf("seed %d: no group ever emptied; the run does not cover the empty view", seed)
+		}
+		if len(joinedViews) == 0 {
+			t.Fatalf("seed %d: joined groups' own handlers saw no view", seed)
+		}
+		// A group once heard of keeps its table, as in the reference.
+		if got, want := len(rig.s.tables), len(ref.membership); got != want {
+			t.Fatalf("seed %d: %d tables, reference knows %d groups", seed, got, want)
+		}
+	}
+}
+
+// TestLastMemberLeavingEmitsEmptyView: a group that empties is told so, once,
+// with a non-nil empty member list, and is heard of again when it refills.
+func TestLastMemberLeavingEmitsEmptyView(t *testing.T) {
+	r := newTableRig(0)
+	r.s.onOrderView(order.View{ID: order.ViewID{Epoch: 1}, Members: nodeRange(3), Primary: true})
+	r.announce(1, 7)
+	r.flush()
+	r.announce(1)
+	r.flush()
+	r.announce(1) // still nothing: no second empty view
+	r.flush()
+	r.announce(2, 7)
+	r.flush()
+	want := [][]transport.NodeID{{1}, {}, {2}}
+	if len(r.emitted) != len(want) {
+		t.Fatalf("emitted %+v, want member lists %v", r.emitted, want)
+	}
+	for i, v := range r.emitted {
+		if v.Members == nil || !slices.Equal(v.Members, want[i]) {
+			t.Fatalf("view %d is %#v, want members %v (non-nil)", i, v, want[i])
+		}
+	}
+}
+
+// TestEmittedMembersDoNotAliasTables: a handler that overwrites the Members
+// it was handed disturbs neither the table, nor later views, nor the
+// comparison that decides whether a later view is emitted at all.
+func TestEmittedMembersDoNotAliasTables(t *testing.T) {
+	const g = wire.GroupID(7)
+	r := newTableRig(0)
+	r.s.onOrderView(order.View{ID: order.ViewID{Epoch: 1}, Members: nodeRange(6), Primary: true})
+	for _, p := range []transport.NodeID{3, 1, 2} {
+		r.announce(p, g)
+	}
+	r.flush()
+	if len(r.emitted) != 1 || !slices.Equal(r.emitted[0].Members, []transport.NodeID{1, 2, 3}) {
+		t.Fatalf("emitted %+v, want one view of [1 2 3]", r.emitted)
+	}
+	for i := range r.emitted[0].Members {
+		r.emitted[0].Members[i] = 99
+	}
+	if got := r.s.table(g).members; !slices.Equal(got, []transport.NodeID{1, 2, 3}) {
+		t.Fatalf("table became %v after a handler wrote to its view", got)
+	}
+	// Leave and rejoin inside one instant: the table is edited twice and
+	// ends where it began, so nothing is emitted — which it would be if the
+	// remembered last view were the slice the handler overwrote.
+	r.announce(2)
+	r.announce(2, g)
+	r.flush()
+	if len(r.emitted) != 1 {
+		t.Fatalf("a no-change instant emitted %+v", r.emitted[1:])
+	}
+	r.announce(4, g)
+	r.flush()
+	if len(r.emitted) != 2 || !slices.Equal(r.emitted[1].Members, []transport.NodeID{1, 2, 3, 4}) {
+		t.Fatalf("emitted %+v, want a second view of [1 2 3 4]", r.emitted)
+	}
+	r.emitted[1].Members[0] = 99
+	r.s.onOrderView(order.View{ID: order.ViewID{Epoch: 2}, Members: []transport.NodeID{0, 1, 4}, Primary: true})
+	r.flush()
+	if len(r.emitted) != 3 || !slices.Equal(r.emitted[2].Members, []transport.NodeID{1, 4}) {
+		t.Fatalf("emitted %+v, want a third view of [1 4]", r.emitted)
+	}
+}
+
+// TestNoopReannounceIsFree: delivering a re-announce of what a 1000-member
+// table already records allocates nothing, edits nothing and posts nothing.
+func TestNoopReannounceIsFree(t *testing.T) {
+	const g = wire.GroupID(7)
+	r := newTableRig(0)
+	procs := nodeRange(1000)
+	r.s.onOrderView(order.View{ID: order.ViewID{Epoch: 1}, Members: procs, Primary: true})
+	for _, p := range procs {
+		r.announce(p, g, 8)
+	}
+	r.flush()
+	emitted, changed := len(r.emitted), r.s.stats.AnnounceChanged
+
+	d := order.Delivery{Sender: 500, Payload: announceEnv(g, 8)}
+	if allocs := testing.AllocsPerRun(200, func() { r.s.onDeliver(d) }); allocs != 0 {
+		t.Fatalf("a no-op re-announce allocates %.1f times, want 0", allocs)
+	}
+	if r.s.emitQueued || r.k.Pending() != 0 {
+		t.Fatalf("a no-op re-announce scheduled work: emitQueued=%v, %d events pending",
+			r.s.emitQueued, r.k.Pending())
+	}
+	r.flush()
+	if len(r.emitted) != emitted || r.s.stats.AnnounceChanged != changed {
+		t.Fatalf("a no-op re-announce emitted %d views and counted %d changes",
+			len(r.emitted)-emitted, r.s.stats.AnnounceChanged-changed)
+	}
+}
+
+// instantCluster is n real stacks over one InstantHub, all hosting group 7.
+type instantCluster struct {
+	k      *sim.Kernel
+	stacks []*Stack
+}
+
+func newInstantCluster(tb testing.TB, n int) *instantCluster {
+	tb.Helper()
+	c := &instantCluster{k: sim.NewKernel(1)}
+	net := simnet.NewNetwork(c.k, nil)
+	hub := order.NewInstantHub()
+	ids := nodeRange(n)
+	for _, id := range ids {
+		s, err := New(Config{
+			Runtime: c.k, Transport: net.Endpoint(id), Members: ids, Bootstrap: true,
+			Order: order.Options{Kind: order.KindInstant, Instant: order.InstantTuning{Hub: hub}},
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := s.Join(7, func(wire.Message, Meta) {}, nil); err != nil {
+			tb.Fatal(err)
+		}
+		c.stacks = append(c.stacks, s)
+	}
+	for _, s := range c.stacks {
+		s.Start()
+	}
+	c.k.RunFor(time.Millisecond)
+	return c
+}
+
+func sampleOf(s *Stack, name string) uint64 {
+	for _, smp := range s.ObsSamples() {
+		if smp.Name == name {
+			return smp.Value
+		}
+	}
+	panic("no sample " + name)
+}
+
+// TestReannounceWave1000: one of 1000 processors crashes. Every survivor
+// re-announces to every survivor; each stack handles 999 announces, none of
+// which changes a table, and emits exactly one view (the shrunken group).
+func TestReannounceWave1000(t *testing.T) {
+	const n = 1000
+	c := newInstantCluster(t, n)
+	names := []string{"gcs.announce_delivered", "gcs.announce_changed", "gcs.views_emitted"}
+	before := make([]map[string]uint64, n)
+	for i, s := range c.stacks {
+		before[i] = make(map[string]uint64)
+		for _, name := range names {
+			before[i][name] = sampleOf(s, name)
+		}
+		if got := sampleOf(s, "gcs.groups"); got != 1 {
+			t.Fatalf("stack %d: gcs.groups = %d, want 1", i, got)
+		}
+	}
+	const victim = 417
+	c.stacks[victim].Stop()
+	c.k.RunFor(time.Millisecond)
+	for i, s := range c.stacks {
+		if i == victim {
+			continue
+		}
+		for name, want := range map[string]uint64{
+			"gcs.announce_delivered": n - 1,
+			"gcs.announce_changed":   0,
+			"gcs.views_emitted":      1,
+		} {
+			if got := sampleOf(s, name) - before[i][name]; got != want {
+				t.Fatalf("stack %d: %s moved by %d over the wave, want %d", i, name, got, want)
+			}
+		}
+		if got := len(s.tables[0].members); got != n-1 {
+			t.Fatalf("stack %d: group has %d members after the crash, want %d", i, got, n-1)
+		}
+	}
+}
+
+// BenchmarkReannounceWave1000 times what one ordering view change costs a
+// 1000-processor component in group bookkeeping: a processor leaves (even
+// iterations) or returns (odd), every member re-announces to every member.
+func BenchmarkReannounceWave1000(b *testing.B) {
+	c := newInstantCluster(b, 1000)
+	victim := c.stacks[417]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			victim.Stop()
+		} else {
+			victim.Start()
+		}
+		c.k.RunFor(time.Millisecond)
+	}
+}

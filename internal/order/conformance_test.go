@@ -68,6 +68,14 @@ func (h *confHarness) addNode(id transport.NodeID, members []transport.NodeID, b
 			h.deliveries[id] = append(h.deliveries[id], d)
 		},
 		OnView: func(v View) {
+			// Every view of every scenario (crash, partition, heal, join):
+			// Members is sorted ascending without repeats, as View promises.
+			for i := 1; i < len(v.Members); i++ {
+				if v.Members[i-1] >= v.Members[i] {
+					h.t.Errorf("%v node %v: view %v members %v not sorted and unique",
+						h.kind, id, v.ID, v.Members)
+				}
+			}
 			h.views[id] = append(h.views[id], v)
 		},
 	}, opts)
@@ -422,6 +430,49 @@ func TestConformanceCrash(t *testing.T) {
 				t.Fatalf("post-crash broadcasts not delivered")
 			}
 			h.checkAgreement(survivors...)
+			h.stopAll()
+		})
+	}
+}
+
+// TestConformanceJoinKeepsMembersSorted: members configured in scrambled
+// order, then a crash, then a joiner whose id falls in the middle of the
+// survivors'. Every view handed up along the way lists its members sorted
+// (the harness asserts that on each OnView); here only the end state is
+// checked.
+func TestConformanceJoinKeepsMembersSorted(t *testing.T) {
+	for _, kind := range confKinds {
+		t.Run(string(kind), func(t *testing.T) {
+			h := newConfHarness(t, kind, 11, nil)
+			scrambled := []transport.NodeID{7, 2, 9, 4}
+			for _, id := range scrambled {
+				h.addNode(id, scrambled, true)
+			}
+			h.startAll()
+			settled := func(want []transport.NodeID) func() bool {
+				return func() bool {
+					for _, id := range want {
+						if len(h.views[id]) == 0 || !sameMembers(h.lastView(id).Members, want) {
+							return false
+						}
+					}
+					return true
+				}
+			}
+			if !h.runUntil(time.Second, settled([]transport.NodeID{2, 4, 7, 9})) {
+				t.Fatalf("initial view did not settle")
+			}
+			h.crash(4)
+			if !h.runUntil(2*time.Second, settled([]transport.NodeID{2, 7, 9})) {
+				t.Fatalf("survivors did not settle after the crash")
+			}
+			h.addNode(5, []transport.NodeID{9, 5, 2, 7}, false).Start()
+			if !h.runUntil(5*time.Second, settled([]transport.NodeID{2, 5, 7, 9})) {
+				for _, id := range []transport.NodeID{2, 5, 7, 9} {
+					t.Logf("node %v views: %+v", id, h.views[id])
+				}
+				t.Fatalf("joiner was not merged into one sorted view")
+			}
 			h.stopAll()
 		})
 	}

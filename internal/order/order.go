@@ -74,7 +74,10 @@ type Delivery struct {
 // View is a membership change handed to the application before any message
 // of the new configuration is delivered.
 type View struct {
-	ID      ViewID
+	ID ViewID
+	// Members is sorted ascending with no repeats, and the receiver must not
+	// modify it: every orderer builds it that way, the conformance suite
+	// asserts it, and gcs prunes its group tables against it by merging.
 	Members []transport.NodeID
 	// Primary reports whether this component satisfies the quorum rule; only
 	// primary components may decide new CCS rounds (§2 of the paper).

@@ -99,7 +99,13 @@ func (k *Kernel) Run() {
 }
 
 // RunUntil executes events with timestamps <= t, then advances virtual time
-// to exactly t.
+// to t — except that it can overshoot. The stop test looks at the head of
+// the queue without discarding cancelled events, so when the head is a
+// cancelled event at or before t, Step skips it and runs the next live event
+// even if that one lies beyond t, and Now() is then that event's time, not t.
+// (Totem cancels two timers per token visit, so under it the head usually is
+// a cancelled event.) Callers that need to stop at exactly t cannot rely on
+// this; ROADMAP item 3 records the defect and what fixing it moves.
 func (k *Kernel) RunUntil(t time.Duration) {
 	for {
 		k.mu.Lock()
@@ -116,7 +122,8 @@ func (k *Kernel) RunUntil(t time.Duration) {
 	}
 }
 
-// RunFor executes events for virtual duration d from the current time.
+// RunFor executes events for virtual duration d from the current time, with
+// RunUntil's overshoot.
 func (k *Kernel) RunFor(d time.Duration) {
 	k.RunUntil(k.Now() + d)
 }
