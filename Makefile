@@ -1,15 +1,15 @@
 GO ?= go
 
-.PHONY: check fmt vet lint assembly build test race wave-smoke bench bench-concurrent loadtest campaign-smoke campaign federation-smoke
+.PHONY: check fmt vet lint assembly build test race sim-smoke bench bench-concurrent loadtest campaign-smoke campaign federation-smoke
 
 # check is the CI gate: formatting, vet, the project linter, the
-# one-assembly-path grep, build, the race-enabled tests, the gcs wave
-# smoke, the batched-round smoke, the timeserve load smoke, the campaign
-# smoke and the federation smoke. Targets that regenerate a committed
-# virtual-time output (BENCH_fig5*.json, BENCH_campaign_smoke.json,
+# one-assembly-path grep, build, the race-enabled tests, the simulator
+# hot-path smoke, the batched-round smoke, the timeserve load smoke, the
+# campaign smoke and the federation smoke. Targets that regenerate a
+# committed virtual-time output (BENCH_fig5*.json, BENCH_campaign_smoke.json,
 # BENCH_federation.json) do it through pinned.sh, which fails with the diff
 # if the file moved.
-check: fmt vet lint assembly build race wave-smoke bench-concurrent loadtest campaign-smoke federation-smoke
+check: fmt vet lint assembly build race sim-smoke bench-concurrent loadtest campaign-smoke federation-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -47,10 +47,11 @@ race:
 	$(GO) test -race -count=1 ./...
 	$(GO) test -race -count=1 ./internal/experiment -orderer=seq
 
-# wave-smoke runs one 1000-processor membership change through the gcs
-# group tables (DESIGN.md §6).
-wave-smoke:
-	$(GO) test -run '^$$' -bench ReannounceWave1000 -benchtime 1x ./internal/gcs
+# sim-smoke runs one iteration of the simulator hot-path benchmarks: a
+# Post through the kernel's same-instant lane and a 1000-processor
+# membership change through the gcs group tables (DESIGN.md §6).
+sim-smoke:
+	$(GO) test -run '^$$' -bench 'KernelPostStep|ReannounceWave1000' -benchtime 1x ./internal/sim ./internal/gcs
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -44,10 +44,11 @@ echo "== go test -race (experiments under -orderer=seq) =="
 # skip themselves via totemOnly.
 go test -race -count=1 ./internal/experiment -orderer=seq
 
-echo "== gcs re-announce wave smoke =="
-# One 1000-processor membership change through the group tables
-# (DESIGN.md §6); the benchmark's setup and one iteration must run.
-go test -run '^$' -bench ReannounceWave1000 -benchtime 1x ./internal/gcs
+echo "== simulator hot-path smoke =="
+# One Post through the kernel's same-instant lane and one 1000-processor
+# membership change through the gcs group tables (DESIGN.md §6); each
+# benchmark's setup and one iteration must run.
+go test -run '^$' -bench 'KernelPostStep|ReannounceWave1000' -benchtime 1x ./internal/sim ./internal/gcs
 
 # The four virtual-time outputs below are regenerated through pinned.sh,
 # which fails with the diff if the committed file moved.

@@ -349,6 +349,11 @@ func getGroupID(b []byte) wire.GroupID {
 type groupTable struct {
 	id      wire.GroupID
 	members []transport.NodeID // sorted
+	// finger is the slot find tries before searching: one past the last
+	// member found, added or removed. After an ordering view change every
+	// processor re-announces, and the announces arrive in sender-id order,
+	// so through such a wave each lookup is one comparison.
+	finger int
 	// dirty is set by every edit of members and by every ordering view
 	// change (ViewID and Primary are part of the view); emitChangedViews
 	// looks at no other table.
@@ -362,24 +367,39 @@ type groupTable struct {
 	lastMembers []transport.NodeID
 }
 
+// find returns p's position in members, or where it would be inserted.
+func (t *groupTable) find(p transport.NodeID) (int, bool) {
+	if i := t.finger; i < len(t.members) && t.members[i] == p {
+		t.finger = i + 1
+		return i, true
+	}
+	i, found := slices.BinarySearch(t.members, p)
+	if found {
+		t.finger = i + 1
+	}
+	return i, found
+}
+
 // add records that p hosts a member, reporting whether that is news.
 func (t *groupTable) add(p transport.NodeID) bool {
-	i, found := slices.BinarySearch(t.members, p)
+	i, found := t.find(p)
 	if found {
 		return false
 	}
 	t.members = slices.Insert(t.members, i, p)
+	t.finger = i + 1
 	t.dirty = true
 	return true
 }
 
 // remove records that p hosts no member, reporting whether that is news.
 func (t *groupTable) remove(p transport.NodeID) bool {
-	i, found := slices.BinarySearch(t.members, p)
+	i, found := t.find(p)
 	if !found {
 		return false
 	}
 	t.members = slices.Delete(t.members, i, i+1)
+	t.finger = i
 	t.dirty = true
 	return true
 }

@@ -165,7 +165,8 @@ func (r *refTables) emitChangedViews() {
 
 // TestTablesMatchReferenceModel drives the stack and the reference with the
 // same random instants — local Join/Leave, announces (empty, repeating and
-// never-seen group sets, from members and strangers), ordering views that
+// never-seen group sets, from members and strangers), re-announce waves in
+// ascending, descending and shuffled sender order, ordering views that
 // shrink, grow, repeat and flip Primary — and requires the same emitted
 // sequence of (Group, Members, ViewID, Primary).
 func TestTablesMatchReferenceModel(t *testing.T) {
@@ -231,6 +232,30 @@ func TestTablesMatchReferenceModel(t *testing.T) {
 						gids = append(gids, getGroupID(env[off:]))
 					}
 					ref.announce(me, gids)
+				case r < 5: // a re-announce wave, as after an ordering view change
+					// Ascending sender order is the one the table finger
+					// follows; descending and shuffled waves make it miss
+					// and fall back to the search.
+					senders := slices.Clone(universe)
+					switch rng.Intn(3) {
+					case 1:
+						slices.Reverse(senders)
+					case 2:
+						rng.Shuffle(len(senders), func(i, j int) { senders[i], senders[j] = senders[j], senders[i] })
+					}
+					common := pool[rng.Intn(len(pool))]
+					for _, from := range senders {
+						var gids []wire.GroupID
+						switch rng.Intn(6) {
+						case 0: // announces nothing: leaves every group
+						case 1: // one more group
+							gids = []wire.GroupID{common, pool[rng.Intn(len(pool))]}
+						default:
+							gids = []wire.GroupID{common}
+						}
+						rig.announce(from, gids...)
+						ref.announce(from, gids)
+					}
 				default: // someone else announces, in any order and with repeats
 					from := universe[rng.Intn(len(universe))]
 					gids := make([]wire.GroupID, rng.Intn(4))

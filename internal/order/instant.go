@@ -27,12 +27,13 @@ type InstantHub struct {
 	pending     []*instantPending
 	flushQueued bool
 	seen        map[uint64]bool
-	// active caches the sorted active membership. Rebuilding it on every
-	// delivery is O(N log N) per message, which dominates thousand-node
-	// campaigns; instead the cache is invalidated only when Start/Stop
-	// change membership. The slice is replaced, never mutated in place, so
-	// previously emitted views keep a consistent snapshot.
-	active      []transport.NodeID
+	// active caches the active nodes in id order, so a delivery walks a
+	// slice instead of looking every receiver up in nodes. Rebuilding it on
+	// every delivery is O(N log N) per message, which dominates
+	// thousand-node campaigns; instead the cache is invalidated only when
+	// Start/Stop change membership. The slice is replaced, never mutated in
+	// place, so a delivery or view loop in progress keeps its snapshot.
+	active      []*instantNode
 	activeDirty bool
 	// emitQueued coalesces view emission: a batch of Start/Stop calls
 	// landing in one instant (a campaign booting hundreds of nodes, a churn
@@ -191,8 +192,7 @@ func (h *InstantHub) flush() {
 // deliverAll hands one ordered message to every active node, in id order.
 func (h *InstantHub) deliverAll(p *instantPending) {
 	view := h.viewID()
-	for _, id := range h.activeIDs() {
-		n := h.nodes[id]
+	for _, n := range h.activeNodes() {
 		n.totalOrder++
 		n.stats.Delivered++
 		n.env.Deliver(Delivery{
@@ -223,37 +223,40 @@ func (h *InstantHub) scheduleEmit() {
 func (h *InstantHub) emitViews() {
 	h.flush()
 	h.epoch++
-	members := h.activeIDs()
-	if len(members) == 0 {
+	active := h.activeNodes()
+	if len(active) == 0 {
 		return
 	}
-	// One defensive copy shared by every receiver: downstream layers retain
-	// the view but never mutate Members, and the hub's own cache is replaced
-	// (not appended to) on the next membership change, so a single snapshot
-	// is safe and turns view emission from O(N²) into O(N).
+	// One member list shared by every receiver: downstream layers retain
+	// the view but never mutate Members, so a single snapshot is safe and
+	// turns view emission from O(N²) into O(N).
+	members := make([]transport.NodeID, len(active))
+	for i, n := range active {
+		members[i] = n.me
+	}
 	view := View{
 		ID:      h.viewID(),
-		Members: append([]transport.NodeID(nil), members...),
+		Members: members,
 		Primary: len(members) >= h.quorum,
 	}
-	for _, id := range members {
-		n := h.nodes[id]
+	for _, n := range active {
 		if n.env.OnView != nil {
 			n.env.OnView(view)
 		}
 	}
 }
 
-func (h *InstantHub) activeIDs() []transport.NodeID {
+// activeNodes returns the active nodes in id order.
+func (h *InstantHub) activeNodes() []*instantNode {
 	if h.activeDirty {
-		ids := make([]transport.NodeID, 0, len(h.nodes))
-		for id, n := range h.nodes {
+		active := make([]*instantNode, 0, len(h.nodes))
+		for _, n := range h.nodes {
 			if n.active {
-				ids = append(ids, id)
+				active = append(active, n)
 			}
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		h.active = ids
+		sort.Slice(active, func(i, j int) bool { return active[i].me < active[j].me })
+		h.active = active
 		h.activeDirty = false
 	}
 	return h.active
@@ -261,8 +264,8 @@ func (h *InstantHub) activeIDs() []transport.NodeID {
 
 func (h *InstantHub) viewID() ViewID {
 	rep := transport.NodeID(0)
-	if ids := h.activeIDs(); len(ids) > 0 {
-		rep = ids[0]
+	if active := h.activeNodes(); len(active) > 0 {
+		rep = active[0].me
 	}
 	return ViewID{Epoch: h.epoch, Rep: rep}
 }

@@ -161,3 +161,62 @@ func TestInstantScaleChurn(t *testing.T) {
 	}
 	h.stopAll()
 }
+
+// TestInstantCacheFollowsStopStart: the hub's cached membership (ids and
+// node pointers) is rebuilt whenever Start/Stop change it, including several
+// changes in one instant and a node stopped and restarted in that instant.
+// Every broadcast reaches exactly the active set, in id order.
+func TestInstantCacheFollowsStopStart(t *testing.T) {
+	h := newConfHarness(t, KindInstant, 13, nil)
+	ids := confIDs(8)
+	var log []transport.NodeID // receivers of every delivery, in delivery order
+	for _, id := range ids {
+		o := h.addNode(id, ids, true)
+		inner := o.(*instantNode).env.Deliver
+		o.(*instantNode).env.Deliver = func(d Delivery) {
+			inner(d)
+			log = append(log, id)
+		}
+	}
+	h.startAll()
+
+	expect := func(what string, want ...transport.NodeID) {
+		t.Helper()
+		if fmt.Sprint(log) != fmt.Sprint(want) {
+			t.Fatalf("%s delivered to %v, want %v", what, log, want)
+		}
+		log = log[:0]
+	}
+	broadcast := func(p string) {
+		t.Helper()
+		if err := h.nodes[0].Broadcast([]byte(p)); err != nil {
+			t.Fatalf("Broadcast: %v", err)
+		}
+	}
+
+	// One instant: three stops, one of them undone, then a broadcast.
+	h.nodes[2].Stop()
+	h.nodes[5].Stop()
+	h.nodes[6].Stop()
+	h.nodes[5].Start()
+	broadcast("same-instant")
+	h.k.RunFor(0)
+	expect("a broadcast in the instant of the change", 0, 1, 3, 4, 5, 7)
+	if vs := h.views[0]; !sameMembers(vs[len(vs)-1].Members, []transport.NodeID{0, 1, 3, 4, 5, 7}) {
+		t.Fatalf("view after the instant = %v", vs[len(vs)-1])
+	}
+
+	broadcast("after-view")
+	h.k.RunFor(time.Millisecond)
+	expect("a broadcast after the view", 0, 1, 3, 4, 5, 7)
+
+	// Stopped and restarted in one instant, with nothing else changing: the
+	// node stays a receiver.
+	h.nodes[3].Stop()
+	h.nodes[3].Start()
+	h.nodes[2].Start()
+	broadcast("rejoin")
+	h.k.RunFor(time.Millisecond)
+	expect("a broadcast after a restart", 0, 1, 2, 3, 4, 5, 7)
+	h.stopAll()
+}

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,14 +14,33 @@ import (
 // RunUntil or Step. Given the same seed and the same sequence of scheduling
 // calls, a simulation replays identically.
 //
+// Events live in two queues. Timers (After, At) go on a min-heap ordered by
+// (at, seq). Posts go on the lane, a FIFO of callbacks due at the current
+// instant: a Post always lands at Now() with the largest seq so far, so the
+// lane is sorted by (at, seq) by construction and needs no heap, and since
+// its entries are at Now() time cannot advance while it is non-empty. Step
+// merges the two heads by (at, seq), which is exactly the order one heap
+// holding both would pop.
+//
 // The zero value is not usable; construct with NewKernel.
 type Kernel struct {
-	mu   sync.Mutex
-	now  atomic.Int64 // virtual time; written under mu, read lock-free by Now
-	q    eventQueue
-	seq  uint64
-	rng  *rand.Rand
-	halt bool
+	mu  sync.Mutex
+	now atomic.Int64 // virtual time; written under mu, read lock-free by Now
+	q   eventQueue
+	// compactAt is the heap length at which the next schedule first drops
+	// cancelled timers from q (see scheduleLocked).
+	compactAt int
+	lane      []posted // lane[head:] are the pending Posts, all due at Now()
+	head      int
+	seq       uint64
+	rng       *rand.Rand
+	halt      bool
+}
+
+// posted is one lane entry. Posts cannot be cancelled, so it needs no more.
+type posted struct {
+	seq uint64
+	fn  func()
 }
 
 // NewKernel returns a kernel whose random source is seeded with seed.
@@ -60,96 +81,146 @@ func (k *Kernel) At(t time.Duration, fn func()) Canceler {
 func (k *Kernel) Post(fn func()) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.scheduleLocked(k.Now(), fn)
+	k.lane = append(k.lane, posted{seq: k.seq, fn: fn})
+	k.seq++
 }
 
 func (k *Kernel) scheduleLocked(t time.Duration, fn func()) *event {
 	ev := &event{at: t, seq: k.seq, fn: fn}
 	k.seq++
+	// Cancelled timers wait in the heap until they reach its head, and Totem
+	// cancels two per token visit, so most of a Totem run's heap can be dead
+	// entries deepening every push and pop. Whenever the heap has doubled
+	// since it last held only live timers, drop the dead ones: amortised
+	// O(1) per schedule, and a heap of live timers is never scanned again
+	// until it doubles.
+	if len(k.q) >= k.compactAt {
+		k.q.dropCancelled()
+		k.compactAt = max(2*len(k.q), minCompact)
+	}
 	k.q.push(ev)
 	return ev
+}
+
+// nextLocked reports when the next live event is due and whether it is the
+// lane's head, discarding cancelled timers that would have run before it. It
+// reports ok=false when nothing is pending.
+func (k *Kernel) nextLocked() (at time.Duration, fromLane, ok bool) {
+	laneLive := k.head < len(k.lane)
+	for len(k.q) > 0 {
+		ev := k.q[0]
+		if laneLive && (ev.at != k.Now() || k.lane[k.head].seq < ev.seq) {
+			break // the lane's head comes first
+		}
+		if !ev.cancelled {
+			return ev.at, false, true
+		}
+		k.q.pop()
+	}
+	return k.Now(), laneLive, laneLive
+}
+
+// runLocked removes the event nextLocked chose, releases the lock and runs
+// it.
+func (k *Kernel) runLocked(fromLane bool) {
+	var fn func()
+	if fromLane {
+		p := &k.lane[k.head]
+		fn = p.fn
+		p.fn = nil
+		k.head++
+		if k.head == len(k.lane) {
+			k.lane, k.head = k.lane[:0], 0
+		}
+	} else {
+		ev := k.q.pop()
+		k.now.Store(int64(ev.at))
+		ev.done = true
+		fn = ev.fn
+		ev.fn = nil
+	}
+	k.mu.Unlock()
+	fn()
 }
 
 // Step executes the next pending event, advancing virtual time to its
 // timestamp. It reports whether an event was executed.
 func (k *Kernel) Step() bool {
 	k.mu.Lock()
-	for len(k.q) > 0 {
-		ev := k.q.pop()
-		if ev.cancelled {
-			continue
-		}
-		k.now.Store(int64(ev.at))
-		ev.done = true
-		fn := ev.fn
-		ev.fn = nil
+	_, fromLane, ok := k.nextLocked()
+	if !ok {
 		k.mu.Unlock()
-		fn()
-		return true
+		return false
 	}
-	k.mu.Unlock()
-	return false
+	k.runLocked(fromLane)
+	return true
 }
 
 // Run executes events until the queue drains or Halt is called.
 func (k *Kernel) Run() {
-	for !k.halted() && k.Step() {
-	}
-	k.setHalt(false)
+	k.runThrough(math.MaxInt64)
 }
 
-// RunUntil executes events with timestamps <= t, then advances virtual time
-// to t — except that it can overshoot. The stop test looks at the head of
-// the queue without discarding cancelled events, so when the head is a
-// cancelled event at or before t, Step skips it and runs the next live event
-// even if that one lies beyond t, and Now() is then that event's time, not t.
-// (Totem cancels two timers per token visit, so under it the head usually is
-// a cancelled event.) Callers that need to stop at exactly t cannot rely on
-// this; ROADMAP item 3 records the defect and what fixing it moves.
+// RunUntil executes every event due at or before t, then sets virtual time
+// to t: afterwards Now() == t and no event due after t has run. When a
+// callback calls Halt it returns at once instead, with Now() at that event.
+// A t before Now() runs nothing and leaves the clock where it is.
 func (k *Kernel) RunUntil(t time.Duration) {
+	if !k.runThrough(t) {
+		return
+	}
+	k.mu.Lock()
+	if k.Now() < t {
+		k.now.Store(int64(t))
+	}
+	k.mu.Unlock()
+}
+
+// runThrough executes every event due at or before t, reporting false if
+// Halt stopped it first (and clearing the halt).
+func (k *Kernel) runThrough(t time.Duration) bool {
 	for {
 		k.mu.Lock()
-		if k.halt || len(k.q) == 0 || k.q[0].at > t {
-			if k.Now() < t && !k.halt {
-				k.now.Store(int64(t))
-			}
+		if k.halt {
 			k.halt = false
 			k.mu.Unlock()
-			return
+			return false
 		}
-		k.mu.Unlock()
-		k.Step()
+		at, fromLane, ok := k.nextLocked()
+		if !ok || at > t {
+			k.mu.Unlock()
+			return true
+		}
+		k.runLocked(fromLane)
 	}
 }
 
-// RunFor executes events for virtual duration d from the current time, with
-// RunUntil's overshoot.
+// RunFor executes events for virtual duration d from the current time; it
+// is RunUntil(Now()+d).
 func (k *Kernel) RunFor(d time.Duration) {
 	k.RunUntil(k.Now() + d)
 }
 
 // Halt stops a Run/RunUntil in progress after the current event completes.
 // It is intended to be called from within an event callback.
-func (k *Kernel) Halt() { k.setHalt(true) }
-
-func (k *Kernel) setHalt(v bool) {
+func (k *Kernel) Halt() {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.halt = v
+	k.halt = true
 }
 
-func (k *Kernel) halted() bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.halt
-}
-
-// Pending reports the number of events still queued (including cancelled
-// events not yet discarded).
+// Pending reports the number of events scheduled that have neither run nor
+// been cancelled.
 func (k *Kernel) Pending() int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return len(k.q)
+	n := len(k.lane) - k.head
+	for _, ev := range k.q {
+		if !ev.cancelled {
+			n++
+		}
+	}
+	return n
 }
 
 // event is a scheduled callback; it implements Canceler.
@@ -171,6 +242,9 @@ func (e *event) Cancel() bool {
 	e.fn = nil
 	return true
 }
+
+// minCompact is the smallest heap length worth compacting.
+const minCompact = 64
 
 // eventQueue is a binary min-heap ordered by (at, seq). The order is total
 // (seq is unique), so the pop sequence does not depend on the heap's layout.
@@ -206,19 +280,35 @@ func (q *eventQueue) pop() *event {
 	h[n] = nil
 	h = h[:n]
 	if n > 0 {
-		i := 0
-		for child := 1; child < n; child = 2*i + 1 {
-			if child+1 < n && h[child+1].before(h[child]) {
-				child++
-			}
-			if !h[child].before(last) {
-				break
-			}
-			h[i] = h[child]
-			i = child
-		}
-		h[i] = last
+		h.down(0, last)
 	}
 	*q = h
 	return top
+}
+
+// down places ev at slot i, or below it, restoring the heap order of the
+// subtree rooted there.
+func (h eventQueue) down(i int, ev *event) {
+	n := len(h)
+	for child := 2*i + 1; child < n; child = 2*i + 1 {
+		if child+1 < n && h[child+1].before(h[child]) {
+			child++
+		}
+		if !h[child].before(ev) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = ev
+}
+
+// dropCancelled removes every cancelled event and rebuilds the heap. The
+// order is total, so what pops next does not depend on the rebuilt layout.
+func (q *eventQueue) dropCancelled() {
+	h := slices.DeleteFunc(*q, func(ev *event) bool { return ev.cancelled })
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, h[i])
+	}
+	*q = h
 }

@@ -149,6 +149,12 @@ func TestRuleOrderFirstMatchWins(t *testing.T) {
 // records every delivery as "(time) src->dst len". Same seed must produce the
 // identical trace.
 func deliveryTrace(seed int64) []string {
+	trace, _ := deliveryRun(seed)
+	return trace
+}
+
+// deliveryRun is deliveryTrace, also returning the network it ran on.
+func deliveryRun(seed int64) ([]string, *Network) {
 	k := sim.NewKernel(seed)
 	n := NewNetwork(k, Ethernet())
 	var trace []string
@@ -186,7 +192,7 @@ func deliveryTrace(seed int64) []string {
 		})
 	}
 	k.Run()
-	return trace
+	return trace, n
 }
 
 func TestShapedDeliveryTraceDeterminism(t *testing.T) {

@@ -6,10 +6,11 @@
 package simnet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -80,25 +81,20 @@ type Network struct {
 
 	mu        sync.Mutex
 	endpoints map[transport.NodeID]*Endpoint
+	sorted    []*Endpoint // endpoints by id, the Broadcast fan-out order
 	loss      float64
-	partition map[transport.NodeID]int // node -> partition component; empty = fully connected
-
-	// lastArrival enforces FIFO per (src,dst) link: datagrams sent
-	// back-to-back on one path do not reorder, as on a switched LAN.
-	lastArrival map[linkKey]time.Duration
+	// partition is the component of each node named by the last Partition,
+	// kept so an endpoint attached later joins its component. The hot path
+	// reads Endpoint.comp instead.
+	partition map[transport.NodeID]int
 
 	// rules are the installed link-shaping rules, consulted in order
 	// (see shaping.go).
 	rules   []*linkRule
 	ruleSeq uint64
 
-	// Counters for experiment reporting.
-	sent      map[transport.NodeID]uint64
-	delivered map[transport.NodeID]uint64
-	dropped   uint64
+	dropped uint64
 }
-
-type linkKey struct{ src, dst transport.NodeID }
 
 // NewNetwork creates a network driven by kernel k. If latency is nil the
 // Ethernet model is used.
@@ -107,13 +103,9 @@ func NewNetwork(k *sim.Kernel, latency LatencyModel) *Network {
 		latency = Ethernet()
 	}
 	return &Network{
-		k:           k,
-		latency:     latency,
-		endpoints:   make(map[transport.NodeID]*Endpoint),
-		partition:   make(map[transport.NodeID]int),
-		lastArrival: make(map[linkKey]time.Duration),
-		sent:        make(map[transport.NodeID]uint64),
-		delivered:   make(map[transport.NodeID]uint64),
+		k:         k,
+		latency:   latency,
+		endpoints: make(map[transport.NodeID]*Endpoint),
 	}
 }
 
@@ -127,8 +119,12 @@ func (n *Network) Endpoint(id transport.NodeID) *Endpoint {
 	if ep, ok := n.endpoints[id]; ok {
 		return ep
 	}
-	ep := &Endpoint{net: n, id: id}
+	ep := &Endpoint{net: n, id: id, idx: len(n.endpoints), comp: n.partition[id]}
 	n.endpoints[id] = ep
+	i, _ := slices.BinarySearchFunc(n.sorted, id, func(e *Endpoint, id transport.NodeID) int {
+		return cmp.Compare(e.id, id)
+	})
+	n.sorted = slices.Insert(n.sorted, i, ep)
 	return ep
 }
 
@@ -158,54 +154,47 @@ func (n *Network) Partition(components ...[]transport.NodeID) {
 			n.partition[id] = i + 1
 		}
 	}
+	for _, ep := range n.sorted {
+		ep.comp = n.partition[ep.id]
+	}
 }
 
 // Heal removes any partition.
 func (n *Network) Heal() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.partition = make(map[transport.NodeID]int)
-}
-
-func (n *Network) connected(a, b transport.NodeID) bool {
-	if len(n.partition) == 0 {
-		return true
-	}
-	return n.partition[a] == n.partition[b]
+	n.Partition()
 }
 
 // Stats reports per-node sent/delivered datagram counts and the total
-// dropped count (loss + partition + down endpoints).
+// dropped count (loss + partition + down endpoints). A node that has sent
+// (delivered) nothing has no entry in sent (delivered).
 func (n *Network) Stats() (sent, delivered map[transport.NodeID]uint64, dropped uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	s := make(map[transport.NodeID]uint64, len(n.sent))
-	for k, v := range n.sent {
-		s[k] = v
+	sent = make(map[transport.NodeID]uint64)
+	delivered = make(map[transport.NodeID]uint64)
+	for _, ep := range n.sorted {
+		if ep.sent > 0 {
+			sent[ep.id] = ep.sent
+		}
+		if ep.delivered > 0 {
+			delivered[ep.id] = ep.delivered
+		}
 	}
-	d := make(map[transport.NodeID]uint64, len(n.delivered))
-	for k, v := range n.delivered {
-		d[k] = v
-	}
-	return s, d, n.dropped
+	return sent, delivered, n.dropped
 }
 
-// send queues delivery of payload from src to dst, applying loss, partition
-// and latency. Caller holds no lock.
-func (n *Network) send(src, dst transport.NodeID, payload []byte) {
-	n.mu.Lock()
-	ep, ok := n.endpoints[dst]
-	if !ok || ep.down || !n.connected(src, dst) {
+// sendLocked queues delivery of payload from src to dst, applying loss,
+// partition and latency. Caller holds n.mu.
+func (n *Network) sendLocked(src, dst *Endpoint, payload []byte) {
+	if dst.down || src.comp != dst.comp {
 		n.dropped++
-		n.mu.Unlock()
 		return
 	}
 	model := n.latency
-	if r := n.matchRule(src, dst); r != nil {
+	if r := n.matchRule(src.id, dst.id); r != nil {
 		if r.shape.Loss >= 1 ||
 			(r.shape.Loss > 0 && n.k.RNG().Float64() < r.shape.Loss) {
 			n.dropped++
-			n.mu.Unlock()
 			return
 		}
 		if r.shape.Latency != nil {
@@ -214,49 +203,58 @@ func (n *Network) send(src, dst transport.NodeID, payload []byte) {
 	}
 	if n.loss > 0 && n.k.RNG().Float64() < n.loss {
 		n.dropped++
-		n.mu.Unlock()
 		return
 	}
-	n.sent[src]++
-	delay := model(n.k.RNG(), src, dst, len(payload))
+	src.sent++
+	now := n.k.Now()
+	delay := model(n.k.RNG(), src.id, dst.id, len(payload))
 	// FIFO per link: a datagram never overtakes an earlier one on the same
 	// (src,dst) path.
-	key := linkKey{src: src, dst: dst}
-	arrival := n.k.Now() + delay
-	if last := n.lastArrival[key]; arrival <= last {
-		arrival = last + time.Nanosecond
-		delay = arrival - n.k.Now()
+	if dst.idx >= len(src.lastArrival) {
+		src.lastArrival = append(src.lastArrival, make([]time.Duration, dst.idx+1-len(src.lastArrival))...)
 	}
-	n.lastArrival[key] = arrival
+	arrival := now + delay
+	if last := src.lastArrival[dst.idx]; arrival <= last {
+		arrival = last + time.Nanosecond
+		delay = arrival - now
+	}
+	src.lastArrival[dst.idx] = arrival
 	// Copy: the sender may reuse its buffer immediately.
 	data := make([]byte, len(payload))
 	copy(data, payload)
-	n.mu.Unlock()
-
 	n.k.After(delay, func() {
 		n.mu.Lock()
-		ep, ok := n.endpoints[dst]
-		if !ok || ep.down || !n.connected(src, dst) || n.blocked(src, dst) {
+		if dst.down || src.comp != dst.comp || n.blocked(src.id, dst.id) {
 			n.dropped++
 			n.mu.Unlock()
 			return
 		}
-		recv := ep.recv
-		n.delivered[dst]++
+		recv := dst.recv
+		dst.delivered++
 		n.mu.Unlock()
 		if recv != nil {
-			recv(src, data)
+			recv(src.id, data)
 		}
 	})
 }
 
 // Endpoint is one node's attachment to the network; it implements
-// transport.Transport.
+// transport.Transport. Its fields other than net, id and idx are guarded by
+// net.mu.
 type Endpoint struct {
 	net  *Network
 	id   transport.NodeID
+	idx  int // attach order: this endpoint's slot in every lastArrival
 	recv transport.Receiver
 	down bool
+	comp int // partition component; 0 = not named by the last Partition
+
+	// lastArrival[d.idx] is when the latest datagram sent from here to d
+	// arrives, so back-to-back datagrams on one link do not reorder, as on
+	// a switched LAN.
+	lastArrival []time.Duration
+
+	sent, delivered uint64
 }
 
 var _ transport.Transport = (*Endpoint)(nil)
@@ -271,36 +269,35 @@ func (e *Endpoint) SetReceiver(r transport.Receiver) {
 	e.recv = r
 }
 
-// Send implements transport.Transport.
+// Send implements transport.Transport. A datagram to an id with no endpoint
+// is dropped.
 func (e *Endpoint) Send(to transport.NodeID, payload []byte) error {
-	e.net.mu.Lock()
-	down := e.down
-	e.net.mu.Unlock()
-	if down {
+	n := e.net
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if e.down {
 		return fmt.Errorf("%w: %v", ErrClosed, e.id)
 	}
-	e.net.send(e.id, to, payload)
+	if dst := n.endpoints[to]; dst != nil {
+		n.sendLocked(e, dst, payload)
+	} else {
+		n.dropped++
+	}
 	return nil
 }
 
 // Broadcast implements transport.Transport.
 func (e *Endpoint) Broadcast(payload []byte) error {
-	e.net.mu.Lock()
+	n := e.net
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if e.down {
-		e.net.mu.Unlock()
 		return fmt.Errorf("%w: %v", ErrClosed, e.id)
 	}
-	ids := make([]transport.NodeID, 0, len(e.net.endpoints))
-	for id := range e.net.endpoints {
-		if id != e.id {
-			ids = append(ids, id)
+	for _, dst := range n.sorted {
+		if dst != e {
+			n.sendLocked(e, dst, payload)
 		}
-	}
-	e.net.mu.Unlock()
-	// Deterministic fan-out order.
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		e.net.send(e.id, id, payload)
 	}
 	return nil
 }

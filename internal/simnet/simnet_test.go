@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -298,5 +300,96 @@ func TestFIFOPerLink(t *testing.T) {
 		if v != byte(i) {
 			t.Fatalf("reordered at %d: got %d", i, v)
 		}
+	}
+}
+
+// TestStatsMatchMapCounters: the per-endpoint counters report what the
+// per-node maps they replaced reported over the shaped schedule (loss,
+// shaping, blocked links, broadcasts). The expected values were recorded
+// from the map-based network on the same seeds.
+func TestStatsMatchMapCounters(t *testing.T) {
+	for _, tc := range []struct {
+		seed                int64
+		sent, delivered     [6]uint64
+		dropped, delivered0 uint64
+	}{
+		{seed: 42, sent: [6]uint64{14, 12, 23, 11, 24, 6}, delivered: [6]uint64{14, 18, 15, 14, 12, 17}, dropped: 6},
+		{seed: 43, sent: [6]uint64{13, 14, 20, 26, 5, 40}, delivered: [6]uint64{19, 22, 21, 18, 23, 15}, dropped: 5},
+	} {
+		trace, n := deliveryRun(tc.seed)
+		sent, delivered, dropped := n.Stats()
+		var nDelivered uint64
+		for i := range tc.sent {
+			id := transport.NodeID(i)
+			if sent[id] != tc.sent[i] || delivered[id] != tc.delivered[i] {
+				t.Errorf("seed %d node %d: sent %d delivered %d, want %d %d",
+					tc.seed, i, sent[id], delivered[id], tc.sent[i], tc.delivered[i])
+			}
+			nDelivered += delivered[id]
+		}
+		if dropped != tc.dropped {
+			t.Errorf("seed %d: dropped %d, want %d", tc.seed, dropped, tc.dropped)
+		}
+		if nDelivered != uint64(len(trace)) {
+			t.Errorf("seed %d: %d deliveries counted, %d traced", tc.seed, nDelivered, len(trace))
+		}
+	}
+}
+
+// TestStatsOmitIdleNodes: as with the maps, a node that never sent or
+// received has no entry.
+func TestStatsOmitIdleNodes(t *testing.T) {
+	k, n := newNet(t, Fixed(time.Microsecond))
+	a := n.Endpoint(0)
+	n.Endpoint(1)
+	n.Endpoint(2)
+	a.Send(1, []byte{1})
+	k.Run()
+	sent, delivered, _ := n.Stats()
+	if len(sent) != 1 || len(delivered) != 1 || sent[0] != 1 || delivered[1] != 1 {
+		t.Fatalf("sent=%v delivered=%v, want only node 0 sending and node 1 receiving", sent, delivered)
+	}
+}
+
+// TestPartitionSetAndHealedInFlight: a partition formed and healed while
+// datagrams are in flight drops exactly those that arrive while it stands.
+func TestPartitionSetAndHealedInFlight(t *testing.T) {
+	// A datagram of i bytes takes i ms.
+	k, n := newNet(t, func(_ *rand.Rand, _, _ transport.NodeID, size int) time.Duration {
+		return time.Duration(size) * time.Millisecond
+	})
+	a, b := n.Endpoint(0), n.Endpoint(1)
+	var got []int
+	b.SetReceiver(func(_ transport.NodeID, p []byte) { got = append(got, len(p)) })
+	for i := 1; i <= 10; i++ {
+		a.Send(1, make([]byte, i))
+	}
+	k.RunUntil(3*time.Millisecond + time.Microsecond)
+	n.Partition([]transport.NodeID{0}, []transport.NodeID{1})
+	k.RunUntil(6*time.Millisecond + time.Microsecond)
+	n.Heal()
+	k.Run()
+	if want := []int{1, 2, 3, 7, 8, 9, 10}; !slices.Equal(got, want) {
+		t.Fatalf("delivered %v, want %v (4-6 arrive inside the partition)", got, want)
+	}
+	if _, _, dropped := n.Stats(); dropped != 3 {
+		t.Fatalf("dropped %d, want 3", dropped)
+	}
+}
+
+// TestEndpointAttachedAfterPartitionJoinsItsComponent: Partition names ids,
+// not endpoints, so one attached later is already on its side of the cut.
+func TestEndpointAttachedAfterPartitionJoinsItsComponent(t *testing.T) {
+	k, n := newNet(t, Fixed(time.Microsecond))
+	a := n.Endpoint(0)
+	n.Partition([]transport.NodeID{0, 2}, []transport.NodeID{1})
+	var to1, to2 capture
+	n.Endpoint(1).SetReceiver(to1.receiver(k))
+	n.Endpoint(2).SetReceiver(to2.receiver(k))
+	a.Broadcast([]byte("x"))
+	k.Run()
+	if len(to1.data) != 0 || len(to2.data) != 1 {
+		t.Fatalf("delivered %d to node 1 (other side), %d to node 2 (same side); want 0 and 1",
+			len(to1.data), len(to2.data))
 	}
 }

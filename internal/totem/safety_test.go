@@ -58,7 +58,18 @@ func TestPerMessageSafeDeliveryPreservesTotalOrder(t *testing.T) {
 func TestSafeDeliveryWaitsForAllReceived(t *testing.T) {
 	h := newHarness(t, 22, nil)
 	ids := nodeIDs(3)
-	for _, id := range ids {
+	// Stamp each delivery at the sender when it happens, not when the
+	// polling loop next looks.
+	var deliveredAt time.Duration
+	stamp := func(c *Config) {
+		inner := c.Deliver
+		c.Deliver = func(d Delivery) {
+			inner(d)
+			deliveredAt = h.k.Now()
+		}
+	}
+	h.addNode(ids[0], ids, true, stamp)
+	for _, id := range ids[1:] {
 		h.addNode(id, ids, true)
 	}
 	h.startAll()
@@ -70,11 +81,14 @@ func TestSafeDeliveryWaitsForAllReceived(t *testing.T) {
 		start := h.k.Now()
 		h.k.Post(func() { h.nodes[0].BroadcastCancelable([]byte("x"), safe, 0) })
 		before := len(h.deliveries[0])
-		h.runUntil(time.Second, func() bool { return len(h.deliveries[0]) > before })
-		return h.k.Now() - start
+		if !h.runUntil(time.Second, func() bool { return len(h.deliveries[0]) > before }) {
+			t.Fatalf("message (safe=%v) never delivered", safe)
+		}
+		return deliveredAt - start
 	}
 	agreed := send(false)
 	safe := send(true)
+	t.Logf("delivered at the sender after %v (agreed), %v (safe)", agreed, safe)
 	if safe <= agreed {
 		t.Fatalf("safe delivery (%v) not slower than agreed (%v)", safe, agreed)
 	}
