@@ -54,7 +54,6 @@ sim-smoke:
 	$(GO) test -run '^$$' -bench 'KernelPostStep|ReannounceWave1000' -benchtime 1x ./internal/sim ./internal/gcs
 
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
 	./pinned.sh BENCH_fig5.json $(GO) run ./cmd/ctsbench -exp fig5 -trace fig5.trace.jsonl -json BENCH_fig5.json
 
 # bench-concurrent smokes the batched-round path (DESIGN.md §9): ctsbench

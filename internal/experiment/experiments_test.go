@@ -276,6 +276,22 @@ func TestScalingMonotoneCost(t *testing.T) {
 	}
 }
 
+func TestCCSAblationOrdering(t *testing.T) {
+	r, err := RunCCSAblation(11, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The time service costs latency, and safe delivery — the property §3's
+	// correctness argument rests on — costs more than agreed delivery.
+	if !(r.Baseline < r.AgreedMean && r.AgreedMean < r.SafeMean) {
+		t.Fatalf("want baseline < agreed < safe, got %v / %v / %v",
+			r.Baseline, r.AgreedMean, r.SafeMean)
+	}
+	if !strings.Contains(r.Render(), "CCS delivery ablation") {
+		t.Fatal("render malformed")
+	}
+}
+
 func TestClusterValidation(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{Seed: 1}); err == nil {
 		t.Fatal("cluster with no replicas accepted")

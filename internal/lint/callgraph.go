@@ -2,7 +2,7 @@ package lint
 
 // callgraph.go is the interprocedural analysis substrate: a call graph over
 // go/types covering every package Load returned, with per-function summaries
-// (allocation sites, lock acquisitions, channel operations, calls into
+// (allocation sites, lock acquisitions, blocking operations, calls into
 // unknown code) computed in one pass per function body. The allocfree and
 // lockorder rules are whole-path properties — "does anything reachable from
 // Server.serveLoop allocate?", "can these two mutexes be taken in both
@@ -140,6 +140,23 @@ func BuildGraph(pkgs []*Package, cfg Config) *Graph {
 	for _, n := range g.funcs {
 		n.sum = summarize(g, n)
 	}
+	// Package-level literals (var f = func() {...}) have no enclosing body;
+	// summarize them as anonymous bodies too.
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok {
+					ast.Inspect(gd, func(n ast.Node) bool {
+						lit, ok := n.(*ast.FuncLit)
+						if ok {
+							g.anon = append(g.anon, summarizeLit(g, p, pkgName(p), lit))
+						}
+						return !ok
+					})
+				}
+			}
+		}
+	}
 	g.buildSCCs()
 	return g
 }
@@ -148,17 +165,16 @@ func BuildGraph(pkgs []*Package, cfg Config) *Graph {
 // (last import-path element for main packages), the receiver type if any,
 // and the function name — "timeserve.Server.serveLoop".
 func displayName(p *Package, fd *ast.FuncDecl) string {
-	pkg := p.Types.Name()
-	if pkg == "main" {
-		pkg = p.Path[strings.LastIndex(p.Path, "/")+1:]
+	return pkgName(p) + "." + scopeName(fd)
+}
+
+// pkgName is the package qualifier of display names: the package name, or
+// the last import-path element for main packages.
+func pkgName(p *Package) string {
+	if name := p.Types.Name(); name != "main" {
+		return name
 	}
-	name := fd.Name.Name
-	if fd.Recv != nil && len(fd.Recv.List) == 1 {
-		if t := receiverTypeName(fd.Recv.List[0].Type); t != "" {
-			name = t + "." + name
-		}
-	}
-	return pkg + "." + name
+	return p.Path[strings.LastIndex(p.Path, "/")+1:]
 }
 
 // scopeName is displayName without the package qualifier, matching

@@ -25,7 +25,7 @@ func TestSharedGraphSingleBuild(t *testing.T) {
 	}
 
 	before = GraphBuilds()
-	cfg.Rules = map[string]bool{"notime": true, "nolockio": true}
+	cfg.Rules = map[string]bool{"notime": true, "errdrop": true}
 	Run(pkgs, cfg)
 	if got := GraphBuilds() - before; got != 0 {
 		t.Fatalf("GraphBuilds delta = %d with no interprocedural rule enabled, want 0", got)

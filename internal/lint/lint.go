@@ -11,13 +11,13 @@
 //   - allocfree: functions annotated `//cts:allocfree` (the timeserve serve
 //     path, core.LeaseRead) must reach no allocating construct through any
 //     call chain — interprocedural, built on the callgraph.go substrate.
-//   - lockorder: mutex-acquisition order cycles and blocking-operation/
-//     Broadcast-while-locked hazards across the whole call graph.
+//   - lockorder: mutex-acquisition order cycles, and no blocking operation
+//     (channel send/receive, select without default, Wait, sleeps, net
+//     calls) or sync.Cond Broadcast while a mutex is held — in the same
+//     body or through any call chain.
 //   - notime: direct time.Now/Sleep/After/... calls are banned outside the
 //     clock abstraction packages (internal/hwclock, internal/timesource,
 //     internal/sim, internal/testutil) and _test.go files.
-//   - nolockio: no blocking operation (channel send/receive, select without
-//     default, Wait, sleeps, net dials) while a sync.Mutex/RWMutex is held.
 //   - maporder: map iteration whose results reach wire encoding or multicast
 //     send paths unsorted is cross-replica nondeterminism.
 //   - atomicmix: a field accessed through sync/atomic functions anywhere must
@@ -44,7 +44,7 @@ import (
 )
 
 // AllRules lists every rule name, in report order.
-var AllRules = []string{"allocfree", "atomicmix", "errdrop", "lockorder", "maporder", "nolockio", "notime"}
+var AllRules = []string{"allocfree", "atomicmix", "errdrop", "lockorder", "maporder", "notime"}
 
 // Finding is one rule violation.
 type Finding struct {
@@ -246,7 +246,6 @@ func RunStats(pkgs []*Package, cfg Config) ([]Finding, []RuleStat) {
 	run("errdrop", eachPkg(checkErrdrop))
 	run("lockorder", func() []Finding { return checkLockorder(graph()) })
 	run("maporder", eachPkg(func(p *Package) []Finding { return checkMaporder(p, cfg) }))
-	run("nolockio", eachPkg(checkNolockio))
 	run("notime", eachPkg(func(p *Package) []Finding { return checkNotime(p, cfg) }))
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -170,6 +170,7 @@ func TestParseBaselineErrors(t *testing.T) {
 		{"wrong field count", "notime foo.go # why\n", "got 2 fields"},
 		{"short justification", "notime foo.go Bar # why\n", "too short"},
 		{"unknown rule", "bogus foo.go Bar # a plausible-length reason\n", `unknown rule "bogus"`},
+		{"retired rule", "nolockio foo.go Bar # folded into lockorder\n", `unknown rule "nolockio"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

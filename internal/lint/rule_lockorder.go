@@ -7,11 +7,15 @@ package lint
 //     is held somewhere else — two goroutines interleaving those paths
 //     deadlock, and in this system a deadlocked replica holds the token (or
 //     the lease plane) hostage for the whole group;
-//   - blocking hazards across calls: a function that blocks (channel op,
-//     blocking select) or calls sync.Cond.Broadcast reached through any call
-//     chain while a mutex is held. nolockio catches the direct,
-//     single-function shape; this rule catches the interprocedural one the
-//     single-function matchers structurally cannot see.
+//   - blocking hazards: an operation that parks the goroutine (channel send
+//     or receive, range over a channel, select without default, time.Sleep,
+//     a net call, Wait()) or a sync.Cond.Broadcast, performed while a mutex
+//     is held — directly in the same body, or reached through any call
+//     chain. Token rotation bounds every replica's clock-read latency
+//     (PAPER §4), so one replica parked inside a critical section slows the
+//     whole group, and lock-then-receive is the classic distributed
+//     deadlock. sync.Cond.Wait, which must be called with its lock held, is
+//     the intended exception: baseline it in lint.allow where used.
 //
 // Lock identity is the canonical class from summary.lockClass
 // ("core.TimeService.mu"): distinct instances of one class are merged,
@@ -28,9 +32,8 @@ import (
 
 // blockWitness is a transitively reachable blocking operation.
 type blockWitness struct {
-	desc      string
-	chain     []string
-	broadcast bool
+	desc  string
+	chain []string
 }
 
 // lockEdge is one "to acquired while from is held" observation; the
@@ -62,10 +65,8 @@ func checkLockorder(g *Graph) []Finding {
 						a[ev.class] = []string{n.name}
 					}
 				}
-				for _, ev := range n.sum.blocks {
-					if b == nil {
-						b = &blockWitness{ev.desc, []string{n.name}, ev.broadcast}
-					}
+				if len(n.sum.blocks) > 0 {
+					b = &blockWitness{n.sum.blocks[0].desc, []string{n.name}}
 				}
 				for _, c := range n.sum.calls {
 					for _, t := range c.targets {
@@ -80,7 +81,7 @@ func checkLockorder(g *Graph) []Finding {
 						}
 						if b == nil && blkOf[m] != nil {
 							w := blkOf[m]
-							b = &blockWitness{w.desc, append([]string{n.name}, w.chain...), w.broadcast}
+							b = &blockWitness{w.desc, append([]string{n.name}, w.chain...)}
 						}
 					}
 				}
@@ -131,9 +132,7 @@ func checkLockorder(g *Graph) []Finding {
 			}
 		}
 		for _, ev := range sum.blocks {
-			// Direct channel ops under a lock are nolockio's findings; the
-			// Broadcast-under-lock thundering herd is ours.
-			if ev.broadcast && len(ev.held) > 0 {
+			if len(ev.held) > 0 {
 				hazard(ev.pkg, ev.pos, ev.desc, strings.Join(ev.held, ", "), []string{name})
 			}
 		}

@@ -1,10 +1,10 @@
 package lint
 
-// summary.go computes per-function summaries for the interprocedural rules:
-// a statement-ordered walk of each body tracking the set of held mutexes
-// (the same flow-insensitive model rule_nolockio uses: Lock/RLock adds the
-// receiver's lock class, Unlock/RUnlock removes it, a deferred unlock holds
-// to the end of the function) while recording
+// summary.go computes per-function summaries for the interprocedural rules.
+// It is the one held-lock walker in the suite: a statement-ordered,
+// flow-insensitive walk of each body tracking the set of held mutexes
+// (Lock/RLock adds the receiver's lock class, Unlock/RUnlock removes it, a
+// deferred unlock holds to the end of the function) while recording
 //
 //   - allocation sites: make/new/append, string concatenation and
 //     conversions, slice/map literals, &composite literals, map writes,
@@ -13,7 +13,9 @@ package lint
 //   - call sites with their resolved targets and the locks held;
 //   - calls into unknown code (reported conservatively by allocfree);
 //   - lock acquisitions with the locks already held (order edges);
-//   - channel operations and sync.Cond Broadcasts (lockorder hazards).
+//   - blocking operations with the locks held (lockorder hazards): channel
+//     sends and receives, range over a channel, select without default,
+//     time.Sleep, net calls, Wait() and sync.Cond Broadcasts.
 //
 // Function literals are summarized as separate anonymous bodies with an
 // empty held set (they run in an unknown context, not at creation time);
@@ -50,14 +52,14 @@ type acquireEvent struct {
 	held  []string
 }
 
-// blockEvent is one potentially lock-hostile operation: a channel op (send,
-// receive, blocking select, range over channel) or a sync.Cond Broadcast.
+// blockEvent is one operation that must not run under a mutex: it parks the
+// goroutine (channel op, blocking select, Sleep, net I/O, Wait) or wakes
+// waiters into a mutex the caller still holds (sync.Cond Broadcast).
 type blockEvent struct {
-	pkg       *Package
-	pos       token.Pos
-	desc      string
-	held      []string
-	broadcast bool
+	pkg  *Package
+	pos  token.Pos
+	desc string
+	held []string
 }
 
 // summary is everything the interprocedural rules need from one body.
@@ -112,6 +114,10 @@ func (w *bodyWalker) alloc(n ast.Node, desc string) {
 
 func (w *bodyWalker) unknown(n ast.Node, desc string) {
 	w.sum.unknowns = append(w.sum.unknowns, site{w.p, n.Pos(), desc})
+}
+
+func (w *bodyWalker) blockOp(n ast.Node, desc string, held []string) {
+	w.sum.blocks = append(w.sum.blocks, blockEvent{w.p, n.Pos(), desc, held})
 }
 
 // lockOp classifies x.Lock()/x.RLock()/x.Unlock()/x.RUnlock(), returning the
@@ -231,21 +237,13 @@ func (w *bodyWalker) stmt(s ast.Stmt) {
 		w.alloc(s, "go statement allocates a goroutine")
 		w.exprs(s.Call.Args)
 	case *ast.SendStmt:
-		w.sum.blocks = append(w.sum.blocks, blockEvent{w.p, s.Pos(), "channel send", w.heldList(), false})
+		w.blockOp(s, "channel send", w.heldList())
 		w.expr(s.Chan)
 		w.expr(s.Value)
 	case *ast.AssignStmt:
-		for _, lhs := range s.Lhs {
-			if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && w.isMapIndex(ix) {
-				w.alloc(lhs, "map write may allocate")
-			}
-		}
-		w.exprs(s.Rhs)
-		w.exprs(s.Lhs)
+		w.assign(s.Lhs, s.Rhs)
 	case *ast.IncDecStmt:
-		if ix, ok := ast.Unparen(s.X).(*ast.IndexExpr); ok && w.isMapIndex(ix) {
-			w.alloc(s.X, "map write may allocate")
-		}
+		w.mapWrite(s.X)
 		w.expr(s.X)
 	case *ast.ReturnStmt:
 		w.exprs(s.Results)
@@ -266,7 +264,7 @@ func (w *bodyWalker) stmt(s ast.Stmt) {
 	case *ast.RangeStmt:
 		if tv, ok := w.p.Info.Types[s.X]; ok && tv.Type != nil {
 			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-				w.sum.blocks = append(w.sum.blocks, blockEvent{w.p, s.Pos(), "range over channel", w.heldList(), false})
+				w.blockOp(s, "range over channel", w.heldList())
 			}
 		}
 		w.expr(s.X)
@@ -281,11 +279,11 @@ func (w *bodyWalker) stmt(s ast.Stmt) {
 			}
 		}
 		if !hasDefault {
-			w.sum.blocks = append(w.sum.blocks, blockEvent{w.p, s.Pos(), "select without default", w.heldList(), false})
+			w.blockOp(s, "select without default", w.heldList())
 		}
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CommClause); ok {
-				w.stmt(cc.Comm)
+				w.comm(cc.Comm)
 				for _, bs := range cc.Body {
 					w.stmt(bs)
 				}
@@ -329,13 +327,49 @@ func (w *bodyWalker) stmt(s ast.Stmt) {
 	}
 }
 
-func (w *bodyWalker) isMapIndex(ix *ast.IndexExpr) bool {
-	tv, ok := w.p.Info.Types[ix.X]
-	if !ok || tv.Type == nil {
-		return false
+func (w *bodyWalker) assign(lhs, rhs []ast.Expr) {
+	for _, e := range lhs {
+		w.mapWrite(e)
 	}
-	_, isMap := tv.Type.Underlying().(*types.Map)
-	return isMap
+	w.exprs(rhs)
+	w.exprs(lhs)
+}
+
+// mapWrite records an assignment target that writes a map entry.
+func (w *bodyWalker) mapWrite(e ast.Expr) {
+	ix, ok := ast.Unparen(e).(*ast.IndexExpr)
+	if !ok {
+		return
+	}
+	if tv, ok := w.p.Info.Types[ix.X]; ok && tv.Type != nil {
+		if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+			w.alloc(e, "map write may allocate")
+		}
+	}
+}
+
+// comm walks one select case's communication. The select statement is the
+// blocking event (unless it has a default), so the case's send or receive
+// is not one: only its operands are scanned. Otherwise a non-blocking poll
+// would read as a receive at every caller holding a lock.
+func (w *bodyWalker) comm(s ast.Stmt) {
+	switch s := s.(type) {
+	case *ast.SendStmt:
+		w.expr(s.Chan)
+		w.expr(s.Value)
+	case *ast.ExprStmt:
+		w.expr(recvOperand(s.X))
+	case *ast.AssignStmt:
+		w.assign(s.Lhs, []ast.Expr{recvOperand(s.Rhs[0])})
+	}
+}
+
+// recvOperand strips the receive from a select case's <-ch.
+func recvOperand(e ast.Expr) ast.Expr {
+	if u, ok := ast.Unparen(e).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
+		return u.X
+	}
+	return e
 }
 
 // deferredCall records a deferred (non-unlock) call: its arguments evaluate
@@ -377,7 +411,7 @@ func (w *bodyWalker) expr(e ast.Expr) {
 		case *ast.UnaryExpr:
 			switch n.Op {
 			case token.ARROW:
-				w.sum.blocks = append(w.sum.blocks, blockEvent{w.p, n.Pos(), "channel receive", w.heldList(), false})
+				w.blockOp(n, "channel receive", w.heldList())
 			case token.AND:
 				if _, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok {
 					w.alloc(n, "&composite literal escapes to the heap")
@@ -410,9 +444,8 @@ func (w *bodyWalker) expr(e ast.Expr) {
 // expression context (rare: lock ops inside larger expressions) are treated
 // as ordinary unresolved-but-assumed calls by the classifier.
 func (w *bodyWalker) handleCall(call *ast.CallExpr, held []string, deferred bool) {
-	if w.isBroadcast(call) {
-		w.sum.blocks = append(w.sum.blocks, blockEvent{w.p, call.Pos(), "sync.Cond.Broadcast", held, true})
-		return
+	if desc := w.blockingCall(call); desc != "" {
+		w.blockOp(call, desc, held)
 	}
 	c := w.g.classifyCall(w.p, call)
 	switch c.class {
@@ -426,27 +459,44 @@ func (w *bodyWalker) handleCall(call *ast.CallExpr, held []string, deferred bool
 	}
 }
 
-// isBroadcast matches x.Broadcast() where x is not a package qualifier: the
-// sync.Cond wakeup that, issued under the lock, stampedes every waiter into
-// a mutex they cannot take.
-func (w *bodyWalker) isBroadcast(call *ast.CallExpr) bool {
+// blockingCall describes the call if it must not run under a mutex, else
+// returns "": time.Sleep and any net call (resolved through the package
+// name, so renamed imports count and shadowing locals do not), and an
+// argument-less x.Wait() or x.Broadcast() — the WaitGroup/Cond wait that
+// parks, and the Cond wakeup that, issued under the lock, stampedes every
+// waiter into a mutex they cannot take. A module method of either name has
+// a declaration the call chain analyzes instead.
+func (w *bodyWalker) blockingCall(call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Broadcast" || len(call.Args) != 0 {
-		return false
+	if !ok {
+		return ""
 	}
 	if id, ok := sel.X.(*ast.Ident); ok {
-		if _, isPkg := w.p.Info.Uses[id].(*types.PkgName); isPkg {
-			return false
+		if pn, ok := w.p.Info.Uses[id].(*types.PkgName); ok {
+			switch path := pn.Imported().Path(); {
+			case path == "time" && sel.Sel.Name == "Sleep":
+				return "time.Sleep"
+			case path == "net":
+				return "net." + sel.Sel.Name + " call"
+			}
+			return ""
 		}
 	}
-	// A module method named Broadcast (with a resolvable declaration) is an
-	// ordinary call, not a sync.Cond wakeup.
+	if len(call.Args) != 0 {
+		return ""
+	}
 	if s := w.p.Info.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
 		if fn, ok := s.Obj().(*types.Func); ok && w.g.nodeOf(fn) != nil {
-			return false
+			return ""
 		}
 	}
-	return true
+	switch sel.Sel.Name {
+	case "Wait":
+		return types.ExprString(sel) + "() call"
+	case "Broadcast":
+		return "sync.Cond.Broadcast"
+	}
+	return ""
 }
 
 // checkArgBoxing flags interface boxing and variadic slice construction at

@@ -2,7 +2,8 @@
 // order cycle between two mutex classes, a self-cycle (re-acquiring a held
 // mutex), a blocking hazard reached through a call while locked, a
 // Broadcast-under-lock wakeup, and the negative — nested ordered acquisition
-// through a call chain without any inversion.
+// through a call chain without any inversion. blocking.go covers every kind
+// of blocking operation under a lock.
 package lockorder
 
 import "sync"
@@ -30,8 +31,8 @@ func (p *pair) lockBA() {
 	p.b.Unlock()
 }
 
-// hazard blocks on a channel through a call made while holding p.a —
-// invisible to the single-function nolockio rule.
+// hazard blocks on a channel through a call made while holding p.a: the
+// send is in push, which holds no lock itself.
 
 func (p *pair) push() {
 	p.ch <- 1

@@ -96,8 +96,9 @@ func TestRealtimeUDPStack(t *testing.T) {
 			t.Fatal(err)
 		}
 		stacks[i] = s
-		t.Cleanup(s.Stop)
 	}
+	var mgrs []*replication.Manager
+	t.Cleanup(func() { retire(func() { time.Sleep(100 * time.Millisecond) }, stacks, mgrs) })
 
 	apps := make([]*timeApp, n)
 	for i := 1; i < n; i++ {
@@ -112,6 +113,7 @@ func TestRealtimeUDPStack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		mgrs = append(mgrs, mgr)
 		svc, err := core.New(core.Config{Manager: mgr, Clock: hwclock.SystemClock{}})
 		if err != nil {
 			t.Fatal(err)
@@ -187,6 +189,7 @@ func TestClientRetransmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer retire(func() { k.RunFor(5 * time.Millisecond) }, stacks, []*replication.Manager{mgr, mgr2})
 	if err := mgr2.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -222,6 +225,21 @@ func TestClientRetransmission(t *testing.T) {
 	if invoked != 1 {
 		t.Fatalf("request executed %d times, want exactly 1", invoked)
 	}
+}
+
+// retire drains in-flight invocations so every manager is idle, then stops
+// the stacks and retires the logical-thread goroutines; TestMain's leak check
+// fails the package if any survive. drain lets the runtime run on: virtual
+// time for a kernel, wall time for real loops.
+func retire(drain func(), stacks []*gcs.Stack, mgrs []*replication.Manager) {
+	drain()
+	for _, s := range stacks {
+		s.Stop()
+	}
+	for _, m := range mgrs {
+		m.Stop()
+	}
+	drain()
 }
 
 type countApp struct{ onInvoke func() }
