@@ -1,15 +1,15 @@
 GO ?= go
 
-.PHONY: check fmt vet lint assembly build test race sim-smoke bench bench-concurrent loadtest campaign-smoke campaign federation-smoke
+.PHONY: check fmt vet lint assembly build test race sim-smoke bench-all bench bench-concurrent loadtest campaign-smoke campaign federation-smoke
 
 # check is the CI gate: formatting, vet, the project linter, the
 # one-assembly-path grep, build, the race-enabled tests, the simulator
-# hot-path smoke, the batched-round smoke, the timeserve load smoke, the
-# campaign smoke and the federation smoke. Targets that regenerate a
+# hot-path smoke, every ctsbench experiment, the batched-round smoke, the
+# timeserve load smoke, the campaign smoke and the federation smoke. Targets that regenerate a
 # committed virtual-time output (BENCH_fig5*.json, BENCH_campaign_smoke.json,
 # BENCH_federation.json) do it through pinned.sh, which fails with the diff
 # if the file moved.
-check: fmt vet lint assembly build race sim-smoke bench-concurrent loadtest campaign-smoke federation-smoke
+check: fmt vet lint assembly build race sim-smoke bench-all bench-concurrent loadtest campaign-smoke federation-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -53,15 +53,20 @@ race:
 sim-smoke:
 	$(GO) test -run '^$$' -bench 'KernelPostStep|ReannounceWave1000' -benchtime 1x ./internal/sim ./internal/gcs
 
+# bench-all runs every ctsbench experiment at its scaled size, gates
+# included, and writes no files.
+bench-all:
+	$(GO) run ./cmd/ctsbench -exp all -out ""
+
 bench:
-	./pinned.sh BENCH_fig5.json $(GO) run ./cmd/ctsbench -exp fig5 -trace fig5.trace.jsonl -json BENCH_fig5.json
+	./pinned.sh BENCH_fig5.json $(GO) run ./cmd/ctsbench -exp fig5 -out .
 
 # bench-concurrent smokes the batched-round path (DESIGN.md §9): ctsbench
 # exits nonzero unless concurrent readers coalesced rounds and their mean
 # per-read overhead is at most half the single-reader overhead. Writes
 # BENCH_fig5_concurrent.json.
 bench-concurrent:
-	./pinned.sh BENCH_fig5_concurrent.json $(GO) run ./cmd/ctsbench -exp fig5concurrent -jsonConcurrent BENCH_fig5_concurrent.json
+	./pinned.sh BENCH_fig5_concurrent.json $(GO) run ./cmd/ctsbench -exp fig5concurrent -out .
 
 # loadtest smokes the external time-serving plane twice. The race-enabled
 # run checks the lease invariants (staleness bound, per-replica monotonicity)
@@ -91,4 +96,4 @@ campaign:
 # monotonicity fixes, seam skew under the ceiling, reconvergence in time.
 # Writes BENCH_federation.json.
 federation-smoke:
-	./pinned.sh BENCH_federation.json $(GO) run ./cmd/ctsbench -exp federation -jsonFederation BENCH_federation.json
+	./pinned.sh BENCH_federation.json $(GO) run ./cmd/ctsbench -exp federation -out .

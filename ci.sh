@@ -50,15 +50,20 @@ echo "== simulator hot-path smoke =="
 # benchmark's setup and one iteration must run.
 go test -run '^$' -bench 'KernelPostStep|ReannounceWave1000' -benchtime 1x ./internal/sim ./internal/gcs
 
+echo "== ctsbench every experiment (writes nothing) =="
+# Every ctsbench entry at its scaled size, gates included; the pinned steps
+# below rerun the ones whose outputs are committed.
+go run ./cmd/ctsbench -exp all -out ""
+
 # The four virtual-time outputs below are regenerated through pinned.sh,
 # which fails with the diff if the committed file moved.
 echo "== ctsbench fig5 (BENCH_fig5.json) =="
-./pinned.sh BENCH_fig5.json go run ./cmd/ctsbench -exp fig5 -trace fig5.trace.jsonl -json BENCH_fig5.json
+./pinned.sh BENCH_fig5.json go run ./cmd/ctsbench -exp fig5 -out .
 
 echo "== ctsbench fig5concurrent (BENCH_fig5_concurrent.json) =="
 # Self-gating: exits nonzero unless concurrent readers coalesced rounds and
 # their mean per-read overhead is at most half the single-reader overhead.
-./pinned.sh BENCH_fig5_concurrent.json go run ./cmd/ctsbench -exp fig5concurrent -jsonConcurrent BENCH_fig5_concurrent.json
+./pinned.sh BENCH_fig5_concurrent.json go run ./cmd/ctsbench -exp fig5concurrent -out .
 
 echo "== ctsload smoke: lease invariants under race (BENCH_timeserve_race.json) =="
 go run -race ./cmd/ctsload -inprocess -duration 5s -min-qps 100000 -json BENCH_timeserve_race.json
@@ -83,7 +88,7 @@ echo "== ctsbench federation sweep (BENCH_federation.json) =="
 # Multi-group federation (E17): line topologies at 2/4/8 groups plus an
 # inter-group sever/heal cell. Self-gating — zero regressions, zero
 # cross-group staleness violations, seam skew under the ceiling.
-./pinned.sh BENCH_federation.json go run ./cmd/ctsbench -exp federation -jsonFederation BENCH_federation.json
+./pinned.sh BENCH_federation.json go run ./cmd/ctsbench -exp federation -out .
 
 echo "== ctsload federated migrating clients =="
 # Two federated in-process groups; each worker migrates across them every

@@ -18,68 +18,13 @@ import (
 	"log"
 	"time"
 
-	"cts/internal/campaign"
 	"cts/internal/experiment"
-	"cts/internal/replication"
-	"cts/internal/rpc"
 )
 
 func main() {
-	for _, mode := range []experiment.TimeMode{
-		experiment.ModePrimaryBackup, experiment.ModeCTS,
-	} {
-		name := "primary/backup baseline"
-		if mode == experiment.ModeCTS {
-			name = "consistent time service"
-		}
-		fmt.Printf("=== %s ===\n", name)
-
-		cluster, err := experiment.NewCluster(experiment.ClusterConfig{
-			Seed: 7,
-			Topology: campaign.Explicit(
-				experiment.ClockSpec{Offset: 30 * time.Second}, // primary P1
-				experiment.ClockSpec{Offset: 25 * time.Second}, // backup P2: 5s behind
-				experiment.ClockSpec{Offset: 25 * time.Second}, // backup P3
-			),
-			Style:           replication.Passive,
-			Mode:            mode,
-			CheckpointEvery: 2,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-
-		read := func(label string) time.Duration {
-			var v time.Duration
-			got := false
-			cluster.Client.Invoke(experiment.MethodCurrentTime, nil, func(r rpc.Reply) {
-				got = true
-				if r.Err != nil {
-					log.Fatal(r.Err)
-				}
-				v, _ = experiment.DecodeTimeval(r.Body)
-			})
-			cluster.RunUntil(10*time.Second, func() bool { return got })
-			fmt.Printf("  %-22s %v\n", label, v)
-			return v
-		}
-
-		var before time.Duration
-		for i := 1; i <= 4; i++ {
-			before = read(fmt.Sprintf("read %d:", i))
-		}
-		fmt.Println("  -- crash the primary (P1) --")
-		cluster.Crash(1)
-		after := read("read after failover:")
-
-		jump := after - before
-		switch {
-		case jump < 0:
-			fmt.Printf("  clock ROLLED BACK by %v\n\n", -jump)
-		case jump > time.Second:
-			fmt.Printf("  clock JUMPED FORWARD by %v\n\n", jump)
-		default:
-			fmt.Printf("  clock advanced normally by %v — monotone across failover\n\n", jump)
-		}
+	res, err := experiment.RunRollback(7, -5*time.Second)
+	if err != nil {
+		log.Fatal(err)
 	}
+	fmt.Print(res.Render())
 }

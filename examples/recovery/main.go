@@ -11,85 +11,17 @@
 package main
 
 import (
-	"encoding/binary"
 	"fmt"
 	"log"
 	"time"
 
-	"cts/internal/campaign"
 	"cts/internal/experiment"
-	"cts/internal/replication"
-	"cts/internal/rpc"
 )
 
 func main() {
-	cluster, err := experiment.NewCluster(experiment.ClusterConfig{
-		Seed: 11,
-		Topology: campaign.Explicit(
-			experiment.ClockSpec{Offset: 0},
-			experiment.ClockSpec{Offset: 2 * time.Second},
-		),
-		Style:   replication.Active,
-		Mode:    experiment.ModeCTS,
-		Observe: true,
-	})
+	res, err := experiment.RunRecovery(11, 200*time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	read := func(label string) time.Duration {
-		var v time.Duration
-		got := false
-		cluster.Client.Invoke(experiment.MethodReadSequence,
-			binary.BigEndian.AppendUint32(nil, 1), func(r rpc.Reply) {
-				got = true
-				if r.Err != nil {
-					log.Fatal(r.Err)
-				}
-				v, _ = experiment.DecodeTimeval(r.Body)
-			})
-		cluster.RunUntil(10*time.Second, func() bool { return got })
-		fmt.Printf("  %-26s %v\n", label, v)
-		return v
-	}
-
-	fmt.Println("two replicas, physical clocks +0s and +2s:")
-	var before time.Duration
-	for i := 1; i <= 3; i++ {
-		before = read(fmt.Sprintf("read %d:", i))
-	}
-
-	fmt.Println("\njoining replica P3 with clock +200s (state transfer + special round):")
-	id, err := cluster.AddRecoveringReplica(experiment.ClockSpec{Offset: 200 * time.Second})
-	if err != nil {
-		log.Fatal(err)
-	}
-	live := false
-	cluster.RunUntil(10*time.Second, func() bool {
-		cluster.K.Post(func() { live = cluster.Mgrs[id].Live() })
-		cluster.K.RunFor(50 * time.Microsecond)
-		return live
-	})
-	fmt.Printf("  replica %v live after state transfer\n", id)
-
-	fmt.Println("\nreads after the join:")
-	var after time.Duration
-	for i := 1; i <= 3; i++ {
-		after = read(fmt.Sprintf("read %d:", i))
-	}
-
-	fmt.Printf("\nmonotone across recovery: %v (last before %v ≤ first after)\n",
-		after >= before, before)
-	var specials uint64
-	cluster.K.Post(func() {
-		for _, s := range cluster.Obs.Samples() {
-			if s.Name == "core.special_rounds" {
-				specials += s.Value
-			}
-		}
-	})
-	cluster.K.RunFor(time.Millisecond)
-	fmt.Printf("special clock-synchronization rounds taken: %d\n", specials)
-	fmt.Printf("newcomer's readings match the group: %v\n",
-		len(cluster.Apps[id].Readings) > 0)
+	fmt.Print(res.Render())
 }

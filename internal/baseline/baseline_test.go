@@ -9,7 +9,6 @@ import (
 	"cts/internal/experiment"
 	"cts/internal/hwclock"
 	"cts/internal/replication"
-	"cts/internal/rpc"
 	"cts/internal/transport"
 )
 
@@ -18,22 +17,9 @@ import (
 
 func readOnce(t *testing.T, c *experiment.Cluster) time.Duration {
 	t.Helper()
-	var v time.Duration
-	got := false
-	c.Client.Invoke(experiment.MethodCurrentTime, nil, func(r rpc.Reply) {
-		got = true
-		if r.Err != nil {
-			t.Errorf("invoke: %v", r.Err)
-			return
-		}
-		var err error
-		v, err = experiment.DecodeTimeval(r.Body)
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	if !c.RunUntil(10*time.Second, func() bool { return got }) {
-		t.Fatal("read timed out")
+	v, err := c.ReadOnce()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return v
 }

@@ -279,7 +279,7 @@ func (d *deployment) ids() []transport.NodeID {
 	return out
 }
 
-// topIDs returns the highest ⌈frac·n⌉ node ids (at least 1).
+// topIDs returns the highest ⌊frac·n⌋ node ids (at least 1).
 func (d *deployment) topIDs(frac float64) []transport.NodeID {
 	n := len(d.nodes)
 	k := int(frac * float64(n))

@@ -402,22 +402,13 @@ func RunFederated(spec FedSpec, seed int64) (FedResult, error) {
 	if mo.reconvergedAt >= 0 {
 		res.Metrics.ReconvergeMS = float64(mo.reconvergedAt-mo.faultEnd) / float64(time.Millisecond)
 	}
-	for _, s := range rec.Samples() {
-		switch s.Name {
-		case "core.monotonicity_fixes":
-			res.Metrics.MonotonicityFixes += s.Value
-		case "core.fed_coalesced":
-			res.Metrics.FedCoalesced += s.Value
-		case "fed.summaries_sent":
-			res.Metrics.SummariesSent += s.Value
-		case "fed.summaries_recv":
-			res.Metrics.SummariesRecv += s.Value
-		case "fed.rejected":
-			res.Metrics.Rejected += s.Value
-		case "fed.nudges":
-			res.Metrics.Nudges += s.Value
-		}
-	}
+	c := obs.SampleMap(rec.Samples())
+	res.Metrics.MonotonicityFixes = c["core.monotonicity_fixes"]
+	res.Metrics.FedCoalesced = c["core.fed_coalesced"]
+	res.Metrics.SummariesSent = c["fed.summaries_sent"]
+	res.Metrics.SummariesRecv = c["fed.summaries_recv"]
+	res.Metrics.Rejected = c["fed.rejected"]
+	res.Metrics.Nudges = c["fed.nudges"]
 	res.Metrics.FabricDropped = fabric.Dropped
 	res.Pass, res.Failures = fedGate(spec, mo, res.Metrics)
 	return res, nil

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cts/internal/invariant"
+	"cts/internal/obs"
 	"cts/internal/sim"
 )
 
@@ -199,22 +200,13 @@ func prime(k *sim.Kernel, refreshEvery time.Duration, groups ...*deployment) boo
 
 // gather sums the deployment's obs-registry counters into the metrics.
 func gather(d *deployment, m *Metrics) {
-	for _, s := range d.rec.Samples() {
-		switch s.Name {
-		case "core.rounds_initiated", "core.rounds_observed":
-			m.Rounds += s.Value
-		case "core.lease_refreshes":
-			m.Refreshes += s.Value
-		case "core.ccs_sent":
-			m.CCSSent += s.Value
-		case "core.lease_invalidations":
-			m.Invalidations += s.Value
-		case "core.monotonicity_fixes":
-			m.MonotonicityFixes += s.Value
-		case "gcs.views_emitted":
-			m.ViewsEmitted += s.Value
-		}
-	}
+	c := obs.SampleMap(d.rec.Samples())
+	m.Rounds = c["core.rounds_initiated"] + c["core.rounds_observed"]
+	m.Refreshes = c["core.lease_refreshes"]
+	m.CCSSent = c["core.ccs_sent"]
+	m.Invalidations = c["core.lease_invalidations"]
+	m.MonotonicityFixes = c["core.monotonicity_fixes"]
+	m.ViewsEmitted = c["gcs.views_emitted"]
 	_, _, dropped := d.net.Stats()
 	m.NetDropped = dropped
 }

@@ -17,7 +17,7 @@ type FaultKind string
 const (
 	// FaultChurn cycles Count victims through crash and recovery across the
 	// event window: victim i goes down at At + i·(For/Count) and comes back
-	// two steps later. Victims are taken from the top of the id range, so
+	// 1.5 steps later. Victims are taken from the top of the id range, so
 	// the low ids (refresh drivers) stay undisturbed.
 	FaultChurn FaultKind = "churn"
 	// FaultPartition splits the network into components: the top Fraction

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -192,26 +193,48 @@ func TestCrashDuringBatchedReads(t *testing.T) {
 	}
 }
 
-// TestRunFigure5Concurrent sanity-checks the E12 harness: with several
+// TestRunFigure5Concurrent sanity-checks the E15 harness: with several
 // readers the workload must coalesce rounds, and the amortized per-read
-// overhead must undercut the single-reader configuration.
+// overhead must be at most half the single-reader overhead.
 func TestRunFigure5Concurrent(t *testing.T) {
-	multi, err := RunFigure5Concurrent(7, 8, 5)
+	res, err := RunFigure5Concurrent(7, 8, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if multi.RoundsCoalesced == 0 || multi.BatchesSent == 0 {
-		t.Fatalf("concurrent run never coalesced: %+v", multi)
+	if res.Single.PerReadOverhead() <= 0 {
+		t.Fatalf("single-reader run has no measurable overhead: %+v", res.Single)
 	}
-	single, err := RunFigure5Concurrent(7, 1, 5)
-	if err != nil {
+	if err := res.Gate(); err != nil {
 		t.Fatal(err)
 	}
-	if single.PerReadOverhead() <= 0 {
-		t.Fatalf("single-reader run has no measurable overhead: %+v", single)
+}
+
+// TestFigure5ConcurrentGate drives the E15 gate's branches on hand-built
+// results: the self-gating CI step only ever sees passing runs.
+func TestFigure5ConcurrentGate(t *testing.T) {
+	run := func(readers int, coalesced, batches uint64, overhead time.Duration) *ConcurrentRun {
+		return &ConcurrentRun{Readers: readers, OpsPerReader: 1, WallWith: overhead,
+			RoundsCoalesced: coalesced, BatchesSent: batches}
 	}
-	if got, limit := multi.PerReadOverhead(), single.PerReadOverhead()/2; got > limit {
-		t.Fatalf("per-read overhead %v with 8 readers exceeds half the single-reader overhead %v",
-			got, single.PerReadOverhead())
+	single := run(1, 0, 0, 300*time.Microsecond)
+	for _, tc := range []struct {
+		name  string
+		multi *ConcurrentRun
+		want  string // substring of the error; empty means pass
+	}{
+		{"amortized", run(8, 50, 10, 8*40*time.Microsecond), ""},
+		{"no coalesced rounds", run(8, 0, 10, 8*40*time.Microsecond), "no round coalescing"},
+		{"no batches", run(8, 50, 0, 8*40*time.Microsecond), "no round coalescing"},
+		{"ratio above half", run(8, 50, 10, 8*200*time.Microsecond), "more than half"},
+		{"exactly half", run(8, 50, 10, 8*150*time.Microsecond), ""},
+		{"one reader skips the ratio", run(1, 50, 10, 300*time.Microsecond), ""},
+	} {
+		err := (&Figure5ConcurrentResult{Multi: tc.multi, Single: single}).Gate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: unexpected gate failure: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: gate error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }

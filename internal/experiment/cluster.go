@@ -2,7 +2,7 @@
 // a client on node P0 invoking a replicated server on nodes P1..Pn over a
 // Totem ring on simulated 100 Mb/s Ethernet, plus the measurement harnesses
 // that regenerate every figure and table. See DESIGN.md for the experiment
-// index (E1–E11) and EXPERIMENTS.md for paper-vs-measured results.
+// index (E1–E17) and EXPERIMENTS.md for paper-vs-measured results.
 package experiment
 
 import (
@@ -24,6 +24,7 @@ import (
 	"cts/internal/rpc"
 	"cts/internal/sim"
 	"cts/internal/simnet"
+	"cts/internal/stats"
 	"cts/internal/timesource"
 	"cts/internal/transport"
 	"cts/internal/wire"
@@ -315,6 +316,89 @@ func (c *Cluster) RunUntil(max time.Duration, cond func() bool) bool {
 		c.K.RunFor(200 * time.Microsecond)
 	}
 	return cond()
+}
+
+// invokeSeq issues n sequential CurrentTime invocations from the client and
+// returns the latencies of those that succeeded. With think == nil each
+// invocation follows the previous reply immediately; otherwise the client
+// first waits a uniform [0, 1ms) think time drawn from think. The run fails
+// unless all n complete within n·per + 1s of virtual time.
+func (c *Cluster) invokeSeq(n int, think *rand.Rand, per time.Duration) (stats.Durations, error) {
+	var lat stats.Durations
+	done := 0
+	var start time.Duration
+	var invoke func()
+	invoke = func() {
+		start = c.K.Now()
+		c.Client.Invoke(MethodCurrentTime, nil, func(rep rpc.Reply) {
+			if rep.Err == nil {
+				lat.Add(c.K.Now() - start)
+			}
+			done++
+			if done >= n {
+				return
+			}
+			if think == nil {
+				invoke()
+			} else {
+				c.K.After(time.Duration(think.Intn(1000))*time.Microsecond, invoke)
+			}
+		})
+	}
+	invoke()
+	if !c.RunUntil(time.Duration(n)*per+time.Second, func() bool { return done >= n }) {
+		return lat, fmt.Errorf("%d/%d invocations completed", done, n)
+	}
+	return lat, nil
+}
+
+// ReadOnce invokes CurrentTime once and returns the decoded reading. It
+// fails if no reply arrives within 10s of virtual time, or if the reply
+// carries an error or does not decode.
+func (c *Cluster) ReadOnce() (time.Duration, error) {
+	var v time.Duration
+	var err error
+	got := false
+	c.Client.Invoke(MethodCurrentTime, nil, func(rep rpc.Reply) {
+		got = true
+		if err = rep.Err; err == nil {
+			v, err = DecodeTimeval(rep.Body)
+		}
+	})
+	if !c.RunUntil(10*time.Second, func() bool { return got }) {
+		return 0, fmt.Errorf("read timed out")
+	}
+	return v, err
+}
+
+// driveReadSequence invokes MethodReadSequence once with the given count
+// and runs the simulation to completion.
+func driveReadSequence(c *Cluster, ops int) error {
+	before := make(map[transport.NodeID]int, len(c.Apps))
+	for id, app := range c.Apps {
+		before[id] = len(app.Readings)
+	}
+	body := make([]byte, 4)
+	binary.BigEndian.PutUint32(body, uint32(ops))
+	done := false
+	c.Client.Invoke(MethodReadSequence, body, func(rep rpc.Reply) { done = true })
+	// Each round costs a few hundred µs of delay plus the ordering latency.
+	budget := time.Duration(ops)*2*time.Millisecond + time.Second
+	if !c.RunUntil(budget, func() bool { return done }) {
+		return fmt.Errorf("read sequence of %d ops did not complete", ops)
+	}
+	// The reply comes from the fastest replica; give stragglers (which may
+	// not block on rounds, e.g. raw local clocks) time to finish their
+	// sequences. Best-effort: crashed or passive replicas never will.
+	c.RunUntil(2*time.Second, func() bool {
+		for id, app := range c.Apps {
+			if len(app.Readings)-before[id] < ops {
+				return false
+			}
+		}
+		return true
+	})
+	return nil
 }
 
 // ReaderApp is the replicated server of §4.2: "the server simply calls

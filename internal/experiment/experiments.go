@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -12,7 +11,6 @@ import (
 	"cts/internal/core"
 	"cts/internal/obs"
 	"cts/internal/replication"
-	"cts/internal/rpc"
 	"cts/internal/sim"
 	"cts/internal/simnet"
 	"cts/internal/stats"
@@ -93,31 +91,14 @@ func runFigure5(seed int64, invocations int, sink obs.TraceSink, observe bool) (
 		if err != nil {
 			return nil, err
 		}
-		sample := &res.Without
+		lat, err := c.invokeSeq(invocations, rand.New(rand.NewSource(seed+77)), 10*time.Millisecond)
+		if err != nil {
+			return nil, fmt.Errorf("figure5 (mode %d): %w", mode, err)
+		}
 		if mode == ModeCTS {
-			sample = &res.With
-		}
-		think := rand.New(rand.NewSource(seed + 77))
-		done := 0
-		var start time.Duration
-		var invoke func()
-		invoke = func() {
-			start = c.K.Now()
-			c.Client.Invoke(MethodCurrentTime, nil, func(rep rpc.Reply) {
-				if rep.Err == nil {
-					sample.Add(c.K.Now() - start)
-				}
-				done++
-				if done < invocations {
-					c.K.After(time.Duration(think.Intn(1000))*time.Microsecond, invoke)
-				}
-			})
-		}
-		invoke()
-		if !c.RunUntil(time.Duration(invocations)*10*time.Millisecond+time.Second,
-			func() bool { return done >= invocations }) {
-			return nil, fmt.Errorf("figure5: %d/%d invocations completed (mode %d)",
-				done, invocations, mode)
+			res.With = lat
+		} else {
+			res.Without = lat
 		}
 		if c.Obs != nil {
 			res.Metrics = c.Obs.Samples()
@@ -126,7 +107,8 @@ func runFigure5(seed int64, invocations int, sink obs.TraceSink, observe bool) (
 	return res, nil
 }
 
-// Render formats the two PDFs side by side, 50µs bins, as the paper plots.
+// Render formats the two PDFs side by side, 50µs bins, as the paper plots,
+// followed by the stack-wide counters of a traced run.
 func (r *Figure5Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 5 — end-to-end latency at the client (n=%d per mode)\n", r.With.N())
@@ -155,6 +137,18 @@ func (r *Figure5Result) Render() string {
 			continue
 		}
 		fmt.Fprintf(&b, "  [%6v,%6v) %-22.4f %-22.4f\n", lo, lo+bin, dw, do)
+	}
+	if len(r.Metrics) > 0 {
+		m := obs.SampleMap(r.Metrics)
+		names := make([]string, 0, len(m))
+		for name := range m {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		b.WriteString("\nstack metrics (summed across nodes):\n")
+		for _, name := range names {
+			fmt.Fprintf(&b, "  %-28s %d\n", name, m[name])
+		}
 	}
 	return b.String()
 }
@@ -188,20 +182,8 @@ func RunMessageCounts(seed int64, ops int) (*MsgCountsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	done := 0
-	var invoke func()
-	invoke = func() {
-		c.Client.Invoke(MethodCurrentTime, nil, func(rep rpc.Reply) {
-			done++
-			if done < ops {
-				invoke()
-			}
-		})
-	}
-	invoke()
-	if !c.RunUntil(time.Duration(ops)*10*time.Millisecond+time.Second,
-		func() bool { return done >= ops }) {
-		return nil, fmt.Errorf("msgcounts: %d/%d invocations completed", done, ops)
+	if _, err := c.invokeSeq(ops, nil, 10*time.Millisecond); err != nil {
+		return nil, fmt.Errorf("msgcounts: %w", err)
 	}
 	c.K.RunFor(10 * time.Millisecond) // let straggler suppression settle
 	res := &MsgCountsResult{Rounds: ops, PerNode: make(map[transport.NodeID]uint64)}
@@ -215,36 +197,6 @@ func RunMessageCounts(seed int64, ops int) (*MsgCountsResult, error) {
 	})
 	c.K.RunFor(time.Millisecond)
 	return res, nil
-}
-
-// driveReadSequence invokes MethodReadSequence once with the given count
-// and runs the simulation to completion.
-func driveReadSequence(c *Cluster, ops int) error {
-	before := make(map[transport.NodeID]int, len(c.Apps))
-	for id, app := range c.Apps {
-		before[id] = len(app.Readings)
-	}
-	body := make([]byte, 4)
-	binary.BigEndian.PutUint32(body, uint32(ops))
-	done := false
-	c.Client.Invoke(MethodReadSequence, body, func(rep rpc.Reply) { done = true })
-	// Each round costs a few hundred µs of delay plus the ordering latency.
-	budget := time.Duration(ops)*2*time.Millisecond + time.Second
-	if !c.RunUntil(budget, func() bool { return done }) {
-		return fmt.Errorf("read sequence of %d ops did not complete", ops)
-	}
-	// The reply comes from the fastest replica; give stragglers (which may
-	// not block on rounds, e.g. raw local clocks) time to finish their
-	// sequences. Best-effort: crashed or passive replicas never will.
-	c.RunUntil(2*time.Second, func() bool {
-		for id, app := range c.Apps {
-			if len(app.Readings)-before[id] < ops {
-				return false
-			}
-		}
-		return true
-	})
-	return nil
 }
 
 // Render formats the per-node counts.
@@ -487,35 +439,16 @@ func RunRollback(seed int64, backupSkew time.Duration) (*RollbackResult, error) 
 		if err != nil {
 			return nil, err
 		}
-		read := func() (time.Duration, error) {
-			var v time.Duration
-			var rerr error
-			got := false
-			c.Client.Invoke(MethodCurrentTime, nil, func(rep rpc.Reply) {
-				got = true
-				if rep.Err != nil {
-					rerr = rep.Err
-					return
-				}
-				v, rerr = DecodeTimeval(rep.Body)
-			})
-			if !c.RunUntil(10*time.Second, func() bool { return got }) {
-				return 0, fmt.Errorf("rollback read timed out")
-			}
-			return v, rerr
-		}
 		var last time.Duration
 		for i := 0; i < 5; i++ {
-			v, err := read()
-			if err != nil {
-				return nil, err
+			if last, err = c.ReadOnce(); err != nil {
+				return nil, fmt.Errorf("rollback: %w", err)
 			}
-			last = v
 		}
 		c.Crash(1)
-		after, err := read()
+		after, err := c.ReadOnce()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("rollback: %w", err)
 		}
 		if mode == ModePrimaryBackup {
 			res.BaselineBefore, res.BaselineAfter = last, after
@@ -789,33 +722,16 @@ func RunScaling(seed int64, sizes []int, invocations int) (*ScalingResult, error
 		if err != nil {
 			return nil, err
 		}
-		var lat stats.Durations
-		done := 0
 		start := c.K.Now()
-		var t0 time.Duration
-		var invoke func()
-		invoke = func() {
-			t0 = c.K.Now()
-			c.Client.Invoke(MethodCurrentTime, nil, func(rep rpc.Reply) {
-				if rep.Err == nil {
-					lat.Add(c.K.Now() - t0)
-				}
-				done++
-				if done < invocations {
-					invoke()
-				}
-			})
-		}
-		invoke()
-		if !c.RunUntil(time.Duration(invocations)*20*time.Millisecond+time.Second,
-			func() bool { return done >= invocations }) {
-			return nil, fmt.Errorf("scaling size %d: %d/%d done", size, done, invocations)
+		lat, err := c.invokeSeq(invocations, nil, 20*time.Millisecond)
+		if err != nil {
+			return nil, fmt.Errorf("scaling size %d: %w", size, err)
 		}
 		res.MeanLat[size] = lat.Mean()
 		res.P99Lat[size] = lat.Percentile(99)
 		elapsed := (c.K.Now() - start).Seconds()
 		if elapsed > 0 {
-			res.RoundsSec[size] = float64(done) / elapsed
+			res.RoundsSec[size] = float64(invocations) / elapsed
 		}
 	}
 	return res, nil
@@ -834,16 +750,14 @@ func (r *ScalingResult) Render() string {
 }
 
 // ---------------------------------------------------------------------------
-// E12 — concurrent readers: batched CCS rounds amortize the per-read cost.
+// E15 — concurrent readers: batched CCS rounds amortize the per-read cost.
 // ---------------------------------------------------------------------------
 
-// Figure5ConcurrentResult reports the concurrent-reader variant of Figure 5:
-// `Readers` logical threads per replica each perform `OpsPerReader` clock
-// reads back to back, with and without the consistent time service. With
-// round coalescing, concurrent rounds share CCS-batch messages, so the wall
-// time for the whole workload stays close to a single reader's and the mean
-// per-read overhead drops roughly by the reader count.
-type Figure5ConcurrentResult struct {
+// ConcurrentRun reports one side of the concurrent-reader variant of
+// Figure 5: `Readers` logical threads per replica each perform
+// `OpsPerReader` clock reads back to back, with and without the consistent
+// time service.
+type ConcurrentRun struct {
 	Readers      int
 	OpsPerReader int
 	// WallWith/WallWithout are the virtual times from spawning the readers to
@@ -861,7 +775,7 @@ type Figure5ConcurrentResult struct {
 // PerReadOverhead reports the mean time the service adds per logical read
 // (the workload is Readers×OpsPerReader logical reads, each executed by
 // every replica).
-func (r *Figure5ConcurrentResult) PerReadOverhead() time.Duration {
+func (r *ConcurrentRun) PerReadOverhead() time.Duration {
 	total := r.Readers * r.OpsPerReader
 	if total == 0 {
 		return 0
@@ -873,27 +787,46 @@ func (r *Figure5ConcurrentResult) PerReadOverhead() time.Duration {
 	return d / time.Duration(total)
 }
 
+// Figure5ConcurrentResult pairs the multi-reader run with its single-reader
+// baseline. With round coalescing, concurrent rounds share CCS-batch
+// messages, so the wall time for the whole workload stays close to a single
+// reader's and the mean per-read overhead drops roughly by the reader count.
+type Figure5ConcurrentResult struct {
+	Multi, Single *ConcurrentRun
+}
+
 // RunFigure5Concurrent measures the amortized per-read cost of the time
 // service under `readers` concurrent reader threads per replica, each
-// performing `opsPerReader` consecutive reads. Compare against a readers=1
-// run to see the coalescing gain.
+// performing `opsPerReader` consecutive reads, against the same workload
+// with a single reader.
 func RunFigure5Concurrent(seed int64, readers, opsPerReader int) (*Figure5ConcurrentResult, error) {
 	if readers < 1 || opsPerReader < 1 {
 		return nil, fmt.Errorf("figure5-concurrent: readers (%d) and ops per reader (%d) must be positive",
 			readers, opsPerReader)
 	}
-	res := &Figure5ConcurrentResult{Readers: readers, OpsPerReader: opsPerReader}
+	multi, err := runConcurrent(seed, readers, opsPerReader)
+	if err != nil {
+		return nil, err
+	}
+	single, err := runConcurrent(seed, 1, opsPerReader)
+	if err != nil {
+		return nil, err
+	}
+	return &Figure5ConcurrentResult{Multi: multi, Single: single}, nil
+}
+
+// runConcurrent measures one side of E15 on a ModeCTS and a ModeLocal
+// cluster.
+func runConcurrent(seed int64, readers, opsPerReader int) (*ConcurrentRun, error) {
+	res := &ConcurrentRun{Readers: readers, OpsPerReader: opsPerReader}
 	for _, mode := range []TimeMode{ModeCTS, ModeLocal} {
-		cc := ClusterConfig{
+		c, err := NewCluster(ClusterConfig{
 			Seed:     seed,
 			Topology: testbedTopology(),
 			Style:    replication.Active,
 			Mode:     mode,
-		}
-		if mode == ModeCTS {
-			cc.Observe = true
-		}
-		c, err := NewCluster(cc)
+			Observe:  mode == ModeCTS,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -901,25 +834,44 @@ func RunFigure5Concurrent(seed int64, readers, opsPerReader int) (*Figure5Concur
 		if err != nil {
 			return nil, err
 		}
-		if mode == ModeCTS {
-			res.WallWith = wall
-			for _, s := range c.Obs.Samples() {
-				switch s.Name {
-				case "core.rounds_coalesced":
-					res.RoundsCoalesced += s.Value
-				case "core.batches_sent":
-					res.BatchesSent += s.Value
-				case "core.batch_entries":
-					res.BatchEntries += s.Value
-				case "core.ccs_sent":
-					res.CCSSent += s.Value
-				}
-			}
-		} else {
+		if mode == ModeLocal {
 			res.WallWithout = wall
+			continue
 		}
+		res.WallWith = wall
+		m := obs.SampleMap(c.Obs.Samples())
+		res.RoundsCoalesced = m["core.rounds_coalesced"]
+		res.BatchesSent = m["core.batches_sent"]
+		res.BatchEntries = m["core.batch_entries"]
+		res.CCSSent = m["core.ccs_sent"]
 	}
 	return res, nil
+}
+
+// Ratio is the amortization ratio: the multi-reader per-read overhead over
+// the single-reader one (lower is better; 1/Readers is ideal).
+func (r *Figure5ConcurrentResult) Ratio() float64 {
+	base := r.Single.PerReadOverhead()
+	if base <= 0 {
+		return 1
+	}
+	return float64(r.Multi.PerReadOverhead()) / float64(base)
+}
+
+// Gate reports an error unless the concurrent readers coalesced rounds and,
+// with two or more readers, their per-read overhead is at most half the
+// single-reader overhead.
+func (r *Figure5ConcurrentResult) Gate() error {
+	m := r.Multi
+	if m.RoundsCoalesced == 0 || m.BatchesSent == 0 {
+		return fmt.Errorf("no round coalescing under %d concurrent readers (coalesced=%d batches=%d)",
+			m.Readers, m.RoundsCoalesced, m.BatchesSent)
+	}
+	if m.Readers >= 2 && r.Ratio() > 0.5 {
+		return fmt.Errorf("per-read overhead %v with %d readers is more than half the single-reader overhead %v",
+			m.PerReadOverhead(), m.Readers, r.Single.PerReadOverhead())
+	}
+	return nil
 }
 
 // runConcurrentReaders spawns `readers` logical threads on every replica of
@@ -958,8 +910,8 @@ func runConcurrentReaders(c *Cluster, readers, ops int) (time.Duration, error) {
 	return finish - start, nil
 }
 
-// Render formats the concurrent-reader measurement.
-func (r *Figure5ConcurrentResult) Render() string {
+// Render formats one side of the concurrent-reader measurement.
+func (r *ConcurrentRun) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 5 (concurrent) — %d readers × %d reads per replica\n",
 		r.Readers, r.OpsPerReader)
@@ -969,6 +921,12 @@ func (r *Figure5ConcurrentResult) Render() string {
 	fmt.Fprintf(&b, "  rounds coalesced: %d, batches: %d (entries %d), CCS messages sent: %d\n",
 		r.RoundsCoalesced, r.BatchesSent, r.BatchEntries, r.CCSSent)
 	return b.String()
+}
+
+// Render formats both sides and the amortization ratio.
+func (r *Figure5ConcurrentResult) Render() string {
+	return r.Multi.Render() + r.Single.Render() +
+		fmt.Sprintf("  amortization ratio (concurrent/single per-read overhead): %.3f\n", r.Ratio())
 }
 
 // ---------------------------------------------------------------------------
@@ -1000,27 +958,9 @@ func RunCCSAblation(seed int64, invocations int) (*AblationResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		var lat stats.Durations
-		think := rand.New(rand.NewSource(seed + 99))
-		done := 0
-		var start time.Duration
-		var invoke func()
-		invoke = func() {
-			start = c.K.Now()
-			c.Client.Invoke(MethodCurrentTime, nil, func(rep rpc.Reply) {
-				if rep.Err == nil {
-					lat.Add(c.K.Now() - start)
-				}
-				done++
-				if done < invocations {
-					c.K.After(time.Duration(think.Intn(1000))*time.Microsecond, invoke)
-				}
-			})
-		}
-		invoke()
-		if !c.RunUntil(time.Duration(invocations)*10*time.Millisecond+time.Second,
-			func() bool { return done >= invocations }) {
-			return 0, fmt.Errorf("ablation: %d/%d invocations", done, invocations)
+		lat, err := c.invokeSeq(invocations, rand.New(rand.NewSource(seed+99)), 10*time.Millisecond)
+		if err != nil {
+			return 0, fmt.Errorf("ablation: %w", err)
 		}
 		return lat.Mean(), nil
 	}
