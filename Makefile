@@ -42,16 +42,20 @@ test:
 
 # race runs the full suite under the default (Totem) orderer, then reruns
 # the experiment suite over the leader-sequencer; Totem-specific tests skip
-# themselves via totemOnly.
+# themselves via totemOnly. Last, the orderer suites rerun with simnet
+# poisoning each datagram's bytes once its receiver returns, which catches
+# a receiver that keeps the payload slice.
 race:
 	$(GO) test -race -count=1 ./...
 	$(GO) test -race -count=1 ./internal/experiment -orderer=seq
+	$(GO) test -race -count=1 -tags simnetpoison ./internal/simnet ./internal/totem ./internal/order
 
 # sim-smoke runs one iteration of the simulator hot-path benchmarks: a
-# Post through the kernel's same-instant lane and a 1000-processor
-# membership change through the gcs group tables (DESIGN.md §6).
+# Post through the kernel's same-instant lane, a typed delivery through its
+# heap, one simnet datagram from Send to receiver, and a 1000-processor
+# rejoin wave through the gcs group tables (DESIGN.md §6).
 sim-smoke:
-	$(GO) test -run '^$$' -bench 'KernelPostStep|ReannounceWave1000' -benchtime 1x ./internal/sim ./internal/gcs
+	$(GO) test -run '^$$' -bench 'KernelPostStep|KernelDeliverStep|SendDeliver|ReannounceWave1000' -benchtime 1x ./internal/sim ./internal/simnet ./internal/gcs
 
 # bench-all runs every ctsbench experiment at its scaled size, gates
 # included, and writes no files.

@@ -44,11 +44,18 @@ echo "== go test -race (experiments under -orderer=seq) =="
 # skip themselves via totemOnly.
 go test -race -count=1 ./internal/experiment -orderer=seq
 
+echo "== go test -race (orderer suites over poisoned simnet deliveries) =="
+# simnet reuses a datagram's bytes once its receiver returns; this build
+# scribbles over them at that point, so a receiver that kept the payload
+# slice reads garbage (and, from another goroutine, races).
+go test -race -count=1 -tags simnetpoison ./internal/simnet ./internal/totem ./internal/order
+
 echo "== simulator hot-path smoke =="
-# One Post through the kernel's same-instant lane and one 1000-processor
-# membership change through the gcs group tables (DESIGN.md §6); each
-# benchmark's setup and one iteration must run.
-go test -run '^$' -bench 'KernelPostStep|ReannounceWave1000' -benchtime 1x ./internal/sim ./internal/gcs
+# One Post through the kernel's same-instant lane, one typed delivery
+# through its heap, one simnet datagram from Send to receiver, and one
+# 1000-processor rejoin wave through the gcs group tables (DESIGN.md §6);
+# each benchmark's setup and one iteration must run.
+go test -run '^$' -bench 'KernelPostStep|KernelDeliverStep|SendDeliver|ReannounceWave1000' -benchtime 1x ./internal/sim ./internal/simnet ./internal/gcs
 
 echo "== ctsbench every experiment (writes nothing) =="
 # Every ctsbench entry at its scaled size, gates included; the pinned steps

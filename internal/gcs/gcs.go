@@ -90,8 +90,9 @@ func (c Config) Validate() (Config, error) {
 type Stats struct {
 	Multicasts        uint64 // application messages queued for the total order
 	AppDelivered      uint64 // application messages delivered in total order
-	AnnounceDelivered uint64 // group-announcement messages delivered
+	AnnounceDelivered uint64 // group-announcement messages delivered, rejoins included
 	AnnounceChanged   uint64 // of those, the ones that altered a membership table
+	AnnounceAnswered  uint64 // rejoins this processor answered with an announce
 	ViewsEmitted      uint64 // group view changes emitted
 }
 
@@ -99,6 +100,11 @@ type Stats struct {
 const (
 	envApp      = 1 // wire.Message
 	envAnnounce = 2 // processor announces its locally joined groups
+	// envRejoin carries the same body as envAnnounce. A processor sends it
+	// when an ordering view gains a processor, and asks every receiver that
+	// has not yet sent its own groups in the current view to answer with an
+	// envAnnounce.
+	envRejoin = 3
 )
 
 // Stack is one processor's group-communication endpoint.
@@ -117,11 +123,15 @@ type Stack struct {
 	// change marks the affected groups dirty and posts one deferred emission,
 	// so a wave of same-instant announces yields one view per changed group
 	// instead of one per announce. A re-announce of what the tables already
-	// record edits nothing and posts nothing, so the wave that follows every
-	// ordering view change (each of N members re-announces to all N) costs
-	// a processor O(G log N) per announce, G the groups it knows of, and
-	// O(N) per view it emits.
+	// record edits nothing and posts nothing, so the wave that follows an
+	// ordering view that gained a processor (each of N members sends its
+	// groups to all N) costs a processor O(G log N) per announce, G the
+	// groups it knows of, and O(N) per view it emits.
 	emitQueued bool
+	// listSent records that this processor's groups went out in the current
+	// ordering view, as a rejoin or as the answer to one; it is what limits
+	// answers to one per view.
+	listSent bool
 
 	// viewWatchers receive every group view change, joined or not (used by
 	// clients tracking a server group).
@@ -186,6 +196,7 @@ func (s *Stack) ObsSamples() []obs.Sample {
 		{Node: id, Name: "gcs.app_delivered", Value: s.stats.AppDelivered},
 		{Node: id, Name: "gcs.announce_delivered", Value: s.stats.AnnounceDelivered},
 		{Node: id, Name: "gcs.announce_changed", Value: s.stats.AnnounceChanged},
+		{Node: id, Name: "gcs.announce_answered", Value: s.stats.AnnounceAnswered},
 		{Node: id, Name: "gcs.views_emitted", Value: s.stats.ViewsEmitted},
 		// Gauge: groups this processor keeps a membership table for.
 		{Node: id, Name: "gcs.groups", Value: uint64(len(s.tables))},
@@ -212,7 +223,7 @@ func (s *Stack) Join(id wire.GroupID, onMsg MessageHandler, onView ViewHandler) 
 	g := &Group{stack: s, id: id, onMsg: onMsg, onView: onView}
 	s.rt.Post(func() {
 		s.groups[id] = g
-		s.announceLocal()
+		s.broadcastGroups(envAnnounce)
 	})
 	return g, nil
 }
@@ -225,7 +236,7 @@ func (g *Group) Leave() {
 		}
 		g.left = true
 		delete(g.stack.groups, g.id)
-		g.stack.announceLocal()
+		g.stack.broadcastGroups(envAnnounce)
 	})
 }
 
@@ -316,16 +327,17 @@ func (s *Stack) WatchViews(h ViewHandler) {
 	})
 }
 
-// announceLocal broadcasts this processor's full local group list. It is
-// idempotent: receivers replace their record of this processor's groups.
-func (s *Stack) announceLocal() {
+// broadcastGroups broadcasts this processor's full local group list under
+// tag (envAnnounce or envRejoin). It is idempotent: receivers replace their
+// record of this processor's groups.
+func (s *Stack) broadcastGroups(tag byte) {
 	gids := make([]wire.GroupID, 0, len(s.groups))
 	for id := range s.groups {
 		gids = append(gids, id)
 	}
 	slices.Sort(gids)
 	env := make([]byte, 1+4*len(gids))
-	env[0] = envAnnounce
+	env[0] = tag
 	for i, id := range gids {
 		putGroupID(env[1+4*i:], id)
 	}
@@ -350,9 +362,9 @@ type groupTable struct {
 	id      wire.GroupID
 	members []transport.NodeID // sorted
 	// finger is the slot find tries before searching: one past the last
-	// member found, added or removed. After an ordering view change every
-	// processor re-announces, and the announces arrive in sender-id order,
-	// so through such a wave each lookup is one comparison.
+	// member found, added or removed. After an ordering view that gained a
+	// processor every member sends its groups, and they arrive in sender-id
+	// order, so through such a wave each lookup is one comparison.
 	finger int
 	// dirty is set by every edit of members and by every ordering view
 	// change (ViewID and Primary are part of the view); emitChangedViews
@@ -417,10 +429,16 @@ func (s *Stack) table(g wire.GroupID) *groupTable {
 }
 
 // onOrderView reacts to an ordering-layer membership change: group tables
-// are pruned to the new component, local memberships are re-announced (newly
-// merged processors have no record of them), and updated group views are
-// emitted.
+// are pruned to the new component, and updated group views are emitted. A
+// view that gained a processor is answered with a rejoin: this stack may
+// have pruned the newcomer's groups (and the newcomer may have pruned this
+// stack's), so it sends its own groups and asks for theirs. A view that
+// only shrank sends nothing, since nobody's tables lost what they need.
+// Every processor that pruned q sees a gain when q returns, because q left
+// its view in between; a brand-new stack has an empty previous view, so its
+// first view is a gain too.
 func (s *Stack) onOrderView(v order.View) {
+	gained := gains(s.ordView.Members, v.Members)
 	s.ordView = v
 	for _, t := range s.tables {
 		t.members = keepOnly(t.members, v.Members)
@@ -430,8 +448,25 @@ func (s *Stack) onOrderView(v order.View) {
 	for id := range s.groups {
 		s.table(id).add(s.me)
 	}
-	s.announceLocal()
+	s.listSent = gained
+	if gained {
+		s.broadcastGroups(envRejoin)
+	}
 	s.scheduleEmitViews()
+}
+
+// gains reports whether cur holds a processor that old does not. Both are
+// sorted, as order.View promises of its Members.
+func gains(old, cur []transport.NodeID) bool {
+	for _, p := range cur {
+		for len(old) > 0 && old[0] < p {
+			old = old[1:]
+		}
+		if len(old) == 0 || old[0] != p {
+			return true
+		}
+	}
+	return false
 }
 
 // keepOnly prunes members in place to those also in live. Both are sorted
@@ -486,7 +521,7 @@ func (s *Stack) onDeliver(d order.Delivery) {
 			return
 		}
 		g.onMsg(m, meta)
-	case envAnnounce:
+	case envAnnounce, envRejoin:
 		if len(body)%4 != 0 {
 			return
 		}
@@ -500,6 +535,14 @@ func (s *Stack) onDeliver(d order.Delivery) {
 		if s.setGroups(d.Sender, announced) {
 			s.stats.AnnounceChanged++
 			s.scheduleEmitViews()
+		}
+		// The rejoin's sender may have pruned this processor. Answer once
+		// per view: a list already sent in this view, as this stack's own
+		// rejoin or an earlier answer, reaches the sender too.
+		if d.Payload[0] == envRejoin && d.Sender != s.me && !s.listSent {
+			s.listSent = true
+			s.stats.AnnounceAnswered++
+			s.broadcastGroups(envAnnounce)
 		}
 	}
 }

@@ -221,8 +221,21 @@ func TestTablesMatchReferenceModel(t *testing.T) {
 						view = order.View{ID: order.ViewID{Epoch: epoch, Rep: members[0]},
 							Members: members, Primary: rng.Intn(2) == 0}
 					}
+					// The stack sends a rejoin exactly when the view holds a
+					// processor the previous one did not, and nothing else.
+					prev := ref.ordView.Members
+					old := make(map[transport.NodeID]bool)
+					for _, p := range prev {
+						old[p] = true
+					}
+					gained := slices.ContainsFunc(view.Members, func(p transport.NodeID) bool { return !old[p] })
+					sent := len(rig.ord.sent)
 					rig.s.onOrderView(view)
 					ref.onOrderView(view)
+					if fresh := rig.ord.sent[sent:]; gained != (len(fresh) == 1 && fresh[0][0] == envRejoin) || len(fresh) > 1 {
+						t.Fatalf("seed %d instant %d: view %v after %v (gained=%v) sent %d envelopes",
+							seed, instant, view.Members, prev, gained, len(fresh))
+					}
 				case r < 4 && len(rig.ord.sent) > 0: // the stack's own announce comes back
 					env := rig.ord.sent[0]
 					rig.ord.sent = rig.ord.sent[1:]
@@ -232,7 +245,7 @@ func TestTablesMatchReferenceModel(t *testing.T) {
 						gids = append(gids, getGroupID(env[off:]))
 					}
 					ref.announce(me, gids)
-				case r < 5: // a re-announce wave, as after an ordering view change
+				case r < 5: // a re-announce wave, as after an ordering view that gained a processor
 					// Ascending sender order is the one the table finger
 					// follows; descending and shuffled waves make it miss
 					// and fall back to the search.
@@ -435,59 +448,161 @@ func sampleOf(s *Stack, name string) uint64 {
 	panic("no sample " + name)
 }
 
-// TestReannounceWave1000: one of 1000 processors crashes. Every survivor
-// re-announces to every survivor; each stack handles 999 announces, none of
-// which changes a table, and emits exactly one view (the shrunken group).
+// TestReannounceWave1000: one of 1000 processors crashes and restarts.
+//
+// The crash only shrinks the view, so no stack announces anything; each
+// survivor emits exactly one view (the shrunken group).
+//
+// The restart is a gain for every survivor, which had pruned the victim:
+// each sends one rejoin and answers none, having sent its groups already.
+// The victim's own view never lost anyone, so it sends no rejoin; it answers
+// the first rejoin it delivers, once, and that answer is the one announce
+// that changes a survivor's table: every survivor regains the victim.
 func TestReannounceWave1000(t *testing.T) {
-	const n = 1000
+	const n, victim = 1000, 417
 	c := newInstantCluster(t, n)
-	names := []string{"gcs.announce_delivered", "gcs.announce_changed", "gcs.views_emitted"}
-	before := make([]map[string]uint64, n)
 	for i, s := range c.stacks {
-		before[i] = make(map[string]uint64)
-		for _, name := range names {
-			before[i][name] = sampleOf(s, name)
-		}
 		if got := sampleOf(s, "gcs.groups"); got != 1 {
 			t.Fatalf("stack %d: gcs.groups = %d, want 1", i, got)
 		}
 	}
-	const victim = 417
-	c.stacks[victim].Stop()
-	c.k.RunFor(time.Millisecond)
-	for i, s := range c.stacks {
-		if i == victim {
-			continue
-		}
-		for name, want := range map[string]uint64{
-			"gcs.announce_delivered": n - 1,
-			"gcs.announce_changed":   0,
-			"gcs.views_emitted":      1,
-		} {
-			if got := sampleOf(s, name) - before[i][name]; got != want {
-				t.Fatalf("stack %d: %s moved by %d over the wave, want %d", i, name, got, want)
+	// wave runs fn and requires each stack's counters to move by what want
+	// says for it, and its group to hold members processors afterwards.
+	wave := func(t *testing.T, fn func(), members int, want func(i int) map[string]uint64) {
+		before := make([]map[string]uint64, n)
+		for i, s := range c.stacks {
+			before[i] = make(map[string]uint64)
+			for name := range want(i) {
+				before[i][name] = sampleOf(s, name)
 			}
 		}
-		if got := len(s.tables[0].members); got != n-1 {
-			t.Fatalf("stack %d: group has %d members after the crash, want %d", i, got, n-1)
+		fn()
+		c.k.RunFor(time.Millisecond)
+		for i, s := range c.stacks {
+			for name, w := range want(i) {
+				if got := sampleOf(s, name) - before[i][name]; got != w {
+					t.Fatalf("stack %d: %s moved by %d over the wave, want %d", i, name, got, w)
+				}
+			}
+			// A stopped victim's table is frozen at what it last saw.
+			if got := len(s.tables[0].members); (i != victim || members == n) && got != members {
+				t.Fatalf("stack %d: group has %d members after the wave, want %d", i, got, members)
+			}
 		}
+	}
+	t.Run("crash", func(t *testing.T) {
+		wave(t, c.stacks[victim].Stop, n-1, func(i int) map[string]uint64 {
+			if i == victim {
+				return map[string]uint64{"gcs.announce_delivered": 0, "gcs.views_emitted": 0}
+			}
+			return map[string]uint64{
+				"gcs.announce_delivered": 0,
+				"gcs.announce_changed":   0,
+				"gcs.announce_answered":  0,
+				"gcs.views_emitted":      1,
+			}
+		})
+	})
+	t.Run("restart", func(t *testing.T) {
+		wave(t, c.stacks[victim].Start, n, func(i int) map[string]uint64 {
+			want := map[string]uint64{
+				// n-1 rejoins and the victim's answer, delivered everywhere.
+				"gcs.announce_delivered": n,
+				"gcs.announce_changed":   1,
+				"gcs.announce_answered":  0,
+				// The new view without the victim, emitted before its
+				// answer is ordered, then the group with it.
+				"gcs.views_emitted": 2,
+			}
+			if i == victim {
+				want["gcs.announce_changed"], want["gcs.announce_answered"], want["gcs.views_emitted"] = 0, 1, 1
+			}
+			return want
+		})
+	})
+}
+
+// TestPrunedProcessorAnswersRejoin: p goes V → W (without q) → V′ while q
+// goes straight from V to V′, so q's view never gains anyone and q sends no
+// rejoin of its own. p pruned q in W; p's rejoin in V′ must make q answer,
+// or p's table would never list q again.
+func TestPrunedProcessorAnswersRejoin(t *testing.T) {
+	const p, q, g = transport.NodeID(0), transport.NodeID(1), wire.GroupID(7)
+	rp, rq := newTableRig(p), newTableRig(q)
+	rigs := []*tableRig{rp, rq}
+	// pump delivers every envelope either rig broadcasts to both, in one
+	// total order, until neither has anything left to send.
+	pump := func() {
+		for moved := true; moved; {
+			moved = false
+			for _, from := range rigs {
+				from.flush()
+				for len(from.ord.sent) > 0 {
+					env := from.ord.sent[0]
+					from.ord.sent = from.ord.sent[1:]
+					for _, to := range rigs {
+						to.s.onDeliver(order.Delivery{Sender: from.ord.me, Payload: env})
+						to.flush()
+					}
+					moved = true
+				}
+			}
+		}
+	}
+	view := func(epoch uint64, members ...transport.NodeID) order.View {
+		return order.View{ID: order.ViewID{Epoch: epoch, Rep: members[0]}, Members: members, Primary: true}
+	}
+	for _, r := range rigs {
+		r.s.onOrderView(view(1, p, q))
+		if _, err := r.s.Join(g, func(wire.Message, Meta) {}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pump()
+	if got := rp.s.table(g).members; !slices.Equal(got, []transport.NodeID{p, q}) {
+		t.Fatalf("after V, p's table lists %v, want [p q]", got)
+	}
+
+	rp.s.onOrderView(view(2, p))
+	if len(rp.ord.sent) != 0 {
+		t.Fatalf("a view that only shrank sent %d envelopes", len(rp.ord.sent))
+	}
+	pump()
+	if got := rp.s.table(g).members; !slices.Equal(got, []transport.NodeID{p}) {
+		t.Fatalf("in W, p's table lists %v, want [p]", got)
+	}
+
+	for _, r := range rigs {
+		r.s.onOrderView(view(3, p, q))
+	}
+	if len(rq.ord.sent) != 0 {
+		t.Fatalf("q's view did not grow, yet q sent %d envelopes before hearing p", len(rq.ord.sent))
+	}
+	pump()
+	if got := rp.s.table(g).members; !slices.Equal(got, []transport.NodeID{p, q}) {
+		t.Fatalf("in V′, p's table lists %v, want [p q]", got)
+	}
+	if rq.s.stats.AnnounceAnswered != 1 || rp.s.stats.AnnounceAnswered != 0 {
+		t.Fatalf("answers: q %d, p %d; want 1 and 0", rq.s.stats.AnnounceAnswered, rp.s.stats.AnnounceAnswered)
 	}
 }
 
-// BenchmarkReannounceWave1000 times what one ordering view change costs a
-// 1000-processor component in group bookkeeping: a processor leaves (even
-// iterations) or returns (odd), every member re-announces to every member.
+// BenchmarkReannounceWave1000 times what the costliest ordering view change
+// costs a 1000-processor component in group bookkeeping: a crashed
+// processor returns, every member but it sends a rejoin to every member, and
+// it answers once. The crash before each return (a view that only shrinks
+// and announces nothing) is not timed.
 func BenchmarkReannounceWave1000(b *testing.B) {
 	c := newInstantCluster(b, 1000)
 	victim := c.stacks[417]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
-			victim.Stop()
-		} else {
-			victim.Start()
-		}
+		b.StopTimer()
+		victim.Stop()
+		c.k.RunFor(time.Millisecond)
+		b.StartTimer()
+		victim.Start()
 		c.k.RunFor(time.Millisecond)
 	}
 }

@@ -21,7 +21,7 @@ import (
 //  2. a map-range body that appends range variables to a slice that is
 //     never sorted later in the same function — the collected order leaks
 //     to whatever consumes the slice (the sanctioned pattern is
-//     collect-then-sort, as in gcs.announceLocal).
+//     collect-then-sort, as in gcs.broadcastGroups).
 func checkMaporder(p *Package, cfg Config) []Finding {
 	if !p.importsAny(cfg.OrderedImports) && !hasAnySuffix(p.Path, cfg.OrderedPkgSuffixes) {
 		return nil

@@ -556,10 +556,23 @@ func (n *seqNode) onAck(a *seqAck) {
 	if n.state != seqOperational || n.leader != n.me || a.View != n.view.ID {
 		return
 	}
-	if a.Aru > n.arus[a.From] {
-		n.arus[a.From] = a.Aru
-		n.recomputeSafe()
+	prev := n.arus[a.From]
+	if a.Aru <= prev {
+		return
 	}
+	n.arus[a.From] = a.Aru
+	if prev > n.safePoint {
+		// The safe point is at least the minimum of the leader's aru and
+		// every member's acked aru: a view install zeroes the arus, and
+		// afterwards each term is raised only here or in orderProposal,
+		// which recompute it. This member's aru was already above the
+		// safe point, so another term is the minimum and raising this one
+		// cannot move it. Skip the O(N) scan over the members.
+		n.tryDeliver()
+		n.prune()
+		return
+	}
+	n.recomputeSafe()
 }
 
 func (n *seqNode) onNack(m *seqNack) {

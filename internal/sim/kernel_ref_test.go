@@ -11,14 +11,16 @@ import (
 )
 
 // refKernel is the heap-only kernel the two-lane Kernel replaced, kept as the
-// reference model: every event, Posts included, is an *refEvent on one
-// (at, seq) min-heap. Its RunUntil pops cancelled heads before peeking, so it
-// stops exactly at t.
+// reference model: every event, Posts and deliveries included, is an
+// *refEvent on one (at, seq) min-heap, and a delivery is a closure calling
+// its sink. Its RunUntil pops cancelled heads before peeking, so it stops
+// exactly at t.
 type refKernel struct {
-	now  time.Duration
-	q    []*refEvent
-	seq  uint64
-	halt bool
+	now   time.Duration
+	q     []*refEvent
+	seq   uint64
+	halt  bool
+	sinks []Sink
 }
 
 type refEvent struct {
@@ -61,6 +63,16 @@ func (k *refKernel) At(t time.Duration, fn func()) Canceler {
 }
 
 func (k *refKernel) Post(fn func()) { k.schedule(k.now, fn) }
+
+func (k *refKernel) RegisterSink(s Sink) uint32 {
+	k.sinks = append(k.sinks, s)
+	return uint32(len(k.sinks))
+}
+
+func (k *refKernel) Deliver(d time.Duration, sink, idx uint32) {
+	s := k.sinks[sink-1]
+	k.After(d, func() { s.Fire(idx) })
+}
 
 func (k *refKernel) schedule(t time.Duration, fn func()) *refEvent {
 	ev := &refEvent{at: t, seq: k.seq, fn: fn}
@@ -157,41 +169,59 @@ type kernelAPI interface {
 	After(time.Duration, func()) Canceler
 	At(time.Duration, func()) Canceler
 	Post(func())
+	RegisterSink(Sink) uint32
+	Deliver(time.Duration, uint32, uint32)
 	Run()
 	RunUntil(time.Duration)
 	Halt()
 	Pending() int
 }
 
+// sinkFunc adapts a function to Sink.
+type sinkFunc func(idx uint32)
+
+func (f sinkFunc) Fire(idx uint32) { f(idx) }
+
 // kernelScript drives k with a random mix of scheduling calls made from
-// inside callbacks, and returns one line per observation: every callback
-// with the Now() and Pending() it saw, every Cancel's result, and the clock
-// and Pending() after every Run/RunUntil. Two kernels that order events alike
-// produce the same script from the same seed.
+// inside callbacks and deliveries, and returns one line per observation:
+// every callback and delivery with the Now() and Pending() it saw, every
+// Cancel's result, and the clock and Pending() after every Run/RunUntil. Two
+// kernels that order events alike produce the same script from the same
+// seed.
 func kernelScript(k kernelAPI, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
 	var out []string
 	var handles []Canceler
 	next := 0
 	var spawn func()
+	body := func(id int) {
+		out = append(out, fmt.Sprintf("run %d at %v pending %d", id, k.Now(), k.Pending()))
+		for i := 1 + rng.Intn(2); i > 0 && next < 2000; i-- {
+			spawn()
+		}
+		switch r := rng.Intn(20); {
+		case r < 3 && len(handles) > 0:
+			h := rng.Intn(len(handles))
+			out = append(out, fmt.Sprintf("cancel %d -> %v", h, handles[h].Cancel()))
+		case r == 3:
+			k.Halt()
+		}
+	}
+	// Two sinks, so a delivery that reached the wrong one shows.
+	var sinks [2]uint32
+	for i := range sinks {
+		i := i
+		sinks[i] = k.RegisterSink(sinkFunc(func(idx uint32) {
+			out = append(out, fmt.Sprintf("sink %d fires", i))
+			body(int(idx))
+		}))
+	}
 	spawn = func() {
 		id := next
 		next++
-		fn := func() {
-			out = append(out, fmt.Sprintf("run %d at %v pending %d", id, k.Now(), k.Pending()))
-			for i := 1 + rng.Intn(2); i > 0 && next < 2000; i-- {
-				spawn()
-			}
-			switch r := rng.Intn(20); {
-			case r < 3 && len(handles) > 0:
-				h := rng.Intn(len(handles))
-				out = append(out, fmt.Sprintf("cancel %d -> %v", h, handles[h].Cancel()))
-			case r == 3:
-				k.Halt()
-			}
-		}
+		fn := func() { body(id) }
 		us := time.Duration(rng.Intn(4)) * time.Microsecond
-		switch rng.Intn(5) {
+		switch rng.Intn(7) {
 		case 0:
 			k.Post(fn)
 		case 1:
@@ -200,8 +230,10 @@ func kernelScript(k kernelAPI, seed int64) []string {
 			handles = append(handles, k.After(us, fn))
 		case 3:
 			handles = append(handles, k.At(k.Now()-us, fn))
-		default:
+		case 4:
 			handles = append(handles, k.At(k.Now()+us, fn))
+		default: // a delay of -2µs..1µs: negative ones deliver now
+			k.Deliver(us-2*time.Microsecond, sinks[rng.Intn(2)], uint32(id))
 		}
 	}
 	for i := 0; i < 5; i++ {
@@ -221,8 +253,9 @@ func kernelScript(k kernelAPI, seed int64) []string {
 // TestKernelMatchesReferenceModel: the two-lane kernel runs the same events
 // in the same order, at the same instants, with the same number of events
 // pending, as the heap-only kernel, over 50 random scripts mixing Post,
-// After(0), After(d), At in the past and future, Cancel of pending and
-// finished events, and Halt.
+// After(0), After(d), At in the past and future, Deliver to two sinks with
+// zero, positive and negative delays, Cancel of pending and finished
+// events, and Halt.
 func TestKernelMatchesReferenceModel(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		got := kernelScript(NewKernel(seed), seed)
@@ -303,10 +336,13 @@ func TestKernelRunUntilIsExact(t *testing.T) {
 }
 
 // TestKernelDropsCancelledTimers: timers cancelled long before they are due,
-// as Totem cancels its token timers, do not pile up in the heap, and
-// dropping them keeps the (at, seq) order of the live ones.
+// as Totem cancels its token timers, do not pile up in the heap or in the
+// timer slab, and dropping them keeps the (at, seq) order of the live ones.
 func TestKernelDropsCancelledTimers(t *testing.T) {
 	k := NewKernel(1)
+	// slabInUse is the number of slab entries held: every one must belong
+	// to a timer still in the heap, and a swept timer must give its back.
+	slabInUse := func() int { return len(k.timers) - len(k.free) }
 	var want, got []int
 	for i := 0; i < 10000; i++ {
 		i := i
@@ -316,8 +352,12 @@ func TestKernelDropsCancelledTimers(t *testing.T) {
 		} else {
 			c.Cancel()
 		}
-		if live := len(want); len(k.q) > max(2*live, minCompact) {
-			t.Fatalf("after %d timers, %d live: heap holds %d", i+1, live, len(k.q))
+		bound := max(2*len(want), minCompact)
+		if len(k.q) > bound || len(k.timers) > bound {
+			t.Fatalf("after %d timers, %d live: heap holds %d, slab %d", i+1, len(want), len(k.q), len(k.timers))
+		}
+		if slabInUse() != len(k.q) {
+			t.Fatalf("after %d timers: %d slab entries in use for %d heap slots", i+1, slabInUse(), len(k.q))
 		}
 	}
 	if k.Pending() != len(want) {
@@ -327,6 +367,9 @@ func TestKernelDropsCancelledTimers(t *testing.T) {
 	k.Run()
 	if !slices.Equal(got, want) {
 		t.Fatalf("live timers ran out of (at, seq) order")
+	}
+	if slabInUse() != 0 {
+		t.Fatalf("%d slab entries still held after Run", slabInUse())
 	}
 }
 
@@ -347,6 +390,47 @@ func TestKernelPostStepAllocatesNothing(t *testing.T) {
 		k.Step()
 	}); allocs != 0 {
 		t.Fatalf("Post+Step allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestKernelDeliverStepAllocatesNothing: once the heap has grown, a Deliver
+// and the Step that fires it allocate nothing.
+func TestKernelDeliverStepAllocatesNothing(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	k := NewKernel(1)
+	fired := 0
+	sink := k.RegisterSink(sinkFunc(func(uint32) { fired++ }))
+	for i := 0; i < 64; i++ {
+		k.Deliver(time.Microsecond, sink, uint32(i))
+	}
+	k.Run()
+	if allocs := testing.AllocsPerRun(1000, func() {
+		k.Deliver(time.Microsecond, sink, 7)
+		k.Step()
+	}); allocs != 0 {
+		t.Fatalf("Deliver+Step allocates %.1f times, want 0", allocs)
+	}
+	if fired != 64+1001 {
+		t.Fatalf("sink fired %d times, want %d", fired, 64+1001)
+	}
+}
+
+// BenchmarkKernelDeliverStep: a delivery through the heap, over a standing
+// queue of 1024 later timers, as in a simulation with live refresh timers.
+func BenchmarkKernelDeliverStep(b *testing.B) {
+	k := NewKernel(1)
+	fn := func() {}
+	for i := 0; i < 1024; i++ {
+		k.After(time.Hour+time.Duration(i), fn)
+	}
+	sink := k.RegisterSink(sinkFunc(func(uint32) {}))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Deliver(time.Microsecond, sink, uint32(i))
+		k.Step()
 	}
 }
 

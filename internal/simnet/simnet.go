@@ -78,8 +78,16 @@ func WAN(base time.Duration) LatencyModel {
 type Network struct {
 	k       *sim.Kernel
 	latency LatencyModel
+	sink    uint32 // this network's id among the kernel's sinks
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// inFlight holds the datagrams sent and not yet delivered or dropped;
+	// a kernel delivery names its datagram by index. The indices of the
+	// unused records are in freeSlots. A record keeps its payload buffer
+	// when freed, so steady-state traffic allocates nothing.
+	inFlight  []datagram
+	freeSlots []uint32
+
 	endpoints map[transport.NodeID]*Endpoint
 	sorted    []*Endpoint // endpoints by id, the Broadcast fan-out order
 	loss      float64
@@ -96,17 +104,29 @@ type Network struct {
 	dropped uint64
 }
 
+// datagram is one in-flight datagram.
+type datagram struct {
+	src, dst *Endpoint
+	data     []byte
+}
+
+// poisonByte is what a delivered datagram's bytes become in a
+// simnetpoison build (see poison.go).
+const poisonByte = 0xA5
+
 // NewNetwork creates a network driven by kernel k. If latency is nil the
 // Ethernet model is used.
 func NewNetwork(k *sim.Kernel, latency LatencyModel) *Network {
 	if latency == nil {
 		latency = Ethernet()
 	}
-	return &Network{
+	n := &Network{
 		k:         k,
 		latency:   latency,
 		endpoints: make(map[transport.NodeID]*Endpoint),
 	}
+	n.sink = k.RegisterSink(n)
+	return n
 }
 
 // ErrClosed is returned by sends on a closed or crashed endpoint.
@@ -219,23 +239,47 @@ func (n *Network) sendLocked(src, dst *Endpoint, payload []byte) {
 		delay = arrival - now
 	}
 	src.lastArrival[dst.idx] = arrival
+	var i uint32
+	if last := len(n.freeSlots) - 1; last >= 0 {
+		i = n.freeSlots[last]
+		n.freeSlots = n.freeSlots[:last]
+	} else {
+		i = uint32(len(n.inFlight))
+		n.inFlight = append(n.inFlight, datagram{})
+	}
+	d := &n.inFlight[i]
 	// Copy: the sender may reuse its buffer immediately.
-	data := make([]byte, len(payload))
-	copy(data, payload)
-	n.k.After(delay, func() {
-		n.mu.Lock()
-		if dst.down || src.comp != dst.comp || n.blocked(src.id, dst.id) {
-			n.dropped++
-			n.mu.Unlock()
-			return
-		}
-		recv := dst.recv
-		dst.delivered++
+	d.src, d.dst, d.data = src, dst, append(d.data[:0], payload...)
+	n.k.Deliver(delay, n.sink, i)
+}
+
+// Fire implements sim.Sink: the kernel calls it when in-flight datagram i
+// arrives. The datagram is dropped if its destination is down or cut off
+// from the source by now; otherwise it is handed to the receiver. Its
+// record, payload bytes included, is reused once the receiver returns.
+func (n *Network) Fire(i uint32) {
+	n.mu.Lock()
+	d := n.inFlight[i]
+	if d.dst.down || d.src.comp != d.dst.comp || n.blocked(d.src.id, d.dst.id) {
+		n.dropped++
+		n.freeSlots = append(n.freeSlots, i)
 		n.mu.Unlock()
-		if recv != nil {
-			recv(src.id, data)
+		return
+	}
+	recv := d.dst.recv
+	d.dst.delivered++
+	n.mu.Unlock()
+	if recv != nil {
+		recv(d.src.id, d.data)
+		if poisonDelivered {
+			for j := range d.data {
+				d.data[j] = poisonByte
+			}
 		}
-	})
+	}
+	n.mu.Lock()
+	n.freeSlots = append(n.freeSlots, i)
+	n.mu.Unlock()
 }
 
 // Endpoint is one node's attachment to the network; it implements

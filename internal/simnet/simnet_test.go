@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cts/internal/sim"
+	"cts/internal/testutil"
 	"cts/internal/transport"
 )
 
@@ -374,6 +375,70 @@ func TestPartitionSetAndHealedInFlight(t *testing.T) {
 	}
 	if _, _, dropped := n.Stats(); dropped != 3 {
 		t.Fatalf("dropped %d, want 3", dropped)
+	}
+}
+
+// TestSendDeliverAllocatesNothing: once the in-flight slab and the kernel's
+// heap have grown, sending a datagram and delivering it allocate nothing.
+func TestSendDeliverAllocatesNothing(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	k, n := newNet(t, Fixed(time.Microsecond))
+	a, b := n.Endpoint(0), n.Endpoint(1)
+	got := 0
+	b.SetReceiver(func(_ transport.NodeID, p []byte) { got += len(p) })
+	payload := make([]byte, 100)
+	for i := 0; i < 64; i++ {
+		a.Send(1, payload)
+	}
+	k.Run()
+	if allocs := testing.AllocsPerRun(1000, func() {
+		a.Send(1, payload)
+		k.Step()
+	}); allocs != 0 {
+		t.Fatalf("Send+deliver allocates %.1f times per datagram, want 0", allocs)
+	}
+	if want := (64 + 1001) * len(payload); got != want {
+		t.Fatalf("delivered %d bytes, want %d", got, want)
+	}
+}
+
+// TestDeliveredSliceIsPoisonedInPoisonBuilds: with -tags simnetpoison, a
+// payload slice kept past its receiver reads as poison, while the bytes the
+// receiver saw during the call were the datagram's.
+func TestDeliveredSliceIsPoisonedInPoisonBuilds(t *testing.T) {
+	if !poisonDelivered {
+		t.Skip("build with -tags simnetpoison")
+	}
+	k, n := newNet(t, Fixed(time.Microsecond))
+	a, b := n.Endpoint(0), n.Endpoint(1)
+	var kept []byte
+	var during string
+	b.SetReceiver(func(_ transport.NodeID, p []byte) { kept, during = p, string(p) })
+	a.Send(1, []byte("abc"))
+	k.Run()
+	if during != "abc" || !slices.Equal(kept, []byte{poisonByte, poisonByte, poisonByte}) {
+		t.Fatalf("receiver saw %q, retained slice reads %v afterwards; want \"abc\" then poison", during, kept)
+	}
+}
+
+// BenchmarkSendDeliver: one datagram through simnet, from Send to the
+// receiver, over a standing queue of 1024 later timers.
+func BenchmarkSendDeliver(b *testing.B) {
+	k := sim.NewKernel(1)
+	n := NewNetwork(k, Fixed(10*time.Microsecond))
+	src, dst := n.Endpoint(0), n.Endpoint(1)
+	dst.SetReceiver(func(transport.NodeID, []byte) {})
+	for i := 0; i < 1024; i++ {
+		k.After(time.Hour+time.Duration(i), func() {})
+	}
+	payload := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = src.Send(1, payload)
+		k.Step()
 	}
 }
 

@@ -17,7 +17,7 @@ func (id NodeID) String() string { return fmt.Sprintf("P%d", uint32(id)) }
 
 // Receiver consumes an inbound datagram. Implementations invoke it on the
 // node's event loop; the payload must not be retained past the call unless
-// copied.
+// copied: the slice is reused after the receiver returns.
 type Receiver func(from NodeID, payload []byte)
 
 // Transport sends and receives unreliable datagrams.
