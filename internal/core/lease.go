@@ -3,14 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync/atomic"
 	"time"
 
 	"cts/internal/gcs"
 	"cts/internal/hwclock"
 	"cts/internal/obs"
-	"cts/internal/transport"
 	"cts/internal/wire"
 )
 
@@ -299,32 +297,31 @@ func (s *TimeService) RefreshLease() {
 // refreshes coalesce into one round anyway.
 const RefreshProposers = 3
 
-// RefreshDuty is the lease-refresh policy: whether local should call
-// RefreshLease on its tick-th refresh tick, given the sorted members of its
-// view. Duty rotates because a replica's ordering-lag estimate (lagEst) is
-// fed only by rounds it proposes itself: cycling duty through the population
+// RefreshDuty is the lease-refresh policy: whether the member at rank in a
+// view of n members should call RefreshLease on its tick-th refresh tick.
+// Duty rotates because a replica's ordering-lag estimate (lagEst) is fed
+// only by rounds it proposes itself: cycling duty through the population
 // keeps every member's bound honest instead of only the first few ids'.
-func RefreshDuty(members []transport.NodeID, local transport.NodeID, tick uint64) bool {
-	return OnDuty(members, local, tick, RefreshProposers)
+func RefreshDuty(rank, n int, tick uint64) bool {
+	return OnDuty(rank, n, tick, RefreshProposers)
 }
 
-// OnDuty reports whether local holds one of the width duty slots of tick: a
-// window over the sorted members that advances by width per tick, so every
-// member serves once per ⌈n/width⌉ ticks and at most width serve at once. A
-// view no larger than width (every 3-replica deployment; the empty view
-// before the first installation) puts everyone on duty on every tick; in a
-// larger one a node outside the view has none.
-func OnDuty(members []transport.NodeID, local transport.NodeID, tick uint64, width int) bool {
-	n := len(members)
+// OnDuty reports whether the member at rank (its index in the sorted
+// members of a view of n, or -1 when it is not one) holds one of the width
+// duty slots of tick: a window over the ranks that advances by width per
+// tick, so every member serves once per ⌈n/width⌉ ticks and at most width
+// serve at once. A view no larger than width (every 3-replica deployment;
+// the empty view before the first installation) puts everyone on duty on
+// every tick; in a larger one a node outside the view has none.
+func OnDuty(rank, n int, tick uint64, width int) bool {
 	if n <= width {
 		return true
 	}
-	i, member := slices.BinarySearch(members, local)
-	if !member {
+	if rank < 0 {
 		return false
 	}
 	first := int(tick%uint64(n)) * width % n
-	return (i-first+n)%n < width
+	return (rank-first+n)%n < width
 }
 
 // refreshLease is the loop half of RefreshLease.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"cts/internal/campaign"
@@ -76,7 +77,7 @@ func RunFigure5Traced(seed int64, invocations int, sink obs.TraceSink) (*Figure5
 
 func runFigure5(seed int64, invocations int, sink obs.TraceSink, observe bool) (*Figure5Result, error) {
 	res := &Figure5Result{}
-	for _, mode := range []TimeMode{ModeCTS, ModeLocal} {
+	err := eachMode([]TimeMode{ModeCTS, ModeLocal}, func(mode TimeMode) error {
 		cc := ClusterConfig{
 			Seed:     seed,
 			Topology: testbedTopology(),
@@ -89,22 +90,51 @@ func runFigure5(seed int64, invocations int, sink obs.TraceSink, observe bool) (
 		}
 		c, err := NewCluster(cc)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		lat, err := c.invokeSeq(invocations, rand.New(rand.NewSource(seed+77)), 10*time.Millisecond)
 		if err != nil {
-			return nil, fmt.Errorf("figure5 (mode %d): %w", mode, err)
+			return fmt.Errorf("figure5 (mode %d): %w", mode, err)
 		}
-		if mode == ModeCTS {
-			res.With = lat
-		} else {
+		if mode == ModeLocal {
 			res.Without = lat
+			return nil
 		}
+		res.With = lat
 		if c.Obs != nil {
 			res.Metrics = c.Obs.Samples()
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// eachMode runs fn once per mode, each on its own goroutine, and waits for
+// all of them; it returns the first error in mode order. Every call builds
+// and drives its own cluster (kernel, network, RNG), and nothing mutable in
+// the packages a cluster runs is shared, so the paired clusters of one
+// experiment run side by side and give the results they give one after the
+// other. fn writes only the result fields of its own mode.
+func eachMode(modes []TimeMode, fn func(TimeMode) error) error {
+	errs := make([]error, len(modes))
+	var wg sync.WaitGroup
+	for i, mode := range modes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(mode)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Render formats the two PDFs side by side, 50µs bins, as the paper plots,
@@ -345,7 +375,7 @@ type Figure1Result struct {
 func RunFigure1(seed int64, ops int) (*Figure1Result, error) {
 	res := &Figure1Result{Ops: ops}
 	replicaIDs := []transport.NodeID{1, 2, 3}
-	for _, mode := range []TimeMode{ModeLocal, ModeCTS} {
+	err := eachMode([]TimeMode{ModeLocal, ModeCTS}, func(mode TimeMode) error {
 		c, err := NewCluster(ClusterConfig{
 			Seed:     seed,
 			Topology: campaign.Explicit(ClockSpec{}, ClockSpec{}, ClockSpec{}), // perfectly synchronized clocks
@@ -353,10 +383,10 @@ func RunFigure1(seed int64, ops int) (*Figure1Result, error) {
 			Mode:     mode,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := driveReadSequence(c, ops); err != nil {
-			return nil, err
+			return err
 		}
 		sample := &res.SpreadRaw
 		if mode == ModeCTS {
@@ -381,6 +411,10 @@ func RunFigure1(seed int64, ops int) (*Figure1Result, error) {
 			}
 			sample.Add(hi - lo)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -424,7 +458,7 @@ func (r *RollbackResult) CTSJump() time.Duration {
 // fast-forward (§1).
 func RunRollback(seed int64, backupSkew time.Duration) (*RollbackResult, error) {
 	res := &RollbackResult{BackupSkew: backupSkew}
-	for _, mode := range []TimeMode{ModePrimaryBackup, ModeCTS} {
+	err := eachMode([]TimeMode{ModePrimaryBackup, ModeCTS}, func(mode TimeMode) error {
 		c, err := NewCluster(ClusterConfig{
 			Seed: seed,
 			Topology: campaign.Explicit(
@@ -437,24 +471,28 @@ func RunRollback(seed int64, backupSkew time.Duration) (*RollbackResult, error) 
 			CheckpointEvery: 2,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		var last time.Duration
 		for i := 0; i < 5; i++ {
 			if last, err = c.ReadOnce(); err != nil {
-				return nil, fmt.Errorf("rollback: %w", err)
+				return fmt.Errorf("rollback: %w", err)
 			}
 		}
 		c.Crash(1)
 		after, err := c.ReadOnce()
 		if err != nil {
-			return nil, fmt.Errorf("rollback: %w", err)
+			return fmt.Errorf("rollback: %w", err)
 		}
 		if mode == ModePrimaryBackup {
 			res.BaselineBefore, res.BaselineAfter = last, after
 		} else {
 			res.CTSBefore, res.CTSAfter = last, after
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -819,7 +857,7 @@ func RunFigure5Concurrent(seed int64, readers, opsPerReader int) (*Figure5Concur
 // cluster.
 func runConcurrent(seed int64, readers, opsPerReader int) (*ConcurrentRun, error) {
 	res := &ConcurrentRun{Readers: readers, OpsPerReader: opsPerReader}
-	for _, mode := range []TimeMode{ModeCTS, ModeLocal} {
+	err := eachMode([]TimeMode{ModeCTS, ModeLocal}, func(mode TimeMode) error {
 		c, err := NewCluster(ClusterConfig{
 			Seed:     seed,
 			Topology: testbedTopology(),
@@ -828,15 +866,15 @@ func runConcurrent(seed int64, readers, opsPerReader int) (*ConcurrentRun, error
 			Observe:  mode == ModeCTS,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		wall, err := runConcurrentReaders(c, readers, opsPerReader)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if mode == ModeLocal {
 			res.WallWithout = wall
-			continue
+			return nil
 		}
 		res.WallWith = wall
 		m := obs.SampleMap(c.Obs.Samples())
@@ -844,6 +882,10 @@ func runConcurrent(seed int64, readers, opsPerReader int) (*ConcurrentRun, error
 		res.BatchesSent = m["core.batches_sent"]
 		res.BatchEntries = m["core.batch_entries"]
 		res.CCSSent = m["core.ccs_sent"]
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -224,8 +224,8 @@ func (a *Agent) tickLoop() {
 	if len(a.cfg.Neighbors) == 0 || !a.cfg.Manager.Live() {
 		return
 	}
-	members := a.cfg.Manager.Members()
-	if len(members) == 0 || !core.OnDuty(members, a.cfg.Manager.LocalNode(), a.tick, 1) {
+	n := len(a.cfg.Manager.Members())
+	if n == 0 || !core.OnDuty(a.cfg.Manager.Rank(), n, a.tick, 1) {
 		return
 	}
 	// Summaries carry the intra-group reading: the group clock and the

@@ -11,6 +11,7 @@ package gcs
 
 import (
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -90,9 +91,10 @@ func (c Config) Validate() (Config, error) {
 type Stats struct {
 	Multicasts        uint64 // application messages queued for the total order
 	AppDelivered      uint64 // application messages delivered in total order
-	AnnounceDelivered uint64 // group-announcement messages delivered, rejoins included
+	AnnounceDelivered uint64 // group-announcement messages delivered, rejoins and dumps included
 	AnnounceChanged   uint64 // of those, the ones that altered a membership table
-	AnnounceAnswered  uint64 // rejoins this processor answered with an announce
+	AnnounceAnswered  uint64 // rejoins and dumps this processor answered with an announce
+	DumpsSent         uint64 // table dumps broadcast as a view's representative
 	ViewsEmitted      uint64 // group view changes emitted
 }
 
@@ -101,10 +103,17 @@ const (
 	envApp      = 1 // wire.Message
 	envAnnounce = 2 // processor announces its locally joined groups
 	// envRejoin carries the same body as envAnnounce. A processor sends it
-	// when an ordering view gains a processor, and asks every receiver that
-	// has not yet sent its own groups in the current view to answer with an
+	// when an ordering view gains a processor and it cannot rely on the
+	// view's representative (see onOrderView), and asks receivers that have
+	// not yet sent their own groups in the current view to answer with an
 	// envAnnounce.
 	envRejoin = 3
+	// envDump is the representative's record of the group lists it holds,
+	// sent when an ordering view gains a processor: the view id (epoch 8
+	// bytes, rep 4), an entry count (4), then per entry the processor (4),
+	// its group count (4) and its groups (4 each), entries in processor
+	// order and groups ascending.
+	envDump = 4
 )
 
 // Stack is one processor's group-communication endpoint.
@@ -128,10 +137,21 @@ type Stack struct {
 	// groups to all N) costs a processor O(G log N) per announce, G the
 	// groups it knows of, and O(N) per view it emits.
 	emitQueued bool
+	// known holds one bit per member of ordView, by rank: set while this
+	// stack holds that member's current group list. A delivered announce,
+	// rejoin or dump entry sets its sender's bit, a view carries the bits of
+	// the members it keeps, and Stop clears them all. spare is the buffer
+	// the next view's bits are built in; the two swap, so a view change
+	// allocates nothing once they have grown.
+	known, spare []uint64
 	// listSent records that this processor's groups went out in the current
-	// ordering view, as a rejoin or as the answer to one; it is what limits
-	// answers to one per view.
+	// ordering view, as a rejoin, in its own dump or as an answer; it is
+	// what limits answers to one per view.
 	listSent bool
+	// silent marks a stack that gained a processor in this view but leaves
+	// the exchange to the representative's dump; it answers only the
+	// representative.
+	silent bool
 
 	// viewWatchers receive every group view change, joined or not (used by
 	// clients tracking a server group).
@@ -175,8 +195,12 @@ func New(cfg Config) (*Stack, error) {
 // Start begins protocol activity.
 func (s *Stack) Start() { s.ord.Start() }
 
-// Stop halts the stack.
-func (s *Stack) Stop() { s.ord.Stop() }
+// Stop halts the stack. A stack that comes back holds nothing current, so it
+// forgets which group lists it knows.
+func (s *Stack) Stop() {
+	s.rt.Post(func() { clear(s.known) })
+	s.ord.Stop()
+}
 
 // Orderer exposes the underlying total-order endpoint.
 func (s *Stack) Orderer() order.Orderer { return s.ord }
@@ -197,6 +221,7 @@ func (s *Stack) ObsSamples() []obs.Sample {
 		{Node: id, Name: "gcs.announce_delivered", Value: s.stats.AnnounceDelivered},
 		{Node: id, Name: "gcs.announce_changed", Value: s.stats.AnnounceChanged},
 		{Node: id, Name: "gcs.announce_answered", Value: s.stats.AnnounceAnswered},
+		{Node: id, Name: "gcs.dumps_sent", Value: s.stats.DumpsSent},
 		{Node: id, Name: "gcs.views_emitted", Value: s.stats.ViewsEmitted},
 		// Gauge: groups this processor keeps a membership table for.
 		{Node: id, Name: "gcs.groups", Value: uint64(len(s.tables))},
@@ -344,17 +369,14 @@ func (s *Stack) broadcastGroups(tag byte) {
 	_ = s.ord.Broadcast(env)
 }
 
-func putGroupID(b []byte, id wire.GroupID) {
-	b[0] = byte(id >> 24)
-	b[1] = byte(id >> 16)
-	b[2] = byte(id >> 8)
-	b[3] = byte(id)
-}
+func putGroupID(b []byte, id wire.GroupID) { put32(b, uint32(id)) }
 
-func getGroupID(b []byte) wire.GroupID {
-	return wire.GroupID(b[0])<<24 | wire.GroupID(b[1])<<16 |
-		wire.GroupID(b[2])<<8 | wire.GroupID(b[3])
-}
+func getGroupID(b []byte) wire.GroupID { return wire.GroupID(get32(b)) }
+
+func put32(b []byte, v uint32) { binary.BigEndian.PutUint32(b, v) }
+func get32(b []byte) uint32    { return binary.BigEndian.Uint32(b) }
+func put64(b []byte, v uint64) { binary.BigEndian.PutUint64(b, v) }
+func get64(b []byte) uint64    { return binary.BigEndian.Uint64(b) }
 
 // groupTable is what a stack records about one group: the processors hosting
 // members of it, and the view last emitted for it.
@@ -429,16 +451,24 @@ func (s *Stack) table(g wire.GroupID) *groupTable {
 }
 
 // onOrderView reacts to an ordering-layer membership change: group tables
-// are pruned to the new component, and updated group views are emitted. A
-// view that gained a processor is answered with a rejoin: this stack may
-// have pruned the newcomer's groups (and the newcomer may have pruned this
-// stack's), so it sends its own groups and asks for theirs. A view that
-// only shrank sends nothing, since nobody's tables lost what they need.
-// Every processor that pruned q sees a gain when q returns, because q left
-// its view in between; a brand-new stack has an empty previous view, so its
-// first view is a gain too.
+// are pruned to the new component, and updated group views are emitted.
+//
+// A view that gained a processor starts an exchange of group lists, since
+// this stack may have pruned the newcomer's groups and the newcomer this
+// stack's. Who sends depends on rep, the view's first member:
+//   - rep, when it kept another member, dumps every list it holds;
+//   - rep alone, a stack whose previous view lacked rep, and a stack that
+//     holds no list at all send their own groups as a rejoin;
+//   - everyone else stays silent and waits for rep's dump.
+//
+// A view that only shrank sends nothing, since nobody's tables lost what they
+// need, unless this stack lacks a member's list (an exchange cut short by a
+// crash): then it sends a rejoin. Every processor that pruned q sees a gain
+// when q returns, because q left its view in between; a brand-new stack has
+// an empty previous view, so its first view is a gain too. DESIGN §6 gives
+// the safety argument and its view-synchrony precondition.
 func (s *Stack) onOrderView(v order.View) {
-	gained := gains(s.ordView.Members, v.Members)
+	gained, shrank, repKept, othersKept, held := s.carryKnown(v.Members)
 	s.ordView = v
 	for _, t := range s.tables {
 		t.members = keepOnly(t.members, v.Members)
@@ -448,25 +478,191 @@ func (s *Stack) onOrderView(v order.View) {
 	for id := range s.groups {
 		s.table(id).add(s.me)
 	}
-	s.listSent = gained
-	if gained {
+	s.listSent, s.silent = false, false
+	isRep := len(v.Members) > 0 && v.Members[0] == s.me
+	switch {
+	case !gained && (!shrank || held == len(v.Members)):
+		// Nothing to exchange.
+	case !gained || held == 0 || (isRep && !othersKept) || (!isRep && !repKept):
+		s.listSent = true
 		s.broadcastGroups(envRejoin)
+	case isRep:
+		s.stats.DumpsSent++
+		s.listSent = s.broadcastDump()
+	default:
+		s.silent = true
 	}
 	s.scheduleEmitViews()
 }
 
-// gains reports whether cur holds a processor that old does not. Both are
-// sorted, as order.View promises of its Members.
-func gains(old, cur []transport.NodeID) bool {
-	for _, p := range cur {
-		for len(old) > 0 && old[0] < p {
-			old = old[1:]
+// carryKnown moves the known bits from the previous ordering view to cur in
+// one merge walk over both member lists (sorted, as order.View promises),
+// and reports what the walk saw: whether cur gained or lost a processor,
+// whether cur's first member was in the previous view, whether a member
+// other than this stack was kept, and how many of cur's lists this stack
+// holds.
+func (s *Stack) carryKnown(cur []transport.NodeID) (gained, shrank, repKept, othersKept bool, held int) {
+	old := s.ordView.Members
+	next := resize(s.spare, len(cur))
+	i := 0
+	for r, p := range cur {
+		for i < len(old) && old[i] < p {
+			i++
+			shrank = true
 		}
-		if len(old) == 0 || old[0] != p {
-			return true
+		if i == len(old) || old[i] != p {
+			gained = true
+			continue
+		}
+		if r == 0 {
+			repKept = true
+		}
+		if p != s.me {
+			othersKept = true
+		}
+		if has(s.known, i) {
+			set(next, r)
+			held++
+		}
+		i++
+	}
+	if i < len(old) {
+		shrank = true
+	}
+	s.spare, s.known = s.known, next
+	return gained, shrank, repKept, othersKept, held
+}
+
+// resize returns b cleared and sized for n bits, reusing its storage.
+func resize(b []uint64, n int) []uint64 {
+	w := (n + 63) / 64
+	if cap(b) < w {
+		return make([]uint64, w)
+	}
+	b = b[:w]
+	clear(b)
+	return b
+}
+
+func has(b []uint64, i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
+func set(b []uint64, i int)      { b[i/64] |= 1 << (i % 64) }
+
+// rank returns p's index in the current ordering view, or -1.
+func (s *Stack) rank(p transport.NodeID) int {
+	if r, ok := slices.BinarySearch(s.ordView.Members, p); ok {
+		return r
+	}
+	return -1
+}
+
+// broadcastDump broadcasts envDump for the current view: every member whose
+// list this stack holds, with the groups its tables record for it. It
+// reports whether the dump lists this stack itself.
+func (s *Stack) broadcastDump() bool {
+	members := s.ordView.Members
+	counts := make([]int, len(members))
+	for _, t := range s.tables {
+		s.eachKnown(t.members, func(r int) { counts[r]++ })
+	}
+	size, n := 1+16, 0
+	for r := range members {
+		if has(s.known, r) {
+			size += 8 + 4*counts[r]
+			n++
 		}
 	}
-	return false
+	env := make([]byte, size)
+	env[0] = envDump
+	put64(env[1:], s.ordView.ID.Epoch)
+	put32(env[9:], uint32(s.ordView.ID.Rep))
+	put32(env[13:], uint32(n))
+	// Lay out the entries, then fill each one's groups table by table
+	// (ascending group id) at its cursor.
+	cursor := counts // reused: counts[r] becomes member r's next group slot
+	off := 17
+	for r, p := range members {
+		if !has(s.known, r) {
+			continue
+		}
+		put32(env[off:], uint32(p))
+		put32(env[off+4:], uint32(counts[r]))
+		off += 8
+		off, cursor[r] = off+4*counts[r], off
+	}
+	for _, t := range s.tables {
+		s.eachKnown(t.members, func(r int) {
+			putGroupID(env[cursor[r]:], t.id)
+			cursor[r] += 4
+		})
+	}
+	_ = s.ord.Broadcast(env)
+	r := s.rank(s.me)
+	return r >= 0 && has(s.known, r)
+}
+
+// eachKnown calls fn with the rank of every processor in ps (sorted) that
+// is a member of the current view whose list this stack holds.
+func (s *Stack) eachKnown(ps []transport.NodeID, fn func(r int)) {
+	members := s.ordView.Members
+	r := 0
+	for _, p := range ps {
+		for r < len(members) && members[r] < p {
+			r++
+		}
+		if r < len(members) && members[r] == p && has(s.known, r) {
+			fn(r)
+		}
+	}
+}
+
+// applyDump applies a delivered envDump. A dump for another view changes
+// nothing. Otherwise each entry is applied only if this stack does not hold
+// that member's list already: a Join or Leave delivered before the dump is
+// newer than what the dump recorded when it was sent. A stack the dump does
+// not list answers with its own groups, once per view.
+func (s *Stack) applyDump(body []byte) {
+	if len(body) < 16 || get64(body) != s.ordView.ID.Epoch ||
+		transport.NodeID(get32(body[8:])) != s.ordView.ID.Rep {
+		return
+	}
+	members := s.ordView.Members
+	n, body := get32(body[12:]), body[16:]
+	listed, changed := false, false
+	var buf [8]wire.GroupID
+	r := 0
+	for ; n > 0 && len(body) >= 8; n-- {
+		p, k := transport.NodeID(get32(body)), int(get32(body[4:]))
+		body = body[8:]
+		if k > len(body)/4 {
+			break
+		}
+		gids := body[:4*k]
+		body = body[4*k:]
+		listed = listed || p == s.me
+		for r < len(members) && members[r] < p {
+			r++
+		}
+		if r == len(members) || members[r] != p || has(s.known, r) {
+			continue
+		}
+		announced := buf[:0]
+		for off := 0; off < len(gids); off += 4 {
+			announced = append(announced, getGroupID(gids[off:]))
+		}
+		if s.setGroups(p, announced) {
+			changed = true
+		}
+		set(s.known, r)
+	}
+	if changed {
+		s.stats.AnnounceChanged++
+		s.scheduleEmitViews()
+	}
+	if !listed && !s.listSent {
+		s.listSent = true
+		s.stats.AnnounceAnswered++
+		s.broadcastGroups(envAnnounce)
+	}
 }
 
 // keepOnly prunes members in place to those also in live. Both are sorted
@@ -521,6 +717,9 @@ func (s *Stack) onDeliver(d order.Delivery) {
 			return
 		}
 		g.onMsg(m, meta)
+	case envDump:
+		s.stats.AnnounceDelivered++
+		s.applyDump(body)
 	case envAnnounce, envRejoin:
 		if len(body)%4 != 0 {
 			return
@@ -536,10 +735,16 @@ func (s *Stack) onDeliver(d order.Delivery) {
 			s.stats.AnnounceChanged++
 			s.scheduleEmitViews()
 		}
+		if r := s.rank(d.Sender); r >= 0 {
+			set(s.known, r)
+		}
 		// The rejoin's sender may have pruned this processor. Answer once
 		// per view: a list already sent in this view, as this stack's own
-		// rejoin or an earlier answer, reaches the sender too.
-		if d.Payload[0] == envRejoin && d.Sender != s.me && !s.listSent {
+		// rejoin, dump or an earlier answer, reaches the sender too. A
+		// silent gainer's list reaches everyone through rep's dump or its
+		// answer to it, so it answers only rep.
+		if d.Payload[0] == envRejoin && d.Sender != s.me && !s.listSent &&
+			(!s.silent || d.Sender == s.ordView.Members[0]) {
 			s.listSent = true
 			s.stats.AnnounceAnswered++
 			s.broadcastGroups(envAnnounce)

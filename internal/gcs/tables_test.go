@@ -1,6 +1,7 @@
 package gcs
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -221,25 +222,39 @@ func TestTablesMatchReferenceModel(t *testing.T) {
 						view = order.View{ID: order.ViewID{Epoch: epoch, Rep: members[0]},
 							Members: members, Primary: rng.Intn(2) == 0}
 					}
-					// The stack sends a rejoin exactly when the view holds a
-					// processor the previous one did not, and nothing else.
+					// A view that holds a processor the previous one did not
+					// makes the stack send at most one envelope, its rejoin or
+					// its dump. Any other view sends nothing, except a rejoin
+					// from a stack that lost a processor while it lacked some
+					// member's list.
 					prev := ref.ordView.Members
 					old := make(map[transport.NodeID]bool)
 					for _, p := range prev {
 						old[p] = true
 					}
 					gained := slices.ContainsFunc(view.Members, func(p transport.NodeID) bool { return !old[p] })
+					shrank := slices.ContainsFunc(prev, func(p transport.NodeID) bool {
+						return !slices.Contains(view.Members, p)
+					})
 					sent := len(rig.ord.sent)
 					rig.s.onOrderView(view)
 					ref.onOrderView(view)
-					if fresh := rig.ord.sent[sent:]; gained != (len(fresh) == 1 && fresh[0][0] == envRejoin) || len(fresh) > 1 {
-						t.Fatalf("seed %d instant %d: view %v after %v (gained=%v) sent %d envelopes",
-							seed, instant, view.Members, prev, gained, len(fresh))
+					fresh := rig.ord.sent[sent:]
+					ok := len(fresh) == 0 || len(fresh) == 1 &&
+						(fresh[0][0] == envRejoin && (gained || shrank) || fresh[0][0] == envDump && gained)
+					if !ok {
+						t.Fatalf("seed %d instant %d: view %v after %v (gained=%v shrank=%v) sent %d envelopes",
+							seed, instant, view.Members, prev, gained, shrank, len(fresh))
 					}
 				case r < 4 && len(rig.ord.sent) > 0: // the stack's own announce comes back
 					env := rig.ord.sent[0]
 					rig.ord.sent = rig.ord.sent[1:]
 					rig.s.onDeliver(order.Delivery{Sender: me, Payload: env})
+					if env[0] == envDump {
+						// The stack's own dump lists only what it holds, so
+						// delivering it back changes no table.
+						break
+					}
 					gids := make([]wire.GroupID, 0, len(env)/4)
 					for off := 1; off < len(env); off += 4 {
 						gids = append(gids, getGroupID(env[off:]))
@@ -448,18 +463,20 @@ func sampleOf(s *Stack, name string) uint64 {
 	panic("no sample " + name)
 }
 
-// TestReannounceWave1000: one of 1000 processors crashes and restarts.
+// TestReannounceWave1000: processors of a 1000-member component crash and
+// restart.
 //
-// The crash only shrinks the view, so no stack announces anything; each
+// A crash only shrinks the view, so no stack announces anything; each
 // survivor emits exactly one view (the shrunken group).
 //
-// The restart is a gain for every survivor, which had pruned the victim:
-// each sends one rejoin and answers none, having sent its groups already.
-// The victim's own view never lost anyone, so it sends no rejoin; it answers
-// the first rejoin it delivers, once, and that answer is the one announce
-// that changes a survivor's table: every survivor regains the victim.
+// A restart is a gain for every survivor, which had pruned the victims. The
+// representative (stack 0) kept the other survivors, so it dumps the 1000−v
+// lists it holds, and the other survivors stay silent. Each victim's own view
+// never lost anyone, and its Stop cleared what it held: it takes every list
+// from the dump, and, not being listed, answers with its own. Those answers
+// are the announces that change a survivor's table.
 func TestReannounceWave1000(t *testing.T) {
-	const n, victim = 1000, 417
+	const n = 1000
 	c := newInstantCluster(t, n)
 	for i, s := range c.stacks {
 		if got := sampleOf(s, "gcs.groups"); got != 1 {
@@ -468,7 +485,7 @@ func TestReannounceWave1000(t *testing.T) {
 	}
 	// wave runs fn and requires each stack's counters to move by what want
 	// says for it, and its group to hold members processors afterwards.
-	wave := func(t *testing.T, fn func(), members int, want func(i int) map[string]uint64) {
+	wave := func(t *testing.T, fn func(), members int, down map[int]bool, want func(i int) map[string]uint64) {
 		before := make([]map[string]uint64, n)
 		for i, s := range c.stacks {
 			before[i] = make(map[string]uint64)
@@ -485,113 +502,88 @@ func TestReannounceWave1000(t *testing.T) {
 				}
 			}
 			// A stopped victim's table is frozen at what it last saw.
-			if got := len(s.tables[0].members); (i != victim || members == n) && got != members {
+			if got := len(s.tables[0].members); !down[i] && got != members {
 				t.Fatalf("stack %d: group has %d members after the wave, want %d", i, got, members)
+			}
+			// A live stack ends the wave holding every member's list.
+			held := 0
+			for r := range s.ordView.Members {
+				if has(s.known, r) {
+					held++
+				}
+			}
+			if !down[i] && held != members {
+				t.Fatalf("stack %d holds %d of %d members' lists after the wave", i, held, members)
 			}
 		}
 	}
-	t.Run("crash", func(t *testing.T) {
-		wave(t, c.stacks[victim].Stop, n-1, func(i int) map[string]uint64 {
-			if i == victim {
-				return map[string]uint64{"gcs.announce_delivered": 0, "gcs.views_emitted": 0}
-			}
-			return map[string]uint64{
-				"gcs.announce_delivered": 0,
-				"gcs.announce_changed":   0,
-				"gcs.announce_answered":  0,
-				"gcs.views_emitted":      1,
-			}
-		})
-	})
-	t.Run("restart", func(t *testing.T) {
-		wave(t, c.stacks[victim].Start, n, func(i int) map[string]uint64 {
-			want := map[string]uint64{
-				// n-1 rejoins and the victim's answer, delivered everywhere.
-				"gcs.announce_delivered": n,
-				"gcs.announce_changed":   1,
-				"gcs.announce_answered":  0,
-				// The new view without the victim, emitted before its
-				// answer is ordered, then the group with it.
-				"gcs.views_emitted": 2,
-			}
-			if i == victim {
-				want["gcs.announce_changed"], want["gcs.announce_answered"], want["gcs.views_emitted"] = 0, 1, 1
-			}
-			return want
-		})
-	})
-}
-
-// TestPrunedProcessorAnswersRejoin: p goes V → W (without q) → V′ while q
-// goes straight from V to V′, so q's view never gains anyone and q sends no
-// rejoin of its own. p pruned q in W; p's rejoin in V′ must make q answer,
-// or p's table would never list q again.
-func TestPrunedProcessorAnswersRejoin(t *testing.T) {
-	const p, q, g = transport.NodeID(0), transport.NodeID(1), wire.GroupID(7)
-	rp, rq := newTableRig(p), newTableRig(q)
-	rigs := []*tableRig{rp, rq}
-	// pump delivers every envelope either rig broadcasts to both, in one
-	// total order, until neither has anything left to send.
-	pump := func() {
-		for moved := true; moved; {
-			moved = false
-			for _, from := range rigs {
-				from.flush()
-				for len(from.ord.sent) > 0 {
-					env := from.ord.sent[0]
-					from.ord.sent = from.ord.sent[1:]
-					for _, to := range rigs {
-						to.s.onDeliver(order.Delivery{Sender: from.ord.me, Payload: env})
-						to.flush()
-					}
-					moved = true
+	for _, victims := range [][]int{{417}, {417, 903}} {
+		v := len(victims)
+		suffix := "" // one victim: "crash", "restart"; two: "crash2", "restart2"
+		if v > 1 {
+			suffix = fmt.Sprint(v)
+		}
+		down := make(map[int]bool)
+		for _, i := range victims {
+			down[i] = true
+		}
+		each := func(f func(*Stack)) func() {
+			return func() {
+				for _, i := range victims {
+					f(c.stacks[i])
 				}
 			}
 		}
-	}
-	view := func(epoch uint64, members ...transport.NodeID) order.View {
-		return order.View{ID: order.ViewID{Epoch: epoch, Rep: members[0]}, Members: members, Primary: true}
-	}
-	for _, r := range rigs {
-		r.s.onOrderView(view(1, p, q))
-		if _, err := r.s.Join(g, func(wire.Message, Meta) {}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pump()
-	if got := rp.s.table(g).members; !slices.Equal(got, []transport.NodeID{p, q}) {
-		t.Fatalf("after V, p's table lists %v, want [p q]", got)
-	}
-
-	rp.s.onOrderView(view(2, p))
-	if len(rp.ord.sent) != 0 {
-		t.Fatalf("a view that only shrank sent %d envelopes", len(rp.ord.sent))
-	}
-	pump()
-	if got := rp.s.table(g).members; !slices.Equal(got, []transport.NodeID{p}) {
-		t.Fatalf("in W, p's table lists %v, want [p]", got)
-	}
-
-	for _, r := range rigs {
-		r.s.onOrderView(view(3, p, q))
-	}
-	if len(rq.ord.sent) != 0 {
-		t.Fatalf("q's view did not grow, yet q sent %d envelopes before hearing p", len(rq.ord.sent))
-	}
-	pump()
-	if got := rp.s.table(g).members; !slices.Equal(got, []transport.NodeID{p, q}) {
-		t.Fatalf("in V′, p's table lists %v, want [p q]", got)
-	}
-	if rq.s.stats.AnnounceAnswered != 1 || rp.s.stats.AnnounceAnswered != 0 {
-		t.Fatalf("answers: q %d, p %d; want 1 and 0", rq.s.stats.AnnounceAnswered, rp.s.stats.AnnounceAnswered)
+		t.Run("crash"+suffix, func(t *testing.T) {
+			wave(t, each((*Stack).Stop), n-v, down, func(i int) map[string]uint64 {
+				if down[i] {
+					return map[string]uint64{"gcs.announce_delivered": 0, "gcs.views_emitted": 0}
+				}
+				return map[string]uint64{
+					"gcs.announce_delivered": 0,
+					"gcs.announce_changed":   0,
+					"gcs.announce_answered":  0,
+					"gcs.dumps_sent":         0,
+					"gcs.views_emitted":      1,
+				}
+			})
+		})
+		t.Run("restart"+suffix, func(t *testing.T) {
+			wave(t, each((*Stack).Start), n, nil, func(i int) map[string]uint64 {
+				if down[i] {
+					return map[string]uint64{
+						// The dump and every victim's answer, its own included;
+						// none changes the table the victim stopped with.
+						"gcs.announce_delivered": uint64(1 + v),
+						"gcs.announce_changed":   0,
+						"gcs.announce_answered":  1,
+						"gcs.dumps_sent":         0,
+						"gcs.views_emitted":      1,
+					}
+				}
+				dumps := uint64(0)
+				if i == 0 {
+					dumps = 1
+				}
+				return map[string]uint64{
+					"gcs.announce_delivered": uint64(1 + v),
+					"gcs.announce_changed":   uint64(v),
+					"gcs.announce_answered":  0,
+					"gcs.dumps_sent":         dumps,
+					// The new view without the victims, emitted before their
+					// answers are ordered, then the group with them.
+					"gcs.views_emitted": 2,
+				}
+			})
+		})
 	}
 }
 
 // BenchmarkReannounceWave1000 times what the costliest ordering view change
 // costs a 1000-processor component in group bookkeeping: a crashed
-// processor returns, every member but it sends a rejoin to every member, and
-// it answers once. The crash before each return (a view that only shrinks
-// and announces nothing) is not timed.
+// processor returns, the representative dumps the 999 lists it holds to
+// every member, and the returning processor answers once. The crash before
+// each return (a view that only shrinks and announces nothing) is not timed.
 func BenchmarkReannounceWave1000(b *testing.B) {
 	c := newInstantCluster(b, 1000)
 	victim := c.stacks[417]

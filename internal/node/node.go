@@ -171,12 +171,11 @@ type Node struct {
 	// refresh tick count for the duty rotation. Loop-only.
 	refreshTimer, fedTimer sim.Canceler
 	refreshTicks           uint64
-	// boot is the sorted configured membership: the node's presumptive view
-	// for refresh duty until the group's first view installs. Read-only: it is
-	// Config.Members itself when that is sorted already (a thousand-node cell
-	// hands every node the same slice).
-	boot    []transport.NodeID
-	stopped atomic.Bool
+	// The configured membership is the node's presumptive view for refresh
+	// duty until the group's first view installs: bootRank is this node's
+	// index in it (sorted; -1 when absent) and bootN its size.
+	bootRank, bootN int
+	stopped         atomic.Bool
 }
 
 // leaseSource adapts the core lease plane to the timeserve frontend.
@@ -232,11 +231,7 @@ func New(cfg Config) (*Node, error) {
 		}
 	}
 
-	n := &Node{stack: cfg.Stack, boot: cfg.Members}
-	if !slices.IsSorted(n.boot) {
-		n.boot = slices.Clone(n.boot)
-		slices.Sort(n.boot)
-	}
+	n := &Node{stack: cfg.Stack, bootRank: -1, bootN: len(cfg.Members)}
 	if cfg.Stack != nil {
 		if cfg.OrderSet {
 			return nil, errors.New("cts: WithOrderer conflicts with WithStack (the supplied stack already owns an orderer)")
@@ -261,6 +256,14 @@ func New(cfg Config) (*Node, error) {
 		}
 		n.stack = st
 		n.ownsStack = true
+	}
+	boot := cfg.Members
+	if !slices.IsSorted(boot) {
+		boot = slices.Clone(boot)
+		slices.Sort(boot)
+	}
+	if r, ok := slices.BinarySearch(boot, n.stack.LocalID()); ok {
+		n.bootRank = r
 	}
 
 	dapp := &defaultApp{}
@@ -382,11 +385,11 @@ func (n *Node) startTimeServe(cfg TimeServeConfig) error {
 func (n *Node) refreshTick() {
 	tick := n.refreshTicks
 	n.refreshTicks++
-	members := n.mgr.Members()
-	if len(members) == 0 {
-		members = n.boot
+	rank, size := n.mgr.Rank(), len(n.mgr.Members())
+	if size == 0 {
+		rank, size = n.bootRank, n.bootN
 	}
-	if n.mgr.Live() && core.RefreshDuty(members, n.mgr.LocalNode(), tick) {
+	if n.mgr.Live() && core.RefreshDuty(rank, size, tick) {
 		n.svc.RefreshLease()
 	}
 }

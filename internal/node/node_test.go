@@ -28,24 +28,23 @@ func memberIDs(n int) []transport.NodeID {
 }
 
 // TestRefreshDuty pins the policy both the facade and the campaigns run:
-// never more than three proposers per tick, every member on duty at least
-// once per ⌈n/3⌉ consecutive ticks, and a view of at most three members is
-// the identity (everyone, always), so 3-replica deployments never rotate.
+// never more than three proposers per tick, every rank on duty at least once
+// per ⌈n/3⌉ consecutive ticks, and a view of at most three members is the
+// identity (everyone, always), so 3-replica deployments never rotate.
 func TestRefreshDuty(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 7, 1000} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
-			members := memberIDs(n)
 			period := (n + core.RefreshProposers - 1) / core.RefreshProposers
-			lastOn := make([]int, n) // tick each member was last on duty, -1 = never
+			lastOn := make([]int, n) // tick each rank was last on duty, -1 = never
 			for i := range lastOn {
 				lastOn[i] = -1
 			}
 			for tick := 0; tick < 3*period+5; tick++ {
 				on := 0
-				for i, id := range members {
-					if core.RefreshDuty(members, id, uint64(tick)) {
+				for rank := 0; rank < n; rank++ {
+					if core.RefreshDuty(rank, n, uint64(tick)) {
 						on++
-						lastOn[i] = tick
+						lastOn[rank] = tick
 					}
 				}
 				switch {
@@ -55,10 +54,10 @@ func TestRefreshDuty(t *testing.T) {
 					t.Fatalf("tick %d: %d members on duty, want %d", tick, on, core.RefreshProposers)
 				}
 				if tick >= period-1 {
-					for i, last := range lastOn {
+					for rank, last := range lastOn {
 						if last <= tick-period {
-							t.Fatalf("tick %d: member %d last on duty at tick %d, want within %d ticks",
-								tick, i, last, period)
+							t.Fatalf("tick %d: rank %d last on duty at tick %d, want within %d ticks",
+								tick, rank, last, period)
 						}
 					}
 				}
@@ -66,13 +65,12 @@ func TestRefreshDuty(t *testing.T) {
 		})
 	}
 
-	// A node outside a large view has no duty; before any view installs (and
-	// in any view of at most three) it proposes.
-	big := memberIDs(7)
-	if core.RefreshDuty(big, 11, 0) {
+	// A node outside a large view (rank -1) has no duty; before any view
+	// installs (n = 0) and in any view of at most three it proposes.
+	if core.RefreshDuty(-1, 7, 0) {
 		t.Error("non-member on duty in a 7-member view")
 	}
-	if !core.RefreshDuty(nil, 11, 5) || !core.RefreshDuty(memberIDs(3), 11, 5) {
+	if !core.RefreshDuty(-1, 0, 5) || !core.RefreshDuty(-1, 3, 5) {
 		t.Error("views of at most three members must put everyone on duty")
 	}
 }

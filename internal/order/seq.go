@@ -1,6 +1,7 @@
 package order
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -100,8 +101,13 @@ type seqNode struct {
 	// Leader state.
 	nextLocal map[transport.NodeID]uint64                 // next expected Local per sender (this epoch)
 	heldProps map[transport.NodeID]map[uint64]*seqPropose // out-of-order proposals
-	arus      map[transport.NodeID]uint64
-	lastHeard map[transport.NodeID]time.Duration
+	// arus and lastHeard are indexed by rank in view.Members; the leader's
+	// own slots stay unused. atSafe counts the followers whose acked aru is
+	// at or below safePoint: while it is nonzero the safe point cannot move,
+	// so recomputeSafe scans the view only once per advance.
+	arus      []uint64
+	lastHeard []time.Duration
+	atSafe    int
 
 	// Proposer state.
 	localSeq       uint64 // last local id assigned (this epoch)
@@ -368,11 +374,17 @@ func (n *seqNode) dispatch(from transport.NodeID, payload []byte) {
 }
 
 func (n *seqNode) noteHeard(from transport.NodeID) {
-	if n.lastHeard != nil {
-		if _, ok := n.lastHeard[from]; ok {
-			n.lastHeard[from] = n.rt.Now()
-		}
+	if r := n.rankOf(from); r >= 0 && from != n.me {
+		n.lastHeard[r] = n.rt.Now()
 	}
+}
+
+// rankOf reports id's index in the current view's sorted members, or -1.
+func (n *seqNode) rankOf(id transport.NodeID) int {
+	if r, ok := slices.BinarySearch(n.view.Members, id); ok {
+		return r
+	}
+	return -1
 }
 
 // ---- leader: ordering ----
@@ -442,20 +454,23 @@ func (n *seqNode) orderProposal(p *seqPropose) {
 
 // recomputeSafe advances the leader's safe point — the prefix every view
 // member holds (its own aru and every follower's acked aru) — then runs
-// delivery and pruning against it.
+// delivery and pruning against it. A follower at or below the safe point
+// pins it, so the O(N) scan for the new minimum runs only when none does.
 func (n *seqNode) recomputeSafe() {
 	n.updateAru()
-	sp := n.myAru
-	for _, m := range n.view.Members {
-		if m == n.me {
-			continue
+	if n.atSafe == 0 && n.myAru > n.safePoint {
+		sp := n.myAru
+		for r, m := range n.view.Members {
+			if m != n.me && n.arus[r] < sp {
+				sp = n.arus[r]
+			}
 		}
-		if a := n.arus[m]; a < sp {
-			sp = a
-		}
-	}
-	if sp > n.safePoint {
 		n.safePoint = sp
+		for r, m := range n.view.Members {
+			if m != n.me && n.arus[r] <= sp {
+				n.atSafe++
+			}
+		}
 		// Push the new safe point immediately; safe-mode latency tracks
 		// this broadcast rather than the next periodic heartbeat.
 		n.broadcastHeartbeat()
@@ -556,21 +571,17 @@ func (n *seqNode) onAck(a *seqAck) {
 	if n.state != seqOperational || n.leader != n.me || a.View != n.view.ID {
 		return
 	}
-	prev := n.arus[a.From]
+	r := n.rankOf(a.From)
+	if r < 0 || a.From == n.me {
+		return
+	}
+	prev := n.arus[r]
 	if a.Aru <= prev {
 		return
 	}
-	n.arus[a.From] = a.Aru
-	if prev > n.safePoint {
-		// The safe point is at least the minimum of the leader's aru and
-		// every member's acked aru: a view install zeroes the arus, and
-		// afterwards each term is raised only here or in orderProposal,
-		// which recompute it. This member's aru was already above the
-		// safe point, so another term is the minimum and raising this one
-		// cannot move it. Skip the O(N) scan over the members.
-		n.tryDeliver()
-		n.prune()
-		return
+	n.arus[r] = a.Aru
+	if prev <= n.safePoint && a.Aru > n.safePoint {
+		n.atSafe--
 	}
 	n.recomputeSafe()
 }
@@ -893,12 +904,11 @@ func (n *seqNode) installView(v View) {
 
 	now := n.rt.Now()
 	n.lastLeaderSeen = now
-	n.arus = make(map[transport.NodeID]uint64)
-	n.lastHeard = make(map[transport.NodeID]time.Duration, len(v.Members))
-	for _, m := range v.Members {
-		if m != n.me {
-			n.lastHeard[m] = now
-		}
+	n.arus = make([]uint64, len(v.Members))
+	n.atSafe = len(v.Members) - 1 // every follower's aru starts at 0
+	n.lastHeard = make([]time.Duration, len(v.Members))
+	for r := range n.lastHeard {
+		n.lastHeard[r] = now
 	}
 	n.nextLocal = make(map[transport.NodeID]uint64)
 	n.heldProps = make(map[transport.NodeID]map[uint64]*seqPropose)
@@ -963,8 +973,8 @@ func (n *seqNode) armHeartbeat() {
 		// follower would otherwise stall the safe point forever.
 		now := n.rt.Now()
 		stale := false
-		for _, m := range n.view.Members {
-			if m != n.me && now-n.lastHeard[m] > n.tun.LeaderTimeout {
+		for r, m := range n.view.Members {
+			if m != n.me && now-n.lastHeard[r] > n.tun.LeaderTimeout {
 				stale = true
 				break
 			}

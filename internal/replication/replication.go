@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"cts/internal/gcs"
@@ -187,6 +188,7 @@ type Manager struct {
 
 	group *gcs.Group
 	view  gcs.GroupView
+	rank  int // index of me in view.Members, -1 when absent
 
 	live         bool // state current; may execute
 	recovering   bool
@@ -257,6 +259,7 @@ func New(cfg Config) (*Manager, error) {
 		app:            cfg.App,
 		me:             cfg.Stack.LocalID(),
 		cfg:            cfg,
+		rank:           -1,
 		live:           !cfg.Recovering,
 		recovering:     cfg.Recovering,
 		invThread:      newThread(1),
@@ -344,6 +347,11 @@ func (m *Manager) LocalNode() transport.NodeID { return m.me }
 // read-only. Loop-only.
 func (m *Manager) Members() []transport.NodeID { return m.view.Members }
 
+// Rank reports this replica's index in the sorted members of the current
+// view: -1 before the first view installs and while the view lacks it.
+// Loop-only.
+func (m *Manager) Rank() int { return m.rank }
+
 // IsPrimary reports whether this replica is the group's current primary
 // (first member of the current view). Loop-only.
 func (m *Manager) IsPrimary() bool {
@@ -414,10 +422,14 @@ func (m *Manager) isExecutor() bool {
 func (m *Manager) onView(v gcs.GroupView) {
 	wasExecutor := m.isExecutor()
 	m.view = v
+	m.rank = -1
+	if r, ok := slices.BinarySearch(v.Members, m.me); ok {
+		m.rank = r
+	}
 	if !v.Primary {
 		m.everNonPrimary = true
 	}
-	if m.recovering && !m.sentGetState && containsNode(v.Members, m.me) {
+	if m.recovering && !m.sentGetState && m.rank >= 0 {
 		m.sentGetState = true
 		m.sendGetState()
 	}
@@ -813,13 +825,4 @@ func unpackStates(b []byte) (appState, extra []byte) {
 		return nil, nil
 	}
 	return b[4 : 4+n], b[4+n:]
-}
-
-func containsNode(set []transport.NodeID, id transport.NodeID) bool {
-	for _, m := range set {
-		if m == id {
-			return true
-		}
-	}
-	return false
 }

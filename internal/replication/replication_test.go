@@ -771,3 +771,43 @@ func TestDuplicateRequestNotReExecuted(t *testing.T) {
 		t.Fatalf("duplicate request was not answered (replies=%d)", replies)
 	}
 }
+
+// TestRankFollowsViews: Rank is -1 before the first view installs, tracks
+// the replica's index in each view's sorted members, and is -1 in a view
+// that lacks the replica.
+func TestRankFollowsViews(t *testing.T) {
+	h := newRepHarness(t, 6)
+	ring := []transport.NodeID{0, 1, 2, 3}
+	for _, id := range ring {
+		h.addStack(id, ring, true)
+	}
+	for _, id := range ring[1:] {
+		h.addReplica(id, Active, false)
+	}
+	m := h.mgrs[3]
+	if got := m.Rank(); got != -1 {
+		t.Fatalf("rank before the first view = %d, want -1", got)
+	}
+	for _, s := range h.stacks {
+		s.Start()
+	}
+	h.k.RunFor(3 * time.Millisecond)
+	if got := m.Rank(); got != 2 {
+		t.Fatalf("rank of node 3 in view %v = %d, want 2", m.Members(), got)
+	}
+
+	h.stacks[1].Stop()
+	h.net.Endpoint(1).SetDown(true)
+	if !h.runUntil(2*time.Second, func() bool { return len(m.Members()) == 2 }) {
+		t.Fatalf("view never lost node 1: %v", m.Members())
+	}
+	if got := m.Rank(); got != 1 {
+		t.Fatalf("rank of node 3 in view %v = %d, want 1", m.Members(), got)
+	}
+
+	m.rt.Post(func() { m.onView(gcs.GroupView{Group: serverGroup, Members: []transport.NodeID{2}, Primary: true}) })
+	h.k.RunFor(0)
+	if got := m.Rank(); got != -1 {
+		t.Fatalf("rank in a view without node 3 = %d, want -1", got)
+	}
+}
