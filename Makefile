@@ -52,11 +52,12 @@ race:
 
 # sim-smoke runs one iteration of the simulator hot-path benchmarks: a
 # Post through the kernel's same-instant lane, a typed delivery through its
-# heap, one simnet datagram from Send to receiver, a 1000-processor restart
-# wave through the gcs group tables (DESIGN.md §6), and one entry through a
+# heap, one simnet datagram from Send to receiver, one token rotation of a
+# 3-member Totem ring carrying a safe message, a 1000-processor restart wave
+# through the gcs group tables (DESIGN.md §6), and one entry through a
 # 100-member seq leader's acks (DESIGN.md §10).
 sim-smoke:
-	$(GO) test -run '^$$' -bench 'KernelPostStep|KernelDeliverStep|SendDeliver|ReannounceWave1000|SeqLeaderAcks100' -benchtime 1x ./internal/sim ./internal/simnet ./internal/gcs ./internal/order
+	$(GO) test -run '^$$' -bench 'KernelPostStep|KernelDeliverStep|SendDeliver|TotemTokenVisit|ReannounceWave1000|SeqLeaderAcks100' -benchtime 1x ./internal/sim ./internal/simnet ./internal/totem ./internal/gcs ./internal/order
 
 # bench-all runs every ctsbench experiment at its scaled size, gates
 # included, and writes no files.

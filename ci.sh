@@ -52,11 +52,12 @@ go test -race -count=1 -tags simnetpoison ./internal/simnet ./internal/totem ./i
 
 echo "== simulator hot-path smoke =="
 # One Post through the kernel's same-instant lane, one typed delivery
-# through its heap, one simnet datagram from Send to receiver, one
+# through its heap, one simnet datagram from Send to receiver, one token
+# rotation of a 3-member Totem ring carrying a safe message, one
 # 1000-processor restart wave through the gcs group tables (DESIGN.md §6),
 # and one entry through a 100-member seq leader's acks (DESIGN.md §10);
 # each benchmark's setup and one iteration must run.
-go test -run '^$' -bench 'KernelPostStep|KernelDeliverStep|SendDeliver|ReannounceWave1000|SeqLeaderAcks100' -benchtime 1x ./internal/sim ./internal/simnet ./internal/gcs ./internal/order
+go test -run '^$' -bench 'KernelPostStep|KernelDeliverStep|SendDeliver|TotemTokenVisit|ReannounceWave1000|SeqLeaderAcks100' -benchtime 1x ./internal/sim ./internal/simnet ./internal/totem ./internal/gcs ./internal/order
 
 echo "== ctsbench every experiment (writes nothing) =="
 # Every ctsbench entry at its scaled size, gates included; the pinned steps

@@ -103,19 +103,23 @@ func TestClusterObserveDisabledByDefault(t *testing.T) {
 // TestFigure5RetentionBounded runs the Figure 5 loop long enough that a layer
 // keeping every ordered message would show it, and checks the retention
 // gauges of every node at the end: the orderer holds only the ring's last few
-// messages and no executor holds a request it has already run. (Under
-// -orderer=seq there is no totem gauge; the replication log is checked for
-// both orderers.)
+// messages and two generations of duplicate keys, and no executor holds a
+// request it has already run. (Under -orderer=seq there is no totem gauge;
+// the replication log is checked for both orderers.)
 func TestFigure5RetentionBounded(t *testing.T) {
 	const (
 		invocations = 5000
 		maxRetained = 64 // a few token rotations' worth, not a function of invocations
+		// Two key generations. On the 4-member Figure 5 ring a generation is
+		// Totem's floor of 4096 keys (4 rotations × 16 per visit × 4 members
+		// is below it), however many reads have run.
+		maxDupKeys = 2 * 4096
 	)
 	res, err := RunFigure5Traced(1, invocations, nil)
 	if err != nil {
 		t.Fatalf("RunFigure5Traced: %v", err)
 	}
-	var logGauges, totemGauges int
+	var logGauges, totemGauges, keyGauges int
 	for _, s := range res.Metrics {
 		switch s.Name {
 		case "totem.retained_msgs":
@@ -123,6 +127,12 @@ func TestFigure5RetentionBounded(t *testing.T) {
 			if s.Value > maxRetained {
 				t.Errorf("node %d: totem.retained_msgs = %d after %d reads, want ≤ %d",
 					s.Node, s.Value, invocations, maxRetained)
+			}
+		case "totem.dup_keys":
+			keyGauges++
+			if s.Value > maxDupKeys {
+				t.Errorf("node %d: totem.dup_keys = %d after %d reads, want ≤ %d",
+					s.Node, s.Value, invocations, maxDupKeys)
 			}
 		case "totem.discard_point":
 			if s.Value < invocations {
@@ -139,7 +149,7 @@ func TestFigure5RetentionBounded(t *testing.T) {
 	if logGauges == 0 {
 		t.Error("no replication.log_entries gauge gathered")
 	}
-	if DefaultOrderer == order.KindTotem && totemGauges == 0 {
-		t.Error("no totem.retained_msgs gauge gathered")
+	if DefaultOrderer == order.KindTotem && (totemGauges == 0 || keyGauges == 0) {
+		t.Errorf("gathered %d totem.retained_msgs and %d totem.dup_keys gauges, want both", totemGauges, keyGauges)
 	}
 }

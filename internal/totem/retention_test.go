@@ -170,31 +170,51 @@ func TestLateDuplicateOfDiscardedNotRestored(t *testing.T) {
 
 // TestKeyWindowKeepsRecentKeys: the duplicate-suppression table is bounded
 // without ever forgetting a recent identity — the old table dropped every key
-// at once, including one learned a moment before.
+// at once, including one learned a moment before. The window is sized from
+// the ring: four rotations at the full per-visit budget, floored for small
+// rings.
 func TestKeyWindowKeepsRecentKeys(t *testing.T) {
-	n := &Node{keys: make(map[uint64]bool)}
-	const total = 3*keyGeneration + 17
-	for k := uint64(1); k <= total; k++ {
-		n.noteKey(k)
-		if !n.seenKey(k) {
-			t.Fatalf("key %d forgotten as soon as it was learned", k)
-		}
-		if k > keyGeneration && !n.seenKey(k-keyGeneration+1) {
-			t.Fatalf("after key %d, key %d (within the last %d) is forgotten",
-				k, k-keyGeneration+1, keyGeneration)
-		}
-		if got := len(n.keys) + len(n.prevKeys); got > 2*keyGeneration {
-			t.Fatalf("table holds %d keys, bound is %d", got, 2*keyGeneration)
-		}
-	}
-	if n.seenKey(1) {
-		t.Fatal("oldest key never forgotten; the table is not bounded")
-	}
-	// Re-learning a known key must not retire a generation.
-	before := len(n.keys)
-	n.noteKey(total)
-	if len(n.keys) != before {
-		t.Fatalf("re-noting a known key changed the table: %d → %d", before, len(n.keys))
+	for _, tc := range []struct {
+		members int
+		gen     int
+	}{
+		{members: 4, gen: 4096},
+		{members: 1000, gen: 64000},
+	} {
+		t.Run(fmt.Sprintf("members=%d", tc.members), func(t *testing.T) {
+			n := &Node{
+				cfg:     Config{MaxMessagesPerToken: defaultMaxPerToken},
+				members: nodeIDs(tc.members),
+				keys:    make(map[uint64]bool),
+			}
+			gen := n.keyGeneration()
+			if gen != tc.gen {
+				t.Fatalf("%d-member ring: generation %d, want %d", tc.members, gen, tc.gen)
+			}
+			g := uint64(gen)
+			total := 3*g + 17
+			for k := uint64(1); k <= total; k++ {
+				n.noteKey(k)
+				if !n.seenKey(k) {
+					t.Fatalf("key %d forgotten as soon as it was learned", k)
+				}
+				if k > g && !n.seenKey(k-g+1) {
+					t.Fatalf("after key %d, key %d (within the last %d) is forgotten", k, k-g+1, g)
+				}
+				if got := len(n.keys) + len(n.prevKeys); got > 2*gen {
+					t.Fatalf("table holds %d keys, bound is %d", got, 2*gen)
+				}
+			}
+			if n.seenKey(1) {
+				t.Fatal("oldest key never forgotten; the table is not bounded")
+			}
+			// Re-learning a known key must not retire a generation.
+			before := len(n.keys)
+			n.noteKey(total)
+			if len(n.keys) != before {
+				t.Fatalf("re-noting a known key changed the table: %d → %d", before, len(n.keys))
+			}
+		})
 	}
 }
 

@@ -164,7 +164,7 @@ type Node struct {
 	//
 	// keys and prevKeys are the logical identities seen, for duplicate
 	// suppression: a two-generation window (noteKey) that remembers at least
-	// the last keyGeneration identities and at most twice that. Keys outlive
+	// the last keyGeneration() identities and at most twice that. Keys outlive
 	// their message — discarding received[s] does not forget its key.
 	keys, prevKeys map[uint64]bool
 	lastTokenSeq   uint64
@@ -377,9 +377,11 @@ func (n *Node) ObsSamples() []obs.Sample {
 		{Node: id, Name: "totem.memberships", Value: n.stats.Memberships},
 		{Node: id, Name: "totem.token_retrans", Value: n.stats.TokenRetrans},
 		{Node: id, Name: "totem.token_losses", Value: n.stats.TokenLosses},
-		// Gauges: what the ring still retains, and up to where it let go.
+		// Gauges: what the ring still retains (messages and duplicate keys),
+		// and up to where it let go.
 		{Node: id, Name: "totem.retained_msgs", Value: uint64(len(n.received))},
 		{Node: id, Name: "totem.discard_point", Value: n.gcPoint},
+		{Node: id, Name: "totem.dup_keys", Value: uint64(len(n.keys) + len(n.prevKeys))},
 	}
 }
 
@@ -530,10 +532,18 @@ func (n *Node) onToken(tk *Token) {
 	tk.Rtr = dedupSorted(rtr)
 	tk.Fcc = fcc
 
-	// 5. Deliver.
+	// 5. Forward the token before delivering, so that on a real network the
+	// successor's visit overlaps this node's delivery work. Delivery reads
+	// only what the incoming token has already updated (aru, safe point) and
+	// writes nothing the forwarded token carries; anything a delivery queues
+	// goes out at this node's next visit either way.
+	tk.TokenSeq++
+	n.forwardToken(tk)
+
+	// 6. Deliver.
 	n.tryDeliver()
 
-	// 6. Discard what the whole ring holds. One incoming aru is not a full
+	// 7. Discard what the whole ring holds. One incoming aru is not a full
 	// rotation of evidence (a holder of an aruNone token writes its own aru,
 	// in-flight broadcasts included), but no member can have been below the
 	// smaller of two consecutive incoming values: it would have lowered the
@@ -544,10 +554,6 @@ func (n *Node) onToken(tk *Token) {
 		n.discardThrough(minU64(n.delivered, minU64(aruIn, n.prevTokenAru)))
 	}
 	n.prevTokenAru = aruIn
-
-	// 7. Forward the token.
-	tk.TokenSeq++
-	n.forwardToken(tk)
 }
 
 // onData handles a broadcast data message.
@@ -591,21 +597,33 @@ func (n *Node) discardThrough(limit uint64) {
 	}
 }
 
+// minKeyGeneration is the floor of keyGeneration, for small rings.
+const minKeyGeneration = 4096
+
 // keyGeneration is the size at which the current key generation is retired:
 // the node remembers at least this many of the most recent logical
-// identities, and at most twice as many.
-const keyGeneration = 1 << 16
+// identities, and at most twice as many. It is four rotations at the full
+// per-visit budget, floored for small rings; a duplicate is queued within a
+// rotation or two of its original.
+func (n *Node) keyGeneration() int {
+	g := 4 * n.cfg.MaxMessagesPerToken * len(n.members)
+	if g < minKeyGeneration {
+		return minKeyGeneration
+	}
+	return g
+}
 
 func (n *Node) seenKey(k uint64) bool { return n.keys[k] || n.prevKeys[k] }
 
 // noteKey records a logical identity. The table is bounded by keeping two
 // generations and dropping the older one when the current fills; forgetting
-// an old key only costs a redundant send.
+// an old key only costs a redundant send, which the core's and replication's
+// duplicate paths absorb.
 func (n *Node) noteKey(k uint64) {
 	if n.keys[k] {
 		return
 	}
-	if len(n.keys) >= keyGeneration {
+	if len(n.keys) >= n.keyGeneration() {
 		n.prevKeys = n.keys
 		n.keys = make(map[uint64]bool)
 	}
