@@ -1,15 +1,15 @@
 GO ?= go
 
-.PHONY: check fmt vet lint assembly build test race sim-smoke bench-all bench bench-concurrent loadtest campaign-smoke campaign federation-smoke
+.PHONY: check fmt vet lint lint-ledger assembly build test race fuzz sim-smoke bench-all bench bench-concurrent loadtest campaign-smoke campaign federation-smoke
 
 # check is the CI gate: formatting, vet, the project linter, the
-# one-assembly-path grep, build, the race-enabled tests, the simulator
-# hot-path smoke, every ctsbench experiment, the batched-round smoke, the
+# one-assembly-path grep, build, the race-enabled tests, the decoder fuzz
+# smoke, the simulator hot-path smoke, every ctsbench experiment, the batched-round smoke, the
 # timeserve load smoke, the campaign smoke and the federation smoke. Targets that regenerate a
 # committed virtual-time output (BENCH_fig5*.json, BENCH_campaign_smoke.json,
 # BENCH_federation.json) do it through pinned.sh, which fails with the diff
 # if the file moved.
-check: fmt vet lint assembly build race sim-smoke bench-all bench-concurrent loadtest campaign-smoke federation-smoke
+check: fmt vet lint assembly build race fuzz sim-smoke bench-all bench-concurrent loadtest campaign-smoke federation-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -24,6 +24,15 @@ vet:
 # concurrency invariants; see DESIGN.md §8). Exceptions live in lint.allow.
 lint:
 	$(GO) run ./cmd/ctslint
+
+# lint-ledger reruns the slow columns of the mutation ledger (DESIGN.md §8):
+# every seeded bug of internal/lint's ledger goes into a copy of the module,
+# which then runs build+vet, the tier-1 tests with and without -race, and the
+# four pinned outputs. It prints the table DESIGN.md §8 carries and fails if
+# some rule has no seeded bug that only the rule catches. Slow: minutes per
+# row.
+lint-ledger:
+	$(GO) test -tags ledger -run '^TestMutationLedgerColumns$$' -v -timeout 0 ./internal/lint
 
 # assembly holds the one-assembly-path rule (DESIGN.md §13): a replica is
 # wired in internal/node and nowhere else, so no other non-test Go outside
@@ -49,6 +58,12 @@ race:
 	$(GO) test -race -count=1 ./...
 	$(GO) test -race -count=1 ./internal/experiment -orderer=seq
 	$(GO) test -race -count=1 -tags simnetpoison ./internal/simnet ./internal/totem ./internal/order
+
+# fuzz gives each socket-facing timeserve decoder ten seconds of
+# coverage-guided input beyond its seed corpus (testdata/fuzz).
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 10s ./internal/timeserve
+	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 10s ./internal/timeserve
 
 # sim-smoke runs one iteration of the simulator hot-path benchmarks: a
 # Post through the kernel's same-instant lane, a typed delivery through its

@@ -16,10 +16,11 @@ fi
 echo "== go vet =="
 go vet ./...
 
-# All rules run (no -rules subsetting here, so CI can never drift from the
-# full rule set); -v records per-rule wall time in the CI log. Baseline
-# justifications are enforced by the lint.allow parser itself (non-trivially
-# short, stale entries fail), so a bare `# why` can't slip through review.
+# ctslint always runs every rule (DESIGN.md §8; `make lint-ledger` shows
+# what each one catches that no other step here does); -v records per-rule
+# wall time in the CI log. Baseline justifications are enforced by the
+# lint.allow parser itself (non-trivially short, stale entries fail), so a
+# bare `# why` can't slip through review.
 echo "== ctslint =="
 go run ./cmd/ctslint -v
 
@@ -49,6 +50,12 @@ echo "== go test -race (orderer suites over poisoned simnet deliveries) =="
 # scribbles over them at that point, so a receiver that kept the payload
 # slice reads garbage (and, from another goroutine, races).
 go test -race -count=1 -tags simnetpoison ./internal/simnet ./internal/totem ./internal/order
+
+echo "== fuzz the timeserve decoders =="
+# Both decoders face the socket: ten seconds of coverage-guided input each,
+# on top of the committed seed corpus in internal/timeserve/testdata/fuzz.
+go test -run '^$' -fuzz '^FuzzParseRequest$' -fuzztime 10s ./internal/timeserve
+go test -run '^$' -fuzz '^FuzzParseResponse$' -fuzztime 10s ./internal/timeserve
 
 echo "== simulator hot-path smoke =="
 # One Post through the kernel's same-instant lane, one typed delivery

@@ -14,12 +14,12 @@ package lint
 //     types resolve through go/types to their declarations.
 //   - interface dispatch: a call through a module interface fans out to
 //     every module type whose method set implements it (types.Implements),
-//     bounded by Config.DispatchBound; beyond the bound the call is treated
-//     as unknown.
+//     bounded by dispatchBound; beyond the bound the call is treated as
+//     unknown.
 //   - stdlib calls: Load resolves the standard library to synthetic empty
 //     packages, so stdlib calls have no bodies. A small reviewed assume
-//     list (Config.AllocfreeAssume) marks the ones the hot path needs
-//     (binary.BigEndian puts, atomics, time.Now); everything else is
+//     list (allocfreeAssume) marks the ones the hot path needs
+//     (binary.BigEndian puts, typed atomics, time.Now); everything else is
 //     "unknown code", which allocfree reports conservatively.
 //   - dynamic calls (func values, method values) are unknown.
 //
@@ -75,6 +75,48 @@ type Graph struct {
 	dispatchCache map[dispatchKey][]*types.Func
 }
 
+// dispatchBound caps interface-dispatch fan-out in the call graph; beyond
+// it a call is treated as unknown code.
+const dispatchBound = 12
+
+// allocfreeAssume is the reviewed list of unanalyzable (stdlib/dynamic)
+// calls allocfree trusts not to allocate. Entries: exact rendered call
+// ("time.Now"), "pkg.Recv." prefix wildcard ("binary.BigEndian."), or a
+// bare method name matched against any receiver ("Load").
+var allocfreeAssume = []string{
+	// Exact stdlib calls the hot path is allowed to make.
+	"time.Now",
+	"errors.Is",
+	// Prefix wildcards: the whole binary.BigEndian/LittleEndian put/get
+	// families are value-level.
+	"binary.BigEndian.",
+	"binary.LittleEndian.",
+	// Bare method names: receivers are synthetic stdlib types (typed atomic
+	// fields, net.PacketConn, time.Time) the checker cannot resolve. All
+	// reviewed as non-allocating.
+	"Load",
+	"Store",
+	"Add",
+	"Swap",
+	"CompareAndSwap",
+	"ReadFrom",
+	"WriteTo",
+	"ReadFromUDP",
+	"WriteToUDP",
+	// syscall.RawConn dispatch in the batched serve loop: Read/Write invoke
+	// a pre-built closure over the raw fd and park on the netpoller; neither
+	// allocates in steady state. Keyed to the rendered receiver so unrelated
+	// Read/Write calls stay flagged.
+	"rc.Read",
+	"rc.Write",
+	"UnixNano",
+	"Nanoseconds",
+	"Seconds",
+	"Milliseconds",
+	"Microseconds",
+	"Done",
+}
+
 type dispatchKey struct {
 	iface  *types.Interface
 	method string
@@ -89,9 +131,6 @@ func BuildGraph(pkgs []*Package, cfg Config) *Graph {
 		cfg:           cfg,
 		nodes:         make(map[*types.Func]*FuncNode),
 		dispatchCache: make(map[dispatchKey][]*types.Func),
-	}
-	if g.cfg.DispatchBound <= 0 {
-		g.cfg.DispatchBound = 12
 	}
 
 	// Collect named types (for interface dispatch) and function nodes.
@@ -306,13 +345,9 @@ func (g *Graph) classifyQualified(p *Package, call *ast.CallExpr, pn *types.PkgN
 		}
 	}
 	// Synthetic (stdlib) package: no scope entries. Consult the reviewed
-	// lists: value-type conversions first, then the assume list.
-	for _, conv := range g.cfg.AllocfreeConvFree {
-		if qual == conv {
-			return classified{class: callAssumed}
-		}
-	}
-	if g.assumed(qual) {
+	// lists: time.Duration, the one stdlib value-type conversion the hot
+	// path makes, then the assume list.
+	if qual == "time.Duration" || assumed(qual) {
 		return classified{class: callAssumed}
 	}
 	return classified{class: callUnknown,
@@ -324,7 +359,7 @@ func (g *Graph) classifyQualified(p *Package, call *ast.CallExpr, pn *types.PkgN
 // may vouch for the rendered call or the bare method name.
 func (g *Graph) classifyUnresolved(sel *ast.SelectorExpr, fallback string) classified {
 	rendered := types.ExprString(sel)
-	if g.assumed(rendered) || g.assumed(sel.Sel.Name) {
+	if assumed(rendered) || assumed(sel.Sel.Name) {
 		return classified{class: callAssumed}
 	}
 	desc := fallback
@@ -334,11 +369,11 @@ func (g *Graph) classifyUnresolved(sel *ast.SelectorExpr, fallback string) class
 	return classified{class: callUnknown, desc: desc}
 }
 
-// assumed consults Config.AllocfreeAssume: exact rendered match, "pkg."
+// assumed consults allocfreeAssume: exact rendered match, "pkg."
 // prefix wildcard, or bare method name (entries without a dot).
-func (g *Graph) assumed(rendered string) bool {
+func assumed(rendered string) bool {
 	last := rendered[strings.LastIndex(rendered, ".")+1:]
-	for _, a := range g.cfg.AllocfreeAssume {
+	for _, a := range allocfreeAssume {
 		switch {
 		case strings.HasSuffix(a, "."):
 			if strings.HasPrefix(rendered, a) {
@@ -373,9 +408,7 @@ func (g *Graph) classifyBuiltin(name string) classified {
 
 // classifyConversion decides whether a type conversion allocates: string ↔
 // byte/rune slices do, interface targets box, numeric and struct-value
-// conversions are free. Invalid types (synthetic stdlib) default to free —
-// stdlib value types the hot path converts through are reviewed via
-// Config.AllocfreeConvFree.
+// conversions are free. Invalid types (synthetic stdlib) default to free.
 func (g *Graph) classifyConversion(p *Package, call *ast.CallExpr) classified {
 	if len(call.Args) != 1 {
 		return classified{class: callAssumed}
@@ -424,7 +457,7 @@ func isNilIdent(e ast.Expr) bool {
 }
 
 // dispatch fans an interface method call out to every module implementation,
-// bounded by Config.DispatchBound. ok=false means the bound was exceeded (or
+// bounded by dispatchBound. ok=false means the bound was exceeded (or
 // no implementation was found) and the caller must treat the call as unknown.
 func (g *Graph) dispatch(iface *types.Interface, method string) ([]*types.Func, bool) {
 	key := dispatchKey{iface, method}
@@ -448,7 +481,7 @@ func (g *Graph) dispatch(iface *types.Interface, method string) ([]*types.Func, 
 		}
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].Pos() < targets[j].Pos() })
-	if len(targets) == 0 || len(targets) > g.cfg.DispatchBound {
+	if len(targets) == 0 || len(targets) > dispatchBound {
 		g.dispatchCache[key] = nil
 		return nil, false
 	}

@@ -6,7 +6,8 @@
 // replicas process ordered events deterministically; these rules turn that
 // from review discipline into a machine-checked CI gate.
 //
-// Rules (each independently toggleable, see DESIGN.md §8 for rationale):
+// Rules (see DESIGN.md §8 for rationale, and for the mutation ledger that
+// shows each one catching a seeded bug no other CI step catches):
 //
 //   - allocfree: functions annotated `//cts:allocfree` (the timeserve serve
 //     path, core.LeaseRead) must reach no allocating construct through any
@@ -20,8 +21,8 @@
 //     internal/sim, internal/testutil) and _test.go files.
 //   - maporder: map iteration whose results reach wire encoding or multicast
 //     send paths unsorted is cross-replica nondeterminism.
-//   - atomicmix: a field accessed through sync/atomic functions anywhere must
-//     be accessed that way everywhere.
+//   - atomicmix: the sync/atomic function API is banned; the typed atomics
+//     (atomic.Uint64, atomic.Pointer, …) cannot be mixed with plain access.
 //   - errdrop: error returns on transport/wire encode-decode paths must not
 //     be silently discarded by a bare call statement.
 //
@@ -56,9 +57,6 @@ type Finding struct {
 	// exceptions survive unrelated line drift.
 	Scope string
 	Msg   string
-	// Chain is the interprocedural call chain (root first) for findings from
-	// graph-based rules; nil for single-function rules.
-	Chain []string
 }
 
 func (f Finding) String() string {
@@ -66,42 +64,12 @@ func (f Finding) String() string {
 		f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Rule, f.Msg, f.Scope)
 }
 
-// Config selects and parameterizes rules. The zero value runs every rule
-// with the project defaults.
+// Config parameterizes the rules. DefaultConfig is the project's.
 type Config struct {
-	// Rules enables a subset by name; nil or empty enables all.
-	Rules map[string]bool
-
-	// NotimeAllowed lists package-path suffixes exempt from notime: the
-	// packages that *are* the clock abstraction.
-	NotimeAllowed []string
-
-	// OrderedImports and OrderedPkgSuffixes decide which packages maporder
-	// watches: any package importing one of OrderedImports, or whose import
-	// path ends in one of OrderedPkgSuffixes, can put bytes on the wire and
-	// must not let map iteration order reach them.
-	OrderedImports     []string
-	OrderedPkgSuffixes []string
-
-	// AllocfreeAssume is the reviewed list of unanalyzable (stdlib/dynamic)
-	// calls allocfree trusts not to allocate. Entries: exact rendered call
-	// ("time.Now"), "pkg.Recv." prefix wildcard ("atomic."), or a bare
-	// method name matched against any receiver ("Load").
-	AllocfreeAssume []string
-
-	// AllocfreeConvFree lists stdlib value-type conversions that are free
-	// ("time.Duration"); with synthetic stdlib types the checker cannot see
-	// for itself that they are numeric.
-	AllocfreeConvFree []string
-
 	// AllocfreeRequire pins functions that must exist and carry the
 	// //cts:allocfree annotation whenever their package is analyzed, so the
 	// hot-path contract cannot silently vanish in a refactor.
 	AllocfreeRequire []RequiredRoot
-
-	// DispatchBound caps interface-dispatch fan-out in the call graph;
-	// beyond it a call is treated as unknown code. 0 means the default (12).
-	DispatchBound int
 }
 
 // RequiredRoot names one mandatory //cts:allocfree root: the function Func
@@ -114,68 +82,13 @@ type RequiredRoot struct {
 
 // DefaultConfig returns the project rule parameters.
 func DefaultConfig() Config {
-	cfg := Config{
-		NotimeAllowed: []string{
-			"internal/hwclock",
-			"internal/timesource",
-			"internal/sim",
-			"internal/testutil",
-		},
-		OrderedImports: []string{
-			"cts/internal/wire",
-			"cts/internal/transport",
-			"cts/internal/udptransport",
-		},
-		OrderedPkgSuffixes: []string{
-			"internal/wire",
-			"internal/timeserve",
-			"internal/transport",
-		},
-		AllocfreeAssume: []string{
-			// Exact stdlib calls the hot path is allowed to make.
-			"time.Now",
-			"errors.Is",
-			// Prefix wildcards: the whole binary.BigEndian/LittleEndian put/
-			// get families and every sync/atomic entry point are value-level.
-			"binary.BigEndian.",
-			"binary.LittleEndian.",
-			"atomic.",
-			// Bare method names: receivers are synthetic stdlib types
-			// (atomic.Pointer fields, net.PacketConn, time.Time) the checker
-			// cannot resolve. All reviewed as non-allocating.
-			"Load",
-			"Store",
-			"Add",
-			"Swap",
-			"CompareAndSwap",
-			"ReadFrom",
-			"WriteTo",
-			"ReadFromUDP",
-			"WriteToUDP",
-			// syscall.RawConn dispatch in the batched serve loop: Read/Write
-			// invoke a pre-built closure over the raw fd and park on the
-			// netpoller; neither allocates in steady state. Keyed to the
-			// rendered receiver so unrelated Read/Write calls stay flagged.
-			"rc.Read",
-			"rc.Write",
-			"UnixNano",
-			"Nanoseconds",
-			"Seconds",
-			"Milliseconds",
-			"Microseconds",
-			"Done",
-		},
-		AllocfreeConvFree: []string{
-			"time.Duration",
-		},
-		// The serving hot path: the sequential loop, the one per-datagram
-		// answer loop both I/O paths share, the lease read.
-		AllocfreeRequire: []RequiredRoot{
-			{PkgSuffix: "internal/timeserve", Func: "Server.serveLoop"},
-			{PkgSuffix: "internal/timeserve", Func: "Server.answerDatagram"},
-			{PkgSuffix: "internal/core", Func: "TimeService.LeaseRead"},
-		},
-	}
+	// The serving hot path: the sequential loop, the one per-datagram
+	// answer loop both I/O paths share, the lease read.
+	cfg := Config{AllocfreeRequire: []RequiredRoot{
+		{PkgSuffix: "internal/timeserve", Func: "Server.serveLoop"},
+		{PkgSuffix: "internal/timeserve", Func: "Server.answerDatagram"},
+		{PkgSuffix: "internal/core", Func: "TimeService.LeaseRead"},
+	}}
 	// The batched drain-serve cycle exists where mmsg_linux.go builds; the
 	// loader follows the host's build constraints.
 	if runtime.GOOS == "linux" && (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64") {
@@ -183,13 +96,6 @@ func DefaultConfig() Config {
 			RequiredRoot{PkgSuffix: "internal/timeserve", Func: "Server.serveBatch"})
 	}
 	return cfg
-}
-
-func (c Config) enabled(rule string) bool {
-	if len(c.Rules) == 0 {
-		return true
-	}
-	return c.Rules[rule]
 }
 
 // Run analyzes pkgs under cfg and returns findings sorted by position.
@@ -206,27 +112,16 @@ type RuleStat struct {
 }
 
 // RunStats is Run plus per-rule wall time. The interprocedural rules
-// (allocfree, lockorder) share one lazily built call graph: the graph is
-// constructed at most once per invocation, and not at all when neither rule
-// is enabled — adding the graph-based passes must not double lint wall time
+// (allocfree, lockorder) share one call graph, built once per invocation
 // over the already-loaded package set.
 func RunStats(pkgs []*Package, cfg Config) ([]Finding, []RuleStat) {
 	var (
 		out   []Finding
 		stats []RuleStat
-		g     *Graph
 	)
-	graph := func() *Graph {
-		if g == nil {
-			g = BuildGraph(pkgs, cfg)
-		}
-		return g
-	}
+	g := BuildGraph(pkgs, cfg)
 	mono := hwclock.Monotonic()
 	run := func(rule string, fn func() []Finding) {
-		if !cfg.enabled(rule) {
-			return
-		}
 		start := mono()
 		fs := fn()
 		stats = append(stats, RuleStat{Rule: rule, Duration: mono() - start, Findings: len(fs)})
@@ -241,12 +136,12 @@ func RunStats(pkgs []*Package, cfg Config) ([]Finding, []RuleStat) {
 			return fs
 		}
 	}
-	run("allocfree", func() []Finding { return checkAllocfree(graph()) })
-	run("atomicmix", eachPkg(checkAtomicmix))
+	run("allocfree", func() []Finding { return checkAllocfree(g) })
+	run("atomicmix", eachPkg(func(p *Package) []Finding { return checkBanned(p, atomicmixBan) }))
 	run("errdrop", eachPkg(checkErrdrop))
-	run("lockorder", func() []Finding { return checkLockorder(graph()) })
-	run("maporder", eachPkg(func(p *Package) []Finding { return checkMaporder(p, cfg) }))
-	run("notime", eachPkg(func(p *Package) []Finding { return checkNotime(p, cfg) }))
+	run("lockorder", func() []Finding { return checkLockorder(g) })
+	run("maporder", eachPkg(checkMaporder))
+	run("notime", eachPkg(func(p *Package) []Finding { return checkBanned(p, notimeBan) }))
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {

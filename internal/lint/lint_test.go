@@ -120,25 +120,6 @@ func TestGoldenCorpus(t *testing.T) {
 	}
 }
 
-// TestRuleToggle proves rules run independently: enabling a single rule
-// yields only that rule's findings, and every rule fires on the corpus.
-func TestRuleToggle(t *testing.T) {
-	pkgs := loadCorpus(t)
-	for _, rule := range AllRules {
-		cfg := DefaultConfig()
-		cfg.Rules = map[string]bool{rule: true}
-		findings := Run(pkgs, cfg)
-		if len(findings) == 0 {
-			t.Errorf("rule %s alone: no findings on corpus", rule)
-		}
-		for _, f := range findings {
-			if f.Rule != rule {
-				t.Errorf("rule %s alone produced a %s finding: %s", rule, f.Rule, f)
-			}
-		}
-	}
-}
-
 // TestRepoClean is the self-hosting gate: the repository itself, filtered
 // through the reviewed lint.allow, must be free of findings and free of
 // stale baseline entries.

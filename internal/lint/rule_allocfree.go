@@ -10,10 +10,10 @@ package lint
 // it. Each finding carries the call chain from the root so the fix site is
 // obvious even three frames down.
 //
-// The serving hot path justifies the strictness: ROADMAP item 2 targets
-// 1M+ qps on the timeserve edge, where one allocation per datagram is a GC
-// death sentence, and core.LeaseRead is the per-query clock read every
-// datagram performs.
+// The serving hot path justifies the strictness: the timeserve edge serves
+// over a million queries per second (DESIGN.md §7), where one allocation per
+// datagram is a GC death sentence, and core.LeaseRead is the per-query clock
+// read every datagram performs.
 
 import (
 	"go/token"
@@ -41,7 +41,6 @@ func checkAllocfree(g *Graph) []Finding {
 			Pos:   g.position(s.pkg, s.pos),
 			Scope: s.pkg.scopeOf(s.pos),
 			Msg:   s.desc + " on allocfree path (chain: " + strings.Join(chain, " → ") + ")",
-			Chain: append([]string(nil), chain...),
 		}
 		out = append(out, f)
 	}

@@ -121,7 +121,6 @@ func checkLockorder(g *Graph) []Finding {
 			Pos:   g.position(pkg, pos),
 			Scope: pkg.scopeOf(pos),
 			Msg:   msg,
-			Chain: append([]string(nil), chain...),
 		})
 	}
 
@@ -137,21 +136,28 @@ func checkLockorder(g *Graph) []Finding {
 			}
 		}
 		for _, c := range sum.calls {
-			if len(c.held) == 0 {
-				continue
-			}
 			for _, t := range c.targets {
 				m := g.nodeOf(t)
 				if m == nil {
 					continue
 				}
+				// A lock the callee releases on entry is not held across it.
+				var held []string
+				for _, h := range c.held {
+					if !m.sum.releases[h] {
+						held = append(held, h)
+					}
+				}
+				if len(held) == 0 {
+					continue
+				}
 				for cls, chain := range acqOf[m] {
-					for _, h := range c.held {
+					for _, h := range held {
 						addEdge(lockEdge{h, cls, c.pkg, c.pos, append([]string{name}, chain...)})
 					}
 				}
 				if w := blkOf[m]; w != nil {
-					hazard(c.pkg, c.pos, w.desc, strings.Join(c.held, ", "),
+					hazard(c.pkg, c.pos, w.desc, strings.Join(held, ", "),
 						append([]string{name}, w.chain...))
 				}
 			}
@@ -262,7 +268,6 @@ func lockCycles(g *Graph, edges map[[2]string]lockEdge) []Finding {
 			Pos:   g.position(wit.pkg, wit.pos),
 			Scope: wit.pkg.scopeOf(wit.pos),
 			Msg:   "lock order cycle: " + strings.Join(cycle, " → "),
-			Chain: cycle,
 		})
 	}
 	return out

@@ -13,7 +13,7 @@ import (
 // machines; WALDEN shows clock-sync protocols failing through such drift).
 //
 // Two shapes are flagged, only in packages that can put bytes on the wire
-// (they import the wire/transport layers or are one, per Config):
+// (they import the wire/transport layers or are one, see orderedImports):
 //
 //  1. a map-range body that directly calls a send primitive
 //     (Multicast/Broadcast/Send/SendTo) or a wire-package function — the
@@ -22,8 +22,8 @@ import (
 //     never sorted later in the same function — the collected order leaks
 //     to whatever consumes the slice (the sanctioned pattern is
 //     collect-then-sort, as in gcs.broadcastGroups).
-func checkMaporder(p *Package, cfg Config) []Finding {
-	if !p.importsAny(cfg.OrderedImports) && !hasAnySuffix(p.Path, cfg.OrderedPkgSuffixes) {
+func checkMaporder(p *Package) []Finding {
+	if !p.importsAny(orderedImports) && !hasAnySuffix(p.Path, orderedPkgSuffixes) {
 		return nil
 	}
 	var out []Finding
@@ -52,6 +52,14 @@ func checkMaporder(p *Package, cfg Config) []Finding {
 	}
 	return out
 }
+
+// orderedImports and orderedPkgSuffixes decide which packages maporder
+// watches: any package importing one of orderedImports, or whose import
+// path ends in one of orderedPkgSuffixes, can put bytes on the wire.
+var (
+	orderedImports     = []string{"cts/internal/wire", "cts/internal/transport", "cts/internal/udptransport"}
+	orderedPkgSuffixes = []string{"internal/wire", "internal/timeserve", "internal/transport"}
+)
 
 var sendMethods = map[string]bool{
 	"Multicast": true,

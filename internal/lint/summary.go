@@ -25,6 +25,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 )
 
@@ -70,6 +71,10 @@ type summary struct {
 	calls    []callEvent
 	acquires []acquireEvent
 	blocks   []blockEvent
+	// releases are the lock classes the body unlocks without having locked
+	// them: a callee like sim.Kernel.runLocked that its caller enters
+	// holding the lock, and that releases it before doing anything else.
+	releases map[string]bool
 }
 
 // summarize walks one declared function.
@@ -216,8 +221,13 @@ func (w *bodyWalker) stmt(s ast.Stmt) {
 					w.sum.acquires = append(w.sum.acquires,
 						acquireEvent{w.p, call.Pos(), class, w.heldList()})
 					w.held[class] = call.Pos()
-				} else {
+				} else if _, ok := w.held[class]; ok {
 					delete(w.held, class)
+				} else {
+					if w.sum.releases == nil {
+						w.sum.releases = make(map[string]bool)
+					}
+					w.sum.releases[class] = true
 				}
 				return
 			}
@@ -250,8 +260,12 @@ func (w *bodyWalker) stmt(s ast.Stmt) {
 	case *ast.IfStmt:
 		w.stmt(s.Init)
 		w.expr(s.Cond)
-		w.block(s.Body)
-		w.stmt(s.Else)
+		w.branch(s.Body)
+		if b, ok := s.Else.(*ast.BlockStmt); ok {
+			w.branch(b)
+		} else {
+			w.stmt(s.Else)
+		}
 	case *ast.ForStmt:
 		w.stmt(s.Init)
 		if s.Cond != nil {
@@ -325,6 +339,21 @@ func (w *bodyWalker) stmt(s ast.Stmt) {
 			}
 		}
 	}
+}
+
+// branch walks one arm of an if. An arm that ends in a return does not fall
+// through, so the locks it releases (the early-return unlock of
+// `mu.Lock(); if closed { mu.Unlock(); return }`) are still held after it.
+func (w *bodyWalker) branch(b *ast.BlockStmt) {
+	if n := len(b.List); n > 0 {
+		if _, ok := b.List[n-1].(*ast.ReturnStmt); ok {
+			held := maps.Clone(w.held)
+			w.block(b)
+			w.held = held
+			return
+		}
+	}
+	w.block(b)
 }
 
 func (w *bodyWalker) assign(lhs, rhs []ast.Expr) {

@@ -1,31 +1,40 @@
-// Package atomicmix is ctslint golden corpus: fields accessed both through
-// sync/atomic functions and plainly.
+// Package atomicmix is ctslint golden corpus: the sync/atomic function API
+// is banned everywhere; the typed atomics are free.
 package atomicmix
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	sa "sync/atomic"
+)
 
 type counter struct {
-	n    uint64
-	safe uint64
+	n     uint64
+	typed atomic.Uint64
 }
 
 func (c *counter) inc() {
-	atomic.AddUint64(&c.n, 1)
+	atomic.AddUint64(&c.n, 1) // want: atomicmix AddUint64
 }
 
 func (c *counter) read() uint64 {
-	return atomic.LoadUint64(&c.n)
+	return sa.LoadUint64(&c.n) // want: atomicmix LoadUint64
 }
 
-func (c *counter) badPlainRead() uint64 {
-	return c.n // want: atomicmix plain access
+func (c *counter) plainRead() uint64 {
+	return c.n // the function API is the finding, wherever it is used
 }
 
-func (c *counter) badPlainWrite() {
-	c.n = 0 // want: atomicmix plain access
+func (c *counter) okTyped() uint64 {
+	c.typed.Add(1)
+	c.typed.CompareAndSwap(1, 2)
+	return c.typed.Load()
 }
 
-func (c *counter) okOtherField() uint64 {
-	c.safe++ // never accessed atomically; plain access is fine
-	return c.safe
+func okShadowed() {
+	atomic := fakeAtomic{} // a local binding shadows the package
+	atomic.AddUint64()
 }
+
+type fakeAtomic struct{}
+
+func (fakeAtomic) AddUint64() {}

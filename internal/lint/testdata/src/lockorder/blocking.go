@@ -131,3 +131,27 @@ func (g *guarded) okPollThrough() {
 func (g *guarded) okNoLock(v int) {
 	g.ch <- v
 }
+
+// An early-return unlock does not fall through: the lock is still held
+// after the if.
+func (g *guarded) badAfterEarlyReturn(closed bool, v int) {
+	g.mu.Lock()
+	if closed {
+		g.mu.Unlock()
+		return
+	}
+	g.ch <- v // want: lockorder channel send while lockorder.guarded.mu is held
+	g.mu.Unlock()
+}
+
+// sendLocked is entered with g.mu held and releases it before it blocks,
+// so its caller does not block under the lock.
+func (g *guarded) sendLocked(v int) {
+	g.mu.Unlock()
+	g.ch <- v
+}
+
+func (g *guarded) okCalleeReleases(v int) {
+	g.mu.Lock()
+	g.sendLocked(v)
+}

@@ -5,6 +5,7 @@ import (
 
 	"cts/internal/obs"
 	"cts/internal/sim"
+	"cts/internal/totem"
 	"cts/internal/transport"
 )
 
@@ -26,7 +27,7 @@ type InstantHub struct {
 	nodes       map[transport.NodeID]*instantNode // registered (Start/Stop toggle active)
 	pending     []*instantPending
 	flushQueued bool
-	seen        map[uint64]bool
+	seen        totem.KeyWindow // dupKeys ordered, for suppression
 	// active caches the active nodes in id order, so a delivery walks a
 	// slice instead of looking every receiver up in nodes. Rebuilding it on
 	// every delivery is O(N log N) per message, which dominates
@@ -49,7 +50,6 @@ type InstantHub struct {
 func NewInstantHub() *InstantHub {
 	return &InstantHub{
 		nodes: make(map[transport.NodeID]*instantNode),
-		seen:  make(map[uint64]bool),
 	}
 }
 
@@ -175,15 +175,13 @@ func (h *InstantHub) flush() {
 		if sender == nil || !sender.active {
 			continue // sender stopped between queue and flush
 		}
-		if p.dupKey != 0 && h.seen[p.dupKey] {
+		if h.seen.Seen(p.dupKey) {
 			p.cancelled = true
 			sender.stats.Suppressed++
 			continue
 		}
 		p.sent = true
-		if p.dupKey != 0 {
-			h.seen[p.dupKey] = true
-		}
+		h.seen.Note(p.dupKey, totem.KeyGeneration(len(h.activeNodes()), totem.DefaultMaxMessagesPerToken))
 		h.seq++
 		h.deliverAll(p)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"cts/internal/obs"
 	"cts/internal/sim"
+	"cts/internal/totem"
 	"cts/internal/transport"
 )
 
@@ -18,7 +19,6 @@ const (
 	defaultSeqResend    = 2 * time.Millisecond
 	defaultSeqElection  = 4 * time.Millisecond
 	seqMaxNack          = 64
-	seqMaxSeenKeys      = 1 << 17
 )
 
 // seqState is the coarse protocol state of a sequencer node.
@@ -96,7 +96,7 @@ type seqNode struct {
 	prunedTo    uint64
 	totalOrder  uint64
 	safeWaitSeq uint64
-	seenKeys    map[uint64]bool // dupKeys of entries seen, for suppression
+	seenKeys    totem.KeyWindow // dupKeys of entries seen, for suppression
 
 	// Leader state.
 	nextLocal map[transport.NodeID]uint64                 // next expected Local per sender (this epoch)
@@ -156,7 +156,6 @@ func newSeqOrderer(env Env, opts Options) (Orderer, error) {
 		universe: universe,
 		quorum:   quorumOrDefault(opts.Quorum, len(universe)),
 		received: make(map[uint64]*seqEntry),
-		seenKeys: make(map[uint64]bool),
 		obs:      env.Obs,
 	}
 	env.Transport.SetReceiver(n.receive)
@@ -294,7 +293,7 @@ func (n *seqNode) sendPropose(p *seqPending, resend bool) {
 // gap-freedom chain at the new leader.
 func (n *seqNode) suppressSeenPending() {
 	for _, p := range n.pend {
-		if !p.cancelled && p.dupKey != 0 && n.seenKeys[p.dupKey] {
+		if !p.cancelled && n.seenKeys.Seen(p.dupKey) {
 			p.cancelled = true
 			n.stats.Suppressed++
 		}
@@ -430,7 +429,7 @@ func (n *seqNode) onPropose(p *seqPropose) {
 
 func (n *seqNode) orderProposal(p *seqPropose) {
 	n.nextLocal[p.Sender] = p.Local + 1
-	if p.DupKey != 0 && n.seenKeys[p.DupKey] {
+	if n.seenKeys.Seen(p.DupKey) {
 		n.stats.Suppressed++
 		return
 	}
@@ -655,14 +654,10 @@ func (n *seqNode) prune() {
 	}
 }
 
+// noteSeen records an entry's dupKey in a window sized like a Totem ring of
+// the same view.
 func (n *seqNode) noteSeen(dupKey uint64) {
-	if dupKey == 0 {
-		return
-	}
-	if len(n.seenKeys) > seqMaxSeenKeys {
-		n.seenKeys = make(map[uint64]bool)
-	}
-	n.seenKeys[dupKey] = true
+	n.seenKeys.Note(dupKey, totem.KeyGeneration(len(n.view.Members), totem.DefaultMaxMessagesPerToken))
 }
 
 // clearPendingFor retires the local proposal matched by an ordered entry.

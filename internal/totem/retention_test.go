@@ -57,7 +57,7 @@ func TestRetentionBoundedUnderLoss(t *testing.T) {
 		i, n, sent := i, h.nodes[id], 0
 		var pump func()
 		pump = func() {
-			for len(n.sendq) < 2*defaultMaxPerToken && sent < perNode {
+			for len(n.sendq) < 2*DefaultMaxMessagesPerToken && sent < perNode {
 				n.BroadcastCancelable([]byte(fmt.Sprintf("n%d-m%d", i, sent)), false, 0)
 				sent++
 			}
@@ -168,11 +168,11 @@ func TestLateDuplicateOfDiscardedNotRestored(t *testing.T) {
 	}
 }
 
-// TestKeyWindowKeepsRecentKeys: the duplicate-suppression table is bounded
-// without ever forgetting a recent identity — the old table dropped every key
-// at once, including one learned a moment before. The window is sized from
-// the ring: four rotations at the full per-visit budget, floored for small
-// rings.
+// TestKeyWindowKeepsRecentKeys: the duplicate-suppression window every
+// orderer shares is bounded without ever forgetting a recent identity — the
+// old tables dropped every key at once, including one learned a moment
+// before. A ring sizes its window from the membership: four rotations at the
+// full per-visit budget, floored for small rings.
 func TestKeyWindowKeepsRecentKeys(t *testing.T) {
 	for _, tc := range []struct {
 		members int
@@ -183,36 +183,40 @@ func TestKeyWindowKeepsRecentKeys(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("members=%d", tc.members), func(t *testing.T) {
 			n := &Node{
-				cfg:     Config{MaxMessagesPerToken: defaultMaxPerToken},
+				cfg:     Config{MaxMessagesPerToken: DefaultMaxMessagesPerToken},
 				members: nodeIDs(tc.members),
-				keys:    make(map[uint64]bool),
 			}
 			gen := n.keyGeneration()
 			if gen != tc.gen {
 				t.Fatalf("%d-member ring: generation %d, want %d", tc.members, gen, tc.gen)
 			}
+			var w KeyWindow
 			g := uint64(gen)
 			total := 3*g + 17
 			for k := uint64(1); k <= total; k++ {
-				n.noteKey(k)
-				if !n.seenKey(k) {
+				w.Note(k, gen)
+				if !w.Seen(k) {
 					t.Fatalf("key %d forgotten as soon as it was learned", k)
 				}
-				if k > g && !n.seenKey(k-g+1) {
+				if k > g && !w.Seen(k-g+1) {
 					t.Fatalf("after key %d, key %d (within the last %d) is forgotten", k, k-g+1, g)
 				}
-				if got := len(n.keys) + len(n.prevKeys); got > 2*gen {
-					t.Fatalf("table holds %d keys, bound is %d", got, 2*gen)
+				if got := w.Len(); got > 2*gen {
+					t.Fatalf("window holds %d keys, bound is %d", got, 2*gen)
 				}
 			}
-			if n.seenKey(1) {
-				t.Fatal("oldest key never forgotten; the table is not bounded")
+			if w.Seen(1) {
+				t.Fatal("oldest key never forgotten; the window is not bounded")
 			}
 			// Re-learning a known key must not retire a generation.
-			before := len(n.keys)
-			n.noteKey(total)
-			if len(n.keys) != before {
-				t.Fatalf("re-noting a known key changed the table: %d → %d", before, len(n.keys))
+			before := w.Len()
+			w.Note(total, gen)
+			if w.Len() != before {
+				t.Fatalf("re-noting a known key changed the window: %d → %d", before, w.Len())
+			}
+			w.Note(0, gen)
+			if w.Seen(0) || w.Len() != before {
+				t.Fatal("key 0 (no identity) was noted")
 			}
 		})
 	}
@@ -227,11 +231,11 @@ func TestKeyWindowKeepsRecentKeys(t *testing.T) {
 // rolled back below the others' discard point. With today's safe point (one
 // incoming aru) the protocol cannot reach that state by itself — a member's
 // safe point passes s before any other member's second visit with aru ≥ s —
-// so the test forces it; a stricter safe point (ROADMAP item 1) would reach
-// it naturally. The roll-back happens in the instant node 3 forwards the
-// token to node 0, and node 0 — the lowest id, whose range claim used to win
-// every assignment — crashes in the same instant, so nobody sees a token
-// again before the membership change.
+// so the test forces it; a stricter safe point (DESIGN.md §6, "What each
+// layer retains") would reach it naturally. The roll-back happens in the
+// instant node 3 forwards the token to node 0, and node 0 — the lowest id,
+// whose range claim used to win every assignment — crashes in the same
+// instant, so nobody sees a token again before the membership change.
 func TestRecoveryAfterDiscard(t *testing.T) {
 	const (
 		total    = 40

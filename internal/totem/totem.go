@@ -20,9 +20,12 @@ const (
 	defaultJoinTimeout   = 4 * time.Millisecond
 	defaultCommitTimeout = 10 * time.Millisecond
 	defaultAnnounce      = 25 * time.Millisecond
-	defaultMaxPerToken   = 16
 	selfHopDelay         = 10 * time.Microsecond // token hop on a ring of one
 )
+
+// DefaultMaxMessagesPerToken is the per-visit broadcast budget a zero
+// Config.MaxMessagesPerToken selects.
+const DefaultMaxMessagesPerToken = 16
 
 // Config configures a Totem node.
 type Config struct {
@@ -109,7 +112,7 @@ func (c Config) Validate() (Config, error) {
 	c.CommitTimeout = defaultDuration(c.CommitTimeout, defaultCommitTimeout)
 	c.AnnounceInterval = defaultDuration(c.AnnounceInterval, defaultAnnounce)
 	if c.MaxMessagesPerToken == 0 {
-		c.MaxMessagesPerToken = defaultMaxPerToken
+		c.MaxMessagesPerToken = DefaultMaxMessagesPerToken
 	}
 	return c, nil
 }
@@ -162,14 +165,13 @@ type Node struct {
 
 	// Operational ring state.
 	//
-	// keys and prevKeys are the logical identities seen, for duplicate
-	// suppression: a two-generation window (noteKey) that remembers at least
-	// the last keyGeneration() identities and at most twice that. Keys outlive
-	// their message — discarding received[s] does not forget its key.
-	keys, prevKeys map[uint64]bool
-	lastTokenSeq   uint64
-	highSeq        uint64
-	myAru          uint64
+	// keys are the logical identities seen, for duplicate suppression, sized
+	// by keyGeneration. Keys outlive their message — discarding received[s]
+	// does not forget its key.
+	keys         KeyWindow
+	lastTokenSeq uint64
+	highSeq      uint64
+	myAru        uint64
 	// received holds the ring's messages above gcPoint. Everything at or
 	// below gcPoint has been delivered here and is held by every member (see
 	// discardThrough), so neither retransmission nor recovery can need it.
@@ -245,7 +247,6 @@ func New(cfg Config) (*Node, error) {
 		members:  members,
 		quorum:   quorum,
 		received: make(map[uint64]*DataMsg),
-		keys:     make(map[uint64]bool),
 		oldHold:  make(map[uint64]*DataMsg),
 		obs:      cfg.Obs,
 	}
@@ -381,7 +382,7 @@ func (n *Node) ObsSamples() []obs.Sample {
 		// and up to where it let go.
 		{Node: id, Name: "totem.retained_msgs", Value: uint64(len(n.received))},
 		{Node: id, Name: "totem.discard_point", Value: n.gcPoint},
-		{Node: id, Name: "totem.dup_keys", Value: uint64(len(n.keys) + len(n.prevKeys))},
+		{Node: id, Name: "totem.dup_keys", Value: uint64(n.keys.Len())},
 	}
 }
 
@@ -493,7 +494,7 @@ func (n *Node) onToken(tk *Token) {
 		if q.cancelled {
 			continue
 		}
-		if q.dupKey != 0 && n.seenKey(q.dupKey) {
+		if n.keys.Seen(q.dupKey) {
 			// Duplicate detection: a message with the same logical identity
 			// has already been received from another processor (§4.3).
 			q.cancelled = true
@@ -584,9 +585,7 @@ func (n *Node) storeReceived(m *DataMsg) {
 	if _, ok := n.received[m.Seq]; !ok {
 		n.received[m.Seq] = m
 	}
-	if m.DupKey != 0 {
-		n.noteKey(m.DupKey)
-	}
+	n.keys.Note(m.DupKey, n.keyGeneration())
 }
 
 // discardThrough releases every retained message at or below limit.
@@ -597,37 +596,50 @@ func (n *Node) discardThrough(limit uint64) {
 	}
 }
 
-// minKeyGeneration is the floor of keyGeneration, for small rings.
-const minKeyGeneration = 4096
-
-// keyGeneration is the size at which the current key generation is retired:
-// the node remembers at least this many of the most recent logical
-// identities, and at most twice as many. It is four rotations at the full
-// per-visit budget, floored for small rings; a duplicate is queued within a
-// rotation or two of its original.
+// keyGeneration sizes the ring's key window: four rotations at the full
+// per-visit budget, so a duplicate, which is queued within a rotation or two
+// of its original, still finds the original's key.
 func (n *Node) keyGeneration() int {
-	g := 4 * n.cfg.MaxMessagesPerToken * len(n.members)
-	if g < minKeyGeneration {
-		return minKeyGeneration
-	}
-	return g
+	return KeyGeneration(len(n.members), n.cfg.MaxMessagesPerToken)
 }
 
-func (n *Node) seenKey(k uint64) bool { return n.keys[k] || n.prevKeys[k] }
+// minKeyGeneration is the floor of KeyGeneration, for small groups.
+const minKeyGeneration = 4096
 
-// noteKey records a logical identity. The table is bounded by keeping two
-// generations and dropping the older one when the current fills; forgetting
-// an old key only costs a redundant send, which the core's and replication's
-// duplicate paths absorb.
-func (n *Node) noteKey(k uint64) {
-	if n.keys[k] {
+// KeyGeneration is the key-window generation for members members that each
+// order up to perVisit broadcasts per visit: four visits' worth, floored at
+// 4 096 for small groups.
+func KeyGeneration(members, perVisit int) int {
+	return max(4*perVisit*members, minKeyGeneration)
+}
+
+// KeyWindow is a bounded set of recent logical identities (dupKeys), for
+// the duplicate suppression of §4.3. It keeps two generations and retires
+// the older one when the current reaches the generation size, so it
+// remembers at least that many of the most recent keys and at most twice as
+// many. Forgetting an old key only costs a redundant send, which the core's
+// and replication's duplicate paths absorb. Key 0 means "no identity" and is
+// never noted. The zero value is an empty window.
+type KeyWindow struct {
+	cur, prev map[uint64]bool
+}
+
+// Seen reports whether k is in the window.
+func (w *KeyWindow) Seen(k uint64) bool { return k != 0 && (w.cur[k] || w.prev[k]) }
+
+// Len is the number of keys held, at most twice the generation.
+func (w *KeyWindow) Len() int { return len(w.cur) + len(w.prev) }
+
+// Note records k, retiring the older generation first if the current one
+// holds generation keys.
+func (w *KeyWindow) Note(k uint64, generation int) {
+	if k == 0 || w.cur[k] {
 		return
 	}
-	if len(n.keys) >= n.keyGeneration() {
-		n.prevKeys = n.keys
-		n.keys = make(map[uint64]bool)
+	if w.cur == nil || len(w.cur) >= generation {
+		w.prev, w.cur = w.cur, make(map[uint64]bool)
 	}
-	n.keys[k] = true
+	w.cur[k] = true
 }
 
 func (n *Node) updateAru() {

@@ -145,7 +145,7 @@ func TestTokenForwardedBeforeDelivery(t *testing.T) {
 		i, n, sent := i, h.nodes[id], 0
 		var pump func()
 		pump = func() {
-			for len(n.sendq) < defaultMaxPerToken && sent < perNode && n.state != stateStopped {
+			for len(n.sendq) < DefaultMaxMessagesPerToken && sent < perNode && n.state != stateStopped {
 				n.BroadcastCancelable([]byte(fmt.Sprintf("n%d-m%d", i, sent)), sent%2 == 0, 0)
 				sent++
 			}
