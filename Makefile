@@ -1,15 +1,15 @@
 GO ?= go
 
-.PHONY: check fmt vet lint lint-ledger assembly build test race fuzz sim-smoke bench-all bench bench-concurrent loadtest campaign-smoke campaign federation-smoke
+.PHONY: check fmt vet lint lint-ledger assembly build test race fuzz sim-smoke bench-all bench bench-concurrent loadtest campaign federation-smoke
 
 # check is the CI gate: formatting, vet, the project linter, the
 # one-assembly-path grep, build, the race-enabled tests, the decoder fuzz
 # smoke, the simulator hot-path smoke, every ctsbench experiment, the batched-round smoke, the
-# timeserve load smoke, the campaign smoke and the federation smoke. Targets that regenerate a
-# committed virtual-time output (BENCH_fig5*.json, BENCH_campaign_smoke.json,
-# BENCH_federation.json) do it through pinned.sh, which fails with the diff
-# if the file moved.
-check: fmt vet lint assembly build race fuzz sim-smoke bench-all bench-concurrent loadtest campaign-smoke federation-smoke
+# timeserve load smoke, the builtin campaign catalog and the federation smoke. Targets that
+# regenerate a committed virtual-time output (BENCH_fig5*.json,
+# BENCH_campaign.json/.csv, BENCH_federation.json) do it through pinned.sh,
+# which fails with the diff if the file moved.
+check: fmt vet lint assembly build race fuzz sim-smoke bench-all bench-concurrent loadtest campaign federation-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -28,7 +28,7 @@ lint:
 # lint-ledger reruns the slow columns of the mutation ledger (DESIGN.md §8):
 # every seeded bug of internal/lint's ledger goes into a copy of the module,
 # which then runs build+vet, the tier-1 tests with and without -race, and the
-# four pinned outputs. It prints the table DESIGN.md §8 carries and fails if
+# pinned outputs. It prints the table DESIGN.md §8 carries and fails if
 # some rule has no seeded bug that only the rule catches. Slow: minutes per
 # row.
 lint-ledger:
@@ -59,11 +59,13 @@ race:
 	$(GO) test -race -count=1 ./internal/experiment -orderer=seq
 	$(GO) test -race -count=1 -tags simnetpoison ./internal/simnet ./internal/totem ./internal/order
 
-# fuzz gives each socket-facing timeserve decoder ten seconds of
-# coverage-guided input beyond its seed corpus (testdata/fuzz).
+# fuzz gives each socket-facing timeserve decoder and the campaign matrix
+# decoder ten seconds of coverage-guided input beyond its seed corpus
+# (testdata/fuzz).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 10s ./internal/timeserve
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 10s ./internal/timeserve
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMatrix$$' -fuzztime 10s ./internal/campaign
 
 # sim-smoke runs one iteration of the simulator hot-path benchmarks: a
 # Post through the kernel's same-instant lane, a typed delivery through its
@@ -100,16 +102,13 @@ loadtest:
 	$(GO) run -race ./cmd/ctsload -inprocess -duration 5s -min-qps 100000 -json BENCH_timeserve_race.json
 	$(GO) run ./cmd/ctsload -inprocess -duration 5s -dgrams 8 -min-qps 600000 -max-syscalls-per-query 0.25 -max-allocs-per-op 0 -json BENCH_timeserve.json
 
-# campaign-smoke runs two 100-node campaign cells (churn + drift outliers);
-# each self-gates on zero group-clock regressions, zero staleness-bound
-# violations and bounded reconvergence. Deterministic: same seed, same JSON.
-campaign-smoke:
-	./pinned.sh BENCH_campaign_smoke.json $(GO) run ./cmd/ctscampaign -scenarios churn-storm,slow-clocks -nodes 100 -json BENCH_campaign_smoke.json
-
-# campaign sweeps the full builtin scenario catalog and writes plot-ready
-# BENCH_campaign.json + BENCH_campaign.csv (see EXPERIMENTS.md).
+# campaign sweeps the full builtin scenario catalog at 100 nodes and writes
+# plot-ready BENCH_campaign.json + BENCH_campaign.csv (see EXPERIMENTS.md).
+# Every cell self-gates on zero group-clock regressions, zero staleness-bound
+# violations and bounded reconvergence. Deterministic: same seed, same files,
+# and both are pinned.
 campaign:
-	$(GO) run ./cmd/ctscampaign -json BENCH_campaign.json -csv BENCH_campaign.csv
+	./pinned.sh BENCH_campaign.csv ./pinned.sh BENCH_campaign.json $(GO) run ./cmd/ctscampaign -json BENCH_campaign.json -csv BENCH_campaign.csv
 
 # federation-smoke runs the multi-group federation sweep (E17): line
 # topologies at 2/4/8 groups plus an inter-group sever/heal cell. Every cell

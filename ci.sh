@@ -51,11 +51,13 @@ echo "== go test -race (orderer suites over poisoned simnet deliveries) =="
 # slice reads garbage (and, from another goroutine, races).
 go test -race -count=1 -tags simnetpoison ./internal/simnet ./internal/totem ./internal/order
 
-echo "== fuzz the timeserve decoders =="
-# Both decoders face the socket: ten seconds of coverage-guided input each,
-# on top of the committed seed corpus in internal/timeserve/testdata/fuzz.
+echo "== fuzz the decoders =="
+# The timeserve decoders face the socket and the campaign matrix decoder
+# faces user files: ten seconds of coverage-guided input each, on top of
+# the committed seed corpora under each package's testdata/fuzz.
 go test -run '^$' -fuzz '^FuzzParseRequest$' -fuzztime 10s ./internal/timeserve
 go test -run '^$' -fuzz '^FuzzParseResponse$' -fuzztime 10s ./internal/timeserve
+go test -run '^$' -fuzz '^FuzzParseMatrix$' -fuzztime 10s ./internal/campaign
 
 echo "== simulator hot-path smoke =="
 # One Post through the kernel's same-instant lane, one typed delivery
@@ -71,7 +73,7 @@ echo "== ctsbench every experiment (writes nothing) =="
 # below rerun the ones whose outputs are committed.
 go run ./cmd/ctsbench -exp all -out ""
 
-# The four virtual-time outputs below are regenerated through pinned.sh,
+# The virtual-time outputs below are regenerated through pinned.sh,
 # which fails with the diff if the committed file moved.
 echo "== ctsbench fig5 (BENCH_fig5.json) =="
 ./pinned.sh BENCH_fig5.json go run ./cmd/ctsbench -exp fig5 -out .
@@ -95,10 +97,11 @@ echo "== ctsload forced-sequential fallback (-serve-io seq) =="
 # the invariants and meaningful throughput.
 go run ./cmd/ctsload -inprocess -duration 2s -dgrams 4 -serve-io seq -min-qps 100000 -json ""
 
-echo "== ctscampaign smoke (BENCH_campaign_smoke.json) =="
-# Two 100-node campaign cells, each self-gating on zero group-clock
+echo "== ctscampaign builtin catalog (BENCH_campaign.json, BENCH_campaign.csv) =="
+# Every builtin scenario at 100 nodes (wire-orderer scenarios clamped to
+# their max_nodes, recorded per cell), each self-gating on zero group-clock
 # regressions, zero staleness-bound violations and bounded reconvergence.
-./pinned.sh BENCH_campaign_smoke.json go run ./cmd/ctscampaign -scenarios churn-storm,slow-clocks -nodes 100 -json BENCH_campaign_smoke.json
+./pinned.sh BENCH_campaign.csv ./pinned.sh BENCH_campaign.json go run ./cmd/ctscampaign -json BENCH_campaign.json -csv BENCH_campaign.csv
 
 echo "== ctsbench federation sweep (BENCH_federation.json) =="
 # Multi-group federation (E17): line topologies at 2/4/8 groups plus an

@@ -146,23 +146,31 @@ func TestMatrixCells(t *testing.T) {
 	if err := noSeeds.Validate(); err == nil {
 		t.Fatal("matrix without seeds accepted")
 	}
+	// A cell needs two nodes; a smaller count on either axis is rejected
+	// here, not partway through the sweep.
+	for _, n := range []int{1, 0, -3} {
+		small := m
+		small.NodeCounts = []int{100, n}
+		if err := small.Validate(); err == nil {
+			t.Fatalf("matrix node count %d accepted", n)
+		}
+		small = m
+		small.Scenarios = append([]Scenario(nil), m.Scenarios...)
+		small.Scenarios[1].NodeCounts = []int{n}
+		if err := small.Validate(); err == nil {
+			t.Fatalf("scenario node count %d accepted", n)
+		}
+	}
 }
 
 // TestMatrixMaxNodes pins the anti-silent-cap contract: an axis count above
-// a scenario's MaxNodes is a validation error unless the scenario opts into
-// an explicit clamp, and a clamped cell records the requested size.
+// a scenario's MaxNodes runs at MaxNodes, and the clamped cell records the
+// requested size.
 func TestMatrixMaxNodes(t *testing.T) {
-	base := Scenario{Name: "capped", Duration: time.Second,
+	capped := Scenario{Name: "capped", Duration: time.Second,
 		Gates: Gates{ReconvergeWithin: time.Millisecond}, MaxNodes: 50}
-	m := Matrix{Scenarios: []Scenario{base}, NodeCounts: []int{100}, Seeds: []int64{1}}
-	if err := m.Validate(); err == nil {
-		t.Fatal("oversized count accepted without clamp_nodes")
-	}
-
-	clamped := m
-	clamped.Scenarios = []Scenario{func() Scenario { s := base; s.ClampNodes = true; return s }()}
-	clamped.NodeCounts = []int{10, 100, 1000}
-	if err := clamped.Validate(); err != nil {
+	m := Matrix{Scenarios: []Scenario{capped}, NodeCounts: []int{10, 100, 1000}, Seeds: []int64{1}}
+	if err := m.Validate(); err != nil {
 		t.Fatalf("clamping matrix rejected: %v", err)
 	}
 	want := []Cell{
@@ -170,14 +178,16 @@ func TestMatrixMaxNodes(t *testing.T) {
 		// 100 and 1000 both clamp to 50; the duplicate cell is dropped.
 		{Scenario: "capped", Nodes: 50, Seed: 1, ClampedFrom: 100},
 	}
-	if got := clamped.Cells(); !reflect.DeepEqual(got, want) {
+	if got := m.Cells(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("cells = %v, want %v", got, want)
 	}
 
-	bad := Scenario{Name: "bad", Duration: time.Second,
-		Gates: Gates{ReconvergeWithin: time.Millisecond}, ClampNodes: true}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("clamp_nodes without max_nodes accepted")
+	for _, n := range []int{-1, 1} {
+		bad := capped
+		bad.MaxNodes = n
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("max_nodes %d accepted", n)
+		}
 	}
 }
 
@@ -257,11 +267,31 @@ func TestParseMatrix(t *testing.T) {
 		wan.Seq.LeaderTimeout != time.Second {
 		t.Fatalf("parsed WAN scenario wrong: %+v", wan)
 	}
-	if _, err := ParseMatrix([]byte(`{"scenarios":[]}`)); err == nil {
-		t.Fatal("empty matrix accepted")
+	// Each rejection row breaks one thing in an otherwise valid matrix.
+	matrix := func(extra, counts string) []byte {
+		return []byte(`{"scenarios":[{"name":"ok","duration_ns":1000000000,` +
+			`"gates":{"reconverge_within_ns":1000000}` + extra + `}],"node_counts":` + counts + `,"seeds":[1]}`)
 	}
-	if _, err := ParseMatrix([]byte(`{not json`)); err == nil {
-		t.Fatal("malformed JSON accepted")
+	if _, err := ParseMatrix(matrix("", "[10]")); err != nil {
+		t.Fatalf("base of the rejection rows rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		json []byte
+	}{
+		{"empty matrix", []byte(`{"scenarios":[]}`)},
+		{"malformed JSON", []byte(`{not json`)},
+		{"node count 1", matrix("", "[1]")},
+		{"negative node count", matrix("", "[-3]")},
+		{"misspelled key", matrix(`,"mean_delay":5000000`, "[10]")},
+		{"removed clamp_nodes", matrix(`,"max_nodes":8,"clamp_nodes":true`, "[10]")},
+		{"removed sample_every_ns", matrix(`,"sample_every_ns":1000000`, "[10]")},
+		{"removed totem", matrix(`,"totem":{}`, "[10]")},
+		{"trailing data", append(matrix("", "[10]"), '}')},
+	} {
+		if _, err := ParseMatrix(tc.json); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 

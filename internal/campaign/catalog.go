@@ -8,9 +8,9 @@ import (
 
 // Builtin returns the stock scenario catalog. Instant-orderer scenarios
 // (churn-storm, slow-clocks) scale to 1000 nodes; wire-orderer scenarios
-// model real network weather and cap their node counts (MaxNodes with an
-// explicit clamp), since a message-passing orderer at 1000 nodes is not what
-// those cells measure. Axis counts under the cap run as requested; counts
+// model real network weather and cap their node counts with MaxNodes,
+// since a message-passing orderer at 1000 nodes is not what those cells
+// measure. Axis counts under the cap run as requested; counts
 // above it are clamped and the requested size is recorded in the cell, so
 // the reduced coverage is visible in the campaign artifacts rather than
 // silently pinned.
@@ -49,10 +49,9 @@ func Builtin() []Scenario {
 			Faults: []FaultEvent{
 				{Kind: FaultPartition, At: 300 * time.Millisecond, For: 300 * time.Millisecond, Fraction: 0.3},
 			},
-			Gates:      Gates{ReconvergeWithin: 600 * time.Millisecond},
-			MaxNodes:   100,
-			ClampNodes: true,
-			MeanDelay:  5 * time.Millisecond,
+			Gates:     Gates{ReconvergeWithin: 600 * time.Millisecond},
+			MaxNodes:  100,
+			MeanDelay: 5 * time.Millisecond,
 		},
 		{
 			Name:        "asym-partition",
@@ -63,10 +62,9 @@ func Builtin() []Scenario {
 			Faults: []FaultEvent{
 				{Kind: FaultAsymmetric, At: 300 * time.Millisecond, For: 250 * time.Millisecond, Fraction: 0.2},
 			},
-			Gates:      Gates{ReconvergeWithin: 700 * time.Millisecond},
-			MaxNodes:   100,
-			ClampNodes: true,
-			MeanDelay:  5 * time.Millisecond,
+			Gates:     Gates{ReconvergeWithin: 700 * time.Millisecond},
+			MaxNodes:  100,
+			MeanDelay: 5 * time.Millisecond,
 		},
 		{
 			Name:        "partial-partition",
@@ -77,10 +75,9 @@ func Builtin() []Scenario {
 			Faults: []FaultEvent{
 				{Kind: FaultPartial, At: 300 * time.Millisecond, For: 300 * time.Millisecond, Fraction: 0.15},
 			},
-			Gates:      Gates{ReconvergeWithin: 600 * time.Millisecond},
-			MaxNodes:   100,
-			ClampNodes: true,
-			MeanDelay:  5 * time.Millisecond,
+			Gates:     Gates{ReconvergeWithin: 600 * time.Millisecond},
+			MaxNodes:  100,
+			MeanDelay: 5 * time.Millisecond,
 		},
 		{
 			Name:         "wan-bursts",
@@ -94,9 +91,8 @@ func Builtin() []Scenario {
 				{Kind: FaultLossBursts, At: 5 * time.Second, Count: 3,
 					For: 300 * time.Millisecond, Gap: time.Second, Loss: 0.6},
 			},
-			Gates:      Gates{ReconvergeWithin: 8 * time.Second},
-			MaxNodes:   50,
-			ClampNodes: true,
+			Gates:    Gates{ReconvergeWithin: 8 * time.Second},
+			MaxNodes: 50,
 			// 20 ms one-way plus a couple of resend cycles when a burst eats
 			// the first delivery.
 			MeanDelay: 60 * time.Millisecond,
@@ -122,9 +118,8 @@ func Builtin() []Scenario {
 				{Kind: FaultLossBursts, At: 300 * time.Millisecond, Count: 3,
 					For: 5 * time.Millisecond, Gap: 150 * time.Millisecond, Loss: 1.0},
 			},
-			Gates:      Gates{ReconvergeWithin: 1200 * time.Millisecond},
-			MaxNodes:   8,
-			ClampNodes: true,
+			Gates:    Gates{ReconvergeWithin: 1200 * time.Millisecond},
+			MaxNodes: 8,
 		},
 	}
 }

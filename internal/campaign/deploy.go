@@ -108,8 +108,6 @@ func deploy(k *sim.Kernel, rec *obs.Recorder, sc Scenario, nodes int, seed int64
 		opts.Instant = order.InstantTuning{Hub: order.NewInstantHub()}
 	case order.KindSeq:
 		opts.Seq = sc.Seq
-	case order.KindTotem:
-		opts.Totem = sc.Totem
 	}
 	if l := sc.Links.Loss; l > 0 {
 		d.net.SetLoss(l)

@@ -11,8 +11,8 @@ func TestFedSpecValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
-	if got := good.initialSlack(); got != good.groupSkew()+6*time.Millisecond {
-		t.Fatalf("default initial slack = %v", got)
+	if got := good.initialSlack(); got != fedGroupSkew+6*time.Millisecond {
+		t.Fatalf("initial slack for 2 groups = %v", got)
 	}
 	cases := []func(*FedSpec){
 		func(s *FedSpec) { s.Name = "" },
@@ -32,15 +32,24 @@ func TestFedSpecValidate(t *testing.T) {
 	}
 }
 
+// mustFedSpec pulls a builtin federated spec by name.
+func mustFedSpec(t *testing.T, name string) FedSpec {
+	t.Helper()
+	for _, sp := range BuiltinFederation() {
+		if sp.Name == name {
+			return sp
+		}
+	}
+	t.Fatalf("no builtin federated spec %q", name)
+	return FedSpec{}
+}
+
 // TestRunFederatedTwoGroups runs the smallest federated cell end to end: two
 // groups whose clock planes start 2 ms apart must converge under the seam
 // gate with zero cross-group staleness violations — the migrating-client
 // floor (keyed by group AND node) holds across the seam.
 func TestRunFederatedTwoGroups(t *testing.T) {
-	spec, ok := FederationSpecByName("fed-2-line")
-	if !ok {
-		t.Fatal("fed-2-line missing from builtin federation specs")
-	}
+	spec := mustFedSpec(t, "fed-2-line")
 	res, err := RunFederated(spec, 2003)
 	if err != nil {
 		t.Fatalf("RunFederated: %v", err)
@@ -60,10 +69,7 @@ func TestRunFederatedTwoGroups(t *testing.T) {
 // must stay honest throughout (bounds grow instead of lying) and reconverge
 // after the heal.
 func TestRunFederatedSeverHeal(t *testing.T) {
-	spec, ok := FederationSpecByName("fed-partition")
-	if !ok {
-		t.Fatal("fed-partition missing from builtin federation specs")
-	}
+	spec := mustFedSpec(t, "fed-partition")
 	res, err := RunFederated(spec, 2003)
 	if err != nil {
 		t.Fatalf("RunFederated: %v", err)

@@ -54,81 +54,168 @@ type Result struct {
 	Failures []string `json:"failures,omitempty"`
 }
 
-// monitor folds lease samples into gate counters. The staleness and
-// regression checks are internal/invariant's happened-before discipline (the
-// one ctsload applies): one sample pass is one observer exchange — snapshot
-// the floors, read every node, and hold each reading to the floors as of the
-// previous pass, never to readings from the same instant on other nodes.
-// Lease bounds are honest about each node's own timeline (margin, drift,
-// measured ordering lag), but nodes that adopt rounds they did not propose
-// have no lag measurement of their own, so simultaneous cross-node comparison
-// would demand a worst-case bound the lease plane never promises.
+// monitor folds lease samples into gate counters, one pass at a time over
+// every group of a cell. The staleness and regression checks are
+// internal/invariant's happened-before discipline (the one ctsload applies):
+// one pass is one observer exchange — snapshot the floors, read every node,
+// and hold each reading to the floors as of the previous pass, never to
+// readings from the same instant on other nodes. Lease bounds are honest
+// about each node's own timeline (margin, drift, measured ordering lag), but
+// nodes that adopt rounds they did not propose have no lag measurement of
+// their own, so simultaneous cross-node comparison would demand a
+// worst-case bound the lease plane never promises.
+//
+// Across groups the monitor is a migrating client: one staleness floor for
+// the whole cell (the federation's promise — a reading served anywhere,
+// plus its bound, covers the most advanced lower bound served anywhere in
+// an earlier pass) and regression floors keyed by (group, node), since node
+// ids alone collide across groups. Adjacent groups form seams, the
+// neighbor-skew check of gradient clock synchronization: their published
+// intervals must overlap, and their skew is the convergence signal. A
+// one-group cell has no seams.
 type monitor struct {
 	chk invariant.Checker
 	pre invariant.Snapshot
 	m   Metrics
-	// reconvergence bookkeeping
+	// Seam statistics; they stay zero with one group.
+	seamViolations                 uint64
+	finalSeamSkewUS, maxSeamSkewUS float64
+
 	faultEnd      time.Duration // absolute time the last fault clears
-	reconvergedAt time.Duration // earliest all-serving sample after faultEnd
+	maxSeamSkew   time.Duration // seam skew a converged pass stays within
+	reconvergedAt time.Duration // first converged pass at or after faultEnd, -1 before
+	pass          []reading     // the current pass's readings, buffer reused
 }
 
-func newMonitor() *monitor {
-	return &monitor{reconvergedAt: -1}
+// reading is one node's answer in one monitor pass.
+type reading struct {
+	group        int // index of the node's group within the cell
+	key          invariant.Key
+	up, ok       bool // up: the fault schedule expects the node to serve; ok: it did
+	clock, bound time.Duration
+}
+
+func newMonitor(faultEnd, maxSeamSkew time.Duration) *monitor {
+	return &monitor{faultEnd: faultEnd, maxSeamSkew: maxSeamSkew, reconvergedAt: -1}
+}
+
+// drive advances the kernel to end, running one monitor pass over every
+// group each sampleEvery, then closes the books.
+func (mo *monitor) drive(k *sim.Kernel, end, sampleEvery time.Duration, groups ...*deployment) {
+	for k.Now() < end {
+		k.RunFor(min(sampleEvery, end-k.Now()))
+		mo.sample(groups, k.Now())
+	}
+	mo.m.StalenessViolations, mo.m.Regressions = mo.chk.Violations()
+	if mo.m.Samples > 0 {
+		mo.m.MeanBoundUS /= float64(mo.m.Samples)
+	}
+	if mo.reconvergedAt >= 0 {
+		mo.m.ReconvergeMS = float64(mo.reconvergedAt-mo.faultEnd) / float64(time.Millisecond)
+	}
 }
 
 // sample reads every node's lease between kernel steps; one call is one
 // pass.
-func (mo *monitor) sample(d *deployment, now time.Duration) {
+func (mo *monitor) sample(groups []*deployment, now time.Duration) {
+	mo.pass = mo.pass[:0]
+	for gi, d := range groups {
+		for _, nd := range d.nodes {
+			r, ok := nd.LeaseRead()
+			mo.pass = append(mo.pass, reading{
+				group: gi, key: invariant.Key{Group: uint32(d.group), Node: uint32(nd.id)},
+				up: nd.up, ok: ok, clock: r.GroupClock, bound: r.Bound,
+			})
+		}
+	}
+	mo.observe(now, len(groups), mo.pass)
+}
+
+// observe folds one pass of readings, taken at now from a cell of the given
+// number of groups, into the counters.
+func (mo *monitor) observe(now time.Duration, groups int, pass []reading) {
 	var (
-		allUp    = true
-		okCount  int
-		minClock time.Duration
-		maxClock time.Duration
+		allUp  = true
+		served int
+		lo, hi time.Duration
 	)
+	seams := make([]reading, groups) // first served reading per group
 	mo.chk.Snap(&mo.pre)
-	for _, nd := range d.nodes {
-		r, ok := nd.LeaseRead()
-		if !ok {
-			if nd.up {
+	for _, r := range pass {
+		if !r.ok {
+			if r.up {
 				allUp = false
 			}
 			continue
 		}
 		mo.m.Samples++
-		mo.chk.Observe(&mo.pre, invariant.Key{Group: uint32(d.group), Node: uint32(nd.id)}, r.GroupClock, r.Bound)
-		bound := float64(r.Bound) / float64(time.Microsecond)
-		if bound > mo.m.MaxBoundUS {
-			mo.m.MaxBoundUS = bound
+		mo.chk.Observe(&mo.pre, r.key, r.clock, r.bound)
+		bound := float64(r.bound) / float64(time.Microsecond)
+		mo.m.MaxBoundUS = max(mo.m.MaxBoundUS, bound)
+		mo.m.MeanBoundUS += bound // normalized in drive
+		if served == 0 || r.clock < lo {
+			lo = r.clock
 		}
-		mo.m.MeanBoundUS += bound // normalized in finish
-		if okCount == 0 || r.GroupClock < minClock {
-			minClock = r.GroupClock
+		if served == 0 || r.clock > hi {
+			hi = r.clock
 		}
-		if okCount == 0 || r.GroupClock > maxClock {
-			maxClock = r.GroupClock
-		}
-		okCount++
-	}
-	if okCount > 1 {
-		if spread := float64(maxClock-minClock) / float64(time.Microsecond); spread > mo.m.MaxSpreadUS {
-			mo.m.MaxSpreadUS = spread
+		served++
+		if !seams[r.group].ok {
+			seams[r.group] = r
 		}
 	}
-	// Reconvergence: the first sample past the fault schedule where every
-	// schedule-up node serves a valid lease again. Faults invalidate leases
-	// through view changes (epoch bump), so a post-fault ok reading is
-	// evidence the node rejoined, regained a primary component, and
-	// republished — not a leftover pre-fault lease.
-	if now >= mo.faultEnd && mo.reconvergedAt < 0 && allUp && okCount > 0 {
+	if served > 1 {
+		mo.m.MaxSpreadUS = max(mo.m.MaxSpreadUS, float64(hi-lo)/float64(time.Microsecond))
+	}
+
+	var worst time.Duration
+	allSeams := true
+	for gi := 0; gi+1 < groups; gi++ {
+		a, b := seams[gi], seams[gi+1]
+		if !a.ok || !b.ok {
+			allSeams = false
+			continue
+		}
+		if a.clock+a.bound < b.clock-b.bound || b.clock+b.bound < a.clock-a.bound {
+			mo.seamViolations++
+		}
+		worst = max(worst, a.clock-b.clock, b.clock-a.clock)
+	}
+	if allSeams {
+		mo.finalSeamSkewUS = float64(worst) / float64(time.Microsecond)
+		mo.maxSeamSkewUS = max(mo.maxSeamSkewUS, mo.finalSeamSkewUS)
+	}
+	// Reconvergence: the first pass past the fault schedule where every
+	// schedule-up node serves a valid lease again and every seam is back
+	// under the ceiling. Faults invalidate leases through view changes
+	// (epoch bump), so a post-fault ok reading is evidence the node
+	// rejoined, regained a primary component, and republished — not a
+	// leftover pre-fault lease.
+	if now >= mo.faultEnd && mo.reconvergedAt < 0 && allUp && served > 0 && allSeams && worst <= mo.maxSeamSkew {
 		mo.reconvergedAt = now
 	}
 }
 
-func (mo *monitor) finish() {
-	mo.m.StalenessViolations, mo.m.Regressions = mo.chk.Violations()
-	if mo.m.Samples > 0 {
-		mo.m.MeanBoundUS /= float64(mo.m.Samples)
+// gate applies the self-gates every cell shares: zero regressions, zero
+// staleness violations, zero monotonicity fixes, and reconvergence within
+// the given bound of the last fault clearing.
+func (mo *monitor) gate(monotonicityFixes uint64, within time.Duration) []string {
+	var fails []string
+	if mo.m.Regressions > 0 {
+		fails = append(fails, fmt.Sprintf("%d group-clock regressions (want 0)", mo.m.Regressions))
 	}
+	if mo.m.StalenessViolations > 0 {
+		fails = append(fails, fmt.Sprintf("%d staleness-bound violations (want 0)", mo.m.StalenessViolations))
+	}
+	if monotonicityFixes > 0 {
+		fails = append(fails, fmt.Sprintf("%d monotonicity fixes (want 0: no replica proposed backwards)", monotonicityFixes))
+	}
+	if mo.reconvergedAt < 0 {
+		fails = append(fails, "never reconverged after the last fault")
+	} else if mo.reconvergedAt-mo.faultEnd > within {
+		fails = append(fails, fmt.Sprintf("reconverged in %.1fms, gate %v", mo.m.ReconvergeMS, within))
+	}
+	return fails
 }
 
 // Run executes one cell: build the deployment, arm the schedule, drive
@@ -140,18 +227,8 @@ func Run(sc Scenario, nodes int, seed int64) (Result, error) {
 	}
 	defer d.close()
 
-	res := Result{Scenario: sc.Name, Nodes: nodes, Seed: seed, Orderer: string(d.orderer)}
 	k := d.k
 	start := k.Now()
-	end := start + sc.Duration
-
-	mo := newMonitor()
-	// With no faults the whole run must stay consistent, so the clock on
-	// the reconvergence gate starts immediately.
-	mo.faultEnd = start
-	if last := sc.lastFaultEnd(); last > 0 {
-		mo.faultEnd = start + last
-	}
 	d.installSchedule(start)
 
 	// Prime the lease plane: the nodes' own refreshers are already proposing;
@@ -162,24 +239,15 @@ func Run(sc Scenario, nodes int, seed int64) (Result, error) {
 		return Result{}, fmt.Errorf("campaign: %q/%d: lease plane did not prime", sc.Name, nodes)
 	}
 
-	// Main loop: monitor sampling between kernel steps.
-	sampleEvery := sc.sampleEvery()
-	for k.Now() < end {
-		step := sampleEvery
-		if left := end - k.Now(); left < step {
-			step = left
-		}
-		k.RunFor(step)
-		mo.sample(d, k.Now())
-	}
-	mo.finish()
+	// With no faults the whole run must stay consistent, so the clock on
+	// the reconvergence gate starts immediately.
+	mo := newMonitor(start+sc.lastFaultEnd(), 0)
+	mo.drive(k, start+sc.Duration, sc.refreshEvery(), d)
 
-	res.Metrics = mo.m
-	if mo.reconvergedAt >= 0 {
-		res.Metrics.ReconvergeMS = float64(mo.reconvergedAt-mo.faultEnd) / float64(time.Millisecond)
-	}
+	res := Result{Scenario: sc.Name, Nodes: nodes, Seed: seed, Orderer: string(d.orderer), Metrics: mo.m}
 	gather(d, &res.Metrics)
-	res.Pass, res.Failures = gate(sc, mo, res.Metrics)
+	res.Failures = mo.gate(res.Metrics.MonotonicityFixes, sc.Gates.ReconvergeWithin)
+	res.Pass = len(res.Failures) == 0
 	return res, nil
 }
 
@@ -209,24 +277,4 @@ func gather(d *deployment, m *Metrics) {
 	m.ViewsEmitted = c["gcs.views_emitted"]
 	_, _, dropped := d.net.Stats()
 	m.NetDropped = dropped
-}
-
-// gate applies the per-scenario self-gates.
-func gate(sc Scenario, mo *monitor, m Metrics) (bool, []string) {
-	var fails []string
-	if m.Regressions > 0 {
-		fails = append(fails, fmt.Sprintf("%d group-clock regressions (want 0)", m.Regressions))
-	}
-	if m.StalenessViolations > 0 {
-		fails = append(fails, fmt.Sprintf("%d staleness-bound violations (want 0)", m.StalenessViolations))
-	}
-	if m.MonotonicityFixes > 0 {
-		fails = append(fails, fmt.Sprintf("%d monotonicity fixes (want 0: no replica proposed backwards)", m.MonotonicityFixes))
-	}
-	if mo.reconvergedAt < 0 {
-		fails = append(fails, "never reconverged after the last fault")
-	} else if rec := time.Duration(m.ReconvergeMS * float64(time.Millisecond)); rec > sc.Gates.ReconvergeWithin {
-		fails = append(fails, fmt.Sprintf("reconverged in %.1fms, gate %v", m.ReconvergeMS, sc.Gates.ReconvergeWithin))
-	}
-	return len(fails) == 0, fails
 }

@@ -1,8 +1,10 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"time"
 
 	"cts/internal/order"
@@ -119,29 +121,22 @@ type Scenario struct {
 	// Duration is the virtual runtime of the cell.
 	Duration time.Duration `json:"duration_ns"`
 	// RefreshEvery paces the lease-refresh rounds that stand in for client
-	// load (default 2 ms).
+	// load (default 2 ms); the monitor samples every node at the same pace.
 	RefreshEvery time.Duration `json:"refresh_every_ns,omitempty"`
-	// SampleEvery paces the monitor's lease sampling (default: RefreshEvery).
-	SampleEvery time.Duration `json:"sample_every_ns,omitempty"`
-	Faults      []FaultEvent  `json:"faults,omitempty"`
-	Gates       Gates         `json:"gates"`
+	Faults       []FaultEvent  `json:"faults"`
+	Gates        Gates         `json:"gates"`
 	// NodeCounts restricts this scenario to the given sizes, overriding the
 	// matrix-wide axis.
-	NodeCounts []int `json:"node_counts,omitempty"`
+	NodeCounts []int `json:"node_counts"`
 	// MaxNodes caps the cell size this scenario supports (wire orderers cap
-	// far lower than the instant oracle). An axis count above the cap is a
-	// matrix validation error, unless ClampNodes opts into an explicit clamp:
-	// the cell then runs at MaxNodes with the requested size recorded in its
-	// result (ClampedFrom). Never a silent cap: under-coverage is either
-	// rejected or visible in BENCH_campaign.json.
+	// far lower than the instant oracle). An axis count above the cap runs
+	// at MaxNodes with the requested size recorded in its cell and result
+	// (ClampedFrom). Never a silent cap: the under-coverage is visible in
+	// BENCH_campaign.json.
 	MaxNodes int `json:"max_nodes,omitempty"`
-	// ClampNodes opts oversized cells into an explicit recorded clamp
-	// instead of a validation error.
-	ClampNodes bool `json:"clamp_nodes,omitempty"`
-	// Seq and Totem tune the wire orderers; required for WAN cells whose
-	// timers must stretch with the link delay.
-	Seq   order.SeqTuning   `json:"seq,omitempty"`
-	Totem order.TotemTuning `json:"totem,omitempty"`
+	// Seq tunes the sequencer orderer; required for WAN cells whose timers
+	// must stretch with the link delay.
+	Seq order.SeqTuning `json:"seq,omitempty"`
 	// MeanDelay declares the fabric's expected delivery delay (base latency
 	// plus retransmission under the scenario's loss weather). It feeds
 	// core.Config.MeanDelay, widening every lease's base margin: a node's
@@ -155,13 +150,6 @@ func (s Scenario) refreshEvery() time.Duration {
 		return s.RefreshEvery
 	}
 	return 2 * time.Millisecond
-}
-
-func (s Scenario) sampleEvery() time.Duration {
-	if s.SampleEvery > 0 {
-		return s.SampleEvery
-	}
-	return s.refreshEvery()
 }
 
 // lastFaultEnd reports when the latest scheduled weather clears (zero with
@@ -211,27 +199,8 @@ func (s Scenario) Validate() error {
 	if end := s.lastFaultEnd(); end > 0 && end+s.Gates.ReconvergeWithin > s.Duration {
 		return fmt.Errorf("campaign: scenario %q: duration leaves no room for reconvergence gate", s.Name)
 	}
-	if s.MaxNodes < 0 {
-		return fmt.Errorf("campaign: scenario %q: max_nodes must be positive", s.Name)
-	}
-	if s.ClampNodes && s.MaxNodes == 0 {
-		return fmt.Errorf("campaign: scenario %q: clamp_nodes needs max_nodes", s.Name)
-	}
-	return nil
-}
-
-// checkCounts rejects cell sizes above MaxNodes unless the scenario opts
-// into an explicit clamp. This is the anti-silent-cap rule: a scenario must
-// either accept the requested size, clamp it visibly (ClampedFrom in the
-// cell and its result), or fail validation — never quietly run smaller.
-func (s Scenario) checkCounts(counts []int) error {
-	if s.MaxNodes == 0 || s.ClampNodes {
-		return nil
-	}
-	for _, n := range counts {
-		if n > s.MaxNodes {
-			return fmt.Errorf("campaign: scenario %q: %d nodes exceeds max_nodes %d (set clamp_nodes for an explicit recorded clamp, or lower the count)", s.Name, n, s.MaxNodes)
-		}
+	if s.MaxNodes != 0 && s.MaxNodes < 2 {
+		return fmt.Errorf("campaign: scenario %q: max_nodes %d below the 2-node minimum", s.Name, s.MaxNodes)
 	}
 	return nil
 }
@@ -282,8 +251,10 @@ func (m Matrix) Validate() error {
 		if len(counts) == 0 {
 			return fmt.Errorf("campaign: scenario %q has no node counts", sc.Name)
 		}
-		if err := sc.checkCounts(counts); err != nil {
-			return err
+		for _, n := range counts {
+			if n < 2 {
+				return fmt.Errorf("campaign: scenario %q: node count %d below the 2-node minimum", sc.Name, n)
+			}
 		}
 	}
 	if len(m.Seeds) == 0 {
@@ -294,8 +265,7 @@ func (m Matrix) Validate() error {
 
 // Cells expands the matrix into its cells, scenario-major, in declaration
 // order — the sweep order is part of the campaign's determinism contract.
-// Counts above a clamping scenario's MaxNodes run at MaxNodes with
-// ClampedFrom set; when several axis counts clamp to the same size, only the
+// Counts above a scenario's MaxNodes run at MaxNodes with ClampedFrom set; when several axis counts clamp to the same size, only the
 // first (smallest requested) cell per seed survives — duplicates would just
 // rerun the identical deployment.
 func (m Matrix) Cells() []Cell {
@@ -313,7 +283,7 @@ func (m Matrix) Cells() []Cell {
 		}
 		for _, n := range counts {
 			clampedFrom := 0
-			if sc.ClampNodes && sc.MaxNodes > 0 && n > sc.MaxNodes {
+			if sc.MaxNodes > 0 && n > sc.MaxNodes {
 				clampedFrom = n
 				n = sc.MaxNodes
 			}
@@ -341,11 +311,19 @@ func (m Matrix) ScenarioByName(name string) (Scenario, bool) {
 }
 
 // ParseMatrix loads a matrix from JSON. Durations are nanosecond integers
-// (the *_ns fields); see EXPERIMENTS.md for a worked example.
+// (the *_ns fields); see EXPERIMENTS.md for a worked example. A key the
+// schema does not know is an error, not a silent default: a misspelled
+// field would otherwise run the cell without it. List fields carry no
+// omitempty, so an empty list survives a marshal/parse round trip.
 func ParseMatrix(data []byte) (Matrix, error) {
 	var m Matrix
-	if err := json.Unmarshal(data, &m); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&m); err != nil {
 		return Matrix{}, fmt.Errorf("campaign: parse matrix: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Matrix{}, fmt.Errorf("campaign: parse matrix: data after the matrix object")
 	}
 	if err := m.Validate(); err != nil {
 		return Matrix{}, err

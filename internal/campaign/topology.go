@@ -43,7 +43,7 @@ type ClockPlan struct {
 	OutlierFrac     float64 `json:"outlier_frac,omitempty"`
 	OutlierDriftPPM float64 `json:"outlier_drift_ppm,omitempty"`
 	// Explicit overrides generation with a literal per-node list.
-	Explicit []ClockSpec `json:"explicit,omitempty"`
+	Explicit []ClockSpec `json:"explicit"`
 }
 
 // Spec returns the clock of node index (0-based) in a population of n.

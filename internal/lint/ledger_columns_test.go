@@ -24,13 +24,13 @@ var ledgerColumns = []struct{ name, cmd string }{
 	{"race", "go test -race $(go list ./... | grep -v /internal/lint$)"},
 	{"fig5", "./pinned.sh BENCH_fig5.json go run ./cmd/ctsbench -exp fig5 -out ."},
 	{"fig5conc", "./pinned.sh BENCH_fig5_concurrent.json go run ./cmd/ctsbench -exp fig5concurrent -out ."},
-	{"campaign", "./pinned.sh BENCH_campaign_smoke.json go run ./cmd/ctscampaign -scenarios churn-storm,slow-clocks -nodes 100 -json BENCH_campaign_smoke.json"},
+	{"campaign", "./pinned.sh BENCH_campaign.csv ./pinned.sh BENCH_campaign.json go run ./cmd/ctscampaign -json BENCH_campaign.json -csv BENCH_campaign.csv"},
 	{"federation", "./pinned.sh BENCH_federation.json go run ./cmd/ctsbench -exp federation -out ."},
 }
 
 // pinnedOutputs are the committed files the pinned columns regenerate; they
 // are put back after every row so one row's output cannot leak into the next.
-var pinnedOutputs = []string{"BENCH_fig5.json", "BENCH_fig5_concurrent.json", "BENCH_campaign_smoke.json", "BENCH_federation.json"}
+var pinnedOutputs = []string{"BENCH_fig5.json", "BENCH_fig5_concurrent.json", "BENCH_campaign.json", "BENCH_campaign.csv", "BENCH_federation.json"}
 
 const ledgerStepTimeout = 15 * time.Minute
 
