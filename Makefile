@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check fmt vet lint lint-ledger assembly build test race fuzz sim-smoke bench-all bench bench-concurrent loadtest campaign federation-smoke
+.PHONY: check fmt vet lint lint-ledger assembly build test race allocs fuzz sim-smoke bench-all bench bench-concurrent loadtest campaign federation-smoke
 
 # check is the CI gate: formatting, vet, the project linter, the
-# one-assembly-path grep, build, the race-enabled tests, the decoder fuzz
-# smoke, the simulator hot-path smoke, every ctsbench experiment, the batched-round smoke, the
-# timeserve load smoke, the builtin campaign catalog and the federation smoke. Targets that
-# regenerate a committed virtual-time output (BENCH_fig5*.json,
-# BENCH_campaign.json/.csv, BENCH_federation.json) do it through pinned.sh,
-# which fails with the diff if the file moved.
-check: fmt vet lint assembly build race fuzz sim-smoke bench-all bench-concurrent loadtest campaign federation-smoke
+# one-assembly-path grep, build, the race-enabled tests, the allocation
+# gates, the decoder fuzz smoke, the simulator hot-path smoke, every ctsbench
+# experiment, the batched-round smoke, the timeserve load smoke, the builtin
+# campaign catalog and the federation smoke. Targets that regenerate a
+# committed virtual-time output (BENCH_fig5*.json, BENCH_campaign.json/.csv,
+# BENCH_federation.json) do it through pinned.sh, which fails with the diff
+# if the file moved.
+check: fmt vet lint assembly build race allocs fuzz sim-smoke bench-all bench-concurrent loadtest campaign federation-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -59,6 +60,11 @@ race:
 	$(GO) test -race -count=1 ./internal/experiment -orderer=seq
 	$(GO) test -race -count=1 -tags simnetpoison ./internal/simnet ./internal/totem ./internal/order
 
+# allocs runs the zero-allocation tests of the hot paths without -race: they
+# skip under the race detector, which inflates allocation counts.
+allocs:
+	$(GO) test -count=1 -run 'AllocatesNothing|AllocFree' ./internal/sim ./internal/simnet ./internal/core ./internal/timeserve
+
 # fuzz gives each socket-facing timeserve decoder and the campaign matrix
 # decoder ten seconds of coverage-guided input beyond its seed corpus
 # (testdata/fuzz).
@@ -95,12 +101,11 @@ bench-concurrent:
 # run checks the lease invariants (staleness bound, per-replica monotonicity)
 # under the race detector with a 100k queries/s floor. The plain run drives
 # the batched recvmmsg/sendmmsg path with 8-datagram client bursts and gates
-# the hot-path regressions: ≥600k queries/s, ≤0.25 server syscalls per
-# query, zero allocations per batched serve cycle. Writes the headline
-# BENCH_timeserve.json (plain, batched) and BENCH_timeserve_race.json.
+# the hot-path regressions: ≥600k queries/s and ≤0.25 server syscalls per
+# query (allocs gates the serve cycle's zero allocations). Writes nothing.
 loadtest:
-	$(GO) run -race ./cmd/ctsload -inprocess -duration 5s -min-qps 100000 -json BENCH_timeserve_race.json
-	$(GO) run ./cmd/ctsload -inprocess -duration 5s -dgrams 8 -min-qps 600000 -max-syscalls-per-query 0.25 -max-allocs-per-op 0 -json BENCH_timeserve.json
+	$(GO) run -race ./cmd/ctsload -inprocess -duration 5s -min-qps 100000
+	$(GO) run ./cmd/ctsload -inprocess -duration 5s -dgrams 8 -min-qps 600000 -max-syscalls-per-query 0.25
 
 # campaign sweeps the full builtin scenario catalog at 100 nodes and writes
 # plot-ready BENCH_campaign.json + BENCH_campaign.csv (see EXPERIMENTS.md).

@@ -1,5 +1,6 @@
 #!/bin/sh
-# CI gate: formatting, vet, the project linter, build, race-enabled tests.
+# CI gate: formatting, vet, the project linter, build, race-enabled tests
+# plus the allocation gates without -race.
 # Same steps as `make check`, runnable where make is absent.
 set -eu
 
@@ -38,6 +39,11 @@ go build ./...
 
 echo "== go test -race =="
 go test -race -count=1 ./...
+
+echo "== allocation gates (no -race) =="
+# The zero-allocation tests skip under the race detector, which inflates
+# allocation counts; this plain run is where they gate the hot paths.
+go test -count=1 -run 'AllocatesNothing|AllocFree' ./internal/sim ./internal/simnet ./internal/core ./internal/timeserve
 
 echo "== go test -race (experiments under -orderer=seq) =="
 # The experiment suite reruns over the leader-sequencer orderer; tests that
@@ -83,19 +89,19 @@ echo "== ctsbench fig5concurrent (BENCH_fig5_concurrent.json) =="
 # their mean per-read overhead is at most half the single-reader overhead.
 ./pinned.sh BENCH_fig5_concurrent.json go run ./cmd/ctsbench -exp fig5concurrent -out .
 
-echo "== ctsload smoke: lease invariants under race (BENCH_timeserve_race.json) =="
-go run -race ./cmd/ctsload -inprocess -duration 5s -min-qps 100000 -json BENCH_timeserve_race.json
+echo "== ctsload smoke: lease invariants under race =="
+go run -race ./cmd/ctsload -inprocess -duration 5s -min-qps 100000
 
-echo "== ctsload batched kernel I/O (BENCH_timeserve.json) =="
+echo "== ctsload batched kernel I/O =="
 # Plain-mode run over the recvmmsg/sendmmsg path with 8-datagram bursts;
-# gates throughput, server syscalls per query, and allocations per batched
-# serve cycle.
-go run ./cmd/ctsload -inprocess -duration 5s -dgrams 8 -min-qps 600000 -max-syscalls-per-query 0.25 -max-allocs-per-op 0 -json BENCH_timeserve.json
+# gates throughput and server syscalls per query (the serve cycle's zero
+# allocations are gated by TestServeBatchAllocFree above).
+go run ./cmd/ctsload -inprocess -duration 5s -dgrams 8 -min-qps 600000 -max-syscalls-per-query 0.25
 
 echo "== ctsload forced-sequential fallback (-serve-io seq) =="
 # Batching force-disabled end to end: the sequential path must still hold
 # the invariants and meaningful throughput.
-go run ./cmd/ctsload -inprocess -duration 2s -dgrams 4 -serve-io seq -min-qps 100000 -json ""
+go run ./cmd/ctsload -inprocess -duration 2s -dgrams 4 -serve-io seq -min-qps 100000
 
 echo "== ctscampaign builtin catalog (BENCH_campaign.json, BENCH_campaign.csv) =="
 # Every builtin scenario at 100 nodes (wire-orderer scenarios clamped to
@@ -113,6 +119,6 @@ echo "== ctsload federated migrating clients =="
 # Two federated in-process groups; each worker migrates across them every
 # exchange, checking the global staleness floor and the (group, node)-keyed
 # regression floors end to end over real UDP.
-go run ./cmd/ctsload -inprocess -duration 2s -fed-groups 2 -min-qps 100000 -json ""
+go run ./cmd/ctsload -inprocess -duration 2s -fed-groups 2 -min-qps 100000
 
 echo "CI checks passed."

@@ -49,32 +49,10 @@ func main() {
 	}
 }
 
-func parsePeers(s string) (map[transport.NodeID]string, error) {
-	out := make(map[transport.NodeID]string)
-	if s == "" {
-		return nil, fmt.Errorf("-peers is required")
-	}
-	var start int
-	for i := 0; i <= len(s); i++ {
-		if i != len(s) && s[i] != ',' {
-			continue
-		}
-		entry := s[start:i]
-		start = i + 1
-		var id uint32
-		var addr string
-		if cnt, err := fmt.Sscanf(entry, "%d=%s", &id, &addr); cnt != 2 || err != nil {
-			return nil, fmt.Errorf("bad peer entry %q (want id=host:port)", entry)
-		}
-		out[transport.NodeID(id)] = addr
-	}
-	return out, nil
-}
-
 func run(id uint32, peerSpec string, n int, gap time.Duration, quiet bool, orderer order.Kind) error {
-	peers, err := parsePeers(peerSpec)
+	peers, err := udptransport.ParsePeers(peerSpec)
 	if err != nil {
-		return err
+		return fmt.Errorf("-peers: %w", err)
 	}
 	self, ok := peers[transport.NodeID(id)]
 	if !ok {

@@ -1,7 +1,6 @@
 // Command ctsload drives the external time-serving frontend (internal/
-// timeserve) with a closed- or open-loop query load and verifies the lease
-// plane's correctness guarantees while measuring throughput and latency
-// (p50/p99/p999).
+// timeserve) with a closed-loop query load and verifies the lease plane's
+// correctness guarantees while measuring throughput.
 //
 // Against a running group:
 //
@@ -12,9 +11,9 @@
 //
 //	ctsload -inprocess -duration 5s -min-qps 100000
 //
-// Each worker keeps its own UDP client and batches -batch queries per
-// datagram. Two invariants are checked on every response, using only
-// happened-before ordering (no global clock):
+// Each of four workers keeps its own UDP client and batches eight queries
+// per datagram (-dgrams datagrams per exchange). Two invariants are checked
+// on every response, using only happened-before ordering (no global clock):
 //
 //   - staleness: a reading's interval [group−bound, group+bound] must reach
 //     the highest lower bound of any reading that completed before this one
@@ -22,8 +21,8 @@
 //   - per-replica monotonicity: a replica's group clock must never run
 //     backwards between two of its responses ordered by the client.
 //
-// The run fails (exit 1) on any violation, or when -min-qps is set and not
-// met. -json writes a machine-readable result (default BENCH_timeserve.json).
+// The run fails (exit 1) on any violation, when -min-qps is set and not
+// met, or when -max-syscalls-per-query is set and exceeded.
 //
 // With -inprocess -fed-groups N the load runs against N federated groups
 // (line topology over loopback summary links) and every worker migrates
@@ -34,7 +33,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -46,8 +44,6 @@ import (
 	"cts"
 	"cts/internal/federation"
 	"cts/internal/invariant"
-	"cts/internal/stats"
-	"cts/internal/testutil"
 	"cts/internal/timeserve"
 	"cts/internal/transport"
 	"cts/internal/udptransport"
@@ -55,34 +51,29 @@ import (
 	"cts/internal/sim"
 )
 
+// The load shape and the in-process group size. The in-process replicas
+// serve with the timeserve defaults: one shard, a 1s lease window.
+const (
+	workers  = 4 // concurrent load workers
+	batch    = 8 // queries per datagram
+	replicas = 3 // replicas per in-process group
+)
+
 func main() {
 	var (
 		targets   = flag.String("targets", "", "comma-separated timeserve addresses of the replica group")
 		inprocess = flag.Bool("inprocess", false, "start a local 3-replica group and load it (ignores -targets)")
 		fedGroups = flag.Int("fed-groups", 0, "with -inprocess: start this many federated groups (line topology) and migrate each worker across them every exchange (0/1 = single group)")
-		replicas  = flag.Int("replicas", 3, "replica count for -inprocess")
-		shards    = flag.Int("shards", 1, "timeserve shards per in-process replica")
-		lease     = flag.Duration("lease", time.Second, "lease window for -inprocess replicas")
-		mode      = flag.String("mode", "closed", "load mode: closed (max rate) or open (paced by -rate)")
-		rate      = flag.Float64("rate", 50000, "total target queries/s for -mode open")
-		workers   = flag.Int("workers", 4, "concurrent load workers")
-		batch     = flag.Int("batch", 8, "queries per datagram (1..64)")
 		dgrams    = flag.Int("dgrams", 1, "datagrams per burst exchange (1..64; >1 drives the batched kernel I/O path)")
 		serveIO   = flag.String("serve-io", "auto", "kernel I/O path for -inprocess replicas and burst clients: auto|seq|mmsg")
 		duration  = flag.Duration("duration", 5*time.Second, "measurement duration")
 		minQPS    = flag.Float64("min-qps", 0, "fail unless sustained queries/s reaches this (0 disables)")
 		maxSPQ    = flag.Float64("max-syscalls-per-query", 0, "fail if server-side syscalls per query exceed this (0 disables; needs -inprocess)")
-		maxAllocs = flag.Float64("max-allocs-per-op", -1, "fail if the batched serve cycle allocates more than this per op (-1 disables)")
-		jsonOut   = flag.String("json", "BENCH_timeserve.json", "write machine-readable results here (empty disables)")
-		seed      = flag.Int64("seed", 2003, "run label recorded in the result JSON (the live loop has no simulation RNG)")
 	)
 	flag.Parse()
-	if err := run(config{
-		targets: *targets, inprocess: *inprocess, fedGroups: *fedGroups, replicas: *replicas,
-		shards: *shards, lease: *lease, mode: *mode, rate: *rate,
-		workers: *workers, batch: *batch, dgrams: *dgrams, serveIO: *serveIO,
-		duration: *duration, minQPS: *minQPS, maxSPQ: *maxSPQ,
-		maxAllocs: *maxAllocs, jsonOut: *jsonOut, seed: *seed,
+	if _, err := run(config{
+		targets: *targets, inprocess: *inprocess, fedGroups: *fedGroups, dgrams: *dgrams,
+		serveIO: *serveIO, duration: *duration, minQPS: *minQPS, maxSPQ: *maxSPQ,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "ctsload:", err)
 		os.Exit(1)
@@ -93,94 +84,42 @@ type config struct {
 	targets   string
 	inprocess bool
 	fedGroups int
-	replicas  int
-	shards    int
-	lease     time.Duration
-	mode      string
-	rate      float64
-	workers   int
-	batch     int
 	dgrams    int
 	serveIO   string
 	duration  time.Duration
 	minQPS    float64
 	maxSPQ    float64
-	maxAllocs float64
-	jsonOut   string
-	seed      int64
 }
 
-// result is the machine-readable run record. Scenario and Seed identify
-// the row across bench files (every BENCH_*.json row carries both).
-type result struct {
-	Scenario string `json:"scenario"`
-	Seed     int64  `json:"seed"`
-	Mode     string `json:"mode"`
-	Targets  int    `json:"targets"`
-	// FedGroups is the number of federated in-process groups the workers
-	// migrated across (0 for a plain single-group run).
-	FedGroups int `json:"fed_groups,omitempty"`
-	Workers   int `json:"workers"`
-	Batch     int `json:"batch"`
-	Dgrams    int `json:"dgrams"`
-	// BatchMode names the kernel I/O path the run actually exercised:
-	// "mmsg" when every in-process replica (and, for multi-datagram bursts,
-	// every client) stayed on the batched recvmmsg/sendmmsg cycle, "seq"
-	// otherwise.
-	BatchMode string  `json:"batch_mode"`
-	DurationS float64 `json:"duration_s"`
-	Queries   uint64  `json:"queries"`
-	QPS       float64 `json:"qps"`
-	Errors    uint64  `json:"errors"`
-	// SyscallsPerQuery is the server-side kernel I/O operations per served
+// summary is what one run measured.
+type summary struct {
+	queries, errors uint64
+	qps             float64
+	// syscallsPerQuery is the server-side kernel I/O operations per served
 	// query across the in-process replicas (-1 when the servers are remote
 	// and the counters unreachable).
-	SyscallsPerQuery float64 `json:"syscalls_per_query"`
-	// AllocsPerOp is the measured heap allocations per batched
-	// drain-serve cycle (-1 when the build lacks the batched path or the
-	// race detector perturbs the measurement).
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	Violations  struct {
-		Staleness  uint64 `json:"staleness"`
-		Regression uint64 `json:"regression"`
-	} `json:"violations"`
-	LatencyUS struct {
-		P50  float64 `json:"p50"`
-		P99  float64 `json:"p99"`
-		P999 float64 `json:"p999"`
-	} `json:"latency_us"`
+	syscallsPerQuery      float64
+	staleness, regression uint64 // invariant violations
 }
 
-func run(cfg config) error {
-	if cfg.batch < 1 || cfg.batch > timeserve.MaxBatch {
-		return fmt.Errorf("-batch %d outside [1, %d]", cfg.batch, timeserve.MaxBatch)
-	}
+func run(cfg config) (summary, error) {
+	var sum summary
 	if cfg.dgrams < 1 || cfg.dgrams > timeserve.MaxBurst {
-		return fmt.Errorf("-dgrams %d outside [1, %d]", cfg.dgrams, timeserve.MaxBurst)
+		return sum, fmt.Errorf("-dgrams %d outside [1, %d]", cfg.dgrams, timeserve.MaxBurst)
 	}
 	ioMode, err := timeserve.ParseIOMode(cfg.serveIO)
 	if err != nil {
-		return err
-	}
-	if cfg.mode != "closed" && cfg.mode != "open" {
-		return fmt.Errorf("unknown -mode %q (want closed or open)", cfg.mode)
+		return sum, err
 	}
 	if cfg.maxSPQ > 0 && !cfg.inprocess {
-		return fmt.Errorf("-max-syscalls-per-query needs -inprocess (remote server counters are unreachable)")
+		return sum, fmt.Errorf("-max-syscalls-per-query needs -inprocess (remote server counters are unreachable)")
 	}
-	// Probe the serve cycle's allocations before any other goroutine of this
-	// process exists: a live fleet's mallocs would land in the same counter.
-	allocsPerOp := measureAllocs()
 	var targetsByGroup [][]string
 	var fl *fleet
 	if cfg.inprocess {
-		ngroups := cfg.fedGroups
-		if ngroups < 1 {
-			ngroups = 1
-		}
-		fl, err = startFleet(ngroups, cfg.replicas, cfg.shards, cfg.lease, cfg.serveIO)
+		fl, err = startFleet(max(cfg.fedGroups, 1), cfg.serveIO)
 		if err != nil {
-			return err
+			return sum, err
 		}
 		defer fl.stop()
 		for _, g := range fl.groups {
@@ -188,10 +127,10 @@ func run(cfg config) error {
 		}
 	} else {
 		if cfg.fedGroups > 1 {
-			return fmt.Errorf("-fed-groups needs -inprocess (remote groups are driven one at a time via -targets)")
+			return sum, fmt.Errorf("-fed-groups needs -inprocess (remote groups are driven one at a time via -targets)")
 		}
 		if cfg.targets == "" {
-			return fmt.Errorf("-targets or -inprocess is required")
+			return sum, fmt.Errorf("-targets or -inprocess is required")
 		}
 		targetsByGroup = [][]string{strings.Split(cfg.targets, ",")}
 	}
@@ -200,8 +139,8 @@ func run(cfg config) error {
 		ntargets += len(t)
 	}
 
-	fmt.Printf("ctsload: %s loop, %d workers x %d datagram(s) x batch %d against %d target(s) in %d group(s) for %v\n",
-		cfg.mode, cfg.workers, cfg.dgrams, cfg.batch, ntargets, len(targetsByGroup), cfg.duration)
+	fmt.Printf("ctsload: %d workers x %d datagram(s) x batch %d against %d target(s) in %d group(s) for %v\n",
+		workers, cfg.dgrams, batch, ntargets, len(targetsByGroup), cfg.duration)
 
 	// The staleness floor is global across replica groups: with -fed-groups
 	// that is the federation's promise.
@@ -211,15 +150,13 @@ func run(cfg config) error {
 		errs     atomic.Uint64
 		wg       sync.WaitGroup
 		stop     atomic.Bool
-		lats     = make([]*stats.Durations, cfg.workers)
-		cliPaths = make([]string, cfg.workers)
+		cliPaths = make([]string, workers)
 	)
 	baseSyscalls := uint64(0)
 	if fl != nil {
 		baseSyscalls = fl.syscalls()
 	}
-	for w := 0; w < cfg.workers; w++ {
-		lats[w] = &stats.Durations{}
+	for w := 0; w < workers; w++ {
 		cliPaths[w] = "seq"
 		wg.Add(1)
 		go func(w int) {
@@ -249,36 +186,22 @@ func run(cfg config) error {
 				clis[gi] = cli
 			}
 			defer closeAll()
-			interval := time.Duration(0)
-			if cfg.mode == "open" && cfg.rate > 0 {
-				perWorker := cfg.rate / float64(cfg.workers)
-				interval = time.Duration(float64(cfg.batch*cfg.dgrams) / perWorker * float64(time.Second))
-			}
-			next := time.Now()
 			var pre invariant.Snapshot
 			gidx := w % len(clis)
 			for !stop.Load() {
-				if interval > 0 {
-					next = next.Add(interval)
-					if d := time.Until(next); d > 0 {
-						time.Sleep(d)
-					}
-				}
 				cli := clis[gidx]
 				chk.Snap(&pre)
-				t0 := time.Now()
 				var resps []timeserve.Response
 				var err error
 				if cfg.dgrams > 1 {
-					resps, err = cli.QueryBurst(cfg.dgrams, cfg.batch)
+					resps, err = cli.QueryBurst(cfg.dgrams, batch)
 				} else {
-					resps, err = cli.QueryBatch(cfg.batch)
+					resps, err = cli.QueryBatch(batch)
 				}
 				if err != nil {
 					errs.Add(1)
 					continue
 				}
-				lats[w].Add(time.Since(t0))
 				served := uint64(0)
 				for _, r := range resps {
 					if !r.OK() {
@@ -311,82 +234,35 @@ func run(cfg config) error {
 	stop.Store(true)
 	wg.Wait()
 	elapsed := time.Since(start)
-	syscallsPerQuery := -1.0
-	if fl != nil && queries.Load() > 0 {
-		syscallsPerQuery = float64(fl.syscalls()-baseSyscalls) / float64(queries.Load())
-	}
 
-	all := &stats.Durations{}
-	for _, d := range lats {
-		for _, v := range d.Values() {
-			all.Add(v)
-		}
+	sum.queries = queries.Load()
+	sum.errors = errs.Load()
+	sum.qps = float64(sum.queries) / elapsed.Seconds()
+	sum.syscallsPerQuery = -1
+	if fl != nil && sum.queries > 0 {
+		sum.syscallsPerQuery = float64(fl.syscalls()-baseSyscalls) / float64(sum.queries)
 	}
-	var res result
-	res.Scenario = "timeserve-" + cfg.mode
-	res.Seed = cfg.seed
-	res.Mode = cfg.mode
-	res.Targets = ntargets
-	if len(targetsByGroup) > 1 {
-		res.FedGroups = len(targetsByGroup)
-	}
-	res.Workers = cfg.workers
-	res.Batch = cfg.batch
-	res.Dgrams = cfg.dgrams
-	res.BatchMode = batchMode(fl, cliPaths, cfg.dgrams)
-	res.DurationS = elapsed.Seconds()
-	res.Queries = queries.Load()
-	res.QPS = float64(res.Queries) / elapsed.Seconds()
-	res.Errors = errs.Load()
-	res.SyscallsPerQuery = syscallsPerQuery
-	res.AllocsPerOp = allocsPerOp
-	res.Violations.Staleness, res.Violations.Regression = chk.Violations()
-	if all.N() > 0 {
-		res.LatencyUS.P50 = float64(all.Percentile(50)) / float64(time.Microsecond)
-		res.LatencyUS.P99 = float64(all.Percentile(99)) / float64(time.Microsecond)
-		res.LatencyUS.P999 = float64(all.Percentile(99.9)) / float64(time.Microsecond)
-	}
+	sum.staleness, sum.regression = chk.Violations()
 
-	fmt.Printf("ctsload: %d queries in %v = %.0f queries/s (%d errors, io=%s)\n",
-		res.Queries, elapsed.Round(time.Millisecond), res.QPS, res.Errors, res.BatchMode)
-	fmt.Printf("ctsload: latency per batched exchange p50=%.0fµs p99=%.0fµs p999=%.0fµs (%d samples)\n",
-		res.LatencyUS.P50, res.LatencyUS.P99, res.LatencyUS.P999, all.N())
-	fmt.Printf("ctsload: syscalls/query=%s allocs/op=%s\n",
-		fmtGauge(res.SyscallsPerQuery), fmtGauge(res.AllocsPerOp))
-	fmt.Printf("ctsload: violations: staleness=%d regression=%d\n",
-		res.Violations.Staleness, res.Violations.Regression)
+	spq := "n/a"
+	if sum.syscallsPerQuery >= 0 {
+		spq = fmt.Sprintf("%.3f", sum.syscallsPerQuery)
+	}
+	fmt.Printf("ctsload: %d queries in %v = %.0f queries/s (%d errors, io=%s, syscalls/query=%s)\n",
+		sum.queries, elapsed.Round(time.Millisecond), sum.qps, sum.errors, batchMode(fl, cliPaths, cfg.dgrams), spq)
+	fmt.Printf("ctsload: violations: staleness=%d regression=%d\n", sum.staleness, sum.regression)
 
-	if cfg.jsonOut != "" {
-		b, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.jsonOut, append(b, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("ctsload: wrote %s\n", cfg.jsonOut)
+	if sum.staleness > 0 || sum.regression > 0 {
+		return sum, fmt.Errorf("lease invariants violated (staleness=%d regression=%d)", sum.staleness, sum.regression)
 	}
-
-	if res.Violations.Staleness > 0 || res.Violations.Regression > 0 {
-		return fmt.Errorf("lease invariants violated (staleness=%d regression=%d)",
-			res.Violations.Staleness, res.Violations.Regression)
+	if cfg.minQPS > 0 && sum.qps < cfg.minQPS {
+		return sum, fmt.Errorf("sustained %.0f queries/s below -min-qps %.0f", sum.qps, cfg.minQPS)
 	}
-	if cfg.minQPS > 0 && res.QPS < cfg.minQPS {
-		return fmt.Errorf("sustained %.0f queries/s below -min-qps %.0f", res.QPS, cfg.minQPS)
+	if cfg.maxSPQ > 0 && sum.syscallsPerQuery > cfg.maxSPQ {
+		return sum, fmt.Errorf("server issued %.3f syscalls/query, above -max-syscalls-per-query %.3f",
+			sum.syscallsPerQuery, cfg.maxSPQ)
 	}
-	if cfg.maxSPQ > 0 && res.SyscallsPerQuery > cfg.maxSPQ {
-		return fmt.Errorf("server issued %.3f syscalls/query, above -max-syscalls-per-query %.3f",
-			res.SyscallsPerQuery, cfg.maxSPQ)
-	}
-	if cfg.maxAllocs >= 0 {
-		if res.AllocsPerOp < 0 {
-			fmt.Println("ctsload: allocs/op gate skipped (no batched path on this build, or race detector active)")
-		} else if res.AllocsPerOp > cfg.maxAllocs {
-			return fmt.Errorf("batched serve cycle allocates %.2f allocs/op, above -max-allocs-per-op %.2f",
-				res.AllocsPerOp, cfg.maxAllocs)
-		}
-	}
-	return nil
+	return sum, nil
 }
 
 // batchMode names the kernel I/O path the run actually exercised: the
@@ -408,24 +284,6 @@ func batchMode(fl *fleet, cliPaths []string, dgrams int) string {
 		}
 	}
 	return mode
-}
-
-// measureAllocs probes the batched serve cycle's allocations per operation;
-// -1 when unmeasurable (no batched path, or the race detector inflates
-// allocation counts).
-func measureAllocs() float64 {
-	if testutil.RaceEnabled {
-		return -1
-	}
-	return timeserve.ServeAllocsPerOp()
-}
-
-// fmtGauge renders a measured-or-unavailable gauge for the summary line.
-func fmtGauge(v float64) string {
-	if v < 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.3f", v)
 }
 
 // rotated returns targets rotated by w, spreading workers across replicas.
@@ -453,12 +311,12 @@ func fedLoadGroupID(gi int) cts.GroupID { return cts.DefaultGroup + cts.GroupID(
 // (group i peers with i±1), and the facade's WithFederation keeps the
 // inter-group skew bounded — which is what lets one worker migrate across
 // groups and still see its happened-before floors respected.
-func startFleet(ngroups, n, shards int, lease time.Duration, serveIO string) (*fleet, error) {
+func startFleet(ngroups int, serveIO string) (*fleet, error) {
 	fl := &fleet{}
 	if ngroups > 1 {
 		for gi := 0; gi < ngroups; gi++ {
 			var row []*federation.UDPLink
-			for i := 0; i < n; i++ {
+			for i := 0; i < replicas; i++ {
 				l, err := federation.NewUDPLink("127.0.0.1:0")
 				if err != nil {
 					fl.stop()
@@ -481,7 +339,7 @@ func startFleet(ngroups, n, shards int, lease time.Duration, serveIO string) (*f
 				neighbors = append(neighbors, fedLoadGroupID(gi+1))
 			}
 		}
-		g, err := startGroup(gi, n, shards, lease, serveIO, links, neighbors)
+		g, err := startGroup(gi, serveIO, links, neighbors)
 		if err != nil {
 			fl.stop()
 			return nil, err
@@ -576,18 +434,15 @@ func (g *group) syscalls() uint64 {
 	return n
 }
 
-// startGroup brings up n actively replicated ctsnode-equivalents on
+// startGroup brings up replicas actively replicated ctsnode-equivalents on
 // loopback, each with the timeserve frontend on an ephemeral port, and
 // waits until every replica holds a lease. A non-nil links slice (one
 // summary link per replica) joins the group to a federation with the given
 // neighbor groups.
-func startGroup(gi, n, shards int, lease time.Duration, serveIO string, links []*federation.UDPLink, neighbors []cts.GroupID) (*group, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("-replicas must be at least 2, got %d", n)
-	}
+func startGroup(gi int, serveIO string, links []*federation.UDPLink, neighbors []cts.GroupID) (*group, error) {
 	g := &group{}
-	ring := make([]transport.NodeID, n)
-	for i := 0; i < n; i++ {
+	ring := make([]transport.NodeID, replicas)
+	for i := range ring {
 		ring[i] = transport.NodeID(i + 1)
 	}
 	for _, id := range ring {
@@ -618,10 +473,8 @@ func startGroup(gi, n, shards int, lease time.Duration, serveIO string, links []
 			cts.WithMembers(ring),
 			cts.WithGroup(fedLoadGroupID(gi)),
 			cts.WithTimeServe(cts.TimeServeConfig{
-				Addr:        "127.0.0.1:0",
-				Shards:      shards,
-				LeaseWindow: lease,
-				ServeIO:     serveIO,
+				Addr:    "127.0.0.1:0",
+				ServeIO: serveIO,
 			}),
 		}
 		if links != nil {

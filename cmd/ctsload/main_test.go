@@ -1,41 +1,39 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
 
 // TestRunInProcess drives the whole generator for 300ms against its own
 // in-process 3-replica group — fleet start-up through cts.New, closed-loop
-// workers, the invariant checker, the result record — and requires a clean
-// verdict: run returns nil and the written row reports served queries and
-// zero violations.
+// workers, the invariant checker — and requires a clean verdict: run
+// returns nil and its summary reports served queries and zero violations.
+// The seq row is the forced-sequential fallback that CI also gates.
 func TestRunInProcess(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "row.json")
-	err := run(config{
-		inprocess: true, replicas: 3, shards: 1, lease: time.Second,
-		mode: "closed", workers: 2, batch: 8, dgrams: 1, serveIO: "auto",
-		duration: 300 * time.Millisecond, maxAllocs: -1, jsonOut: out, seed: 1,
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	b, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res result
-	if err := json.Unmarshal(b, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Queries == 0 {
-		t.Fatal("no query was served")
-	}
-	if res.Violations.Staleness != 0 || res.Violations.Regression != 0 {
-		t.Fatalf("violations: staleness=%d regression=%d, want 0/0",
-			res.Violations.Staleness, res.Violations.Regression)
+	for _, c := range []struct {
+		name    string
+		serveIO string
+		dgrams  int
+	}{
+		{"auto", "auto", 1},
+		{"seq", "seq", 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sum, err := run(config{inprocess: true, dgrams: c.dgrams, serveIO: c.serveIO,
+				duration: 300 * time.Millisecond})
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if sum.queries == 0 {
+				t.Fatal("no query was served")
+			}
+			if sum.syscallsPerQuery <= 0 {
+				t.Fatalf("syscalls/query = %v, want the in-process servers' positive count", sum.syscallsPerQuery)
+			}
+			if sum.staleness != 0 || sum.regression != 0 {
+				t.Fatalf("violations: staleness=%d regression=%d, want 0/0", sum.staleness, sum.regression)
+			}
+		})
 	}
 }

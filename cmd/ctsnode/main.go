@@ -137,7 +137,7 @@ func setupFederation(rc runConfig) (*fedSetup, error) {
 		if err != nil {
 			return nil, fmt.Errorf("group %q fed addresses: %w", g.Name, err)
 		}
-		bind = fedAddrs[rc.id]
+		bind = fedAddrs[transport.NodeID(rc.id)]
 	}
 	if bind == "" {
 		return nil, fmt.Errorf("no federation bind address for node %d of group %q: set -fed-bind or a fed entry in the topology", rc.id, g.Name)
@@ -167,41 +167,15 @@ func setupFederation(rc runConfig) (*fedSetup, error) {
 	fs.cfg = cts.FederationConfig{
 		Link:          link,
 		Neighbors:     fs.neighbors,
-		ExchangeEvery: topo.ExchangeEvery(),
-		MaxStep:       topo.MaxStep(),
-		Precision:     topo.Precision(),
-		InitialSlack:  topo.InitialSlack(),
+		ExchangeEvery: topo.ExchangeEvery,
+		MaxStep:       topo.MaxStep,
+		Precision:     topo.Precision,
+		InitialSlack:  topo.InitialSlack,
 	}
 	if topo.Key != "" {
 		fs.cfg.Key = []byte(topo.Key)
 	}
 	return fs, nil
-}
-
-// parsePeers parses "0=127.0.0.1:9000,1=..." into a node→address map.
-func parsePeers(s string) (map[transport.NodeID]string, error) {
-	out := make(map[transport.NodeID]string)
-	if s == "" {
-		return nil, fmt.Errorf("-peers is required")
-	}
-	var start int
-	for i := 0; i <= len(s); i++ {
-		if i != len(s) && s[i] != ',' {
-			continue
-		}
-		entry := s[start:i]
-		start = i + 1
-		var id uint32
-		var addr string
-		if n, err := fmt.Sscanf(entry, "%d=%s", &id, &addr); n != 2 || err != nil {
-			return nil, fmt.Errorf("bad peer entry %q (want id=host:port)", entry)
-		}
-		out[transport.NodeID(id)] = addr
-	}
-	if len(out) < 2 {
-		return nil, fmt.Errorf("need at least two peers, got %d", len(out))
-	}
-	return out, nil
 }
 
 func parseStyle(s string) (cts.Style, error) {
@@ -233,9 +207,12 @@ func run(rc runConfig) error {
 			rc.peers = fed.peers
 		}
 	}
-	peers, err := parsePeers(rc.peers)
+	peers, err := udptransport.ParsePeers(rc.peers)
 	if err != nil {
-		return err
+		return fmt.Errorf("-peers: %w", err)
+	}
+	if len(peers) < 2 {
+		return fmt.Errorf("-peers: need at least two peers, got %d", len(peers))
 	}
 	style, err := parseStyle(rc.style)
 	if err != nil {

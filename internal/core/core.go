@@ -579,10 +579,6 @@ func (s *TimeService) handler(threadID uint64) *ccsHandler {
 // Offset reports my_clock_offset. Loop-only.
 func (s *TimeService) Offset() time.Duration { return s.offset }
 
-// LastGroupClock reports the latest group clock value this replica has
-// adopted. Loop-only.
-func (s *TimeService) LastGroupClock() time.Duration { return s.lastGroup }
-
 // ObsNode implements obs.Source.
 func (s *TimeService) ObsNode() uint32 { return uint32(s.mgr.LocalNode()) }
 

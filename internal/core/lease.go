@@ -150,16 +150,6 @@ func (s *TimeService) EnableLease(cfg LeaseConfig) error {
 	return nil
 }
 
-// LeaseEpoch reports the current lease epoch. Safe from any goroutine; the
-// loop publishes the epoch inside each snapshot, so off-loop readers see it
-// through LeaseRead.
-func (s *TimeService) LeaseEpoch() uint64 {
-	if snap := s.lease.snap.Load(); snap != nil {
-		return snap.epoch
-	}
-	return 0
-}
-
 // onLeaseView invalidates outstanding leases on any membership change of the
 // server group, including synchronizer failover (the failed synchronizer
 // leaves the view). Runs on the loop, in view-installation order.

@@ -45,27 +45,37 @@ type Config struct {
 	// Key authenticates summary frames. Default "cts-federation".
 	Key []byte
 	// ExchangeEvery is the cadence the caller drives ExchangeTick at; the
-	// agent uses it to derive the honest slack aging rate. Required
-	// (positive).
+	// agent uses it to derive the honest slack aging rate. Default
+	// DefaultExchangeEvery.
 	ExchangeEvery time.Duration
 	// MaxStep bounds the forward nudge of one federated round
-	// (bounded influence). Default 500µs.
+	// (bounded influence). Default DefaultMaxStep.
 	MaxStep time.Duration
 	// Precision is the inter-group transit uncertainty: how stale a summary
 	// already is when it arrives. Added to every merge computation and slack
-	// term. Default 1ms.
+	// term. Default DefaultPrecision.
 	Precision time.Duration
 	// InitialSlack pads published bounds until the first exchange reaches a
 	// neighbor; it must cover the worst plausible initial inter-group
-	// offset. Default 10ms.
+	// offset. Default DefaultInitialSlack.
 	InitialSlack time.Duration
-	// AgingPPM is the slack growth rate between federated rounds. Default
-	// MaxStep/ExchangeEvery (the neighbors' bounded nudge rate) plus 200 ppm
-	// of mutual drift.
-	AgingPPM float64
 	// Obs registers the agent's counters. Optional.
 	Obs *obs.Recorder
+
+	// agingPPM is the slack growth rate between federated rounds, derived
+	// by Validate: MaxStep/ExchangeEvery (the neighbors' bounded nudge
+	// rate) plus 200 ppm of mutual drift.
+	agingPPM float64
 }
+
+// The exchange-plane tuning defaults, applied by Config.Validate to every
+// zero field.
+const (
+	DefaultExchangeEvery = 50 * time.Millisecond
+	DefaultMaxStep       = 500 * time.Microsecond
+	DefaultPrecision     = time.Millisecond
+	DefaultInitialSlack  = 10 * time.Millisecond
+)
 
 // Validate checks cfg and fills defaults.
 func (c Config) Validate() (Config, error) {
@@ -92,36 +102,27 @@ func (c Config) Validate() (Config, error) {
 			return c, fmt.Errorf("federation: group %d lists itself as a neighbor", c.Group)
 		}
 	}
-	if c.ExchangeEvery <= 0 {
-		return c, errors.New("federation: Config.ExchangeEvery must be positive")
-	}
 	if len(c.Key) == 0 {
 		c.Key = []byte("cts-federation")
 	}
-	if c.MaxStep == 0 {
-		c.MaxStep = 500 * time.Microsecond
+	for _, d := range []struct {
+		name string
+		v    *time.Duration
+		def  time.Duration
+	}{
+		{"ExchangeEvery", &c.ExchangeEvery, DefaultExchangeEvery},
+		{"MaxStep", &c.MaxStep, DefaultMaxStep},
+		{"Precision", &c.Precision, DefaultPrecision},
+		{"InitialSlack", &c.InitialSlack, DefaultInitialSlack},
+	} {
+		if *d.v < 0 {
+			return c, fmt.Errorf("federation: Config.%s must not be negative (got %v)", d.name, *d.v)
+		}
+		if *d.v == 0 {
+			*d.v = d.def
+		}
 	}
-	if c.MaxStep < 0 {
-		return c, fmt.Errorf("federation: Config.MaxStep must not be negative (got %v)", c.MaxStep)
-	}
-	if c.Precision == 0 {
-		c.Precision = time.Millisecond
-	}
-	if c.Precision < 0 {
-		return c, fmt.Errorf("federation: Config.Precision must not be negative (got %v)", c.Precision)
-	}
-	if c.InitialSlack == 0 {
-		c.InitialSlack = 10 * time.Millisecond
-	}
-	if c.InitialSlack < 0 {
-		return c, fmt.Errorf("federation: Config.InitialSlack must not be negative (got %v)", c.InitialSlack)
-	}
-	if c.AgingPPM == 0 {
-		c.AgingPPM = float64(c.MaxStep)/float64(c.ExchangeEvery)*1e6 + 200
-	}
-	if c.AgingPPM < 0 {
-		return c, fmt.Errorf("federation: Config.AgingPPM must not be negative (got %v)", c.AgingPPM)
-	}
+	c.agingPPM = float64(c.MaxStep)/float64(c.ExchangeEvery)*1e6 + 200
 	return c, nil
 }
 
@@ -168,7 +169,7 @@ func New(cfg Config) (*Agent, error) {
 	}
 	if err := cfg.Service.EnableFederation(core.FedConfig{
 		InitialSlack: cfg.InitialSlack,
-		AgingPPM:     cfg.AgingPPM,
+		AgingPPM:     cfg.agingPPM,
 	}); err != nil {
 		return nil, err
 	}
@@ -204,6 +205,9 @@ func (a *Agent) Stop() {
 func (a *Agent) ExchangeTick() {
 	a.cfg.Runtime.Post(a.tickLoop)
 }
+
+// ExchangeEvery reports the effective exchange cadence, default applied.
+func (a *Agent) ExchangeEvery() time.Duration { return a.cfg.ExchangeEvery }
 
 // Deliver hands the agent a received summary frame. The frame is copied, so
 // the caller may reuse its buffer. Safe from any goroutine.
@@ -307,7 +311,7 @@ func (a *Agent) aging(elapsed time.Duration) time.Duration {
 	if elapsed <= 0 {
 		return 0
 	}
-	return time.Duration(float64(elapsed) * a.cfg.AgingPPM / 1e6)
+	return time.Duration(float64(elapsed) * a.cfg.agingPPM / 1e6)
 }
 
 // deliverLoop is the loop half of Deliver: authenticate, filter, and retain

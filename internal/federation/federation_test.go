@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -270,21 +271,34 @@ func TestAgentConfigValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A topology file without tuning keys hands the agent zero tuning, the
+	// way ctsnode maps it, and the agent runs at the documented defaults.
+	topo, err := ParseTopology([]byte(`{"groups": [{"name": "a", "id": 1, "peers": ["1=127.0.0.1:9001"]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := Config{Runtime: k, Service: svc, Manager: mgr, Clock: clock,
-		Link: NewSimFabric(k, 0).Link(1), Group: 1, ExchangeEvery: 50 * time.Millisecond}
+		Link: NewSimFabric(k, 0).Link(1), Group: 1,
+		ExchangeEvery: topo.ExchangeEvery, MaxStep: topo.MaxStep,
+		Precision: topo.Precision, InitialSlack: topo.InitialSlack}
 	got, err := cfg.Validate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.MaxStep != 500*time.Microsecond || got.Precision != time.Millisecond ||
-		got.InitialSlack != 10*time.Millisecond {
+	if got.ExchangeEvery != 50*time.Millisecond || got.MaxStep != 500*time.Microsecond ||
+		got.Precision != time.Millisecond || got.InitialSlack != 10*time.Millisecond {
 		t.Fatalf("defaults not applied: %+v", got)
 	}
-	// Default aging covers the neighbors' nudge rate plus drift margin.
-	wantPPM := float64(got.MaxStep)/float64(got.ExchangeEvery)*1e6 + 200
-	if got.AgingPPM != wantPPM {
-		t.Fatalf("AgingPPM = %v, want %v", got.AgingPPM, wantPPM)
+	// The derived aging covers the neighbors' nudge rate (500µs per 50ms =
+	// 10000 ppm) plus 200 ppm of drift.
+	if got.agingPPM != 10_200 {
+		t.Fatalf("agingPPM = %v, want 10200", got.agingPPM)
 	}
+	cfg.MaxStep = -1
+	if _, err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "MaxStep") {
+		t.Fatalf("negative MaxStep: err = %v", err)
+	}
+	cfg.MaxStep = 0
 	cfg.Neighbors = []wire.GroupID{1}
 	if _, err := cfg.Validate(); err == nil {
 		t.Fatal("self-neighbor accepted")

@@ -15,13 +15,14 @@ package federation
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
-	"cts/internal/wire"
+	"cts/internal/transport"
+	"cts/internal/udptransport"
 )
 
 // GroupSpec describes one CCS group in a federation topology file.
@@ -42,7 +43,7 @@ type GroupSpec struct {
 
 // Topology is the JSON schema of a federation topology file: the groups, the
 // parent/peer edges between them, and the exchange-plane tuning shared by
-// every agent.
+// every agent. A tuning key left out (zero) takes the Config default.
 type Topology struct {
 	Groups []GroupSpec `json:"groups"`
 	// Edges connects groups by name; each edge is bidirectional.
@@ -50,17 +51,11 @@ type Topology struct {
 	// Key authenticates summary frames. Every group in one federation must
 	// share it.
 	Key string `json:"key,omitempty"`
-	// ExchangeEveryNS is the summary exchange interval. Default 50ms.
-	ExchangeEveryNS int64 `json:"exchange_every_ns,omitempty"`
-	// MaxStepNS bounds the forward nudge one federated round may apply.
-	// Default 500µs.
-	MaxStepNS int64 `json:"max_step_ns,omitempty"`
-	// PrecisionNS is the inter-group transit uncertainty added to every
-	// merge computation and slack term. Default 1ms.
-	PrecisionNS int64 `json:"precision_ns,omitempty"`
-	// InitialSlackNS pads published bounds until the first exchange; it must
-	// cover the worst plausible initial inter-group offset. Default 10ms.
-	InitialSlackNS int64 `json:"initial_slack_ns,omitempty"`
+	// The agents' tuning (see Config), in nanoseconds.
+	ExchangeEvery time.Duration `json:"exchange_every_ns,omitempty"`
+	MaxStep       time.Duration `json:"max_step_ns,omitempty"`
+	Precision     time.Duration `json:"precision_ns,omitempty"`
+	InitialSlack  time.Duration `json:"initial_slack_ns,omitempty"`
 }
 
 // ParseTopology decodes and validates a topology document.
@@ -127,12 +122,12 @@ func (t *Topology) Validate() error {
 	}
 	for _, d := range []struct {
 		name string
-		v    int64
+		v    time.Duration
 	}{
-		{"exchange_every_ns", t.ExchangeEveryNS},
-		{"max_step_ns", t.MaxStepNS},
-		{"precision_ns", t.PrecisionNS},
-		{"initial_slack_ns", t.InitialSlackNS},
+		{"exchange_every_ns", t.ExchangeEvery},
+		{"max_step_ns", t.MaxStep},
+		{"precision_ns", t.Precision},
+		{"initial_slack_ns", t.InitialSlack},
 	} {
 		if d.v < 0 {
 			return fmt.Errorf("federation: %s must not be negative (got %d)", d.name, d.v)
@@ -179,66 +174,16 @@ func (t *Topology) Neighbors(name string) []GroupSpec {
 	return out
 }
 
-// ExchangeEvery returns the exchange interval with its default applied.
-func (t *Topology) ExchangeEvery() time.Duration {
-	if t.ExchangeEveryNS > 0 {
-		return time.Duration(t.ExchangeEveryNS)
-	}
-	return 50 * time.Millisecond
-}
-
-// MaxStep returns the per-round nudge bound with its default applied.
-func (t *Topology) MaxStep() time.Duration {
-	if t.MaxStepNS > 0 {
-		return time.Duration(t.MaxStepNS)
-	}
-	return 500 * time.Microsecond
-}
-
-// Precision returns the inter-group transit uncertainty with its default
-// applied.
-func (t *Topology) Precision() time.Duration {
-	if t.PrecisionNS > 0 {
-		return time.Duration(t.PrecisionNS)
-	}
-	return time.Millisecond
-}
-
-// InitialSlack returns the pre-exchange bound padding with its default
-// applied.
-func (t *Topology) InitialSlack() time.Duration {
-	if t.InitialSlackNS > 0 {
-		return time.Duration(t.InitialSlackNS)
-	}
-	return 10 * time.Millisecond
-}
-
 // ParseMembers parses "id=host:port" entries (the `ctsnode -peers` syntax)
-// into an id-to-address map.
-func ParseMembers(entries []string) (map[uint32]string, error) {
-	out := make(map[uint32]string, len(entries))
-	for _, e := range entries {
-		id, addr, ok := strings.Cut(e, "=")
-		if !ok {
-			return nil, fmt.Errorf("entry %q is not id=host:port", e)
-		}
-		n, err := strconv.ParseUint(strings.TrimSpace(id), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("entry %q: bad node id: %v", e, err)
-		}
-		if n == 0 {
-			return nil, fmt.Errorf("entry %q: node id must be positive", e)
-		}
-		if _, dup := out[uint32(n)]; dup {
-			return nil, fmt.Errorf("entry %q: duplicate node id", e)
-		}
-		out[uint32(n)] = strings.TrimSpace(addr)
+// into an id-to-address map. Group members have positive ids: node 0 is
+// the paper's client processor.
+func ParseMembers(entries []string) (map[transport.NodeID]string, error) {
+	out, err := udptransport.ParsePeers(strings.Join(entries, ","))
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := out[0]; ok {
+		return nil, errors.New("node id must be positive")
 	}
 	return out, nil
-}
-
-// GroupIDOf is a convenience for callers holding a name.
-func (t *Topology) GroupIDOf(name string) (wire.GroupID, bool) {
-	g, ok := t.Group(name)
-	return wire.GroupID(g.ID), ok
 }

@@ -142,19 +142,12 @@ type FederationConfig struct {
 	// Key authenticates summary frames; every group of one federation must
 	// share it. Default "cts-federation".
 	Key []byte
-	// ExchangeEvery is the summary exchange cadence. Default 50ms.
+	// The exchange-plane tuning; zero fields take federation's defaults
+	// (see federation.Config).
 	ExchangeEvery time.Duration
-	// MaxStep bounds the forward nudge of one federated round. Default
-	// 500µs.
-	MaxStep time.Duration
-	// Precision is the inter-group transit uncertainty. Default 1ms.
-	Precision time.Duration
-	// InitialSlack pads published bounds until the first exchange. Default
-	// 10ms.
-	InitialSlack time.Duration
-	// AgingPPM is the slack growth rate between federated rounds. Default:
-	// the neighbors' bounded nudge rate plus a drift allowance.
-	AgingPPM float64
+	MaxStep       time.Duration
+	Precision     time.Duration
+	InitialSlack  time.Duration
 }
 
 // Node is one replica of a consistent-time server group.
@@ -396,10 +389,6 @@ func (n *Node) refreshTick() {
 
 // startFederation brings up the inter-group exchange plane of Federation.
 func (n *Node) startFederation(cfg FederationConfig) error {
-	every := cfg.ExchangeEvery
-	if every == 0 {
-		every = 50 * time.Millisecond
-	}
 	agent, err := federation.New(federation.Config{
 		Runtime:       n.cfg.Runtime,
 		Service:       n.svc,
@@ -409,11 +398,10 @@ func (n *Node) startFederation(cfg FederationConfig) error {
 		Group:         n.cfg.Group,
 		Neighbors:     cfg.Neighbors,
 		Key:           cfg.Key,
-		ExchangeEvery: every,
+		ExchangeEvery: cfg.ExchangeEvery,
 		MaxStep:       cfg.MaxStep,
 		Precision:     cfg.Precision,
 		InitialSlack:  cfg.InitialSlack,
-		AgingPPM:      cfg.AgingPPM,
 		Obs:           n.cfg.Obs.ForNode(uint32(n.stack.LocalID())),
 	})
 	if err != nil {
@@ -421,7 +409,7 @@ func (n *Node) startFederation(cfg FederationConfig) error {
 	}
 	n.fed = agent
 	agent.Start()
-	n.every(&n.fedTimer, every, agent.ExchangeTick)
+	n.every(&n.fedTimer, agent.ExchangeEvery(), agent.ExchangeTick)
 	return nil
 }
 

@@ -25,18 +25,13 @@ import (
 	"cts/internal/stats"
 )
 
-// Scope names stamped into trace events and metric samples, one per
-// instrumented layer. Each orderer implementation gets its own scope
-// (ScopeTotem, ScopeSeq, ScopeInstant), so traces and metric names identify
-// which ordering protocol produced them.
+// Scope names stamped into trace events, one per instrumented layer. Each
+// orderer that traces gets its own scope (ScopeTotem, ScopeSeq), so traces
+// identify which ordering protocol produced them.
 const (
-	ScopeCore    = "core"
-	ScopeTotem   = "totem"
-	ScopeSeq     = "seq"
-	ScopeInstant = "instant"
-	ScopeGCS     = "gcs"
-	ScopeRepl    = "repl"
-	ScopeRPC     = "rpc"
+	ScopeCore  = "core"
+	ScopeTotem = "totem"
+	ScopeSeq   = "seq"
 )
 
 // Round lifecycle events emitted by the consistent time service (ScopeCore).

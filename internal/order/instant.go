@@ -83,7 +83,7 @@ func newInstantOrderer(env Env, opts Options) (Orderer, error) {
 	n := &instantNode{hub: hub, env: env, me: me}
 	if hub.rt == nil {
 		hub.rt = env.Runtime
-		hub.quorum = quorumOrDefault(opts.Quorum, len(env.Members))
+		hub.quorum = majority(len(env.Members))
 	}
 	hub.nodes[me] = n
 	env.Obs.Register(n)

@@ -227,9 +227,6 @@ func (t InstantTuning) isZero() bool { return t.Hub == nil }
 type Options struct {
 	// Kind selects the implementation; empty means KindTotem.
 	Kind Kind
-	// Quorum is the minimum component size that counts as primary.
-	// Default: a strict majority of the initial members.
-	Quorum int
 
 	// Per-orderer tuning. Only the struct matching Kind may be non-zero.
 	Totem   TotemTuning
@@ -246,9 +243,6 @@ func (o Options) Validate() (Options, error) {
 	case KindTotem, KindSeq, KindInstant:
 	default:
 		return o, fmt.Errorf("order: unknown orderer %q (want totem, seq or instant)", o.Kind)
-	}
-	if o.Quorum < 0 {
-		return o, fmt.Errorf("order: Options.Quorum must not be negative (got %d)", o.Quorum)
 	}
 	if o.Kind != KindTotem && !o.Totem.isZero() {
 		return o, fmt.Errorf("order: Totem tuning set but Kind is %q", o.Kind)
@@ -287,10 +281,6 @@ func New(env Env, opts Options) (Orderer, error) {
 	}
 }
 
-// quorumOrDefault resolves the primary-component threshold.
-func quorumOrDefault(q, members int) int {
-	if q > 0 {
-		return q
-	}
-	return members/2 + 1
-}
+// majority is the primary-component threshold: a strict majority of the
+// initial members.
+func majority(members int) int { return members/2 + 1 }

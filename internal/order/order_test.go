@@ -49,7 +49,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"seq tuning on seq", Options{Kind: KindSeq, Seq: SeqTuning{LeaderTimeout: time.Millisecond}}, ""},
 		{"instant with hub", Options{Kind: KindInstant, Instant: InstantTuning{Hub: hub}}, ""},
 		{"unknown kind", Options{Kind: "ring"}, "unknown orderer"},
-		{"negative quorum", Options{Quorum: -1}, "Quorum"},
 		{"totem tuning on seq", Options{Kind: KindSeq, Totem: TotemTuning{JoinTimeout: time.Millisecond}}, "Totem tuning set but Kind"},
 		{"seq tuning on totem", Options{Kind: KindTotem, Seq: SeqTuning{LeaderTimeout: time.Millisecond}}, "Seq tuning set but Kind"},
 		{"instant tuning on totem", Options{Kind: KindTotem, Instant: InstantTuning{Hub: hub}}, "Instant tuning set but Kind"},

@@ -154,7 +154,7 @@ func newSeqOrderer(env Env, opts Options) (Orderer, error) {
 		tr:       env.Transport,
 		me:       me,
 		universe: universe,
-		quorum:   quorumOrDefault(opts.Quorum, len(universe)),
+		quorum:   majority(len(universe)),
 		received: make(map[uint64]*seqEntry),
 		obs:      env.Obs,
 	}

@@ -22,7 +22,6 @@ func newTotemOrderer(env Env, opts Options) (Orderer, error) {
 		Transport:           env.Transport,
 		Members:             env.Members,
 		Bootstrap:           env.Bootstrap,
-		Quorum:              opts.Quorum,
 		TokenLossTimeout:    opts.Totem.TokenLossTimeout,
 		TokenRetransTimeout: opts.Totem.TokenRetransTimeout,
 		JoinTimeout:         opts.Totem.JoinTimeout,

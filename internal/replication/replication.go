@@ -466,14 +466,6 @@ func (m *Manager) onMsg(msg wire.Message, meta gcs.Meta) {
 	}
 }
 
-// debugGapHook, when set by tests, observes detected gaps.
-var debugGapHook func(me transport.NodeID, conn wire.ConnID, last, got uint64)
-
-// SetDebugGapHook installs a test observer for detected delivery gaps.
-func SetDebugGapHook(h func(me transport.NodeID, conn wire.ConnID, last, got uint64)) {
-	debugGapHook = h
-}
-
 // noteRequestSeq tracks per-connection sequence numbers of delivered
 // requests and reports whether msg is a retransmitted duplicate.
 //
@@ -493,9 +485,6 @@ func (m *Manager) noteRequestSeq(msg wire.Message) (dup bool) {
 	}
 	m.connSeq[key] = msg.Seq
 	if ok && msg.Seq > last+1 && m.live && m.everNonPrimary {
-		if debugGapHook != nil {
-			debugGapHook(m.me, msg.Conn, last, msg.Seq)
-		}
 		m.live = false
 		m.stats.Resyncs++
 		m.sendGetState()

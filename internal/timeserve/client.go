@@ -277,10 +277,6 @@ func (c *Client) appendWindow(b []byte, base, span uint64, k int) bool {
 // CacheStats reports Now's cache hits and misses.
 func (c *Client) CacheStats() (hits, misses uint64) { return c.hits, c.misses }
 
-// Invalidate drops the cached lease (e.g. after the caller learns of an
-// epoch change out of band).
-func (c *Client) Invalidate() { c.hasCache = false }
-
 // monotone clamps r so readings never regress, widening the bound by the
 // clamp distance (the earlier reading's interval still covers true time).
 func (c *Client) monotone(r Reading) Reading {

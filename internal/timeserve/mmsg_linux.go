@@ -442,7 +442,8 @@ func (steadySource) LeaseRead() (Reading, bool) {
 // ServeAllocsPerOp measures heap allocations per drain-serve cycle over a
 // synthetic full ring (mmsgRecvMsgs datagrams × MaxBatch queries), the
 // dynamic counterpart of the static allocfree proof on batchLoop/serveBatch.
-// ctsload records it in the bench row and `make loadtest` gates it at 0.
+// TestServeBatchAllocFree gates it at 0 (`make allocs`, run without -race)
+// and bench/ records it as timeserve.serve_allocs_per_drain.
 // Returns -1 on builds without the batched path.
 //
 // The measurement follows testing.AllocsPerRun: one warm-up cycle, a single

@@ -52,10 +52,6 @@ type Config struct {
 	OnToken func(Token)
 	// Mode selects agreed (default) or safe delivery.
 	Mode DeliverMode
-	// Quorum is the minimum component size that counts as primary.
-	// Default: a strict majority of the initial Members.
-	Quorum int
-
 	// Protocol timeouts; zero values take the defaults above.
 	TokenLossTimeout    time.Duration
 	TokenRetransTimeout time.Duration
@@ -102,9 +98,6 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.MaxMessagesPerToken < 0 {
 		return c, fmt.Errorf("totem: Config.MaxMessagesPerToken must not be negative (got %d)", c.MaxMessagesPerToken)
-	}
-	if c.Quorum < 0 {
-		return c, fmt.Errorf("totem: Config.Quorum must not be negative (got %d)", c.Quorum)
 	}
 	c.TokenLossTimeout = defaultDuration(c.TokenLossTimeout, defaultTokenLoss)
 	c.TokenRetransTimeout = defaultDuration(c.TokenRetransTimeout, defaultTokenRetrans)
@@ -235,17 +228,13 @@ func New(cfg Config) (*Node, error) {
 	if !containsNode(members, me) {
 		members = sortedNodes(append(members, me))
 	}
-	quorum := cfg.Quorum
-	if quorum <= 0 {
-		quorum = len(members)/2 + 1
-	}
 	n := &Node{
 		cfg:      cfg,
 		rt:       cfg.Runtime,
 		tr:       cfg.Transport,
 		me:       me,
 		members:  members,
-		quorum:   quorum,
+		quorum:   len(members)/2 + 1, // a strict majority of the initial members
 		received: make(map[uint64]*DataMsg),
 		oldHold:  make(map[uint64]*DataMsg),
 		obs:      cfg.Obs,

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -291,4 +293,32 @@ func (t *Transport) readLoop() {
 			recv(from, buf[frameHeaderLen:n])
 		}
 	}
+}
+
+// ParsePeers parses a comma-separated "id=host:port" list (the -peers flag
+// of ctsnode and ctsclient) into a node→address map. Node 0, the paper's
+// client processor, is a valid id; a repeated id is an error rather than a
+// silent overwrite.
+func ParsePeers(spec string) (map[transport.NodeID]string, error) {
+	if spec == "" {
+		return nil, errors.New("empty peer list")
+	}
+	out := make(map[transport.NodeID]string)
+	for _, entry := range strings.Split(spec, ",") {
+		idStr, addr, ok := strings.Cut(entry, "=")
+		idStr, addr = strings.TrimSpace(idStr), strings.TrimSpace(addr)
+		if !ok || addr == "" {
+			return nil, fmt.Errorf("bad peer entry %q (want id=host:port)", entry)
+		}
+		n, err := strconv.ParseUint(idStr, 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("bad peer entry %q: node id: %v", entry, err)
+		}
+		id := transport.NodeID(n)
+		if _, dup := out[id]; dup {
+			return nil, fmt.Errorf("bad peer entry %q: duplicate node id %d", entry, n)
+		}
+		out[id] = addr
+	}
+	return out, nil
 }

@@ -3,6 +3,7 @@ package udptransport
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"strings"
 	"sync"
@@ -393,5 +394,38 @@ func TestBroadcastFollowsPeerChanges(t *testing.T) {
 	defer got[1].mu.Unlock()
 	if len(got[1].data) != 1 {
 		t.Fatalf("old address of a re-pointed peer received %v", got[1].data)
+	}
+}
+
+func TestParsePeers(t *testing.T) {
+	cases := []struct {
+		name    string
+		spec    string
+		want    map[transport.NodeID]string
+		wantErr string
+	}{
+		{"good with client node 0", "0=127.0.0.1:9000,1=127.0.0.1:9001,2=host:9002",
+			map[transport.NodeID]string{0: "127.0.0.1:9000", 1: "127.0.0.1:9001", 2: "host:9002"}, ""},
+		{"duplicate id", "1=a:1,1=b:2", nil, "duplicate node id 1"},
+		{"missing =", "1=a:1,2b:2", nil, "want id=host:port"},
+		{"bad id", "x=a:1", nil, "node id"},
+		{"empty list", "", nil, "empty peer list"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := ParsePeers(c.spec)
+			if c.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+					t.Fatalf("ParsePeers(%q) = %v, %v; want error containing %q", c.spec, got, err, c.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("ParsePeers(%q): %v", c.spec, err)
+			}
+			if !maps.Equal(got, c.want) {
+				t.Fatalf("ParsePeers(%q) = %v, want %v", c.spec, got, c.want)
+			}
+		})
 	}
 }
