@@ -58,11 +58,14 @@ echo "== go test -race (orderer suites over poisoned simnet deliveries) =="
 go test -race -count=1 -tags simnetpoison ./internal/simnet ./internal/totem ./internal/order
 
 echo "== fuzz the decoders =="
-# The timeserve decoders face the socket and the campaign matrix decoder
-# faces user files: ten seconds of coverage-guided input each, on top of
-# the committed seed corpora under each package's testdata/fuzz.
+# The timeserve decoders and the two wire orderers' packet decoders (Totem,
+# leader-sequencer) face the socket, and the campaign matrix decoder faces
+# user files: ten seconds of coverage-guided input each, on top of the
+# committed seed corpora under each package's testdata/fuzz.
 go test -run '^$' -fuzz '^FuzzParseRequest$' -fuzztime 10s ./internal/timeserve
 go test -run '^$' -fuzz '^FuzzParseResponse$' -fuzztime 10s ./internal/timeserve
+go test -run '^$' -fuzz '^FuzzTotemDecode$' -fuzztime 10s ./internal/totem
+go test -run '^$' -fuzz '^FuzzSeqDecode$' -fuzztime 10s ./internal/order
 go test -run '^$' -fuzz '^FuzzParseMatrix$' -fuzztime 10s ./internal/campaign
 
 echo "== simulator hot-path smoke =="

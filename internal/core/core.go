@@ -576,12 +576,6 @@ func (s *TimeService) handler(threadID uint64) *ccsHandler {
 	return h
 }
 
-// Offset reports my_clock_offset. Loop-only.
-func (s *TimeService) Offset() time.Duration { return s.offset }
-
-// ObsNode implements obs.Source.
-func (s *TimeService) ObsNode() uint32 { return uint32(s.mgr.LocalNode()) }
-
 // ObsSamples implements obs.Source under the canonical core.* names.
 // Loop-only.
 func (s *TimeService) ObsSamples() []obs.Sample {

@@ -354,9 +354,6 @@ func (a *Agent) isNeighbor(g wire.GroupID) bool {
 	return false
 }
 
-// ObsNode implements obs.Source.
-func (a *Agent) ObsNode() uint32 { return uint32(a.cfg.Manager.LocalNode()) }
-
 // ObsSamples implements obs.Source under the canonical fed.* names.
 // Loop-only.
 func (a *Agent) ObsSamples() []obs.Sample {

@@ -202,14 +202,8 @@ func (s *Stack) Stop() {
 	s.ord.Stop()
 }
 
-// Orderer exposes the underlying total-order endpoint.
-func (s *Stack) Orderer() order.Orderer { return s.ord }
-
 // LocalID reports the processor identity of this stack.
 func (s *Stack) LocalID() transport.NodeID { return s.me }
-
-// ObsNode implements obs.Source.
-func (s *Stack) ObsNode() uint32 { return uint32(s.me) }
 
 // ObsSamples implements obs.Source under the canonical gcs.* names.
 // Loop-only.

@@ -203,20 +203,18 @@ func TestMultiSink(t *testing.T) {
 }
 
 type fakeSource struct {
-	node    uint32
 	samples []Sample
 }
 
-func (s fakeSource) ObsNode() uint32      { return s.node }
 func (s fakeSource) ObsSamples() []Sample { return s.samples }
 
 func TestRegistryGatherSorted(t *testing.T) {
 	r := newTestRecorder(t, nil)
-	r.Register(fakeSource{node: 2, samples: []Sample{
+	r.Register(fakeSource{samples: []Sample{
 		{Node: 2, Name: "totem.tokens_handled", Value: 7},
 		{Node: 2, Name: "core.rounds_initiated", Value: 3},
 	}})
-	r.Register(fakeSource{node: 1, samples: []Sample{
+	r.Register(fakeSource{samples: []Sample{
 		{Node: 1, Name: "totem.tokens_handled", Value: 5},
 	}})
 	got := r.Samples()
@@ -241,7 +239,7 @@ func TestRegistryGatherSorted(t *testing.T) {
 
 func TestDumpMetrics(t *testing.T) {
 	r := newTestRecorder(t, nil)
-	r.Register(fakeSource{node: 1, samples: []Sample{
+	r.Register(fakeSource{samples: []Sample{
 		{Node: 1, Name: "core.ccs_sent", Value: 4},
 	}})
 	r.Observe("rpc.invoke_latency", 2*time.Millisecond)

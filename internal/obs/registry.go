@@ -23,8 +23,6 @@ type Sample struct {
 // read loop-confined counters, so ObsSamples must be called on the
 // component's runtime loop — the registry inherits that contract.
 type Source interface {
-	// ObsNode reports the processor identity the samples belong to.
-	ObsNode() uint32
 	// ObsSamples returns the component's current counters under canonical
 	// scope-prefixed names. Loop-only.
 	ObsSamples() []Sample

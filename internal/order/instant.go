@@ -268,9 +268,6 @@ func (h *InstantHub) viewID() ViewID {
 	return ViewID{Epoch: h.epoch, Rep: rep}
 }
 
-// ObsNode implements obs.Source.
-func (n *instantNode) ObsNode() uint32 { return uint32(n.me) }
-
 // ObsSamples implements obs.Source under the canonical instant.* names.
 // Loop-only.
 func (n *instantNode) ObsSamples() []obs.Sample {

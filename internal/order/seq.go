@@ -126,10 +126,6 @@ type seqNode struct {
 	electTimer  sim.Canceler
 	retryTimer  sim.Canceler
 	rejoinTimer sim.Canceler
-	// timerEpoch is bumped when all timers are cancelled; a callback armed
-	// under an older epoch drops itself when it fires, so no timer can act
-	// or re-arm after Stop (same discipline as the totem node).
-	timerEpoch uint64
 
 	stats seqStats
 	obs   *obs.Recorder
@@ -947,7 +943,7 @@ func (n *seqNode) scheduleRejoin(target ViewID) {
 	if n.rejoinTimer != nil {
 		return
 	}
-	n.rejoinTimer = n.afterGuarded(n.tun.ResendInterval, func() {
+	n.rejoinTimer = n.rt.After(n.tun.ResendInterval, func() {
 		n.rejoinTimer = nil
 		if n.view.ID.Less(target) && n.state != seqStopped {
 			n.startElection(n.maxEpoch + 1)
@@ -959,7 +955,7 @@ func (n *seqNode) scheduleRejoin(target ViewID) {
 
 func (n *seqNode) armHeartbeat() {
 	n.cancelTimer(&n.hbTimer)
-	n.hbTimer = n.afterGuarded(n.tun.HeartbeatInterval, func() {
+	n.hbTimer = n.rt.After(n.tun.HeartbeatInterval, func() {
 		if n.state != seqOperational || n.leader != n.me {
 			return
 		}
@@ -984,7 +980,7 @@ func (n *seqNode) armHeartbeat() {
 
 func (n *seqNode) armLossTimer() {
 	n.cancelTimer(&n.lossTimer)
-	n.lossTimer = n.afterGuarded(n.tun.LeaderTimeout/2, func() {
+	n.lossTimer = n.rt.After(n.tun.LeaderTimeout/2, func() {
 		if n.state != seqOperational || n.leader == n.me {
 			return
 		}
@@ -998,7 +994,7 @@ func (n *seqNode) armLossTimer() {
 
 func (n *seqNode) armResendTimer() {
 	n.cancelTimer(&n.resendTimer)
-	n.resendTimer = n.afterGuarded(n.tun.ResendInterval, func() {
+	n.resendTimer = n.rt.After(n.tun.ResendInterval, func() {
 		if n.state != seqOperational {
 			return
 		}
@@ -1017,7 +1013,7 @@ func (n *seqNode) armResendTimer() {
 
 func (n *seqNode) armRetryTimer() {
 	n.cancelTimer(&n.retryTimer)
-	n.retryTimer = n.afterGuarded(n.tun.LeaderTimeout, func() {
+	n.retryTimer = n.rt.After(n.tun.LeaderTimeout, func() {
 		if n.state == seqOperational && !n.view.Primary {
 			n.startElection(n.maxEpoch + 1)
 		}
@@ -1026,7 +1022,7 @@ func (n *seqNode) armRetryTimer() {
 
 func (n *seqNode) armElectTimer(d time.Duration, fn func()) {
 	n.cancelTimer(&n.electTimer)
-	n.electTimer = n.afterGuarded(d, fn)
+	n.electTimer = n.rt.After(d, fn)
 }
 
 func (n *seqNode) cancelTimer(t *sim.Canceler) {
@@ -1037,7 +1033,6 @@ func (n *seqNode) cancelTimer(t *sim.Canceler) {
 }
 
 func (n *seqNode) cancelAllTimers() {
-	n.timerEpoch++
 	n.cancelTimer(&n.hbTimer)
 	n.cancelTimer(&n.lossTimer)
 	n.cancelTimer(&n.resendTimer)
@@ -1046,20 +1041,7 @@ func (n *seqNode) cancelAllTimers() {
 	n.cancelTimer(&n.rejoinTimer)
 }
 
-func (n *seqNode) afterGuarded(d time.Duration, fn func()) sim.Canceler {
-	epoch := n.timerEpoch
-	return n.rt.After(d, func() {
-		if n.state == seqStopped || n.timerEpoch != epoch {
-			return
-		}
-		fn()
-	})
-}
-
 // ---- obs ----
-
-// ObsNode implements obs.Source.
-func (n *seqNode) ObsNode() uint32 { return uint32(n.me) }
 
 // ObsSamples implements obs.Source under the canonical seq.* names.
 // Loop-only.

@@ -1,10 +1,10 @@
 package order
 
 import (
-	"encoding/binary"
-	"errors"
+	"fmt"
 
 	"cts/internal/transport"
+	"cts/internal/wire"
 )
 
 // Wire format of the leader-sequencer: one tag byte followed by fixed-width
@@ -100,308 +100,200 @@ type seqInstall struct {
 	Entries []seqEntry
 }
 
-var errSeqWire = errors.New("order: malformed sequencer datagram")
+func writeView(w *wire.Writer, v ViewID) {
+	w.U64(v.Epoch)
+	w.U32(uint32(v.Rep))
+}
 
-// seqEnc is an append-only encoder.
-type seqEnc struct{ b []byte }
+func readView(r *wire.Reader) ViewID {
+	return ViewID{Epoch: r.U64(), Rep: transport.NodeID(r.U32())}
+}
 
-func (e *seqEnc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *seqEnc) u32(v uint32) { e.b = binary.BigEndian.AppendUint32(e.b, v) }
-func (e *seqEnc) u64(v uint64) { e.b = binary.BigEndian.AppendUint64(e.b, v) }
-func (e *seqEnc) boolean(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
+// seqEntryMin is the encoded size of a seqEntry with an empty payload.
+const seqEntryMin = 12 + 8 + 4 + 8 + 1 + 8 + 4
+
+func writeEntry(w *wire.Writer, m *seqEntry) {
+	writeView(w, m.View)
+	w.U64(m.Seq)
+	w.U32(uint32(m.Sender))
+	w.U64(m.Local)
+	w.Bool(m.Safe)
+	w.U64(m.DupKey)
+	w.Bytes(m.Payload)
+}
+
+func readEntry(r *wire.Reader) seqEntry {
+	return seqEntry{
+		View:    readView(r),
+		Seq:     r.U64(),
+		Sender:  transport.NodeID(r.U32()),
+		Local:   r.U64(),
+		Safe:    r.Bool(),
+		DupKey:  r.U64(),
+		Payload: r.Bytes(),
 	}
 }
-func (e *seqEnc) bytes(p []byte) {
-	e.u32(uint32(len(p)))
-	e.b = append(e.b, p...)
-}
 
-// seqDec is a bounds-checked decoder; err latches on the first short read.
-type seqDec struct {
-	b   []byte
-	err bool
-}
-
-func (d *seqDec) u8() uint8 {
-	if d.err || len(d.b) < 1 {
-		d.err = true
-		return 0
+func writeEntries(w *wire.Writer, es []seqEntry) {
+	w.U32(uint32(len(es)))
+	for i := range es {
+		writeEntry(w, &es[i])
 	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
 }
 
-func (d *seqDec) u32() uint32 {
-	if d.err || len(d.b) < 4 {
-		d.err = true
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
-}
-
-func (d *seqDec) u64() uint64 {
-	if d.err || len(d.b) < 8 {
-		d.err = true
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *seqDec) boolean() bool { return d.u8() != 0 }
-
-func (d *seqDec) bytes() []byte {
-	n := int(d.u32())
-	if d.err || n < 0 || len(d.b) < n {
-		d.err = true
+func readEntries(r *wire.Reader) []seqEntry {
+	n := r.Count(seqEntryMin)
+	if n == 0 {
 		return nil
 	}
-	v := make([]byte, n)
-	copy(v, d.b[:n])
-	d.b = d.b[n:]
-	return v
-}
-
-func (e *seqEnc) viewID(v ViewID) {
-	e.u64(v.Epoch)
-	e.u32(uint32(v.Rep))
-}
-
-func (d *seqDec) viewID() ViewID {
-	return ViewID{Epoch: d.u64(), Rep: transport.NodeID(d.u32())}
-}
-
-func (e *seqEnc) entry(m *seqEntry) {
-	e.viewID(m.View)
-	e.u64(m.Seq)
-	e.u32(uint32(m.Sender))
-	e.u64(m.Local)
-	e.boolean(m.Safe)
-	e.u64(m.DupKey)
-	e.bytes(m.Payload)
-}
-
-func (d *seqDec) entry() seqEntry {
-	return seqEntry{
-		View:    d.viewID(),
-		Seq:     d.u64(),
-		Sender:  transport.NodeID(d.u32()),
-		Local:   d.u64(),
-		Safe:    d.boolean(),
-		DupKey:  d.u64(),
-		Payload: d.bytes(),
+	es := make([]seqEntry, n)
+	for i := range es {
+		es[i] = readEntry(r)
 	}
+	return es
+}
+
+// decoded returns m, or nil and r's error if the datagram was malformed or
+// had bytes left over.
+func decoded[T any](m *T, r *wire.Reader) (*T, error) {
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("order: sequencer datagram: %w", err)
+	}
+	return m, nil
 }
 
 func encodePropose(m *seqPropose) []byte {
-	e := &seqEnc{b: make([]byte, 0, 32+len(m.Payload))}
-	e.u8(seqTagPropose)
-	e.viewID(m.View)
-	e.u32(uint32(m.Sender))
-	e.u64(m.Local)
-	e.boolean(m.Safe)
-	e.u64(m.DupKey)
-	e.bytes(m.Payload)
-	return e.b
+	w := wire.NewWriter(32 + len(m.Payload))
+	w.U8(seqTagPropose)
+	writeView(&w, m.View)
+	w.U32(uint32(m.Sender))
+	w.U64(m.Local)
+	w.Bool(m.Safe)
+	w.U64(m.DupKey)
+	w.Bytes(m.Payload)
+	return w.Encoded()
 }
 
 func decodePropose(b []byte) (*seqPropose, error) {
-	d := &seqDec{b: b}
-	m := &seqPropose{
-		View:    d.viewID(),
-		Sender:  transport.NodeID(d.u32()),
-		Local:   d.u64(),
-		Safe:    d.boolean(),
-		DupKey:  d.u64(),
-		Payload: d.bytes(),
-	}
-	if d.err {
-		return nil, errSeqWire
-	}
-	return m, nil
+	r := wire.NewReader(b)
+	return decoded(&seqPropose{
+		View:    readView(&r),
+		Sender:  transport.NodeID(r.U32()),
+		Local:   r.U64(),
+		Safe:    r.Bool(),
+		DupKey:  r.U64(),
+		Payload: r.Bytes(),
+	}, &r)
 }
 
 func encodeOrdered(m *seqEntry) []byte {
-	e := &seqEnc{b: make([]byte, 0, 48+len(m.Payload))}
-	e.u8(seqTagOrdered)
-	e.entry(m)
-	return e.b
+	w := wire.NewWriter(48 + len(m.Payload))
+	w.U8(seqTagOrdered)
+	writeEntry(&w, m)
+	return w.Encoded()
 }
 
 func decodeOrdered(b []byte) (*seqEntry, error) {
-	d := &seqDec{b: b}
-	m := d.entry()
-	if d.err {
-		return nil, errSeqWire
-	}
-	return &m, nil
+	r := wire.NewReader(b)
+	m := readEntry(&r)
+	return decoded(&m, &r)
 }
 
 func encodeHeartbeat(m *seqHeartbeat) []byte {
-	e := &seqEnc{b: make([]byte, 0, 32)}
-	e.u8(seqTagHeart)
-	e.viewID(m.View)
-	e.u64(m.HighSeq)
-	e.u64(m.SafePoint)
-	return e.b
+	w := wire.NewWriter(32)
+	w.U8(seqTagHeart)
+	writeView(&w, m.View)
+	w.U64(m.HighSeq)
+	w.U64(m.SafePoint)
+	return w.Encoded()
 }
 
 func decodeHeartbeat(b []byte) (*seqHeartbeat, error) {
-	d := &seqDec{b: b}
-	m := &seqHeartbeat{View: d.viewID(), HighSeq: d.u64(), SafePoint: d.u64()}
-	if d.err {
-		return nil, errSeqWire
-	}
-	return m, nil
+	r := wire.NewReader(b)
+	return decoded(&seqHeartbeat{View: readView(&r), HighSeq: r.U64(), SafePoint: r.U64()}, &r)
 }
 
 func encodeAck(m *seqAck) []byte {
-	e := &seqEnc{b: make([]byte, 0, 32)}
-	e.u8(seqTagAck)
-	e.viewID(m.View)
-	e.u32(uint32(m.From))
-	e.u64(m.Aru)
-	return e.b
+	w := wire.NewWriter(32)
+	w.U8(seqTagAck)
+	writeView(&w, m.View)
+	w.U32(uint32(m.From))
+	w.U64(m.Aru)
+	return w.Encoded()
 }
 
 func decodeAck(b []byte) (*seqAck, error) {
-	d := &seqDec{b: b}
-	m := &seqAck{View: d.viewID(), From: transport.NodeID(d.u32()), Aru: d.u64()}
-	if d.err {
-		return nil, errSeqWire
-	}
-	return m, nil
+	r := wire.NewReader(b)
+	return decoded(&seqAck{View: readView(&r), From: transport.NodeID(r.U32()), Aru: r.U64()}, &r)
 }
 
 func encodeNack(m *seqNack) []byte {
-	e := &seqEnc{b: make([]byte, 0, 32+8*len(m.Missing))}
-	e.u8(seqTagNack)
-	e.viewID(m.View)
-	e.u32(uint32(m.From))
-	e.u32(uint32(len(m.Missing)))
-	for _, s := range m.Missing {
-		e.u64(s)
-	}
-	return e.b
+	w := wire.NewWriter(32 + 8*len(m.Missing))
+	w.U8(seqTagNack)
+	writeView(&w, m.View)
+	w.U32(uint32(m.From))
+	w.U64s(m.Missing)
+	return w.Encoded()
 }
 
 func decodeNack(b []byte) (*seqNack, error) {
-	d := &seqDec{b: b}
-	m := &seqNack{View: d.viewID(), From: transport.NodeID(d.u32())}
-	n := int(d.u32())
-	if d.err || n > len(d.b)/8 {
-		return nil, errSeqWire
-	}
-	m.Missing = make([]uint64, 0, n)
-	for i := 0; i < n; i++ {
-		m.Missing = append(m.Missing, d.u64())
-	}
-	if d.err {
-		return nil, errSeqWire
-	}
-	return m, nil
+	r := wire.NewReader(b)
+	return decoded(&seqNack{View: readView(&r), From: transport.NodeID(r.U32()), Missing: r.U64s()}, &r)
 }
 
 func encodeElect(m *seqElect) []byte {
-	e := &seqEnc{b: make([]byte, 0, 16)}
-	e.u8(seqTagElect)
-	e.u64(m.Epoch)
-	e.u32(uint32(m.Cand))
-	return e.b
+	w := wire.NewWriter(16)
+	w.U8(seqTagElect)
+	w.U64(m.Epoch)
+	w.U32(uint32(m.Cand))
+	return w.Encoded()
 }
 
 func decodeElect(b []byte) (*seqElect, error) {
-	d := &seqDec{b: b}
-	m := &seqElect{Epoch: d.u64(), Cand: transport.NodeID(d.u32())}
-	if d.err {
-		return nil, errSeqWire
-	}
-	return m, nil
+	r := wire.NewReader(b)
+	return decoded(&seqElect{Epoch: r.U64(), Cand: transport.NodeID(r.U32())}, &r)
 }
 
 func encodeElectAck(m *seqElectAck) []byte {
-	e := &seqEnc{b: make([]byte, 0, 64)}
-	e.u8(seqTagElectAck)
-	e.u64(m.Epoch)
-	e.u32(uint32(m.From))
-	e.viewID(m.View)
-	e.u64(m.Delivered)
-	e.u32(uint32(len(m.Entries)))
-	for i := range m.Entries {
-		e.entry(&m.Entries[i])
-	}
-	return e.b
+	w := wire.NewWriter(64)
+	w.U8(seqTagElectAck)
+	w.U64(m.Epoch)
+	w.U32(uint32(m.From))
+	writeView(&w, m.View)
+	w.U64(m.Delivered)
+	writeEntries(&w, m.Entries)
+	return w.Encoded()
 }
 
 func decodeElectAck(b []byte) (*seqElectAck, error) {
-	d := &seqDec{b: b}
-	m := &seqElectAck{
-		Epoch:     d.u64(),
-		From:      transport.NodeID(d.u32()),
-		View:      d.viewID(),
-		Delivered: d.u64(),
-	}
-	n := int(d.u32())
-	if d.err || n > len(d.b) {
-		return nil, errSeqWire
-	}
-	m.Entries = make([]seqEntry, 0, n)
-	for i := 0; i < n; i++ {
-		m.Entries = append(m.Entries, d.entry())
-	}
-	if d.err {
-		return nil, errSeqWire
-	}
-	return m, nil
+	r := wire.NewReader(b)
+	return decoded(&seqElectAck{
+		Epoch:     r.U64(),
+		From:      transport.NodeID(r.U32()),
+		View:      readView(&r),
+		Delivered: r.U64(),
+		Entries:   readEntries(&r),
+	}, &r)
 }
 
 func encodeInstall(m *seqInstall) []byte {
-	e := &seqEnc{b: make([]byte, 0, 64)}
-	e.u8(seqTagInstall)
-	e.u64(m.Epoch)
-	e.viewID(m.View)
-	e.u32(uint32(len(m.Members)))
-	for _, id := range m.Members {
-		e.u32(uint32(id))
-	}
-	e.u64(m.HighSeq)
-	e.u32(uint32(len(m.Entries)))
-	for i := range m.Entries {
-		e.entry(&m.Entries[i])
-	}
-	return e.b
+	w := wire.NewWriter(64)
+	w.U8(seqTagInstall)
+	w.U64(m.Epoch)
+	writeView(&w, m.View)
+	wire.WriteU32s(&w, m.Members)
+	w.U64(m.HighSeq)
+	writeEntries(&w, m.Entries)
+	return w.Encoded()
 }
 
 func decodeInstall(b []byte) (*seqInstall, error) {
-	d := &seqDec{b: b}
-	m := &seqInstall{Epoch: d.u64(), View: d.viewID()}
-	nm := int(d.u32())
-	if d.err || nm > len(d.b)/4 {
-		return nil, errSeqWire
-	}
-	m.Members = make([]transport.NodeID, 0, nm)
-	for i := 0; i < nm; i++ {
-		m.Members = append(m.Members, transport.NodeID(d.u32()))
-	}
-	m.HighSeq = d.u64()
-	ne := int(d.u32())
-	if d.err || ne > len(d.b) {
-		return nil, errSeqWire
-	}
-	m.Entries = make([]seqEntry, 0, ne)
-	for i := 0; i < ne; i++ {
-		m.Entries = append(m.Entries, d.entry())
-	}
-	if d.err {
-		return nil, errSeqWire
-	}
-	return m, nil
+	r := wire.NewReader(b)
+	return decoded(&seqInstall{
+		Epoch:   r.U64(),
+		View:    readView(&r),
+		Members: wire.ReadU32s[transport.NodeID](&r),
+		HighSeq: r.U64(),
+		Entries: readEntries(&r),
+	}, &r)
 }

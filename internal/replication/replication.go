@@ -372,9 +372,6 @@ func (m *Manager) Recovering() bool { return m.recovering }
 // Obs returns the manager's recorder (nil when observability is off).
 func (m *Manager) Obs() *obs.Recorder { return m.obs }
 
-// ObsNode implements obs.Source.
-func (m *Manager) ObsNode() uint32 { return uint32(m.me) }
-
 // ObsSamples implements obs.Source under the canonical repl.* names.
 // Loop-only.
 func (m *Manager) ObsSamples() []obs.Sample {

@@ -136,9 +136,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// ObsNode implements obs.Source.
-func (c *Client) ObsNode() uint32 { return uint32(c.stack.LocalID()) }
-
 // ObsSamples implements obs.Source under the canonical rpc.* names.
 // Loop-only.
 func (c *Client) ObsSamples() []obs.Sample {
@@ -195,16 +192,13 @@ func (c *Client) InvokeStamped(method string, body []byte, ts time.Duration, don
 		c.stats.Invocations++
 		if c.cfg.Timeout > 0 {
 			cl.timer = c.rt.After(c.cfg.Timeout, func() {
-				if _, ok := c.calls[id]; !ok {
-					return
-				}
 				c.drop(id)
 				c.stats.Timeouts++
 				done(Reply{Err: ErrTimeout})
 			})
 		}
 		if c.cfg.Retry > 0 {
-			c.armRetry(id, cl)
+			c.armRetry(cl)
 		}
 		if err := c.stack.Multicast(msg); err != nil {
 			c.drop(id)
@@ -213,7 +207,8 @@ func (c *Client) InvokeStamped(method string, body []byte, ts time.Duration, don
 	})
 }
 
-// drop removes a call and cancels its timers.
+// drop removes a call and cancels its timers. Cancellation is exact
+// (sim.Canceler), so neither timer's callback runs once its call is gone.
 func (c *Client) drop(id uint64) {
 	cl, ok := c.calls[id]
 	if !ok {
@@ -229,14 +224,11 @@ func (c *Client) drop(id uint64) {
 }
 
 // armRetry schedules periodic retransmission of an unanswered request.
-func (c *Client) armRetry(id uint64, cl *call) {
+func (c *Client) armRetry(cl *call) {
 	cl.retry = c.rt.After(c.cfg.Retry, func() {
-		if _, ok := c.calls[id]; !ok {
-			return
-		}
 		c.stats.Retries++
 		_ = c.stack.Multicast(cl.msg)
-		c.armRetry(id, cl)
+		c.armRetry(cl)
 	})
 }
 

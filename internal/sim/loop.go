@@ -49,18 +49,22 @@ func (l *Loop) Post(fn func()) {
 	l.cond.Signal()
 }
 
-// After schedules fn on the loop after wall-clock delay d.
+// After schedules fn on the loop after wall-clock delay d. The wall-clock
+// timer only posts; whether fn runs is decided on the loop, so a Cancel made
+// after the timer fired but before its post ran still prevents fn.
 func (l *Loop) After(d time.Duration, fn func()) Canceler {
 	lt := &loopTimer{}
 	lt.t = time.AfterFunc(d, func() {
-		lt.mu.Lock()
-		if lt.cancelled {
+		l.Post(func() {
+			lt.mu.Lock()
+			if lt.cancelled {
+				lt.mu.Unlock()
+				return
+			}
+			lt.fired = true
 			lt.mu.Unlock()
-			return
-		}
-		lt.fired = true
-		lt.mu.Unlock()
-		l.Post(fn)
+			fn()
+		})
 	})
 	return lt
 }
@@ -98,7 +102,8 @@ func (l *Loop) run() {
 	}
 }
 
-// loopTimer adapts time.Timer to Canceler with exact "prevented it" reporting.
+// loopTimer adapts time.Timer to Canceler. fired is set on the loop just
+// before fn runs, so Cancel reports true exactly when fn will never run.
 type loopTimer struct {
 	mu        sync.Mutex
 	t         *time.Timer

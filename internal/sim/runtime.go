@@ -20,7 +20,9 @@ type Runtime interface {
 	Now() time.Duration
 
 	// After schedules fn to run on this runtime's loop after delay d.
-	// It returns a handle that can cancel the pending call.
+	// It returns a handle that can cancel the pending call exactly (see
+	// Canceler), so a protocol timer needs no guard of its own against
+	// firing after it was cancelled.
 	After(d time.Duration, fn func()) Canceler
 
 	// Post schedules fn to run on this runtime's loop as soon as possible.
@@ -30,7 +32,9 @@ type Runtime interface {
 
 // Canceler cancels a pending scheduled call.
 type Canceler interface {
-	// Cancel stops the pending call. It reports whether the call was
-	// prevented from running (false if it already ran or was cancelled).
+	// Cancel stops the pending call. It returns true if and only if the
+	// call will never run: false means it already ran (or is running), or
+	// was cancelled before. A timer that has expired but whose call has not
+	// yet started on the loop is still cancelled.
 	Cancel() bool
 }

@@ -216,36 +216,3 @@ func (h *Histogram) Mode() Bin {
 	return Bin{Lo: lo, Hi: lo + h.BinWidth, Count: bestCount,
 		Mass: mass, Density: mass / h.BinWidth.Seconds()}
 }
-
-// Online accumulates mean and variance without retaining observations
-// (Welford's algorithm). The zero value is ready to use.
-type Online struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add records one observation.
-func (o *Online) Add(x float64) {
-	o.n++
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
-}
-
-// N reports the number of observations.
-func (o *Online) N() int { return o.n }
-
-// Mean reports the running mean, or 0 with no observations.
-func (o *Online) Mean() float64 { return o.mean }
-
-// Variance reports the sample variance (n−1), or 0 for n < 2.
-func (o *Online) Variance() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// Stddev reports the sample standard deviation.
-func (o *Online) Stddev() float64 { return math.Sqrt(o.Variance()) }

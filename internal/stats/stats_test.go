@@ -182,37 +182,6 @@ func TestHistogramDefaultBinWidth(t *testing.T) {
 	}
 }
 
-func TestOnlineMatchesBatch(t *testing.T) {
-	var o Online
-	var d Durations
-	vals := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3}
-	for _, v := range vals {
-		o.Add(v)
-		d.Add(time.Duration(v * float64(time.Second)))
-	}
-	if o.N() != len(vals) {
-		t.Fatalf("N = %d", o.N())
-	}
-	if math.Abs(o.Mean()-3.9) > 1e-9 {
-		t.Fatalf("mean = %g, want 3.9", o.Mean())
-	}
-	batchStd := float64(d.Stddev()) / float64(time.Second)
-	if math.Abs(o.Stddev()-batchStd) > 1e-6 {
-		t.Fatalf("online stddev %g != batch %g", o.Stddev(), batchStd)
-	}
-}
-
-func TestOnlineSmallSamples(t *testing.T) {
-	var o Online
-	if o.Variance() != 0 {
-		t.Fatal("variance of empty sample should be 0")
-	}
-	o.Add(7)
-	if o.Variance() != 0 || o.Mean() != 7 {
-		t.Fatal("single observation: variance 0, mean 7")
-	}
-}
-
 func TestSummaryNonEmpty(t *testing.T) {
 	var d Durations
 	d.Add(time.Millisecond)

@@ -361,9 +361,6 @@ func (s *Server) Totals() (queries, leaseHit, staleRejected, drops uint64) {
 	return
 }
 
-// ObsNode implements obs.Source.
-func (s *Server) ObsNode() uint32 { return s.cfg.Node }
-
 // ObsSamples implements obs.Source. timeserve.qps is the average query rate
 // since the server started; the remaining samples are monotonic counters.
 func (s *Server) ObsSamples() []obs.Sample {

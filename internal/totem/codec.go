@@ -1,11 +1,10 @@
 package totem
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"cts/internal/transport"
+	"cts/internal/wire"
 )
 
 // Packet type tags on the wire.
@@ -17,291 +16,159 @@ const (
 	pktAnnounce = 5
 )
 
-// Codec errors.
-var (
-	ErrBadPacket = errors.New("totem: malformed packet")
-	ErrOversize  = errors.New("totem: list too long")
-)
-
-const maxListLen = 1 << 20
-
-// writer appends big-endian fields to a buffer.
-type writer struct{ b []byte }
-
-func (w *writer) u8(v uint8)              { w.b = append(w.b, v) }
-func (w *writer) u32(v uint32)            { w.b = binary.BigEndian.AppendUint32(w.b, v) }
-func (w *writer) u64(v uint64)            { w.b = binary.BigEndian.AppendUint64(w.b, v) }
-func (w *writer) node(v transport.NodeID) { w.u32(uint32(v)) }
-func (w *writer) ring(r RingID)           { w.u64(r.Seq); w.node(r.Rep) }
-
-func (w *writer) bytes(p []byte) {
-	w.u32(uint32(len(p)))
-	w.b = append(w.b, p...)
+func writeRing(w *wire.Writer, r RingID) {
+	w.U64(r.Seq)
+	w.U32(uint32(r.Rep))
 }
 
-func (w *writer) u64s(vs []uint64) {
-	w.u32(uint32(len(vs)))
-	for _, v := range vs {
-		w.u64(v)
-	}
-}
-
-func (w *writer) nodes(vs []transport.NodeID) {
-	w.u32(uint32(len(vs)))
-	for _, v := range vs {
-		w.node(v)
-	}
-}
-
-// reader consumes big-endian fields from a buffer.
-type reader struct {
-	b   []byte
-	err error
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = ErrBadPacket
-	}
-}
-
-func (r *reader) u8() uint8 {
-	if r.err != nil || len(r.b) < 1 {
-		r.fail()
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || len(r.b) < 4 {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || len(r.b) < 8 {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *reader) node() transport.NodeID { return transport.NodeID(r.u32()) }
-
-func (r *reader) ring() RingID {
-	return RingID{Seq: r.u64(), Rep: r.node()}
-}
-
-func (r *reader) bytes() []byte {
-	n := r.u32()
-	if r.err != nil || n > maxListLen || len(r.b) < int(n) {
-		r.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.b[:n])
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *reader) u64s() []uint64 {
-	n := r.u32()
-	if r.err != nil || n > maxListLen || len(r.b) < int(n)*8 {
-		r.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.u64()
-	}
-	return out
-}
-
-func (r *reader) nodes() []transport.NodeID {
-	n := r.u32()
-	if r.err != nil || n > maxListLen || len(r.b) < int(n)*4 {
-		r.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]transport.NodeID, n)
-	for i := range out {
-		out[i] = r.node()
-	}
-	return out
-}
-
-func (r *reader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadPacket, len(r.b))
-	}
-	return nil
+func readRing(r *wire.Reader) RingID {
+	return RingID{Seq: r.U64(), Rep: transport.NodeID(r.U32())}
 }
 
 func encodeData(m *DataMsg) []byte {
-	w := writer{b: make([]byte, 0, 64+len(m.Payload))}
-	w.u8(pktData)
-	w.ring(m.Ring)
-	w.u64(m.Seq)
-	w.node(m.Sender)
-	w.u8(uint8(m.Kind))
+	w := wire.NewWriter(64 + len(m.Payload))
+	w.U8(pktData)
+	writeRing(&w, m.Ring)
+	w.U64(m.Seq)
+	w.U32(uint32(m.Sender))
+	w.U8(uint8(m.Kind))
 	var flags uint8
 	if m.Safe {
 		flags |= 1
 	}
-	w.u8(flags)
-	w.u64(m.DupKey)
-	w.ring(m.OldRing)
-	w.u64(m.OldSeq)
-	w.node(m.OldSndr)
-	w.bytes(m.Payload)
-	return w.b
+	w.U8(flags)
+	w.U64(m.DupKey)
+	writeRing(&w, m.OldRing)
+	w.U64(m.OldSeq)
+	w.U32(uint32(m.OldSndr))
+	w.Bytes(m.Payload)
+	return w.Encoded()
 }
 
 func decodeData(b []byte) (*DataMsg, error) {
-	r := reader{b: b}
+	r := wire.NewReader(b)
 	m := &DataMsg{
-		Ring:   r.ring(),
-		Seq:    r.u64(),
-		Sender: r.node(),
-		Kind:   MsgKind(r.u8()),
+		Ring:   readRing(&r),
+		Seq:    r.U64(),
+		Sender: transport.NodeID(r.U32()),
+		Kind:   MsgKind(r.U8()),
 	}
-	m.Safe = r.u8()&1 != 0
-	m.DupKey = r.u64()
-	m.OldRing = r.ring()
-	m.OldSeq = r.u64()
-	m.OldSndr = r.node()
-	m.Payload = r.bytes()
-	if err := r.done(); err != nil {
+	m.Safe = r.U8()&1 != 0
+	m.DupKey = r.U64()
+	m.OldRing = readRing(&r)
+	m.OldSeq = r.U64()
+	m.OldSndr = transport.NodeID(r.U32())
+	m.Payload = r.Bytes()
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("data message: %w", err)
 	}
 	return m, nil
 }
 
 func encodeToken(t *Token) ([]byte, error) {
-	if len(t.Rtr) > maxListLen {
-		return nil, fmt.Errorf("%w: %d rtr entries", ErrOversize, len(t.Rtr))
+	if len(t.Rtr) > wire.MaxList {
+		return nil, fmt.Errorf("%w: %d rtr entries", wire.ErrOversize, len(t.Rtr))
 	}
-	w := writer{b: make([]byte, 0, 64+8*len(t.Rtr))}
-	w.u8(pktToken)
-	w.ring(t.Ring)
-	w.u64(t.TokenSeq)
-	w.u64(t.Seq)
-	w.u64(t.Aru)
-	w.node(t.AruID)
-	w.u64s(t.Rtr)
-	w.u32(t.Fcc)
-	return w.b, nil
+	w := wire.NewWriter(64 + 8*len(t.Rtr))
+	w.U8(pktToken)
+	writeRing(&w, t.Ring)
+	w.U64(t.TokenSeq)
+	w.U64(t.Seq)
+	w.U64(t.Aru)
+	w.U32(uint32(t.AruID))
+	w.U64s(t.Rtr)
+	w.U32(t.Fcc)
+	return w.Encoded(), nil
 }
 
 func decodeToken(b []byte) (*Token, error) {
-	r := reader{b: b}
+	r := wire.NewReader(b)
 	t := &Token{
-		Ring:     r.ring(),
-		TokenSeq: r.u64(),
-		Seq:      r.u64(),
-		Aru:      r.u64(),
-		AruID:    r.node(),
+		Ring:     readRing(&r),
+		TokenSeq: r.U64(),
+		Seq:      r.U64(),
+		Aru:      r.U64(),
+		AruID:    transport.NodeID(r.U32()),
 	}
-	t.Rtr = r.u64s()
-	t.Fcc = r.u32()
-	if err := r.done(); err != nil {
+	t.Rtr = r.U64s()
+	t.Fcc = r.U32()
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("token: %w", err)
 	}
 	return t, nil
 }
 
 func encodeJoin(j *JoinMsg) []byte {
-	w := writer{b: make([]byte, 0, 32+4*(len(j.ProcSet)+len(j.FailSet)))}
-	w.u8(pktJoin)
-	w.node(j.Sender)
-	w.nodes(j.ProcSet)
-	w.nodes(j.FailSet)
-	w.u64(j.MaxRingSeq)
-	return w.b
+	w := wire.NewWriter(32 + 4*(len(j.ProcSet)+len(j.FailSet)))
+	w.U8(pktJoin)
+	w.U32(uint32(j.Sender))
+	wire.WriteU32s(&w, j.ProcSet)
+	wire.WriteU32s(&w, j.FailSet)
+	w.U64(j.MaxRingSeq)
+	return w.Encoded()
 }
 
 func decodeJoin(b []byte) (*JoinMsg, error) {
-	r := reader{b: b}
-	j := &JoinMsg{Sender: r.node()}
-	j.ProcSet = r.nodes()
-	j.FailSet = r.nodes()
-	j.MaxRingSeq = r.u64()
-	if err := r.done(); err != nil {
+	r := wire.NewReader(b)
+	j := &JoinMsg{Sender: transport.NodeID(r.U32())}
+	j.ProcSet = wire.ReadU32s[transport.NodeID](&r)
+	j.FailSet = wire.ReadU32s[transport.NodeID](&r)
+	j.MaxRingSeq = r.U64()
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("join message: %w", err)
 	}
 	return j, nil
 }
 
+// memberInfoMin is the encoded size of a MemberInfo with nothing Received.
+const memberInfoMin = 4 + 12 + 8 + 8 + 4
+
 func encodeCommit(ct *CommitToken) []byte {
-	w := writer{b: make([]byte, 0, 64)}
-	w.u8(pktCommit)
-	w.ring(ct.Ring)
-	w.nodes(ct.Members)
-	w.u32(uint32(len(ct.Infos)))
+	w := wire.NewWriter(64)
+	w.U8(pktCommit)
+	writeRing(&w, ct.Ring)
+	wire.WriteU32s(&w, ct.Members)
+	w.U32(uint32(len(ct.Infos)))
 	for i := range ct.Infos {
 		in := &ct.Infos[i]
-		w.node(in.ID)
-		w.ring(in.OldRing)
-		w.u64(in.Aru)
-		w.u64(in.HighSeq)
-		w.u64s(in.Received)
+		w.U32(uint32(in.ID))
+		writeRing(&w, in.OldRing)
+		w.U64(in.Aru)
+		w.U64(in.HighSeq)
+		w.U64s(in.Received)
 	}
-	return w.b
+	return w.Encoded()
 }
 
 func decodeCommit(b []byte) (*CommitToken, error) {
-	r := reader{b: b}
-	ct := &CommitToken{Ring: r.ring()}
-	ct.Members = r.nodes()
-	n := r.u32()
-	if r.err == nil && n > maxListLen {
-		r.fail()
-	}
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		in := MemberInfo{ID: r.node(), OldRing: r.ring(), Aru: r.u64(), HighSeq: r.u64()}
-		in.Received = r.u64s()
+	r := wire.NewReader(b)
+	ct := &CommitToken{Ring: readRing(&r)}
+	ct.Members = wire.ReadU32s[transport.NodeID](&r)
+	n := r.Count(memberInfoMin)
+	for i := 0; i < n; i++ {
+		in := MemberInfo{ID: transport.NodeID(r.U32()), OldRing: readRing(&r), Aru: r.U64(), HighSeq: r.U64()}
+		in.Received = r.U64s()
 		ct.Infos = append(ct.Infos, in)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("commit token: %w", err)
 	}
 	return ct, nil
 }
 
 func encodeAnnounce(a *announceMsg) []byte {
-	w := writer{b: make([]byte, 0, 24+4*len(a.Members))}
-	w.u8(pktAnnounce)
-	w.ring(a.Ring)
-	w.nodes(a.Members)
-	return w.b
+	w := wire.NewWriter(24 + 4*len(a.Members))
+	w.U8(pktAnnounce)
+	writeRing(&w, a.Ring)
+	wire.WriteU32s(&w, a.Members)
+	return w.Encoded()
 }
 
 func decodeAnnounce(b []byte) (*announceMsg, error) {
-	r := reader{b: b}
-	a := &announceMsg{Ring: r.ring()}
-	a.Members = r.nodes()
-	if err := r.done(); err != nil {
+	r := wire.NewReader(b)
+	a := &announceMsg{Ring: readRing(&r)}
+	a.Members = wire.ReadU32s[transport.NodeID](&r)
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("announce: %w", err)
 	}
 	return a, nil

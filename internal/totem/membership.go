@@ -122,7 +122,7 @@ func (n *Node) sendJoin() {
 
 func (n *Node) armConsensusTimer() {
 	n.cancelTimer(&n.consensusTimer)
-	n.consensusTimer = n.afterGuarded(n.cfg.JoinTimeout, func() {
+	n.consensusTimer = n.rt.After(n.cfg.JoinTimeout, func() {
 		if n.state != stateGather {
 			return
 		}
@@ -292,7 +292,7 @@ func (n *Node) formRing(cand []transport.NodeID) {
 
 func (n *Node) armCommitTimer() {
 	n.cancelTimer(&n.commitTimer)
-	n.commitTimer = n.afterGuarded(n.cfg.CommitTimeout, func() {
+	n.commitTimer = n.rt.After(n.cfg.CommitTimeout, func() {
 		if n.state != stateCommit {
 			return
 		}

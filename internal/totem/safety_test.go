@@ -261,12 +261,13 @@ func TestTotalOrderUnderLossManySeeds(t *testing.T) {
 	}
 }
 
-// TestSafeModeNodeWide exercises Mode: Safe across a membership change.
+// TestSafeModeNodeWideSurvivesCrash sends every message with safe delivery
+// and crashes a member while they are in flight.
 func TestSafeModeNodeWideSurvivesCrash(t *testing.T) {
 	h := newHarness(t, 26, nil)
 	ids := nodeIDs(3)
 	for _, id := range ids {
-		h.addNode(id, ids, true, func(c *Config) { c.Mode = Safe })
+		h.addNode(id, ids, true)
 	}
 	h.startAll()
 	h.k.RunFor(2 * time.Millisecond)
@@ -274,7 +275,7 @@ func TestSafeModeNodeWideSurvivesCrash(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		msg := fmt.Sprintf("s%d", i)
 		h.k.At(h.k.Now()+time.Duration(i*200)*time.Microsecond,
-			func() { node.Broadcast([]byte(msg)) })
+			func() { node.BroadcastCancelable([]byte(msg), true, 0) })
 	}
 	h.k.RunFor(2 * time.Millisecond)
 	h.nodes[2].Stop()

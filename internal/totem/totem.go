@@ -50,8 +50,6 @@ type Config struct {
 	// deduplication), for instrumentation such as token-passing-time
 	// measurements. Called on the runtime loop. Optional.
 	OnToken func(Token)
-	// Mode selects agreed (default) or safe delivery.
-	Mode DeliverMode
 	// Protocol timeouts; zero values take the defaults above.
 	TokenLossTimeout    time.Duration
 	TokenRetransTimeout time.Duration
@@ -184,13 +182,6 @@ type Node struct {
 	consensusTimer sim.Canceler
 	commitTimer    sim.Canceler
 	announceTimer  sim.Canceler
-	// timerEpoch is bumped by cancelAllTimers; a timer callback armed under
-	// an older epoch is dropped when it fires. This closes the real-time
-	// runtime's race where a timer fires concurrently with Cancel and its
-	// already-posted callback outlives the cancellation (sim.Loop cannot
-	// recall a fired post), so no protocol timer can act — or re-arm —
-	// after Stop.
-	timerEpoch uint64
 
 	totalOrder uint64
 
@@ -337,23 +328,6 @@ func (n *Node) BroadcastCancelable(payload []byte, safe bool, dupKey uint64) fun
 		return true
 	}
 }
-
-// Ring reports the current ring. Must be called on the runtime loop.
-func (n *Node) Ring() RingID { return n.ring }
-
-// Members reports the current membership. Must be called on the runtime loop.
-func (n *Node) Members() []transport.NodeID {
-	out := make([]transport.NodeID, len(n.members))
-	copy(out, n.members)
-	return out
-}
-
-// InPrimary reports whether the node's component is primary. Must be called
-// on the runtime loop.
-func (n *Node) InPrimary() bool { return n.primary }
-
-// ObsNode implements obs.Source.
-func (n *Node) ObsNode() uint32 { return uint32(n.me) }
 
 // ObsSamples implements obs.Source under the canonical totem.* names.
 // Loop-only.
@@ -641,9 +615,9 @@ func (n *Node) updateAru() {
 }
 
 // tryDeliver delivers received messages in sequence order. Agreed messages
-// deliver as soon as the prefix is complete; safe messages (per-message flag
-// or node-wide Safe mode) additionally wait for the safe point, holding
-// later messages so that the total order is preserved.
+// deliver as soon as the prefix is complete; safe messages additionally
+// wait for the safe point, holding later messages so that the total order
+// is preserved.
 func (n *Node) tryDeliver() {
 	n.updateAru()
 	for n.delivered < n.myAru {
@@ -652,8 +626,7 @@ func (n *Node) tryDeliver() {
 		if !ok {
 			return
 		}
-		safe := m.Safe || n.cfg.Mode == Safe
-		if safe && s > n.safePoint {
+		if m.Safe && s > n.safePoint {
 			if n.safeWaitSeq != s {
 				// First time this sequence blocks on the safe point: open the
 				// safe-delivery wait sub-span (the paper's ≈300µs extra token
@@ -663,7 +636,7 @@ func (n *Node) tryDeliver() {
 			}
 			return
 		}
-		if safe && n.safeWaitSeq == s {
+		if m.Safe && n.safeWaitSeq == s {
 			n.obs.Trace(obs.ScopeTotem, obs.EvSafeDelivered, 0, s, int64(n.safePoint), "")
 		}
 		n.delivered = s
@@ -750,7 +723,7 @@ func (n *Node) forwardToken(tk *Token) {
 
 func (n *Node) armRetransTimer() {
 	n.cancelTimer(&n.retransTimer)
-	n.retransTimer = n.afterGuarded(n.cfg.TokenRetransTimeout, n.retransmitToken)
+	n.retransTimer = n.rt.After(n.cfg.TokenRetransTimeout, n.retransmitToken)
 }
 
 func (n *Node) retransmitToken() {
@@ -765,12 +738,12 @@ func (n *Node) retransmitToken() {
 	if succ != n.me {
 		_ = n.tr.Send(succ, n.retained)
 	}
-	n.retransTimer = n.afterGuarded(n.cfg.TokenRetransTimeout, n.retransmitToken)
+	n.retransTimer = n.rt.After(n.cfg.TokenRetransTimeout, n.retransmitToken)
 }
 
 func (n *Node) armLossTimer() {
 	n.cancelTimer(&n.lossTimer)
-	n.lossTimer = n.afterGuarded(n.cfg.TokenLossTimeout, func() {
+	n.lossTimer = n.rt.After(n.cfg.TokenLossTimeout, func() {
 		if n.state != stateOperational && n.state != stateRecover {
 			return
 		}
@@ -796,7 +769,6 @@ func (n *Node) cancelTimer(t *sim.Canceler) {
 }
 
 func (n *Node) cancelAllTimers() {
-	n.timerEpoch++
 	n.cancelTimer(&n.retransTimer)
 	n.cancelTimer(&n.lossTimer)
 	n.cancelTimer(&n.consensusTimer)
@@ -804,26 +776,11 @@ func (n *Node) cancelAllTimers() {
 	n.cancelTimer(&n.announceTimer)
 }
 
-// afterGuarded arms a protocol timer: the callback is dropped if the node
-// stopped or cancelAllTimers ran (epoch bump) between arming and firing.
-// Every timer callback still checks the specific state it needs; the epoch
-// guard is the structural backstop for already-fired timers whose posted
-// callbacks Cancel cannot recall.
-func (n *Node) afterGuarded(d time.Duration, fn func()) sim.Canceler {
-	epoch := n.timerEpoch
-	return n.rt.After(d, func() {
-		if n.state == stateStopped || n.timerEpoch != epoch {
-			return
-		}
-		fn()
-	})
-}
-
 // armAnnounceTimer schedules the periodic ring beacon; only the
 // representative of an operational ring announces.
 func (n *Node) armAnnounceTimer() {
 	n.cancelTimer(&n.announceTimer)
-	n.announceTimer = n.afterGuarded(n.cfg.AnnounceInterval, func() {
+	n.announceTimer = n.rt.After(n.cfg.AnnounceInterval, func() {
 		if n.state != stateOperational || n.me != n.ring.Rep {
 			return
 		}

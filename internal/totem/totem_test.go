@@ -246,17 +246,18 @@ func TestDeliveryUnderMessageLoss(t *testing.T) {
 	h.checkPrefixConsistency(ids...)
 }
 
+// TestSafeDeliveryMode sends every message with safe delivery.
 func TestSafeDeliveryMode(t *testing.T) {
 	h := newHarness(t, 5, nil)
 	ids := nodeIDs(3)
 	for _, id := range ids {
-		h.addNode(id, ids, true, func(c *Config) { c.Mode = Safe })
+		h.addNode(id, ids, true)
 	}
 	h.startAll()
 	node := h.nodes[0]
 	for i := 0; i < 15; i++ {
 		msg := fmt.Sprintf("m%d", i)
-		h.k.At(time.Duration(i*100)*time.Microsecond, func() { node.Broadcast([]byte(msg)) })
+		h.k.At(time.Duration(i*100)*time.Microsecond, func() { node.BroadcastCancelable([]byte(msg), true, 0) })
 	}
 	ok := h.runUntil(time.Second, func() bool {
 		for _, id := range ids {

@@ -132,21 +132,6 @@ type View struct {
 	Primary bool // whether this component satisfies the quorum rule
 }
 
-// DeliverMode selects the delivery guarantee.
-type DeliverMode int
-
-// Delivery guarantees. Agreed delivers a message once all messages with
-// lower sequence numbers have been received (total order); Safe additionally
-// waits until the token's all-received-up-to field shows that every
-// processor on the ring holds the message. (Individual messages may also
-// request safe delivery via BroadcastCancelable regardless of the node
-// mode; total order is preserved — a held safe message blocks subsequent
-// deliveries.)
-const (
-	Agreed DeliverMode = iota
-	Safe
-)
-
 // Stats are cumulative protocol counters, for experiments and debugging.
 type Stats struct {
 	TokensHandled   uint64

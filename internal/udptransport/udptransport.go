@@ -237,9 +237,6 @@ func (t *Transport) writeFrame(to transport.NodeID, addr *net.UDPAddr, frame []b
 	return nil
 }
 
-// ObsNode implements obs.Source.
-func (t *Transport) ObsNode() uint32 { return uint32(t.id) }
-
 // ObsSamples implements obs.Source, exposing the transport's error counters
 // (udp.read_errors, udp.send_errors). Unlike the loop-confined stack
 // sources, these counters are atomics, so gathering is safe from any
