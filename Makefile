@@ -66,13 +66,15 @@ allocs:
 	$(GO) test -count=1 -run 'AllocatesNothing|AllocFree' ./internal/sim ./internal/simnet ./internal/core ./internal/timeserve
 
 # fuzz gives each socket-facing decoder (timeserve requests and responses,
-# Totem and leader-sequencer packets) and the campaign matrix decoder ten
-# seconds of coverage-guided input beyond its seed corpus (testdata/fuzz).
+# Totem and leader-sequencer packets), the CCS message and checkpoint state
+# decoders and the campaign matrix decoder ten seconds of coverage-guided
+# input beyond its seed corpus (testdata/fuzz).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 10s ./internal/timeserve
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 10s ./internal/timeserve
 	$(GO) test -run '^$$' -fuzz '^FuzzTotemDecode$$' -fuzztime 10s ./internal/totem
 	$(GO) test -run '^$$' -fuzz '^FuzzSeqDecode$$' -fuzztime 10s ./internal/order
+	$(GO) test -run '^$$' -fuzz '^FuzzCCSDecode$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMatrix$$' -fuzztime 10s ./internal/campaign
 
 # sim-smoke runs one iteration of the simulator hot-path benchmarks: a

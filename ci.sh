@@ -59,13 +59,16 @@ go test -race -count=1 -tags simnetpoison ./internal/simnet ./internal/totem ./i
 
 echo "== fuzz the decoders =="
 # The timeserve decoders and the two wire orderers' packet decoders (Totem,
-# leader-sequencer) face the socket, and the campaign matrix decoder faces
-# user files: ten seconds of coverage-guided input each, on top of the
-# committed seed corpora under each package's testdata/fuzz.
+# leader-sequencer) face the socket, the CCS payload and checkpoint state
+# decoders stand between a delivered message and core's round state, and the
+# campaign matrix decoder faces user files: ten seconds of coverage-guided
+# input each, on top of the committed seed corpora under each package's
+# testdata/fuzz.
 go test -run '^$' -fuzz '^FuzzParseRequest$' -fuzztime 10s ./internal/timeserve
 go test -run '^$' -fuzz '^FuzzParseResponse$' -fuzztime 10s ./internal/timeserve
 go test -run '^$' -fuzz '^FuzzTotemDecode$' -fuzztime 10s ./internal/totem
 go test -run '^$' -fuzz '^FuzzSeqDecode$' -fuzztime 10s ./internal/order
+go test -run '^$' -fuzz '^FuzzCCSDecode$' -fuzztime 10s ./internal/core
 go test -run '^$' -fuzz '^FuzzParseMatrix$' -fuzztime 10s ./internal/campaign
 
 echo "== simulator hot-path smoke =="

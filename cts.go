@@ -247,12 +247,6 @@ func WithOrderer(opts OrdererOptions) Option {
 	return func(c *node.Config) { c.Order = opts; c.OrderSet = true }
 }
 
-// WithBootstrap selects whether a facade-built stack forms the initial ring
-// directly (default: bootstrap unless WithRecovering(true)).
-func WithBootstrap(b bool) Option {
-	return func(c *node.Config) { c.Bootstrap = b; c.BootSet = true }
-}
-
 // WithGroup sets the server group identifier. Default DefaultGroup.
 func WithGroup(g GroupID) Option { return func(c *node.Config) { c.Group = g } }
 
@@ -268,7 +262,8 @@ func WithApplication(app Application) Option { return func(c *node.Config) { c.A
 func WithClock(clk HardwareClock) Option { return func(c *node.Config) { c.Clock = clk } }
 
 // WithRecovering marks a replica that joins an existing group via state
-// transfer.
+// transfer. A facade-built stack forms the initial ring directly unless the
+// replica is recovering.
 func WithRecovering(r bool) Option { return func(c *node.Config) { c.Recovering = r } }
 
 // WithCheckpointEvery sets the passive primary's checkpoint interval.

@@ -47,7 +47,7 @@ func (s *TimeService) queueProposal(threadID, round uint64, proposed time.Durati
 		return
 	}
 	if s.cfg.DisableBatching || (len(s.inflight) == 0 && len(s.pendingBatch) == 0) {
-		s.sendSingleCCS(threadID, round, proposed, op, false)
+		s.sendSingleCCS(threadID, round, proposed, op)
 		return
 	}
 	s.obs.Trace(obs.ScopeCore, obs.EvProposalQueued, threadID, round, int64(proposed), "batch")
@@ -82,7 +82,7 @@ func (s *TimeService) flushBatch() {
 	case 0:
 	case 1:
 		e := live[0]
-		s.sendSingleCCS(e.ThreadID, e.Round, e.Proposed, e.Op, false)
+		s.sendSingleCCS(e.ThreadID, e.Round, e.Proposed, e.Op)
 	default:
 		s.sendBatchCCS(live)
 	}
@@ -100,27 +100,24 @@ func (s *TimeService) roundStillPending(threadID, round uint64) bool {
 	return w != nil && w.round == round
 }
 
-// sendSingleCCS multicasts one plain CCS proposal (wire.TypeCCS) and tracks
-// it in-flight. The header carries the (thread, round) identity, so identical
-// competing proposals from different replicas collapse in the substrate's
-// duplicate suppression — batching must not replace this path for
-// uncontended reads.
-func (s *TimeService) sendSingleCCS(threadID, round uint64, proposed time.Duration,
-	op wire.ClockOp, special bool) {
-	var attr string
-	if special {
-		attr = "special"
-	}
+// sendSingleCCS multicasts one plain CCS proposal (wire.TypeCCS). Its header
+// carries the (thread, round) identity, so identical competing proposals from
+// different replicas collapse in the substrate's duplicate suppression —
+// batching must not replace this path for uncontended reads.
+func (s *TimeService) sendSingleCCS(threadID, round uint64, proposed time.Duration, op wire.ClockOp) {
+	s.sendCCS(wire.TypeCCS, threadID, round, proposed, "",
+		wire.MarshalCCS(wire.CCSPayload{ThreadID: threadID, Proposed: proposed, Op: op}))
+}
+
+// sendCCS multicasts one round's proposal as a message of type typ whose
+// header names the round (Conn is the truncated thread id, Seq the round),
+// and tracks it in flight. attr tags its trace events.
+func (s *TimeService) sendCCS(typ wire.MsgType, threadID, round uint64, proposed time.Duration,
+	attr string, payload []byte) {
 	s.obs.Trace(obs.ScopeCore, obs.EvProposalQueued, threadID, round, int64(proposed), attr)
 	gid := s.mgr.Group()
-	payload := wire.MarshalCCS(wire.CCSPayload{
-		ThreadID: threadID,
-		Proposed: proposed,
-		Op:       op,
-		Special:  special,
-	})
 	cancel, err := s.mgr.Stack().MulticastCancelable(wire.Message{
-		Header: wire.Header{Type: wire.TypeCCS, SrcGroup: gid, DstGroup: gid,
+		Header: wire.Header{Type: typ, SrcGroup: gid, DstGroup: gid,
 			Conn: wire.ConnID(threadID & 0xFFFFFFFF), Seq: round},
 		Payload: payload,
 	}, !s.cfg.AgreedCCS)

@@ -270,6 +270,8 @@ func New(cfg Config) (*TimeService, error) {
 		inflight:   make(map[threadRound]*inflightProposal),
 		special:    ccsHandler{threadID: specialThreadID, buffer: make(map[uint64]roundMsg)},
 	}
+	s.lease.refresh.threadID = RefreshThreadID
+	s.fed.handler.threadID = FedThreadID
 	if cfg.Manager.Recovering() {
 		s.recoveryStart = cfg.Clock.Read()
 		s.joinLagDue = true
@@ -337,16 +339,8 @@ func (s *TimeService) read(ctx *replication.Ctx, op wire.ClockOp) time.Duration 
 // beginRead runs on the loop: lines 3–14 of Figure 2.
 func (s *TimeService) beginRead(threadID uint64, op wire.ClockOp, complete func(any)) {
 	h := s.handler(threadID)
-	physical := s.clock.Read()   // my_physical_clock_val
-	local := physical + s.offset // my_local_clock_val
-	if s.cfg.Compensation == CompExternal {
-		diff := s.cfg.External.Read() - local
-		local += time.Duration(float64(diff) * s.cfg.ExternalGain)
-	}
-	// §5: a proposal never trails a causally observed foreign group clock.
-	if floor := s.causalFloor + time.Microsecond; local < floor {
-		local = floor
-	}
+	physical := s.clock.Read() // my_physical_clock_val
+	local := s.proposal(physical, 0)
 	h.round++ // line 9
 	s.stats.RoundsInitiated++
 	round := h.round
@@ -365,6 +359,23 @@ func (s *TimeService) beginRead(threadID uint64, op wire.ClockOp, complete func(
 	s.queueProposal(threadID, round, local, op)
 }
 
+// proposal is the value this replica proposes for a round of any kind: its
+// local clock value physical + offset (my_local_clock_val), steered toward the
+// external reference under CompExternal (§3.3), plus a federated round's
+// forward nudge, and never at or below a causally observed foreign group clock
+// (§5).
+func (s *TimeService) proposal(physical, nudge time.Duration) time.Duration {
+	local := physical + s.offset
+	if s.cfg.Compensation == CompExternal {
+		local += time.Duration(float64(s.cfg.External.Read()-local) * s.cfg.ExternalGain)
+	}
+	local += nudge
+	if floor := s.causalFloor + time.Microsecond; local < floor {
+		local = floor
+	}
+	return local
+}
+
 // competes reports whether this replica sends CCS proposals: all replicas
 // under active replication; only the primary under passive and semi-active.
 func (s *TimeService) competes() bool {
@@ -381,7 +392,11 @@ func (s *TimeService) onCCS(msg wire.Message, meta gcs.Meta) {
 		return
 	}
 	if msg.Type == wire.TypeCCSFed {
-		s.onCCSFed(msg, meta)
+		p, err := wire.UnmarshalCCSFed(msg.Payload)
+		if err == nil {
+			s.deliverLatest(&s.fed.handler, msg.Seq,
+				roundMsg{proposed: p.Proposed, op: wire.OpGettimeofday, sender: meta.Sender}, p.Slack)
+		}
 		return
 	}
 	p, err := wire.UnmarshalCCS(msg.Payload)
@@ -400,7 +415,7 @@ func (s *TimeService) onCCS(msg wire.Message, meta gcs.Meta) {
 // CCS message or one batch entry — to its handler.
 func (s *TimeService) deliverProposal(threadID, round uint64, rm roundMsg) {
 	if threadID == RefreshThreadID {
-		s.deliverRefresh(round, rm)
+		s.deliverLatest(&s.lease.refresh, round, rm, 0)
 		return
 	}
 	h, ok := s.handlers[threadID]
@@ -473,6 +488,55 @@ func (s *TimeService) deliverToHandler(h *ccsHandler, round uint64, rm roundMsg)
 	s.observeGroupValue(h.threadID, round, rm)
 	if h.threadID == specialThreadID {
 		s.consumeSpecial()
+	}
+}
+
+// startLatest opens the next round on a latest-wins handler — lease refresh
+// or federated — unless this replica is not live or its previous round is
+// still in flight, and returns the round and its proposal.
+func (s *TimeService) startLatest(h *ccsHandler, nudge time.Duration) (round uint64, proposed time.Duration, ok bool) {
+	if !s.mgr.Live() || h.waiting != nil {
+		return 0, 0, false
+	}
+	physical := s.clock.Read()
+	h.round++
+	h.waiting = &pendingRead{round: h.round, physical: physical,
+		op: wire.OpGettimeofday, complete: func(any) {}}
+	return h.round, s.proposal(physical, nudge), true
+}
+
+// deliverLatest applies a delivered round on a latest-wins handler. Unlike
+// deliverToHandler it never buffers: the first delivered proposal for a round
+// decides, and a newer round advances the counter and adopts directly,
+// superseding our own in-flight round. Replicas that start such rounds at
+// different cadences therefore neither grow an input buffer nor replay a stale
+// value later. A federated round re-anchors the federation slack it carries,
+// in delivery order and before the adoption publishes the lease, so every
+// member's published margin reflects the same total-order point.
+func (s *TimeService) deliverLatest(h *ccsHandler, round uint64, rm roundMsg, slack time.Duration) {
+	w := h.waiting
+	initiated := w != nil && w.round == round
+	if !initiated && round <= h.round {
+		return // duplicate: already decided
+	}
+	h.round = round
+	if w != nil {
+		// Our round is decided, or overtaken by this one: withdraw our
+		// proposal if it has not reached the wire yet.
+		h.waiting = nil
+		s.releaseProposal(h.threadID, w.round)
+	}
+	if h.threadID == FedThreadID {
+		s.anchorFedSlack(slack)
+		rm.proposed = s.guardMonotoneFed(rm.proposed)
+	} else {
+		rm.proposed = s.guardMonotone(rm.proposed)
+	}
+	s.traceFirstOrdered(h.threadID, round, rm)
+	if initiated {
+		s.finishRound(h, round, w.physical, rm, true, w.complete)
+	} else {
+		s.observeGroupValue(h.threadID, round, rm)
 	}
 }
 

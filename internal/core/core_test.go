@@ -513,6 +513,105 @@ func TestRecoveringReplicaIntegratesNewClock(t *testing.T) {
 	}
 }
 
+// TestSpecialRoundRespectsCausalFloor: the §3.2 special round proposes like
+// every other round, so once the group has observed a foreign group clock
+// (§5) the round taken for a joiner's state transfer decides above it.
+func TestSpecialRoundRespectsCausalFloor(t *testing.T) {
+	h := newCoreHarness(t, 9)
+	ring := []transport.NodeID{0, 1, 2, 3}
+	for _, id := range ring {
+		h.addStack(id, ring, true)
+	}
+	h.addReplica(1, replication.Active, false, h.simClock(0, 0))
+	h.addReplica(2, replication.Active, false, h.simClock(3*time.Second, 0))
+	for _, s := range h.stacks {
+		s.Start()
+	}
+	h.k.RunFor(3 * time.Millisecond)
+	const foreign = time.Hour
+	h.svcs[1].ObserveTimestamp(foreign)
+	h.svcs[2].ObserveTimestamp(foreign)
+
+	h.addReplica(3, replication.Active, true, h.simClock(100*time.Second, 0))
+	if !h.runUntil(10*time.Second, func() bool { return h.counter(1, "core.special_rounds") > 0 }) {
+		t.Fatal("no special round was taken for the state transfer")
+	}
+	h.k.RunFor(5 * time.Millisecond)
+	specials := 0
+	for _, id := range []transport.NodeID{1, 2} {
+		for _, r := range h.reports[id] {
+			if !r.Special {
+				continue
+			}
+			specials++
+			if r.GroupClock <= foreign {
+				t.Errorf("replica %v: special round %d decided %v, not above the causal floor %v",
+					id, r.Round, r.GroupClock, foreign)
+			}
+		}
+	}
+	if specials == 0 {
+		t.Fatal("no replica reported the special round")
+	}
+}
+
+// TestReservedRoundsReportTheirThread: lease-refresh and federated rounds
+// are reported under their reserved thread ids, never the special round's
+// 0, so (thread, round) names one round across every round kind.
+func TestReservedRoundsReportTheirThread(t *testing.T) {
+	h := newCoreHarness(t, 41)
+	sink := obs.NewMemorySink(0)
+	rec, err := obs.New(obs.Config{Now: h.k.Now, Sink: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.rec = rec
+	ring := []transport.NodeID{0, 1, 2, 3}
+	for _, id := range ring {
+		h.addStack(id, ring, true)
+	}
+	for _, id := range serverIDs {
+		h.addReplica(id, replication.Active, false, h.simClock(0, 0))
+	}
+	for _, s := range h.stacks {
+		s.Start()
+	}
+	h.k.RunFor(3 * time.Millisecond)
+	enableLeases(h, LeaseConfig{Window: time.Second})
+	enableFederation(h, FedConfig{InitialSlack: time.Millisecond, AgingPPM: 100}, serverIDs...)
+	h.svcs[1].RefreshLease()
+	h.k.RunFor(5 * time.Millisecond)
+	h.svcs[1].ProposeFederated(time.Millisecond, time.Millisecond)
+	h.k.RunFor(5 * time.Millisecond)
+
+	for _, tid := range []uint64{RefreshThreadID, FedThreadID} {
+		reported := false
+		for _, r := range h.reports[1] {
+			if r.Initiated && r.Round == 1 && r.ThreadID == tid {
+				reported = true
+			}
+		}
+		if !reported {
+			t.Errorf("no initiated round 1 reported under thread %#x; reports: %+v", tid, h.reports[1])
+		}
+		adopted := false
+		for _, ev := range sink.Events() {
+			if ev.Node == 1 && ev.Scope == obs.ScopeCore && ev.Name == obs.EvAdopted &&
+				ev.Thread == tid && ev.Round == 1 {
+				adopted = true
+			}
+		}
+		if !adopted {
+			t.Errorf("no %s event for thread %#x round 1", obs.EvAdopted, tid)
+		}
+	}
+	for _, r := range h.reports[1] {
+		if r.ThreadID == specialThreadID {
+			t.Errorf("round reported under the special round's thread: %+v", r)
+		}
+	}
+}
+
 func TestDriftWithoutCompensationRunsSlow(t *testing.T) {
 	h, client := standardSetup(t, 10, replication.Active)
 	realStart := h.k.Now()

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"time"
 
-	"cts/internal/gcs"
 	"cts/internal/obs"
 	"cts/internal/wire"
 )
@@ -157,108 +156,25 @@ func (s *TimeService) FederationSlack() time.Duration {
 // Loop-only (federation agents run on the replica's loop). The nudge must
 // come from a bounded-influence merge rule — this method clamps nothing
 // beyond the monotone guard every CCS value passes at delivery.
+//
+// Like refresh rounds, the header carries the round identity, so identical
+// competing rounds from several members collapse in the substrate's duplicate
+// suppression. Federated rounds never batch: their payload carries the slack
+// term, which must ride the same total-order slot as the value it accounts
+// for.
 func (s *TimeService) ProposeFederated(nudge, slack time.Duration) {
-	if !s.fed.enabled || !s.mgr.Live() || s.fed.handler.waiting != nil {
+	if !s.fed.enabled {
 		return
 	}
-	if nudge < 0 {
-		nudge = 0
+	round, proposed, ok := s.startLatest(&s.fed.handler, max(nudge, 0))
+	if !ok {
+		return
 	}
-	if slack < 0 {
-		slack = 0
-	}
-	physical := s.clock.Read()
-	local := physical + s.offset + nudge
-	if s.cfg.Compensation == CompExternal {
-		diff := s.cfg.External.Read() - (physical + s.offset)
-		local += time.Duration(float64(diff) * s.cfg.ExternalGain)
-	}
-	if floor := s.causalFloor + time.Microsecond; local < floor {
-		local = floor
-	}
-	s.fed.handler.round++
 	s.fed.proposals++
-	round := s.fed.handler.round
-	s.fed.handler.waiting = &pendingRead{round: round, physical: physical,
-		op: wire.OpGettimeofday, complete: func(any) {}}
-	s.sendFedCCS(round, local, slack)
-}
-
-// sendFedCCS multicasts one federated CCS proposal. Like refresh rounds the
-// header carries the round identity (Conn is the truncated thread id, Seq
-// the round), so identical competing rounds from several members collapse in
-// the substrate's duplicate suppression. Federated rounds never batch: their
-// payload carries the slack term, which must ride the same total-order slot
-// as the value it accounts for.
-func (s *TimeService) sendFedCCS(round uint64, proposed time.Duration, slack time.Duration) {
-	if !s.competes() {
-		return
+	if s.competes() {
+		s.sendCCS(wire.TypeCCSFed, FedThreadID, round, proposed, "fed",
+			wire.MarshalCCSFed(wire.CCSFedPayload{Proposed: proposed, Slack: max(slack, 0)}))
 	}
-	s.obs.Trace(obs.ScopeCore, obs.EvProposalQueued, FedThreadID, round, int64(proposed), "fed")
-	gid := s.mgr.Group()
-	payload := wire.MarshalCCSFed(wire.CCSFedPayload{Proposed: proposed, Slack: slack})
-	cancel, err := s.mgr.Stack().MulticastCancelable(wire.Message{
-		Header: wire.Header{Type: wire.TypeCCSFed, SrcGroup: gid, DstGroup: gid,
-			Conn: wire.ConnID(FedThreadID & 0xFFFFFFFF), Seq: round},
-		Payload: payload,
-	}, !s.cfg.AgreedCCS)
-	if err != nil {
-		return
-	}
-	s.stats.CCSSent++
-	s.obs.Trace(obs.ScopeCore, obs.EvCCSSent, FedThreadID, round, int64(proposed), "fed")
-	s.trackProposal([]threadRound{{FedThreadID, round}}, func() bool {
-		if cancel() {
-			s.stats.CCSSent--
-			s.stats.CCSSuppressed++
-			s.obs.Trace(obs.ScopeCore, obs.EvCCSSuppressed, FedThreadID, round, int64(proposed), "fed")
-			return true
-		}
-		return false
-	})
-}
-
-// onCCSFed handles a delivered federated CCS message.
-func (s *TimeService) onCCSFed(msg wire.Message, meta gcs.Meta) {
-	p, err := wire.UnmarshalCCSFed(msg.Payload)
-	if err != nil {
-		return
-	}
-	rm := roundMsg{proposed: p.Proposed, op: wire.OpGettimeofday, sender: meta.Sender}
-	s.deliverFed(msg.Seq, rm, p.Slack)
-}
-
-// deliverFed applies a delivered federated round. Like deliverRefresh it
-// never buffers: the first delivered proposal for a round decides, a future
-// round advances the counter directly, and the slack term is re-anchored —
-// in delivery order, before the adoption publishes the lease — so every
-// member's published margin reflects the same total-order point.
-func (s *TimeService) deliverFed(round uint64, rm roundMsg, slack time.Duration) {
-	h := &s.fed.handler
-	if w := h.waiting; w != nil && w.round == round {
-		h.waiting = nil
-		s.releaseProposal(FedThreadID, round)
-		s.anchorFedSlack(slack)
-		rm.proposed = s.guardMonotoneFed(rm.proposed)
-		s.traceFirstOrdered(FedThreadID, round, rm)
-		s.finishRound(h, round, w.physical, rm, true, w.complete)
-		return
-	}
-	if round <= h.round {
-		return // duplicate: already decided
-	}
-	h.round = round
-	if w := h.waiting; w != nil && w.round < round {
-		// Our in-flight round was overtaken; the overtaking adoption
-		// supersedes it, so withdraw our proposal for the stale round.
-		h.waiting = nil
-		s.releaseProposal(FedThreadID, w.round)
-		w.complete(nil)
-	}
-	s.anchorFedSlack(slack)
-	rm.proposed = s.guardMonotoneFed(rm.proposed)
-	s.traceFirstOrdered(FedThreadID, round, rm)
-	s.observeGroupValue(FedThreadID, round, rm)
 }
 
 // guardMonotoneFed validates a federated round's decided value. A federated

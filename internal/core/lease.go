@@ -316,55 +316,13 @@ func OnDuty(rank, n int, tick uint64, width int) bool {
 
 // refreshLease is the loop half of RefreshLease.
 func (s *TimeService) refreshLease() {
-	if !s.lease.enabled || !s.mgr.Live() || s.lease.refresh.waiting != nil {
+	if !s.lease.enabled {
 		return
 	}
-	physical := s.clock.Read()
-	local := physical + s.offset
-	if s.cfg.Compensation == CompExternal {
-		diff := s.cfg.External.Read() - local
-		local += time.Duration(float64(diff) * s.cfg.ExternalGain)
+	if round, proposed, ok := s.startLatest(&s.lease.refresh, 0); ok {
+		s.lease.refreshes++
+		s.queueProposal(RefreshThreadID, round, proposed, wire.OpGettimeofday)
 	}
-	if floor := s.causalFloor + time.Microsecond; local < floor {
-		local = floor
-	}
-	s.lease.refresh.round++
-	s.lease.refreshes++
-	round := s.lease.refresh.round
-	s.lease.refresh.waiting = &pendingRead{round: round, physical: physical,
-		op: wire.OpGettimeofday, complete: func(any) {}}
-	s.queueProposal(RefreshThreadID, round, local, wire.OpGettimeofday)
-}
-
-// deliverRefresh handles a delivered refresh-round CCS message. Unlike
-// deliverToHandler it never buffers: an observed future round advances the
-// counter directly and adopts, so refresh traffic cannot grow an input
-// buffer at replicas that refresh less often, and a replica can never
-// republish a stale buffered refresh value later.
-func (s *TimeService) deliverRefresh(round uint64, rm roundMsg) {
-	h := &s.lease.refresh
-	if w := h.waiting; w != nil && w.round == round {
-		h.waiting = nil
-		s.releaseProposal(RefreshThreadID, round)
-		rm.proposed = s.guardMonotone(rm.proposed)
-		s.traceFirstOrdered(RefreshThreadID, round, rm)
-		s.finishRound(h, round, w.physical, rm, true, w.complete)
-		return
-	}
-	if round <= h.round {
-		return // duplicate: already decided
-	}
-	h.round = round
-	if w := h.waiting; w != nil && w.round < round {
-		// Our in-flight round was overtaken; the overtaking adoption
-		// supersedes it, so withdraw our proposal for the stale round.
-		h.waiting = nil
-		s.releaseProposal(RefreshThreadID, w.round)
-		w.complete(nil)
-	}
-	rm.proposed = s.guardMonotone(rm.proposed)
-	s.traceFirstOrdered(RefreshThreadID, round, rm)
-	s.observeGroupValue(RefreshThreadID, round, rm)
 }
 
 // leaseObsSamples contributes the lease plane's counters to ObsSamples.

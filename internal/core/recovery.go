@@ -1,8 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
-	"sort"
+	"slices"
 	"time"
 
 	"cts/internal/obs"
@@ -37,7 +36,6 @@ func (s *TimeService) captureForCheckpoint(done func(extra []byte, groupClock in
 	s.stats.SpecialRounds++
 	round := s.special.round + 1
 	physical := s.clock.Read()
-	local := physical + s.offset
 
 	finish := func(v any) {
 		grp, _ := v.(time.Duration)
@@ -63,7 +61,9 @@ func (s *TimeService) captureForCheckpoint(done func(extra []byte, groupClock in
 	// Special rounds are never batched: they synchronize with a GET_STATE
 	// checkpoint and must stand alone in the total order.
 	if s.competes() {
-		s.sendSingleCCS(specialThreadID, round, local, wire.OpGettimeofday, true)
+		local := s.proposal(physical, 0)
+		s.sendCCS(wire.TypeCCS, specialThreadID, round, local, "special", wire.MarshalCCS(wire.CCSPayload{
+			ThreadID: specialThreadID, Proposed: local, Op: wire.OpGettimeofday, Special: true}))
 	}
 }
 
@@ -199,70 +199,56 @@ type ccsState struct {
 }
 
 func (s *TimeService) encodeState() []byte {
-	tids := make([]uint64, 0, len(s.handlers)+len(s.pendingRnd))
-	rounds := make(map[uint64]uint64, len(s.handlers)+len(s.pendingRnd))
+	st := ccsState{specialRound: s.special.round, groupClock: s.lastGroup,
+		fedRound: s.fed.handler.round, threadRounds: make(map[uint64]uint64)}
+	if s.fed.enabled {
+		st.fedSlack = s.fedSlackAt(s.clock.Read())
+	}
 	for tid, h := range s.handlers {
-		rounds[tid] = h.round
-		tids = append(tids, tid)
+		st.threadRounds[tid] = h.round
 	}
 	for tid, r := range s.pendingRnd {
-		if _, ok := rounds[tid]; !ok {
-			tids = append(tids, tid)
-		}
-		if r > rounds[tid] {
-			rounds[tid] = r
-		}
+		st.threadRounds[tid] = max(st.threadRounds[tid], r)
 	}
 	// The lease refresh round rides the thread-round table under its
 	// reserved identifier, so a recovering replica skips refresh rounds
 	// the checkpoint already covers.
 	if r := s.lease.refresh.round; r > 0 {
-		if _, ok := rounds[RefreshThreadID]; !ok {
-			tids = append(tids, RefreshThreadID)
-		}
-		if r > rounds[RefreshThreadID] {
-			rounds[RefreshThreadID] = r
-		}
+		st.threadRounds[RefreshThreadID] = max(st.threadRounds[RefreshThreadID], r)
 	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
+	return st.encode()
+}
 
-	var fedSlack time.Duration
-	if s.fed.enabled {
-		fedSlack = s.fedSlackAt(s.clock.Read())
+// encode writes the fixed fields, then the thread-round table sorted by
+// thread id.
+func (st ccsState) encode() []byte {
+	tids := make([]uint64, 0, len(st.threadRounds))
+	for tid := range st.threadRounds {
+		tids = append(tids, tid)
 	}
-	buf := make([]byte, 8+8+8+8+4+16*len(tids))
-	binary.BigEndian.PutUint64(buf[0:], s.special.round)
-	binary.BigEndian.PutUint64(buf[8:], uint64(s.lastGroup))
-	binary.BigEndian.PutUint64(buf[16:], s.fed.handler.round)
-	binary.BigEndian.PutUint64(buf[24:], uint64(fedSlack))
-	binary.BigEndian.PutUint32(buf[32:], uint32(len(tids)))
-	off := 36
+	slices.Sort(tids)
+	w := wire.NewWriter(8 + 8 + 8 + 8 + 4 + 16*len(tids))
+	w.U64(st.specialRound)
+	w.U64(uint64(st.groupClock))
+	w.U64(st.fedRound)
+	w.U64(uint64(st.fedSlack))
+	w.U32(uint32(len(tids)))
 	for _, tid := range tids {
-		binary.BigEndian.PutUint64(buf[off:], tid)
-		binary.BigEndian.PutUint64(buf[off+8:], rounds[tid])
-		off += 16
+		w.U64(tid)
+		w.U64(st.threadRounds[tid])
 	}
-	return buf
+	return w.Encoded()
 }
 
 func decodeState(b []byte) (ccsState, error) {
-	st := ccsState{threadRounds: make(map[uint64]uint64)}
-	if len(b) < 36 {
-		return st, wire.ErrShortMessage
+	r := wire.NewReader(b)
+	st := ccsState{specialRound: r.U64(), groupClock: time.Duration(r.U64()),
+		fedRound: r.U64(), fedSlack: time.Duration(r.U64())}
+	n := r.Count(16)
+	st.threadRounds = make(map[uint64]uint64, n)
+	for i := 0; i < n; i++ {
+		tid := r.U64()
+		st.threadRounds[tid] = r.U64()
 	}
-	st.specialRound = binary.BigEndian.Uint64(b[0:])
-	st.groupClock = time.Duration(binary.BigEndian.Uint64(b[8:]))
-	st.fedRound = binary.BigEndian.Uint64(b[16:])
-	st.fedSlack = time.Duration(binary.BigEndian.Uint64(b[24:]))
-	n := binary.BigEndian.Uint32(b[32:])
-	if len(b) != 36+16*int(n) {
-		return st, wire.ErrTruncated
-	}
-	off := 36
-	for i := uint32(0); i < n; i++ {
-		tid := binary.BigEndian.Uint64(b[off:])
-		st.threadRounds[tid] = binary.BigEndian.Uint64(b[off+8:])
-		off += 16
-	}
-	return st, nil
+	return st, r.Done()
 }

@@ -36,6 +36,9 @@ const (
 	ClientGroup wire.GroupID = 900
 )
 
+// externalSkew is the maximum transient skew of the CompExternal reference.
+const externalSkew = 500 * time.Microsecond
+
 // TimeMode selects which time service the replicas run.
 type TimeMode int
 
@@ -72,11 +75,11 @@ type ClusterConfig struct {
 	// DisableBatching turns off CCS round coalescing (ModeCTS only; used by
 	// determinism A/B tests and the concurrent-reader experiment).
 	DisableBatching bool
-	// Compensation options (ModeCTS only).
+	// Compensation options (ModeCTS only). CompExternal steers toward a
+	// reference with at most externalSkew of transient skew.
 	Compensation core.Compensation
 	MeanDelay    time.Duration
 	ExternalGain float64
-	ExternalSkew time.Duration // max transient skew of the reference
 	// CheckpointEvery for passive replication; default 10.
 	CheckpointEvery int
 	// ClientTimeout bounds each invocation; zero = none.
@@ -248,12 +251,8 @@ func (c *Cluster) addReplica(id transport.NodeID, spec ClockSpec, recovering boo
 		},
 	}
 	if c.cfg.Mode == ModeCTS && c.cfg.Compensation == core.CompExternal {
-		maxSkew := c.cfg.ExternalSkew
-		if maxSkew == 0 {
-			maxSkew = 500 * time.Microsecond
-		}
 		ncfg.External = timesource.New(c.K.Now, c.cfg.Seed+int64(id),
-			timesource.WithMaxSkew(maxSkew))
+			timesource.WithMaxSkew(externalSkew))
 	}
 	n, err := node.New(ncfg)
 	if err != nil {

@@ -44,14 +44,11 @@ type Config struct {
 	Runtime sim.Runtime
 	// Stack is a caller-owned group-communication stack: its Start and Stop
 	// stay with the caller. When nil the node builds its own from Transport,
-	// Members, Bootstrap and Order, and starts and stops it.
+	// Members and Order, and starts and stops it; that stack forms the
+	// initial membership directly unless the node is Recovering.
 	Stack     *gcs.Stack
 	Transport transport.Transport
 	Members   []transport.NodeID
-	// Bootstrap selects whether a node-built stack forms the initial
-	// membership directly; without BootSet it defaults to !Recovering.
-	Bootstrap bool
-	BootSet   bool
 	// Order selects and tunes the orderer under a node-built stack. OrderSet
 	// records that it was given, which conflicts with Stack.
 	Order    order.Options
@@ -115,8 +112,6 @@ type TimeServeConfig struct {
 	// Default LeaseWindow/4. Negative disables the refresher (the caller
 	// drives RefreshLease itself).
 	RefreshEvery time.Duration
-	// RecvBuf and SendBuf size the shard sockets. Default 4 MiB.
-	RecvBuf, SendBuf int
 	// ServeIO selects the shards' kernel I/O path: "auto" (batched
 	// recvmmsg/sendmmsg where supported; the default), "seq" (one datagram
 	// per syscall), or "mmsg" (require batching; Start fails on platforms
@@ -233,14 +228,11 @@ func New(cfg Config) (*Node, error) {
 		if cfg.Transport == nil {
 			return nil, errors.New("cts: WithStack or WithTransport is required")
 		}
-		if !cfg.BootSet {
-			cfg.Bootstrap = !cfg.Recovering
-		}
 		st, err := gcs.New(gcs.Config{
 			Runtime:   cfg.Runtime,
 			Transport: cfg.Transport,
 			Members:   cfg.Members,
-			Bootstrap: cfg.Bootstrap,
+			Bootstrap: !cfg.Recovering,
 			Order:     cfg.Order,
 			Obs:       cfg.Obs.ForNode(uint32(cfg.Transport.LocalID())),
 		})
@@ -348,8 +340,6 @@ func (n *Node) startTimeServe(cfg TimeServeConfig) error {
 			Shards:     cfg.Shards,
 			Node:       id,
 			Source:     leaseSource{svc: n.svc, node: id},
-			RecvBuf:    cfg.RecvBuf,
-			SendBuf:    cfg.SendBuf,
 			IO:         io,
 			OnFallback: cfg.OnFallback,
 			Obs:        n.cfg.Obs.ForNode(id),

@@ -181,7 +181,7 @@ func (h *InstantHub) flush() {
 			continue
 		}
 		p.sent = true
-		h.seen.Note(p.dupKey, totem.KeyGeneration(len(h.activeNodes()), totem.DefaultMaxMessagesPerToken))
+		h.seen.Note(p.dupKey, totem.KeyGeneration(len(h.activeNodes())))
 		h.seq++
 		h.deliverAll(p)
 	}

@@ -22,7 +22,7 @@ func TestKeyWindowBounded(t *testing.T) {
 				h.addNode(id, ids, true)
 			}
 			h.startAll()
-			gen := totem.KeyGeneration(len(ids), totem.DefaultMaxMessagesPerToken)
+			gen := totem.KeyGeneration(len(ids))
 			windows := func() []*totem.KeyWindow {
 				if kind == KindInstant {
 					return []*totem.KeyWindow{&h.hub.seen}

@@ -184,8 +184,6 @@ type TotemTuning struct {
 	// AnnounceInterval is how often a ring's representative broadcasts a
 	// remerge beacon.
 	AnnounceInterval time.Duration `json:"announce_interval_ns,omitempty"`
-	// MaxMessagesPerToken bounds broadcasts per token visit (flow control).
-	MaxMessagesPerToken int `json:"max_messages_per_token,omitempty"`
 }
 
 func (t TotemTuning) isZero() bool { return t == TotemTuning{} }

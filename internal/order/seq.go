@@ -653,7 +653,7 @@ func (n *seqNode) prune() {
 // noteSeen records an entry's dupKey in a window sized like a Totem ring of
 // the same view.
 func (n *seqNode) noteSeen(dupKey uint64) {
-	n.seenKeys.Note(dupKey, totem.KeyGeneration(len(n.view.Members), totem.DefaultMaxMessagesPerToken))
+	n.seenKeys.Note(dupKey, totem.KeyGeneration(len(n.view.Members)))
 }
 
 // clearPendingFor retires the local proposal matched by an ordered entry.

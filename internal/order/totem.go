@@ -27,7 +27,6 @@ func newTotemOrderer(env Env, opts Options) (Orderer, error) {
 		JoinTimeout:         opts.Totem.JoinTimeout,
 		CommitTimeout:       opts.Totem.CommitTimeout,
 		AnnounceInterval:    opts.Totem.AnnounceInterval,
-		MaxMessagesPerToken: opts.Totem.MaxMessagesPerToken,
 		Obs:                 env.Obs,
 		Deliver: func(d totem.Delivery) {
 			env.Deliver(Delivery{

@@ -44,9 +44,6 @@ type Config struct {
 	Node uint32
 	// Source answers the queries. Required.
 	Source LeaseSource
-	// RecvBuf and SendBuf request socket buffer sizes (SO_RCVBUF/SO_SNDBUF)
-	// per shard socket. Default 4 MiB; the kernel may clamp.
-	RecvBuf, SendBuf int
 	// Obs registers the server's counters. Optional.
 	Obs *obs.Recorder
 	// Mono measures server uptime for the timeserve.qps sample. Defaults to
@@ -80,12 +77,6 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.Shards == 0 {
 		c.Shards = 1
-	}
-	if c.RecvBuf == 0 {
-		c.RecvBuf = 4 << 20
-	}
-	if c.SendBuf == 0 {
-		c.SendBuf = 4 << 20
 	}
 	if c.Mono == nil {
 		c.Mono = hwclock.Monotonic()
@@ -194,16 +185,20 @@ func Start(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// setBuffers applies the configured socket buffer sizes where the connection
-// supports them.
+// socketBuf is the SO_RCVBUF/SO_SNDBUF size requested for every shard
+// socket; the kernel may clamp it.
+const socketBuf = 4 << 20
+
+// setBuffers requests socketBuf-sized buffers where the connection supports
+// them.
 func (s *Server) setBuffers(pc net.PacketConn) {
 	type bufConn interface {
 		SetReadBuffer(int) error
 		SetWriteBuffer(int) error
 	}
 	if bc, ok := pc.(bufConn); ok {
-		_ = bc.SetReadBuffer(s.cfg.RecvBuf)
-		_ = bc.SetWriteBuffer(s.cfg.SendBuf)
+		_ = bc.SetReadBuffer(socketBuf)
+		_ = bc.SetWriteBuffer(socketBuf)
 	}
 }
 

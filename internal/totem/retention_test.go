@@ -57,7 +57,7 @@ func TestRetentionBoundedUnderLoss(t *testing.T) {
 		i, n, sent := i, h.nodes[id], 0
 		var pump func()
 		pump = func() {
-			for len(n.sendq) < 2*DefaultMaxMessagesPerToken && sent < perNode {
+			for len(n.sendq) < 2*MaxMessagesPerToken && sent < perNode {
 				n.BroadcastCancelable([]byte(fmt.Sprintf("n%d-m%d", i, sent)), false, 0)
 				sent++
 			}
@@ -183,7 +183,6 @@ func TestKeyWindowKeepsRecentKeys(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("members=%d", tc.members), func(t *testing.T) {
 			n := &Node{
-				cfg:     Config{MaxMessagesPerToken: DefaultMaxMessagesPerToken},
 				members: nodeIDs(tc.members),
 			}
 			gen := n.keyGeneration()

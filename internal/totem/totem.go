@@ -23,9 +23,10 @@ const (
 	selfHopDelay         = 10 * time.Microsecond // token hop on a ring of one
 )
 
-// DefaultMaxMessagesPerToken is the per-visit broadcast budget a zero
-// Config.MaxMessagesPerToken selects.
-const DefaultMaxMessagesPerToken = 16
+// MaxMessagesPerToken bounds broadcasts per token visit (flow control). The
+// seq and instant orderers size their duplicate-key windows from it too, so
+// all three orderers' windows agree.
+const MaxMessagesPerToken = 16
 
 // Config configures a Totem node.
 type Config struct {
@@ -59,8 +60,6 @@ type Config struct {
 	// ring beacon, used to detect remergeable foreign rings after a
 	// partition heals.
 	AnnounceInterval time.Duration
-	// MaxMessagesPerToken bounds broadcasts per token visit (flow control).
-	MaxMessagesPerToken int
 	// Obs receives token-circulation and safe-delivery trace events and
 	// registers this node's counters. A nil recorder disables instrumentation
 	// at no cost. Optional.
@@ -94,17 +93,11 @@ func (c Config) Validate() (Config, error) {
 			return c, fmt.Errorf("totem: Config.%s must not be negative (got %v)", d.name, d.v)
 		}
 	}
-	if c.MaxMessagesPerToken < 0 {
-		return c, fmt.Errorf("totem: Config.MaxMessagesPerToken must not be negative (got %d)", c.MaxMessagesPerToken)
-	}
 	c.TokenLossTimeout = defaultDuration(c.TokenLossTimeout, defaultTokenLoss)
 	c.TokenRetransTimeout = defaultDuration(c.TokenRetransTimeout, defaultTokenRetrans)
 	c.JoinTimeout = defaultDuration(c.JoinTimeout, defaultJoinTimeout)
 	c.CommitTimeout = defaultDuration(c.CommitTimeout, defaultCommitTimeout)
 	c.AnnounceInterval = defaultDuration(c.AnnounceInterval, defaultAnnounce)
-	if c.MaxMessagesPerToken == 0 {
-		c.MaxMessagesPerToken = DefaultMaxMessagesPerToken
-	}
 	return c, nil
 }
 
@@ -439,7 +432,7 @@ func (n *Node) onToken(tk *Token) {
 	}
 
 	// 2. Broadcast pending messages, recovery traffic first.
-	budget := n.cfg.MaxMessagesPerToken
+	budget := MaxMessagesPerToken
 	var fcc uint32
 	for budget > 0 && len(n.recq) > 0 {
 		m := n.recq[0]
@@ -563,17 +556,17 @@ func (n *Node) discardThrough(limit uint64) {
 // per-visit budget, so a duplicate, which is queued within a rotation or two
 // of its original, still finds the original's key.
 func (n *Node) keyGeneration() int {
-	return KeyGeneration(len(n.members), n.cfg.MaxMessagesPerToken)
+	return KeyGeneration(len(n.members))
 }
 
 // minKeyGeneration is the floor of KeyGeneration, for small groups.
 const minKeyGeneration = 4096
 
 // KeyGeneration is the key-window generation for members members that each
-// order up to perVisit broadcasts per visit: four visits' worth, floored at
-// 4 096 for small groups.
-func KeyGeneration(members, perVisit int) int {
-	return max(4*perVisit*members, minKeyGeneration)
+// order up to MaxMessagesPerToken broadcasts per visit: four visits' worth,
+// floored at 4 096 for small groups.
+func KeyGeneration(members int) int {
+	return max(4*MaxMessagesPerToken*members, minKeyGeneration)
 }
 
 // KeyWindow is a bounded set of recent logical identities (dupKeys), for
