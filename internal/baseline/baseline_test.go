@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cts/internal/baseline"
-	"cts/internal/campaign"
 	"cts/internal/experiment"
 	"cts/internal/hwclock"
 	"cts/internal/replication"
@@ -27,10 +26,8 @@ func readOnce(t *testing.T, c *experiment.Cluster) time.Duration {
 func TestPrimaryBackupConsistentWhilePrimaryAlive(t *testing.T) {
 	c, err := experiment.NewCluster(experiment.ClusterConfig{
 		Seed: 1,
-		Topology: campaign.Explicit(
-			experiment.ClockSpec{Offset: 20 * time.Second},
-			experiment.ClockSpec{Offset: 0},
-			experiment.ClockSpec{Offset: 40 * time.Second}),
+		Clocks: []experiment.ClockSpec{
+			{Offset: 20 * time.Second}, {Offset: 0}, {Offset: 40 * time.Second}},
 		Style: replication.Passive,
 		Mode:  experiment.ModePrimaryBackup,
 	})
@@ -65,10 +62,8 @@ func TestPrimaryBackupRollsBackOnFailover(t *testing.T) {
 	// Backup's clock 5s behind the primary's.
 	c, err := experiment.NewCluster(experiment.ClusterConfig{
 		Seed: 2,
-		Topology: campaign.Explicit(
-			experiment.ClockSpec{Offset: 20 * time.Second},
-			experiment.ClockSpec{Offset: 15 * time.Second},
-			experiment.ClockSpec{Offset: 15 * time.Second}),
+		Clocks: []experiment.ClockSpec{
+			{Offset: 20 * time.Second}, {Offset: 15 * time.Second}, {Offset: 15 * time.Second}},
 		Style:           replication.Passive,
 		Mode:            experiment.ModePrimaryBackup,
 		CheckpointEvery: 2,
@@ -100,10 +95,8 @@ func TestPrimaryBackupRollsBackOnFailover(t *testing.T) {
 func TestPrimaryBackupFastForwardOnFailover(t *testing.T) {
 	c, err := experiment.NewCluster(experiment.ClusterConfig{
 		Seed: 3,
-		Topology: campaign.Explicit(
-			experiment.ClockSpec{Offset: 20 * time.Second},
-			experiment.ClockSpec{Offset: 27 * time.Second},
-			experiment.ClockSpec{Offset: 27 * time.Second}),
+		Clocks: []experiment.ClockSpec{
+			{Offset: 20 * time.Second}, {Offset: 27 * time.Second}, {Offset: 27 * time.Second}},
 		Style:           replication.Passive,
 		Mode:            experiment.ModePrimaryBackup,
 		CheckpointEvery: 2,
@@ -143,10 +136,10 @@ func TestNewPrimaryBackupValidation(t *testing.T) {
 
 func TestPrimaryBackupReportsWinners(t *testing.T) {
 	c, err := experiment.NewCluster(experiment.ClusterConfig{
-		Seed:     4,
-		Topology: campaign.Explicit(experiment.ClockSpec{}, experiment.ClockSpec{}, experiment.ClockSpec{}),
-		Style:    replication.Passive,
-		Mode:     experiment.ModePrimaryBackup,
+		Seed:   4,
+		Clocks: make([]experiment.ClockSpec, 3),
+		Style:  replication.Passive,
+		Mode:   experiment.ModePrimaryBackup,
 	})
 	if err != nil {
 		t.Fatal(err)

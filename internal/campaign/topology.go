@@ -7,8 +7,8 @@
 // on the service's core invariants: no group-clock regression, no
 // staleness-bound violation, and bounded reconvergence after the last
 // fault. The descriptions are plain Go structs, JSON-loadable for matrix
-// files, and are also the vocabulary the experiment package uses to build
-// its paper-scale clusters.
+// files; the experiment package's clusters describe replica clocks with the
+// same ClockSpec.
 package campaign
 
 import (
@@ -16,7 +16,6 @@ import (
 	"math/rand"
 	"time"
 
-	"cts/internal/order"
 	"cts/internal/simnet"
 )
 
@@ -121,49 +120,4 @@ func (l Links) Model() (simnet.LatencyModel, error) {
 		return simnet.Fixed(l.Fixed), nil
 	}
 	return nil, fmt.Errorf("campaign: unknown link profile %q", l.Profile)
-}
-
-// Topology is the declarative deployment description: how many nodes, their
-// clocks, the fabric between them, and the ordering protocol underneath.
-type Topology struct {
-	// Nodes is the replica count. Zero with a non-empty Clocks.Explicit
-	// means len(Explicit).
-	Nodes  int       `json:"nodes,omitempty"`
-	Clocks ClockPlan `json:"clocks"`
-	Links  Links     `json:"links"`
-	// Orderer selects the total-order protocol (empty = consumer default:
-	// totem for the experiment harness, instant for campaign cells).
-	Orderer order.Kind `json:"orderer,omitempty"`
-}
-
-// Explicit is the compact literal topology used by the paper experiments:
-// one node per spec, LAN links, consumer-default orderer.
-func Explicit(specs ...ClockSpec) Topology {
-	return Topology{Clocks: ClockPlan{Explicit: specs}}
-}
-
-// NodeCount resolves the effective node count.
-func (t Topology) NodeCount() int {
-	if t.Nodes == 0 {
-		return len(t.Clocks.Explicit)
-	}
-	return t.Nodes
-}
-
-// Validate checks the topology for internal consistency.
-func (t Topology) Validate() error {
-	n := t.NodeCount()
-	if n <= 0 {
-		return fmt.Errorf("campaign: topology has no nodes")
-	}
-	if len(t.Clocks.Explicit) > 0 && len(t.Clocks.Explicit) != n {
-		return fmt.Errorf("campaign: %d explicit clocks for %d nodes", len(t.Clocks.Explicit), n)
-	}
-	if f := t.Clocks.OutlierFrac; f < 0 || f > 1 {
-		return fmt.Errorf("campaign: outlier_frac %v outside [0,1]", f)
-	}
-	if _, err := t.Links.Model(); err != nil {
-		return err
-	}
-	return nil
 }

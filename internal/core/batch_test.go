@@ -37,29 +37,44 @@ func concurrentReaders(h *coreHarness, ids []transport.NodeID, readers, reads in
 	return values, finished
 }
 
-// assertSameSequences checks that two replicas decided identical per-thread
-// group-clock sequences, comparing the common prefix of each reader slot.
-func assertSameSequences(t *testing.T, a, b transport.NodeID, va, vb [][]time.Duration) {
-	t.Helper()
-	for slot := range va {
-		sa, sb := va[slot], vb[slot]
-		n := len(sa)
-		if len(sb) < n {
-			n = len(sb)
-		}
-		for j := 0; j < n; j++ {
-			if sa[j] != sb[j] {
-				t.Fatalf("reader %d read %d: node %v got %v, node %v got %v",
-					slot, j, a, sa[j], b, sb[j])
+// allFinished reports whether every node's readers have finished.
+func allFinished(finished map[transport.NodeID]*int, readers int) func() bool {
+	return func() bool {
+		for _, n := range finished {
+			if *n != readers {
+				return false
 			}
 		}
+		return true
 	}
+}
+
+// retireReads fails node id's pending reads on the loop, the way a real
+// process teardown would discard them, so that its blocked readers (marked
+// aborted by the caller) retire and the package leak check sees them exit.
+func retireReads(h *coreHarness, id transport.NodeID) {
+	h.k.Post(func() {
+		svc := h.svcs[id]
+		tids := make([]uint64, 0, len(svc.handlers))
+		for tid := range svc.handlers {
+			tids = append(tids, tid)
+		}
+		sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
+		for _, tid := range tids {
+			hd := svc.handlers[tid]
+			if w := hd.waiting; w != nil {
+				hd.waiting = nil
+				w.complete(nil)
+			}
+		}
+	})
 }
 
 // TestConcurrentReadsCoalesce runs many concurrent reader threads per replica
 // and checks the tentpole property end to end: rounds coalesce into batch
 // messages, and every replica still decides identical per-thread group-clock
-// sequences (the §3 first-wins rule survives batching).
+// sequences (the §3 first-wins rule survives batching; the harness's round
+// oracle checks each value).
 func TestConcurrentReadsCoalesce(t *testing.T) {
 	h := newCoreHarness(t, 42)
 	ring := []transport.NodeID{1, 2, 3}
@@ -75,29 +90,15 @@ func TestConcurrentReadsCoalesce(t *testing.T) {
 	for _, s := range h.stacks {
 		s.Start()
 	}
-	if !h.runUntil(10*time.Second, func() bool {
-		for _, id := range ring {
-			if *finished[id] != readers {
-				return false
-			}
-		}
-		return true
-	}) {
+	if !h.runUntil(10*time.Second, allFinished(finished, readers)) {
 		t.Fatalf("readers never finished: %d/%d/%d of %d",
 			*finished[1], *finished[2], *finished[3], readers)
 	}
 
-	assertSameSequences(t, 1, 2, values[1], values[2])
-	assertSameSequences(t, 1, 3, values[1], values[3])
 	for _, id := range ring {
 		for slot, seq := range values[id] {
 			if len(seq) != reads {
 				t.Fatalf("node %v reader %d completed %d/%d reads", id, slot, len(seq), reads)
-			}
-			for j := 1; j < len(seq); j++ {
-				if seq[j] < seq[j-1] {
-					t.Fatalf("node %v reader %d regressed: %v then %v", id, slot, seq[j-1], seq[j])
-				}
 			}
 		}
 	}
@@ -132,22 +133,13 @@ func TestConcurrentReadsDisableBatching(t *testing.T) {
 			func(c *Config) { c.DisableBatching = true })
 	}
 	const readers, reads = 6, 5
-	values, finished := concurrentReaders(h, ring, readers, reads, nil)
+	_, finished := concurrentReaders(h, ring, readers, reads, nil)
 	for _, s := range h.stacks {
 		s.Start()
 	}
-	if !h.runUntil(10*time.Second, func() bool {
-		for _, id := range ring {
-			if *finished[id] != readers {
-				return false
-			}
-		}
-		return true
-	}) {
+	if !h.runUntil(10*time.Second, allFinished(finished, readers)) {
 		t.Fatal("readers never finished with batching disabled")
 	}
-	assertSameSequences(t, 1, 2, values[1], values[2])
-	assertSameSequences(t, 1, 3, values[1], values[3])
 	for _, id := range ring {
 		if b := h.counter(id, "core.batches_sent"); b != 0 {
 			t.Fatalf("node %v sent %d batches with batching disabled", id, b)
@@ -176,9 +168,9 @@ func TestSequentialReadsBypassBatching(t *testing.T) {
 
 // TestCrashMidBatchKeepsSurvivorsConsistent fail-stops one replica while its
 // own batched proposals are still in flight and other replicas' readers are
-// mid-stream. Safe delivery guarantees the crashed replica's completed reads
-// are a prefix of what the survivors decided, and the survivors must keep
-// producing identical per-thread sequences while still coalescing rounds.
+// mid-stream. Safe delivery guarantees the survivors decided every read the
+// crashed replica completed, alike (the round oracle), and the survivors must
+// finish while still coalescing rounds.
 func TestCrashMidBatchKeepsSurvivorsConsistent(t *testing.T) {
 	h := newCoreHarness(t, 99)
 	ring := []transport.NodeID{1, 2, 3}
@@ -228,10 +220,6 @@ func TestCrashMidBatchKeepsSurvivorsConsistent(t *testing.T) {
 			}
 		}
 	}
-	assertSameSequences(t, 2, 3, values[2], values[3])
-	// The crashed replica's completed reads are a prefix of the survivors'
-	// decided sequences (safe delivery: nothing was delivered only to it).
-	assertSameSequences(t, 1, 2, values[1], values[2])
 
 	var coalesced uint64
 	for _, id := range survivors {
@@ -241,25 +229,9 @@ func TestCrashMidBatchKeepsSurvivorsConsistent(t *testing.T) {
 		t.Fatal("survivors never coalesced rounds")
 	}
 
-	// Unstick the crashed replica's blocked readers so the package leak check
-	// sees their goroutines retire: fail their pending reads on the loop, the
-	// way a real process teardown would discard them.
+	// Retire the crashed replica's blocked readers for the leak check.
 	aborted[1] = true
-	h.k.Post(func() {
-		svc := h.svcs[1]
-		tids := make([]uint64, 0, len(svc.handlers))
-		for tid := range svc.handlers {
-			tids = append(tids, tid)
-		}
-		sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-		for _, tid := range tids {
-			hd := svc.handlers[tid]
-			if w := hd.waiting; w != nil {
-				hd.waiting = nil
-				w.complete(nil)
-			}
-		}
-	})
+	retireReads(h, 1)
 	if !h.runUntil(time.Second, func() bool { return *finished[1] == readers }) {
 		t.Fatalf("crashed replica's readers never retired: %d/%d", *finished[1], readers)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"cts/internal/gcs"
 	"cts/internal/hwclock"
+	"cts/internal/invariant"
 	"cts/internal/obs"
 	"cts/internal/replication"
 	"cts/internal/rpc"
@@ -80,6 +81,7 @@ type coreHarness struct {
 	apps    map[transport.NodeID]*clockApp
 	svcs    map[transport.NodeID]*TimeService
 	reports map[transport.NodeID][]RoundReport
+	rounds  invariant.Rounds // every round report goes through the round oracle
 }
 
 func newCoreHarness(t *testing.T, seed int64) *coreHarness {
@@ -112,6 +114,9 @@ func newCoreHarness(t *testing.T, seed int64) *coreHarness {
 			m.Stop()
 		}
 		h.k.RunFor(5 * time.Millisecond)
+		if err := h.rounds.Err(); err != nil {
+			t.Error(err)
+		}
 	})
 	return h
 }
@@ -167,6 +172,8 @@ func (h *coreHarness) addReplica(id transport.NodeID, style replication.Style,
 		Obs:     h.rec.ForNode(uint32(id)),
 		OnRound: func(r RoundReport) {
 			h.reports[id] = append(h.reports[id], r)
+			h.rounds.Report(invariant.RoundReport{Node: uint32(id), Thread: r.ThreadID, Round: r.Round,
+				Value: r.GroupClock, Winner: uint32(r.Winner), Physical: r.Physical})
 		},
 	}
 	for _, opt := range opts {
@@ -260,19 +267,15 @@ func driveReads(t *testing.T, h *coreHarness, client *rpc.Client, n int) []uint6
 	return replies
 }
 
+// Despite physical clocks 0s/5s/15s apart, every replica completes every
+// read, and the harness's round oracle finds each decided alike everywhere.
 func TestActiveReplicasReturnIdenticalClockValues(t *testing.T) {
 	h, client := standardSetup(t, 1, replication.Active)
 	driveReads(t, h, client, 20)
-
-	// Despite physical clocks 0s/5s/15s apart, every replica recorded the
-	// identical sequence of group clock values.
-	a, b, c := h.apps[1].readings, h.apps[2].readings, h.apps[3].readings
-	if len(a) != 20 || len(b) != 20 || len(c) != 20 {
-		t.Fatalf("readings: %d/%d/%d, want 20 each", len(a), len(b), len(c))
-	}
-	for i := range a {
-		if a[i] != b[i] || b[i] != c[i] {
-			t.Fatalf("reading %d diverges: %v %v %v", i, a[i], b[i], c[i])
+	for _, id := range serverIDs {
+		if n := len(h.apps[id].readings); n != 20 || h.rounds.Shared(uint32(id)) < 20 {
+			t.Fatalf("replica %v: %d readings, %d checked against another replica; want 20",
+				id, n, h.rounds.Shared(uint32(id)))
 		}
 	}
 }
@@ -412,15 +415,10 @@ func TestSemiActiveAllExecuteOnlyPrimarySends(t *testing.T) {
 	driveReads(t, h, client, 12)
 	h.k.RunFor(5 * time.Millisecond)
 
-	// All replicas executed and recorded identical values.
+	// All replicas executed; the round oracle holds them to identical values.
 	a, b, c := h.apps[1].readings, h.apps[2].readings, h.apps[3].readings
 	if len(a) != 12 || len(b) != 12 || len(c) != 12 {
 		t.Fatalf("readings: %d/%d/%d", len(a), len(b), len(c))
-	}
-	for i := range a {
-		if a[i] != b[i] || b[i] != c[i] {
-			t.Fatalf("reading %d diverges: %v %v %v", i, a[i], b[i], c[i])
-		}
 	}
 	// Only the primary put CCS messages on the wire.
 	if got := h.counter(1, "core.ccs_sent"); got == 0 {
@@ -499,17 +497,10 @@ func TestRecoveringReplicaIntegratesNewClock(t *testing.T) {
 		t.Fatalf("group clock jumped toward the newcomer's clock: %v",
 			time.Duration(after[0]))
 	}
-	// The newcomer executed the new reads and matches the others.
-	aN := h.apps[3].readings
-	aE := h.apps[1].readings
-	if len(aN) < 8 {
-		t.Fatalf("newcomer recorded %d readings", len(aN))
-	}
-	tail := aE[len(aE)-len(aN):]
-	for i := range aN {
-		if aN[i] != tail[i] {
-			t.Fatalf("newcomer reading %d = %v, existing = %v", i, aN[i], tail[i])
-		}
+	// The newcomer executed the new reads; the round oracle holds them to
+	// the others' values.
+	if n := len(h.apps[3].readings); n < 8 || h.rounds.Shared(3) < 8 {
+		t.Fatalf("newcomer recorded %d readings, %d shared with the others", n, h.rounds.Shared(3))
 	}
 }
 
@@ -677,13 +668,6 @@ func TestExternalCompensationBoundsDrift(t *testing.T) {
 	lag := h.k.Now() - time.Duration(replies[len(replies)-1])
 	if lag > 2*time.Millisecond {
 		t.Fatalf("externally nudged clock lags %v; should stay near real time", lag)
-	}
-	// Still consistent across replicas.
-	a, b := h.apps[1].readings, h.apps[2].readings
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("inconsistent under external compensation at %d", i)
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 	"time"
 
@@ -56,14 +55,7 @@ func runReaderWorkload(t *testing.T, kind order.Kind, seed int64,
 	for _, id := range ring {
 		h.stacks[id].Start()
 	}
-	if !h.runUntil(10*time.Second, func() bool {
-		for _, id := range ring {
-			if *finished[id] != readers {
-				return false
-			}
-		}
-		return true
-	}) {
+	if !h.runUntil(10*time.Second, allFinished(finished, readers)) {
 		t.Fatalf("%s: readers never finished: %d/%d/%d of %d",
 			kind, *finished[1], *finished[2], *finished[3], readers)
 	}
@@ -72,7 +64,8 @@ func runReaderWorkload(t *testing.T, kind order.Kind, seed int64,
 
 // TestOrdererMatrixDeterministicSequences runs the concurrent-reader
 // workload twice per orderer with the same seed: replicas must agree with
-// each other within a run, and the decided sequences must be bit-identical
+// each other within a run (the harness's round oracle), and the decided
+// sequences must be bit-identical
 // across runs (no hidden nondeterminism in either protocol or in the core's
 // batching above it).
 func TestOrdererMatrixDeterministicSequences(t *testing.T) {
@@ -81,9 +74,6 @@ func TestOrdererMatrixDeterministicSequences(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			a := runReaderWorkload(t, kind, 424, readers, reads)
 			b := runReaderWorkload(t, kind, 424, readers, reads)
-			for _, id := range []transport.NodeID{2, 3} {
-				assertSameSequences(t, 1, id, a[1], a[id])
-			}
 			for _, id := range []transport.NodeID{1, 2, 3} {
 				for slot := range a[id] {
 					if fmt.Sprint(a[id][slot]) != fmt.Sprint(b[id][slot]) {
@@ -98,9 +88,8 @@ func TestOrdererMatrixDeterministicSequences(t *testing.T) {
 
 // TestOrdererMatrixCrashMidBatch fail-stops replica 1 (under the
 // leader-sequencer, the leader itself) while batched proposals are in
-// flight. Survivors must finish every read, agree on all per-thread
-// sequences, and the crashed replica's completed reads must be a prefix of
-// the survivors' decided sequences (safe delivery).
+// flight. Survivors must finish every read, and the round oracle must find
+// every read any replica completed decided alike (safe delivery).
 func TestOrdererMatrixCrashMidBatch(t *testing.T) {
 	for _, kind := range matrixKinds {
 		t.Run(string(kind), func(t *testing.T) {
@@ -148,26 +137,10 @@ func TestOrdererMatrixCrashMidBatch(t *testing.T) {
 					}
 				}
 			}
-			assertSameSequences(t, 2, 3, values[2], values[3])
-			assertSameSequences(t, 1, 2, values[1], values[2])
 
 			// Retire the crashed replica's blocked readers for the leak check.
 			aborted[1] = true
-			h.k.Post(func() {
-				svc := h.svcs[1]
-				tids := make([]uint64, 0, len(svc.handlers))
-				for tid := range svc.handlers {
-					tids = append(tids, tid)
-				}
-				sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-				for _, tid := range tids {
-					hd := svc.handlers[tid]
-					if w := hd.waiting; w != nil {
-						hd.waiting = nil
-						w.complete(nil)
-					}
-				}
-			})
+			retireReads(h, 1)
 			if !h.runUntil(time.Second, func() bool { return *finished[1] == readers }) {
 				t.Fatalf("%s: crashed replica's readers never retired: %d/%d",
 					kind, *finished[1], readers)

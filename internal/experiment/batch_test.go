@@ -12,67 +12,20 @@ import (
 // This file exercises the batched-CCS plane on the simulated testbed: many
 // concurrent reader threads per replica must coalesce rounds into shared
 // batch messages while every replica still decides identical per-thread
-// read sequences, with and without batching, and across a fault-injected
-// replica crash landing while batches are in flight.
-
-// spawnReaders spawns reader threads on every replica of c in identical
-// order (so thread identifiers agree across replicas); the thread in slot r
-// on node id performs opsFor(id) consecutive reads. It returns the recorded
-// per-node, per-slot value sequences and per-node finished counts, both
-// mutated from the reader threads and safe to inspect between RunUntil
-// steps (strict thread/loop alternation).
-func spawnReaders(c *Cluster, ids []transport.NodeID, readers int,
-	opsFor func(transport.NodeID) int) (map[transport.NodeID][][]time.Duration, map[transport.NodeID]*int) {
-	values := make(map[transport.NodeID][][]time.Duration)
-	finished := make(map[transport.NodeID]*int)
-	for _, id := range ids {
-		node := id
-		values[node] = make([][]time.Duration, readers)
-		finished[node] = new(int)
-		ops := opsFor(node)
-		app := c.Apps[node]
-		for r := 0; r < readers; r++ {
-			slot := r
-			c.Mgrs[node].SpawnThread(func(ctx *replication.Ctx) {
-				for j := 0; j < ops; j++ {
-					values[node][slot] = append(values[node][slot], app.read(ctx))
-				}
-				*finished[node]++
-			})
-		}
-	}
-	return values, finished
-}
-
-// assertSamePrefixes checks that two replicas decided identical per-thread
-// sequences on the common prefix of every reader slot.
-func assertSamePrefixes(t *testing.T, a, b transport.NodeID, va, vb [][]time.Duration) {
-	t.Helper()
-	for slot := range va {
-		sa, sb := va[slot], vb[slot]
-		n := len(sa)
-		if len(sb) < n {
-			n = len(sb)
-		}
-		for j := 0; j < n; j++ {
-			if sa[j] != sb[j] {
-				t.Fatalf("reader %d read %d: node %v got %v, node %v got %v",
-					slot, j, a, sa[j], b, sb[j])
-			}
-		}
-	}
-}
+// read sequences (the cluster's round oracle checks each value), with and
+// without batching, and across a fault-injected replica crash landing while
+// batches are in flight.
 
 // TestConcurrentReadersDeterminism runs the concurrent-reader workload on
 // the full testbed twice — batching on and batching off — and checks that
-// in both configurations every replica decides identical per-thread
-// sequences, that coalescing engages only when enabled, and that the
-// sequences each replica returns are monotone.
+// in both configurations every reader finishes with replicas in agreement
+// and per-thread sequences monotone (the round oracle), and that coalescing
+// engages only when enabled.
 func TestConcurrentReadersDeterminism(t *testing.T) {
 	for _, disable := range []bool{false, true} {
 		c, err := NewCluster(ClusterConfig{
 			Seed:            11,
-			Topology:        testbedTopology(),
+			Clocks:          testbedClocks(),
 			Style:           replication.Active,
 			Mode:            ModeCTS,
 			DisableBatching: disable,
@@ -81,38 +34,12 @@ func TestConcurrentReadersDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids := []transport.NodeID{1, 2, 3}
-		const readers, ops = 4, 6
-		values, finished := spawnReaders(c, ids, readers,
-			func(transport.NodeID) int { return ops })
-		if !c.RunUntil(10*time.Second, func() bool {
-			for _, id := range ids {
-				if *finished[id] != readers {
-					return false
-				}
-			}
-			return true
-		}) {
-			t.Fatalf("disable=%v: readers never finished", disable)
-		}
-		assertSamePrefixes(t, 1, 2, values[1], values[2])
-		assertSamePrefixes(t, 1, 3, values[1], values[3])
-		for _, id := range ids {
-			for slot, seq := range values[id] {
-				if len(seq) != ops {
-					t.Fatalf("disable=%v: node %v reader %d completed %d/%d reads",
-						disable, id, slot, len(seq), ops)
-				}
-				for j := 1; j < len(seq); j++ {
-					if seq[j] < seq[j-1] {
-						t.Fatalf("disable=%v: node %v reader %d regressed %v -> %v",
-							disable, id, slot, seq[j-1], seq[j])
-					}
-				}
-			}
+		run := spawnReaders(c, 4, func(transport.NodeID) int { return 6 })
+		if !c.RunUntil(10*time.Second, run.done) {
+			t.Fatalf("disable=%v: readers finished %v of 4: %v", disable, run.finished, c.Agreement())
 		}
 		var batches uint64
-		for _, id := range ids {
+		for _, id := range []transport.NodeID{1, 2, 3} {
 			batches += clusterCounter(c, id, "core.batches_sent")
 		}
 		if disable && batches != 0 {
@@ -128,61 +55,44 @@ func TestConcurrentReadersDeterminism(t *testing.T) {
 // injector while the survivors' batched proposals are in flight. Node 1's
 // readers finish a short sequence first (so the crash interrupts no local
 // thread); the injector then crashes it mid-stream of the others. The
-// survivors must complete identical full sequences, still coalescing, and
-// the crashed replica's completed reads must be a prefix of theirs (safe
-// delivery: nothing was delivered only to the crashed node).
+// survivors must complete their full sequences, still coalescing, and the
+// round oracle must find every read the crashed replica completed decided
+// alike at the survivors (safe delivery: nothing was delivered only to the
+// crashed node).
 func TestCrashDuringBatchedReads(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
-		Seed:     23,
-		Topology: testbedTopology(),
-		Style:    replication.Active,
-		Mode:     ModeCTS,
-		Observe:  true,
+		Seed:    23,
+		Clocks:  testbedClocks(),
+		Style:   replication.Active,
+		Mode:    ModeCTS,
+		Observe: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := []transport.NodeID{1, 2, 3}
-	const readers, shortOps, ops = 4, 3, 12
-	values, finished := spawnReaders(c, ids, readers, func(id transport.NodeID) int {
+	const readers = 4
+	run := spawnReaders(c, readers, func(id transport.NodeID) int {
 		if id == 1 {
-			return shortOps
+			return 3
 		}
-		return ops
+		return 12
 	})
-	if !c.RunUntil(10*time.Second, func() bool { return *finished[1] == readers }) {
-		t.Fatal("node 1's readers never finished their short sequences")
+	if !c.RunUntil(10*time.Second, func() bool { return run.finished[1] == readers }) {
+		t.Fatalf("node 1's readers never finished their short sequences: %v", c.Agreement())
 	}
 	// The survivors must still be mid-stream, or the crash interrupts nothing.
-	midStream := false
-	for _, id := range []transport.NodeID{2, 3} {
-		for _, seq := range values[id] {
-			if len(seq) < ops {
-				midStream = true
-			}
-		}
-	}
-	if !midStream {
+	if run.finished[2] == readers && run.finished[3] == readers {
 		t.Fatal("survivors already done before the crash point; nothing in flight")
 	}
 	c.Inject.CrashAt(c.K.Now()+500*time.Microsecond, 1)
 
 	survivors := []transport.NodeID{2, 3}
 	if !c.RunUntil(10*time.Second, func() bool {
-		return *finished[2] == readers && *finished[3] == readers
+		return run.finished[2] == readers && run.finished[3] == readers
 	}) {
-		t.Fatalf("survivors never finished after the crash: %d/%d of %d",
-			*finished[2], *finished[3], readers)
+		t.Fatalf("survivors never finished after the crash: %v of %d: %v",
+			run.finished, readers, c.Agreement())
 	}
-	for _, id := range survivors {
-		for slot, seq := range values[id] {
-			if len(seq) != ops {
-				t.Fatalf("survivor %v reader %d completed %d/%d reads", id, slot, len(seq), ops)
-			}
-		}
-	}
-	assertSamePrefixes(t, 2, 3, values[2], values[3])
-	assertSamePrefixes(t, 1, 2, values[1], values[2])
 
 	var coalesced uint64
 	for _, id := range survivors {

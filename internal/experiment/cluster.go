@@ -7,6 +7,7 @@ package experiment
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"cts/internal/faultinject"
 	"cts/internal/gcs"
 	"cts/internal/hwclock"
+	"cts/internal/invariant"
 	"cts/internal/node"
 	"cts/internal/obs"
 	"cts/internal/order"
@@ -53,22 +55,20 @@ const (
 	ModePrimaryBackup
 )
 
-// ClockSpec describes one replica's physical hardware clock. It is the
-// campaign vocabulary: experiment clusters and simulation campaigns share
-// one topology description.
+// ClockSpec describes one replica's physical hardware clock: its initial
+// offset from true time and its rate error. Campaign cells describe their
+// clocks with the same type.
 type ClockSpec = campaign.ClockSpec
 
 // ClusterConfig configures a simulated deployment.
 type ClusterConfig struct {
 	Seed int64
-	// Topology declares the deployment: replica clocks (explicit specs or a
-	// generated plan), link fabric, and ordering protocol. Replicas run on
-	// nodes 1..n; the client rides node 0. An empty Topology.Orderer takes
-	// DefaultOrderer (totem unless the package test flag -orderer overrides
-	// it), and the default LAN link profile is the calibrated Ethernet model.
-	Topology campaign.Topology
-	Style    replication.Style
-	Mode     TimeMode
+	// Clocks declares one replica per spec, on nodes 1..n; the client rides
+	// node 0. Links are the calibrated Ethernet model, and the replicas
+	// order over DefaultOrderer.
+	Clocks []ClockSpec
+	Style  replication.Style
+	Mode   TimeMode
 	// AgreedCCS selects agreed instead of safe delivery for CCS messages
 	// (ModeCTS only; ablation of the paper's safe-delivery requirement).
 	AgreedCCS bool
@@ -92,10 +92,10 @@ type ClusterConfig struct {
 	TraceSink obs.TraceSink
 }
 
-// DefaultOrderer is the ordering protocol clusters run when the topology's
-// Orderer is empty. The experiment package's -orderer test flag overrides
-// it, so the whole experiment suite can be exercised against a different
-// orderer (`go test ./internal/experiment -orderer=seq`).
+// DefaultOrderer is the ordering protocol clusters run. The experiment
+// package's -orderer test flag overrides it, so the whole experiment suite
+// can be exercised against a different orderer (`go test
+// ./internal/experiment -orderer=seq`).
 var DefaultOrderer = order.KindTotem
 
 // Cluster is a running simulated deployment: client on node 0, replicas on
@@ -116,6 +116,8 @@ type Cluster struct {
 	Reports map[transport.NodeID][]core.RoundReport
 	// PBReports collects baseline read reports per replica.
 	PBReports map[transport.NodeID][]baseline.Report
+	// rounds is the round oracle every core round report goes through.
+	rounds invariant.Rounds
 
 	// Obs is the cluster-wide recorder (nil unless ClusterConfig.Observe or
 	// TraceSink is set). Gather its Samples between RunUntil steps — sources
@@ -128,27 +130,17 @@ type Cluster struct {
 
 // NewCluster builds and starts the deployment, then lets the ring settle.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	n := cfg.Topology.NodeCount()
+	n := len(cfg.Clocks)
 	if n == 0 {
 		return nil, fmt.Errorf("experiment: at least one replica required")
-	}
-	if err := cfg.Topology.Validate(); err != nil {
-		return nil, err
 	}
 	if cfg.Style == 0 {
 		cfg.Style = replication.Active
 	}
-	if cfg.Topology.Orderer == "" {
-		cfg.Topology.Orderer = DefaultOrderer
-	}
-	model, err := cfg.Topology.Links.Model()
-	if err != nil {
-		return nil, err
-	}
 	k := sim.NewKernel(cfg.Seed)
 	c := &Cluster{
 		K:         k,
-		Net:       simnet.NewNetwork(k, model),
+		Net:       simnet.NewNetwork(k, nil),
 		Stacks:    make(map[transport.NodeID]*gcs.Stack),
 		Mgrs:      make(map[transport.NodeID]*replication.Manager),
 		Svcs:      make(map[transport.NodeID]*core.TimeService),
@@ -189,7 +181,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		if err := c.addStack(id, true); err != nil {
 			return nil, err
 		}
-		if err := c.addReplica(id, cfg.Topology.Clocks.Spec(cfg.Seed, i, n), false); err != nil {
+		if err := c.addReplica(id, cfg.Clocks[i], false); err != nil {
 			return nil, err
 		}
 	}
@@ -206,7 +198,7 @@ func (c *Cluster) addStack(id transport.NodeID, bootstrap bool) error {
 		Transport: c.Net.Endpoint(id),
 		Members:   c.nodes,
 		Bootstrap: bootstrap,
-		Order:     order.Options{Kind: c.cfg.Topology.Orderer},
+		Order:     order.Options{Kind: DefaultOrderer},
 		Obs:       c.Obs.ForNode(uint32(id)),
 	})
 	if err != nil {
@@ -248,6 +240,8 @@ func (c *Cluster) addReplica(id transport.NodeID, spec ClockSpec, recovering boo
 		ExternalGain:    c.cfg.ExternalGain,
 		OnRound: func(r core.RoundReport) {
 			c.Reports[id] = append(c.Reports[id], r)
+			c.rounds.Report(invariant.RoundReport{Node: uint32(id), Thread: r.ThreadID, Round: r.Round,
+				Value: r.GroupClock, Winner: uint32(r.Winner), Physical: r.Physical})
 		},
 	}
 	if c.cfg.Mode == ModeCTS && c.cfg.Compensation == core.CompExternal {
@@ -305,17 +299,26 @@ func (c *Cluster) Crash(id transport.NodeID) {
 }
 
 // RunUntil advances the simulation until cond holds or max virtual time
-// passes, reporting whether cond held.
+// passes, reporting whether cond held. It also stops, reporting false, at
+// the round oracle's first violation, which Agreement then names.
 func (c *Cluster) RunUntil(max time.Duration, cond func() bool) bool {
 	deadline := c.K.Now() + max
-	for c.K.Now() < deadline {
+	for c.Agreement() == nil {
 		if cond() {
 			return true
 		}
+		if c.K.Now() >= deadline {
+			return false
+		}
 		c.K.RunFor(200 * time.Microsecond)
 	}
-	return cond()
+	return false
 }
+
+// Agreement is nil while every replica completed each round it reported
+// once, in thread order, with the value every other replica reported for
+// it; otherwise it names the round oracle's first witness.
+func (c *Cluster) Agreement() error { return c.rounds.Err() }
 
 // invokeSeq issues n sequential CurrentTime invocations from the client and
 // returns the latencies of those that succeeded. With think == nil each
@@ -346,7 +349,7 @@ func (c *Cluster) invokeSeq(n int, think *rand.Rand, per time.Duration) (stats.D
 	}
 	invoke()
 	if !c.RunUntil(time.Duration(n)*per+time.Second, func() bool { return done >= n }) {
-		return lat, fmt.Errorf("%d/%d invocations completed", done, n)
+		return lat, errors.Join(c.Agreement(), fmt.Errorf("%d/%d invocations completed", done, n))
 	}
 	return lat, nil
 }
@@ -365,7 +368,7 @@ func (c *Cluster) ReadOnce() (time.Duration, error) {
 		}
 	})
 	if !c.RunUntil(10*time.Second, func() bool { return got }) {
-		return 0, fmt.Errorf("read timed out")
+		return 0, errors.Join(c.Agreement(), fmt.Errorf("read timed out"))
 	}
 	return v, err
 }
@@ -384,7 +387,7 @@ func driveReadSequence(c *Cluster, ops int) error {
 	// Each round costs a few hundred µs of delay plus the ordering latency.
 	budget := time.Duration(ops)*2*time.Millisecond + time.Second
 	if !c.RunUntil(budget, func() bool { return done }) {
-		return fmt.Errorf("read sequence of %d ops did not complete", ops)
+		return errors.Join(c.Agreement(), fmt.Errorf("read sequence of %d ops did not complete", ops))
 	}
 	// The reply comes from the fastest replica; give stragglers (which may
 	// not block on rounds, e.g. raw local clocks) time to finish their
@@ -397,7 +400,7 @@ func driveReadSequence(c *Cluster, ops int) error {
 		}
 		return true
 	})
-	return nil
+	return c.Agreement()
 }
 
 // ReaderApp is the replicated server of §4.2: "the server simply calls
@@ -411,8 +414,6 @@ type ReaderApp struct {
 
 	// Readings are the group clock values returned, in order.
 	Readings []time.Duration
-	// ReadAt records the virtual time of each reading's completion.
-	ReadAt []time.Duration
 	// PhysBefore records the replica's raw physical clock just before each
 	// operation (used by Figure 6's physical-interval series).
 	PhysBefore []time.Duration
@@ -462,7 +463,6 @@ func (a *ReaderApp) record(ctx *replication.Ctx) time.Duration {
 	a.PhysBefore = append(a.PhysBefore, a.clock.Read())
 	v := a.read(ctx)
 	a.Readings = append(a.Readings, v)
-	a.ReadAt = append(a.ReadAt, a.clock.Read())
 	return v
 }
 

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -8,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"cts/internal/campaign"
 	"cts/internal/core"
 	"cts/internal/obs"
 	"cts/internal/replication"
@@ -28,12 +28,6 @@ func testbedClocks() []ClockSpec {
 		{Offset: 3 * time.Millisecond, DriftPPM: -9},
 		{Offset: -2 * time.Millisecond, DriftPPM: 21},
 	}
-}
-
-// testbedTopology is the paper testbed as a campaign topology: the explicit
-// clocks above on calibrated LAN links, under the default orderer.
-func testbedTopology() campaign.Topology {
-	return campaign.Explicit(testbedClocks()...)
 }
 
 // ---------------------------------------------------------------------------
@@ -79,10 +73,10 @@ func runFigure5(seed int64, invocations int, sink obs.TraceSink, observe bool) (
 	res := &Figure5Result{}
 	err := eachMode([]TimeMode{ModeCTS, ModeLocal}, func(mode TimeMode) error {
 		cc := ClusterConfig{
-			Seed:     seed,
-			Topology: testbedTopology(),
-			Style:    replication.Active,
-			Mode:     mode,
+			Seed:   seed,
+			Clocks: testbedClocks(),
+			Style:  replication.Active,
+			Mode:   mode,
 		}
 		if mode == ModeCTS && observe {
 			cc.Observe = true
@@ -203,11 +197,11 @@ type MsgCountsResult struct {
 // toward the replica whose token visit follows the request delivery).
 func RunMessageCounts(seed int64, ops int) (*MsgCountsResult, error) {
 	c, err := NewCluster(ClusterConfig{
-		Seed:     seed,
-		Topology: testbedTopology(),
-		Style:    replication.Active,
-		Mode:     ModeCTS,
-		Observe:  true,
+		Seed:    seed,
+		Clocks:  testbedClocks(),
+		Style:   replication.Active,
+		Mode:    ModeCTS,
+		Observe: true,
 	})
 	if err != nil {
 		return nil, err
@@ -276,10 +270,10 @@ type Figure6Result struct {
 // delays, and the first `rounds` rounds are reported as in Figure 6.
 func RunFigure6(seed int64, ops, rounds int) (*Figure6Result, error) {
 	c, err := NewCluster(ClusterConfig{
-		Seed:     seed,
-		Topology: testbedTopology(),
-		Style:    replication.Active,
-		Mode:     ModeCTS,
+		Seed:   seed,
+		Clocks: testbedClocks(),
+		Style:  replication.Active,
+		Mode:   ModeCTS,
 	})
 	if err != nil {
 		return nil, err
@@ -377,10 +371,10 @@ func RunFigure1(seed int64, ops int) (*Figure1Result, error) {
 	replicaIDs := []transport.NodeID{1, 2, 3}
 	err := eachMode([]TimeMode{ModeLocal, ModeCTS}, func(mode TimeMode) error {
 		c, err := NewCluster(ClusterConfig{
-			Seed:     seed,
-			Topology: campaign.Explicit(ClockSpec{}, ClockSpec{}, ClockSpec{}), // perfectly synchronized clocks
-			Style:    replication.Active,
-			Mode:     mode,
+			Seed:   seed,
+			Clocks: make([]ClockSpec, 3), // perfectly synchronized clocks
+			Style:  replication.Active,
+			Mode:   mode,
 		})
 		if err != nil {
 			return err
@@ -461,11 +455,11 @@ func RunRollback(seed int64, backupSkew time.Duration) (*RollbackResult, error) 
 	err := eachMode([]TimeMode{ModePrimaryBackup, ModeCTS}, func(mode TimeMode) error {
 		c, err := NewCluster(ClusterConfig{
 			Seed: seed,
-			Topology: campaign.Explicit(
-				ClockSpec{Offset: 10 * time.Second},              // primary (node 1)
-				ClockSpec{Offset: 10*time.Second + backupSkew},   // backup (node 2)
-				ClockSpec{Offset: 10*time.Second + backupSkew/2}, // backup (node 3)
-			),
+			Clocks: []ClockSpec{
+				{Offset: 10 * time.Second},              // primary (node 1)
+				{Offset: 10*time.Second + backupSkew},   // backup (node 2)
+				{Offset: 10*time.Second + backupSkew/2}, // backup (node 3)
+			},
 			Style:           replication.Passive,
 			Mode:            mode,
 			CheckpointEvery: 2,
@@ -518,18 +512,18 @@ type RecoveryResult struct {
 	Before         time.Duration // last group clock before the join
 	After          time.Duration // first group clock after the newcomer is live
 	SpecialRounds  uint64
-	NewcomerMatch  bool // newcomer's readings equal the others' post-join
+	NewcomerMatch  bool // the newcomer shared rounds with the others and the round oracle saw them agree
 }
 
 // RunRecovery starts two replicas, reads, joins a third replica whose clock
 // is far off, and reads again; monotonicity and consistency must hold.
 func RunRecovery(seed int64, newClockOffset time.Duration) (*RecoveryResult, error) {
 	c, err := NewCluster(ClusterConfig{
-		Seed:     seed,
-		Topology: campaign.Explicit(ClockSpec{Offset: 0}, ClockSpec{Offset: 2 * time.Second}),
-		Style:    replication.Active,
-		Mode:     ModeCTS,
-		Observe:  true,
+		Seed:    seed,
+		Clocks:  []ClockSpec{{Offset: 0}, {Offset: 2 * time.Second}},
+		Style:   replication.Active,
+		Mode:    ModeCTS,
+		Observe: true,
 	})
 	if err != nil {
 		return nil, err
@@ -565,19 +559,7 @@ func RunRecovery(seed int64, newClockOffset time.Duration) (*RecoveryResult, err
 		}
 	})
 	c.K.RunFor(time.Millisecond)
-	// The newcomer's readings must equal the tail of an existing replica's.
-	aN := c.Apps[id].Readings
-	aE := c.Apps[1].Readings
-	res.NewcomerMatch = len(aN) > 0 && len(aE) >= len(aN)
-	if res.NewcomerMatch {
-		tail := aE[len(aE)-len(aN):]
-		for i := range aN {
-			if aN[i] != tail[i] {
-				res.NewcomerMatch = false
-				break
-			}
-		}
-	}
+	res.NewcomerMatch = c.rounds.Shared(uint32(id)) > 0 && c.Agreement() == nil
 	return res, nil
 }
 
@@ -612,7 +594,7 @@ func RunDrift(seed int64, ops int) (*DriftResult, error) {
 	for _, comp := range []core.Compensation{core.CompNone, core.CompMeanDelay, core.CompExternal} {
 		c, err := NewCluster(ClusterConfig{
 			Seed:         seed,
-			Topology:     testbedTopology(),
+			Clocks:       testbedClocks(),
 			Style:        replication.Active,
 			Mode:         ModeCTS,
 			Compensation: comp,
@@ -752,10 +734,10 @@ func RunScaling(seed int64, sizes []int, invocations int) (*ScalingResult, error
 				DriftPPM: float64(i*7%40) - 20}
 		}
 		c, err := NewCluster(ClusterConfig{
-			Seed:     seed,
-			Topology: campaign.Explicit(specs...),
-			Style:    replication.Active,
-			Mode:     ModeCTS,
+			Seed:   seed,
+			Clocks: specs,
+			Style:  replication.Active,
+			Mode:   ModeCTS,
 		})
 		if err != nil {
 			return nil, err
@@ -859,19 +841,23 @@ func runConcurrent(seed int64, readers, opsPerReader int) (*ConcurrentRun, error
 	res := &ConcurrentRun{Readers: readers, OpsPerReader: opsPerReader}
 	err := eachMode([]TimeMode{ModeCTS, ModeLocal}, func(mode TimeMode) error {
 		c, err := NewCluster(ClusterConfig{
-			Seed:     seed,
-			Topology: testbedTopology(),
-			Style:    replication.Active,
-			Mode:     mode,
-			Observe:  mode == ModeCTS,
+			Seed:    seed,
+			Clocks:  testbedClocks(),
+			Style:   replication.Active,
+			Mode:    mode,
+			Observe: mode == ModeCTS,
 		})
 		if err != nil {
 			return err
 		}
-		wall, err := runConcurrentReaders(c, readers, opsPerReader)
-		if err != nil {
-			return err
+		start := c.K.Now()
+		run := spawnReaders(c, readers, func(transport.NodeID) int { return opsPerReader })
+		budget := time.Duration(readers*opsPerReader)*10*time.Millisecond + 5*time.Second
+		if !c.RunUntil(budget, run.done) {
+			return errors.Join(c.Agreement(),
+				fmt.Errorf("concurrent readers: finished %v of %d per replica", run.finished, readers))
 		}
+		wall := run.last - start
 		if mode == ModeLocal {
 			res.WallWithout = wall
 			return nil
@@ -916,40 +902,50 @@ func (r *Figure5ConcurrentResult) Gate() error {
 	return nil
 }
 
-// runConcurrentReaders spawns `readers` logical threads on every replica of
-// c — in identical order, so thread identifiers agree across replicas — each
-// performing `ops` consecutive clock reads. It reports the virtual time from
-// the spawn to the last thread's completion. The per-thread completion
-// bookkeeping is mutated from the reader threads and read between RunUntil
-// steps, which the strict thread/loop alternation makes race-free.
-func runConcurrentReaders(c *Cluster, readers, ops int) (time.Duration, error) {
-	replicas := make([]transport.NodeID, 0, len(c.Mgrs))
+// readerRun is the completion record of spawnReaders' threads. The threads
+// write it; read it between RunUntil steps, which the strict thread/loop
+// alternation makes race-free.
+type readerRun struct {
+	readers  int
+	finished map[transport.NodeID]int // per replica, threads done
+	last     time.Duration            // when the latest thread finished
+}
+
+// spawnReaders spawns `readers` logical threads on every replica of c — in
+// ascending node order, so thread identifiers agree across replicas — and
+// has each thread on node id perform opsFor(id) consecutive clock reads. The
+// round oracle checks every value read, so only completion is recorded.
+func spawnReaders(c *Cluster, readers int, opsFor func(transport.NodeID) int) *readerRun {
+	ids := make([]transport.NodeID, 0, len(c.Mgrs))
 	for id := range c.Mgrs {
-		replicas = append(replicas, id)
+		ids = append(ids, id)
 	}
-	sort.Slice(replicas, func(i, j int) bool { return replicas[i] < replicas[j] })
-	remaining := len(replicas) * readers
-	var finish time.Duration
-	start := c.K.Now()
-	for _, id := range replicas {
-		app := c.Apps[id]
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	run := &readerRun{readers: readers, finished: make(map[transport.NodeID]int)}
+	for _, id := range ids {
+		app, ops := c.Apps[id], opsFor(id)
+		run.finished[id] = 0
 		for r := 0; r < readers; r++ {
 			c.Mgrs[id].SpawnThread(func(ctx *replication.Ctx) {
 				for j := 0; j < ops; j++ {
 					app.read(ctx)
 				}
-				remaining--
-				if now := c.K.Now(); now > finish {
-					finish = now
-				}
+				run.finished[id]++
+				run.last = c.K.Now()
 			})
 		}
 	}
-	budget := time.Duration(readers*ops)*10*time.Millisecond + 5*time.Second
-	if !c.RunUntil(budget, func() bool { return remaining == 0 }) {
-		return 0, fmt.Errorf("concurrent readers: %d thread(s) unfinished", remaining)
+	return run
+}
+
+// done reports whether every replica's readers have finished.
+func (r *readerRun) done() bool {
+	for _, n := range r.finished {
+		if n < r.readers {
+			return false
+		}
 	}
-	return finish - start, nil
+	return true
 }
 
 // Render formats one side of the concurrent-reader measurement.
@@ -992,7 +988,7 @@ func RunCCSAblation(seed int64, invocations int) (*AblationResult, error) {
 	measure := func(mode TimeMode, agreed bool) (time.Duration, error) {
 		c, err := NewCluster(ClusterConfig{
 			Seed:      seed,
-			Topology:  testbedTopology(),
+			Clocks:    testbedClocks(),
 			Style:     replication.Active,
 			Mode:      mode,
 			AgreedCCS: agreed,

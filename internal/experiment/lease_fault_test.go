@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"cts/internal/campaign"
 	"cts/internal/core"
 	"cts/internal/replication"
 	"cts/internal/transport"
@@ -65,11 +64,11 @@ func clusterCounter(c *Cluster, id transport.NodeID, name string) uint64 {
 func leaseCluster(t *testing.T, seed int64, style replication.Style, specs []ClockSpec) *Cluster {
 	t.Helper()
 	c, err := NewCluster(ClusterConfig{
-		Seed:     seed,
-		Topology: campaign.Explicit(specs...),
-		Style:    style,
-		Mode:     ModeCTS,
-		Observe:  true,
+		Seed:    seed,
+		Clocks:  specs,
+		Style:   style,
+		Mode:    ModeCTS,
+		Observe: true,
 	})
 	if err != nil {
 		t.Fatal(err)

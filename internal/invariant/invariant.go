@@ -1,5 +1,7 @@
-// Package invariant checks the lease plane's two client-visible promises with
-// happened-before ordering only (no global clock):
+// Package invariant holds the service's two oracles. Rounds (rounds.go)
+// checks that replicas agree on every CCS round. Checker checks the lease
+// plane's two client-visible promises with happened-before ordering only (no
+// global clock):
 //
 //   - staleness: a reading's interval [clock−bound, clock+bound] must reach
 //     the highest lower bound of any reading that completed before this one
