@@ -25,7 +25,7 @@ step() {
 		go vet ./...
 		;;
 	lint)
-		# ctslint always runs every rule (DESIGN.md §8; `make lint-ledger`
+		# ctslint always runs every rule (DESIGN.md §8; `make ledger`
 		# shows what each one catches that no other step here does); -v
 		# records per-rule wall time in the CI log. Baseline justifications
 		# are enforced by the lint.allow parser itself (non-trivially short,
@@ -109,8 +109,9 @@ step() {
 	# The virtual-time outputs of the steps below are regenerated through
 	# pinned.sh, which fails with the diff if the committed file moved.
 	bench)
-		echo "== ctsbench fig5 (BENCH_fig5.json) =="
-		./pinned.sh BENCH_fig5.json go run ./cmd/ctsbench -exp fig5 -out .
+		# -out . also rewrites the committed trace, so it is pinned too.
+		echo "== ctsbench fig5 (BENCH_fig5.json, fig5.trace.jsonl) =="
+		./pinned.sh fig5.trace.jsonl ./pinned.sh BENCH_fig5.json go run ./cmd/ctsbench -exp fig5 -out .
 		;;
 	bench-concurrent)
 		# Self-gating: exits nonzero unless concurrent readers coalesced

@@ -1,7 +1,10 @@
 package experiment
 
 import (
+	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,9 +22,21 @@ import (
 //   - replicas that completed the same round recorded the same value (the
 //     cluster's round oracle);
 //   - the service makes progress whenever a primary component exists.
+//
+// It runs each seed of -churn-seeds as a subtest; the committed seed is 99,
+// and `make churn-sweep` runs seeds 80-139.
 func TestChurnStress(t *testing.T) {
+	seeds, err := parseSeeds(*churnSeeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range seeds {
+		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) { churnStress(t, seed) })
+	}
+}
+
+func churnStress(t *testing.T, seed int64) {
 	const (
-		seed     = 99
 		replicas = 5
 		duration = 8 * time.Second // virtual
 	)
@@ -43,6 +58,18 @@ func TestChurnStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A sweep reads the oracle's first witness next to whichever check
+	// failed first.
+	t.Cleanup(func() {
+		if !t.Failed() {
+			return
+		}
+		if err := c.Agreement(); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+		} else {
+			t.Logf("seed %d: round oracle clean", seed)
+		}
+	})
 
 	// Schedule the churn: every ~600ms one fault event. Replica 1 is left
 	// alone so at least one replica holds the full history, and at most one
@@ -129,4 +156,25 @@ func TestChurnStress(t *testing.T) {
 	c.K.RunFor(time.Millisecond)
 	t.Logf("churn survived: %d reads, %d timeouts, final clock %v",
 		len(values), errors, values[len(values)-1])
+}
+
+// parseSeeds reads a -churn-seeds list: comma-separated seeds or lo-hi
+// ranges, e.g. "99" or "80-139,200".
+func parseSeeds(list string) ([]int64, error) {
+	var seeds []int64
+	for _, f := range strings.Split(list, ",") {
+		lo, hi, isRange := strings.Cut(f, "-")
+		a, err := strconv.ParseInt(lo, 10, 64)
+		b := a
+		if err == nil && isRange {
+			b, err = strconv.ParseInt(hi, 10, 64)
+		}
+		if err != nil || b < a {
+			return nil, fmt.Errorf("-churn-seeds: bad seed or range %q", f)
+		}
+		for v := a; v <= b; v++ {
+			seeds = append(seeds, v)
+		}
+	}
+	return seeds, nil
 }

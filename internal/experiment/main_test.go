@@ -19,6 +19,9 @@ import (
 // the order conformance suite instead.
 var ordererFlag = flag.String("orderer", "", "total-order protocol for every cluster in the suite (totem|seq)")
 
+// -churn-seeds lists the seeds TestChurnStress runs (`make churn-sweep`).
+var churnSeeds = flag.String("churn-seeds", "99", "TestChurnStress seeds: comma-separated seeds or lo-hi ranges")
+
 func TestMain(m *testing.M) {
 	flag.Parse()
 	kind, err := order.ParseKind(*ordererFlag)
