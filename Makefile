@@ -30,9 +30,10 @@ ledger:
 	$(GO) test -tags ledger -run '^TestLedger$$' -v -timeout 0 ./internal/ledger
 
 # churn-sweep runs TestChurnStress over seeds 80-139 (the committed seed is
-# 99) and prints each failing seed with its first failure and the round
-# oracle's first witness, then the package's ok/FAIL line. It reports and
-# does not fail: seeds in this range fail today (ROADMAP item 14).
+# 99) and prints each failing seed with its first failure (the client
+# oracle's first witness, then the round oracle's), then the package's
+# ok/FAIL line. It reports and does not fail: seeds in this range fail today
+# (ROADMAP item 14).
 churn-sweep:
 	$(GO) test -count=1 -run '^TestChurnStress$$' ./internal/experiment -churn-seeds=80-139 2>&1 | \
 		grep -E -A2 -- '--- FAIL: TestChurnStress/|^(ok|FAIL)[[:space:]]' || true

@@ -250,10 +250,16 @@ func run(cfg config) (summary, error) {
 	}
 	fmt.Printf("ctsload: %d queries in %v = %.0f queries/s (%d errors, io=%s, syscalls/query=%s)\n",
 		sum.queries, elapsed.Round(time.Millisecond), sum.qps, sum.errors, batchMode(fl, cliPaths, cfg.dgrams), spq)
-	fmt.Printf("ctsload: violations: staleness=%d regression=%d\n", sum.staleness, sum.regression)
+	// The first witness says which replica missed which floor, and by how
+	// much: the evidence a staleness failure needs.
+	violations := fmt.Sprintf("staleness=%d regression=%d", sum.staleness, sum.regression)
+	if w, ok := chk.First(); ok {
+		violations += ", first: " + w.String()
+	}
+	fmt.Printf("ctsload: violations: %s\n", violations)
 
 	if sum.staleness > 0 || sum.regression > 0 {
-		return sum, fmt.Errorf("lease invariants violated (staleness=%d regression=%d)", sum.staleness, sum.regression)
+		return sum, fmt.Errorf("lease invariants violated (%s)", violations)
 	}
 	if cfg.minQPS > 0 && sum.qps < cfg.minQPS {
 		return sum, fmt.Errorf("sustained %.0f queries/s below -min-qps %.0f", sum.qps, cfg.minQPS)

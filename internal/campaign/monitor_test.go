@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -43,7 +44,8 @@ func TestMonitorSeamViolation(t *testing.T) {
 // TestMonitorCrossGroupStaleness plants a reading whose interval ends below
 // the lower bound another group served in the previous pass: the floor is
 // global, so it counts one staleness violation, while the same reading in
-// the pass that set the floor would not be compared against it.
+// the pass that set the floor would not be compared against it. The gate
+// names the first witness next to the count.
 func TestMonitorCrossGroupStaleness(t *testing.T) {
 	mo := newMonitor(0, time.Hour)
 	mo.observe(10*ms, 2, []reading{served(0, 1, 100*ms, ms), served(1, 1, 97*ms, ms)})
@@ -53,6 +55,12 @@ func TestMonitorCrossGroupStaleness(t *testing.T) {
 	mo.observe(20*ms, 2, []reading{served(1, 1, 97*ms, ms)})
 	if st, reg := mo.chk.Violations(); st != 1 || reg != 0 {
 		t.Fatalf("stale cross-group reading: %d staleness, %d regressions; want 1, 0", st, reg)
+	}
+	mo.m.StalenessViolations, mo.m.Regressions = mo.chk.Violations()
+	want := []string{"1 staleness-bound violations (want 0)",
+		"first: staleness: group 1 node 1 served 97ms (bound 1ms), below the floor 99ms set by group 0 node 1"}
+	if fails := mo.gate(0, time.Hour); fmt.Sprint(fails) != fmt.Sprint(want) {
+		t.Fatalf("gate failures = %q, want %q", fails, want)
 	}
 }
 

@@ -207,6 +207,9 @@ func (mo *monitor) gate(monotonicityFixes uint64, within time.Duration) []string
 	if mo.m.StalenessViolations > 0 {
 		fails = append(fails, fmt.Sprintf("%d staleness-bound violations (want 0)", mo.m.StalenessViolations))
 	}
+	if w, ok := mo.chk.First(); ok {
+		fails = append(fails, "first: "+w.String())
+	}
 	if monotonicityFixes > 0 {
 		fails = append(fails, fmt.Sprintf("%d monotonicity fixes (want 0: no replica proposed backwards)", monotonicityFixes))
 	}

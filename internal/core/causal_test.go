@@ -1,15 +1,11 @@
 package core
 
 import (
-	"encoding/binary"
 	"testing"
 	"time"
 
-	"cts/internal/gcs"
 	"cts/internal/replication"
 	"cts/internal/rpc"
-	"cts/internal/sim"
-	"cts/internal/simnet"
 	"cts/internal/transport"
 	"cts/internal/wire"
 )
@@ -18,135 +14,69 @@ import (
 // clock, share one ring. A client reads group A's clock, then invokes group
 // B with the returned timestamp; group B's clock — initially far BEHIND
 // group A's — must advance past the timestamp before serving the read, so
-// the causal order of readings across groups is preserved.
+// the causal order of readings across groups is preserved. The harness
+// keeps one client oracle per group: unstamped groups promise no order
+// between them.
 
 const (
 	groupA wire.GroupID = 101
 	groupB wire.GroupID = 102
 )
 
-type causalHarness struct {
-	k      *sim.Kernel
-	net    *simnet.Network
-	stacks map[transport.NodeID]*gcs.Stack
-	mgrs   map[transport.NodeID]*replication.Manager
-	apps   map[transport.NodeID]*clockApp
-	svcs   map[transport.NodeID]*TimeService
-	a, b   *rpc.Client
-}
-
-// newCausalHarness: client on P0; group A replicas on P1,P2 (clocks +100s);
-// group B replicas on P3,P4 (clocks +0s — far behind A).
-func newCausalHarness(t *testing.T, seed int64) *causalHarness {
+// causalSetup: client on P0 with one client per group; group A replicas on
+// P1,P2 (clocks +100s); group B replicas on P3,P4 (clocks +0s — far behind
+// A).
+func causalSetup(t *testing.T, seed int64) (h *coreHarness, a, b *rpc.Client) {
 	t.Helper()
-	k := sim.NewKernel(seed)
-	h := &causalHarness{
-		k:      k,
-		net:    simnet.NewNetwork(k, nil),
-		stacks: make(map[transport.NodeID]*gcs.Stack),
-		mgrs:   make(map[transport.NodeID]*replication.Manager),
-		apps:   make(map[transport.NodeID]*clockApp),
-		svcs:   make(map[transport.NodeID]*TimeService),
-	}
-	t.Cleanup(func() {
-		// Drain in-flight invocations, then retire every replica's logical
-		// threads; TestMain's leak check fails the package otherwise.
-		h.k.RunFor(5 * time.Millisecond)
-		for _, s := range h.stacks {
-			s.Stop()
-		}
-		for _, m := range h.mgrs {
-			m.Stop()
-		}
-		h.k.RunFor(5 * time.Millisecond)
-	})
+	h = newCoreHarness(t, seed)
 	ring := []transport.NodeID{0, 1, 2, 3, 4}
 	for _, id := range ring {
-		s, err := gcs.New(gcs.Config{Runtime: k, Transport: h.net.Endpoint(id),
-			Members: ring, Bootstrap: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.stacks[id] = s
+		h.addStack(id, ring, true)
 	}
-	addReplica := func(id transport.NodeID, gid wire.GroupID, clockOffset time.Duration) {
-		app := &clockApp{}
-		mgr, err := replication.New(replication.Config{
-			Runtime: k, Stack: h.stacks[id], Group: gid,
-			Style: replication.Active, App: app,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		clk := hwclockSim(k, clockOffset)
-		svc, err := New(Config{Manager: mgr, Clock: clk})
-		if err != nil {
-			t.Fatal(err)
-		}
-		app.svc = svc
-		if err := mgr.Start(); err != nil {
-			t.Fatal(err)
-		}
-		h.mgrs[id] = mgr
-		h.apps[id] = app
-		h.svcs[id] = svc
-	}
-	addReplica(1, groupA, 100*time.Second)
-	addReplica(2, groupA, 100*time.Second)
-	addReplica(3, groupB, 0)
-	addReplica(4, groupB, 0)
-
-	var err error
-	h.a, err = rpc.NewClient(rpc.ClientConfig{Runtime: k, Stack: h.stacks[0],
-		ClientGroup: 901, ServerGroup: groupA})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.b, err = rpc.NewClient(rpc.ClientConfig{Runtime: k, Stack: h.stacks[0],
-		ClientGroup: 902, ServerGroup: groupB})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h.addGroupReplica(1, groupA, replication.Active, false, h.simClock(100*time.Second, 0))
+	h.addGroupReplica(2, groupA, replication.Active, false, h.simClock(100*time.Second, 0))
+	h.addGroupReplica(3, groupB, replication.Active, false, h.simClock(0, 0))
+	h.addGroupReplica(4, groupB, replication.Active, false, h.simClock(0, 0))
+	a = h.groupClient(0, 901, groupA)
+	b = h.groupClient(0, 902, groupB)
 	for _, s := range h.stacks {
 		s.Start()
 	}
-	k.RunFor(3 * time.Millisecond)
-	return h
+	h.k.RunFor(3 * time.Millisecond)
+	return h, a, b
 }
 
-func (h *causalHarness) read(t *testing.T, c *rpc.Client, ts time.Duration) (time.Duration, time.Duration) {
+// causalRead reads c's group once, stamped with ts, and returns the reading
+// and the reply's timestamp.
+func causalRead(t *testing.T, h *coreHarness, c *rpc.Client, ts time.Duration) (time.Duration, time.Duration) {
 	t.Helper()
 	var val, stamp time.Duration
 	got := false
-	c.InvokeStamped("read", nil, ts, func(r rpc.Reply) {
+	h.read(c, ts, func(v time.Duration, r rpc.Reply) {
 		got = true
 		if r.Err != nil {
 			t.Errorf("invoke: %v", r.Err)
-			return
 		}
-		val = time.Duration(binary.BigEndian.Uint64(r.Body))
-		stamp = r.Timestamp
+		val, stamp = v, r.Timestamp
 	})
-	deadline := h.k.Now() + 10*time.Second
-	for h.k.Now() < deadline && !got {
-		h.k.RunFor(200 * time.Microsecond)
-	}
-	if !got {
+	if !h.runUntil(10*time.Second, func() bool { return got }) {
 		t.Fatal("read timed out")
 	}
 	return val, stamp
 }
 
+// Group B's replicas recording the lifted value alike is the round oracle's
+// check, and B's later reads not falling below it the client oracle's.
 func TestCausalTimestampLiftsForeignGroupClock(t *testing.T) {
-	h := newCausalHarness(t, 1)
+	h, a, b := causalSetup(t, 1)
 
 	// Group B unstamped: its clock sits near 0 (its replicas' raw clocks).
-	bBefore, _ := h.read(t, h.b, 0)
+	bBefore, _ := causalRead(t, h, b, 0)
 	if bBefore > 10*time.Second {
 		t.Fatalf("group B clock = %v, expected near zero before causal contact", bBefore)
 	}
 	// Group A: its clock sits near +100s.
-	aVal, aStamp := h.read(t, h.a, 0)
+	aVal, aStamp := causalRead(t, h, a, 0)
 	if aVal < 90*time.Second {
 		t.Fatalf("group A clock = %v, expected ≈100s", aVal)
 	}
@@ -155,72 +85,36 @@ func TestCausalTimestampLiftsForeignGroupClock(t *testing.T) {
 	}
 
 	// Invoke B with A's timestamp: B's reading must causally follow it.
-	bAfter, _ := h.read(t, h.b, aStamp)
-	if bAfter <= aVal {
-		t.Fatalf("causality violated: read %v from group A, then %v from group B",
-			aVal, bAfter)
+	if bAfter, _ := causalRead(t, h, b, aStamp); bAfter <= aStamp {
+		t.Fatalf("causality violated: read %v from group B stamped with group A's %v", bAfter, aStamp)
 	}
-	// Both B replicas recorded the lifted value identically.
-	r3 := h.apps[3].readings
-	r4 := h.apps[4].readings
-	if len(r3) != len(r4) {
-		t.Fatalf("group B replicas diverge in length: %d vs %d", len(r3), len(r4))
-	}
-	for i := range r3 {
-		if r3[i] != r4[i] {
-			t.Fatalf("group B replicas diverge at %d: %v vs %v", i, r3[i], r4[i])
-		}
-	}
-	// And B's clock stays monotone afterwards.
-	bNext, _ := h.read(t, h.b, 0)
-	if bNext < bAfter {
-		t.Fatalf("group B rolled back after the causal lift: %v -> %v", bAfter, bNext)
-	}
+	causalRead(t, h, b, 0)
 }
 
+// Ping-pong: each reading is passed as the timestamp of the next invocation
+// on the other group, and must exceed it. Every reply covers its reading, so
+// the values strictly increase across the whole chain.
 func TestCausalChainBackAndForth(t *testing.T) {
-	h := newCausalHarness(t, 2)
-	// Ping-pong: each reading is passed as the timestamp of the next
-	// invocation on the other group; the observed values must be strictly
-	// increasing across the whole chain.
-	var prevVal, prevStamp time.Duration
-	clients := []*rpc.Client{h.a, h.b, h.a, h.b, h.b, h.a}
-	for i, c := range clients {
-		v, stamp := h.read(t, c, prevStamp)
-		if i > 0 && v <= prevVal {
-			t.Fatalf("causal chain broken at step %d: %v after %v", i, v, prevVal)
+	h, a, b := causalSetup(t, 2)
+	var stamp time.Duration
+	for i, c := range []*rpc.Client{a, b, a, b, b, a} {
+		v, next := causalRead(t, h, c, stamp)
+		if v <= stamp || next < v {
+			t.Fatalf("causal chain broken at step %d: read %v stamped %v, reply stamped %v", i, v, stamp, next)
 		}
-		prevVal, prevStamp = v, stamp
+		stamp = next
 	}
 }
 
 func TestUnstampedGroupsStayIndependent(t *testing.T) {
-	h := newCausalHarness(t, 3)
+	h, a, b := causalSetup(t, 3)
 	// Without timestamps the groups' clocks are unrelated: B stays near 0
 	// no matter how often A is read.
 	for i := 0; i < 3; i++ {
-		h.read(t, h.a, 0)
+		causalRead(t, h, a, 0)
 	}
-	bVal, _ := h.read(t, h.b, 0)
+	bVal, _ := causalRead(t, h, b, 0)
 	if bVal > 10*time.Second {
 		t.Fatalf("group B clock = %v; unstamped traffic must not couple the groups", bVal)
 	}
-}
-
-// hwclockSim builds a kernel-backed simulated clock (helper avoiding an
-// import cycle with the main test file's harness).
-func hwclockSim(k *sim.Kernel, offset time.Duration) clockIface {
-	return simClockShim{k: k, off: offset}
-}
-
-type clockIface = interface{ Read() time.Duration }
-
-type simClockShim struct {
-	k   *sim.Kernel
-	off time.Duration
-}
-
-func (s simClockShim) Read() time.Duration {
-	v := s.k.Now() + s.off
-	return v - v%time.Microsecond
 }

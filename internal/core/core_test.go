@@ -24,11 +24,14 @@ const (
 
 // clockApp performs clock reads through the consistent time service. Each
 // "read" invocation does one Sleep followed by one Gettimeofday and records
-// the value.
+// the value. "set-timer" arms a group-time timer the body's duration ahead
+// of a reading and records the group clock it fires at; "set-cancelled-timer"
+// arms one an hour ahead and cancels it.
 type clockApp struct {
 	svc      *TimeService
 	delay    time.Duration
 	readings []time.Duration
+	firedAt  []time.Duration
 }
 
 func (a *clockApp) Invoke(ctx *replication.Ctx, method string, body []byte) []byte {
@@ -52,6 +55,25 @@ func (a *clockApp) Invoke(ctx *replication.Ctx, method string, body []byte) []by
 			a.readings = append(a.readings, v)
 		}
 		return out
+	case "set-timer":
+		now := a.svc.Gettimeofday(ctx)
+		ahead := time.Duration(binary.BigEndian.Uint64(body))
+		ctx.Call(func(complete func(any)) {
+			a.svc.AtGroupTime(now+ahead, func(g time.Duration) { a.firedAt = append(a.firedAt, g) })
+			complete(nil)
+		})
+	case "set-cancelled-timer":
+		now := a.svc.Gettimeofday(ctx)
+		ctx.Call(func(complete func(any)) {
+			t := a.svc.AtGroupTime(now+time.Hour, func(time.Duration) { a.firedAt = append(a.firedAt, -1) })
+			if !t.Cancel() {
+				panic("cancel of pending timer failed")
+			}
+			if t.Cancel() {
+				panic("second cancel succeeded")
+			}
+			complete(nil)
+		})
 	}
 	return nil
 }
@@ -71,6 +93,11 @@ func (a *clockApp) Restore(state []byte) {
 	}
 }
 
+// coreHarness is a simulated deployment for core's tests: replica groups on
+// one kernel and one ring, each replica's round reports through the round
+// oracle, and each "read" a client invokes through h.read, which holds its
+// reply to the client oracle of the client's server group. The cleanup fails
+// the test at either oracle's first witness, or the lease Checker's.
 type coreHarness struct {
 	t       *testing.T
 	k       *sim.Kernel
@@ -81,7 +108,10 @@ type coreHarness struct {
 	apps    map[transport.NodeID]*clockApp
 	svcs    map[transport.NodeID]*TimeService
 	reports map[transport.NodeID][]RoundReport
-	rounds  invariant.Rounds // every round report goes through the round oracle
+	rounds  invariant.Rounds
+	clients map[wire.GroupID]*invariant.Checker // per server group
+	served  map[*rpc.Client]wire.GroupID        // each client's server group
+	leases  invariant.Checker                   // what leaseRead samples
 }
 
 func newCoreHarness(t *testing.T, seed int64) *coreHarness {
@@ -101,6 +131,8 @@ func newCoreHarness(t *testing.T, seed int64) *coreHarness {
 		apps:    make(map[transport.NodeID]*clockApp),
 		svcs:    make(map[transport.NodeID]*TimeService),
 		reports: make(map[transport.NodeID][]RoundReport),
+		clients: make(map[wire.GroupID]*invariant.Checker),
+		served:  make(map[*rpc.Client]wire.GroupID),
 	}
 	t.Cleanup(func() {
 		// Drain in-flight invocations so every manager is idle, then retire
@@ -116,6 +148,14 @@ func newCoreHarness(t *testing.T, seed int64) *coreHarness {
 		h.k.RunFor(5 * time.Millisecond)
 		if err := h.rounds.Err(); err != nil {
 			t.Error(err)
+		}
+		for g, chk := range h.clients {
+			if err := chk.Err(); err != nil {
+				t.Errorf("server group %d: %v", g, err)
+			}
+		}
+		if err := h.leases.Err(); err != nil {
+			t.Errorf("leases: %v", err)
 		}
 	})
 	return h
@@ -149,15 +189,22 @@ func (h *coreHarness) addStack(id transport.NodeID, ring []transport.NodeID, boo
 }
 
 // addReplica creates manager + time service + clock app on node id with the
-// given physical clock.
+// given physical clock, in serverGroup.
 func (h *coreHarness) addReplica(id transport.NodeID, style replication.Style,
+	recovering bool, clock hwclock.Clock, opts ...func(*Config)) {
+	h.t.Helper()
+	h.addGroupReplica(id, serverGroup, style, recovering, clock, opts...)
+}
+
+// addGroupReplica is addReplica in replica group g.
+func (h *coreHarness) addGroupReplica(id transport.NodeID, g wire.GroupID, style replication.Style,
 	recovering bool, clock hwclock.Clock, opts ...func(*Config)) {
 	h.t.Helper()
 	app := &clockApp{delay: 50 * time.Microsecond}
 	m, err := replication.New(replication.Config{
 		Runtime:         h.k,
 		Stack:           h.stacks[id],
-		Group:           serverGroup,
+		Group:           g,
 		Style:           style,
 		App:             app,
 		Recovering:      recovering,
@@ -172,8 +219,8 @@ func (h *coreHarness) addReplica(id transport.NodeID, style replication.Style,
 		Obs:     h.rec.ForNode(uint32(id)),
 		OnRound: func(r RoundReport) {
 			h.reports[id] = append(h.reports[id], r)
-			h.rounds.Report(invariant.RoundReport{Node: uint32(id), Thread: r.ThreadID, Round: r.Round,
-				Value: r.GroupClock, Winner: uint32(r.Winner), Physical: r.Physical})
+			h.rounds.Report(invariant.RoundReport{Group: uint32(g), Node: uint32(id), Thread: r.ThreadID,
+				Round: r.Round, Value: r.GroupClock, Winner: uint32(r.Winner), Physical: r.Physical})
 		},
 	}
 	for _, opt := range opts {
@@ -192,18 +239,65 @@ func (h *coreHarness) addReplica(id transport.NodeID, style replication.Style,
 	h.svcs[id] = svc
 }
 
+// newClient creates a client of serverGroup on node id.
 func (h *coreHarness) newClient(id transport.NodeID) *rpc.Client {
+	h.t.Helper()
+	return h.groupClient(id, clientGroup, serverGroup)
+}
+
+// groupClient creates a client on node id that replies reach through group
+// cg and that invokes group sg.
+func (h *coreHarness) groupClient(id transport.NodeID, cg, sg wire.GroupID) *rpc.Client {
 	h.t.Helper()
 	c, err := rpc.NewClient(rpc.ClientConfig{
 		Runtime:     h.k,
 		Stack:       h.stacks[id],
-		ClientGroup: clientGroup,
-		ServerGroup: serverGroup,
+		ClientGroup: cg,
+		ServerGroup: sg,
 	})
 	if err != nil {
 		h.t.Fatal(err)
 	}
+	if h.clients[sg] == nil {
+		h.clients[sg] = new(invariant.Checker)
+	}
+	h.served[c] = sg
 	return c
+}
+
+// read invokes "read" from c, stamped with ts (0: unstamped), and calls done
+// with the reading and the reply. The reply goes through the client oracle
+// of c's server group: Snap before the invocation, Observe on the reply
+// keyed by the replica that served it, with bound 0 (a CCS read is exact).
+func (h *coreHarness) read(c *rpc.Client, ts time.Duration, done func(time.Duration, rpc.Reply)) {
+	g := h.served[c]
+	chk := h.clients[g]
+	pre := new(invariant.Snapshot)
+	chk.Snap(pre)
+	c.InvokeStamped("read", nil, ts, func(r rpc.Reply) {
+		var v time.Duration
+		if r.Err == nil {
+			v = time.Duration(binary.BigEndian.Uint64(r.Body))
+			chk.Observe(pre, invariant.Key{Group: uint32(g), Node: r.Replica}, v, 0)
+		}
+		done(v, r)
+	})
+}
+
+// leaseRead samples replica id's lease between kernel steps through the
+// harness's lease Checker: each sample happened-before the next, so its
+// floors apply exactly.
+func (h *coreHarness) leaseRead(id transport.NodeID) (LeaseReading, bool) {
+	var pre invariant.Snapshot
+	h.leases.Snap(&pre)
+	r, ok := h.svcs[id].LeaseRead()
+	if ok {
+		if r.Bound <= 0 {
+			h.t.Fatalf("replica %v: non-positive bound %v", id, r.Bound)
+		}
+		h.leases.Observe(&pre, invariant.Key{Group: uint32(serverGroup), Node: uint32(id)}, r.GroupClock, r.Bound)
+	}
+	return r, ok
 }
 
 func (h *coreHarness) runUntil(max time.Duration, cond func() bool) bool {
@@ -242,18 +336,18 @@ func standardSetup(t *testing.T, seed int64, style replication.Style) (*coreHarn
 	return h, client
 }
 
-// driveReads performs n sequential "read" invocations.
-func driveReads(t *testing.T, h *coreHarness, client *rpc.Client, n int) []uint64 {
+// driveReads performs n sequential reads through h.read and returns them.
+func driveReads(t *testing.T, h *coreHarness, client *rpc.Client, n int) []time.Duration {
 	t.Helper()
-	var replies []uint64
+	var replies []time.Duration
 	var invoke func()
 	invoke = func() {
-		client.Invoke("read", nil, func(r rpc.Reply) {
+		h.read(client, 0, func(v time.Duration, r rpc.Reply) {
 			if r.Err != nil {
 				t.Errorf("invoke: %v", r.Err)
 				return
 			}
-			replies = append(replies, binary.BigEndian.Uint64(r.Body))
+			replies = append(replies, v)
 			if len(replies) < n {
 				invoke()
 			}
@@ -273,21 +367,19 @@ func TestActiveReplicasReturnIdenticalClockValues(t *testing.T) {
 	h, client := standardSetup(t, 1, replication.Active)
 	driveReads(t, h, client, 20)
 	for _, id := range serverIDs {
-		if n := len(h.apps[id].readings); n != 20 || h.rounds.Shared(uint32(id)) < 20 {
+		k := invariant.Key{Group: uint32(serverGroup), Node: uint32(id)}
+		if n := len(h.apps[id].readings); n != 20 || h.rounds.Shared(k) < 20 {
 			t.Fatalf("replica %v: %d readings, %d checked against another replica; want 20",
-				id, n, h.rounds.Shared(uint32(id)))
+				id, n, h.rounds.Shared(k))
 		}
 	}
 }
 
+// The harness's client oracle holds every reply to the ones before it; the
+// replicas got there without the defensive clamp.
 func TestGroupClockMonotonicallyIncreasing(t *testing.T) {
 	h, client := standardSetup(t, 2, replication.Active)
-	replies := driveReads(t, h, client, 30)
-	for i := 1; i < len(replies); i++ {
-		if replies[i] < replies[i-1] {
-			t.Fatalf("group clock rolled back at %d: %d -> %d", i, replies[i-1], replies[i])
-		}
-	}
+	driveReads(t, h, client, 30)
 	for _, id := range []transport.NodeID{1, 2, 3} {
 		if n := h.counter(id, "core.monotonicity_fixes"); n != 0 {
 			t.Fatalf("replica %v needed %d defensive monotonicity fixes", id, n)
@@ -363,50 +455,20 @@ func TestPassiveOnlyPrimarySendsCCS(t *testing.T) {
 	}
 }
 
+// The client oracle holds the reads after the failover to the ones before.
 func TestPassiveFailoverUsesBufferedCCS(t *testing.T) {
 	h, client := standardSetup(t, 6, replication.Passive)
-	replies := driveReads(t, h, client, 6)
+	driveReads(t, h, client, 6)
 
 	// Kill the primary (node 1). Node 2 takes over and replays the log;
 	// rounds the old primary already ran must be satisfied from the buffer
 	// of delivered CCS messages (§3.3), not re-initiated.
 	h.stacks[1].Stop()
 	h.net.Endpoint(1).SetDown(true)
-
-	var after []uint64
-	done := 0
-	var invoke func()
-	invoke = func() {
-		client.Invoke("read", nil, func(r rpc.Reply) {
-			if r.Err != nil {
-				return
-			}
-			done++
-			after = append(after, binary.BigEndian.Uint64(r.Body))
-			if done < 6 {
-				invoke()
-			}
-		})
-	}
-	invoke()
-	if !h.runUntil(10*time.Second, func() bool { return done >= 6 }) {
-		t.Fatalf("only %d/6 reads completed after failover", done)
-	}
+	driveReads(t, h, client, 6)
 
 	if h.counter(2, "core.from_buffer") == 0 {
 		t.Fatal("new primary did not consume buffered CCS messages during replay")
-	}
-	// Monotone across the failover: the first value after failover is not
-	// before the last value before it.
-	if after[0] < replies[len(replies)-1] {
-		t.Fatalf("clock rolled back across failover: %d then %d",
-			replies[len(replies)-1], after[0])
-	}
-	all := append(append([]uint64(nil), replies...), after...)
-	for i := 1; i < len(all); i++ {
-		if all[i] < all[i-1] {
-			t.Fatalf("non-monotone at %d: %d -> %d", i, all[i-1], all[i])
-		}
 	}
 }
 
@@ -468,7 +530,7 @@ func TestRecoveringReplicaIntegratesNewClock(t *testing.T) {
 		s.Start()
 	}
 	h.k.RunFor(3 * time.Millisecond)
-	before := driveReads(t, h, client, 8)
+	driveReads(t, h, client, 8)
 
 	// Node 3 joins with a wildly different physical clock (+100s): the
 	// special round must initialize it so the group clock stays monotone.
@@ -487,20 +549,17 @@ func TestRecoveringReplicaIntegratesNewClock(t *testing.T) {
 		t.Fatal("no special round was taken for the state transfer")
 	}
 
+	// The client oracle holds these reads to the ones before the join; they
+	// must also stay far below the newcomer's raw clock.
 	after := driveReads(t, h, client, 8)
-	// Monotone across the recovery, and far below the newcomer's raw clock.
-	if after[0] < before[len(before)-1] {
-		t.Fatalf("clock regressed across recovery: %d -> %d",
-			before[len(before)-1], after[0])
-	}
-	if time.Duration(after[0]) > 50*time.Second {
-		t.Fatalf("group clock jumped toward the newcomer's clock: %v",
-			time.Duration(after[0]))
+	if after[0] > 50*time.Second {
+		t.Fatalf("group clock jumped toward the newcomer's clock: %v", after[0])
 	}
 	// The newcomer executed the new reads; the round oracle holds them to
 	// the others' values.
-	if n := len(h.apps[3].readings); n < 8 || h.rounds.Shared(3) < 8 {
-		t.Fatalf("newcomer recorded %d readings, %d shared with the others", n, h.rounds.Shared(3))
+	k := invariant.Key{Group: uint32(serverGroup), Node: 3}
+	if n := len(h.apps[3].readings); n < 8 || h.rounds.Shared(k) < 8 {
+		t.Fatalf("newcomer recorded %d readings, %d shared with the others", n, h.rounds.Shared(k))
 	}
 }
 
@@ -608,7 +667,7 @@ func TestDriftWithoutCompensationRunsSlow(t *testing.T) {
 	realStart := h.k.Now()
 	replies := driveReads(t, h, client, 30)
 	realSpan := h.k.Now() - realStart
-	groupSpan := time.Duration(replies[len(replies)-1] - replies[0])
+	groupSpan := replies[len(replies)-1] - replies[0]
 	// Figure 6(c): the group clock advances more slowly than real time
 	// because the winner's proposal is based on a physical reading taken
 	// before the round's ordering delay.
@@ -635,7 +694,7 @@ func TestMeanDelayCompensationReducesDrift(t *testing.T) {
 		}
 		h.k.RunFor(3 * time.Millisecond)
 		replies := driveReads(t, h, client, 30)
-		return h.k.Now() - time.Duration(replies[len(replies)-1]) // lag behind real time
+		return h.k.Now() - replies[len(replies)-1] // lag behind real time
 	}
 	lagNone := run(CompNone)
 	lagComp := run(CompMeanDelay)
@@ -665,7 +724,7 @@ func TestExternalCompensationBoundsDrift(t *testing.T) {
 	}
 	h.k.RunFor(3 * time.Millisecond)
 	replies := driveReads(t, h, client, 40)
-	lag := h.k.Now() - time.Duration(replies[len(replies)-1])
+	lag := h.k.Now() - replies[len(replies)-1]
 	if lag > 2*time.Millisecond {
 		t.Fatalf("externally nudged clock lags %v; should stay near real time", lag)
 	}

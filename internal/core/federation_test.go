@@ -42,7 +42,7 @@ func TestFederatedRoundNudgesWholeGroup(t *testing.T) {
 	h, client := standardSetup(t, 31, replication.Active)
 	enableLeases(h, LeaseConfig{Window: time.Minute})
 	enableFederation(h, FedConfig{InitialSlack: 5 * time.Millisecond, AgingPPM: 10_000}, serverIDs...)
-	before := driveReads(t, h, client, 5)
+	driveReads(t, h, client, 5)
 
 	const nudge = 2 * time.Millisecond
 	offBefore := h.svcs[2].offset
@@ -59,12 +59,9 @@ func TestFederatedRoundNudgesWholeGroup(t *testing.T) {
 		t.Fatalf("proposer counted %d proposals, want 1", got)
 	}
 
-	// Replicas still agree exactly after the nudge (the round oracle).
-	after := driveReads(t, h, client, 5)
-	if after[0] < before[len(before)-1] {
-		t.Fatalf("group clock regressed across the federated round: %d -> %d",
-			before[len(before)-1], after[0])
-	}
+	// Replicas still agree exactly after the nudge (the round oracle), and
+	// no read regresses across it (the client oracle).
+	driveReads(t, h, client, 5)
 	// A non-proposing replica's re-derived offset jumped forward by the nudge
 	// minus the round's ordering delay (the group clock kept advancing between
 	// proposal and delivery, which eats a sliver of the step).

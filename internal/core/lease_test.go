@@ -22,44 +22,6 @@ func enableLeases(h *coreHarness, cfg LeaseConfig) {
 	h.k.RunFor(time.Millisecond)
 }
 
-// leaseProbe replays the load-generator's lease invariants in virtual time:
-// samples are taken sequentially between kernel steps, so every sample
-// happened-before the next and the checks are exact.
-type leaseProbe struct {
-	t     *testing.T
-	floor time.Duration                      // max (group − bound) seen
-	last  map[transport.NodeID]time.Duration // per-replica served floor
-}
-
-func newLeaseProbe(t *testing.T) *leaseProbe {
-	return &leaseProbe{t: t, last: make(map[transport.NodeID]time.Duration)}
-}
-
-// sample reads one replica's lease and validates it against everything
-// sampled so far. Returns the reading.
-func (p *leaseProbe) sample(h *coreHarness, id transport.NodeID) (LeaseReading, bool) {
-	p.t.Helper()
-	r, ok := h.svcs[id].LeaseRead()
-	if !ok {
-		return r, false
-	}
-	if r.Bound <= 0 {
-		p.t.Fatalf("replica %v: non-positive bound %v", id, r.Bound)
-	}
-	if r.GroupClock+r.Bound < p.floor {
-		p.t.Fatalf("replica %v: stale interval [%v, %v] below floor %v",
-			id, r.GroupClock-r.Bound, r.GroupClock+r.Bound, p.floor)
-	}
-	if last, seen := p.last[id]; seen && r.GroupClock < last {
-		p.t.Fatalf("replica %v: group clock regressed %v -> %v", id, last, r.GroupClock)
-	}
-	p.last[id] = r.GroupClock
-	if f := r.GroupClock - r.Bound; f > p.floor {
-		p.floor = f
-	}
-	return r, true
-}
-
 func TestLeaseConfigValidate(t *testing.T) {
 	if _, err := (LeaseConfig{}).Validate(); err == nil {
 		t.Fatal("zero Window accepted")
@@ -83,9 +45,8 @@ func TestLeasePublishedByOrdinaryRounds(t *testing.T) {
 	enableLeases(h, LeaseConfig{Window: time.Second})
 	driveReads(t, h, client, 10)
 
-	probe := newLeaseProbe(t)
 	for _, id := range serverIDs {
-		if _, ok := probe.sample(h, id); !ok {
+		if _, ok := h.leaseRead(id); !ok {
 			t.Fatalf("replica %v holds no lease after 10 CCS rounds", id)
 		}
 	}
@@ -129,9 +90,8 @@ func TestLeaseAgesAndExpires(t *testing.T) {
 	// A refresh round brings every replica back.
 	h.svcs[2].RefreshLease()
 	h.k.RunFor(5 * time.Millisecond)
-	probe := newLeaseProbe(t)
 	for _, id := range serverIDs {
-		if _, ok := probe.sample(h, id); !ok {
+		if _, ok := h.leaseRead(id); !ok {
 			t.Fatalf("replica %v has no lease after refresh", id)
 		}
 	}
@@ -148,9 +108,8 @@ func TestLeaseRefreshCoalesces(t *testing.T) {
 	}
 	h.k.RunFor(5 * time.Millisecond)
 
-	probe := newLeaseProbe(t)
 	for _, id := range serverIDs {
-		if _, ok := probe.sample(h, id); !ok {
+		if _, ok := h.leaseRead(id); !ok {
 			t.Fatalf("replica %v holds no lease after coalesced refresh", id)
 		}
 		if got := h.counter(id, "core.lease_refreshes"); got != 1 {
@@ -165,7 +124,7 @@ func TestLeaseRefreshCoalesces(t *testing.T) {
 	}
 	h.k.RunFor(5 * time.Millisecond)
 	for _, id := range serverIDs {
-		if _, ok := probe.sample(h, id); !ok {
+		if _, ok := h.leaseRead(id); !ok {
 			t.Fatalf("replica %v lost its lease on the second refresh", id)
 		}
 	}
@@ -179,10 +138,9 @@ func TestLeaseInvalidatedOnMembershipChange(t *testing.T) {
 	enableLeases(h, LeaseConfig{Window: 30 * time.Second})
 	driveReads(t, h, client, 5)
 
-	probe := newLeaseProbe(t)
 	before := make(map[transport.NodeID]LeaseReading)
 	for _, id := range serverIDs {
-		r, ok := probe.sample(h, id)
+		r, ok := h.leaseRead(id)
 		if !ok {
 			t.Fatalf("replica %v holds no lease before the crash", id)
 		}
@@ -214,7 +172,7 @@ func TestLeaseInvalidatedOnMembershipChange(t *testing.T) {
 	h.svcs[1].RefreshLease()
 	h.k.RunFor(10 * time.Millisecond)
 	for _, id := range survivors {
-		r, ok := probe.sample(h, id)
+		r, ok := h.leaseRead(id)
 		if !ok {
 			t.Fatalf("replica %v has no lease after post-crash refresh", id)
 		}

@@ -7,162 +7,59 @@ import (
 
 	"cts/internal/replication"
 	"cts/internal/rpc"
-	"cts/internal/transport"
 )
 
-// timerApp sets a deterministic group-time timer during an invocation and
-// records at which group clock value it fired.
-type timerApp struct {
-	svc      *TimeService
-	firedAt  []time.Duration
-	canceled *GroupTimer
-}
-
-func (a *timerApp) Invoke(ctx *replication.Ctx, method string, body []byte) []byte {
-	switch method {
-	case "set-timer":
-		// Read the clock, then arm a timer a little ahead of it.
-		now := a.svc.Gettimeofday(ctx)
-		ahead := time.Duration(binary.BigEndian.Uint64(body))
-		ctx.Call(func(complete func(any)) {
-			a.svc.AtGroupTime(now+ahead, func(g time.Duration) {
-				a.firedAt = append(a.firedAt, g)
-			})
-			complete(nil)
-		})
-		out := make([]byte, 8)
-		binary.BigEndian.PutUint64(out, uint64(now))
-		return out
-	case "set-cancelled-timer":
-		now := a.svc.Gettimeofday(ctx)
-		ctx.Call(func(complete func(any)) {
-			t := a.svc.AtGroupTime(now+time.Hour, func(time.Duration) {
-				a.firedAt = append(a.firedAt, -1)
-			})
-			if !t.Cancel() {
-				panic("cancel of pending timer failed")
-			}
-			if t.Cancel() {
-				panic("second cancel succeeded")
-			}
-			complete(nil)
-		})
-		return nil
-	case "read":
-		v := a.svc.Gettimeofday(ctx)
-		out := make([]byte, 8)
-		binary.BigEndian.PutUint64(out, uint64(v))
-		return out
-	}
-	return nil
-}
-func (a *timerApp) Snapshot() []byte { return nil }
-func (a *timerApp) Restore([]byte)   {}
-
-func timerSetup(t *testing.T, seed int64) (*coreHarness, *rpc.Client, map[transport.NodeID]*timerApp) {
+// armTimer invokes "set-timer" with a deadline ahead of the group clock and
+// waits for its reply.
+func armTimer(t *testing.T, h *coreHarness, client *rpc.Client, ahead time.Duration) {
 	t.Helper()
-	h := newCoreHarness(t, seed)
-	ring := []transport.NodeID{0, 1, 2, 3}
-	for _, id := range ring {
-		h.addStack(id, ring, true)
+	body := make([]byte, 8)
+	binary.BigEndian.PutUint64(body, uint64(ahead))
+	done := false
+	client.Invoke("set-timer", body, func(rpc.Reply) { done = true })
+	if !h.runUntil(5*time.Second, func() bool { return done }) {
+		t.Fatal("set-timer never replied")
 	}
-	apps := make(map[transport.NodeID]*timerApp)
-	for i, id := range ring[1:] {
-		app := &timerApp{}
-		mgr, err := replication.New(replication.Config{
-			Runtime: h.k, Stack: h.stacks[id], Group: serverGroup,
-			Style: replication.Active, App: app,
-		})
-		if err != nil {
-			t.Fatal(err)
+}
+
+// allFired reports whether the timer has fired at every replica.
+func allFired(h *coreHarness) bool {
+	for _, app := range h.apps {
+		if len(app.firedAt) == 0 {
+			return false
 		}
-		svc, err := New(Config{Manager: mgr,
-			Clock: h.simClock(time.Duration(i)*time.Second, 0)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		app.svc = svc
-		if err := mgr.Start(); err != nil {
-			t.Fatal(err)
-		}
-		apps[id] = app
-		h.svcs[id] = svc
-		h.mgrs[id] = mgr // the harness cleanup retires its logical threads
 	}
-	client := h.newClient(0)
-	for _, s := range h.stacks {
-		s.Start()
-	}
-	h.k.RunFor(3 * time.Millisecond)
-	return h, client, apps
+	return true
 }
 
 func TestGroupTimerFiresDeterministically(t *testing.T) {
-	h, client, apps := timerSetup(t, 1)
-	ahead := make([]byte, 8)
-	binary.BigEndian.PutUint64(ahead, uint64(500*time.Microsecond))
-	done := false
-	client.Invoke("set-timer", ahead, func(r rpc.Reply) { done = true })
-	h.runUntil(5*time.Second, func() bool { return done })
-
+	h, client := standardSetup(t, 1, replication.Active)
+	armTimer(t, h, client, 500*time.Microsecond)
 	// The timer needs the group clock to advance past the deadline, which
 	// takes further rounds: drive a few reads.
-	readsDone := 0
-	var drive func()
-	drive = func() {
-		client.Invoke("read", nil, func(r rpc.Reply) {
-			readsDone++
-			if readsDone < 10 {
-				drive()
-			}
-		})
-	}
-	drive()
-	ok := h.runUntil(10*time.Second, func() bool {
-		for _, app := range apps {
-			if len(app.firedAt) == 0 {
-				return false
-			}
-		}
-		return true
-	})
-	if !ok {
+	driveReads(t, h, client, 10)
+	if !h.runUntil(10*time.Second, func() bool { return allFired(h) }) {
 		t.Fatal("timer did not fire at every replica")
 	}
 	// All replicas fired at the identical group clock value.
-	var want time.Duration
-	for id, app := range apps {
+	want := h.apps[1].firedAt
+	for id, app := range h.apps {
 		if len(app.firedAt) != 1 {
 			t.Fatalf("%v fired %d times", id, len(app.firedAt))
 		}
-		if want == 0 {
-			want = app.firedAt[0]
-		}
-		if app.firedAt[0] != want {
-			t.Fatalf("timer fired at different group times: %v vs %v",
-				app.firedAt[0], want)
+		if app.firedAt[0] != want[0] {
+			t.Fatalf("timer fired at different group times: %v vs %v", app.firedAt[0], want[0])
 		}
 	}
 }
 
 func TestGroupTimerCancel(t *testing.T) {
-	h, client, apps := timerSetup(t, 2)
+	h, client := standardSetup(t, 2, replication.Active)
 	done := false
-	client.Invoke("set-cancelled-timer", nil, func(r rpc.Reply) { done = true })
+	client.Invoke("set-cancelled-timer", nil, func(rpc.Reply) { done = true })
 	h.runUntil(5*time.Second, func() bool { return done })
-	readsDone := 0
-	var drive func()
-	drive = func() {
-		client.Invoke("read", nil, func(r rpc.Reply) {
-			readsDone++
-			if readsDone < 5 {
-				drive()
-			}
-		})
-	}
-	drive()
-	h.runUntil(5*time.Second, func() bool { return readsDone >= 5 })
-	for id, app := range apps {
+	driveReads(t, h, client, 5)
+	for id, app := range h.apps {
 		if len(app.firedAt) != 0 {
 			t.Fatalf("%v: cancelled timer fired", id)
 		}
@@ -176,23 +73,11 @@ func TestGroupTimerCancel(t *testing.T) {
 }
 
 func TestGroupTimerPastDeadlineFiresImmediately(t *testing.T) {
-	h, client, apps := timerSetup(t, 3)
-	// Deadline 0 is already in the past at arm time (group clock > 0).
-	done := false
-	ahead := make([]byte, 8) // zero: deadline == current reading
-	client.Invoke("set-timer", ahead, func(r rpc.Reply) { done = true })
-	ok := h.runUntil(5*time.Second, func() bool {
-		if !done {
-			return false
-		}
-		for _, app := range apps {
-			if len(app.firedAt) == 0 {
-				return false
-			}
-		}
-		return true
-	})
-	if !ok {
+	h, client := standardSetup(t, 3, replication.Active)
+	// Deadline 0 ahead is already in the past once armed (the group clock
+	// has moved on).
+	armTimer(t, h, client, 0)
+	if !h.runUntil(5*time.Second, func() bool { return allFired(h) }) {
 		t.Fatal("past-deadline timer did not fire promptly")
 	}
 }

@@ -36,7 +36,7 @@ func TestConcurrentReadersDeterminism(t *testing.T) {
 		}
 		run := spawnReaders(c, 4, func(transport.NodeID) int { return 6 })
 		if !c.RunUntil(10*time.Second, run.done) {
-			t.Fatalf("disable=%v: readers finished %v of 4: %v", disable, run.finished, c.Agreement())
+			t.Fatalf("disable=%v: readers finished %v of 4: %v", disable, run.finished, c.Err())
 		}
 		var batches uint64
 		for _, id := range []transport.NodeID{1, 2, 3} {
@@ -78,7 +78,7 @@ func TestCrashDuringBatchedReads(t *testing.T) {
 		return 12
 	})
 	if !c.RunUntil(10*time.Second, func() bool { return run.finished[1] == readers }) {
-		t.Fatalf("node 1's readers never finished their short sequences: %v", c.Agreement())
+		t.Fatalf("node 1's readers never finished their short sequences: %v", c.Err())
 	}
 	// The survivors must still be mid-stream, or the crash interrupts nothing.
 	if run.finished[2] == readers && run.finished[3] == readers {
@@ -91,7 +91,7 @@ func TestCrashDuringBatchedReads(t *testing.T) {
 		return run.finished[2] == readers && run.finished[3] == readers
 	}) {
 		t.Fatalf("survivors never finished after the crash: %v of %d: %v",
-			run.finished, readers, c.Agreement())
+			run.finished, readers, c.Err())
 	}
 
 	var coalesced uint64

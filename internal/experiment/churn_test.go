@@ -16,15 +16,18 @@ import (
 // TestChurnStress drives continuous clock reads through a five-replica
 // active group while the fault injector repeatedly crashes and revives
 // replicas and partitions and heals the network. Throughout, the paper's
-// guarantees must hold at the clients and survivors:
+// guarantees must hold at the clients and survivors, as the cluster's two
+// oracles judge them:
 //
-//   - every returned group clock value is monotonically non-decreasing;
+//   - no read returns less than a read that returned before it was invoked
+//     (the client oracle);
 //   - replicas that completed the same round recorded the same value (the
-//     cluster's round oracle);
+//     round oracle);
 //   - the service makes progress whenever a primary component exists.
 //
 // It runs each seed of -churn-seeds as a subtest; the committed seed is 99,
-// and `make churn-sweep` runs seeds 80-139.
+// and `make churn-sweep` runs seeds 80-139, printing each failing seed's
+// first witness of each oracle.
 func TestChurnStress(t *testing.T) {
 	seeds, err := parseSeeds(*churnSeeds)
 	if err != nil {
@@ -58,19 +61,6 @@ func churnStress(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A sweep reads the oracle's first witness next to whichever check
-	// failed first.
-	t.Cleanup(func() {
-		if !t.Failed() {
-			return
-		}
-		if err := c.Agreement(); err != nil {
-			t.Logf("seed %d: %v", seed, err)
-		} else {
-			t.Logf("seed %d: round oracle clean", seed)
-		}
-	})
-
 	// Schedule the churn: every ~600ms one fault event. Replica 1 is left
 	// alone so at least one replica holds the full history, and at most one
 	// replica is down at a time so a quorum (3 of 6 nodes incl. client ≥
@@ -119,7 +109,7 @@ func churnStress(t *testing.T, seed int64) {
 		if stop {
 			return
 		}
-		c.Client.Invoke(MethodCurrentTime, nil, func(r rpc.Reply) {
+		c.invoke(MethodCurrentTime, nil, func(r rpc.Reply) {
 			if r.Err != nil {
 				errors++
 			} else if v, err := DecodeTimeval(r.Body); err == nil {
@@ -133,17 +123,11 @@ func churnStress(t *testing.T, seed int64) {
 	stop = true
 	c.K.RunFor(100 * time.Millisecond)
 
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
 	if len(values) < 50 {
 		t.Fatalf("only %d successful reads under churn (errors=%d)", len(values), errors)
-	}
-	for i := 1; i < len(values); i++ {
-		if values[i] < values[i-1] {
-			t.Fatalf("group clock rolled back under churn at %d: %v -> %v",
-				i, values[i-1], values[i])
-		}
-	}
-	if err := c.Agreement(); err != nil {
-		t.Fatal(err)
 	}
 	// No defensive monotonicity clamps were needed anywhere.
 	c.K.Post(func() {

@@ -118,6 +118,11 @@ type Cluster struct {
 	PBReports map[transport.NodeID][]baseline.Report
 	// rounds is the round oracle every core round report goes through.
 	rounds invariant.Rounds
+	// clients is the client oracle every clock read's reply goes through
+	// (ModeCTS; the baselines exist to roll back). clientAt holds the invoke
+	// and reply times of its first witness.
+	clients  invariant.Checker
+	clientAt [2]time.Duration
 
 	// Obs is the cluster-wide recorder (nil unless ClusterConfig.Observe or
 	// TraceSink is set). Gather its Samples between RunUntil steps — sources
@@ -240,7 +245,7 @@ func (c *Cluster) addReplica(id transport.NodeID, spec ClockSpec, recovering boo
 		ExternalGain:    c.cfg.ExternalGain,
 		OnRound: func(r core.RoundReport) {
 			c.Reports[id] = append(c.Reports[id], r)
-			c.rounds.Report(invariant.RoundReport{Node: uint32(id), Thread: r.ThreadID, Round: r.Round,
+			c.rounds.Report(invariant.RoundReport{Group: uint32(ServerGroup), Node: uint32(id), Thread: r.ThreadID, Round: r.Round,
 				Value: r.GroupClock, Winner: uint32(r.Winner), Physical: r.Physical})
 		},
 	}
@@ -300,10 +305,10 @@ func (c *Cluster) Crash(id transport.NodeID) {
 
 // RunUntil advances the simulation until cond holds or max virtual time
 // passes, reporting whether cond held. It also stops, reporting false, at
-// the round oracle's first violation, which Agreement then names.
+// either oracle's first violation, which Err then names.
 func (c *Cluster) RunUntil(max time.Duration, cond func() bool) bool {
 	deadline := c.K.Now() + max
-	for c.Agreement() == nil {
+	for c.Err() == nil {
 		if cond() {
 			return true
 		}
@@ -315,10 +320,42 @@ func (c *Cluster) RunUntil(max time.Duration, cond func() bool) bool {
 	return false
 }
 
-// Agreement is nil while every replica completed each round it reported
-// once, in thread order, with the value every other replica reported for
-// it; otherwise it names the round oracle's first witness.
-func (c *Cluster) Agreement() error { return c.rounds.Err() }
+// Err is nil while both oracles are clean: every replica completed each
+// round it reported once, in thread order, with the value every other
+// replica reported for it, and no clock read returned less than a read that
+// returned before it was invoked. Otherwise it names the client oracle's
+// first witness, with that read's invoke and reply times, then the round
+// oracle's.
+func (c *Cluster) Err() error {
+	var client error
+	if err := c.clients.Err(); err != nil {
+		client = fmt.Errorf("%w (invoked at %v, replied at %v)", err, c.clientAt[0], c.clientAt[1])
+	}
+	return errors.Join(client, c.rounds.Err())
+}
+
+// invoke issues one clock-reading invocation, CurrentTime or ReadSequence,
+// and calls done with its reply. In ModeCTS the reply goes through the
+// client oracle: Snap before the invocation, Observe on the reply keyed by
+// the replica that served it, with bound 0 (a CCS read is exact).
+func (c *Cluster) invoke(method string, body []byte, done func(rpc.Reply)) {
+	if c.cfg.Mode != ModeCTS {
+		c.Client.Invoke(method, body, done)
+		return
+	}
+	pre := new(invariant.Snapshot)
+	c.clients.Snap(pre)
+	at := c.K.Now()
+	c.Client.Invoke(method, body, func(rep rpc.Reply) {
+		if v, err := DecodeTimeval(rep.Body); rep.Err == nil && err == nil {
+			c.clients.Observe(pre, invariant.Key{Group: uint32(ServerGroup), Node: rep.Replica}, v, 0)
+			if c.clientAt[1] == 0 && c.clients.Err() != nil {
+				c.clientAt = [2]time.Duration{at, c.K.Now()}
+			}
+		}
+		done(rep)
+	})
+}
 
 // invokeSeq issues n sequential CurrentTime invocations from the client and
 // returns the latencies of those that succeeded. With think == nil each
@@ -332,7 +369,7 @@ func (c *Cluster) invokeSeq(n int, think *rand.Rand, per time.Duration) (stats.D
 	var invoke func()
 	invoke = func() {
 		start = c.K.Now()
-		c.Client.Invoke(MethodCurrentTime, nil, func(rep rpc.Reply) {
+		c.invoke(MethodCurrentTime, nil, func(rep rpc.Reply) {
 			if rep.Err == nil {
 				lat.Add(c.K.Now() - start)
 			}
@@ -349,7 +386,7 @@ func (c *Cluster) invokeSeq(n int, think *rand.Rand, per time.Duration) (stats.D
 	}
 	invoke()
 	if !c.RunUntil(time.Duration(n)*per+time.Second, func() bool { return done >= n }) {
-		return lat, errors.Join(c.Agreement(), fmt.Errorf("%d/%d invocations completed", done, n))
+		return lat, errors.Join(c.Err(), fmt.Errorf("%d/%d invocations completed", done, n))
 	}
 	return lat, nil
 }
@@ -361,14 +398,14 @@ func (c *Cluster) ReadOnce() (time.Duration, error) {
 	var v time.Duration
 	var err error
 	got := false
-	c.Client.Invoke(MethodCurrentTime, nil, func(rep rpc.Reply) {
+	c.invoke(MethodCurrentTime, nil, func(rep rpc.Reply) {
 		got = true
 		if err = rep.Err; err == nil {
 			v, err = DecodeTimeval(rep.Body)
 		}
 	})
 	if !c.RunUntil(10*time.Second, func() bool { return got }) {
-		return 0, errors.Join(c.Agreement(), fmt.Errorf("read timed out"))
+		return 0, errors.Join(c.Err(), fmt.Errorf("read timed out"))
 	}
 	return v, err
 }
@@ -383,11 +420,11 @@ func driveReadSequence(c *Cluster, ops int) error {
 	body := make([]byte, 4)
 	binary.BigEndian.PutUint32(body, uint32(ops))
 	done := false
-	c.Client.Invoke(MethodReadSequence, body, func(rep rpc.Reply) { done = true })
+	c.invoke(MethodReadSequence, body, func(rpc.Reply) { done = true })
 	// Each round costs a few hundred µs of delay plus the ordering latency.
 	budget := time.Duration(ops)*2*time.Millisecond + time.Second
 	if !c.RunUntil(budget, func() bool { return done }) {
-		return errors.Join(c.Agreement(), fmt.Errorf("read sequence of %d ops did not complete", ops))
+		return errors.Join(c.Err(), fmt.Errorf("read sequence of %d ops did not complete", ops))
 	}
 	// The reply comes from the fastest replica; give stragglers (which may
 	// not block on rounds, e.g. raw local clocks) time to finish their
@@ -400,7 +437,7 @@ func driveReadSequence(c *Cluster, ops int) error {
 		}
 		return true
 	})
-	return c.Agreement()
+	return c.Err()
 }
 
 // ReaderApp is the replicated server of §4.2: "the server simply calls

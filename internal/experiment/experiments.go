@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cts/internal/core"
+	"cts/internal/invariant"
 	"cts/internal/obs"
 	"cts/internal/replication"
 	"cts/internal/sim"
@@ -559,7 +560,7 @@ func RunRecovery(seed int64, newClockOffset time.Duration) (*RecoveryResult, err
 		}
 	})
 	c.K.RunFor(time.Millisecond)
-	res.NewcomerMatch = c.rounds.Shared(uint32(id)) > 0 && c.Agreement() == nil
+	res.NewcomerMatch = c.rounds.Shared(invariant.Key{Group: uint32(ServerGroup), Node: uint32(id)}) > 0 && c.Err() == nil
 	return res, nil
 }
 
@@ -854,7 +855,7 @@ func runConcurrent(seed int64, readers, opsPerReader int) (*ConcurrentRun, error
 		run := spawnReaders(c, readers, func(transport.NodeID) int { return opsPerReader })
 		budget := time.Duration(readers*opsPerReader)*10*time.Millisecond + 5*time.Second
 		if !c.RunUntil(budget, run.done) {
-			return errors.Join(c.Agreement(),
+			return errors.Join(c.Err(),
 				fmt.Errorf("concurrent readers: finished %v of %d per replica", run.finished, readers))
 		}
 		wall := run.last - start

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cts/internal/core"
+	"cts/internal/invariant"
 	"cts/internal/replication"
 	"cts/internal/transport"
 )
@@ -15,37 +16,16 @@ import (
 // and across the reconfiguration no sampled timestamp may fall outside its
 // staleness bound or regress the group clock.
 
-// leaseSampler accumulates sequential lease reads and checks the two
-// client-visible invariants. Samples are taken between kernel steps, so
-// each one happened-before the next and the floor comparison is exact.
-type leaseSampler struct {
-	t     *testing.T
-	floor time.Duration
-	last  map[transport.NodeID]time.Duration
-}
-
-func newLeaseSampler(t *testing.T) *leaseSampler {
-	return &leaseSampler{t: t, last: make(map[transport.NodeID]time.Duration)}
-}
-
-func (p *leaseSampler) sample(c *Cluster, id transport.NodeID) (core.LeaseReading, bool) {
-	p.t.Helper()
+// leaseRead samples one replica's lease between kernel steps through chk:
+// each sample happened-before the next, so chk's floors apply exactly.
+func leaseRead(c *Cluster, chk *invariant.Checker, id transport.NodeID) (core.LeaseReading, bool) {
+	var pre invariant.Snapshot
+	chk.Snap(&pre)
 	r, ok := c.Svcs[id].LeaseRead()
-	if !ok {
-		return r, false
+	if ok {
+		chk.Observe(&pre, invariant.Key{Group: uint32(ServerGroup), Node: uint32(id)}, r.GroupClock, r.Bound)
 	}
-	if r.GroupClock+r.Bound < p.floor {
-		p.t.Fatalf("replica %v: timestamp outside staleness bound: interval [%v, %v] below floor %v",
-			id, r.GroupClock-r.Bound, r.GroupClock+r.Bound, p.floor)
-	}
-	if last, seen := p.last[id]; seen && r.GroupClock < last {
-		p.t.Fatalf("replica %v: group clock regressed %v -> %v", id, last, r.GroupClock)
-	}
-	p.last[id] = r.GroupClock
-	if f := r.GroupClock - r.Bound; f > p.floor {
-		p.floor = f
-	}
-	return r, true
+	return r, ok
 }
 
 // counter reads one per-node registry counter between kernel steps.
@@ -106,11 +86,11 @@ func leaseCluster(t *testing.T, seed int64, style replication.Style, specs []Clo
 func TestLeaseSynchronizerCrashInvalidates(t *testing.T) {
 	specs := []ClockSpec{{Offset: 0}, {Offset: 3 * time.Second}, {Offset: 9 * time.Second}}
 	c := leaseCluster(t, 31, replication.Passive, specs)
-	sampler := newLeaseSampler(t)
+	var chk invariant.Checker
 
 	before := make(map[transport.NodeID]core.LeaseReading)
 	for _, id := range []transport.NodeID{1, 2, 3} {
-		r, ok := sampler.sample(c, id)
+		r, ok := leaseRead(c, &chk, id)
 		if !ok {
 			t.Fatalf("replica %v holds no lease before the crash", id)
 		}
@@ -154,7 +134,7 @@ func TestLeaseSynchronizerCrashInvalidates(t *testing.T) {
 		t.Fatal("survivors never re-established leases after failover")
 	}
 	for _, id := range survivors {
-		r, ok := sampler.sample(c, id)
+		r, ok := leaseRead(c, &chk, id)
 		if !ok {
 			t.Fatalf("replica %v lost its lease again", id)
 		}
@@ -162,6 +142,9 @@ func TestLeaseSynchronizerCrashInvalidates(t *testing.T) {
 			t.Fatalf("replica %v epoch %d not past pre-crash epoch %d",
 				id, r.Epoch, before[id].Epoch)
 		}
+	}
+	if err := chk.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -173,12 +156,12 @@ func TestLeaseSynchronizerCrashInvalidates(t *testing.T) {
 func TestLeaseMembershipChangeInvalidates(t *testing.T) {
 	specs := []ClockSpec{{Offset: 0}, {Offset: 2 * time.Second}}
 	c := leaseCluster(t, 32, replication.Active, specs)
-	sampler := newLeaseSampler(t)
+	var chk invariant.Checker
 
 	incumbents := []transport.NodeID{1, 2}
 	before := make(map[transport.NodeID]core.LeaseReading)
 	for _, id := range incumbents {
-		r, ok := sampler.sample(c, id)
+		r, ok := leaseRead(c, &chk, id)
 		if !ok {
 			t.Fatalf("replica %v holds no lease before the join", id)
 		}
@@ -225,7 +208,7 @@ func TestLeaseMembershipChangeInvalidates(t *testing.T) {
 		t.Fatal("group never re-established leases after the join")
 	}
 	for _, id := range all {
-		r, ok := sampler.sample(c, id)
+		r, ok := leaseRead(c, &chk, id)
 		if !ok {
 			t.Fatalf("replica %v lost its lease again", id)
 		}
@@ -236,5 +219,8 @@ func TestLeaseMembershipChangeInvalidates(t *testing.T) {
 		if r.GroupClock > before[1].GroupClock+30*time.Second {
 			t.Fatalf("replica %v group clock %v jumped toward the newcomer's clock", id, r.GroupClock)
 		}
+	}
+	if err := chk.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,9 +1,12 @@
 package invariant
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"cts/internal/testutil"
 )
 
 const (
@@ -31,6 +34,20 @@ func violations(t *testing.T, c *Checker, staleness, regressions uint64) {
 	if s, r := c.Violations(); s != staleness || r != regressions {
 		t.Fatalf("violations = staleness %d, regressions %d; want %d, %d", s, r, staleness, regressions)
 	}
+	if (c.Err() == nil) != (staleness+regressions == 0) {
+		t.Fatalf("Err() = %v with %d violations", c.Err(), staleness+regressions)
+	}
+}
+
+// first checks the first witness against want and that Err names it.
+func first(t *testing.T, c *Checker, want Witness, text string) {
+	t.Helper()
+	if w, ok := c.First(); !ok || w != want {
+		t.Fatalf("first witness = %+v (%v), want %+v", w, ok, want)
+	}
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), text) {
+		t.Fatalf("Err() = %v, want it to contain %q", err, text)
+	}
 }
 
 var (
@@ -52,12 +69,17 @@ func TestHonestReadingsPass(t *testing.T) {
 
 // Mutation: a lying lease. Replica 2 lags by 1ms but advertises a 10µs bound,
 // so its interval ends below a lower bound replica 1 served in an earlier
-// exchange.
+// exchange. The witness names both readings' replicas and the broken floor,
+// and a later violation does not replace it.
 func TestLyingLeaseTripsStaleness(t *testing.T) {
 	var c Checker
 	exchange(&c, reading{a1, 10 * ms, 10 * us})
 	exchange(&c, reading{a2, 9 * ms, 10 * us})
 	violations(t, &c, 1, 0)
+	exchange(&c, reading{b1, 8 * ms, 10 * us})
+	violations(t, &c, 2, 0)
+	first(t, &c, Witness{Kind: Staleness, Key: a2, Clock: 9 * ms, Bound: 10 * us, Floor: 10*ms - 10*us, FloorKey: a1},
+		"2 staleness and 0 regression violation(s), first: staleness: group 0 node 2 served 9ms (bound 10µs), below the floor 9.99ms set by group 0 node 1")
 
 	// The same lag with an honest bound is fine.
 	var h Checker
@@ -73,6 +95,8 @@ func TestRegressingNodeTrips(t *testing.T) {
 	exchange(&c, reading{a1, 10 * ms, ms})
 	exchange(&c, reading{a1, 10*ms - us, ms})
 	violations(t, &c, 0, 1)
+	first(t, &c, Witness{Kind: Regression, Key: a1, Clock: 10*ms - us, Bound: ms, Floor: 10 * ms, FloorKey: a1},
+		"regression: group 0 node 1 served 9.999ms (bound 1ms) after serving 10ms")
 	// The floor is the maximum served, not the last: a third answer between
 	// the two still regresses.
 	exchange(&c, reading{a1, 10*ms - us/2, ms})
@@ -135,25 +159,60 @@ func TestReplicaUnknownAtSnapshot(t *testing.T) {
 
 // Concurrent observers, each with its own snapshot, over a table that keeps
 // growing: the race detector checks the lock-free read path, the counts check
-// that honest monotone readings never trip.
+// that honest monotone readings never trip. Then every observer breaks both
+// floors at once: all sixteen violations count, and exactly one of them is
+// the first witness.
 func TestConcurrentObservers(t *testing.T) {
 	var c Checker
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var pre Snapshot
-			for i := 0; i < 2000; i++ {
-				c.Snap(&pre)
-				k := Key{Group: uint32(w % 2), Node: uint32(i % 50)}
-				c.Observe(&pre, k, time.Hour, ms) // constant clock: never stale, never regressing
-			}
-		}(w)
+	observers := func(last func(w int, pre *Snapshot)) {
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				var pre Snapshot
+				for i := 0; i < 2000; i++ {
+					c.Snap(&pre)
+					k := Key{Group: uint32(w % 2), Node: uint32(i % 50)}
+					c.Observe(&pre, k, time.Hour, ms) // constant clock: never stale, never regressing
+				}
+				last(w, &pre)
+			}(w)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	observers(func(int, *Snapshot) {})
 	violations(t, &c, 0, 0)
-	if n := len(c.tab.Load().clocks); n != 100 {
+	if n := len(c.tab.Load().floors); n != 100 {
 		t.Fatalf("table holds %d replicas, want 100", n)
 	}
+	observers(func(w int, pre *Snapshot) {
+		c.Observe(pre, Key{Node: uint32(w)}, time.Hour-time.Duration(w+2)*ms, 0)
+	})
+	violations(t, &c, 8, 8)
+	w, _ := c.First()
+	if w.Kind != Staleness || w.Key.Group != 0 || w.Key.Node >= 8 || w.Clock != time.Hour-time.Duration(w.Key.Node+2)*ms ||
+		w.Floor != time.Hour-ms || w.FloorKey.Node >= 50 {
+		t.Fatalf("first witness = %+v, want one observer's stale reading", w)
+	}
+}
+
+// On the clean path Snap and Observe allocate nothing: ctsload calls Observe
+// once per response and the simulated clients once per reply.
+func TestCheckerAllocFree(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocs/op is perturbed by race-detector instrumentation")
+	}
+	var c Checker
+	var pre Snapshot
+	exchange(&c, reading{a1, ms, us}, reading{a2, ms, us}, reading{b1, ms, us})
+	clock := ms
+	if allocs := testing.AllocsPerRun(1000, func() {
+		clock += us
+		c.Snap(&pre)
+		c.Observe(&pre, a2, clock, us)
+	}); allocs != 0 {
+		t.Fatalf("Snap+Observe allocate %.1f times per reading, want 0", allocs)
+	}
+	violations(t, &c, 0, 0)
 }

@@ -6,17 +6,18 @@ import (
 )
 
 // RoundReport is one replica's completion of one CCS round: the read of
-// (Thread, Round) returned Value at Node, decided by Winner's proposal, with
-// Node's physical clock at Physical.
+// (Thread, Round) returned Value at replica Node of Group, decided by
+// Winner's proposal, with Node's physical clock at Physical. Thread ids are
+// only unique within one group, and node ids within one group.
 type RoundReport struct {
-	Node          uint32
+	Group, Node   uint32
 	Thread, Round uint64
 	Value         time.Duration
 	Winner        uint32
 	Physical      time.Duration
 }
 
-// Violation is the kind of promise a round witness breaks.
+// Violation is the kind of promise a witness breaks.
 type Violation int
 
 const (
@@ -27,8 +28,12 @@ const (
 	// rounds out of order.
 	Reorder
 	// Regression: at one replica, a thread's later round returned a lower
-	// value than its earlier one.
+	// value than its earlier one (Rounds), or a reading was below one the
+	// replica served earlier (Checker).
 	Regression
+	// Staleness: a reading's interval ended below the highest lower bound
+	// of a reading that completed before it was requested (Checker).
+	Staleness
 )
 
 // RoundWitness is a violation with both reports. For Reorder and Regression
@@ -43,21 +48,24 @@ func (w RoundWitness) String() string {
 	f, s := w.First, w.Second
 	switch w.Kind {
 	case Disagreement:
-		return fmt.Sprintf("key (%d,%d) decided %v at node %d (winner %d) and %v at node %d (winner %d)",
-			s.Thread, s.Round, f.Value, f.Node, f.Winner, s.Value, s.Node, s.Winner)
+		return fmt.Sprintf("group %d key (%d,%d) decided %v at node %d (winner %d) and %v at node %d (winner %d)",
+			s.Group, s.Thread, s.Round, f.Value, f.Node, f.Winner, s.Value, s.Node, s.Winner)
 	case Reorder:
-		return fmt.Sprintf("node %d completed thread %d round %d after round %d",
-			s.Node, s.Thread, s.Round, f.Round)
+		return fmt.Sprintf("group %d node %d completed thread %d round %d after round %d",
+			s.Group, s.Node, s.Thread, s.Round, f.Round)
 	}
-	return fmt.Sprintf("node %d thread %d: round %d returned %v after round %d returned %v",
-		s.Node, s.Thread, s.Round, s.Value, f.Round, f.Value)
+	return fmt.Sprintf("group %d node %d thread %d: round %d returned %v after round %d returned %v",
+		s.Group, s.Node, s.Thread, s.Round, s.Value, f.Round, f.Value)
 }
 
-type roundKey struct{ thread, round uint64 }
+type roundKey struct {
+	group         uint32
+	thread, round uint64
+}
 
 type threadKey struct {
-	node   uint32
-	thread uint64
+	replica Key
+	thread  uint64
 }
 
 // decision is the first report of a key; shared marks that another replica
@@ -74,15 +82,15 @@ type progress struct {
 }
 
 // Rounds is the round oracle: it checks, report by report, that every
-// replica completing the read of (thread, round) returns the same group
-// clock value, and that each replica completes a thread's rounds once each,
+// replica completing the read of (group, thread, round) returns the same
+// group clock value, and that each replica completes a thread's rounds once each,
 // in order, with non-decreasing values. It keeps one entry per key and, per
 // replica, the last round of each thread. The zero value is ready to use.
 // Rounds is not safe for concurrent use: feed it from the simulation loop.
 type Rounds struct {
 	decided    map[roundKey]decision
 	last       map[threadKey]progress
-	shared     map[uint32]int
+	shared     map[Key]int
 	violations int
 	first      RoundWitness
 }
@@ -92,11 +100,12 @@ func (o *Rounds) Report(r RoundReport) {
 	if o.decided == nil {
 		o.decided = make(map[roundKey]decision)
 		o.last = make(map[threadKey]progress)
-		o.shared = make(map[uint32]int)
+		o.shared = make(map[Key]int)
 	}
-	tk := threadKey{r.Node, r.Thread}
+	rep := Key{r.Group, r.Node}
+	tk := threadKey{rep, r.Thread}
 	if p, ok := o.last[tk]; ok {
-		prev := RoundReport{Node: r.Node, Thread: r.Thread, Round: p.round, Value: p.value}
+		prev := RoundReport{Group: r.Group, Node: r.Node, Thread: r.Thread, Round: p.round, Value: p.value}
 		if r.Round <= p.round {
 			o.violate(Reorder, prev, r)
 			return
@@ -106,7 +115,7 @@ func (o *Rounds) Report(r RoundReport) {
 		}
 	}
 	o.last[tk] = progress{r.Round, r.Value}
-	k := roundKey{r.Thread, r.Round}
+	k := roundKey{r.Group, r.Thread, r.Round}
 	d, ok := o.decided[k]
 	switch {
 	case !ok:
@@ -114,9 +123,9 @@ func (o *Rounds) Report(r RoundReport) {
 	case d.first.Value != r.Value:
 		o.violate(Disagreement, d.first, r)
 	default:
-		o.shared[r.Node]++
+		o.shared[rep]++
 		if !d.shared {
-			o.shared[d.first.Node]++
+			o.shared[Key{d.first.Group, d.first.Node}]++
 			o.decided[k] = decision{first: d.first, shared: true}
 		}
 	}
@@ -132,10 +141,10 @@ func (o *Rounds) violate(kind Violation, first, second RoundReport) {
 // Violations reports how many violations the oracle has seen and the first.
 func (o *Rounds) Violations() (int, RoundWitness) { return o.violations, o.first }
 
-// Shared reports how many keys node reported that another replica also
+// Shared reports how many keys replica k reported that another replica also
 // reported with the same value: the rounds on which its agreement was
 // actually checked.
-func (o *Rounds) Shared(node uint32) int { return o.shared[node] }
+func (o *Rounds) Shared(k Key) int { return o.shared[k] }
 
 // Err is nil while no violation has been seen, else it names the count and
 // the first witness.

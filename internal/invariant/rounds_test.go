@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// round is node's completion of (thread, round) with value v (in ms) and
-// winner 1.
+// round is node's completion of (thread, round) in group 0 with value v (in
+// ms) and winner 1.
 func round(node uint32, thread, rnd uint64, v int) RoundReport {
 	return RoundReport{Node: node, Thread: thread, Round: rnd, Value: ms * time.Duration(v), Winner: 1}
 }
@@ -26,19 +26,27 @@ func roundViolations(t *testing.T, o *Rounds, want int, kind Violation) RoundWit
 
 // Three replicas, two threads, reports interleaved across replicas and
 // threads in every order a total-order delivery allows: no violation, and
-// every replica's reports were checked against another's.
+// every replica's reports were checked against another's. A second group
+// reuses the node, thread and round ids with its own clock: keys are per
+// group, so that is no disagreement.
 func TestRoundsCleanInterleaving(t *testing.T) {
 	var o Rounds
 	for r := uint64(1); r <= 5; r++ {
 		for _, node := range []uint32{2, 1, 3} {
 			o.Report(round(node, 7, r, int(10*r)))
 			o.Report(round(4-node, 9, r, int(10*r+1)))
+			other := round(node, 7, r, int(1000+r))
+			other.Group = 1
+			o.Report(other)
 		}
 	}
 	roundViolations(t, &o, 0, 0)
 	for _, node := range []uint32{1, 2, 3} {
-		if got := o.Shared(node); got != 10 {
-			t.Errorf("Shared(%d) = %d, want 10", node, got)
+		if got := o.Shared(Key{Node: node}); got != 10 {
+			t.Errorf("Shared(group 0, node %d) = %d, want 10", node, got)
+		}
+		if got := o.Shared(Key{Group: 1, Node: node}); got != 5 {
+			t.Errorf("Shared(group 1, node %d) = %d, want 5", node, got)
 		}
 	}
 	// A replica that skipped rounds (it recovered, or was cut off) still
@@ -62,7 +70,7 @@ func TestRoundsDisagreement(t *testing.T) {
 	if w.First != round(1, 1, 151, 3206) || w.Second != bad {
 		t.Fatalf("witness = %+v, want node 1's and node 3's reports of (1,151)", w)
 	}
-	for _, part := range []string{"key (1,151)", "3.206s at node 1", "3.227s at node 3 (winner 3)", "2 violation(s)"} {
+	for _, part := range []string{"group 0 key (1,151)", "3.206s at node 1", "3.227s at node 3 (winner 3)", "2 violation(s)"} {
 		if !strings.Contains(o.Err().Error(), part) {
 			t.Errorf("Err() = %q, missing %q", o.Err(), part)
 		}
@@ -99,7 +107,7 @@ func TestRoundsRegression(t *testing.T) {
 	if w.First != (RoundReport{Node: 1, Thread: 5, Round: 1, Value: 20 * ms}) || w.Second != round(1, 5, 2, 19) {
 		t.Fatalf("witness = %+v, want node 1's rounds 1 and 2 of thread 5", w)
 	}
-	if !strings.Contains(o.Err().Error(), "node 1 thread 5: round 2 returned 19ms after round 1 returned 20ms") {
+	if !strings.Contains(o.Err().Error(), "group 0 node 1 thread 5: round 2 returned 19ms after round 1 returned 20ms") {
 		t.Errorf("Err() = %q", o.Err())
 	}
 }
