@@ -176,14 +176,14 @@ func writeJSON(path string, results []campaign.Result) error {
 func writeCSV(path string, results []campaign.Result) error {
 	var b strings.Builder
 	b.WriteString("scenario,nodes,clamped_from,seed,orderer,pass,regressions,staleness_violations," +
-		"monotonicity_fixes,reconverge_ms,samples,max_bound_us,mean_bound_us,max_spread_us," +
+		"monotonicity_fixes,reconverge_ms,samples,unserved,max_bound_us,mean_bound_us,max_spread_us," +
 		"rounds,refreshes,ccs_sent,lease_invalidations,views_emitted,net_dropped\n")
 	for _, r := range results {
 		m := r.Metrics
-		fmt.Fprintf(&b, "%s,%d,%d,%d,%s,%t,%d,%d,%d,%.3f,%d,%.3f,%.3f,%.3f,%d,%d,%d,%d,%d,%d\n",
+		fmt.Fprintf(&b, "%s,%d,%d,%d,%s,%t,%d,%d,%d,%.3f,%d,%d,%.3f,%.3f,%.3f,%d,%d,%d,%d,%d,%d\n",
 			r.Scenario, r.Nodes, r.ClampedFrom, r.Seed, r.Orderer, r.Pass,
 			m.Regressions, m.StalenessViolations, m.MonotonicityFixes, m.ReconvergeMS,
-			m.Samples, m.MaxBoundUS, m.MeanBoundUS, m.MaxSpreadUS,
+			m.Samples, m.Unserved, m.MaxBoundUS, m.MeanBoundUS, m.MaxSpreadUS,
 			m.Rounds, m.Refreshes, m.CCSSent, m.Invalidations, m.ViewsEmitted, m.NetDropped)
 	}
 	return os.WriteFile(path, []byte(b.String()), 0o644)

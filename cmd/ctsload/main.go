@@ -33,6 +33,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -93,8 +94,11 @@ type config struct {
 
 // summary is what one run measured.
 type summary struct {
-	queries, errors uint64
-	qps             float64
+	// refused counts FlagStale refusals (no valid lease at the replica): a
+	// burst's refused responses, or a batch exchange every replica refused.
+	// errors counts the rest: timeouts, socket failures, bad answers.
+	queries, refused, errors uint64
+	qps                      float64
 	// syscallsPerQuery is the server-side kernel I/O operations per served
 	// query across the in-process replicas (-1 when the servers are remote
 	// and the counters unreachable).
@@ -147,6 +151,7 @@ func run(cfg config) (summary, error) {
 	chk := &invariant.Checker{}
 	var (
 		queries  atomic.Uint64
+		refused  atomic.Uint64
 		errs     atomic.Uint64
 		wg       sync.WaitGroup
 		stop     atomic.Bool
@@ -198,6 +203,10 @@ func run(cfg config) (summary, error) {
 				} else {
 					resps, err = cli.QueryBatch(batch)
 				}
+				if errors.Is(err, timeserve.ErrStale) {
+					refused.Add(1) // every replica tried refused
+					continue
+				}
 				if err != nil {
 					errs.Add(1)
 					continue
@@ -207,7 +216,11 @@ func run(cfg config) (summary, error) {
 					if !r.OK() {
 						// Burst exchanges hand refusals back instead of
 						// erroring the whole burst.
-						errs.Add(1)
+						if r.Flags&timeserve.FlagStale != 0 {
+							refused.Add(1)
+						} else {
+							errs.Add(1)
+						}
 						continue
 					}
 					served++
@@ -236,6 +249,7 @@ func run(cfg config) (summary, error) {
 	elapsed := time.Since(start)
 
 	sum.queries = queries.Load()
+	sum.refused = refused.Load()
 	sum.errors = errs.Load()
 	sum.qps = float64(sum.queries) / elapsed.Seconds()
 	sum.syscallsPerQuery = -1
@@ -248,8 +262,9 @@ func run(cfg config) (summary, error) {
 	if sum.syscallsPerQuery >= 0 {
 		spq = fmt.Sprintf("%.3f", sum.syscallsPerQuery)
 	}
-	fmt.Printf("ctsload: %d queries in %v = %.0f queries/s (%d errors, io=%s, syscalls/query=%s)\n",
-		sum.queries, elapsed.Round(time.Millisecond), sum.qps, sum.errors, batchMode(fl, cliPaths, cfg.dgrams), spq)
+	fmt.Printf("ctsload: %d queries in %v = %.0f queries/s (%d refused, %d errors, io=%s, syscalls/query=%s)\n",
+		sum.queries, elapsed.Round(time.Millisecond), sum.qps, sum.refused, sum.errors,
+		batchMode(fl, cliPaths, cfg.dgrams), spq)
 	// The first witness says which replica missed which floor, and by how
 	// much: the evidence a staleness failure needs.
 	violations := fmt.Sprintf("staleness=%d regression=%d", sum.staleness, sum.regression)

@@ -67,7 +67,8 @@ func TestMonitorCrossGroupStaleness(t *testing.T) {
 // TestMonitorReconvergesWhenEveryNodeServes runs a one-group cell through
 // passes before the fault window ends, with an up node not serving, and
 // with every up node serving: reconvergence is the first of the last kind.
-// A node the schedule holds down never blocks it.
+// A node the schedule holds down never blocks it, and only the up node's
+// missed pass counts as unserved.
 func TestMonitorReconvergesWhenEveryNodeServes(t *testing.T) {
 	mo := newMonitor(5*ms, 0)
 	down := reading{key: invariant.Key{Node: 3}}
@@ -83,5 +84,9 @@ func TestMonitorReconvergesWhenEveryNodeServes(t *testing.T) {
 	pass(10*ms, served(0, 2, 10*ms, ms))
 	if mo.reconvergedAt != 8*ms {
 		t.Fatalf("reconverged at %v, want 8ms (first pass after the faults with every up node serving)", mo.reconvergedAt)
+	}
+	// One up node missed one pass; the down node's passes are not counted.
+	if mo.m.Samples != 7 || mo.m.Unserved != 1 {
+		t.Fatalf("samples/unserved = %d/%d, want 7/1", mo.m.Samples, mo.m.Unserved)
 	}
 }

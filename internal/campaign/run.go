@@ -23,8 +23,10 @@ type Metrics struct {
 	// (0 with no faults).
 	ReconvergeMS float64 `json:"reconverge_ms"`
 
-	// Lease-plane quality.
+	// Lease-plane quality. Unserved counts the samples in which a node
+	// the fault schedule expects up held no lease: service the cell missed.
 	Samples     uint64  `json:"samples"`
+	Unserved    uint64  `json:"unserved"`
 	MaxBoundUS  float64 `json:"max_bound_us"`
 	MeanBoundUS float64 `json:"mean_bound_us"`
 	MaxSpreadUS float64 `json:"max_spread_us"`
@@ -145,6 +147,7 @@ func (mo *monitor) observe(now time.Duration, groups int, pass []reading) {
 		if !r.ok {
 			if r.up {
 				allUp = false
+				mo.m.Unserved++
 			}
 			continue
 		}

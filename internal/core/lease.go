@@ -113,6 +113,14 @@ type leaseState struct {
 	refreshes     uint64
 	invalidations uint64
 	published     uint64
+	// The lease gap: how long the replica held no lease between an
+	// invalidation and the next publish. gapFrom is the runtime time of the
+	// invalidation that opened the current gap (gapOpen); gaps counts the
+	// closed ones and gapMax is the longest. Loop-only.
+	gapOpen bool
+	gapFrom time.Duration
+	gaps    uint64
+	gapMax  time.Duration
 }
 
 // EnableLease turns on the lease plane. Safe to call from any goroutine;
@@ -160,6 +168,10 @@ func (s *TimeService) onLeaseView(v gcs.GroupView) {
 	s.lease.epoch++
 	s.lease.invalidations++
 	s.lease.snap.Store(nil)
+	if !s.lease.gapOpen {
+		s.lease.gapOpen = true
+		s.lease.gapFrom = s.mgr.Runtime().Now()
+	}
 	s.obs.Trace(obs.ScopeCore, obs.EvLeaseInvalidated, RefreshThreadID,
 		s.lease.epoch, int64(len(v.Members)), "view")
 }
@@ -178,6 +190,11 @@ func (s *TimeService) publishLease(grp, physical time.Duration) {
 		return
 	}
 	s.lease.published++
+	if s.lease.gapOpen {
+		s.lease.gapOpen = false
+		s.lease.gaps++
+		s.lease.gapMax = max(s.lease.gapMax, s.mgr.Runtime().Now()-s.lease.gapFrom)
+	}
 	var fedPPM float64
 	if s.fed.enabled {
 		fedPPM = s.fed.agingPPM
@@ -331,5 +348,7 @@ func (s *TimeService) leaseObsSamples(id uint32) []obs.Sample {
 		{Node: id, Name: "core.lease_refreshes", Value: s.lease.refreshes},
 		{Node: id, Name: "core.lease_invalidations", Value: s.lease.invalidations},
 		{Node: id, Name: "core.lease_published", Value: s.lease.published},
+		{Node: id, Name: "core.lease_gaps", Value: s.lease.gaps},
+		{Node: id, Name: "core.lease_gap_max_us", Value: uint64(s.lease.gapMax / time.Microsecond)},
 	}
 }

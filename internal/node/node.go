@@ -109,8 +109,10 @@ type TimeServeConfig struct {
 	DriftPPM float64
 	// RefreshEvery is the cadence of the background lease-refresh CCS
 	// rounds keeping the lease alive between client-driven rounds.
-	// Default LeaseWindow/4. Negative disables the refresher (the caller
-	// drives RefreshLease itself).
+	// Default LeaseWindow/4. The refresher also proposes a round whenever
+	// the replica goes live in a primary view, re-leasing after the view
+	// change that invalidated the lease. Negative disables the refresher
+	// (the caller drives RefreshLease itself).
 	RefreshEvery time.Duration
 	// ServeIO selects the shards' kernel I/O path: "auto" (batched
 	// recvmmsg/sendmmsg where supported; the default), "seq" (one datagram
@@ -263,7 +265,7 @@ func New(cfg Config) (*Node, error) {
 		App:             cfg.App,
 		Recovering:      cfg.Recovering,
 		CheckpointEvery: cfg.CheckpointEvery,
-		OnStatus:        cfg.OnStatus,
+		OnStatus:        n.onStatus,
 		Obs:             cfg.Obs.ForNode(uint32(n.stack.LocalID())),
 	})
 	if err != nil {
@@ -359,15 +361,40 @@ func (n *Node) startTimeServe(cfg TimeServeConfig) error {
 	return nil
 }
 
-// refreshTick proposes a lease-refresh round when this node is on duty
-// (core.RefreshDuty: every member of a view of at most three, a rotating
-// three of a larger one). The first tick fires at Start, before any view
-// exists; duty is then taken over the configured membership, so a
-// three-replica group proposes at once and a thousand-node cell does not
-// open with a thousand proposals. Loop-only.
+// refreshTick is the refresher's periodic trigger: it proposes a
+// lease-refresh round on each tick the node is on duty. Loop-only.
 func (n *Node) refreshTick() {
 	tick := n.refreshTicks
 	n.refreshTicks++
+	n.refreshOnDuty(tick)
+}
+
+// onStatus passes the status on to Config.OnStatus and is the refresher's
+// second trigger (armed once its ticker is: never with RefreshEvery < 0). A
+// view install invalidates the lease (core's onLeaseView), so when
+// replication reports the replica live in a primary view — every view
+// install while live, and the live transition after a GET_STATE transfer —
+// the node proposes a refresh round at once instead of serving nothing
+// until its next tick. Duty is the tick's rule over the new view, so a view
+// of up to three re-leases from every member and a larger one from at most
+// three. Loop-only.
+func (n *Node) onStatus(st replication.Status) {
+	if n.cfg.OnStatus != nil {
+		n.cfg.OnStatus(st)
+	}
+	if n.refreshTimer != nil && st.Live && st.InPrimary && !n.stopped.Load() {
+		n.refreshOnDuty(n.refreshTicks)
+	}
+}
+
+// refreshOnDuty proposes a lease-refresh round when this node is live and on
+// duty for tick (core.RefreshDuty: every member of a view of at most three,
+// a rotating three of a larger one). The first tick fires at Start, before
+// any view exists; duty is then taken over the configured membership, so a
+// three-replica group proposes at once and a thousand-node cell does not
+// open with a thousand proposals. RefreshLease starts no round while one is
+// in flight. Loop-only.
+func (n *Node) refreshOnDuty(tick uint64) {
 	rank, size := n.mgr.Rank(), len(n.mgr.Members())
 	if size == 0 {
 		rank, size = n.bootRank, n.bootN

@@ -9,6 +9,7 @@ import (
 	"cts/internal/core"
 	"cts/internal/hwclock"
 	"cts/internal/node"
+	"cts/internal/replication"
 	"cts/internal/sim"
 	"cts/internal/simnet"
 	"cts/internal/testutil"
@@ -198,6 +199,153 @@ func TestLeaseOnlyNode(t *testing.T) {
 		r, ok := n.LeaseRead()
 		if !ok || r.Bound <= 0 {
 			t.Fatalf("node %d LeaseRead = %+v, %v; want a served lease", i, r, ok)
+		}
+	}
+}
+
+// leaseGroup is a 3-replica LeaseOnly group over simnet with the default
+// lease window (1 s) and the given RefreshEvery. views[i] records every
+// primary view replica i was live in.
+type leaseGroup struct {
+	k     *sim.Kernel
+	net   *simnet.Network
+	ring  []transport.NodeID
+	nodes []*node.Node
+	views [][]liveView
+}
+
+// liveView is one primary view a replica was live in: when, and how large.
+type liveView struct {
+	at   time.Duration
+	size int
+}
+
+func newLeaseGroup(t *testing.T, seed int64, refreshEvery time.Duration) *leaseGroup {
+	t.Helper()
+	g := &leaseGroup{k: sim.NewKernel(seed), ring: []transport.NodeID{1, 2, 3}}
+	g.net = simnet.NewNetwork(g.k, nil)
+	g.views = make([][]liveView, len(g.ring))
+	t.Cleanup(func() {
+		for _, n := range g.nodes {
+			n.Stop()
+		}
+		g.k.RunFor(5 * time.Millisecond)
+	})
+	for i, id := range g.ring {
+		n, err := node.New(node.Config{
+			Runtime:   g.k,
+			Transport: g.net.Endpoint(id),
+			Members:   g.ring,
+			Clock:     hwclock.NewSim(g.k.Now, hwclock.WithOffset(time.Hour)),
+			TimeServe: &node.TimeServeConfig{RefreshEvery: refreshEvery},
+			LeaseOnly: true,
+			OnStatus: func(st replication.Status) {
+				if st.Live && st.InPrimary {
+					g.views[i] = append(g.views[i], liveView{g.k.Now(), len(st.Members)})
+				}
+			},
+		})
+		if err != nil {
+			t.Fatalf("node.New(%v): %v", id, err)
+		}
+		g.nodes = append(g.nodes, n)
+	}
+	for i, n := range g.nodes {
+		if err := n.Start(); err != nil {
+			t.Fatalf("Start(%v): %v", g.ring[i], err)
+		}
+	}
+	return g
+}
+
+// counter reads one of replica i's core counters. Loop-only: call between
+// kernel steps.
+func (g *leaseGroup) counter(i int, name string) uint64 {
+	for _, s := range g.nodes[i].Core().ObsSamples() {
+		if s.Name == name {
+			return s.Value
+		}
+	}
+	return 0
+}
+
+// TestReleaseOnViewInstall pins the refresher's second trigger. A view
+// install invalidates every lease; with the default refresh period (250 ms)
+// a replica that waited for its next tick would refuse reads for up to a
+// quarter second after Start and after every membership change. Instead it
+// proposes a refresh round as soon as it is live in a primary view, so it
+// serves again one CCS round later.
+func TestReleaseOnViewInstall(t *testing.T) {
+	const within = 10 * time.Millisecond
+	g := newLeaseGroup(t, 11, 0)
+	g.k.RunFor(within)
+	epochs := make([]uint64, len(g.nodes))
+	for i, n := range g.nodes {
+		r, ok := n.LeaseRead()
+		if !ok {
+			t.Fatalf("replica %d serves no lease %v after Start (views at %v)", i, within, g.views[i])
+		}
+		epochs[i] = r.Epoch
+	}
+
+	// Crash replica 3: the survivors install a 2-member primary view and
+	// must serve under a new epoch within 10 ms of that install.
+	crashed := len(g.nodes) - 1
+	installs := make([]int, crashed)
+	for i := range installs {
+		installs[i] = len(g.views[i])
+	}
+	g.net.Endpoint(g.ring[crashed]).SetDown(true)
+	g.nodes[crashed].Stop()
+	survivors := g.nodes[:crashed]
+	deadline := g.k.Now() + 2*time.Second
+	var viewAt time.Duration
+	for viewAt == 0 {
+		if g.k.Now() > deadline {
+			t.Fatal("survivors installed no 2-member primary view within 2s of the crash")
+		}
+		g.k.RunFor(100 * time.Microsecond)
+		for i := range survivors {
+			if v := g.views[i]; len(v) > installs[i] && v[len(v)-1].size == 2 {
+				viewAt = max(viewAt, v[len(v)-1].at)
+			} else {
+				viewAt = 0
+				break
+			}
+		}
+	}
+	g.k.RunFor(viewAt + within - g.k.Now())
+	for i, n := range survivors {
+		r, ok := n.LeaseRead()
+		if !ok {
+			t.Fatalf("replica %d serves no lease %v after the 2-member view installed at %v", i, within, viewAt)
+		}
+		if r.Epoch <= epochs[i] {
+			t.Fatalf("replica %d serves epoch %d after the view change, want above %d", i, r.Epoch, epochs[i])
+		}
+		// The lease-gap gauge saw the same from inside core: no view left the
+		// replica without a lease for 10 ms, let alone a refresh period.
+		gaps, longest := g.counter(i, "core.lease_gaps"), g.counter(i, "core.lease_gap_max_us")
+		if gaps == 0 || time.Duration(longest)*time.Microsecond >= within {
+			t.Fatalf("replica %d: %d lease gaps, longest %dµs; want at least one, all under %v", i, gaps, longest, within)
+		}
+	}
+}
+
+// TestNoReleaseWithoutRefresher: a node whose caller drives refresh
+// (RefreshEvery < 0) proposes nothing of its own, at view install included.
+func TestNoReleaseWithoutRefresher(t *testing.T) {
+	g := newLeaseGroup(t, 11, -1)
+	g.k.RunFor(50 * time.Millisecond)
+	for i, n := range g.nodes {
+		if len(g.views[i]) == 0 {
+			t.Fatalf("replica %d installed no primary view", i)
+		}
+		if got := g.counter(i, "core.lease_refreshes"); got != 0 {
+			t.Fatalf("replica %d proposed %d refresh rounds with RefreshEvery < 0", i, got)
+		}
+		if _, ok := n.LeaseRead(); ok {
+			t.Fatalf("replica %d serves a lease nobody refreshed", i)
 		}
 	}
 }

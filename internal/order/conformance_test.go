@@ -358,6 +358,63 @@ func TestConformanceDupKeySuppression(t *testing.T) {
 	}
 }
 
+// TestConformanceCancelThenBroadcast: each member cancels a proposal inside
+// its submission instant and then broadcasts another. The withdrawn one is
+// never delivered and the next one is, in the same view: a proposal that
+// never reached the wire must not stall its sender's later ones.
+func TestConformanceCancelThenBroadcast(t *testing.T) {
+	for _, kind := range confKinds {
+		t.Run(string(kind), func(t *testing.T) {
+			h := newConfHarness(t, kind, 6, nil)
+			ids := confIDs(3)
+			for _, id := range ids {
+				h.addNode(id, ids, true)
+			}
+			h.startAll()
+			h.k.RunFor(10 * time.Millisecond)
+			views := make(map[transport.NodeID]int)
+			for _, id := range ids {
+				views[id] = len(h.views[id])
+			}
+
+			sent := make(map[transport.NodeID][]string)
+			for _, id := range ids {
+				h.k.Post(func() {
+					cancel := h.nodes[id].BroadcastCancelable([]byte(fmt.Sprintf("withdrawn-%d", id)), false, 0)
+					if !cancel() {
+						t.Errorf("node %v: cancel in submission instant reported message already sent", id)
+					}
+				})
+				h.k.RunFor(time.Millisecond)
+				p := fmt.Sprintf("after-%d", id)
+				sent[id] = append(sent[id], p)
+				h.k.Post(func() { h.nodes[id].BroadcastCancelable([]byte(p), false, 0) })
+				h.k.RunFor(time.Millisecond)
+			}
+			if !h.runUntil(time.Second, func() bool {
+				for _, id := range ids {
+					if len(h.deliveries[id]) < len(ids) {
+						return false
+					}
+				}
+				return true
+			}) {
+				t.Fatalf("deliveries after a withdrawn proposal: %d/%d/%d of %d",
+					len(h.deliveries[0]), len(h.deliveries[1]), len(h.deliveries[2]), len(ids))
+			}
+			for _, id := range ids {
+				if len(h.views[id]) != views[id] {
+					t.Fatalf("node %v installed %d views meanwhile; the deliveries must not need one",
+						id, len(h.views[id])-views[id])
+				}
+			}
+			h.checkAgreement(ids...)
+			h.checkSenderFIFO(sent, ids...)
+			h.stopAll()
+		})
+	}
+}
+
 // TestConformanceCrash: the lowest member (ring representative / sequencer
 // leader) crashes; the survivors agree on a primary view without it and keep
 // delivering in total order.

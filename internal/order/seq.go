@@ -47,7 +47,7 @@ type seqStats struct {
 
 // seqPending is one locally-submitted proposal awaiting ordering.
 type seqPending struct {
-	local     uint64 // current per-epoch local id; relabelled at view change
+	local     uint64 // per-epoch local id, assigned at first send (0 before); reset at view change
 	safe      bool
 	dupKey    uint64
 	payload   []byte
@@ -238,9 +238,11 @@ func (n *seqNode) BroadcastCancelable(payload []byte, safe bool, dupKey uint64) 
 	}
 }
 
+// submit queues a proposal. It is numbered only when first sent
+// (sendPropose): a proposal cancelled or suppressed before then must not
+// leave a hole in this sender's numbering, which the leader would wait on
+// for the rest of the view.
 func (n *seqNode) submit(p *seqPending) {
-	n.localSeq++
-	p.local = n.localSeq
 	n.pend = append(n.pend, p)
 	n.stats.Proposals++
 }
@@ -261,8 +263,12 @@ func (n *seqNode) flushPending() {
 }
 
 // sendPropose transmits one proposal to the leader (or orders it directly
-// when this node is the leader).
+// when this node is the leader), numbering it at its first send in the view.
 func (n *seqNode) sendPropose(p *seqPending, resend bool) {
+	if p.local == 0 {
+		n.localSeq++
+		p.local = n.localSeq
+	}
 	m := &seqPropose{
 		View:    n.view.ID,
 		Sender:  n.me,
@@ -284,9 +290,7 @@ func (n *seqNode) sendPropose(p *seqPending, resend bool) {
 
 // suppressSeenPending retires queued proposals whose dupKey has already been
 // ordered somewhere: the leader's duplicate check guarantees they can never
-// be ordered, so resending them is pure waste — and after a view change a
-// stale one would occupy a dense local number and wedge the per-sender
-// gap-freedom chain at the new leader.
+// be ordered, so resending them is pure waste.
 func (n *seqNode) suppressSeenPending() {
 	for _, p := range n.pend {
 		if !p.cancelled && n.seenKeys.Seen(p.dupKey) {
@@ -904,14 +908,11 @@ func (n *seqNode) installView(v View) {
 	n.nextLocal = make(map[transport.NodeID]uint64)
 	n.heldProps = make(map[transport.NodeID]map[uint64]*seqPropose)
 
-	// Relabel surviving proposals densely under the new epoch and resend.
-	// Proposals whose dupKey has been seen are retired first — a hole in the
-	// dense numbering would wedge the new leader's per-sender chain.
-	n.suppressSeenPending()
+	// Relabel surviving proposals under the new epoch: each is numbered
+	// afresh, densely and in queue order, when it is sent in this view.
 	n.localSeq = 0
 	for _, p := range n.pend {
-		n.localSeq++
-		p.local = n.localSeq
+		p.local = 0
 		p.sent = false
 	}
 

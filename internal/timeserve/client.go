@@ -305,8 +305,9 @@ func (c *Client) exchange(k int) ([]Response, error) {
 	return nil, lastErr
 }
 
-// errStale reports a replica that answered but holds no valid lease.
-var errStale = errors.New("timeserve: replica refused (no valid lease)")
+// ErrStale reports a replica that answered but holds no valid lease (a
+// FlagStale refusal). A query whose every attempt was refused returns it.
+var ErrStale = errors.New("timeserve: replica refused (no valid lease)")
 
 func (c *Client) exchangeOnce(target, k int) ([]Response, error) {
 	conn, err := c.conn(target)
@@ -335,7 +336,7 @@ func (c *Client) exchangeOnce(target, k int) ([]Response, error) {
 		}
 		for _, r := range resps {
 			if !r.OK() {
-				return nil, errStale
+				return nil, ErrStale
 			}
 		}
 		return resps, nil

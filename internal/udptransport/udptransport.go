@@ -49,10 +49,12 @@ type Transport struct {
 	effRecvBuf int // effective SO_RCVBUF as reported by the kernel
 	effSendBuf int // effective SO_SNDBUF as reported by the kernel
 
-	// readFrom is the receive primitive of the read loop, split out so tests
-	// can inject transient socket errors. Set once in New, before the read
-	// goroutine starts.
-	readFrom func([]byte) (int, *net.UDPAddr, error)
+	// read is the receive primitive of the read loop, split out so tests can
+	// inject transient socket errors. Set once in New, before the read
+	// goroutine starts. It is the connection's plain Read: the sender's id
+	// travels in the frame, so the source address (which ReadFromUDP
+	// allocates per datagram) is never needed.
+	read readFunc
 
 	readErrors atomic.Uint64 // transient receive failures the loop survived
 	sendErrors atomic.Uint64 // failed datagram sends, summed over peers
@@ -80,14 +82,14 @@ type dest struct {
 // Option configures a Transport.
 type Option func(*options)
 
-// readFromFunc is the receive primitive of the read loop.
-type readFromFunc func([]byte) (int, *net.UDPAddr, error)
+// readFunc is the receive primitive of the read loop.
+type readFunc func([]byte) (int, error)
 
 type options struct {
 	recvBuf, sendBuf int
-	// wrapReadFrom, when set, wraps the read loop's receive primitive —
+	// wrapRead, when set, wraps the read loop's receive primitive —
 	// test-only seam for injecting transient socket errors.
-	wrapReadFrom func(readFromFunc) readFromFunc
+	wrapRead func(readFunc) readFunc
 }
 
 // WithSocketBuffers requests SO_RCVBUF/SO_SNDBUF sizes (the kernel may
@@ -128,9 +130,9 @@ func New(id transport.NodeID, bindAddr string, opts ...Option) (*Transport, erro
 		done:  make(chan struct{}),
 	}
 	tr.frames.New = func() any { return make([]byte, 0, 2048) }
-	tr.readFrom = conn.ReadFromUDP
-	if o.wrapReadFrom != nil {
-		tr.readFrom = o.wrapReadFrom(tr.readFrom)
+	tr.read = conn.Read
+	if o.wrapRead != nil {
+		tr.read = o.wrapRead(tr.read)
 	}
 	tr.effRecvBuf, tr.effSendBuf = effectiveBufferSizes(conn)
 	go tr.readLoop()
@@ -268,7 +270,7 @@ func (t *Transport) readLoop() {
 	defer close(t.done)
 	buf := make([]byte, maxDatagram)
 	for {
-		n, _, err := t.readFrom(buf)
+		n, err := t.read(buf)
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return // Close tore down the socket; end the loop

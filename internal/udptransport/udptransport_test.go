@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -244,10 +243,10 @@ func TestReadLoopSurvivesTransientErrors(t *testing.T) {
 	const transientErrs = 3
 	var injected atomic.Uint64
 	inject := func(o *options) {
-		o.wrapReadFrom = func(real readFromFunc) readFromFunc {
-			return func(b []byte) (int, *net.UDPAddr, error) {
+		o.wrapRead = func(real readFunc) readFunc {
+			return func(b []byte) (int, error) {
 				if injected.Add(1) <= transientErrs {
-					return 0, nil, errors.New("simulated transient receive failure")
+					return 0, errors.New("simulated transient receive failure")
 				}
 				return real(b)
 			}
