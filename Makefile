@@ -30,10 +30,14 @@ ledger:
 	$(GO) test -tags ledger -run '^TestLedger$$' -v -timeout 0 ./internal/ledger
 
 # churn-sweep runs TestChurnStress over seeds 80-139 (the committed seed is
-# 99) and prints each failing seed with its first failure (the client
-# oracle's first witness, then the round oracle's), then the package's
-# ok/FAIL line. It reports and does not fail: seeds in this range fail today
-# (ROADMAP item 14).
+# 99), once under Totem and once under the sequencer (-orderer=seq), and
+# prints each failing seed with its first failure (the client oracle's first
+# witness, then the round oracle's) and its fault schedule, then the
+# package's ok/FAIL line. It reports and does not fail: seeds in this range
+# fail today (ROADMAP item 14).
 churn-sweep:
-	$(GO) test -count=1 -run '^TestChurnStress$$' ./internal/experiment -churn-seeds=80-139 2>&1 | \
-		grep -E -A2 -- '--- FAIL: TestChurnStress/|^(ok|FAIL)[[:space:]]' || true
+	@for o in totem seq; do \
+		echo "== churn sweep -orderer=$$o =="; \
+		$(GO) test -count=1 -run '^TestChurnStress$$' ./internal/experiment -churn-seeds=80-139 -orderer=$$o 2>&1 | \
+			grep -E -A3 -- '--- FAIL: TestChurnStress/|^(ok|FAIL)[[:space:]]' || true; \
+	done

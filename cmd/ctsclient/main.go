@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"cts/internal/gcs"
+	"cts/internal/invariant"
 	"cts/internal/order"
 	"cts/internal/rpc"
 	"cts/internal/sim"
@@ -101,9 +102,14 @@ func run(id uint32, peerSpec string, n int, gap time.Duration, quiet bool, order
 	stack.Start()
 	time.Sleep(300 * time.Millisecond) // let the ring and group views settle
 
+	// The client oracle: Snap before each invocation, Observe its reply with
+	// bound 0 (a CCS read is exact), one key for the whole server group.
+	var chk invariant.Checker
+	var pre invariant.Snapshot
+	key := invariant.Key{Group: uint32(serverGroup)}
 	var lat stats.Durations
-	var prev uint64
 	for i := 0; i < n; i++ {
+		chk.Snap(&pre)
 		start := time.Now()
 		body, err := client.InvokeSync("CurrentTime", nil)
 		if err != nil {
@@ -111,18 +117,17 @@ func run(id uint32, peerSpec string, n int, gap time.Duration, quiet bool, order
 		}
 		d := time.Since(start)
 		lat.Add(d)
-		v := binary.BigEndian.Uint64(body)
+		v := time.Duration(binary.BigEndian.Uint64(body))
+		_, seen := chk.First()
+		chk.Observe(&pre, key, v, 0)
 		if !quiet {
-			mono := ""
-			if v < prev {
-				mono = "  ROLLBACK!"
-			}
-			fmt.Printf("%3d  group-clock=%v  latency=%v%s\n",
-				i, time.Duration(v), d, mono)
+			fmt.Printf("%3d  group-clock=%v  latency=%v\n", i, v, d)
 		}
-		prev = v
+		if w, ok := chk.First(); ok && !seen {
+			fmt.Printf("%3d  %v\n", i, w)
+		}
 		time.Sleep(gap)
 	}
 	fmt.Printf("latency: %s\n", lat.Summary())
-	return nil
+	return chk.Err()
 }

@@ -187,108 +187,85 @@ func (d *deployment) allPrimary() bool {
 	return true
 }
 
-// installSchedule arms the scenario's fault events relative to start.
+// installSchedule applies the scenario's fault schedule, compiled relative
+// to start, and records each victim's down window for the monitor.
 func (d *deployment) installSchedule(start time.Duration) {
-	n := len(d.nodes)
-	for _, ev := range d.sc.Faults {
-		from, to := start+ev.At, start+ev.end()
-		switch ev.Kind {
-		case FaultChurn:
-			d.installChurn(start, ev)
-		case FaultPartition:
-			far := d.topIDs(ev.Fraction)
-			near := d.lowIDs(n - len(far))
-			d.inj.PartitionAt(from, near, far)
-			d.inj.HealAt(to)
-			d.markDownWindow(far, from, to)
-		case FaultAsymmetric:
-			far := d.topIDs(ev.Fraction)
-			near := d.lowIDs(n - len(far))
-			d.inj.AsymmetricPartitionAt(from, to, near, far)
-		case FaultPartial:
-			k := len(d.topIDs(ev.Fraction))
-			ids := d.ids()
-			a := ids[n-k:]
-			b := ids[n-2*k : n-k]
-			d.inj.PartialPartitionAt(from, to, a, b)
-		case FaultLossBursts:
-			d.inj.LossBursts(from, ev.Count, ev.For, ev.Gap, ev.Loss)
-		case FaultShape:
-			shape := simnet.LinkShape{Loss: ev.Loss}
-			if ev.Latency > 0 {
-				shape.Latency = simnet.Fixed(ev.Latency)
-			}
-			d.inj.ShapeWindow(from, to, nil, nil, shape)
-		}
-	}
-}
-
-// installChurn schedules the crash/recovery waves of one churn event.
-// Victims come off the top of the id range and each stays down for 1.5
-// inter-crash steps, so at most two victims are down at once and quorum
-// survives. Under the instant orderer a victim's stack stops and restarts
-// (the hub's crash model); under wire orderers the victim is isolated at
-// the endpoint, and the membership protocol expels and re-admits it.
-func (d *deployment) installChurn(start time.Duration, ev FaultEvent) {
-	n := len(d.nodes)
-	vmax := n / 3
-	if vmax > ev.Count {
-		vmax = ev.Count
-	}
-	if vmax < 1 {
-		vmax = 1
-	}
-	step := ev.For / time.Duration(ev.Count)
-	for i := 0; i < ev.Count; i++ {
-		nd := d.nodes[n-1-i%vmax]
-		from := start + ev.At + time.Duration(i)*step
-		to := from + step*3/2
-		if d.orderer == order.KindInstant {
-			d.inj.StopAt(from, nd.id)
-			d.inj.StartAt(to, nd.Stack().Start)
-		} else {
-			d.inj.IsolateWindow(from, to, nd.id)
-		}
-		d.markDownWindow([]transport.NodeID{nd.id}, from, to)
-	}
-}
-
-// markDownWindow records schedule intent for the monitor.
-func (d *deployment) markDownWindow(ids []transport.NodeID, from, to time.Duration) {
-	byID := make(map[transport.NodeID]*replica, len(ids))
+	events := d.compile(start)
+	d.inj.Apply(events...)
+	byID := make(map[transport.NodeID]*replica, len(d.nodes))
 	for _, nd := range d.nodes {
 		byID[nd.id] = nd
 	}
-	for _, id := range ids {
-		nd := byID[id]
-		if nd == nil {
-			continue
+	for _, e := range events {
+		switch e.Kind {
+		case faultinject.Partition, faultinject.Isolate, faultinject.Restart:
+			for _, id := range e.Nodes {
+				nd := byID[id]
+				d.k.At(e.At, func() { nd.up = false })
+				d.k.At(e.At+e.For, func() { nd.up = true })
+			}
 		}
-		d.k.At(from, func() { nd.up = false })
-		d.k.At(to, func() { nd.up = true })
 	}
 }
 
-func (d *deployment) ids() []transport.NodeID {
-	out := make([]transport.NodeID, len(d.nodes))
+// compile resolves the scenario's fault events, relative to start, into
+// injector events on explicit node ids. Victims come off the top of the id
+// range, so the low ids (the refresh drivers) stay undisturbed; a partition
+// kind's victims are the top ⌊Fraction·n⌋ ids (at least one).
+func (d *deployment) compile(start time.Duration) []faultinject.Event {
+	n := len(d.nodes)
+	ids := make([]transport.NodeID, n)
 	for i, nd := range d.nodes {
-		out[i] = nd.id
+		ids[i] = nd.id
+	}
+	var out []faultinject.Event
+	for _, ev := range d.sc.Faults {
+		e := faultinject.Event{At: start + ev.At, For: ev.For}
+		k := max(1, int(ev.Fraction*float64(n)))
+		switch ev.Kind {
+		case FaultChurn:
+			out = append(out, d.churn(e, ev.Count, ids)...)
+			continue
+		case FaultPartition:
+			e.Kind, e.Nodes, e.Peers = faultinject.Partition, ids[n-k:], ids[:n-k]
+		case FaultAsymmetric:
+			e.Kind, e.Nodes, e.Peers = faultinject.Block, ids[n-k:], ids[:n-k]
+		case FaultPartial:
+			e.Kind, e.Nodes, e.Peers = faultinject.Cut, ids[n-k:], ids[n-2*k:n-k]
+		case FaultLossBursts:
+			for i := 0; i < ev.Count; i++ {
+				out = append(out, faultinject.Event{Kind: faultinject.Loss,
+					At: e.At + time.Duration(i)*(ev.For+ev.Gap), For: ev.For, Loss: ev.Loss})
+			}
+			continue
+		case FaultShape:
+			e.Kind, e.Loss, e.Latency = faultinject.Shape, ev.Loss, ev.Latency
+		}
+		out = append(out, e)
 	}
 	return out
 }
 
-// topIDs returns the highest ⌊frac·n⌋ node ids (at least 1).
-func (d *deployment) topIDs(frac float64) []transport.NodeID {
-	n := len(d.nodes)
-	k := int(frac * float64(n))
-	if k < 1 {
-		k = 1
+// churn expands one churn event, whose window starts at e.At, into count
+// crash/recovery waves. Each victim stays down for 1.5 inter-crash steps,
+// so at most two victims are down at once and quorum survives. Under the
+// instant orderer a victim's stack stops and restarts (the hub's crash
+// model); under wire orderers the victim is isolated at the endpoint, and
+// the membership protocol expels and re-admits it.
+func (d *deployment) churn(e faultinject.Event, count int, ids []transport.NodeID) []faultinject.Event {
+	n := len(ids)
+	vmax := max(1, min(n/3, count))
+	step := e.For / time.Duration(count)
+	kind := faultinject.Isolate
+	if d.orderer == order.KindInstant {
+		kind = faultinject.Restart
 	}
-	return d.ids()[n-k:]
-}
-
-func (d *deployment) lowIDs(k int) []transport.NodeID {
-	return d.ids()[:k]
+	out := make([]faultinject.Event, count)
+	for i := range out {
+		out[i] = faultinject.Event{Kind: kind, At: e.At + time.Duration(i)*step, For: step * 3 / 2,
+			Nodes: ids[n-1-i%vmax : n-i%vmax]}
+	}
+	return out
 }
 
 // close stops every replica and drains the loop, so campaign tests hold the

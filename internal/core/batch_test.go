@@ -87,9 +87,7 @@ func TestConcurrentReadsCoalesce(t *testing.T) {
 	}
 	const readers, reads = 6, 5
 	values, finished := concurrentReaders(h, ring, readers, reads, nil)
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	if !h.runUntil(10*time.Second, allFinished(finished, readers)) {
 		t.Fatalf("readers never finished: %d/%d/%d of %d",
 			*finished[1], *finished[2], *finished[3], readers)
@@ -134,9 +132,7 @@ func TestConcurrentReadsDisableBatching(t *testing.T) {
 	}
 	const readers, reads = 6, 5
 	_, finished := concurrentReaders(h, ring, readers, reads, nil)
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	if !h.runUntil(10*time.Second, allFinished(finished, readers)) {
 		t.Fatal("readers never finished with batching disabled")
 	}
@@ -184,9 +180,7 @@ func TestCrashMidBatchKeepsSurvivorsConsistent(t *testing.T) {
 	const readers, reads = 4, 10
 	aborted := make(map[transport.NodeID]bool)
 	values, finished := concurrentReaders(h, ring, readers, reads, aborted)
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 
 	// Let every replica complete a few coalesced generations, then fail-stop
 	// node 1 mid-stream: its threads are blocked on rounds whose proposals

@@ -39,9 +39,7 @@ func causalSetup(t *testing.T, seed int64) (h *coreHarness, a, b *rpc.Client) {
 	h.addGroupReplica(4, groupB, replication.Active, false, h.simClock(0, 0))
 	a = h.groupClient(0, 901, groupA)
 	b = h.groupClient(0, 902, groupB)
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(3 * time.Millisecond)
 	return h, a, b
 }

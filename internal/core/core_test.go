@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 
@@ -159,6 +160,19 @@ func newCoreHarness(t *testing.T, seed int64) *coreHarness {
 		}
 	})
 	return h
+}
+
+// start starts every stack in id order, so that a seed fixes the order of
+// the time-0 sends.
+func (h *coreHarness) start() {
+	ids := make([]transport.NodeID, 0, len(h.stacks))
+	for id := range h.stacks {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		h.stacks[id].Start()
+	}
 }
 
 // counter reads one per-node counter from the obs registry, the only stats
@@ -329,9 +343,7 @@ func standardSetup(t *testing.T, seed int64, style replication.Style) (*coreHarn
 		h.addReplica(id, style, false, h.simClock(offsets[i], 0))
 	}
 	client := h.newClient(0)
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(3 * time.Millisecond)
 	return h, client
 }
@@ -526,9 +538,7 @@ func TestRecoveringReplicaIntegratesNewClock(t *testing.T) {
 	h.addReplica(1, replication.Active, false, h.simClock(0, 0))
 	h.addReplica(2, replication.Active, false, h.simClock(3*time.Second, 0))
 	client := h.newClient(0)
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(3 * time.Millisecond)
 	driveReads(t, h, client, 8)
 
@@ -574,9 +584,7 @@ func TestSpecialRoundRespectsCausalFloor(t *testing.T) {
 	}
 	h.addReplica(1, replication.Active, false, h.simClock(0, 0))
 	h.addReplica(2, replication.Active, false, h.simClock(3*time.Second, 0))
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(3 * time.Millisecond)
 	const foreign = time.Hour
 	h.svcs[1].ObserveTimestamp(foreign)
@@ -623,9 +631,7 @@ func TestReservedRoundsReportTheirThread(t *testing.T) {
 	for _, id := range serverIDs {
 		h.addReplica(id, replication.Active, false, h.simClock(0, 0))
 	}
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(3 * time.Millisecond)
 	enableLeases(h, LeaseConfig{Window: time.Second})
 	enableFederation(h, FedConfig{InitialSlack: time.Millisecond, AgingPPM: 100}, serverIDs...)
@@ -689,9 +695,7 @@ func TestMeanDelayCompensationReducesDrift(t *testing.T) {
 				func(c *Config) { c.Compensation = comp; c.MeanDelay = 150 * time.Microsecond })
 		}
 		client := h.newClient(0)
-		for _, s := range h.stacks {
-			s.Start()
-		}
+		h.start()
 		h.k.RunFor(3 * time.Millisecond)
 		replies := driveReads(t, h, client, 30)
 		return h.k.Now() - replies[len(replies)-1] // lag behind real time
@@ -719,9 +723,7 @@ func TestExternalCompensationBoundsDrift(t *testing.T) {
 			})
 	}
 	client := h.newClient(0)
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(3 * time.Millisecond)
 	replies := driveReads(t, h, client, 40)
 	lag := h.k.Now() - replies[len(replies)-1]

@@ -159,9 +159,7 @@ func TestJoinerInheritsFederationState(t *testing.T) {
 	h.addReplica(1, replication.Active, false, h.simClock(0, 0))
 	h.addReplica(2, replication.Active, false, h.simClock(3*time.Second, 0))
 	client := h.newClient(0)
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(3 * time.Millisecond)
 
 	fedCfg := FedConfig{InitialSlack: 20 * time.Millisecond, AgingPPM: 10_000}

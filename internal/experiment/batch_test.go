@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cts/internal/faultinject"
 	"cts/internal/replication"
 	"cts/internal/transport"
 )
@@ -84,7 +85,7 @@ func TestCrashDuringBatchedReads(t *testing.T) {
 	if run.finished[2] == readers && run.finished[3] == readers {
 		t.Fatal("survivors already done before the crash point; nothing in flight")
 	}
-	c.Inject.CrashAt(c.K.Now()+500*time.Microsecond, 1)
+	c.Inject.Apply(faultinject.Event{Kind: faultinject.Crash, At: c.K.Now() + 500*time.Microsecond, Nodes: []transport.NodeID{1}})
 
 	survivors := []transport.NodeID{2, 3}
 	if !c.RunUntil(10*time.Second, func() bool {

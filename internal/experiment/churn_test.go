@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cts/internal/faultinject"
 	"cts/internal/replication"
 	"cts/internal/rpc"
 	"cts/internal/transport"
@@ -61,44 +62,37 @@ func churnStress(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Schedule the churn: every ~600ms one fault event. Replica 1 is left
-	// alone so at least one replica holds the full history, and at most one
-	// replica is down at a time so a quorum (3 of 6 nodes incl. client ≥
-	// majority of ring) usually exists.
+	// Draw the churn schedule: every ~600ms one fault event. Replica 1 is
+	// left alone so at least one replica holds the full history, and at
+	// most one replica is down at a time so a quorum (3 of 6 nodes incl.
+	// client ≥ majority of ring) usually exists. A downed replica is
+	// isolated at its endpoint, not stopped, so its protocol state
+	// survives; a full restart is exercised by the recovery tests.
 	rng := rand.New(rand.NewSource(seed))
-	down := transport.NodeID(0)
-	at := 500 * time.Millisecond
-	revive := func(id transport.NodeID) {
-		c.Inject.ReviveAt(at, id, nil)
-		// The revived processor rejoins the ring automatically (its stack
-		// was only isolated, not stopped: we use partitions for crashes so
-		// protocol state survives — a full restart is exercised by the
-		// recovery tests).
-	}
-	for at < duration-time.Second {
+	var events []faultinject.Event
+	for at := 500 * time.Millisecond; at < duration-time.Second; at += 600 * time.Millisecond {
+		var e faultinject.Event
 		switch rng.Intn(3) {
 		case 0: // isolate a random replica (not node 1), later reconnect
-			id := transport.NodeID(2 + rng.Intn(replicas-1))
-			if down == 0 {
-				down = id
-				cur := at
-				c.K.At(cur, func() { c.Net.Endpoint(id).SetDown(true) })
-				at += 400 * time.Millisecond
-				revive(id)
-				down = 0
-			}
+			e = faultinject.Event{Kind: faultinject.Isolate, For: 400 * time.Millisecond,
+				Nodes: []transport.NodeID{transport.NodeID(2 + rng.Intn(replicas-1))}}
 		case 1: // partition client+majority vs the rest, then heal
-			cur := at
-			c.Inject.PartitionAt(cur, []transport.NodeID{0, 1, 2, 3},
-				[]transport.NodeID{4, 5})
-			at += 300 * time.Millisecond
-			c.Inject.HealAt(at)
+			e = faultinject.Event{Kind: faultinject.Partition, For: 300 * time.Millisecond,
+				Nodes: []transport.NodeID{4, 5}, Peers: []transport.NodeID{0, 1, 2, 3}}
 		case 2: // loss window
-			c.Inject.LossWindow(at, at+200*time.Millisecond, 0.1)
-			at += 200 * time.Millisecond
+			e = faultinject.Event{Kind: faultinject.Loss, For: 200 * time.Millisecond, Loss: 0.1}
 		}
-		at += 600 * time.Millisecond
+		e.At = at
+		events = append(events, e)
+		at += e.For
 	}
+	c.Inject.Apply(events...)
+	// A failing seed names its schedule on one line.
+	defer func() {
+		if t.Failed() {
+			t.Logf("schedule: %v", events)
+		}
+	}()
 
 	// Continuous sequential reads with a short think time.
 	var values []time.Duration

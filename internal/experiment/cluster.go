@@ -190,8 +190,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	for _, s := range c.Stacks {
-		s.Start()
+	// In id order: a seed must fix the order of the time-0 sends.
+	for _, id := range c.nodes {
+		c.Stacks[id].Start()
 	}
 	c.K.RunFor(3 * time.Millisecond) // ring + group views settle
 	return c, nil

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cts/internal/core"
+	"cts/internal/faultinject"
 	"cts/internal/invariant"
 	"cts/internal/replication"
 	"cts/internal/transport"
@@ -98,8 +99,7 @@ func TestLeaseSynchronizerCrashInvalidates(t *testing.T) {
 	}
 
 	// Script the synchronizer's fail-stop just ahead of now, mid-lease.
-	c.Inject.Register(1, c.Stacks[1])
-	c.Inject.CrashAt(c.K.Now()+10*time.Millisecond, 1)
+	c.Inject.Apply(faultinject.Event{Kind: faultinject.Crash, At: c.K.Now() + 10*time.Millisecond, Nodes: []transport.NodeID{1}})
 	survivors := []transport.NodeID{2, 3}
 	if !c.RunUntil(10*time.Second, func() bool {
 		for _, id := range survivors {

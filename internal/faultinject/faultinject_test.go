@@ -1,6 +1,8 @@
 package faultinject
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,109 +11,125 @@ import (
 	"cts/internal/transport"
 )
 
-type stopRecorder struct{ stopped bool }
-
-func (s *stopRecorder) Stop() { s.stopped = true }
-
-func TestCrashAtStopsEntitiesAndEndpoint(t *testing.T) {
-	k := sim.NewKernel(1)
-	net := simnet.NewNetwork(k, simnet.Fixed(time.Microsecond))
-	inj := New(k, net)
-	a := net.Endpoint(0)
-	b := net.Endpoint(1)
-	got := 0
-	b.SetReceiver(func(transport.NodeID, []byte) { got++ })
-
-	rec := &stopRecorder{}
-	inj.Register(1, rec)
-	inj.CrashAt(10*time.Millisecond, 1)
-
-	// Before the crash, traffic flows.
-	k.At(5*time.Millisecond, func() { a.Send(1, []byte("x")) })
-	// After the crash, it does not.
-	k.At(15*time.Millisecond, func() { a.Send(1, []byte("y")) })
-	k.RunUntil(20 * time.Millisecond)
-
-	if got != 1 {
-		t.Fatalf("delivered %d datagrams, want 1 (pre-crash only)", got)
-	}
-	if !rec.stopped {
-		t.Fatal("registered entity not stopped")
-	}
+// proc logs the Stop and Start calls the injector makes on one node.
+type proc struct {
+	id  transport.NodeID
+	log *[]string
 }
 
-func TestReviveAtRestoresDeliveryAndRunsStart(t *testing.T) {
-	k := sim.NewKernel(2)
-	net := simnet.NewNetwork(k, simnet.Fixed(time.Microsecond))
-	inj := New(k, net)
-	a := net.Endpoint(0)
-	b := net.Endpoint(1)
-	got := 0
-	b.SetReceiver(func(transport.NodeID, []byte) { got++ })
+func (p proc) Stop()  { *p.log = append(*p.log, fmt.Sprintf("%d stop", p.id)) }
+func (p proc) Start() { *p.log = append(*p.log, fmt.Sprintf("%d start", p.id)) }
 
-	inj.CrashAt(time.Millisecond, 1)
-	started := false
-	inj.ReviveAt(5*time.Millisecond, 1, func() { started = true })
-	k.At(7*time.Millisecond, func() { a.Send(1, []byte("z")) })
-	k.RunUntil(10 * time.Millisecond)
-
-	if !started {
-		t.Fatal("start callback did not run")
+// TestApply applies each kind on a three-node network, with a window of
+// [1ms, 10ms) where the kind has one. Every node sends to every other node
+// before the window (0.5ms), inside it (5ms) and after it (12ms). Each row
+// names the links that deliver and the process calls made by the inside
+// and after probes; before the window every link delivers at the base
+// latency and no process has been touched.
+func TestApply(t *testing.T) {
+	const (
+		all  = "01 02 10 12 20 21"
+		base = time.Microsecond
+	)
+	ids := []transport.NodeID{0, 1, 2}
+	window := func(e Event) Event {
+		e.At, e.For = time.Millisecond, 9*time.Millisecond
+		return e
 	}
-	if got != 1 {
-		t.Fatalf("delivered %d datagrams after revival, want 1", got)
+	tests := []struct {
+		name                string
+		events              []Event
+		in, after           string        // links that deliver
+		inLatency           time.Duration // every inside delivery's latency
+		inProcs, afterProcs string        // process calls so far
+	}{
+		{name: "crash", events: []Event{{Kind: Crash, At: time.Millisecond, Nodes: []transport.NodeID{1, 2}}},
+			in: "", after: "", inProcs: "1 stop, 2 stop", afterProcs: "1 stop, 2 stop"},
+		{name: "isolate", events: []Event{window(Event{Kind: Isolate, Nodes: []transport.NodeID{1}})},
+			in: "02 20", after: all},
+		{name: "restart", events: []Event{window(Event{Kind: Restart, Nodes: []transport.NodeID{1}})},
+			in: all, after: all, inProcs: "1 stop", afterProcs: "1 stop, 1 start"},
+		{name: "partition", events: []Event{window(Event{Kind: Partition, Nodes: []transport.NodeID{2}, Peers: []transport.NodeID{0, 1}})},
+			in: "01 10", after: all},
+		{name: "block", events: []Event{window(Event{Kind: Block, Nodes: []transport.NodeID{2}, Peers: []transport.NodeID{0, 1}})},
+			in: "01 10 20 21", after: all},
+		{name: "cut", events: []Event{window(Event{Kind: Cut, Nodes: []transport.NodeID{1}, Peers: []transport.NodeID{2}})},
+			in: "01 02 10 20", after: all},
+		{name: "loss", events: []Event{window(Event{Kind: Loss, Loss: 1})},
+			in: "", after: all},
+		// Back to back: the first window's clear and the second's start
+		// fall at 4ms, and Apply's order decides between them.
+		{name: "loss-back-to-back", events: []Event{
+			{Kind: Loss, At: time.Millisecond, For: 3 * time.Millisecond, Loss: 1},
+			{Kind: Loss, At: 4 * time.Millisecond, For: 6 * time.Millisecond, Loss: 1}},
+			in: "", after: all},
+		{name: "shape", events: []Event{window(Event{Kind: Shape, Latency: 2 * time.Millisecond})},
+			in: all, inLatency: 2 * time.Millisecond, after: all},
 	}
-}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.NewKernel(1)
+			net := simnet.NewNetwork(k, simnet.Fixed(base))
+			inj := New(k, net)
+			var calls []string
+			delivered := map[byte][]string{}
+			latency := map[byte][]time.Duration{}
+			sentAt := map[byte]time.Duration{}
+			for _, id := range ids {
+				id := id
+				inj.Register(id, proc{id: id, log: &calls})
+				net.Endpoint(id).SetReceiver(func(src transport.NodeID, b []byte) {
+					delivered[b[0]] = append(delivered[b[0]], fmt.Sprintf("%d%d", src, id))
+					latency[b[0]] = append(latency[b[0]], k.Now()-sentAt[b[0]])
+				})
+			}
+			procs := map[byte]string{}
+			probe := func(phase byte, at time.Duration) {
+				k.At(at, func() {
+					sentAt[phase] = at
+					procs[phase] = strings.Join(calls, ", ")
+					for _, src := range ids {
+						for _, dst := range ids {
+							if src != dst {
+								net.Endpoint(src).Send(dst, []byte{phase})
+							}
+						}
+					}
+				})
+			}
+			inj.Apply(tc.events...)
+			probe('b', 500*time.Microsecond)
+			probe('i', 5*time.Millisecond)
+			probe('a', 12*time.Millisecond)
+			k.RunUntil(20 * time.Millisecond)
 
-func TestPartitionAndHealSchedule(t *testing.T) {
-	k := sim.NewKernel(3)
-	net := simnet.NewNetwork(k, simnet.Fixed(time.Microsecond))
-	inj := New(k, net)
-	a := net.Endpoint(0)
-	b := net.Endpoint(1)
-	got := 0
-	b.SetReceiver(func(transport.NodeID, []byte) { got++ })
-
-	inj.PartitionAt(time.Millisecond, []transport.NodeID{0}, []transport.NodeID{1})
-	inj.HealAt(10 * time.Millisecond)
-	k.At(5*time.Millisecond, func() { a.Send(1, []byte("during")) })
-	k.At(12*time.Millisecond, func() { a.Send(1, []byte("after")) })
-	k.RunUntil(15 * time.Millisecond)
-
-	if got != 1 {
-		t.Fatalf("delivered %d datagrams, want 1 (post-heal only)", got)
-	}
-}
-
-func TestLossWindow(t *testing.T) {
-	k := sim.NewKernel(4)
-	net := simnet.NewNetwork(k, simnet.Fixed(time.Microsecond))
-	inj := New(k, net)
-	a := net.Endpoint(0)
-	b := net.Endpoint(1)
-	got := 0
-	b.SetReceiver(func(transport.NodeID, []byte) { got++ })
-
-	inj.LossWindow(time.Millisecond, 10*time.Millisecond, 1.0)
-	k.At(5*time.Millisecond, func() { a.Send(1, []byte("lost")) })
-	k.At(12*time.Millisecond, func() { a.Send(1, []byte("kept")) })
-	k.RunUntil(15 * time.Millisecond)
-
-	if got != 1 {
-		t.Fatalf("delivered %d datagrams, want 1 (outside the loss window)", got)
-	}
-}
-
-func TestRegisterMultipleEntities(t *testing.T) {
-	k := sim.NewKernel(5)
-	net := simnet.NewNetwork(k, nil)
-	inj := New(k, net)
-	r1, r2 := &stopRecorder{}, &stopRecorder{}
-	inj.Register(0, r1)
-	inj.Register(0, r2)
-	inj.CrashAt(time.Millisecond, 0)
-	k.RunUntil(2 * time.Millisecond)
-	if !r1.stopped || !r2.stopped {
-		t.Fatal("not all registered entities stopped")
+			inLatency := tc.inLatency
+			if inLatency == 0 {
+				inLatency = base
+			}
+			for _, p := range []struct {
+				phase   byte
+				links   string
+				latency time.Duration
+				procs   string
+			}{
+				{'b', all, base, ""},
+				{'i', tc.in, inLatency, tc.inProcs},
+				{'a', tc.after, base, tc.afterProcs},
+			} {
+				// Deliveries arrive in the order the probe sends them.
+				if got := strings.Join(delivered[p.phase], " "); got != p.links {
+					t.Errorf("probe %c delivered %q, want %q", p.phase, got, p.links)
+				}
+				for _, l := range latency[p.phase] {
+					if l != p.latency {
+						t.Errorf("probe %c delivered after %v, want %v", p.phase, l, p.latency)
+					}
+				}
+				if procs[p.phase] != p.procs {
+					t.Errorf("probe %c saw process calls %q, want %q", p.phase, procs[p.phase], p.procs)
+				}
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package gcs
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -54,6 +55,19 @@ func (h *gcsHarness) addStack(id transport.NodeID, ring []transport.NodeID, boot
 	return s
 }
 
+// start starts every stack in id order, so that a seed fixes the order of
+// the time-0 sends.
+func (h *gcsHarness) start() {
+	ids := make([]transport.NodeID, 0, len(h.stacks))
+	for id := range h.stacks {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		h.stacks[id].Start()
+	}
+}
+
 func (h *gcsHarness) joinGroup(id transport.NodeID, gid wire.GroupID) *Group {
 	h.t.Helper()
 	g, err := h.stacks[id].Join(gid,
@@ -98,9 +112,7 @@ func TestGroupMulticastDeliversToMembersOnly(t *testing.T) {
 	for _, id := range ring[1:] {
 		h.joinGroup(id, grpServer)
 	}
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(2 * time.Millisecond)
 
 	client := h.stacks[0]
@@ -128,9 +140,7 @@ func TestGroupViewsConverge(t *testing.T) {
 		h.addStack(id, ring, true)
 		h.joinGroup(id, grpServer)
 	}
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	ok := h.runUntil(time.Second, func() bool {
 		for _, id := range ring {
 			vs := h.views[id]
@@ -163,9 +173,7 @@ func TestTotalOrderAcrossSenders(t *testing.T) {
 		h.addStack(id, ring, true)
 		h.joinGroup(id, grpServer)
 	}
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(2 * time.Millisecond)
 	for i, id := range ring {
 		s := h.stacks[id]
@@ -199,9 +207,7 @@ func TestLeaveRemovesFromViews(t *testing.T) {
 		h.addStack(id, ring, true)
 		groups = append(groups, h.joinGroup(id, grpServer))
 	}
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.runUntil(time.Second, func() bool {
 		vs := h.views[0]
 		return len(vs) > 0 && len(vs[len(vs)-1].Members) == 3
@@ -232,9 +238,7 @@ func TestCrashShrinksGroupView(t *testing.T) {
 		h.addStack(id, ring, true)
 		h.joinGroup(id, grpServer)
 	}
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.runUntil(time.Second, func() bool {
 		vs := h.views[0]
 		return len(vs) > 0 && len(vs[len(vs)-1].Members) == 4
@@ -266,9 +270,7 @@ func TestJoinerLearnsExistingGroups(t *testing.T) {
 		h.addStack(id, ring, true)
 		h.joinGroup(id, grpServer)
 	}
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(3 * time.Millisecond)
 
 	// Node 3 joins the ring and the group.
@@ -326,9 +328,7 @@ func TestWatchViewsSeesForeignGroup(t *testing.T) {
 			watched = append(watched, v)
 		}
 	})
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	ok := h.runUntil(time.Second, func() bool {
 		return len(watched) > 0 && len(watched[len(watched)-1].Members) == 1
 	})
@@ -343,9 +343,7 @@ func TestMulticastToUnknownGroupIsDropped(t *testing.T) {
 	for _, id := range ring {
 		h.addStack(id, ring, true)
 	}
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(2 * time.Millisecond)
 	s := h.stacks[0]
 	h.k.Post(func() { s.Multicast(appMsg(777, 1, "nobody-home")) })
@@ -391,9 +389,7 @@ func TestMulticastCancelableSuppression(t *testing.T) {
 		h.addStack(id, ring, true)
 		h.joinGroup(id, grpServer)
 	}
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(2 * time.Millisecond)
 	s := h.stacks[0]
 	h.k.Post(func() {
@@ -449,9 +445,7 @@ func TestWatchMessagesSeesAllTraffic(t *testing.T) {
 	h.stacks[0].WatchMessages(func(m wire.Message, meta Meta) {
 		sniffed = append(sniffed, string(m.Payload))
 	})
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(2 * time.Millisecond)
 	s := h.stacks[1]
 	h.k.Post(func() { s.Multicast(appMsg(grpServer, 1, "observed")) })

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -88,6 +89,19 @@ func newRepHarness(t *testing.T, seed int64) *repHarness {
 		retire(k, h.stacks, mgrs...)
 	})
 	return h
+}
+
+// start starts every stack in id order, so that a seed fixes the order of
+// the time-0 sends.
+func (h *repHarness) start() {
+	ids := make([]transport.NodeID, 0, len(h.stacks))
+	for id := range h.stacks {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		h.stacks[id].Start()
+	}
 }
 
 // retire drains in-flight invocations so every manager is idle, then stops
@@ -198,9 +212,7 @@ func TestActiveReplicationExecutesEverywhere(t *testing.T) {
 		h.addReplica(id, Active, false)
 	}
 	client := h.newClient(0, 0)
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(3 * time.Millisecond)
 
 	var replies []uint64
@@ -244,9 +256,7 @@ func TestActiveReplyDuplicateSuppression(t *testing.T) {
 		h.addReplica(id, Active, false)
 	}
 	client := h.newClient(0, 0)
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(3 * time.Millisecond)
 
 	// Sequential invocations, as in the paper's measurement loop: the
@@ -296,9 +306,7 @@ func TestPassiveOnlyPrimaryExecutes(t *testing.T) {
 		h.addReplica(id, Passive, false)
 	}
 	client := h.newClient(0, 0)
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(3 * time.Millisecond)
 
 	done := 0
@@ -339,9 +347,7 @@ func TestPassiveFailoverReplaysLog(t *testing.T) {
 		h.addReplica(id, Passive, false)
 	}
 	client := h.newClient(0, 0)
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(3 * time.Millisecond)
 
 	var replies []uint64
@@ -390,9 +396,7 @@ func TestActiveRecoveryStateTransfer(t *testing.T) {
 		h.addReplica(id, Active, false)
 	}
 	client := h.newClient(0, 0)
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(3 * time.Millisecond)
 
 	done := 0
@@ -435,9 +439,7 @@ func TestSleepAdvancesVirtualTime(t *testing.T) {
 	}
 	h.addReplica(1, Active, false)
 	client := h.newClient(0, 0)
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(3 * time.Millisecond)
 
 	var doneAt time.Duration
@@ -546,9 +548,7 @@ func TestRPCTimeout(t *testing.T) {
 	}
 	// No replica joins the server group: invocations time out.
 	client := h.newClient(0, 5*time.Millisecond)
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(2 * time.Millisecond)
 	var gotErr error
 	client.Invoke("add", []byte{1}, func(r rpc.Reply) { gotErr = r.Err })
@@ -567,9 +567,7 @@ func TestClientCloseFailsOutstanding(t *testing.T) {
 		h.addStack(id, ring, true)
 	}
 	client := h.newClient(0, 0)
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(2 * time.Millisecond)
 	var gotErr error
 	client.Invoke("add", []byte{1}, func(r rpc.Reply) { gotErr = r.Err })
@@ -642,9 +640,7 @@ func TestDeterministicReplicatedExecution(t *testing.T) {
 			h.addReplica(id, Active, false)
 		}
 		client := h.newClient(0, 0)
-		for _, s := range h.stacks {
-			s.Start()
-		}
+		h.start()
 		h.k.RunFor(3 * time.Millisecond)
 		done := 0
 		for i := 0; i < 20; i++ {
@@ -705,8 +701,8 @@ func TestStatusCallback(t *testing.T) {
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range stacks {
-		s.Start()
+	for _, id := range ring {
+		stacks[id].Start()
 	}
 	k.RunFor(5 * time.Millisecond)
 	if len(statuses) == 0 {
@@ -727,9 +723,7 @@ func TestDuplicateRequestNotReExecuted(t *testing.T) {
 	}
 	h.addReplica(1, Active, false)
 	h.addReplica(2, Active, false)
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(3 * time.Millisecond)
 
 	// Send one request; then retransmit the identical message (same header
@@ -788,9 +782,7 @@ func TestRankFollowsViews(t *testing.T) {
 	if got := m.Rank(); got != -1 {
 		t.Fatalf("rank before the first view = %d, want -1", got)
 	}
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(3 * time.Millisecond)
 	if got := m.Rank(); got != 2 {
 		t.Fatalf("rank of node 3 in view %v = %d, want 2", m.Members(), got)

@@ -21,9 +21,7 @@ func TestActiveLogReleasedBetweenInvocations(t *testing.T) {
 		h.addReplica(id, Active, false)
 	}
 	client := h.newClient(0, 0)
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(3 * time.Millisecond)
 
 	// Sequential invocations; between any two (sampled as each reply reaches
@@ -83,9 +81,7 @@ func TestRequestDuringBusyInvocationExecutedOnce(t *testing.T) {
 		h.addReplica(id, Active, false)
 	}
 	client := h.newClient(0, 0)
-	for _, s := range h.stacks {
-		s.Start()
-	}
+	h.start()
 	h.k.RunFor(3 * time.Millisecond)
 
 	// A burst of invocations that each block their thread for 100µs: all but
