@@ -133,3 +133,93 @@ func TestApply(t *testing.T) {
 		})
 	}
 }
+
+// pair is a two-node network with a process registered on node 1 and a
+// probe that sends 0→1 at a given time; got counts what node 1 receives.
+type pair struct {
+	k     *sim.Kernel
+	inj   *Injector
+	calls []string
+	got   int
+}
+
+func newPair(seed int64) *pair {
+	p := &pair{k: sim.NewKernel(seed)}
+	net := simnet.NewNetwork(p.k, simnet.Fixed(time.Microsecond))
+	p.inj = New(p.k, net)
+	p.inj.Register(1, proc{id: 1, log: &p.calls})
+	net.Endpoint(1).SetReceiver(func(transport.NodeID, []byte) { p.got++ })
+	return p
+}
+
+// sendAt sends one datagram 0→1 at t.
+func (p *pair) sendAt(t time.Duration) {
+	p.k.At(t, func() { p.inj.net.Endpoint(0).Send(1, []byte("x")) })
+}
+
+func TestCrashAtStopsEntitiesAndEndpoint(t *testing.T) {
+	p := newPair(1)
+	p.inj.Apply(Event{Kind: Crash, At: 10 * time.Millisecond, Nodes: []transport.NodeID{1}})
+	p.sendAt(5 * time.Millisecond)  // before the crash: delivered
+	p.sendAt(15 * time.Millisecond) // after it: dropped
+	p.k.RunUntil(20 * time.Millisecond)
+
+	if p.got != 1 {
+		t.Fatalf("delivered %d datagrams, want 1 (pre-crash only)", p.got)
+	}
+	if got := strings.Join(p.calls, ", "); got != "1 stop" {
+		t.Fatalf("process calls %q, want %q", got, "1 stop")
+	}
+}
+
+func TestIsolateWindowKeepsEntitiesRunning(t *testing.T) {
+	p := newPair(2)
+	p.inj.Apply(Event{Kind: Isolate, At: time.Millisecond, For: 9 * time.Millisecond, Nodes: []transport.NodeID{1}})
+	p.sendAt(5 * time.Millisecond)  // inside the window: dropped
+	p.sendAt(12 * time.Millisecond) // after it: delivered
+	p.k.RunUntil(20 * time.Millisecond)
+
+	if p.got != 1 {
+		t.Fatalf("delivered %d datagrams, want 1 (after the window only)", p.got)
+	}
+	if len(p.calls) != 0 {
+		t.Fatalf("isolation touched the process: %q", p.calls)
+	}
+}
+
+// An Isolate and a Restart over the same window make a crash that
+// recovers: the endpoint comes back up and the process is started again.
+func TestReviveAtRestoresDeliveryAndRunsStart(t *testing.T) {
+	p := newPair(3)
+	down := []transport.NodeID{1}
+	p.inj.Apply(
+		Event{Kind: Isolate, At: time.Millisecond, For: 4 * time.Millisecond, Nodes: down},
+		Event{Kind: Restart, At: time.Millisecond, For: 4 * time.Millisecond, Nodes: down})
+	p.sendAt(3 * time.Millisecond) // while down: dropped
+	p.sendAt(7 * time.Millisecond) // after revival: delivered
+	p.k.RunUntil(10 * time.Millisecond)
+
+	if p.got != 1 {
+		t.Fatalf("delivered %d datagrams, want 1 (after revival only)", p.got)
+	}
+	if got := strings.Join(p.calls, ", "); got != "1 stop, 1 start" {
+		t.Fatalf("process calls %q, want %q", got, "1 stop, 1 start")
+	}
+}
+
+// One Crash over several nodes stops every registered process, and a
+// crashed node with no registered process is skipped.
+func TestRegisterMultipleEntities(t *testing.T) {
+	k := sim.NewKernel(5)
+	net := simnet.NewNetwork(k, nil)
+	inj := New(k, net)
+	var calls []string
+	for _, id := range []transport.NodeID{0, 1, 2} {
+		inj.Register(id, proc{id: id, log: &calls})
+	}
+	inj.Apply(Event{Kind: Crash, At: time.Millisecond, Nodes: []transport.NodeID{0, 2, 3}})
+	k.RunUntil(2 * time.Millisecond)
+	if got := strings.Join(calls, ", "); got != "0 stop, 2 stop" {
+		t.Fatalf("process calls %q, want %q", got, "0 stop, 2 stop")
+	}
+}
