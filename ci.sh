@@ -45,8 +45,13 @@ step() {
 		fi
 		;;
 	build)
-		echo "== go build =="
+		# The simulated examples run in virtual time (seconds of wall
+		# clock); each exits non-zero when its own check fails.
+		echo "== go build, run the simulated examples =="
 		go build ./...
+		for ex in quickstart multigroup failover recovery driftcontrol; do
+			go run ./examples/$ex >/dev/null
+		done
 		;;
 	race)
 		echo "== go test -race =="

@@ -6,11 +6,11 @@
 // A Service bundles a replication manager and a consistent time service on
 // top of a group-communication stack; it is internal/node's Node, the one
 // assembly every harness in this repository also builds its replicas with.
-// The caller supplies an event loop and either a ready gcs stack (WithStack)
-// or a transport plus membership (WithTransport, WithMembers) from which the
-// facade builds one; WithOrderer selects the total-order protocol underneath
-// (Totem single ring by default, or the leader sequencer for low-latency LAN
-// groups):
+// The caller supplies an event loop, a transport and the membership
+// (WithRuntime, WithTransport, WithMembers); the Service builds its own
+// group-communication stack from them and starts and stops it.
+// WithOrderer selects the total-order protocol underneath (Totem single ring
+// by default, or the leader sequencer for low-latency LAN groups):
 //
 //	svc, err := cts.New(
 //		cts.WithRuntime(loop),
@@ -33,7 +33,6 @@ import (
 
 	"cts/internal/core"
 	"cts/internal/federation"
-	"cts/internal/gcs"
 	"cts/internal/hwclock"
 	"cts/internal/node"
 	"cts/internal/obs"
@@ -223,29 +222,20 @@ type Option func(*node.Config)
 // deployments, a simulation kernel for tests). Required.
 func WithRuntime(rt Runtime) Option { return func(c *node.Config) { c.Runtime = rt } }
 
-// WithStack uses an existing group-communication stack. The caller keeps
-// ownership: Start/Stop of the stack stay with the caller.
-func WithStack(s *gcs.Stack) Option { return func(c *node.Config) { c.Stack = s } }
-
-// WithTransport sets the datagram transport from which the facade builds its
-// own stack (ignored when WithStack is given). The built stack is started
-// and stopped by the Service.
+// WithTransport sets the datagram transport from which the Service builds
+// its group-communication stack, which it starts and stops. Required.
 func WithTransport(tr transport.Transport) Option {
 	return func(c *node.Config) { c.Transport = tr }
 }
 
-// WithMembers sets the initial component membership for a facade-built
-// stack.
+// WithMembers sets the initial component membership of the stack.
 func WithMembers(members []NodeID) Option {
 	return func(c *node.Config) { c.Members = append([]NodeID(nil), members...) }
 }
 
-// WithOrderer selects and tunes the total-order protocol underneath a
-// facade-built stack (see OrdererOptions). Conflicts with WithStack, whose
-// stack already owns an orderer.
-func WithOrderer(opts OrdererOptions) Option {
-	return func(c *node.Config) { c.Order = opts; c.OrderSet = true }
-}
+// WithOrderer selects and tunes the total-order protocol underneath the
+// stack (see OrdererOptions).
+func WithOrderer(opts OrdererOptions) Option { return func(c *node.Config) { c.Order = opts } }
 
 // WithGroup sets the server group identifier. Default DefaultGroup.
 func WithGroup(g GroupID) Option { return func(c *node.Config) { c.Group = g } }
@@ -262,7 +252,7 @@ func WithApplication(app Application) Option { return func(c *node.Config) { c.A
 func WithClock(clk HardwareClock) Option { return func(c *node.Config) { c.Clock = clk } }
 
 // WithRecovering marks a replica that joins an existing group via state
-// transfer. A facade-built stack forms the initial ring directly unless the
+// transfer. The Service's stack forms the initial ring directly unless the
 // replica is recovering.
 func WithRecovering(r bool) Option { return func(c *node.Config) { c.Recovering = r } }
 

@@ -128,8 +128,8 @@ func TestFacadeDefaultsAndValidation(t *testing.T) {
 	if _, err := cts.New(); err == nil {
 		t.Error("New() without runtime succeeded, want error")
 	}
-	if _, err := cts.New(cts.WithRuntime(sim.NewKernel(1))); err == nil {
-		t.Error("New() without stack or transport succeeded, want error")
+	if _, err := cts.New(cts.WithRuntime(sim.NewKernel(1))); err == nil || !strings.Contains(err.Error(), "WithTransport") {
+		t.Errorf("New() without transport: err = %v, want one naming WithTransport", err)
 	}
 
 	k := sim.NewKernel(2)
@@ -177,8 +177,8 @@ func TestFacadeDefaultsAndValidation(t *testing.T) {
 	}
 }
 
-// TestFacadeOrdererOptions pins the WithOrderer surface: kind selection,
-// cross-orderer tuning rejection, and the WithStack conflict.
+// TestFacadeOrdererOptions pins the WithOrderer surface: kind selection and
+// cross-orderer tuning rejection.
 func TestFacadeOrdererOptions(t *testing.T) {
 	k := sim.NewKernel(3)
 	net := simnet.NewNetwork(k, nil)
@@ -215,24 +215,6 @@ func TestFacadeOrdererOptions(t *testing.T) {
 		}),
 	); err == nil || !strings.Contains(err.Error(), "Seq tuning") {
 		t.Errorf("cross-orderer tuning: err = %v, want Seq-tuning error", err)
-	}
-
-	// WithOrderer cannot retune a caller-owned stack.
-	stack, err := gcs.New(gcs.Config{
-		Runtime:   k,
-		Transport: net.Endpoint(4),
-		Members:   []transport.NodeID{4},
-		Bootstrap: true,
-	})
-	if err != nil {
-		t.Fatalf("gcs.New: %v", err)
-	}
-	if _, err := cts.New(
-		cts.WithRuntime(k),
-		cts.WithStack(stack),
-		cts.WithOrderer(cts.OrdererOptions{Kind: cts.OrdererSeq}),
-	); err == nil || !strings.Contains(err.Error(), "WithStack") {
-		t.Errorf("WithOrderer+WithStack: err = %v, want conflict error", err)
 	}
 
 	// ParseOrdererKind mirrors the flag surface of ctsnode/ctsclient.

@@ -8,7 +8,8 @@
 // behind. A client reads a timestamp from orders and then (stamped) invokes
 // audit. Without the timestamp, audit's reading would precede the orders
 // reading it causally depends on; with it, audit's group clock is lifted
-// past the timestamp before the read executes.
+// past the timestamp before the read executes. The program exits non-zero
+// if the stamped audit reading is not causally after the orders reading.
 //
 //	go run ./examples/multigroup
 package main
@@ -17,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"cts"
@@ -48,20 +50,19 @@ func main() {
 	k := sim.NewKernel(5)
 	net := simnet.NewNetwork(k, nil)
 	ring := []transport.NodeID{0, 1, 2, 3, 4}
-	stacks := make(map[transport.NodeID]*gcs.Stack)
-	for _, id := range ring {
-		s, err := gcs.New(gcs.Config{Runtime: k, Transport: net.Endpoint(id),
-			Members: ring, Bootstrap: true})
-		if err != nil {
-			log.Fatal(err)
-		}
-		stacks[id] = s
+	// The client's stack on P0 is built by hand; each replica builds its own.
+	cstack, err := gcs.New(gcs.Config{Runtime: k, Transport: net.Endpoint(0),
+		Members: ring, Bootstrap: true})
+	if err != nil {
+		log.Fatal(err)
 	}
+	var replicas []*cts.Service
 	addReplica := func(id transport.NodeID, gid cts.GroupID, offset time.Duration) {
 		app := &timeApp{}
 		svc, err := cts.New(
 			cts.WithRuntime(k),
-			cts.WithStack(stacks[id]),
+			cts.WithTransport(net.Endpoint(id)),
+			cts.WithMembers(ring),
 			cts.WithGroup(gid),
 			cts.WithStyle(cts.Active),
 			cts.WithApplication(app),
@@ -71,9 +72,7 @@ func main() {
 			log.Fatal(err)
 		}
 		app.svc = svc
-		if err := svc.Start(); err != nil {
-			log.Fatal(err)
-		}
+		replicas = append(replicas, svc)
 	}
 	addReplica(1, ordersGroup, 100*time.Second) // orders clocks: +100s
 	addReplica(2, ordersGroup, 100*time.Second)
@@ -81,7 +80,7 @@ func main() {
 	addReplica(4, auditGroup, 0)
 
 	newClient := func(cg, sg cts.GroupID) *rpc.Client {
-		c, err := rpc.NewClient(rpc.ClientConfig{Runtime: k, Stack: stacks[0],
+		c, err := rpc.NewClient(rpc.ClientConfig{Runtime: k, Stack: cstack,
 			ClientGroup: cg, ServerGroup: sg})
 		if err != nil {
 			log.Fatal(err)
@@ -90,8 +89,13 @@ func main() {
 	}
 	orders := newClient(901, ordersGroup)
 	audit := newClient(902, auditGroup)
-	for _, s := range stacks {
-		s.Start()
+	// Start in id order, the client's stack first, so that one seed fixes
+	// the order of the time-0 sends.
+	cstack.Start()
+	for _, svc := range replicas {
+		if err := svc.Start(); err != nil {
+			log.Fatal(err)
+		}
 	}
 	k.RunFor(3 * time.Millisecond)
 
@@ -123,4 +127,7 @@ func main() {
 	stamped, _ := read(audit, oStamp)
 	fmt.Printf("audit, stamped with orders' clock:  %v  (causally after %v: %v)\n",
 		stamped, oVal, stamped > oVal)
+	if stamped <= oVal {
+		os.Exit(1)
+	}
 }

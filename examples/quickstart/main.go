@@ -1,13 +1,13 @@
 // Quickstart: a three-way actively replicated server whose clock reads are
 // rendered deterministic by the consistent time service.
 //
-// The example assembles the lower stack by hand on a simulated network —
-// discrete-event kernel, simulated Ethernet, Totem ring, group layer — and
-// builds each replica through the public cts facade, so you can see how the
-// pieces fit.
+// The example runs on a simulated network — discrete-event kernel,
+// simulated Ethernet — and builds each replica through the public cts
+// facade, which assembles the Totem ring and group layer underneath; only
+// the client's group stack is assembled by hand.
 // Replicas get physical clocks that disagree by seconds, yet every replica
 // observes the identical sequence of group clock values, and the client's
-// reads are monotone.
+// reads are monotone. The program exits non-zero if the replicas disagree.
 //
 //	go run ./examples/quickstart
 package main
@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"cts"
@@ -57,18 +58,14 @@ func main() {
 
 	// Four processors: the client on P0, replicas on P1..P3.
 	ring := []transport.NodeID{0, 1, 2, 3}
-	stacks := make(map[transport.NodeID]*gcs.Stack)
-	for _, id := range ring {
-		s, err := gcs.New(gcs.Config{
-			Runtime:   k,
-			Transport: net.Endpoint(id),
-			Members:   ring,
-			Bootstrap: true,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		stacks[id] = s
+	cstack, err := gcs.New(gcs.Config{
+		Runtime:   k,
+		Transport: net.Endpoint(0),
+		Members:   ring,
+		Bootstrap: true,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// Replicas with physical clocks that disagree by SECONDS.
@@ -81,7 +78,8 @@ func main() {
 		app := &echoTimeApp{name: id.String()}
 		svc, err := cts.New(
 			cts.WithRuntime(k),
-			cts.WithStack(stacks[id]),
+			cts.WithTransport(net.Endpoint(id)),
+			cts.WithMembers(ring),
 			cts.WithGroup(serverGroup),
 			cts.WithStyle(cts.Active),
 			cts.WithApplication(app),
@@ -91,15 +89,12 @@ func main() {
 			log.Fatal(err)
 		}
 		app.svc = svc
-		if err := svc.Start(); err != nil {
-			log.Fatal(err)
-		}
 		apps[id] = app
 	}
 
 	client, err := rpc.NewClient(rpc.ClientConfig{
 		Runtime:     k,
-		Stack:       stacks[0],
+		Stack:       cstack,
 		ClientGroup: clientGroup,
 		ServerGroup: serverGroup,
 	})
@@ -107,8 +102,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	for _, s := range stacks {
-		s.Start()
+	// Start in id order, the client's stack first, so that one seed fixes
+	// the order of the time-0 sends.
+	cstack.Start()
+	for _, id := range ring[1:] {
+		if err := apps[id].svc.Start(); err != nil {
+			log.Fatal(err)
+		}
 	}
 	k.RunFor(3 * time.Millisecond) // ring forms, group views settle
 
@@ -147,4 +147,7 @@ func main() {
 		}
 	}
 	fmt.Printf("\nconsistent across replicas: %v\n", same)
+	if !same {
+		os.Exit(1)
+	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"cts/internal/baseline"
 	"cts/internal/experiment"
+	"cts/internal/faultinject"
 	"cts/internal/hwclock"
 	"cts/internal/replication"
 	"cts/internal/transport"
@@ -75,7 +76,7 @@ func TestPrimaryBackupRollsBackOnFailover(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		before = readOnce(t, c)
 	}
-	c.Crash(1)
+	c.Inject.Apply(faultinject.Event{Kind: faultinject.Crash, At: c.K.Now(), Nodes: []transport.NodeID{1}})
 	after := readOnce(t, c)
 	if after >= before {
 		t.Fatalf("expected roll-back: %v -> %v", before, after)
@@ -108,7 +109,7 @@ func TestPrimaryBackupFastForwardOnFailover(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		before = readOnce(t, c)
 	}
-	c.Crash(1)
+	c.Inject.Apply(faultinject.Event{Kind: faultinject.Crash, At: c.K.Now(), Nodes: []transport.NodeID{1}})
 	after := readOnce(t, c)
 	if after-before < 6*time.Second {
 		t.Fatalf("expected ≈7s fast-forward: %v -> %v (jump %v)",

@@ -13,42 +13,36 @@ import (
 // This file exercises the batched-CCS plane on the simulated testbed: many
 // concurrent reader threads per replica must coalesce rounds into shared
 // batch messages while every replica still decides identical per-thread
-// read sequences (the cluster's round oracle checks each value), with and
-// without batching, and across a fault-injected replica crash landing while
-// batches are in flight.
+// read sequences (the cluster's round oracle checks each value), also
+// across a fault-injected replica crash landing while batches are in
+// flight. Core's TestConcurrentReadsDisableBatching covers the same
+// workload with batching off.
 
 // TestConcurrentReadersDeterminism runs the concurrent-reader workload on
-// the full testbed twice — batching on and batching off — and checks that
-// in both configurations every reader finishes with replicas in agreement
-// and per-thread sequences monotone (the round oracle), and that coalescing
-// engages only when enabled.
+// the full testbed and checks that every reader finishes with replicas in
+// agreement and per-thread sequences monotone (the round oracle), and that
+// coalescing engages.
 func TestConcurrentReadersDeterminism(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		c, err := NewCluster(ClusterConfig{
-			Seed:            11,
-			Clocks:          testbedClocks(),
-			Style:           replication.Active,
-			Mode:            ModeCTS,
-			DisableBatching: disable,
-			Observe:         true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		run := spawnReaders(c, 4, func(transport.NodeID) int { return 6 })
-		if !c.RunUntil(10*time.Second, run.done) {
-			t.Fatalf("disable=%v: readers finished %v of 4: %v", disable, run.finished, c.Err())
-		}
-		var batches uint64
-		for _, id := range []transport.NodeID{1, 2, 3} {
-			batches += clusterCounter(c, id, "core.batches_sent")
-		}
-		if disable && batches != 0 {
-			t.Fatalf("batching disabled but %d batch messages were sent", batches)
-		}
-		if !disable && batches == 0 {
-			t.Fatal("batching enabled but no batch messages were sent")
-		}
+	c, err := NewCluster(ClusterConfig{
+		Seed:    11,
+		Clocks:  testbedClocks(),
+		Style:   replication.Active,
+		Mode:    ModeCTS,
+		Observe: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := spawnReaders(c, 4, func(transport.NodeID) int { return 6 })
+	if !c.RunUntil(10*time.Second, run.done) {
+		t.Fatalf("readers finished %v of 4: %v", run.finished, c.Err())
+	}
+	var batches uint64
+	for _, id := range []transport.NodeID{1, 2, 3} {
+		batches += clusterCounter(c, id, "core.batches_sent")
+	}
+	if batches == 0 {
+		t.Fatal("no batch messages were sent")
 	}
 }
 

@@ -72,9 +72,6 @@ type ClusterConfig struct {
 	// AgreedCCS selects agreed instead of safe delivery for CCS messages
 	// (ModeCTS only; ablation of the paper's safe-delivery requirement).
 	AgreedCCS bool
-	// DisableBatching turns off CCS round coalescing (ModeCTS only; used by
-	// determinism A/B tests and the concurrent-reader experiment).
-	DisableBatching bool
 	// Compensation options (ModeCTS only). CompExternal steers toward a
 	// reference with at most externalSkew of transient skew.
 	Compensation core.Compensation
@@ -105,12 +102,15 @@ type Cluster struct {
 	Net    *simnet.Network
 	Inject *faultinject.Injector
 	Client *rpc.Client
+	// ClientStack is the client's group stack on node 0, the one stack the
+	// cluster builds itself.
+	ClientStack *gcs.Stack
 
-	Stacks map[transport.NodeID]*gcs.Stack
-	Mgrs   map[transport.NodeID]*replication.Manager
-	Svcs   map[transport.NodeID]*core.TimeService
-	PBs    map[transport.NodeID]*baseline.PrimaryBackup
-	Apps   map[transport.NodeID]*ReaderApp
+	// Nodes are the replicas; each builds its own stack and exposes it with
+	// its Manager and Core (nil outside ModeCTS).
+	Nodes map[transport.NodeID]*node.Node
+	PBs   map[transport.NodeID]*baseline.PrimaryBackup
+	Apps  map[transport.NodeID]*ReaderApp
 
 	// Reports collects core round reports per replica (ModeCTS).
 	Reports map[transport.NodeID][]core.RoundReport
@@ -146,9 +146,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c := &Cluster{
 		K:         k,
 		Net:       simnet.NewNetwork(k, nil),
-		Stacks:    make(map[transport.NodeID]*gcs.Stack),
-		Mgrs:      make(map[transport.NodeID]*replication.Manager),
-		Svcs:      make(map[transport.NodeID]*core.TimeService),
+		Nodes:     make(map[transport.NodeID]*node.Node),
 		PBs:       make(map[transport.NodeID]*baseline.PrimaryBackup),
 		Apps:      make(map[transport.NodeID]*ReaderApp),
 		Reports:   make(map[transport.NodeID][]core.RoundReport),
@@ -166,12 +164,22 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	for i := 0; i <= n; i++ {
 		c.nodes = append(c.nodes, transport.NodeID(i))
 	}
-	// Client stack on node 0.
-	if err := c.addStack(0, true); err != nil {
+	// The client on node 0.
+	cs, err := gcs.New(gcs.Config{
+		Runtime:   k,
+		Transport: c.Net.Endpoint(0),
+		Members:   c.nodes,
+		Bootstrap: true,
+		Order:     order.Options{Kind: DefaultOrderer},
+		Obs:       c.Obs.ForNode(0),
+	})
+	if err != nil {
 		return nil, err
 	}
+	c.ClientStack = cs
+	c.Inject.Register(0, cs)
 	cl, err := rpc.NewClient(rpc.ClientConfig{
-		Runtime: k, Stack: c.Stacks[0],
+		Runtime: k, Stack: cs,
 		ClientGroup: ClientGroup, ServerGroup: ServerGroup,
 		Timeout: cfg.ClientTimeout,
 		Obs:     c.Obs.ForNode(0),
@@ -182,44 +190,26 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c.Client = cl
 	// Replicas on nodes 1..n.
 	for i := 0; i < n; i++ {
-		id := transport.NodeID(i + 1)
-		if err := c.addStack(id, true); err != nil {
-			return nil, err
-		}
-		if err := c.addReplica(id, cfg.Clocks[i], false); err != nil {
+		if err := c.addReplica(transport.NodeID(i+1), cfg.Clocks[i], false); err != nil {
 			return nil, err
 		}
 	}
-	// In id order: a seed must fix the order of the time-0 sends.
-	for _, id := range c.nodes {
-		c.Stacks[id].Start()
+	// In id order, the client's stack first: a seed must fix the order of
+	// the time-0 sends.
+	c.ClientStack.Start()
+	for _, id := range c.nodes[1:] {
+		if err := c.Nodes[id].Start(); err != nil {
+			return nil, err
+		}
 	}
 	c.K.RunFor(3 * time.Millisecond) // ring + group views settle
 	return c, nil
 }
 
-func (c *Cluster) addStack(id transport.NodeID, bootstrap bool) error {
-	s, err := gcs.New(gcs.Config{
-		Runtime:   c.K,
-		Transport: c.Net.Endpoint(id),
-		Members:   c.nodes,
-		Bootstrap: bootstrap,
-		Order:     order.Options{Kind: DefaultOrderer},
-		Obs:       c.Obs.ForNode(uint32(id)),
-	})
-	if err != nil {
-		return err
-	}
-	c.Stacks[id] = s
-	c.Inject.Register(id, s)
-	return nil
-}
-
-// addReplica wires one replica through internal/node on the stack addStack
-// built for id. The cluster keeps the stacks caller-owned so that NewCluster
-// starts all of them — the client's included — in one sweep after every
-// manager has joined. The baseline modes stop the node's wiring at the
-// replication manager and install their own clock on it.
+// addReplica builds one replica on node id through internal/node, without
+// starting it, and registers its stack with the fault injector. The
+// baseline modes stop the node's wiring at the replication manager and
+// install their own clock on it.
 func (c *Cluster) addReplica(id transport.NodeID, spec ClockSpec, recovering bool) error {
 	clock := hwclock.NewSim(c.K.Now,
 		hwclock.WithOffset(spec.Offset), hwclock.WithDriftPPM(spec.DriftPPM))
@@ -230,7 +220,9 @@ func (c *Cluster) addReplica(id transport.NodeID, spec ClockSpec, recovering boo
 	// The time-service fields are inert in the baseline modes.
 	ncfg := node.Config{
 		Runtime:         c.K,
-		Stack:           c.Stacks[id],
+		Transport:       c.Net.Endpoint(id),
+		Members:         c.nodes,
+		Order:           order.Options{Kind: DefaultOrderer},
 		Group:           ServerGroup,
 		Style:           c.cfg.Style,
 		App:             app,
@@ -240,7 +232,6 @@ func (c *Cluster) addReplica(id transport.NodeID, spec ClockSpec, recovering boo
 		Obs:             c.Obs,
 		NoTimeService:   c.cfg.Mode != ModeCTS,
 		AgreedCCS:       c.cfg.AgreedCCS,
-		DisableBatching: c.cfg.DisableBatching,
 		Compensation:    c.cfg.Compensation,
 		MeanDelay:       c.cfg.MeanDelay,
 		ExternalGain:    c.cfg.ExternalGain,
@@ -260,7 +251,6 @@ func (c *Cluster) addReplica(id transport.NodeID, spec ClockSpec, recovering boo
 	}
 	switch c.cfg.Mode {
 	case ModeCTS:
-		c.Svcs[id] = n.Core()
 		app.read = n.Gettimeofday
 	case ModePrimaryBackup:
 		pb, err := baseline.NewPrimaryBackup(n.Manager(), clock, func(r baseline.Report) {
@@ -275,11 +265,9 @@ func (c *Cluster) addReplica(id transport.NodeID, spec ClockSpec, recovering boo
 		lc := baseline.NewLocalClock(clock)
 		app.read = lc.Gettimeofday
 	}
-	if err := n.Start(); err != nil {
-		return err
-	}
-	c.Mgrs[id] = n.Manager()
+	c.Nodes[id] = n
 	c.Apps[id] = app
+	c.Inject.Register(id, n.Stack())
 	return nil
 }
 
@@ -288,20 +276,10 @@ func (c *Cluster) addReplica(id transport.NodeID, spec ClockSpec, recovering boo
 func (c *Cluster) AddRecoveringReplica(spec ClockSpec) (transport.NodeID, error) {
 	id := transport.NodeID(len(c.nodes))
 	c.nodes = append(c.nodes, id)
-	if err := c.addStack(id, false); err != nil {
-		return 0, err
-	}
 	if err := c.addReplica(id, spec, true); err != nil {
 		return 0, err
 	}
-	c.Stacks[id].Start()
-	return id, nil
-}
-
-// Crash fail-stops a replica immediately.
-func (c *Cluster) Crash(id transport.NodeID) {
-	c.Stacks[id].Stop()
-	c.Net.Endpoint(id).SetDown(true)
+	return id, c.Nodes[id].Start()
 }
 
 // RunUntil advances the simulation until cond holds or max virtual time

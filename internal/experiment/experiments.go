@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cts/internal/core"
+	"cts/internal/faultinject"
 	"cts/internal/invariant"
 	"cts/internal/obs"
 	"cts/internal/replication"
@@ -474,7 +475,7 @@ func RunRollback(seed int64, backupSkew time.Duration) (*RollbackResult, error) 
 				return fmt.Errorf("rollback: %w", err)
 			}
 		}
-		c.Crash(1)
+		c.Inject.Apply(faultinject.Event{Kind: faultinject.Crash, At: c.K.Now(), Nodes: []transport.NodeID{1}})
 		after, err := c.ReadOnce()
 		if err != nil {
 			return fmt.Errorf("rollback: %w", err)
@@ -541,7 +542,7 @@ func RunRecovery(seed int64, newClockOffset time.Duration) (*RecoveryResult, err
 	}
 	live := false
 	ok := c.RunUntil(10*time.Second, func() bool {
-		c.K.Post(func() { live = c.Mgrs[id].Live() })
+		c.K.Post(func() { live = c.Nodes[id].Manager().Live() })
 		c.K.RunFor(50 * time.Microsecond)
 		return live
 	})
@@ -917,17 +918,12 @@ type readerRun struct {
 // has each thread on node id perform opsFor(id) consecutive clock reads. The
 // round oracle checks every value read, so only completion is recorded.
 func spawnReaders(c *Cluster, readers int, opsFor func(transport.NodeID) int) *readerRun {
-	ids := make([]transport.NodeID, 0, len(c.Mgrs))
-	for id := range c.Mgrs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	run := &readerRun{readers: readers, finished: make(map[transport.NodeID]int)}
-	for _, id := range ids {
+	for _, id := range c.nodes[1:] {
 		app, ops := c.Apps[id], opsFor(id)
 		run.finished[id] = 0
 		for r := 0; r < readers; r++ {
-			c.Mgrs[id].SpawnThread(func(ctx *replication.Ctx) {
+			c.Nodes[id].Manager().SpawnThread(func(ctx *replication.Ctx) {
 				for j := 0; j < ops; j++ {
 					app.read(ctx)
 				}

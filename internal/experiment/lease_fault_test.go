@@ -22,7 +22,7 @@ import (
 func leaseRead(c *Cluster, chk *invariant.Checker, id transport.NodeID) (core.LeaseReading, bool) {
 	var pre invariant.Snapshot
 	chk.Snap(&pre)
-	r, ok := c.Svcs[id].LeaseRead()
+	r, ok := c.Nodes[id].LeaseRead()
 	if ok {
 		chk.Observe(&pre, invariant.Key{Group: uint32(ServerGroup), Node: uint32(id)}, r.GroupClock, r.Bound)
 	}
@@ -54,18 +54,18 @@ func leaseCluster(t *testing.T, seed int64, style replication.Style, specs []Clo
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, svc := range c.Svcs {
-		if err := svc.EnableLease(core.LeaseConfig{Window: 30 * time.Second}); err != nil {
+	for _, n := range c.Nodes {
+		if err := n.Core().EnableLease(core.LeaseConfig{Window: 30 * time.Second}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.K.RunFor(time.Millisecond)
-	for _, svc := range c.Svcs {
-		svc.RefreshLease()
+	for _, n := range c.Nodes {
+		n.RefreshLease()
 	}
 	held := func() bool {
-		for _, svc := range c.Svcs {
-			if _, ok := svc.LeaseRead(); !ok {
+		for _, n := range c.Nodes {
+			if _, ok := n.LeaseRead(); !ok {
 				return false
 			}
 		}
@@ -112,7 +112,7 @@ func TestLeaseSynchronizerCrashInvalidates(t *testing.T) {
 		t.Fatal("synchronizer crash never invalidated the survivors' leases")
 	}
 	for _, id := range survivors {
-		if _, ok := c.Svcs[id].LeaseRead(); ok {
+		if _, ok := c.Nodes[id].LeaseRead(); ok {
 			t.Fatalf("replica %v still serving a lease from the crashed synchronizer's view", id)
 		}
 	}
@@ -122,10 +122,10 @@ func TestLeaseSynchronizerCrashInvalidates(t *testing.T) {
 	// competes, the rest adopt its round.
 	if !c.RunUntil(10*time.Second, func() bool {
 		for _, id := range survivors {
-			c.Svcs[id].RefreshLease()
+			c.Nodes[id].RefreshLease()
 		}
 		for _, id := range survivors {
-			if _, ok := c.Svcs[id].LeaseRead(); !ok {
+			if _, ok := c.Nodes[id].LeaseRead(); !ok {
 				return false
 			}
 		}
@@ -175,7 +175,7 @@ func TestLeaseMembershipChangeInvalidates(t *testing.T) {
 	}
 	live := false
 	if !c.RunUntil(10*time.Second, func() bool {
-		c.K.Post(func() { live = c.Mgrs[joined].Live() })
+		c.K.Post(func() { live = c.Nodes[joined].Manager().Live() })
 		c.K.RunFor(50 * time.Microsecond)
 		return live
 	}) {
@@ -189,17 +189,17 @@ func TestLeaseMembershipChangeInvalidates(t *testing.T) {
 
 	// Refresh under the grown group: everyone serves again, epoch advanced,
 	// and the newcomer's 100s-fast clock never leaks into the group clock.
-	if err := c.Svcs[joined].EnableLease(core.LeaseConfig{Window: 30 * time.Second}); err != nil {
+	if err := c.Nodes[joined].Core().EnableLease(core.LeaseConfig{Window: 30 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
 	c.K.RunFor(time.Millisecond)
 	all := append(incumbents, joined)
 	if !c.RunUntil(10*time.Second, func() bool {
 		for _, id := range all {
-			c.Svcs[id].RefreshLease()
+			c.Nodes[id].RefreshLease()
 		}
 		for _, id := range all {
-			if _, ok := c.Svcs[id].LeaseRead(); !ok {
+			if _, ok := c.Nodes[id].LeaseRead(); !ok {
 				return false
 			}
 		}

@@ -5,12 +5,11 @@
 // replicas through New, so what the harnesses gate is what deploys.
 //
 // Assembly is two-phase. New validates and constructs every layer bottom-up
-// (gcs stack unless the caller brings one, replication manager, time service)
-// without starting any protocol activity; Start joins the group, starts a
-// node-built stack, enables the lease plane, binds the serving frontend,
-// spawns the federation agent and arms the periodic timers, in that order.
-// A harness that builds many nodes on one simulation kernel therefore still
-// decides when each of them starts.
+// (gcs stack, replication manager, time service) without starting any
+// protocol activity; Start joins the group, starts the stack, enables the
+// lease plane, binds the serving frontend, spawns the federation agent and
+// arms the periodic timers, in that order. A harness that builds many nodes
+// on one simulation kernel therefore still decides when each of them starts.
 package node
 
 import (
@@ -42,17 +41,13 @@ const DefaultGroup wire.GroupID = 100
 type Config struct {
 	// Runtime is the event loop the node runs on. Required.
 	Runtime sim.Runtime
-	// Stack is a caller-owned group-communication stack: its Start and Stop
-	// stay with the caller. When nil the node builds its own from Transport,
-	// Members and Order, and starts and stops it; that stack forms the
-	// initial membership directly unless the node is Recovering.
-	Stack     *gcs.Stack
+	// Transport (required), Members and Order are what the node builds its
+	// group-communication stack from; Start and Stop start and stop it. The
+	// stack forms the initial membership directly unless the node is
+	// Recovering.
 	Transport transport.Transport
 	Members   []transport.NodeID
-	// Order selects and tunes the orderer under a node-built stack. OrderSet
-	// records that it was given, which conflicts with Stack.
-	Order    order.Options
-	OrderSet bool
+	Order     order.Options
 
 	Group           wire.GroupID            // default DefaultGroup
 	Style           replication.Style       // default Active
@@ -81,9 +76,6 @@ type Config struct {
 	// The remaining fields serve harnesses only; the public API has no option
 	// for them.
 
-	// DisableBatching turns off CCS round coalescing (determinism A/B tests
-	// and the concurrent-reader experiment).
-	DisableBatching bool
 	// LeaseOnly brings up TimeServe's lease plane and refresher without
 	// binding the UDP frontend: simulated cells read leases in-process.
 	LeaseOnly bool
@@ -149,11 +141,10 @@ type FederationConfig struct {
 
 // Node is one replica of a consistent-time server group.
 type Node struct {
-	cfg       Config
-	mgr       *replication.Manager
-	svc       *core.TimeService
-	stack     *gcs.Stack
-	ownsStack bool
+	cfg   Config
+	mgr   *replication.Manager
+	svc   *core.TimeService
+	stack *gcs.Stack
 
 	ts  *timeserve.Server
 	fed *federation.Agent
@@ -206,6 +197,9 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Runtime == nil {
 		return nil, errors.New("cts: WithRuntime is required")
 	}
+	if cfg.Transport == nil {
+		return nil, errors.New("cts: WithTransport is required")
+	}
 	if cfg.Group == 0 {
 		cfg.Group = DefaultGroup
 	}
@@ -221,29 +215,18 @@ func New(cfg Config) (*Node, error) {
 		}
 	}
 
-	n := &Node{stack: cfg.Stack, bootRank: -1, bootN: len(cfg.Members)}
-	if cfg.Stack != nil {
-		if cfg.OrderSet {
-			return nil, errors.New("cts: WithOrderer conflicts with WithStack (the supplied stack already owns an orderer)")
-		}
-	} else {
-		if cfg.Transport == nil {
-			return nil, errors.New("cts: WithStack or WithTransport is required")
-		}
-		st, err := gcs.New(gcs.Config{
-			Runtime:   cfg.Runtime,
-			Transport: cfg.Transport,
-			Members:   cfg.Members,
-			Bootstrap: !cfg.Recovering,
-			Order:     cfg.Order,
-			Obs:       cfg.Obs.ForNode(uint32(cfg.Transport.LocalID())),
-		})
-		if err != nil {
-			return nil, err
-		}
-		n.stack = st
-		n.ownsStack = true
+	st, err := gcs.New(gcs.Config{
+		Runtime:   cfg.Runtime,
+		Transport: cfg.Transport,
+		Members:   cfg.Members,
+		Bootstrap: !cfg.Recovering,
+		Order:     cfg.Order,
+		Obs:       cfg.Obs.ForNode(uint32(cfg.Transport.LocalID())),
+	})
+	if err != nil {
+		return nil, err
 	}
+	n := &Node{stack: st, bootRank: -1, bootN: len(cfg.Members)}
 	boot := cfg.Members
 	if !slices.IsSorted(boot) {
 		boot = slices.Clone(boot)
@@ -274,15 +257,14 @@ func New(cfg Config) (*Node, error) {
 	n.mgr = mgr
 	if !cfg.NoTimeService {
 		svc, err := core.New(core.Config{
-			Manager:         mgr,
-			Clock:           cfg.Clock,
-			Compensation:    cfg.Compensation,
-			MeanDelay:       cfg.MeanDelay,
-			External:        cfg.External,
-			ExternalGain:    cfg.ExternalGain,
-			AgreedCCS:       cfg.AgreedCCS,
-			DisableBatching: cfg.DisableBatching,
-			OnRound:         cfg.OnRound,
+			Manager:      mgr,
+			Clock:        cfg.Clock,
+			Compensation: cfg.Compensation,
+			MeanDelay:    cfg.MeanDelay,
+			External:     cfg.External,
+			ExternalGain: cfg.ExternalGain,
+			AgreedCCS:    cfg.AgreedCCS,
+			OnRound:      cfg.OnRound,
 		})
 		if err != nil {
 			return nil, err
@@ -294,17 +276,15 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Start joins the server group and, for a node-built stack, begins ordering
-// activity. With TimeServe it also enables the lease plane, binds the
-// serving frontend, and starts the background lease refresher. Safe to call
-// from any goroutine.
+// Start joins the server group and starts the stack's ordering activity.
+// With TimeServe it also enables the lease plane, binds the serving
+// frontend, and starts the background lease refresher. Safe to call from any
+// goroutine.
 func (n *Node) Start() error {
 	if err := n.mgr.Start(); err != nil {
 		return err
 	}
-	if n.ownsStack {
-		n.stack.Start()
-	}
+	n.stack.Start()
 	if n.cfg.TimeServe != nil {
 		if err := n.startTimeServe(*n.cfg.TimeServe); err != nil {
 			n.Stop()
@@ -430,11 +410,10 @@ func (n *Node) startFederation(cfg FederationConfig) error {
 	return nil
 }
 
-// Stop leaves the group, halts the serving frontend, the federation agent
-// and the periodic timers, and, for a node-built stack, halts the orderer.
-// Idempotent: Start already stops the node when a later phase (e.g. the
-// serving frontend) fails to come up, and callers typically also hold a
-// deferred Stop.
+// Stop leaves the group, halts the serving frontend, the federation agent,
+// the periodic timers and the stack. Idempotent: Start already stops the
+// node when a later phase (e.g. the serving frontend) fails to come up, and
+// callers typically also hold a deferred Stop.
 func (n *Node) Stop() {
 	if !n.stopped.CompareAndSwap(false, true) {
 		return
@@ -454,9 +433,7 @@ func (n *Node) Stop() {
 		n.ts = nil
 	}
 	n.mgr.Stop()
-	if n.ownsStack {
-		n.stack.Stop()
-	}
+	n.stack.Stop()
 }
 
 // every is the node's one periodic-timer idiom: fn runs on the loop right
