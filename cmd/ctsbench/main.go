@@ -262,6 +262,7 @@ func concurrentJSON(seed int64, r *experiment.Figure5ConcurrentResult) any {
 		RoundsCoalesced   uint64         `json:"rounds_coalesced"`
 		BatchesSent       uint64         `json:"batches_sent"`
 		BatchEntries      uint64         `json:"batch_entries"`
+		RedundantBatches  uint64         `json:"redundant_batches"`
 		CCSSent           uint64         `json:"ccs_sent"`
 	}{
 		Experiment:        "fig5_concurrent",
@@ -272,6 +273,7 @@ func concurrentJSON(seed int64, r *experiment.Figure5ConcurrentResult) any {
 		RoundsCoalesced:   r.Multi.RoundsCoalesced,
 		BatchesSent:       r.Multi.BatchesSent,
 		BatchEntries:      r.Multi.BatchEntries,
+		RedundantBatches:  r.Multi.RedundantBatches,
 		CCSSent:           r.Multi.CCSSent,
 	}
 }

@@ -10,12 +10,15 @@ package core
 // per-thread group-clock sequences stay identical across replicas: total
 // order plus a sender-fixed entry order yields one deterministic decision
 // sequence, and entries for rounds an earlier message already decided fall
-// into the ordinary duplicate paths. Reads whose round is decided while their
-// entry waits in the pending batch are dropped at flush and complete without
-// any multicast.
+// into the ordinary duplicate paths. A batch is named by the rounds it lists,
+// so replicas batching the same rounds send one message between them. Reads
+// whose round is decided while their entry waits in the pending batch are
+// dropped at flush and complete without any multicast.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"time"
 
 	"cts/internal/gcs"
@@ -140,35 +143,36 @@ func (s *TimeService) sendCCS(typ wire.MsgType, threadID, round uint64, proposed
 }
 
 // sendBatchCCS multicasts one CCS-batch message carrying the given entries.
-// The header identifies the sender rather than a round — each node's batches
-// are distinct messages in the ordering substrate — and Seq carries the
-// sender-local batch id that links the member rounds' trace events.
+// Its header names the batch by the rounds it lists (batchIdentity), so
+// replicas that batch the same rounds send one logical message: the
+// substrate withdraws every copy but the first, as it does for plain CCS
+// (§4.3). Seq, the identity hash, also links the member rounds' trace
+// events.
 func (s *TimeService) sendBatchCCS(entries []wire.CCSBatchEntry) {
 	payload, err := wire.MarshalCCSBatch(entries)
 	if err != nil {
 		return
 	}
-	s.batchSeq++
-	id := s.batchSeq
+	conn, id := batchIdentity(entries)
 	gid := s.mgr.Group()
 	cancel, err := s.mgr.Stack().MulticastCancelable(wire.Message{
-		Header: wire.Header{Type: wire.TypeCCSBatch, SrcGroup: gid, DstGroup: gid,
-			Conn: wire.ConnID(uint32(s.mgr.LocalNode())), Seq: id},
+		Header:  wire.Header{Type: wire.TypeCCSBatch, SrcGroup: gid, DstGroup: gid, Conn: conn, Seq: id},
 		Payload: payload,
 	}, !s.cfg.AgreedCCS)
 	if err != nil {
 		return
 	}
+	n := uint64(len(entries))
 	s.stats.CCSSent++
 	s.stats.BatchesSent++
-	s.stats.BatchEntries += uint64(len(entries))
+	s.stats.BatchEntries += n
 	if s.obs.Tracing() {
-		attr := fmt.Sprintf("b%d", id)
+		attr := fmt.Sprintf("b%x", id)
 		for _, e := range entries {
 			s.obs.Trace(obs.ScopeCore, obs.EvCCSSent, e.ThreadID, e.Round, int64(e.Proposed), attr)
 		}
 	}
-	s.obs.Trace(obs.ScopeCore, obs.EvBatchSent, specialThreadID, id, int64(len(entries)), "")
+	s.obs.Trace(obs.ScopeCore, obs.EvBatchSent, specialThreadID, id, int64(n), "")
 	keys := make([]threadRound, len(entries))
 	for i, e := range entries {
 		keys[i] = threadRound{e.ThreadID, e.Round}
@@ -177,12 +181,36 @@ func (s *TimeService) sendBatchCCS(entries []wire.CCSBatchEntry) {
 		if cancel() {
 			s.stats.CCSSent--
 			s.stats.CCSSuppressed++
-			s.obs.Trace(obs.ScopeCore, obs.EvCCSSuppressed, specialThreadID, id,
-				int64(len(entries)), "batch")
+			s.stats.BatchesSent--
+			s.stats.BatchEntries -= n
+			s.obs.Trace(obs.ScopeCore, obs.EvCCSSuppressed, specialThreadID, id, int64(n), "batch")
 			return true
 		}
 		return false
 	})
+}
+
+// batchIdentity names a CCS-batch message by its content: Conn is the entry
+// count and Seq an FNV-1a hash of the listed (thread, round) pairs in listed
+// order, never 0. Proposed values, ops and the sender are left out, so
+// every replica batching the same rounds in the same order derives the
+// same header, hence the same gcs message identity. A copy withdrawn for
+// that identity loses nothing: the identical list already sequenced
+// decides each of its rounds, the §4.3 argument for plain CCS. The message
+// type keeps it apart from every plain CCS identity.
+func batchIdentity(entries []wire.CCSBatchEntry) (wire.ConnID, uint64) {
+	f := fnv.New64a()
+	var buf [16]byte
+	for _, e := range entries {
+		binary.BigEndian.PutUint64(buf[:8], e.ThreadID)
+		binary.BigEndian.PutUint64(buf[8:], e.Round)
+		f.Write(buf[:])
+	}
+	id := f.Sum64()
+	if id == 0 {
+		id = 1
+	}
+	return wire.ConnID(len(entries)), id
 }
 
 // trackProposal records an in-flight multicast covering the given rounds.

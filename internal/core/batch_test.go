@@ -7,6 +7,7 @@ import (
 
 	"cts/internal/replication"
 	"cts/internal/transport"
+	"cts/internal/wire"
 )
 
 // concurrentReaders spawns `readers` logical threads on every replica in the
@@ -228,5 +229,49 @@ func TestCrashMidBatchKeepsSurvivorsConsistent(t *testing.T) {
 	retireReads(h, 1)
 	if !h.runUntil(time.Second, func() bool { return *finished[1] == readers }) {
 		t.Fatalf("crashed replica's readers never retired: %d/%d", *finished[1], readers)
+	}
+}
+
+// TestBatchIdentity checks that a batch's header names its rounds and
+// nothing else: the same (thread, round) list gives the same Conn and Seq
+// whatever the proposals and ops (the sender is not an input), while a
+// different list, order or length gives a different one, and the batch
+// type keeps it apart from every plain CCS header for the same rounds.
+func TestBatchIdentity(t *testing.T) {
+	list := func(proposed time.Duration, op wire.ClockOp, rounds ...[2]uint64) []wire.CCSBatchEntry {
+		es := make([]wire.CCSBatchEntry, len(rounds))
+		for i, r := range rounds {
+			es[i] = wire.CCSBatchEntry{ThreadID: r[0], Round: r[1], Proposed: proposed + time.Duration(i), Op: op}
+		}
+		return es
+	}
+	a, b, c := [2]uint64{1, 7}, [2]uint64{2, 7}, [2]uint64{3, 9}
+	conn, seq := batchIdentity(list(5*time.Second, wire.OpGettimeofday, a, b, c))
+	if conn != 3 || seq == 0 {
+		t.Fatalf("identity (%d, %#x), want Conn 3 and a non-zero Seq", conn, seq)
+	}
+	// Another replica's proposals and ops for the same rounds.
+	if c2, s2 := batchIdentity(list(17*time.Second, wire.OpTime, a, b, c)); c2 != conn || s2 != seq {
+		t.Errorf("same rounds, other proposals: (%d, %#x), want (%d, %#x)", c2, s2, conn, seq)
+	}
+	for name, es := range map[string][]wire.CCSBatchEntry{
+		"other round":   list(0, 0, a, b, [2]uint64{3, 10}),
+		"other thread":  list(0, 0, a, b, [2]uint64{4, 9}),
+		"other order":   list(0, 0, b, a, c),
+		"shorter":       list(0, 0, a, b),
+		"longer":        list(0, 0, a, b, c, [2]uint64{4, 1}),
+		"swapped pairs": list(0, 0, [2]uint64{7, 1}, [2]uint64{7, 2}, [2]uint64{9, 3}),
+	} {
+		if c2, s2 := batchIdentity(es); c2 == conn && s2 == seq {
+			t.Errorf("%s: identity (%d, %#x) equals the original's", name, c2, s2)
+		}
+	}
+	// A plain CCS header names one round by (thread, round) under its own
+	// type, which the gcs message identity hashes with Conn and Seq.
+	batch := wire.Header{Type: wire.TypeCCSBatch, Conn: conn, Seq: seq}
+	for _, r := range [][2]uint64{a, b, c} {
+		if plain := (wire.Header{Type: wire.TypeCCS, Conn: wire.ConnID(r[0]), Seq: r[1]}); plain == batch {
+			t.Errorf("batch header %+v equals the plain CCS header of round %v", batch, r)
+		}
 	}
 }

@@ -181,8 +181,8 @@ type pendingRead struct {
 }
 
 // roundMsg is a delivered CCS proposal retained in an input buffer. batch is
-// the sender-local batch id when the proposal arrived inside a CCS-batch
-// message (0 for a plain CCS message; batch ids start at 1).
+// the batch's content identity (batchIdentity's Seq) when the proposal
+// arrived inside a CCS-batch message, 0 for a plain CCS message.
 type roundMsg struct {
 	proposed time.Duration
 	op       wire.ClockOp
@@ -228,7 +228,6 @@ type TimeService struct {
 	// Batched proposals with round coalescing (batch.go).
 	pendingBatch []wire.CCSBatchEntry
 	flushQueued  bool
-	batchSeq     uint64
 	inflight     map[threadRound]*inflightProposal
 
 	// Deterministic group-time timers (timers.go).
@@ -443,15 +442,15 @@ func (s *TimeService) deliverProposal(threadID, round uint64, rm roundMsg) {
 
 // traceFirstOrdered emits the round-decision event: the first CCS message
 // delivered for a round fixes the group clock value. Attr carries the
-// winning sender, plus the sender's batch id when the proposal arrived
-// inside a CCS-batch message.
+// winning sender, plus the batch identity when the proposal arrived inside
+// a CCS-batch message.
 func (s *TimeService) traceFirstOrdered(threadID, round uint64, rm roundMsg) {
 	if !s.obs.Tracing() {
 		return
 	}
 	attr := fmt.Sprintf("n%d", rm.sender)
 	if rm.batch != 0 {
-		attr = fmt.Sprintf("n%d b%d", rm.sender, rm.batch)
+		attr = fmt.Sprintf("n%d b%x", rm.sender, rm.batch)
 	}
 	s.obs.Trace(obs.ScopeCore, obs.EvFirstOrdered, threadID, round,
 		int64(rm.proposed), attr)

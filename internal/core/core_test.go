@@ -10,6 +10,7 @@ import (
 	"cts/internal/hwclock"
 	"cts/internal/invariant"
 	"cts/internal/obs"
+	"cts/internal/order"
 	"cts/internal/replication"
 	"cts/internal/rpc"
 	"cts/internal/sim"
@@ -105,6 +106,7 @@ type coreHarness struct {
 	net     *simnet.Network
 	rec     *obs.Recorder
 	stacks  map[transport.NodeID]*gcs.Stack
+	hub     *order.InstantHub // shared by instant stacks (addStackOrder)
 	mgrs    map[transport.NodeID]*replication.Manager
 	apps    map[transport.NodeID]*clockApp
 	svcs    map[transport.NodeID]*TimeService

@@ -130,6 +130,8 @@ func TestFigure5ConcurrentGate(t *testing.T) {
 		{"amortized", run(8, 50, 10, 8*40*time.Microsecond), ""},
 		{"no coalesced rounds", run(8, 0, 10, 8*40*time.Microsecond), "no round coalescing"},
 		{"no batches", run(8, 50, 0, 8*40*time.Microsecond), "no round coalescing"},
+		{"copies ordered", &ConcurrentRun{Readers: 8, OpsPerReader: 1, WallWith: 8 * 40 * time.Microsecond,
+			RoundsCoalesced: 50, BatchesSent: 30, RedundantBatches: 20}, "not withdrawn as duplicates"},
 		{"ratio above half", run(8, 50, 10, 8*200*time.Microsecond), "more than half"},
 		{"exactly half", run(8, 50, 10, 8*150*time.Microsecond), ""},
 		{"one reader skips the ratio", run(1, 50, 10, 300*time.Microsecond), ""},

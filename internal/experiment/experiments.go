@@ -11,6 +11,7 @@ import (
 
 	"cts/internal/core"
 	"cts/internal/faultinject"
+	"cts/internal/gcs"
 	"cts/internal/invariant"
 	"cts/internal/obs"
 	"cts/internal/replication"
@@ -19,6 +20,7 @@ import (
 	"cts/internal/stats"
 	"cts/internal/totem"
 	"cts/internal/transport"
+	"cts/internal/wire"
 )
 
 // testbedClocks reproduces the testbed's slightly disagreeing hardware
@@ -792,6 +794,10 @@ type ConcurrentRun struct {
 	BatchesSent     uint64
 	BatchEntries    uint64
 	CCSSent         uint64
+	// RedundantBatches counts the CCS-batch messages ordered after earlier
+	// messages had decided every round they list: copies of one batch that
+	// duplicate suppression failed to withdraw.
+	RedundantBatches uint64
 }
 
 // PerReadOverhead reports the mean time the service adds per logical read
@@ -852,6 +858,10 @@ func runConcurrent(seed int64, readers, opsPerReader int) (*ConcurrentRun, error
 		if err != nil {
 			return err
 		}
+		var redundant *uint64
+		if mode == ModeCTS {
+			redundant = watchRedundantBatches(c.Nodes[1].Stack())
+		}
 		start := c.K.Now()
 		run := spawnReaders(c, readers, func(transport.NodeID) int { return opsPerReader })
 		budget := time.Duration(readers*opsPerReader)*10*time.Millisecond + 5*time.Second
@@ -870,12 +880,45 @@ func runConcurrent(seed int64, readers, opsPerReader int) (*ConcurrentRun, error
 		res.BatchesSent = m["core.batches_sent"]
 		res.BatchEntries = m["core.batch_entries"]
 		res.CCSSent = m["core.ccs_sent"]
+		res.RedundantBatches = *redundant
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// watchRedundantBatches counts, in stack's total order, the CCS-batch
+// messages none of whose rounds was still undecided: no earlier CCS or
+// CCS-batch message listed it. Read the count between kernel steps.
+func watchRedundantBatches(stack *gcs.Stack) *uint64 {
+	var n uint64
+	type threadRound struct{ thread, round uint64 }
+	decided := make(map[threadRound]bool)
+	stack.WatchMessages(func(msg wire.Message, _ gcs.Meta) {
+		switch msg.Type {
+		case wire.TypeCCS:
+			if p, err := wire.UnmarshalCCS(msg.Payload); err == nil {
+				decided[threadRound{p.ThreadID, msg.Seq}] = true
+			}
+		case wire.TypeCCSBatch:
+			entries, err := wire.UnmarshalCCSBatch(msg.Payload)
+			if err != nil {
+				return
+			}
+			fresh := false
+			for _, e := range entries {
+				k := threadRound{e.ThreadID, e.Round}
+				fresh = fresh || !decided[k]
+				decided[k] = true
+			}
+			if !fresh {
+				n++
+			}
+		}
+	})
+	return &n
 }
 
 // Ratio is the amortization ratio: the multi-reader per-read overhead over
@@ -888,14 +931,20 @@ func (r *Figure5ConcurrentResult) Ratio() float64 {
 	return float64(r.Multi.PerReadOverhead()) / float64(base)
 }
 
-// Gate reports an error unless the concurrent readers coalesced rounds and,
-// with two or more readers, their per-read overhead is at most half the
-// single-reader overhead.
+// Gate reports an error unless the concurrent readers coalesced rounds,
+// replicas' copies of a batch were withdrawn as duplicates (§9: replicas
+// batching the same rounds send one message, so at most a few ordered
+// batches decide nothing) and, with two or more readers, their per-read
+// overhead is at most half the single-reader overhead.
 func (r *Figure5ConcurrentResult) Gate() error {
 	m := r.Multi
 	if m.RoundsCoalesced == 0 || m.BatchesSent == 0 {
 		return fmt.Errorf("no round coalescing under %d concurrent readers (coalesced=%d batches=%d)",
 			m.Readers, m.RoundsCoalesced, m.BatchesSent)
+	}
+	if 4*m.RedundantBatches > m.BatchesSent {
+		return fmt.Errorf("batch copies not withdrawn as duplicates under %d concurrent readers: %d of %d batches ordered decided no round",
+			m.Readers, m.RedundantBatches, m.BatchesSent)
 	}
 	if m.Readers >= 2 && r.Ratio() > 0.5 {
 		return fmt.Errorf("per-read overhead %v with %d readers is more than half the single-reader overhead %v",
@@ -953,8 +1002,8 @@ func (r *ConcurrentRun) Render() string {
 	fmt.Fprintf(&b, "  with CTS:    %v wall\n", r.WallWith)
 	fmt.Fprintf(&b, "  without CTS: %v wall\n", r.WallWithout)
 	fmt.Fprintf(&b, "  mean per-read overhead: %v\n", r.PerReadOverhead())
-	fmt.Fprintf(&b, "  rounds coalesced: %d, batches: %d (entries %d), CCS messages sent: %d\n",
-		r.RoundsCoalesced, r.BatchesSent, r.BatchEntries, r.CCSSent)
+	fmt.Fprintf(&b, "  rounds coalesced: %d, batches: %d (entries %d, %d redundant), CCS messages sent: %d\n",
+		r.RoundsCoalesced, r.BatchesSent, r.BatchEntries, r.RedundantBatches, r.CCSSent)
 	return b.String()
 }
 

@@ -148,6 +148,10 @@ var protocolRows = []row{
 		"\t\tThreadID: threadID, Round: round, Proposed: proposed, Op: op,\n",
 		"\t\tThreadID: threadID, Round: round, Proposed: proposed - time.Millisecond, Op: op,\n",
 	}}},
+	{"round rule", "batch-identity-per-sender", "internal/core/batch.go", []edit{{
+		"\tconn, id := batchIdentity(entries)\n",
+		"\t_, id := batchIdentity(entries)\n\tconn := wire.ConnID(uint32(s.mgr.LocalNode()))\n",
+	}}},
 
 	{"lease", "bound-no-lag-term", "internal/core/lease.go", []edit{{
 		"margin:     s.lease.margin + s.lease.lagEst + fedAt,", "margin:     s.lease.margin + fedAt,",
