@@ -80,12 +80,14 @@ step() {
 		go test -race -count=1 -tags simnetpoison ./internal/simnet ./internal/totem ./internal/order
 		;;
 	fuzz)
-		# The timeserve decoders and the two wire orderers' packet decoders
-		# (Totem, leader-sequencer) face the socket, the CCS payload and
-		# checkpoint state decoders stand between a delivered message and
-		# core's round state, and the campaign matrix decoder faces user
-		# files: ten seconds of coverage-guided input each, on top of the
-		# committed seed corpora under each package's testdata/fuzz.
+		# The timeserve decoders, the two wire orderers' packet decoders
+		# (Totem, leader-sequencer), the protocol envelope and its payloads,
+		# the federation summary and the gcs envelopes face the socket, the
+		# CCS payload and checkpoint state decoders stand between a
+		# delivered message and core's round state, and the campaign matrix
+		# and federation topology decoders face user files: ten seconds of
+		# coverage-guided input each, on top of the committed seed corpora
+		# under each package's testdata/fuzz.
 		echo "== fuzz the decoders =="
 		go test -run '^$' -fuzz '^FuzzParseRequest$' -fuzztime 10s ./internal/timeserve
 		go test -run '^$' -fuzz '^FuzzParseResponse$' -fuzztime 10s ./internal/timeserve
@@ -93,6 +95,10 @@ step() {
 		go test -run '^$' -fuzz '^FuzzSeqDecode$' -fuzztime 10s ./internal/order
 		go test -run '^$' -fuzz '^FuzzCCSDecode$' -fuzztime 10s ./internal/core
 		go test -run '^$' -fuzz '^FuzzParseMatrix$' -fuzztime 10s ./internal/campaign
+		go test -run '^$' -fuzz '^FuzzMessageDecode$' -fuzztime 10s ./internal/wire
+		go test -run '^$' -fuzz '^FuzzGroupSummaryDecode$' -fuzztime 10s ./internal/wire
+		go test -run '^$' -fuzz '^FuzzDeliver$' -fuzztime 10s ./internal/gcs
+		go test -run '^$' -fuzz '^FuzzParseTopology$' -fuzztime 10s ./internal/federation
 		;;
 	sim-smoke)
 		# One Post through the kernel's same-instant lane, one typed

@@ -6,7 +6,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -117,7 +116,10 @@ func run(id uint32, peerSpec string, n int, gap time.Duration, quiet bool, order
 		}
 		d := time.Since(start)
 		lat.Add(d)
-		v := time.Duration(binary.BigEndian.Uint64(body))
+		v, err := wire.UnmarshalCurrentTime(body)
+		if err != nil {
+			return fmt.Errorf("invocation %d: %w", i, err)
+		}
 		_, seen := chk.First()
 		chk.Observe(&pre, key, v, 0)
 		if !quiet {

@@ -15,7 +15,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"fmt"
 	"log"
 	"os"
@@ -28,6 +27,7 @@ import (
 	"cts/internal/sim"
 	"cts/internal/simnet"
 	"cts/internal/transport"
+	"cts/internal/wire"
 )
 
 const (
@@ -38,10 +38,7 @@ const (
 type timeApp struct{ svc *cts.Service }
 
 func (a *timeApp) Invoke(ctx *cts.Ctx, method string, body []byte) []byte {
-	v := a.svc.Gettimeofday(ctx)
-	out := make([]byte, 8)
-	binary.BigEndian.PutUint64(out, uint64(v))
-	return out
+	return wire.MarshalCurrentTime(a.svc.Gettimeofday(ctx))
 }
 func (a *timeApp) Snapshot() []byte { return nil }
 func (a *timeApp) Restore([]byte)   {}
@@ -107,7 +104,10 @@ func main() {
 			if r.Err != nil {
 				log.Fatal(r.Err)
 			}
-			v = time.Duration(binary.BigEndian.Uint64(r.Body))
+			var err error
+			if v, err = wire.UnmarshalCurrentTime(r.Body); err != nil {
+				log.Fatal(err)
+			}
 			stamp = r.Timestamp
 		})
 		for !got {

@@ -13,7 +13,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"fmt"
 	"log"
 	"os"
@@ -26,6 +25,7 @@ import (
 	"cts/internal/sim"
 	"cts/internal/simnet"
 	"cts/internal/transport"
+	"cts/internal/wire"
 )
 
 const (
@@ -44,9 +44,7 @@ type echoTimeApp struct {
 func (a *echoTimeApp) Invoke(ctx *cts.Ctx, method string, body []byte) []byte {
 	v := a.svc.Gettimeofday(ctx)
 	a.readings = append(a.readings, v)
-	out := make([]byte, 8)
-	binary.BigEndian.PutUint64(out, uint64(v))
-	return out
+	return wire.MarshalCurrentTime(v)
 }
 func (a *echoTimeApp) Snapshot() []byte { return nil }
 func (a *echoTimeApp) Restore([]byte)   {}
@@ -121,7 +119,10 @@ func main() {
 			if r.Err != nil {
 				log.Fatal(r.Err)
 			}
-			v := time.Duration(binary.BigEndian.Uint64(r.Body))
+			v, err := wire.UnmarshalCurrentTime(r.Body)
+			if err != nil {
+				log.Fatal(err)
+			}
 			fmt.Printf("read %d: group clock = %-14v (virtual time %v, replied by P%d)\n",
 				done+1, v, k.Now().Round(time.Microsecond), r.Replica)
 			done++

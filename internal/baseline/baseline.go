@@ -17,7 +17,6 @@
 package baseline
 
 import (
-	"encoding/binary"
 	"errors"
 	"sort"
 	"time"
@@ -100,32 +99,26 @@ func (s *PrimaryBackup) capture(done func(extra []byte, groupClock int64)) {
 		tids = append(tids, tid)
 	}
 	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	buf := make([]byte, 4+16*len(tids))
-	binary.BigEndian.PutUint32(buf, uint32(len(tids)))
-	off := 4
+	w := wire.NewWriter(4 + 16*len(tids))
+	w.U32(uint32(len(tids)))
 	for _, tid := range tids {
-		binary.BigEndian.PutUint64(buf[off:], tid)
-		binary.BigEndian.PutUint64(buf[off+8:], s.handlers[tid].round)
-		off += 16
+		w.U64(tid)
+		w.U64(s.handlers[tid].round)
 	}
-	done(buf, 0)
+	done(w.Encoded(), 0)
 }
 
 // restore aligns round counters with an applied checkpoint and prunes
 // conveyed values the counters have passed.
 func (s *PrimaryBackup) restore(extra []byte) {
-	if len(extra) < 4 {
+	r := wire.NewReader(extra)
+	n := int(r.U32())
+	entries := wire.NewReader(r.Raw(16 * n))
+	if r.Done() != nil {
 		return
 	}
-	n := binary.BigEndian.Uint32(extra)
-	if len(extra) != 4+16*int(n) {
-		return
-	}
-	off := 4
-	for i := uint32(0); i < n; i++ {
-		tid := binary.BigEndian.Uint64(extra[off:])
-		round := binary.BigEndian.Uint64(extra[off+8:])
-		off += 16
+	for ; n > 0; n-- {
+		tid, round := entries.U64(), entries.U64()
 		h := s.handlers[tid]
 		if h == nil {
 			h = &pbHandler{buffer: make(map[uint64]pbMsg)}

@@ -49,7 +49,7 @@ func (s *TimeService) queueProposal(threadID, round uint64, proposed time.Durati
 	if !s.competes() {
 		return
 	}
-	if s.cfg.DisableBatching || (len(s.inflight) == 0 && len(s.pendingBatch) == 0) {
+	if len(s.inflight) == 0 && len(s.pendingBatch) == 0 {
 		s.sendSingleCCS(threadID, round, proposed, op)
 		return
 	}

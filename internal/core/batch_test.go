@@ -117,36 +117,6 @@ func TestConcurrentReadsCoalesce(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadsDisableBatching is the A/B half of the determinism
-// claim: with batching off, the same concurrent workload still yields
-// identical per-thread sequences and sends no batch messages at all.
-func TestConcurrentReadsDisableBatching(t *testing.T) {
-	h := newCoreHarness(t, 42)
-	ring := []transport.NodeID{1, 2, 3}
-	for _, id := range ring {
-		h.addStack(id, ring, true)
-	}
-	offsets := []time.Duration{0, 5 * time.Second, 15 * time.Second}
-	for i, id := range ring {
-		h.addReplica(id, replication.Active, false, h.simClock(offsets[i], 0),
-			func(c *Config) { c.DisableBatching = true })
-	}
-	const readers, reads = 6, 5
-	_, finished := concurrentReaders(h, ring, readers, reads, nil)
-	h.start()
-	if !h.runUntil(10*time.Second, allFinished(finished, readers)) {
-		t.Fatal("readers never finished with batching disabled")
-	}
-	for _, id := range ring {
-		if b := h.counter(id, "core.batches_sent"); b != 0 {
-			t.Fatalf("node %v sent %d batches with batching disabled", id, b)
-		}
-		if c := h.counter(id, "core.rounds_coalesced"); c != 0 {
-			t.Fatalf("node %v coalesced %d rounds with batching disabled", id, c)
-		}
-	}
-}
-
 // TestSequentialReadsBypassBatching checks the uncontended fast path: strictly
 // sequential client-driven reads must ride plain CCS messages (whose identical
 // headers feed the substrate's duplicate suppression) and never form batches.

@@ -80,12 +80,6 @@ type Config struct {
 	// ExternalGain is the proportion of the (reference − proposal)
 	// difference applied per round for CompExternal. Default 0.1.
 	ExternalGain float64
-	// DisableBatching forces every proposal onto its own CCS message even
-	// when several rounds are pending at once (for determinism A/B tests and
-	// experiments). Batching only engages when a proposal starts while an
-	// earlier one is still unordered, so uncontended workloads behave
-	// identically either way. Default false (batching on).
-	DisableBatching bool
 	// AgreedCCS delivers CCS messages with agreed instead of safe
 	// semantics. The paper's algorithm relies on the safe-delivery property
 	// ("if the message ... is delivered to any nonfaulty replica, it will

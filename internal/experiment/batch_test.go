@@ -15,8 +15,7 @@ import (
 // batch messages while every replica still decides identical per-thread
 // read sequences (the cluster's round oracle checks each value), also
 // across a fault-injected replica crash landing while batches are in
-// flight. Core's TestConcurrentReadsDisableBatching covers the same
-// workload with batching off.
+// flight.
 
 // TestConcurrentReadersDeterminism runs the concurrent-reader workload on
 // the full testbed and checks that every reader finishes with replicas in

@@ -14,9 +14,11 @@
 package federation
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"time"
@@ -58,11 +60,18 @@ type Topology struct {
 	InitialSlack  time.Duration `json:"initial_slack_ns,omitempty"`
 }
 
-// ParseTopology decodes and validates a topology document.
+// ParseTopology decodes and validates a topology document. An unknown key
+// (a misspelled tuning key would otherwise run with the default) and data
+// after the object are errors.
 func ParseTopology(b []byte) (*Topology, error) {
 	var t Topology
-	if err := json.Unmarshal(b, &t); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("federation: parse topology: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("federation: parse topology: data after the topology object")
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

@@ -11,7 +11,6 @@ package gcs
 
 import (
 	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -270,13 +269,10 @@ func (g *Group) Multicast(m wire.Message) error { return g.stack.Multicast(m) }
 // local members of m.DstGroup. The sender needs no membership in the
 // destination group (clients invoke server groups this way).
 func (s *Stack) Multicast(m wire.Message) error {
-	b, err := wire.Marshal(m)
+	env, err := appEnvelope(m)
 	if err != nil {
-		return fmt.Errorf("gcs: multicast: %w", err)
+		return err
 	}
-	env := make([]byte, 1+len(b))
-	env[0] = envApp
-	copy(env[1:], b)
 	s.rt.Post(func() { s.stats.Multicasts++ }) // counter is loop-confined
 	return s.ord.Broadcast(env)
 }
@@ -291,35 +287,30 @@ func (s *Stack) Multicast(m wire.Message) error {
 // When safe is true, delivery waits until every processor of the component
 // holds the message. Must be called (and cancelled) on the runtime loop.
 func (s *Stack) MulticastCancelable(m wire.Message, safe bool) (func() bool, error) {
-	b, err := wire.Marshal(m)
+	env, err := appEnvelope(m)
 	if err != nil {
-		return nil, fmt.Errorf("gcs: multicast: %w", err)
+		return nil, err
 	}
-	env := make([]byte, 1+len(b))
-	env[0] = envApp
-	copy(env[1:], b)
 	s.stats.Multicasts++
 	return s.ord.BroadcastCancelable(env, safe, messageIdentity(m.Header)), nil
 }
 
+// appEnvelope encodes m behind the envApp tag in one pass.
+func appEnvelope(m wire.Message) ([]byte, error) {
+	w := wire.NewWriter(1 + wire.HeaderLen + len(m.Payload))
+	w.U8(envApp)
+	if err := wire.WriteMessage(&w, m); err != nil {
+		return nil, fmt.Errorf("gcs: multicast: %w", err)
+	}
+	return w.Encoded(), nil
+}
+
 // messageIdentity hashes the paper's message identifier fields (§3.1).
 func messageIdentity(h wire.Header) uint64 {
+	w := wire.NewWriter(wire.HeaderLen)
+	wire.WriteHeader(&w, h)
 	f := fnv.New64a()
-	var buf [21]byte
-	buf[0] = byte(h.Type)
-	put32 := func(off int, v uint32) {
-		buf[off] = byte(v >> 24)
-		buf[off+1] = byte(v >> 16)
-		buf[off+2] = byte(v >> 8)
-		buf[off+3] = byte(v)
-	}
-	put32(1, uint32(h.SrcGroup))
-	put32(5, uint32(h.DstGroup))
-	put32(9, uint32(h.Conn))
-	for i := 0; i < 8; i++ {
-		buf[13+i] = byte(h.Seq >> (56 - 8*i))
-	}
-	f.Write(buf[:])
+	f.Write(w.Encoded())
 	v := f.Sum64()
 	if v == 0 {
 		v = 1
@@ -355,22 +346,31 @@ func (s *Stack) broadcastGroups(tag byte) {
 		gids = append(gids, id)
 	}
 	slices.Sort(gids)
-	env := make([]byte, 1+4*len(gids))
-	env[0] = tag
-	for i, id := range gids {
-		putGroupID(env[1+4*i:], id)
-	}
-	_ = s.ord.Broadcast(env)
+	_ = s.ord.Broadcast(encodeGroups(tag, gids))
 }
 
-func putGroupID(b []byte, id wire.GroupID) { put32(b, uint32(id)) }
+// encodeGroups encodes an envAnnounce or envRejoin: the tag, then each
+// group id (4 bytes), with no count; the body's length gives it.
+func encodeGroups(tag byte, gids []wire.GroupID) []byte {
+	w := wire.NewWriter(1 + 4*len(gids))
+	w.U8(tag)
+	writeGroups(&w, gids)
+	return w.Encoded()
+}
 
-func getGroupID(b []byte) wire.GroupID { return wire.GroupID(get32(b)) }
+func writeGroups(w *wire.Writer, gids []wire.GroupID) {
+	for _, id := range gids {
+		w.U32(uint32(id))
+	}
+}
 
-func put32(b []byte, v uint32) { binary.BigEndian.PutUint32(b, v) }
-func get32(b []byte) uint32    { return binary.BigEndian.Uint32(b) }
-func put64(b []byte, v uint64) { binary.BigEndian.PutUint64(b, v) }
-func get64(b []byte) uint64    { return binary.BigEndian.Uint64(b) }
+// readGroups appends k group ids read from r to buf.
+func readGroups(r *wire.Reader, k int, buf []wire.GroupID) []wire.GroupID {
+	for ; k > 0; k-- {
+		buf = append(buf, wire.GroupID(r.U32()))
+	}
+	return buf
+}
 
 // groupTable is what a stack records about one group: the processors hosting
 // members of it, and the view last emitted for it.
@@ -554,59 +554,36 @@ func (s *Stack) rank(p transport.NodeID) int {
 // reports whether the dump lists this stack itself.
 func (s *Stack) broadcastDump() bool {
 	members := s.ordView.Members
-	counts := make([]int, len(members))
-	for _, t := range s.tables {
-		s.eachKnown(t.members, func(r int) { counts[r]++ })
-	}
-	size, n := 1+16, 0
+	n := 0
 	for r := range members {
 		if has(s.known, r) {
-			size += 8 + 4*counts[r]
 			n++
 		}
 	}
-	env := make([]byte, size)
-	env[0] = envDump
-	put64(env[1:], s.ordView.ID.Epoch)
-	put32(env[9:], uint32(s.ordView.ID.Rep))
-	put32(env[13:], uint32(n))
-	// Lay out the entries, then fill each one's groups table by table
-	// (ascending group id) at its cursor.
-	cursor := counts // reused: counts[r] becomes member r's next group slot
-	off := 17
+	w := wire.NewWriter(1 + 16 + 12*n) // exact when each member hosts one group
+	w.U8(envDump)
+	w.U64(s.ordView.ID.Epoch)
+	w.U32(uint32(s.ordView.ID.Rep))
+	w.U32(uint32(n))
+	var buf [8]wire.GroupID
 	for r, p := range members {
 		if !has(s.known, r) {
 			continue
 		}
-		put32(env[off:], uint32(p))
-		put32(env[off+4:], uint32(counts[r]))
-		off += 8
-		off, cursor[r] = off+4*counts[r], off
+		// Tables are sorted by group id, so the groups come out ascending.
+		gids := buf[:0]
+		for _, t := range s.tables {
+			if _, ok := slices.BinarySearch(t.members, p); ok {
+				gids = append(gids, t.id)
+			}
+		}
+		w.U32(uint32(p))
+		w.U32(uint32(len(gids)))
+		writeGroups(&w, gids)
 	}
-	for _, t := range s.tables {
-		s.eachKnown(t.members, func(r int) {
-			putGroupID(env[cursor[r]:], t.id)
-			cursor[r] += 4
-		})
-	}
-	_ = s.ord.Broadcast(env)
+	_ = s.ord.Broadcast(w.Encoded())
 	r := s.rank(s.me)
 	return r >= 0 && has(s.known, r)
-}
-
-// eachKnown calls fn with the rank of every processor in ps (sorted) that
-// is a member of the current view whose list this stack holds.
-func (s *Stack) eachKnown(ps []transport.NodeID, fn func(r int)) {
-	members := s.ordView.Members
-	r := 0
-	for _, p := range ps {
-		for r < len(members) && members[r] < p {
-			r++
-		}
-		if r < len(members) && members[r] == p && has(s.known, r) {
-			fn(r)
-		}
-	}
 }
 
 // applyDump applies a delivered envDump. A dump for another view changes
@@ -615,34 +592,29 @@ func (s *Stack) eachKnown(ps []transport.NodeID, fn func(r int)) {
 // newer than what the dump recorded when it was sent. A stack the dump does
 // not list answers with its own groups, once per view.
 func (s *Stack) applyDump(body []byte) {
-	if len(body) < 16 || get64(body) != s.ordView.ID.Epoch ||
-		transport.NodeID(get32(body[8:])) != s.ordView.ID.Rep {
+	rd := wire.NewReader(body)
+	if len(body) < 16 || rd.U64() != s.ordView.ID.Epoch ||
+		transport.NodeID(rd.U32()) != s.ordView.ID.Rep {
 		return
 	}
 	members := s.ordView.Members
-	n, body := get32(body[12:]), body[16:]
 	listed, changed := false, false
 	var buf [8]wire.GroupID
 	r := 0
-	for ; n > 0 && len(body) >= 8; n-- {
-		p, k := transport.NodeID(get32(body)), int(get32(body[4:]))
-		body = body[8:]
-		if k > len(body)/4 {
+	for n := rd.U32(); n > 0 && rd.Len() >= 8; n-- {
+		p, k := transport.NodeID(rd.U32()), int(rd.U32())
+		if k > rd.Len()/4 {
 			break
 		}
-		gids := body[:4*k]
-		body = body[4*k:]
 		listed = listed || p == s.me
 		for r < len(members) && members[r] < p {
 			r++
 		}
 		if r == len(members) || members[r] != p || has(s.known, r) {
+			rd.Raw(4 * k)
 			continue
 		}
-		announced := buf[:0]
-		for off := 0; off < len(gids); off += 4 {
-			announced = append(announced, getGroupID(gids[off:]))
-		}
+		announced := readGroups(&rd, k, buf[:0])
 		if s.setGroups(p, announced) {
 			changed = true
 		}
@@ -720,10 +692,8 @@ func (s *Stack) onDeliver(d order.Delivery) {
 		}
 		s.stats.AnnounceDelivered++
 		var buf [8]wire.GroupID // a processor rarely hosts more groups; no allocation then
-		announced := buf[:0]
-		for off := 0; off < len(body); off += 4 {
-			announced = append(announced, getGroupID(body[off:]))
-		}
+		rd := wire.NewReader(body)
+		announced := readGroups(&rd, len(body)/4, buf[:0])
 		slices.Sort(announced)
 		if s.setGroups(d.Sender, announced) {
 			s.stats.AnnounceChanged++

@@ -373,12 +373,11 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestGroupIDCodec(t *testing.T) {
-	buf := make([]byte, 4)
-	for _, id := range []wire.GroupID{0, 1, 255, 1 << 16, ^wire.GroupID(0)} {
-		putGroupID(buf, id)
-		if got := getGroupID(buf); got != id {
-			t.Fatalf("group id %d round-tripped to %d", id, got)
-		}
+	ids := []wire.GroupID{0, 1, 255, 1 << 16, ^wire.GroupID(0)}
+	env := encodeGroups(envAnnounce, ids)
+	r := wire.NewReader(env[1:])
+	if got := readGroups(&r, len(ids), nil); !slices.Equal(got, ids) || r.Done() != nil {
+		t.Fatalf("group ids %v round-tripped to %v (%v)", ids, got, r.Done())
 	}
 }
 

@@ -54,14 +54,7 @@ func newTableRig(me transport.NodeID) *tableRig {
 	return r
 }
 
-func announceEnv(gids ...wire.GroupID) []byte {
-	env := make([]byte, 1+4*len(gids))
-	env[0] = envAnnounce
-	for i, g := range gids {
-		putGroupID(env[1+4*i:], g)
-	}
-	return env
-}
+func announceEnv(gids ...wire.GroupID) []byte { return encodeGroups(envAnnounce, gids) }
 
 func (r *tableRig) announce(from transport.NodeID, gids ...wire.GroupID) {
 	r.s.onDeliver(order.Delivery{Sender: from, Payload: announceEnv(gids...)})
@@ -255,10 +248,8 @@ func TestTablesMatchReferenceModel(t *testing.T) {
 						// delivering it back changes no table.
 						break
 					}
-					gids := make([]wire.GroupID, 0, len(env)/4)
-					for off := 1; off < len(env); off += 4 {
-						gids = append(gids, getGroupID(env[off:]))
-					}
+					rd := wire.NewReader(env[1:])
+					gids := readGroups(&rd, len(env)/4, nil)
 					ref.announce(me, gids)
 				case r < 5: // a re-announce wave, as after an ordering view that gained a processor
 					// Ascending sender order is the one the table finger

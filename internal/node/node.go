@@ -173,20 +173,15 @@ func (l leaseSource) LeaseRead() (timeserve.Reading, bool) {
 	return timeserve.Reading{GroupClock: r.GroupClock, Bound: r.Bound, Epoch: r.Epoch, Node: l.node}, true
 }
 
-// defaultApp answers CurrentTime with the group clock (big-endian uint64
-// nanoseconds) — enough to run a time server with no custom application.
+// defaultApp answers CurrentTime with the group clock — enough to run a
+// time server with no custom application.
 type defaultApp struct{ svc *core.TimeService }
 
 func (a *defaultApp) Invoke(ctx *replication.Ctx, method string, _ []byte) []byte {
 	if method != "CurrentTime" || a.svc == nil {
 		return nil
 	}
-	v := a.svc.Gettimeofday(ctx)
-	out := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		out[i] = byte(uint64(v) >> (56 - 8*i))
-	}
-	return out
+	return wire.MarshalCurrentTime(a.svc.Gettimeofday(ctx))
 }
 func (a *defaultApp) Snapshot() []byte { return nil }
 func (a *defaultApp) Restore([]byte)   {}

@@ -19,7 +19,6 @@
 package replication
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -795,20 +794,20 @@ func (m *Manager) pruneLog(marker uint64) {
 // packStates concatenates the application snapshot and the time service's
 // extra state with a length prefix.
 func packStates(appState, extra []byte) []byte {
-	out := make([]byte, 4+len(appState)+len(extra))
-	binary.BigEndian.PutUint32(out, uint32(len(appState)))
-	copy(out[4:], appState)
-	copy(out[4+len(appState):], extra)
-	return out
+	w := wire.NewWriter(4 + len(appState) + len(extra))
+	w.Bytes(appState)
+	w.Raw(extra)
+	return w.Encoded()
 }
 
+// unpackStates splits what packStates joined; both parts alias b. A length
+// prefix longer than what follows it yields nil, nil.
 func unpackStates(b []byte) (appState, extra []byte) {
-	if len(b) < 4 {
+	r := wire.NewReader(b)
+	appState = r.Raw(int(r.U32()))
+	extra = r.Raw(r.Len())
+	if r.Done() != nil {
 		return nil, nil
 	}
-	n := binary.BigEndian.Uint32(b)
-	if int(n) > len(b)-4 {
-		return nil, nil
-	}
-	return b[4 : 4+n], b[4+n:]
+	return appState, extra
 }

@@ -2,6 +2,7 @@ package replication
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"slices"
@@ -674,6 +675,23 @@ func TestPackUnpackStates(t *testing.T) {
 	}
 	if a, e := unpackStates([]byte{0, 0, 0, 99, 1}); a != nil || e != nil {
 		t.Fatal("oversize length should yield nils")
+	}
+}
+
+// TestWireMatchesCorpus pins packStates' format: the bytes below are what
+// it encoded to before it moved onto the wire codec.
+func TestWireMatchesCorpus(t *testing.T) {
+	for want, parts := range map[string][2]string{
+		"000000096170702073746174656578747261": {"app state", "extra"},
+		"00000000":                             {"", ""},
+	} {
+		b := packStates([]byte(parts[0]), []byte(parts[1]))
+		if got := hex.EncodeToString(b); got != want {
+			t.Errorf("packStates(%q, %q) = %s, want %s", parts[0], parts[1], got, want)
+		}
+		if app, extra := unpackStates(b); string(app) != parts[0] || string(extra) != parts[1] {
+			t.Errorf("unpackStates(%s) = %q, %q", want, app, extra)
+		}
 	}
 }
 

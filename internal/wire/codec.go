@@ -6,10 +6,11 @@ import (
 	"fmt"
 )
 
-// Writer and Reader are the datagram codec of the wire orderers (Totem and
-// the leader-sequencer): a packet is a tag byte followed by big-endian
-// fixed-width fields, length-prefixed byte strings and count-prefixed lists.
-// The transport is unreliable, so the Reader bounds-checks every field.
+// Writer and Reader are the codec of every message between processes: the
+// protocol envelope and its payloads, federation summaries, gcs envelopes,
+// checkpoint state and the Totem and sequencer packets. Fields are
+// big-endian and fixed-width, byte strings length-prefixed, lists
+// count-prefixed; the Reader bounds-checks every one.
 
 // MaxList caps every length or count a Reader accepts.
 const MaxList = 1 << 20
@@ -27,6 +28,7 @@ func NewWriter(size int) Writer { return Writer{b: make([]byte, 0, size)} }
 func (w *Writer) Encoded() []byte { return w.b }
 
 func (w *Writer) U8(v uint8)   { w.b = append(w.b, v) }
+func (w *Writer) U16(v uint16) { w.b = binary.BigEndian.AppendUint16(w.b, v) }
 func (w *Writer) U32(v uint32) { w.b = binary.BigEndian.AppendUint32(w.b, v) }
 func (w *Writer) U64(v uint64) { w.b = binary.BigEndian.AppendUint64(w.b, v) }
 
@@ -39,10 +41,13 @@ func (w *Writer) Bool(v bool) {
 	}
 }
 
+// Raw writes p as is, with no length prefix.
+func (w *Writer) Raw(p []byte) { w.b = append(w.b, p...) }
+
 // Bytes writes p with a u32 length prefix.
 func (w *Writer) Bytes(p []byte) {
 	w.U32(uint32(len(p)))
-	w.b = append(w.b, p...)
+	w.Raw(p)
 }
 
 // U64s writes vs with a u32 count prefix.
@@ -63,8 +68,8 @@ func WriteU32s[T ~uint32](w *Writer, vs []T) {
 
 // Reader consumes fields from a packet. The first short read or bad count
 // latches an error: every later read returns zero, and Done reports it.
-// Byte strings and lists are copied out of the packet; empty ones decode as
-// nil.
+// Bytes and lists are copied out of the packet, and empty ones decode as
+// nil; Raw and Tail alias it.
 type Reader struct {
 	b   []byte
 	err error
@@ -81,10 +86,14 @@ func (r *Reader) Done() error {
 	return r.err
 }
 
-// take returns the next n bytes. A short read latches ErrTruncated and
-// empties the Reader, so every later read fails on length alone.
-func (r *Reader) take(n int) []byte {
-	if len(r.b) < n {
+// Len reports how many bytes are left unread.
+func (r *Reader) Len() int { return len(r.b) }
+
+// Raw returns the next n bytes, aliasing the packet. A short read latches
+// ErrTruncated and empties the Reader, so every later read fails on length
+// alone.
+func (r *Reader) Raw(n int) []byte {
+	if n < 0 || len(r.b) < n {
 		if r.err == nil {
 			r.err = ErrTruncated
 		}
@@ -97,21 +106,28 @@ func (r *Reader) take(n int) []byte {
 }
 
 func (r *Reader) U8() uint8 {
-	if p := r.take(1); p != nil {
+	if p := r.Raw(1); p != nil {
 		return p[0]
 	}
 	return 0
 }
 
+func (r *Reader) U16() uint16 {
+	if p := r.Raw(2); p != nil {
+		return binary.BigEndian.Uint16(p)
+	}
+	return 0
+}
+
 func (r *Reader) U32() uint32 {
-	if p := r.take(4); p != nil {
+	if p := r.Raw(4); p != nil {
 		return binary.BigEndian.Uint32(p)
 	}
 	return 0
 }
 
 func (r *Reader) U64() uint64 {
-	if p := r.take(8); p != nil {
+	if p := r.Raw(8); p != nil {
 		return binary.BigEndian.Uint64(p)
 	}
 	return 0
@@ -142,7 +158,23 @@ func (r *Reader) Bytes() []byte {
 	if n == 0 {
 		return nil
 	}
-	return append([]byte(nil), r.take(n)...)
+	return append([]byte(nil), r.Raw(n)...)
+}
+
+// Tail reads a u32 length and returns the rest of the packet, aliased. The
+// rest must be exactly that long (ErrTruncated otherwise) and at most max
+// bytes (ErrOversize); an empty tail reads as nil.
+func (r *Reader) Tail(max int) []byte {
+	n := int(r.U32())
+	switch {
+	case n > max:
+		r.err, r.b = fmt.Errorf("%w: %d bytes", ErrOversize, n), nil
+	case n != len(r.b):
+		r.err, r.b = fmt.Errorf("%w: length %d, have %d bytes", ErrTruncated, n, len(r.b)), nil
+	case n > 0:
+		return r.Raw(n)
+	}
+	return nil
 }
 
 // U64s reads a u32-count-prefixed list of u64.

@@ -17,7 +17,6 @@ package wire
 import (
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -38,10 +37,10 @@ const ccsFedPayloadLen = 8 + 8
 
 // MarshalCCSFed encodes p.
 func MarshalCCSFed(p CCSFedPayload) []byte {
-	buf := make([]byte, ccsFedPayloadLen)
-	binary.BigEndian.PutUint64(buf[0:], uint64(p.Proposed))
-	binary.BigEndian.PutUint64(buf[8:], uint64(p.Slack))
-	return buf
+	w := NewWriter(ccsFedPayloadLen)
+	w.U64(uint64(p.Proposed))
+	w.U64(uint64(p.Slack))
+	return w.Encoded()
 }
 
 // UnmarshalCCSFed decodes a federated CCS payload.
@@ -50,10 +49,8 @@ func UnmarshalCCSFed(b []byte) (CCSFedPayload, error) {
 		return CCSFedPayload{}, fmt.Errorf("%w: fed CCS payload %d bytes, want %d",
 			ErrTruncated, len(b), ccsFedPayloadLen)
 	}
-	return CCSFedPayload{
-		Proposed: time.Duration(binary.BigEndian.Uint64(b[0:])),
-		Slack:    time.Duration(binary.BigEndian.Uint64(b[8:])),
-	}, nil
+	r := NewReader(b)
+	return CCSFedPayload{Proposed: time.Duration(r.U64()), Slack: time.Duration(r.U64())}, nil
 }
 
 // GroupSummary is one group's clock summary exchanged with parent/peer
@@ -91,17 +88,17 @@ func summaryMAC(key, frame []byte) []byte {
 // version, the fixed-width fields, and a truncated HMAC-SHA256 over all
 // preceding bytes under key.
 func MarshalGroupSummary(p GroupSummary, key []byte) []byte {
-	buf := make([]byte, groupSummaryFrame)
-	buf[0] = fedMagic
-	buf[1] = fedVersion
-	binary.BigEndian.PutUint32(buf[2:], uint32(p.Group))
-	binary.BigEndian.PutUint32(buf[6:], p.Sender)
-	binary.BigEndian.PutUint64(buf[10:], p.Epoch)
-	binary.BigEndian.PutUint64(buf[18:], p.Seq)
-	binary.BigEndian.PutUint64(buf[26:], uint64(p.GroupClock))
-	binary.BigEndian.PutUint64(buf[34:], uint64(p.Bound))
-	copy(buf[groupSummaryLen:], summaryMAC(key, buf[:groupSummaryLen]))
-	return buf
+	w := NewWriter(groupSummaryFrame)
+	w.U8(fedMagic)
+	w.U8(fedVersion)
+	w.U32(uint32(p.Group))
+	w.U32(p.Sender)
+	w.U64(p.Epoch)
+	w.U64(p.Seq)
+	w.U64(uint64(p.GroupClock))
+	w.U64(uint64(p.Bound))
+	w.Raw(summaryMAC(key, w.Encoded()))
+	return w.Encoded()
 }
 
 // UnmarshalGroupSummary decodes and authenticates a summary frame produced
@@ -111,21 +108,17 @@ func UnmarshalGroupSummary(b, key []byte) (GroupSummary, error) {
 		return GroupSummary{}, fmt.Errorf("%w: summary %d bytes, want %d",
 			ErrShortMessage, len(b), groupSummaryFrame)
 	}
-	if b[0] != fedMagic {
+	r := NewReader(b)
+	if r.U8() != fedMagic {
 		return GroupSummary{}, ErrBadMagic
 	}
-	if b[1] != fedVersion {
-		return GroupSummary{}, fmt.Errorf("%w: %d", ErrBadVersion, b[1])
+	if v := r.U8(); v != fedVersion {
+		return GroupSummary{}, fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
-	if !hmac.Equal(b[groupSummaryLen:], summaryMAC(key, b[:groupSummaryLen])) {
+	p := GroupSummary{Group: GroupID(r.U32()), Sender: r.U32(), Epoch: r.U64(), Seq: r.U64(),
+		GroupClock: time.Duration(r.U64()), Bound: time.Duration(r.U64())}
+	if !hmac.Equal(r.Raw(fedMACLen), summaryMAC(key, b[:groupSummaryLen])) {
 		return GroupSummary{}, ErrBadMAC
 	}
-	return GroupSummary{
-		Group:      GroupID(binary.BigEndian.Uint32(b[2:])),
-		Sender:     binary.BigEndian.Uint32(b[6:]),
-		Epoch:      binary.BigEndian.Uint64(b[10:]),
-		Seq:        binary.BigEndian.Uint64(b[18:]),
-		GroupClock: time.Duration(binary.BigEndian.Uint64(b[26:])),
-		Bound:      time.Duration(binary.BigEndian.Uint64(b[34:])),
-	}, nil
+	return p, nil
 }

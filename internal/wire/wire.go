@@ -7,13 +7,14 @@
 // clock (§4.1 adds a clock-operation type identifier so that gettimeofday,
 // time and ftime variants are distinguished).
 //
-// Encoding is explicit big-endian binary (encoding/binary); marshal followed
-// by unmarshal is the identity on every message type, a property the tests
-// verify exhaustively.
+// Every message is encoded by the package's Writer and decoded by its
+// Reader (codec.go): big-endian fixed-width fields and length-prefixed
+// byte strings. Marshal followed by unmarshal is the identity on every
+// message type, a property the tests verify exhaustively, and the encodings
+// are pinned by the committed corpus (TestWireMatchesCorpus).
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -131,9 +132,10 @@ type Message struct {
 }
 
 const (
-	magic         = 0xC7
-	version       = 1
-	headerLen     = 2 + 1 + 4 + 4 + 4 + 8 + 4 // magic+ver, type, src, dst, conn, seq, paylen
+	magic   = 0xC7
+	version = 1
+	// HeaderLen is the encoded size of a message less its payload.
+	HeaderLen     = 2 + 1 + 4 + 4 + 4 + 8 + 4 // magic+ver, type, src, dst, conn, seq, paylen
 	maxPayloadLen = 1 << 24
 )
 
@@ -148,53 +150,54 @@ var (
 
 // Marshal encodes m.
 func Marshal(m Message) ([]byte, error) {
-	if len(m.Payload) > maxPayloadLen {
-		return nil, fmt.Errorf("%w: %d bytes", ErrOversize, len(m.Payload))
+	w := NewWriter(HeaderLen + len(m.Payload))
+	if err := WriteMessage(&w, m); err != nil {
+		return nil, err
 	}
-	buf := make([]byte, headerLen+len(m.Payload))
-	buf[0] = magic
-	buf[1] = version
-	buf[2] = byte(m.Type)
-	binary.BigEndian.PutUint32(buf[3:], uint32(m.SrcGroup))
-	binary.BigEndian.PutUint32(buf[7:], uint32(m.DstGroup))
-	binary.BigEndian.PutUint32(buf[11:], uint32(m.Conn))
-	binary.BigEndian.PutUint64(buf[15:], m.Seq)
-	binary.BigEndian.PutUint32(buf[23:], uint32(len(m.Payload)))
-	copy(buf[headerLen:], m.Payload)
-	return buf, nil
+	return w.Encoded(), nil
+}
+
+// WriteMessage appends the encoding of m to w, so that a caller can put its
+// own prefix in front of a message without a second copy.
+func WriteMessage(w *Writer, m Message) error {
+	if len(m.Payload) > maxPayloadLen {
+		return fmt.Errorf("%w: %d bytes", ErrOversize, len(m.Payload))
+	}
+	w.U8(magic)
+	w.U8(version)
+	WriteHeader(w, m.Header)
+	w.Bytes(m.Payload)
+	return nil
+}
+
+// WriteHeader appends the message identifier fields of h (§3.1): type,
+// source and destination groups, connection and sequence number.
+func WriteHeader(w *Writer, h Header) {
+	w.U8(uint8(h.Type))
+	w.U32(uint32(h.SrcGroup))
+	w.U32(uint32(h.DstGroup))
+	w.U32(uint32(h.Conn))
+	w.U64(h.Seq)
 }
 
 // Unmarshal decodes a message produced by Marshal. The returned payload
-// aliases b.
+// aliases b. Like every decoder here, it returns no usable value with an
+// error.
 func Unmarshal(b []byte) (Message, error) {
-	if len(b) < headerLen {
+	if len(b) < HeaderLen {
 		return Message{}, fmt.Errorf("%w: %d bytes", ErrShortMessage, len(b))
 	}
-	if b[0] != magic {
+	r := NewReader(b)
+	if r.U8() != magic {
 		return Message{}, ErrBadMagic
 	}
-	if b[1] != version {
-		return Message{}, fmt.Errorf("%w: %d", ErrBadVersion, b[1])
+	if v := r.U8(); v != version {
+		return Message{}, fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
-	m := Message{Header: Header{
-		Type:     MsgType(b[2]),
-		SrcGroup: GroupID(binary.BigEndian.Uint32(b[3:])),
-		DstGroup: GroupID(binary.BigEndian.Uint32(b[7:])),
-		Conn:     ConnID(binary.BigEndian.Uint32(b[11:])),
-		Seq:      binary.BigEndian.Uint64(b[15:]),
-	}}
-	plen := binary.BigEndian.Uint32(b[23:])
-	if plen > maxPayloadLen {
-		return Message{}, fmt.Errorf("%w: %d bytes", ErrOversize, plen)
-	}
-	if len(b) != headerLen+int(plen) {
-		return Message{}, fmt.Errorf("%w: header says %d, have %d",
-			ErrTruncated, plen, len(b)-headerLen)
-	}
-	if plen > 0 {
-		m.Payload = b[headerLen : headerLen+plen]
-	}
-	return m, nil
+	m := Message{Header: Header{Type: MsgType(r.U8()), SrcGroup: GroupID(r.U32()),
+		DstGroup: GroupID(r.U32()), Conn: ConnID(r.U32()), Seq: r.U64()}}
+	m.Payload = r.Tail(maxPayloadLen)
+	return m, r.Done()
 }
 
 // CCSPayload is the payload of a Consistent Clock Synchronization message
@@ -212,28 +215,24 @@ const ccsPayloadLen = 8 + 8 + 1 + 1
 
 // MarshalCCS encodes p.
 func MarshalCCS(p CCSPayload) []byte {
-	buf := make([]byte, ccsPayloadLen)
-	binary.BigEndian.PutUint64(buf[0:], p.ThreadID)
-	binary.BigEndian.PutUint64(buf[8:], uint64(p.Proposed))
-	buf[16] = byte(p.Op)
-	if p.Special {
-		buf[17] = 1
-	}
-	return buf
+	w := NewWriter(ccsPayloadLen)
+	w.U64(p.ThreadID)
+	w.U64(uint64(p.Proposed))
+	w.U8(uint8(p.Op))
+	w.Bool(p.Special)
+	return w.Encoded()
 }
 
-// UnmarshalCCS decodes a CCS payload.
+// UnmarshalCCS decodes a CCS payload. Special is set by a final byte of 1
+// only.
 func UnmarshalCCS(b []byte) (CCSPayload, error) {
 	if len(b) != ccsPayloadLen {
 		return CCSPayload{}, fmt.Errorf("%w: CCS payload %d bytes, want %d",
 			ErrTruncated, len(b), ccsPayloadLen)
 	}
-	return CCSPayload{
-		ThreadID: binary.BigEndian.Uint64(b[0:]),
-		Proposed: time.Duration(binary.BigEndian.Uint64(b[8:])),
-		Op:       ClockOp(b[16]),
-		Special:  b[17] == 1,
-	}, nil
+	r := NewReader(b)
+	return CCSPayload{ThreadID: r.U64(), Proposed: time.Duration(r.U64()),
+		Op: ClockOp(r.U8()), Special: r.U8() == 1}, nil
 }
 
 // CCSBatchEntry is one pending round carried by a CCS-batch message: the
@@ -271,18 +270,16 @@ func MarshalCCSBatch(entries []CCSBatchEntry) ([]byte, error) {
 	if len(entries) > MaxCCSBatchEntries {
 		return nil, fmt.Errorf("%w: %d batch entries", ErrOversize, len(entries))
 	}
-	buf := make([]byte, ccsBatchHeaderLen+ccsBatchEntryLen*len(entries))
-	buf[0] = ccsBatchVersion
-	binary.BigEndian.PutUint16(buf[1:], uint16(len(entries)))
-	off := ccsBatchHeaderLen
+	w := NewWriter(ccsBatchHeaderLen + ccsBatchEntryLen*len(entries))
+	w.U8(ccsBatchVersion)
+	w.U16(uint16(len(entries)))
 	for _, e := range entries {
-		binary.BigEndian.PutUint64(buf[off:], e.ThreadID)
-		binary.BigEndian.PutUint64(buf[off+8:], e.Round)
-		binary.BigEndian.PutUint64(buf[off+16:], uint64(e.Proposed))
-		buf[off+24] = byte(e.Op)
-		off += ccsBatchEntryLen
+		w.U64(e.ThreadID)
+		w.U64(e.Round)
+		w.U64(uint64(e.Proposed))
+		w.U8(uint8(e.Op))
 	}
-	return buf, nil
+	return w.Encoded(), nil
 }
 
 // UnmarshalCCSBatch decodes a CCS-batch payload produced by MarshalCCSBatch.
@@ -290,27 +287,22 @@ func UnmarshalCCSBatch(b []byte) ([]CCSBatchEntry, error) {
 	if len(b) < ccsBatchHeaderLen {
 		return nil, fmt.Errorf("%w: CCS batch %d bytes", ErrShortMessage, len(b))
 	}
-	if b[0] != ccsBatchVersion {
-		return nil, fmt.Errorf("%w: CCS batch version %d", ErrBadVersion, b[0])
+	r := NewReader(b)
+	if v := r.U8(); v != ccsBatchVersion {
+		return nil, fmt.Errorf("%w: CCS batch version %d", ErrBadVersion, v)
 	}
-	n := int(binary.BigEndian.Uint16(b[1:]))
+	n := int(r.U16())
 	if n == 0 {
 		return nil, ErrEmptyBatch
 	}
-	if len(b) != ccsBatchHeaderLen+ccsBatchEntryLen*n {
+	if r.Len() != ccsBatchEntryLen*n {
 		return nil, fmt.Errorf("%w: CCS batch says %d entries, have %d bytes",
-			ErrTruncated, n, len(b)-ccsBatchHeaderLen)
+			ErrTruncated, n, r.Len())
 	}
 	entries := make([]CCSBatchEntry, n)
-	off := ccsBatchHeaderLen
 	for i := range entries {
-		entries[i] = CCSBatchEntry{
-			ThreadID: binary.BigEndian.Uint64(b[off:]),
-			Round:    binary.BigEndian.Uint64(b[off+8:]),
-			Proposed: time.Duration(binary.BigEndian.Uint64(b[off+16:])),
-			Op:       ClockOp(b[off+24]),
-		}
-		off += ccsBatchEntryLen
+		entries[i] = CCSBatchEntry{ThreadID: r.U64(), Round: r.U64(),
+			Proposed: time.Duration(r.U64()), Op: ClockOp(r.U8())}
 	}
 	return entries, nil
 }
@@ -338,44 +330,26 @@ func MarshalRequest(p RequestPayload) ([]byte, error) {
 	if len(p.Body) > maxPayloadLen {
 		return nil, fmt.Errorf("%w: body %d bytes", ErrOversize, len(p.Body))
 	}
-	buf := make([]byte, 8+4+8+2+len(p.Method)+4+len(p.Body))
-	binary.BigEndian.PutUint64(buf[0:], p.InvocationID)
-	binary.BigEndian.PutUint32(buf[8:], p.ClientNode)
-	binary.BigEndian.PutUint64(buf[12:], uint64(p.Timestamp))
-	binary.BigEndian.PutUint16(buf[20:], uint16(len(p.Method)))
-	off := 22 + copy(buf[22:], p.Method)
-	binary.BigEndian.PutUint32(buf[off:], uint32(len(p.Body)))
-	copy(buf[off+4:], p.Body)
-	return buf, nil
+	w := NewWriter(8 + 4 + 8 + 2 + len(p.Method) + 4 + len(p.Body))
+	w.U64(p.InvocationID)
+	w.U32(p.ClientNode)
+	w.U64(uint64(p.Timestamp))
+	w.U16(uint16(len(p.Method)))
+	w.Raw([]byte(p.Method))
+	w.Bytes(p.Body)
+	return w.Encoded(), nil
 }
 
-// UnmarshalRequest decodes a request payload.
+// UnmarshalRequest decodes a request payload. The body aliases b.
 func UnmarshalRequest(b []byte) (RequestPayload, error) {
 	if len(b) < 22 {
 		return RequestPayload{}, fmt.Errorf("%w: request %d bytes", ErrShortMessage, len(b))
 	}
-	p := RequestPayload{
-		InvocationID: binary.BigEndian.Uint64(b[0:]),
-		ClientNode:   binary.BigEndian.Uint32(b[8:]),
-		Timestamp:    time.Duration(binary.BigEndian.Uint64(b[12:])),
-	}
-	mlen := int(binary.BigEndian.Uint16(b[20:]))
-	if len(b) < 22+mlen+4 {
-		return RequestPayload{}, fmt.Errorf("%w: request method", ErrTruncated)
-	}
-	p.Method = string(b[22 : 22+mlen])
-	off := 22 + mlen
-	blen := binary.BigEndian.Uint32(b[off:])
-	if blen > maxPayloadLen {
-		return RequestPayload{}, fmt.Errorf("%w: body %d bytes", ErrOversize, blen)
-	}
-	if len(b) != off+4+int(blen) {
-		return RequestPayload{}, fmt.Errorf("%w: request body", ErrTruncated)
-	}
-	if blen > 0 {
-		p.Body = b[off+4 : off+4+int(blen)]
-	}
-	return p, nil
+	r := NewReader(b)
+	p := RequestPayload{InvocationID: r.U64(), ClientNode: r.U32(), Timestamp: time.Duration(r.U64())}
+	p.Method = string(r.Raw(int(r.U16())))
+	p.Body = r.Tail(maxPayloadLen)
+	return p, r.Done()
 }
 
 // ReplyPayload is the server group's reply to an invocation. ReplicaNode
@@ -395,36 +369,41 @@ func MarshalReply(p ReplyPayload) ([]byte, error) {
 	if len(p.Body) > maxPayloadLen {
 		return nil, fmt.Errorf("%w: body %d bytes", ErrOversize, len(p.Body))
 	}
-	buf := make([]byte, 8+4+8+4+len(p.Body))
-	binary.BigEndian.PutUint64(buf[0:], p.InvocationID)
-	binary.BigEndian.PutUint32(buf[8:], p.ReplicaNode)
-	binary.BigEndian.PutUint64(buf[12:], uint64(p.Timestamp))
-	binary.BigEndian.PutUint32(buf[20:], uint32(len(p.Body)))
-	copy(buf[24:], p.Body)
-	return buf, nil
+	w := NewWriter(8 + 4 + 8 + 4 + len(p.Body))
+	w.U64(p.InvocationID)
+	w.U32(p.ReplicaNode)
+	w.U64(uint64(p.Timestamp))
+	w.Bytes(p.Body)
+	return w.Encoded(), nil
 }
 
-// UnmarshalReply decodes a reply payload.
+// UnmarshalReply decodes a reply payload. The body aliases b.
 func UnmarshalReply(b []byte) (ReplyPayload, error) {
 	if len(b) < 24 {
 		return ReplyPayload{}, fmt.Errorf("%w: reply %d bytes", ErrShortMessage, len(b))
 	}
-	p := ReplyPayload{
-		InvocationID: binary.BigEndian.Uint64(b[0:]),
-		ReplicaNode:  binary.BigEndian.Uint32(b[8:]),
-		Timestamp:    time.Duration(binary.BigEndian.Uint64(b[12:])),
+	r := NewReader(b)
+	p := ReplyPayload{InvocationID: r.U64(), ReplicaNode: r.U32(), Timestamp: time.Duration(r.U64()),
+		Body: r.Tail(maxPayloadLen)}
+	return p, r.Done()
+}
+
+// MarshalCurrentTime encodes a group clock reading as the default
+// application's CurrentTime reply: 8 bytes of big-endian nanoseconds.
+func MarshalCurrentTime(v time.Duration) []byte {
+	w := NewWriter(8)
+	w.U64(uint64(v))
+	return w.Encoded()
+}
+
+// UnmarshalCurrentTime decodes a CurrentTime reply body produced by
+// MarshalCurrentTime.
+func UnmarshalCurrentTime(b []byte) (time.Duration, error) {
+	if len(b) != 8 {
+		return 0, fmt.Errorf("%w: CurrentTime reply %d bytes, want 8", ErrTruncated, len(b))
 	}
-	blen := binary.BigEndian.Uint32(b[20:])
-	if blen > maxPayloadLen {
-		return ReplyPayload{}, fmt.Errorf("%w: body %d bytes", ErrOversize, blen)
-	}
-	if len(b) != 24+int(blen) {
-		return ReplyPayload{}, fmt.Errorf("%w: reply body", ErrTruncated)
-	}
-	if blen > 0 {
-		p.Body = b[24:]
-	}
-	return p, nil
+	r := NewReader(b)
+	return time.Duration(r.U64()), nil
 }
 
 // CheckpointPayload carries the state transferred to a recovering replica
@@ -443,32 +422,19 @@ func MarshalCheckpoint(p CheckpointPayload) ([]byte, error) {
 	if len(p.AppState) > maxPayloadLen {
 		return nil, fmt.Errorf("%w: state %d bytes", ErrOversize, len(p.AppState))
 	}
-	buf := make([]byte, 8+8+4+len(p.AppState))
-	binary.BigEndian.PutUint64(buf[0:], p.Round)
-	binary.BigEndian.PutUint64(buf[8:], uint64(p.GroupClock))
-	binary.BigEndian.PutUint32(buf[16:], uint32(len(p.AppState)))
-	copy(buf[20:], p.AppState)
-	return buf, nil
+	w := NewWriter(8 + 8 + 4 + len(p.AppState))
+	w.U64(p.Round)
+	w.U64(uint64(p.GroupClock))
+	w.Bytes(p.AppState)
+	return w.Encoded(), nil
 }
 
-// UnmarshalCheckpoint decodes a checkpoint payload.
+// UnmarshalCheckpoint decodes a checkpoint payload. The state aliases b.
 func UnmarshalCheckpoint(b []byte) (CheckpointPayload, error) {
 	if len(b) < 20 {
 		return CheckpointPayload{}, fmt.Errorf("%w: checkpoint %d bytes", ErrShortMessage, len(b))
 	}
-	p := CheckpointPayload{
-		Round:      binary.BigEndian.Uint64(b[0:]),
-		GroupClock: time.Duration(binary.BigEndian.Uint64(b[8:])),
-	}
-	slen := binary.BigEndian.Uint32(b[16:])
-	if slen > maxPayloadLen {
-		return CheckpointPayload{}, fmt.Errorf("%w: state %d bytes", ErrOversize, slen)
-	}
-	if len(b) != 20+int(slen) {
-		return CheckpointPayload{}, fmt.Errorf("%w: checkpoint state", ErrTruncated)
-	}
-	if slen > 0 {
-		p.AppState = b[20:]
-	}
-	return p, nil
+	r := NewReader(b)
+	p := CheckpointPayload{Round: r.U64(), GroupClock: time.Duration(r.U64()), AppState: r.Tail(maxPayloadLen)}
+	return p, r.Done()
 }

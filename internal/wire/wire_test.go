@@ -411,6 +411,22 @@ func TestCheckpointTruncated(t *testing.T) {
 	}
 }
 
+// TestCurrentTimeReply: the default CurrentTime reply round-trips, and a
+// body of any other length than 8 (ctsclient once indexed a short one and
+// panicked) is ErrTruncated.
+func TestCurrentTimeReply(t *testing.T) {
+	for _, v := range []time.Duration{0, -time.Second, 1<<63 - 1} {
+		if got, err := UnmarshalCurrentTime(MarshalCurrentTime(v)); err != nil || got != v {
+			t.Errorf("%v round-trips to %v, %v", v, got, err)
+		}
+	}
+	for _, b := range [][]byte{nil, {1, 2, 3}, make([]byte, 7), make([]byte, 9)} {
+		if v, err := UnmarshalCurrentTime(b); !errors.Is(err, ErrTruncated) {
+			t.Errorf("%d-byte body decodes to %v, %v", len(b), v, err)
+		}
+	}
+}
+
 func TestMsgTypeStrings(t *testing.T) {
 	for _, tt := range []struct {
 		typ  MsgType
