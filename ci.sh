@@ -77,7 +77,7 @@ step() {
 		# the payload slice reads garbage (and, from another goroutine,
 		# races).
 		echo "== go test -race (orderer suites over poisoned simnet deliveries) =="
-		go test -race -count=1 -tags simnetpoison ./internal/simnet ./internal/totem ./internal/order
+		go test -race -count=1 -tags simnetpoison ./internal/simnet ./internal/order
 		;;
 	fuzz)
 		# The timeserve decoders, the two wire orderers' packet decoders
@@ -91,7 +91,8 @@ step() {
 		echo "== fuzz the decoders =="
 		go test -run '^$' -fuzz '^FuzzParseRequest$' -fuzztime 10s ./internal/timeserve
 		go test -run '^$' -fuzz '^FuzzParseResponse$' -fuzztime 10s ./internal/timeserve
-		go test -run '^$' -fuzz '^FuzzTotemDecode$' -fuzztime 10s ./internal/totem
+		go test -run '^$' -fuzz '^FuzzAnswerDatagram$' -fuzztime 10s ./internal/timeserve
+		go test -run '^$' -fuzz '^FuzzTotemDecode$' -fuzztime 10s ./internal/order
 		go test -run '^$' -fuzz '^FuzzSeqDecode$' -fuzztime 10s ./internal/order
 		go test -run '^$' -fuzz '^FuzzCCSDecode$' -fuzztime 10s ./internal/core
 		go test -run '^$' -fuzz '^FuzzParseMatrix$' -fuzztime 10s ./internal/campaign
@@ -109,7 +110,7 @@ step() {
 		# seq leader's acks (DESIGN.md §10); each benchmark's setup and one
 		# iteration must run.
 		echo "== simulator hot-path smoke =="
-		go test -run '^$' -bench 'KernelPostStep|KernelDeliverStep|SendDeliver|TotemTokenVisit|ReannounceWave1000|SeqLeaderAcks100' -benchtime 1x ./internal/sim ./internal/simnet ./internal/totem ./internal/gcs ./internal/order
+		go test -run '^$' -bench 'KernelPostStep|KernelDeliverStep|SendDeliver|TotemTokenVisit|ReannounceWave1000|SeqLeaderAcks100' -benchtime 1x ./internal/sim ./internal/simnet ./internal/gcs ./internal/order
 		;;
 	bench-all)
 		# Every ctsbench entry at its scaled size, gates included; the

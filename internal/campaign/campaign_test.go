@@ -287,6 +287,9 @@ func TestParseMatrix(t *testing.T) {
 		{"removed clamp_nodes", matrix(`,"max_nodes":8,"clamp_nodes":true`, "[10]")},
 		{"removed sample_every_ns", matrix(`,"sample_every_ns":1000000`, "[10]")},
 		{"removed totem", matrix(`,"totem":{}`, "[10]")},
+		{"negative seq timeout", matrix(`,"orderer":"seq","seq":{"leader_timeout_ns":-1}`, "[10]")},
+		{"seq tuning on instant", matrix(`,"seq":{"leader_timeout_ns":1000000}`, "[10]")},
+		{"seq tuning on totem", matrix(`,"orderer":"totem","seq":{"leader_timeout_ns":1000000}`, "[10]")},
 		{"trailing data", append(matrix("", "[10]"), '}')},
 	} {
 		if _, err := ParseMatrix(tc.json); err == nil {

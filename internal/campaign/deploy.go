@@ -102,13 +102,7 @@ func deploy(k *sim.Kernel, rec *obs.Recorder, sc Scenario, nodes int, seed int64
 		orderer: sc.orderer(),
 	}
 	d.inj = faultinject.New(k, d.net)
-	opts := order.Options{Kind: d.orderer}
-	switch d.orderer {
-	case order.KindInstant:
-		opts.Instant = order.InstantTuning{Hub: order.NewInstantHub()}
-	case order.KindSeq:
-		opts.Seq = sc.Seq
-	}
+	opts := sc.orderOptions()
 	if l := sc.Links.Loss; l > 0 {
 		d.net.SetLoss(l)
 	}

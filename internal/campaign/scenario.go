@@ -179,7 +179,7 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	orderer := s.orderer()
-	if _, err := order.ParseKind(string(orderer)); err != nil {
+	if _, err := s.orderOptions().Validate(); err != nil {
 		return fmt.Errorf("campaign: scenario %q: %w", s.Name, err)
 	}
 	for _, e := range s.Faults {
@@ -210,6 +210,17 @@ func (s Scenario) orderer() order.Kind {
 		return order.KindInstant
 	}
 	return s.Orderer
+}
+
+// orderOptions is the orderer every node of a cell runs: the scenario's seq
+// tuning as declared (Validate rejects it under any other orderer), and a
+// fresh hub per cell for the instant oracle.
+func (s Scenario) orderOptions() order.Options {
+	opts := order.Options{Kind: s.orderer(), Seq: s.Seq}
+	if opts.Kind == order.KindInstant {
+		opts.Instant.Hub = order.NewInstantHub()
+	}
+	return opts
 }
 
 // Cell is one point of the campaign matrix.

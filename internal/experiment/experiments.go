@@ -14,11 +14,11 @@ import (
 	"cts/internal/gcs"
 	"cts/internal/invariant"
 	"cts/internal/obs"
+	"cts/internal/order"
 	"cts/internal/replication"
 	"cts/internal/sim"
 	"cts/internal/simnet"
 	"cts/internal/stats"
-	"cts/internal/totem"
 	"cts/internal/transport"
 	"cts/internal/wire"
 )
@@ -644,29 +644,28 @@ type TokenTimingResult struct {
 }
 
 // RunTokenTiming runs an idle four-node Totem ring and measures the time
-// between consecutive token receipts across the ring (one hop each). The
-// paper's testbed measured a peak probability density near 51µs.
+// between consecutive token receipts across the ring (one hop each), read
+// from the ring's token_recv trace events. The paper's testbed measured a
+// peak probability density near 51µs.
 func RunTokenTiming(seed int64, circulations int) (*TokenTimingResult, error) {
 	k := sim.NewKernel(seed)
 	net := simnet.NewNetwork(k, nil)
-	type receipt struct {
-		seq uint64
-		at  time.Duration
+	sink := obs.NewMemorySink(0)
+	rec, err := obs.New(obs.Config{Now: k.Now, Sink: sink})
+	if err != nil {
+		return nil, err
 	}
-	var receipts []receipt
 	ids := []transport.NodeID{0, 1, 2, 3}
-	var nodes []*totem.Node
+	var nodes []order.Orderer
 	for _, id := range ids {
-		n, err := totem.New(totem.Config{
+		n, err := order.New(order.Env{
 			Runtime:   k,
 			Transport: net.Endpoint(id),
 			Members:   ids,
 			Bootstrap: true,
-			Deliver:   func(totem.Delivery) {},
-			OnToken: func(tk totem.Token) {
-				receipts = append(receipts, receipt{seq: tk.TokenSeq, at: k.Now()})
-			},
-		})
+			Deliver:   func(order.Delivery) {},
+			Obs:       rec.ForNode(uint32(id)),
+		}, order.Options{Kind: order.KindTotem})
 		if err != nil {
 			return nil, err
 		}
@@ -675,19 +674,26 @@ func RunTokenTiming(seed int64, circulations int) (*TokenTimingResult, error) {
 	for _, n := range nodes {
 		n.Start()
 	}
+	// An idle ring traces nothing but token receipts.
 	target := circulations * len(ids)
 	deadline := k.Now() + time.Duration(target)*time.Millisecond + time.Second
-	for k.Now() < deadline && len(receipts) < target {
+	for k.Now() < deadline && sink.Len() < target {
 		k.RunFor(time.Millisecond)
+	}
+	var receipts []obs.Event
+	for _, ev := range sink.Events() {
+		if ev.Scope == obs.ScopeTotem && ev.Name == obs.EvTokenRecv {
+			receipts = append(receipts, ev)
+		}
 	}
 	if len(receipts) < target {
 		return nil, fmt.Errorf("token timing: only %d/%d receipts", len(receipts), target)
 	}
-	sort.Slice(receipts, func(i, j int) bool { return receipts[i].seq < receipts[j].seq })
+	sort.Slice(receipts, func(i, j int) bool { return receipts[i].Round < receipts[j].Round })
 	res := &TokenTimingResult{BinWidth: 10 * time.Microsecond}
 	for i := 1; i < len(receipts); i++ {
-		if receipts[i].seq == receipts[i-1].seq+1 {
-			res.Hops.Add(receipts[i].at - receipts[i-1].at)
+		if receipts[i].Round == receipts[i-1].Round+1 {
+			res.Hops.Add(receipts[i].T - receipts[i-1].T)
 		}
 	}
 	res.Mode = res.Hops.Histogram(0, res.BinWidth).Mode().Lo

@@ -73,7 +73,7 @@ var lintRows = []row{
 		{"Value: s.reuseFell.Load()}", "Value: atomic.LoadUint64(&s.reuseFell)}"},
 	}},
 
-	{"errdrop", "totem-data-broadcast", "internal/totem/totem.go", []edit{{
+	{"errdrop", "totem-data-broadcast", "internal/order/totem.go", []edit{{
 		"\t_ = n.tr.Broadcast(encodeData(m))\n", "\tn.tr.Broadcast(encodeData(m))\n",
 	}}},
 	{"errdrop", "rpc-multicast", "internal/rpc/rpc.go", []edit{{
@@ -161,12 +161,12 @@ var protocolRows = []row{
 		"\tbound := snap.margin\n",
 	}}},
 
-	{"totem", "safepoint-own-aru", "internal/totem/totem.go", []edit{
+	{"totem", "safepoint-own-aru", "internal/order/totem.go", []edit{
 		{"\tif tk.Aru > n.safePoint {\n\t\tn.safePoint = tk.Aru\n\t}\n\taruIn := tk.Aru\n", "\taruIn := tk.Aru\n"},
 		{"\t// 3. Update the token's all-received-up-to field.\n\tn.updateAru()\n",
 			"\t// 3. Update the token's all-received-up-to field.\n\tn.updateAru()\n\tif n.myAru > n.safePoint {\n\t\tn.safePoint = n.myAru\n\t}\n"},
 	}},
-	{"totem", "rtr-ignored", "internal/totem/totem.go", []edit{{
+	{"totem", "rtr-ignored", "internal/order/totem.go", []edit{{
 		"\t\tif m, ok := n.received[s]; ok {\n\t\t\tn.sendData(m)\n\t\t\tn.stats.Retransmissions++\n",
 		"\t\tif m, ok := n.received[s]; ok && false {\n\t\t\tn.sendData(m)\n\t\t\tn.stats.Retransmissions++\n",
 	}}},

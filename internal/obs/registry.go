@@ -19,7 +19,7 @@ type Sample struct {
 }
 
 // Source exposes one component's metrics to the registry. Implementations
-// (totem.Node, gcs.Stack, replication.Manager, core.TimeService, rpc.Client)
+// (order's three orderers, gcs.Stack, replication.Manager, core.TimeService, rpc.Client)
 // read loop-confined counters, so ObsSamples must be called on the
 // component's runtime loop — the registry inherits that contract.
 type Source interface {

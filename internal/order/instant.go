@@ -5,7 +5,6 @@ import (
 
 	"cts/internal/obs"
 	"cts/internal/sim"
-	"cts/internal/totem"
 	"cts/internal/transport"
 )
 
@@ -27,7 +26,7 @@ type InstantHub struct {
 	nodes       map[transport.NodeID]*instantNode // registered (Start/Stop toggle active)
 	pending     []*instantPending
 	flushQueued bool
-	seen        totem.KeyWindow // dupKeys ordered, for suppression
+	seen        keyWindow // dupKeys ordered, for suppression
 	// active caches the active nodes in id order, so a delivery walks a
 	// slice instead of looking every receiver up in nodes. Rebuilding it on
 	// every delivery is O(N log N) per message, which dominates
@@ -181,7 +180,7 @@ func (h *InstantHub) flush() {
 			continue
 		}
 		p.sent = true
-		h.seen.Note(p.dupKey, totem.KeyGeneration(len(h.activeNodes())))
+		h.seen.Note(p.dupKey, keyGeneration(len(h.activeNodes())))
 		h.seq++
 		h.deliverAll(p)
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"cts/internal/totem"
 	"cts/internal/transport"
 )
 
@@ -22,12 +21,12 @@ func TestKeyWindowBounded(t *testing.T) {
 				h.addNode(id, ids, true)
 			}
 			h.startAll()
-			gen := totem.KeyGeneration(len(ids))
-			windows := func() []*totem.KeyWindow {
+			gen := keyGeneration(len(ids))
+			windows := func() []*keyWindow {
 				if kind == KindInstant {
-					return []*totem.KeyWindow{&h.hub.seen}
+					return []*keyWindow{&h.hub.seen}
 				}
-				var out []*totem.KeyWindow
+				var out []*keyWindow
 				for _, id := range ids {
 					out = append(out, &h.nodes[id].(*seqNode).seenKeys)
 				}

@@ -17,10 +17,10 @@
 //     in broadcast order with no gaps, as long as the sender stays in the
 //     component.
 //
-// Three implementations live in this package: an adapter over the Totem
-// single ring (internal/totem, the paper's protocol), a leader-sequencer for
-// low-latency LAN groups, and a sim-instant orderer that totally orders in
-// one simulated step for large simulation campaigns. A table-driven
+// Three implementations live in this package: the Totem single ring (the
+// paper's protocol, totem*.go), a leader-sequencer for low-latency LAN groups
+// (seq*.go), and a sim-instant orderer that totally orders in one simulated
+// step for large simulation campaigns (instant.go). A table-driven
 // conformance suite exercises all three under crash, partition and reorder
 // faults.
 package order
@@ -175,7 +175,7 @@ func (e Env) validate(Kind) error {
 }
 
 // TotemTuning is the protocol tuning of the Totem orderer. Zero values take
-// the totem package defaults (calibrated for the simulated 100 Mb/s testbed).
+// the defaults in totem.go (calibrated for the simulated 100 Mb/s testbed).
 type TotemTuning struct {
 	TokenLossTimeout    time.Duration `json:"token_loss_timeout_ns,omitempty"`
 	TokenRetransTimeout time.Duration `json:"token_retrans_timeout_ns,omitempty"`
@@ -254,6 +254,24 @@ func (o Options) Validate() (Options, error) {
 	if o.Kind == KindInstant && o.Instant.Hub == nil {
 		return o, errors.New("order: the instant orderer requires Options.Instant.Hub")
 	}
+	for _, d := range []struct {
+		name string
+		v    time.Duration
+	}{
+		{"Totem.TokenLossTimeout", o.Totem.TokenLossTimeout},
+		{"Totem.TokenRetransTimeout", o.Totem.TokenRetransTimeout},
+		{"Totem.JoinTimeout", o.Totem.JoinTimeout},
+		{"Totem.CommitTimeout", o.Totem.CommitTimeout},
+		{"Totem.AnnounceInterval", o.Totem.AnnounceInterval},
+		{"Seq.HeartbeatInterval", o.Seq.HeartbeatInterval},
+		{"Seq.LeaderTimeout", o.Seq.LeaderTimeout},
+		{"Seq.ResendInterval", o.Seq.ResendInterval},
+		{"Seq.ElectionTimeout", o.Seq.ElectionTimeout},
+	} {
+		if d.v < 0 {
+			return o, fmt.Errorf("order: Options.%s must not be negative (got %v)", d.name, d.v)
+		}
+	}
 	return o, nil
 }
 
@@ -282,3 +300,20 @@ func New(env Env, opts Options) (Orderer, error) {
 // majority is the primary-component threshold: a strict majority of the
 // initial members.
 func majority(members int) int { return members/2 + 1 }
+
+// defaultDur is v, or def when v is zero (Options.Validate has rejected
+// negative durations).
+func defaultDur(v, def time.Duration) time.Duration {
+	if v > 0 {
+		return v
+	}
+	return def
+}
+
+// cancelTimer cancels *t if armed and clears it.
+func cancelTimer(t *sim.Canceler) {
+	if *t != nil {
+		(*t).Cancel()
+		*t = nil
+	}
+}

@@ -53,6 +53,10 @@ func TestOptionsValidate(t *testing.T) {
 		{"seq tuning on totem", Options{Kind: KindTotem, Seq: SeqTuning{LeaderTimeout: time.Millisecond}}, "Seq tuning set but Kind"},
 		{"instant tuning on totem", Options{Kind: KindTotem, Instant: InstantTuning{Hub: hub}}, "Instant tuning set but Kind"},
 		{"instant without hub", Options{Kind: KindInstant}, "Instant.Hub"},
+		{"negative seq timeout", Options{Kind: KindSeq, Seq: SeqTuning{LeaderTimeout: -1}}, "Seq.LeaderTimeout must not be negative"},
+		{"negative seq heartbeat", Options{Kind: KindSeq, Seq: SeqTuning{HeartbeatInterval: -time.Millisecond}}, "Seq.HeartbeatInterval must not be negative"},
+		{"negative totem timeout", Options{Kind: KindTotem, Totem: TotemTuning{TokenLossTimeout: -1}}, "Totem.TokenLossTimeout must not be negative"},
+		{"negative totem announce", Options{Totem: TotemTuning{AnnounceInterval: -time.Second}}, "Totem.AnnounceInterval must not be negative"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

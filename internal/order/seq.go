@@ -7,7 +7,6 @@ import (
 
 	"cts/internal/obs"
 	"cts/internal/sim"
-	"cts/internal/totem"
 	"cts/internal/transport"
 )
 
@@ -96,7 +95,7 @@ type seqNode struct {
 	prunedTo    uint64
 	totalOrder  uint64
 	safeWaitSeq uint64
-	seenKeys    totem.KeyWindow // dupKeys of entries seen, for suppression
+	seenKeys    keyWindow // dupKeys of entries seen, for suppression
 
 	// Leader state.
 	nextLocal map[transport.NodeID]uint64                 // next expected Local per sender (this epoch)
@@ -157,13 +156,6 @@ func newSeqOrderer(env Env, opts Options) (Orderer, error) {
 	env.Transport.SetReceiver(n.receive)
 	env.Obs.Register(n)
 	return n, nil
-}
-
-func defaultDur(v, def time.Duration) time.Duration {
-	if v > 0 {
-		return v
-	}
-	return def
 }
 
 // Start begins protocol activity. With Bootstrap the initial view is formed
@@ -657,7 +649,7 @@ func (n *seqNode) prune() {
 // noteSeen records an entry's dupKey in a window sized like a Totem ring of
 // the same view.
 func (n *seqNode) noteSeen(dupKey uint64) {
-	n.seenKeys.Note(dupKey, totem.KeyGeneration(len(n.view.Members)))
+	n.seenKeys.Note(dupKey, keyGeneration(len(n.view.Members)))
 }
 
 // clearPendingFor retires the local proposal matched by an ordered entry.
@@ -955,7 +947,7 @@ func (n *seqNode) scheduleRejoin(target ViewID) {
 // ---- timers ----
 
 func (n *seqNode) armHeartbeat() {
-	n.cancelTimer(&n.hbTimer)
+	cancelTimer(&n.hbTimer)
 	n.hbTimer = n.rt.After(n.tun.HeartbeatInterval, func() {
 		if n.state != seqOperational || n.leader != n.me {
 			return
@@ -980,7 +972,7 @@ func (n *seqNode) armHeartbeat() {
 }
 
 func (n *seqNode) armLossTimer() {
-	n.cancelTimer(&n.lossTimer)
+	cancelTimer(&n.lossTimer)
 	n.lossTimer = n.rt.After(n.tun.LeaderTimeout/2, func() {
 		if n.state != seqOperational || n.leader == n.me {
 			return
@@ -994,7 +986,7 @@ func (n *seqNode) armLossTimer() {
 }
 
 func (n *seqNode) armResendTimer() {
-	n.cancelTimer(&n.resendTimer)
+	cancelTimer(&n.resendTimer)
 	n.resendTimer = n.rt.After(n.tun.ResendInterval, func() {
 		if n.state != seqOperational {
 			return
@@ -1013,7 +1005,7 @@ func (n *seqNode) armResendTimer() {
 }
 
 func (n *seqNode) armRetryTimer() {
-	n.cancelTimer(&n.retryTimer)
+	cancelTimer(&n.retryTimer)
 	n.retryTimer = n.rt.After(n.tun.LeaderTimeout, func() {
 		if n.state == seqOperational && !n.view.Primary {
 			n.startElection(n.maxEpoch + 1)
@@ -1022,24 +1014,17 @@ func (n *seqNode) armRetryTimer() {
 }
 
 func (n *seqNode) armElectTimer(d time.Duration, fn func()) {
-	n.cancelTimer(&n.electTimer)
+	cancelTimer(&n.electTimer)
 	n.electTimer = n.rt.After(d, fn)
 }
 
-func (n *seqNode) cancelTimer(t *sim.Canceler) {
-	if *t != nil {
-		(*t).Cancel()
-		*t = nil
-	}
-}
-
 func (n *seqNode) cancelAllTimers() {
-	n.cancelTimer(&n.hbTimer)
-	n.cancelTimer(&n.lossTimer)
-	n.cancelTimer(&n.resendTimer)
-	n.cancelTimer(&n.electTimer)
-	n.cancelTimer(&n.retryTimer)
-	n.cancelTimer(&n.rejoinTimer)
+	cancelTimer(&n.hbTimer)
+	cancelTimer(&n.lossTimer)
+	cancelTimer(&n.resendTimer)
+	cancelTimer(&n.electTimer)
+	cancelTimer(&n.retryTimer)
+	cancelTimer(&n.rejoinTimer)
 }
 
 // ---- obs ----

@@ -1,4 +1,4 @@
-package totem
+package order
 
 import (
 	"testing"
@@ -17,23 +17,22 @@ func BenchmarkTotemTokenVisit(b *testing.B) {
 	net := simnet.NewNetwork(k, nil)
 	ids := nodeIDs(3)
 	var rotations, delivered int
-	nodes := make([]*Node, len(ids))
+	nodes := make([]*totemNode, len(ids))
 	for i, id := range ids {
-		cfg := Config{
+		o, err := New(Env{
 			Runtime:   k,
 			Transport: net.Endpoint(id),
 			Members:   ids,
 			Bootstrap: true,
 			Deliver:   func(Delivery) { delivered++ },
-		}
-		if i == 0 {
-			cfg.OnToken = func(Token) { rotations++ }
-		}
-		n, err := New(cfg)
+		}, Options{Kind: KindTotem})
 		if err != nil {
 			b.Fatal(err)
 		}
-		nodes[i] = n
+		nodes[i] = o.(*totemNode)
+	}
+	nodes[0].tokenHook = func(ringToken) { rotations++ }
+	for _, n := range nodes {
 		n.Start()
 	}
 	k.RunFor(time.Millisecond)

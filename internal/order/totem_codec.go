@@ -1,4 +1,4 @@
-package totem
+package order
 
 import (
 	"fmt"
@@ -7,7 +7,7 @@ import (
 	"cts/internal/wire"
 )
 
-// Packet type tags on the wire.
+// Totem packet type tags on the wire.
 const (
 	pktData     = 1
 	pktToken    = 2
@@ -16,19 +16,10 @@ const (
 	pktAnnounce = 5
 )
 
-func writeRing(w *wire.Writer, r RingID) {
-	w.U64(r.Seq)
-	w.U32(uint32(r.Rep))
-}
-
-func readRing(r *wire.Reader) RingID {
-	return RingID{Seq: r.U64(), Rep: transport.NodeID(r.U32())}
-}
-
-func encodeData(m *DataMsg) []byte {
+func encodeData(m *dataMsg) []byte {
 	w := wire.NewWriter(64 + len(m.Payload))
 	w.U8(pktData)
-	writeRing(&w, m.Ring)
+	writeView(&w, m.Ring)
 	w.U64(m.Seq)
 	w.U32(uint32(m.Sender))
 	w.U8(uint8(m.Kind))
@@ -38,24 +29,24 @@ func encodeData(m *DataMsg) []byte {
 	}
 	w.U8(flags)
 	w.U64(m.DupKey)
-	writeRing(&w, m.OldRing)
+	writeView(&w, m.OldRing)
 	w.U64(m.OldSeq)
 	w.U32(uint32(m.OldSndr))
 	w.Bytes(m.Payload)
 	return w.Encoded()
 }
 
-func decodeData(b []byte) (*DataMsg, error) {
+func decodeData(b []byte) (*dataMsg, error) {
 	r := wire.NewReader(b)
-	m := &DataMsg{
-		Ring:   readRing(&r),
+	m := &dataMsg{
+		Ring:   readView(&r),
 		Seq:    r.U64(),
 		Sender: transport.NodeID(r.U32()),
-		Kind:   MsgKind(r.U8()),
+		Kind:   msgKind(r.U8()),
 	}
 	m.Safe = r.U8()&1 != 0
 	m.DupKey = r.U64()
-	m.OldRing = readRing(&r)
+	m.OldRing = readView(&r)
 	m.OldSeq = r.U64()
 	m.OldSndr = transport.NodeID(r.U32())
 	m.Payload = r.Bytes()
@@ -65,13 +56,13 @@ func decodeData(b []byte) (*DataMsg, error) {
 	return m, nil
 }
 
-func encodeToken(t *Token) ([]byte, error) {
+func encodeToken(t *ringToken) ([]byte, error) {
 	if len(t.Rtr) > wire.MaxList {
 		return nil, fmt.Errorf("%w: %d rtr entries", wire.ErrOversize, len(t.Rtr))
 	}
 	w := wire.NewWriter(64 + 8*len(t.Rtr))
 	w.U8(pktToken)
-	writeRing(&w, t.Ring)
+	writeView(&w, t.Ring)
 	w.U64(t.TokenSeq)
 	w.U64(t.Seq)
 	w.U64(t.Aru)
@@ -81,10 +72,10 @@ func encodeToken(t *Token) ([]byte, error) {
 	return w.Encoded(), nil
 }
 
-func decodeToken(b []byte) (*Token, error) {
+func decodeToken(b []byte) (*ringToken, error) {
 	r := wire.NewReader(b)
-	t := &Token{
-		Ring:     readRing(&r),
+	t := &ringToken{
+		Ring:     readView(&r),
 		TokenSeq: r.U64(),
 		Seq:      r.U64(),
 		Aru:      r.U64(),
@@ -98,7 +89,7 @@ func decodeToken(b []byte) (*Token, error) {
 	return t, nil
 }
 
-func encodeJoin(j *JoinMsg) []byte {
+func encodeJoin(j *joinMsg) []byte {
 	w := wire.NewWriter(32 + 4*(len(j.ProcSet)+len(j.FailSet)))
 	w.U8(pktJoin)
 	w.U32(uint32(j.Sender))
@@ -108,9 +99,9 @@ func encodeJoin(j *JoinMsg) []byte {
 	return w.Encoded()
 }
 
-func decodeJoin(b []byte) (*JoinMsg, error) {
+func decodeJoin(b []byte) (*joinMsg, error) {
 	r := wire.NewReader(b)
-	j := &JoinMsg{Sender: transport.NodeID(r.U32())}
+	j := &joinMsg{Sender: transport.NodeID(r.U32())}
 	j.ProcSet = wire.ReadU32s[transport.NodeID](&r)
 	j.FailSet = wire.ReadU32s[transport.NodeID](&r)
 	j.MaxRingSeq = r.U64()
@@ -120,19 +111,19 @@ func decodeJoin(b []byte) (*JoinMsg, error) {
 	return j, nil
 }
 
-// memberInfoMin is the encoded size of a MemberInfo with nothing Received.
+// memberInfoMin is the encoded size of a memberInfo with nothing Received.
 const memberInfoMin = 4 + 12 + 8 + 8 + 4
 
-func encodeCommit(ct *CommitToken) []byte {
+func encodeCommit(ct *commitToken) []byte {
 	w := wire.NewWriter(64)
 	w.U8(pktCommit)
-	writeRing(&w, ct.Ring)
+	writeView(&w, ct.Ring)
 	wire.WriteU32s(&w, ct.Members)
 	w.U32(uint32(len(ct.Infos)))
 	for i := range ct.Infos {
 		in := &ct.Infos[i]
 		w.U32(uint32(in.ID))
-		writeRing(&w, in.OldRing)
+		writeView(&w, in.OldRing)
 		w.U64(in.Aru)
 		w.U64(in.HighSeq)
 		w.U64s(in.Received)
@@ -140,13 +131,13 @@ func encodeCommit(ct *CommitToken) []byte {
 	return w.Encoded()
 }
 
-func decodeCommit(b []byte) (*CommitToken, error) {
+func decodeCommit(b []byte) (*commitToken, error) {
 	r := wire.NewReader(b)
-	ct := &CommitToken{Ring: readRing(&r)}
+	ct := &commitToken{Ring: readView(&r)}
 	ct.Members = wire.ReadU32s[transport.NodeID](&r)
 	n := r.Count(memberInfoMin)
 	for i := 0; i < n; i++ {
-		in := MemberInfo{ID: transport.NodeID(r.U32()), OldRing: readRing(&r), Aru: r.U64(), HighSeq: r.U64()}
+		in := memberInfo{ID: transport.NodeID(r.U32()), OldRing: readView(&r), Aru: r.U64(), HighSeq: r.U64()}
 		in.Received = r.U64s()
 		ct.Infos = append(ct.Infos, in)
 	}
@@ -159,14 +150,14 @@ func decodeCommit(b []byte) (*CommitToken, error) {
 func encodeAnnounce(a *announceMsg) []byte {
 	w := wire.NewWriter(24 + 4*len(a.Members))
 	w.U8(pktAnnounce)
-	writeRing(&w, a.Ring)
+	writeView(&w, a.Ring)
 	wire.WriteU32s(&w, a.Members)
 	return w.Encoded()
 }
 
 func decodeAnnounce(b []byte) (*announceMsg, error) {
 	r := wire.NewReader(b)
-	a := &announceMsg{Ring: readRing(&r)}
+	a := &announceMsg{Ring: readView(&r)}
 	a.Members = wire.ReadU32s[transport.NodeID](&r)
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("announce: %w", err)

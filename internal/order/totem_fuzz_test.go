@@ -1,4 +1,4 @@
-package totem
+package order
 
 import (
 	"bytes"
@@ -11,48 +11,48 @@ import (
 	"cts/internal/wire"
 )
 
-// codec decodes and re-encodes one packet type through any.
-type codec struct {
+// totemCodec decodes and re-encodes one Totem packet type through any.
+type totemCodec struct {
 	decode func([]byte) (any, error)
 	encode func(any) []byte
 }
 
-func codecOf[T any](dec func([]byte) (*T, error), enc func(*T) []byte) codec {
-	return codec{
+func totemCodecOf[T any](dec func([]byte) (*T, error), enc func(*T) []byte) totemCodec {
+	return totemCodec{
 		decode: func(b []byte) (any, error) { return dec(b) },
 		encode: func(m any) []byte { return enc(m.(*T)) },
 	}
 }
 
-// codecs holds every packet tag's codec.
-var codecs = map[byte]codec{
-	pktData: codecOf(decodeData, encodeData),
-	pktToken: codecOf(decodeToken, func(t *Token) []byte {
+// totemCodecs holds every Totem packet tag's codec.
+var totemCodecs = map[byte]totemCodec{
+	pktData: totemCodecOf(decodeData, encodeData),
+	pktToken: totemCodecOf(decodeToken, func(t *ringToken) []byte {
 		b, _ := encodeToken(t)
 		return b
 	}),
-	pktJoin:     codecOf(decodeJoin, encodeJoin),
-	pktCommit:   codecOf(decodeCommit, encodeCommit),
-	pktAnnounce: codecOf(decodeAnnounce, encodeAnnounce),
+	pktJoin:     totemCodecOf(decodeJoin, encodeJoin),
+	pktCommit:   totemCodecOf(decodeCommit, encodeCommit),
+	pktAnnounce: totemCodecOf(decodeAnnounce, encodeAnnounce),
 }
 
-// codecSamples encodes one message per packet tag, every field set.
-func codecSamples() map[string][]byte {
-	tok, _ := encodeToken(&Token{Ring: RingID{Seq: 7, Rep: 1}, TokenSeq: 9, Seq: 42,
+// totemSamples encodes one message per Totem packet tag, every field set.
+func totemSamples() map[string][]byte {
+	tok, _ := encodeToken(&ringToken{Ring: ViewID{Epoch: 7, Rep: 1}, TokenSeq: 9, Seq: 42,
 		Aru: 40, AruID: 3, Rtr: []uint64{41, 42}, Fcc: 2})
 	return map[string][]byte{
-		"data": encodeData(&DataMsg{Ring: RingID{Seq: 7, Rep: 1}, Seq: 42, Sender: 3,
-			Kind: KindRecovery, Safe: true, DupKey: 0xdeadbeef, OldRing: RingID{Seq: 6, Rep: 2},
+		"data": encodeData(&dataMsg{Ring: ViewID{Epoch: 7, Rep: 1}, Seq: 42, Sender: 3,
+			Kind: msgRecovery, Safe: true, DupKey: 0xdeadbeef, OldRing: ViewID{Epoch: 6, Rep: 2},
 			OldSeq: 40, OldSndr: 2, Payload: []byte("payload")}),
 		"token": tok,
-		"join": encodeJoin(&JoinMsg{Sender: 2, ProcSet: []transport.NodeID{1, 2, 3},
+		"join": encodeJoin(&joinMsg{Sender: 2, ProcSet: []transport.NodeID{1, 2, 3},
 			FailSet: []transport.NodeID{4}, MaxRingSeq: 7}),
-		"commit": encodeCommit(&CommitToken{Ring: RingID{Seq: 8, Rep: 1}, Members: []transport.NodeID{1, 2},
-			Infos: []MemberInfo{
-				{ID: 1, OldRing: RingID{Seq: 7, Rep: 1}, Aru: 40, HighSeq: 42, Received: []uint64{42}},
-				{ID: 2, OldRing: RingID{Seq: 6, Rep: 2}, Aru: 39, HighSeq: 39},
+		"commit": encodeCommit(&commitToken{Ring: ViewID{Epoch: 8, Rep: 1}, Members: []transport.NodeID{1, 2},
+			Infos: []memberInfo{
+				{ID: 1, OldRing: ViewID{Epoch: 7, Rep: 1}, Aru: 40, HighSeq: 42, Received: []uint64{42}},
+				{ID: 2, OldRing: ViewID{Epoch: 6, Rep: 2}, Aru: 39, HighSeq: 39},
 			}}),
-		"announce": encodeAnnounce(&announceMsg{Ring: RingID{Seq: 7, Rep: 1}, Members: []transport.NodeID{1, 2, 3}}),
+		"announce": encodeAnnounce(&announceMsg{Ring: ViewID{Epoch: 7, Rep: 1}, Members: []transport.NodeID{1, 2, 3}}),
 	}
 }
 
@@ -60,14 +60,14 @@ func codecSamples() map[string][]byte {
 // entries hold the bytes these samples encoded to when the corpus was
 // committed, and the corpus's malformed variants must be rejected.
 func TestCodecMatchesCorpus(t *testing.T) {
-	for name, pkt := range codecSamples() {
+	for name, pkt := range totemSamples() {
 		if want := testutil.FuzzSeed(t, "FuzzTotemDecode", name); !bytes.Equal(pkt, want) {
 			t.Errorf("%s encodes as %x, corpus holds %x", name, pkt, want)
 		}
 	}
 	for _, name := range []string{"truncated-token", "trailing-byte-data", "oversized-count-join"} {
 		pkt := testutil.FuzzSeed(t, "FuzzTotemDecode", name)
-		if m, err := codecs[pkt[0]].decode(pkt[1:]); err == nil {
+		if m, err := totemCodecs[pkt[0]].decode(pkt[1:]); err == nil {
 			t.Errorf("%s decodes to %+v", name, m)
 		}
 	}
@@ -84,7 +84,7 @@ func FuzzTotemDecode(f *testing.F) {
 		if len(pkt) == 0 {
 			return
 		}
-		c, ok := codecs[pkt[0]]
+		c, ok := totemCodecs[pkt[0]]
 		if !ok {
 			return
 		}

@@ -1,4 +1,4 @@
-package totem
+package order
 
 import (
 	"sort"
@@ -10,14 +10,14 @@ import (
 // suspecting the given processors. The node's old-ring state is snapshotted
 // once so that a gather restarted from commit/recover still recovers the
 // original ring's messages.
-func (n *Node) startGather(suspect []transport.NodeID) {
+func (n *totemNode) startGather(suspect []transport.NodeID) {
 	n.startGatherInclude(nil, suspect)
 }
 
 // startGatherInclude is startGather with an extra set of processors to seed
 // into the candidate proposal (used when a foreign ring's announce names
 // members we have never heard joins from, so that consensus waits for them).
-func (n *Node) startGatherInclude(include, suspect []transport.NodeID) {
+func (n *totemNode) startGatherInclude(include, suspect []transport.NodeID) {
 	if n.state == stateStopped {
 		return
 	}
@@ -34,33 +34,33 @@ func (n *Node) startGatherInclude(include, suspect []transport.NodeID) {
 		//    ring, in their original order, ahead of anything newer.
 		for s, m := range n.recOld {
 			if _, ok := n.oldHold[s]; !ok {
-				n.oldHold[s] = &DataMsg{
+				n.oldHold[s] = &dataMsg{
 					Ring:    n.oldRing,
 					Seq:     s,
 					Sender:  m.OldSndr,
-					Kind:    KindRegular,
+					Kind:    msgRegular,
 					DupKey:  m.DupKey,
 					Payload: m.Payload,
 				}
 			}
 		}
-		var mine []*DataMsg
+		var mine []*dataMsg
 		for _, m := range n.received {
 			switch m.Kind {
-			case KindRecovery:
+			case msgRecovery:
 				if m.OldRing == n.oldRing {
 					if _, ok := n.oldHold[m.OldSeq]; !ok {
-						n.oldHold[m.OldSeq] = &DataMsg{
+						n.oldHold[m.OldSeq] = &dataMsg{
 							Ring:    n.oldRing,
 							Seq:     m.OldSeq,
 							Sender:  m.OldSndr,
-							Kind:    KindRegular,
+							Kind:    msgRegular,
 							DupKey:  m.DupKey,
 							Payload: m.Payload,
 						}
 					}
 				}
-			case KindRegular:
+			case msgRegular:
 				if m.Sender == n.me {
 					mine = append(mine, m)
 				}
@@ -80,7 +80,7 @@ func (n *Node) startGatherInclude(include, suspect []transport.NodeID) {
 
 	n.procSet = make(map[transport.NodeID]bool)
 	n.failSet = make(map[transport.NodeID]bool)
-	n.joins = make(map[transport.NodeID]*JoinMsg)
+	n.joins = make(map[transport.NodeID]*joinMsg)
 	n.procSet[n.me] = true
 	for _, id := range n.members {
 		n.procSet[id] = true
@@ -100,15 +100,15 @@ func (n *Node) startGatherInclude(include, suspect []transport.NodeID) {
 
 // snapshotOldRing captures what this node holds of the current ring, for the
 // recovery phase of the next membership change.
-func (n *Node) snapshotOldRing() {
+func (n *totemNode) snapshotOldRing() {
 	n.tryDeliver()
 	n.oldRing = n.ring
 	n.oldDelivered = n.delivered
 	n.oldHold = n.received
 }
 
-func (n *Node) sendJoin() {
-	j := &JoinMsg{
+func (n *totemNode) sendJoin() {
+	j := &joinMsg{
 		Sender:     n.me,
 		ProcSet:    setToSorted(n.procSet),
 		FailSet:    setToSorted(n.failSet),
@@ -120,9 +120,9 @@ func (n *Node) sendJoin() {
 	n.joins[n.me] = j
 }
 
-func (n *Node) armConsensusTimer() {
-	n.cancelTimer(&n.consensusTimer)
-	n.consensusTimer = n.rt.After(n.cfg.JoinTimeout, func() {
+func (n *totemNode) armConsensusTimer() {
+	cancelTimer(&n.consensusTimer)
+	n.consensusTimer = n.rt.After(n.tun.JoinTimeout, func() {
 		if n.state != stateGather {
 			return
 		}
@@ -146,7 +146,7 @@ func (n *Node) armConsensusTimer() {
 }
 
 // onJoin handles a join message.
-func (n *Node) onJoin(j *JoinMsg) {
+func (n *totemNode) onJoin(j *joinMsg) {
 	if n.state == stateStopped {
 		return
 	}
@@ -176,7 +176,7 @@ func (n *Node) onJoin(j *JoinMsg) {
 	}
 }
 
-func (n *Node) mergeJoin(j *JoinMsg) {
+func (n *totemNode) mergeJoin(j *joinMsg) {
 	changed := false
 	if !n.procSet[j.Sender] {
 		n.procSet[j.Sender] = true
@@ -202,7 +202,7 @@ func (n *Node) mergeJoin(j *JoinMsg) {
 }
 
 // candidates returns procSet − failSet, sorted.
-func (n *Node) candidates() []transport.NodeID {
+func (n *totemNode) candidates() []transport.NodeID {
 	out := make([]transport.NodeID, 0, len(n.procSet))
 	for id := range n.procSet {
 		if !n.failSet[id] {
@@ -215,7 +215,7 @@ func (n *Node) candidates() []transport.NodeID {
 
 // checkConsensus tests whether every candidate has proposed exactly this
 // node's candidate set, and forms the new ring if so.
-func (n *Node) checkConsensus() {
+func (n *totemNode) checkConsensus() {
 	if n.state != stateGather {
 		return
 	}
@@ -237,7 +237,7 @@ func (n *Node) checkConsensus() {
 
 // sameCandidates reports whether join j's proposal (ProcSet − its FailSet,
 // further reduced by our fail set) equals cand.
-func sameCandidates(j *JoinMsg, cand []transport.NodeID, ourFails map[transport.NodeID]bool) bool {
+func sameCandidates(j *joinMsg, cand []transport.NodeID, ourFails map[transport.NodeID]bool) bool {
 	fails := make(map[transport.NodeID]bool, len(j.FailSet))
 	for _, id := range j.FailSet {
 		fails[id] = true
@@ -271,28 +271,28 @@ func setToSorted(set map[transport.NodeID]bool) []transport.NodeID {
 
 // formRing transitions gather → commit. The representative (lowest id)
 // creates the commit token and circulates it around the prospective ring.
-func (n *Node) formRing(cand []transport.NodeID) {
+func (n *totemNode) formRing(cand []transport.NodeID) {
 	newSeq := n.maxRingSeq + 1
-	if n.ring.Seq >= newSeq {
-		newSeq = n.ring.Seq + 1
+	if n.ring.Epoch >= newSeq {
+		newSeq = n.ring.Epoch + 1
 	}
 	n.maxRingSeq = newSeq
-	newRing := RingID{Seq: newSeq, Rep: cand[0]}
+	newRing := ViewID{Epoch: newSeq, Rep: cand[0]}
 	n.state = stateCommit
 	n.members = cand
-	n.cancelTimer(&n.consensusTimer)
+	cancelTimer(&n.consensusTimer)
 	n.armCommitTimer()
 
 	if n.me == newRing.Rep {
-		ct := &CommitToken{Ring: newRing, Members: cand,
-			Infos: []MemberInfo{n.myMemberInfo()}}
+		ct := &commitToken{Ring: newRing, Members: cand,
+			Infos: []memberInfo{n.myMemberInfo()}}
 		n.forwardCommit(ct)
 	}
 }
 
-func (n *Node) armCommitTimer() {
-	n.cancelTimer(&n.commitTimer)
-	n.commitTimer = n.rt.After(n.cfg.CommitTimeout, func() {
+func (n *totemNode) armCommitTimer() {
+	cancelTimer(&n.commitTimer)
+	n.commitTimer = n.rt.After(n.tun.CommitTimeout, func() {
 		if n.state != stateCommit {
 			return
 		}
@@ -302,8 +302,8 @@ func (n *Node) armCommitTimer() {
 }
 
 // myMemberInfo summarizes this node's old-ring holdings for the commit token.
-func (n *Node) myMemberInfo() MemberInfo {
-	info := MemberInfo{
+func (n *totemNode) myMemberInfo() memberInfo {
+	info := memberInfo{
 		ID:      n.me,
 		OldRing: n.oldRing,
 		Aru:     n.oldDelivered,
@@ -323,7 +323,7 @@ func (n *Node) myMemberInfo() MemberInfo {
 
 // forwardCommit sends the commit token to this node's successor among the
 // prospective members (or handles it directly on a ring of one).
-func (n *Node) forwardCommit(ct *CommitToken) {
+func (n *totemNode) forwardCommit(ct *commitToken) {
 	succ := successorIn(ct.Members, n.me)
 	if succ == n.me {
 		cp := *ct
@@ -343,7 +343,7 @@ func successorIn(members []transport.NodeID, me transport.NodeID) transport.Node
 }
 
 // onCommit handles a commit token.
-func (n *Node) onCommit(ct *CommitToken) {
+func (n *totemNode) onCommit(ct *commitToken) {
 	if n.state == stateStopped || !containsNode(ct.Members, n.me) {
 		return
 	}
@@ -351,7 +351,7 @@ func (n *Node) onCommit(ct *CommitToken) {
 	case stateGather, stateCommit:
 		if ct.hasInfo(n.me) {
 			if ct.complete() {
-				n.cancelTimer(&n.commitTimer)
+				cancelTimer(&n.commitTimer)
 				forward := *ct // forward before mutating our state
 				n.enterRecover(ct)
 				// Pass the complete token on: this is the second rotation,
@@ -380,7 +380,7 @@ func (n *Node) onCommit(ct *CommitToken) {
 			// This node is the last member before the representative and
 			// completes the token; handle it as complete immediately and
 			// also pass it to the representative.
-			n.cancelTimer(&n.commitTimer)
+			cancelTimer(&n.commitTimer)
 			forward := *ct
 			n.enterRecover(ct)
 			n.forwardCommitComplete(&forward)
@@ -392,7 +392,7 @@ func (n *Node) onCommit(ct *CommitToken) {
 	}
 }
 
-func (n *Node) forwardCommitComplete(ct *CommitToken) {
+func (n *totemNode) forwardCommitComplete(ct *commitToken) {
 	succ := successorIn(ct.Members, n.me)
 	if succ == n.me {
 		return // ring of one: nobody else needs it
@@ -402,7 +402,7 @@ func (n *Node) forwardCommitComplete(ct *CommitToken) {
 	_ = n.tr.Send(succ, encodeCommit(ct))
 }
 
-func (ct *CommitToken) hasInfo(id transport.NodeID) bool {
+func (ct *commitToken) hasInfo(id transport.NodeID) bool {
 	for i := range ct.Infos {
 		if ct.Infos[i].ID == id {
 			return true
@@ -418,13 +418,13 @@ func (ct *CommitToken) hasInfo(id transport.NodeID) bool {
 // marker from every member; once every marker has been delivered, the
 // recovered messages are delivered in old-ring order and the new view is
 // installed.
-func (n *Node) enterRecover(ct *CommitToken) {
+func (n *totemNode) enterRecover(ct *commitToken) {
 	n.state = stateRecover
 	n.cancelAllTimers()
 	n.ring = ct.Ring
 	n.members = append([]transport.NodeID(nil), ct.Members...)
-	if n.ring.Seq > n.maxRingSeq {
-		n.maxRingSeq = n.ring.Seq
+	if n.ring.Epoch > n.maxRingSeq {
+		n.maxRingSeq = n.ring.Epoch
 	}
 
 	// Reset per-ring state.
@@ -435,16 +435,16 @@ func (n *Node) enterRecover(ct *CommitToken) {
 	n.gcPoint = 0
 	n.prevTokenAru = 0
 	n.safePoint = 0
-	n.received = make(map[uint64]*DataMsg)
+	n.received = make(map[uint64]*dataMsg)
 	n.retained = nil
 	n.recq = nil
-	n.recOld = make(map[uint64]*DataMsg)
+	n.recOld = make(map[uint64]*dataMsg)
 	n.endMarkers = make(map[transport.NodeID]bool)
 	n.heldRegular = nil
 
 	// Compute this node's rebroadcast duty for its old-ring cohort.
-	if n.oldRing != (RingID{}) {
-		cohort := make([]MemberInfo, 0, len(ct.Infos))
+	if n.oldRing != (ViewID{}) {
+		cohort := make([]memberInfo, 0, len(ct.Infos))
 		for _, info := range ct.Infos {
 			if info.OldRing == n.oldRing {
 				cohort = append(cohort, info)
@@ -500,8 +500,8 @@ func (n *Node) enterRecover(ct *CommitToken) {
 			if !ok {
 				continue // should not happen: duty is derived from held messages
 			}
-			n.recq = append(n.recq, &DataMsg{
-				Kind:    KindRecovery,
+			n.recq = append(n.recq, &dataMsg{
+				Kind:    msgRecovery,
 				OldRing: n.oldRing,
 				OldSeq:  s,
 				OldSndr: orig.Sender,
@@ -511,10 +511,10 @@ func (n *Node) enterRecover(ct *CommitToken) {
 		}
 	}
 	// Every member announces the end of its rebroadcasts.
-	n.recq = append(n.recq, &DataMsg{Kind: KindEndRecovery})
+	n.recq = append(n.recq, &dataMsg{Kind: msgEndRecovery})
 
 	if n.me == n.ring.Rep {
-		tk := &Token{Ring: n.ring, TokenSeq: 1, AruID: aruNone}
+		tk := &ringToken{Ring: n.ring, TokenSeq: 1, AruID: aruNone}
 		n.rt.Post(func() { n.onToken(tk) })
 	} else {
 		n.armLossTimer()
@@ -524,7 +524,7 @@ func (n *Node) enterRecover(ct *CommitToken) {
 // completeRecovery delivers the recovered old-ring messages in old order,
 // installs the new view, and flushes any regular messages that were
 // delivered on the new ring while recovery was in progress.
-func (n *Node) completeRecovery() {
+func (n *totemNode) completeRecovery() {
 	seqs := make([]uint64, 0, len(n.recOld))
 	for s := range n.recOld {
 		seqs = append(seqs, s)
@@ -539,7 +539,7 @@ func (n *Node) completeRecovery() {
 	// The new ring's messages become this node's future "old ring" data.
 	n.oldRing = n.ring
 	n.oldDelivered = 0 // will be re-snapshotted on the next gather
-	n.oldHold = make(map[uint64]*DataMsg)
+	n.oldHold = make(map[uint64]*dataMsg)
 
 	n.stats.Memberships++
 	n.primary = len(n.members) >= n.quorum

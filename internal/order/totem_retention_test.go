@@ -1,4 +1,4 @@
-package totem
+package order
 
 import (
 	"fmt"
@@ -13,7 +13,7 @@ import (
 
 // gauge reads one of the node's obs samples. Loop-only, like ObsSamples: call
 // it from kernel callbacks or between kernel steps.
-func gauge(t *testing.T, n *Node, name string) uint64 {
+func gauge(t *testing.T, n *totemNode, name string) uint64 {
 	t.Helper()
 	for _, s := range n.ObsSamples() {
 		if s.Name == name {
@@ -39,14 +39,12 @@ func TestRetentionBoundedUnderLoss(t *testing.T) {
 	ids := nodeIDs(3)
 	peak := make(map[transport.NodeID]uint64)
 	for _, id := range ids {
-		id := id
-		h.addNode(id, ids, true, func(c *Config) {
-			c.OnToken = func(Token) {
-				if v := gauge(t, h.nodes[id], "totem.retained_msgs"); v > peak[id] {
-					peak[id] = v
-				}
+		n := h.addNode(id, ids, true)
+		n.tokenHook = func(ringToken) {
+			if v := gauge(t, n, "totem.retained_msgs"); v > peak[id] {
+				peak[id] = v
 			}
-		})
+		}
 	}
 	h.net.SetLoss(0.02)
 	h.startAll()
@@ -57,7 +55,7 @@ func TestRetentionBoundedUnderLoss(t *testing.T) {
 		i, n, sent := i, h.nodes[id], 0
 		var pump func()
 		pump = func() {
-			for len(n.sendq) < 2*MaxMessagesPerToken && sent < perNode {
+			for len(n.sendq) < 2*maxMessagesPerToken && sent < perNode {
 				n.BroadcastCancelable([]byte(fmt.Sprintf("n%d-m%d", i, sent)), false, 0)
 				sent++
 			}
@@ -149,7 +147,7 @@ func TestLateDuplicateOfDiscardedNotRestored(t *testing.T) {
 
 	ring := h.nodes[0].ring
 	for s := uint64(1); s <= 10; s++ {
-		late := &DataMsg{Ring: ring, Seq: s, Sender: 0, Kind: KindRegular, Payload: []byte("late")}
+		late := &dataMsg{Ring: ring, Seq: s, Sender: 0, Kind: msgRegular, Payload: []byte("late")}
 		if err := h.net.Endpoint(0).Broadcast(encodeData(late)); err != nil {
 			t.Fatal(err)
 		}
@@ -182,14 +180,14 @@ func TestKeyWindowKeepsRecentKeys(t *testing.T) {
 		{members: 1000, gen: 64000},
 	} {
 		t.Run(fmt.Sprintf("members=%d", tc.members), func(t *testing.T) {
-			n := &Node{
+			n := &totemNode{
 				members: nodeIDs(tc.members),
 			}
 			gen := n.keyGeneration()
 			if gen != tc.gen {
 				t.Fatalf("%d-member ring: generation %d, want %d", tc.members, gen, tc.gen)
 			}
-			var w KeyWindow
+			var w keyWindow
 			g := uint64(gen)
 			total := 3*g + 17
 			for k := uint64(1); k <= total; k++ {
@@ -244,22 +242,17 @@ func TestRecoveryAfterDiscard(t *testing.T) {
 	ids := nodeIDs(4)
 	armed := false
 	for _, id := range ids {
-		id := id
-		h.addNode(id, ids, true, func(c *Config) {
-			if id != 3 {
-				return
-			}
-			c.OnToken = func(Token) {
-				if !armed {
-					return
-				}
-				armed = false
-				h.k.Post(func() { // after this visit has forwarded the token
-					h.nodes[0].Stop()
-					h.net.Endpoint(0).SetDown(true)
-					holdBack(t, h, 3, heldBack)
-				})
-			}
+		h.addNode(id, ids, true)
+	}
+	h.nodes[3].tokenHook = func(ringToken) {
+		if !armed {
+			return
+		}
+		armed = false
+		h.k.Post(func() { // after this visit has forwarded the token
+			h.nodes[0].Stop()
+			h.net.Endpoint(0).SetDown(true)
+			holdBack(t, h, 3, heldBack)
 		})
 	}
 	h.startAll()
@@ -322,8 +315,8 @@ func holdBack(t *testing.T, h *harness, id transport.NodeID, k int) {
 	}
 	for i := 0; i < k; i++ {
 		s := n.delivered - uint64(i)
-		n.received[s] = &DataMsg{Ring: n.ring, Seq: s, Sender: h.senders[id][len(got)-1-i],
-			Kind: KindRegular, Safe: true, Payload: []byte(got[len(got)-1-i])}
+		n.received[s] = &dataMsg{Ring: n.ring, Seq: s, Sender: h.senders[id][len(got)-1-i],
+			Kind: msgRegular, Safe: true, Payload: []byte(got[len(got)-1-i])}
 	}
 	n.delivered -= uint64(k)
 	n.totalOrder -= uint64(k)

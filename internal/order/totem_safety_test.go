@@ -1,4 +1,4 @@
-package totem
+package order
 
 import (
 	"fmt"
@@ -61,9 +61,9 @@ func TestSafeDeliveryWaitsForAllReceived(t *testing.T) {
 	// Stamp each delivery at the sender when it happens, not when the
 	// polling loop next looks.
 	var deliveredAt time.Duration
-	stamp := func(c *Config) {
-		inner := c.Deliver
-		c.Deliver = func(d Delivery) {
+	stamp := func(e *Env, _ *TotemTuning) {
+		inner := e.Deliver
+		e.Deliver = func(d Delivery) {
 			inner(d)
 			deliveredAt = h.k.Now()
 		}

@@ -1,4 +1,4 @@
-package totem
+package order
 
 import (
 	"fmt"
@@ -11,12 +11,12 @@ import (
 	"cts/internal/transport"
 )
 
-// harness runs a cluster of totem nodes on a simulated network.
+// harness runs a cluster of Totem nodes on a simulated network.
 type harness struct {
 	t     *testing.T
 	k     *sim.Kernel
 	net   *simnet.Network
-	nodes map[transport.NodeID]*Node
+	nodes map[transport.NodeID]*totemNode
 	// deliveries[id] is the sequence of payload strings delivered at id.
 	deliveries map[transport.NodeID][]string
 	senders    map[transport.NodeID][]transport.NodeID
@@ -30,16 +30,18 @@ func newHarness(t *testing.T, seed int64, latency simnet.LatencyModel) *harness 
 		t:          t,
 		k:          k,
 		net:        simnet.NewNetwork(k, latency),
-		nodes:      make(map[transport.NodeID]*Node),
+		nodes:      make(map[transport.NodeID]*totemNode),
 		deliveries: make(map[transport.NodeID][]string),
 		senders:    make(map[transport.NodeID][]transport.NodeID),
 		views:      make(map[transport.NodeID][]View),
 	}
 }
 
-func (h *harness) addNode(id transport.NodeID, members []transport.NodeID, bootstrap bool, opts ...func(*Config)) *Node {
+// addNode builds a Totem node through New; each opt may rewrite its wiring
+// and tuning first.
+func (h *harness) addNode(id transport.NodeID, members []transport.NodeID, bootstrap bool, opts ...func(*Env, *TotemTuning)) *totemNode {
 	h.t.Helper()
-	cfg := Config{
+	env := Env{
 		Runtime:   h.k,
 		Transport: h.net.Endpoint(id),
 		Members:   members,
@@ -52,13 +54,15 @@ func (h *harness) addNode(id transport.NodeID, members []transport.NodeID, boots
 			h.views[id] = append(h.views[id], v)
 		},
 	}
+	var tun TotemTuning
 	for _, opt := range opts {
-		opt(&cfg)
+		opt(&env, &tun)
 	}
-	n, err := New(cfg)
+	o, err := New(env, Options{Kind: KindTotem, Totem: tun})
 	if err != nil {
 		h.t.Fatalf("New(%v): %v", id, err)
 	}
+	n := o.(*totemNode)
 	h.nodes[id] = n
 	return n
 }
@@ -335,7 +339,7 @@ func TestRepresentativeCrashReformsRing(t *testing.T) {
 	}
 	// New ring's representative is P1.
 	vs := h.views[1]
-	if got := vs[len(vs)-1].Ring.Rep; got != 1 {
+	if got := vs[len(vs)-1].ID.Rep; got != 1 {
 		t.Fatalf("new representative = %v, want P1", got)
 	}
 	node := h.nodes[2]
@@ -573,7 +577,7 @@ func TestStatsCounters(t *testing.T) {
 	h := newHarness(t, 12, nil)
 	ids := nodeIDs(3)
 	for _, id := range ids {
-		h.addNode(id, ids, true, func(c *Config) { c.Obs = rec.ForNode(uint32(id)) })
+		h.addNode(id, ids, true, func(e *Env, _ *TotemTuning) { e.Obs = rec.ForNode(uint32(id)) })
 	}
 	h.startAll()
 	node := h.nodes[1]
@@ -615,26 +619,11 @@ func TestBroadcastAfterStop(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	k := sim.NewKernel(1)
-	net := simnet.NewNetwork(k, nil)
-	ep := net.Endpoint(0)
-	deliver := func(Delivery) {}
-	if _, err := New(Config{Transport: ep, Deliver: deliver}); err == nil {
-		t.Fatal("missing Runtime accepted")
-	}
-	if _, err := New(Config{Runtime: k, Deliver: deliver}); err == nil {
-		t.Fatal("missing Transport accepted")
-	}
-	if _, err := New(Config{Runtime: k, Transport: ep}); err == nil {
-		t.Fatal("missing Deliver accepted")
-	}
-	// Local node is added to Members automatically.
-	n, err := New(Config{Runtime: k, Transport: ep, Deliver: deliver,
-		Members: []transport.NodeID{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestLocalNodeAddedToMembers: a node whose initial membership omits
+// itself still counts itself a member.
+func TestLocalNodeAddedToMembers(t *testing.T) {
+	h := newHarness(t, 1, nil)
+	n := h.addNode(0, []transport.NodeID{1, 2}, false)
 	if !containsNode(n.members, 0) {
 		t.Fatal("local node not added to members")
 	}
@@ -659,12 +648,6 @@ func TestHelperFunctions(t *testing.T) {
 	}
 	if minU64(3, 7) != 3 || minU64(9, 2) != 2 {
 		t.Fatal("minU64")
-	}
-	r1 := RingID{Seq: 1, Rep: 2}
-	r2 := RingID{Seq: 1, Rep: 3}
-	r3 := RingID{Seq: 2, Rep: 0}
-	if !r1.Less(r2) || !r2.Less(r3) || r3.Less(r1) {
-		t.Fatal("RingID.Less ordering")
 	}
 }
 
@@ -696,12 +679,12 @@ func TestNoTimerActivityAfterStop(t *testing.T) {
 	ids := nodeIDs(2)
 	const retrans = 500 * time.Microsecond
 	ctr := &countingTransport{Transport: h.net.Endpoint(ids[0])}
-	tune := func(c *Config) {
-		c.TokenRetransTimeout = retrans
-		c.TokenLossTimeout = 30 * time.Second // keep membership changes out
-		c.AnnounceInterval = time.Millisecond
+	tune := func(_ *Env, t *TotemTuning) {
+		t.TokenRetransTimeout = retrans
+		t.TokenLossTimeout = 30 * time.Second // keep membership changes out
+		t.AnnounceInterval = time.Millisecond
 	}
-	h.addNode(ids[0], ids, true, tune, func(c *Config) { c.Transport = ctr })
+	h.addNode(ids[0], ids, true, tune, func(e *Env, _ *TotemTuning) { e.Transport = ctr })
 	h.addNode(ids[1], ids, true, tune)
 	h.startAll()
 	if !h.runUntil(time.Second, func() bool {

@@ -1,4 +1,4 @@
-package totem
+package order
 
 import (
 	"fmt"
@@ -17,16 +17,16 @@ type visitProbe struct {
 	sim.Runtime
 	transport.Transport
 	t *testing.T
-	n *Node
+	n *totemNode
 
 	// visit is the incoming token of the visit the current event runs, nil
 	// outside a visit; forwarded is the token handed to the transport in the
 	// current event.
-	visit, forwarded *Token
+	visit, forwarded *ringToken
 	gcBefore         uint64
 	// lastRing/lastAru are the ring and aru of the previous incoming token,
 	// the second half of the discard rule's evidence.
-	lastRing RingID
+	lastRing ViewID
 	lastAru  uint64
 
 	visits, deliveriesInVisit, viewsInVisit int
@@ -60,8 +60,8 @@ func (p *visitProbe) Send(to transport.NodeID, pkt []byte) error {
 	return p.Transport.Send(to, pkt)
 }
 
-// onToken runs as Config.OnToken, at the start of a visit.
-func (p *visitProbe) onToken(tk Token) {
+// onToken runs as the node's tokenHook, at the start of a visit.
+func (p *visitProbe) onToken(tk ringToken) {
 	p.visits++
 	p.visit = &tk
 	p.gcBefore = p.n.gcPoint
@@ -114,28 +114,28 @@ func TestTokenForwardedBeforeDelivery(t *testing.T) {
 	for _, id := range ids {
 		p := &visitProbe{Runtime: h.k, Transport: h.net.Endpoint(id), t: t}
 		probes[id] = p
-		p.n = h.addNode(id, ids, true, func(c *Config) {
-			c.Runtime, c.Transport = p, p
-			c.OnToken = p.onToken
-			deliver, onView := c.Deliver, c.OnView
-			c.Deliver = func(d Delivery) {
+		p.n = h.addNode(id, ids, true, func(e *Env, _ *TotemTuning) {
+			e.Runtime, e.Transport = p, p
+			deliver, onView := e.Deliver, e.OnView
+			e.Deliver = func(d Delivery) {
 				p.checkForwarded("delivery")
 				if p.visit != nil {
 					p.deliveriesInVisit++
 				}
 				deliver(d)
 			}
-			c.OnView = func(v View) {
+			e.OnView = func(v View) {
 				p.checkForwarded("view")
 				if p.visit != nil {
-					if v.Ring != p.visit.Ring {
-						t.Fatalf("%v: view of %v emitted during a visit of %v", p.n.me, v.Ring, p.visit.Ring)
+					if v.ID != p.visit.Ring {
+						t.Fatalf("%v: view of %v emitted during a visit of %v", p.n.me, v.ID, p.visit.Ring)
 					}
 					p.viewsInVisit++
 				}
 				onView(v)
 			}
 		})
+		p.n.tokenHook = p.onToken
 	}
 	h.startAll()
 
@@ -145,7 +145,7 @@ func TestTokenForwardedBeforeDelivery(t *testing.T) {
 		i, n, sent := i, h.nodes[id], 0
 		var pump func()
 		pump = func() {
-			for len(n.sendq) < MaxMessagesPerToken && sent < perNode && n.state != stateStopped {
+			for len(n.sendq) < maxMessagesPerToken && sent < perNode && n.state != stateStopped {
 				n.BroadcastCancelable([]byte(fmt.Sprintf("n%d-m%d", i, sent)), sent%2 == 0, 0)
 				sent++
 			}

@@ -9,5 +9,5 @@ package simnet
 // goroutine is reported. Build any suite that runs over simnet with
 // -tags simnetpoison to check it:
 //
-//	go test -race -tags simnetpoison ./internal/totem ./internal/order
+//	go test -race -tags simnetpoison ./internal/order
 const poisonDelivered = true

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 )
 
 // validDecodeError reports whether err is one of the decoders' sentinels.
@@ -56,6 +57,49 @@ func FuzzParseResponse(f *testing.F) {
 		}
 		if back, err := ParseResponse(enc[:]); err != nil || back != r {
 			t.Fatalf("round trip of %+v: got %+v, %v", r, back, err)
+		}
+	})
+}
+
+// FuzzAnswerDatagram feeds arbitrary request datagrams to answerDatagram,
+// the answer loop both I/O paths share. It must not panic; it answers at
+// most MaxBatch queries, one RespSize reply slot each; slot i parses and
+// echoes the nonce of the i-th acceptable request; and accepted plus
+// dropped queries account for every ReqSize slot, plus one for a runt tail.
+// The seed corpus is testdata/fuzz.
+func FuzzAnswerDatagram(f *testing.F) {
+	s := &Server{cfg: Config{Node: 7}}
+	rd := Reading{GroupClock: time.Second, Bound: 5 * time.Microsecond, Epoch: 3}
+	f.Fuzz(func(t *testing.T, in []byte, ok bool) {
+		out := make([]byte, MaxBatch*RespSize)
+		reply, accepted, drops := s.answerDatagram(in, out, rd, ok)
+		if accepted < 0 || accepted > MaxBatch || reply != accepted*RespSize {
+			t.Fatalf("%d-byte datagram: reply %d bytes for %d accepted queries", len(in), reply, accepted)
+		}
+		slots := len(in) / ReqSize
+		if len(in)%ReqSize != 0 {
+			slots++
+		}
+		if accepted+drops != slots {
+			t.Fatalf("%d-byte datagram: %d accepted + %d dropped, want %d slots", len(in), accepted, drops, slots)
+		}
+		i := 0
+		for off := 0; off+ReqSize <= len(in) && i < accepted; off += ReqSize {
+			q, err := ParseRequest(in[off:])
+			if err != nil {
+				continue
+			}
+			r, err := ParseResponse(out[i*RespSize : reply])
+			if err != nil {
+				t.Fatalf("reply slot %d: %v", i, err)
+			}
+			if r.Nonce != q.Nonce || r.Echo != q.Echo || r.Node != 7 || r.OK() != ok {
+				t.Fatalf("reply slot %d = %+v answers request %+v (lease ok %v)", i, r, q, ok)
+			}
+			i++
+		}
+		if i != accepted {
+			t.Fatalf("%d queries accepted from %d acceptable requests", accepted, i)
 		}
 	})
 }
