@@ -127,7 +127,8 @@ var lintRows = []row{
 
 // protocolRows holds at least two seeded bugs per safety mechanism of the
 // time service: the CCS round rule (§3, Fig. 2–3 of the paper), the lease
-// plane's staleness bound, Totem's safe delivery and retransmission, state
+// plane's staleness bound, Totem's safe delivery and retransmission, the
+// duplicate withdrawal and cancel every orderer shares (§4.3), state
 // transfer and reply suppression in replication, request/reply matching in
 // rpc, and the timeserve answer. `make ledger` records which CI steps catch
 // each; a row no failing check catches is an oracle gap (DESIGN.md §5).
@@ -169,6 +170,13 @@ var protocolRows = []row{
 	{"totem", "rtr-ignored", "internal/order/totem.go", []edit{{
 		"\t\tif m, ok := n.received[s]; ok {\n\t\t\tn.sendData(m)\n\t\t\tn.stats.Retransmissions++\n",
 		"\t\tif m, ok := n.received[s]; ok && false {\n\t\t\tn.sendData(m)\n\t\t\tn.stats.Retransmissions++\n",
+	}}},
+
+	{"order", "seen-key-kept", "internal/order/outbox.go", []edit{{
+		"\tif !p.cancelled && o.keys.Seen(p.dupKey) {\n", "\tif false && !p.cancelled && o.keys.Seen(p.dupKey) {\n",
+	}}},
+	{"order", "cancel-after-send", "internal/order/outbox.go", []edit{{
+		"\tif p.sent {\n\t\treturn false\n", "\tif p.sent {\n\t\treturn true\n",
 	}}},
 
 	{"replication", "getstate-no-lastgroup", "internal/core/recovery.go", []edit{{

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cts/internal/obs"
 	"cts/internal/sim"
 	"cts/internal/simnet"
 	"cts/internal/transport"
@@ -310,8 +311,9 @@ func TestConformanceSafeDelivery(t *testing.T) {
 
 // TestConformanceDupKeySuppression: once a message with a dupKey has been
 // delivered, a later cancelable broadcast with the same key is suppressed —
-// no second delivery. A cancel inside the submission instant withdraws the
-// message entirely.
+// no second delivery — and counted as <kind>.suppressed at its sender, the
+// only withdrawal for a seen key. A cancel inside the submission instant
+// withdraws the message entirely and is not counted.
 func TestConformanceDupKeySuppression(t *testing.T) {
 	for _, kind := range confKinds {
 		t.Run(string(kind), func(t *testing.T) {
@@ -350,6 +352,116 @@ func TestConformanceDupKeySuppression(t *testing.T) {
 				for _, p := range h.payloads(id) {
 					if p == "dup" || p == "withdrawn" {
 						t.Fatalf("%v node %v delivered %q", kind, id, p)
+					}
+				}
+				want := uint64(0)
+				if id == 1 {
+					want = 1
+				}
+				if got := gauge(t, h.nodes[id].(obs.Source), string(kind)+".suppressed"); got != want {
+					t.Errorf("node %v: %s.suppressed = %d, want %d", id, kind, got, want)
+				}
+			}
+			h.stopAll()
+		})
+	}
+}
+
+// TestConformanceCancelAfterSend: cancel tells the truth. One node submits
+// cancelable broadcasts and cancels each at a different delay, from within
+// the submission step to long after the send. A cancel that reports true
+// withdrew a message no member ever delivers; one that reports false came
+// after the message reached the wire, and every member delivers it once.
+func TestConformanceCancelAfterSend(t *testing.T) {
+	delays := []time.Duration{-1, 0, 10 * time.Microsecond, 50 * time.Microsecond,
+		100 * time.Microsecond, 200 * time.Microsecond, time.Millisecond, 5 * time.Millisecond}
+	for _, kind := range confKinds {
+		t.Run(string(kind), func(t *testing.T) {
+			h := newConfHarness(t, kind, 8, nil)
+			ids := confIDs(3)
+			for _, id := range ids {
+				h.addNode(id, ids, true)
+			}
+			h.startAll()
+			h.k.RunFor(10 * time.Millisecond)
+
+			withdrawn := make([]bool, len(delays))
+			for i, d := range delays {
+				h.k.Post(func() {
+					cancel := h.nodes[1].BroadcastCancelable([]byte(fmt.Sprintf("m%d", i)), false, 0)
+					if d < 0 { // within the submission step
+						withdrawn[i] = cancel()
+						return
+					}
+					h.k.After(d, func() { withdrawn[i] = cancel() })
+				})
+				h.k.RunFor(10 * time.Millisecond)
+			}
+			h.k.RunFor(100 * time.Millisecond)
+
+			var trues, falses int
+			for i, d := range delays {
+				p := fmt.Sprintf("m%d", i)
+				for _, id := range ids {
+					n := 0
+					for _, got := range h.payloads(id) {
+						if got == p {
+							n++
+						}
+					}
+					if withdrawn[i] && n != 0 {
+						t.Errorf("cancel after %v reported true, yet node %v delivered %s %d times", d, id, p, n)
+					}
+					if !withdrawn[i] && n != 1 {
+						t.Errorf("cancel after %v reported false, yet node %v delivered %s %d times", d, id, p, n)
+					}
+				}
+				if withdrawn[i] {
+					trues++
+				} else {
+					falses++
+				}
+			}
+			if trues == 0 || falses == 0 {
+				t.Errorf("cancel reported true %d and false %d times; the delays must cover both", trues, falses)
+			}
+			h.checkAgreement(ids...)
+			h.stopAll()
+		})
+	}
+}
+
+// TestConformanceBroadcastAfterStop: neither Broadcast nor
+// BroadcastCancelable submitted after a node's Stop took effect reaches any
+// member, and cancel says so.
+func TestConformanceBroadcastAfterStop(t *testing.T) {
+	for _, kind := range confKinds {
+		t.Run(string(kind), func(t *testing.T) {
+			h := newConfHarness(t, kind, 13, nil)
+			ids := confIDs(3)
+			for _, id := range ids {
+				h.addNode(id, ids, true)
+			}
+			h.startAll()
+			h.k.RunFor(10 * time.Millisecond)
+
+			h.nodes[0].Stop()
+			if err := h.nodes[0].Broadcast([]byte("late")); err != nil {
+				t.Fatalf("Broadcast after Stop: %v", err)
+			}
+			var cancel func() bool
+			h.k.Post(func() { cancel = h.nodes[0].BroadcastCancelable([]byte("late-cancelable"), false, 0) })
+			h.k.RunFor(200 * time.Millisecond)
+			h.k.Post(func() {
+				if !cancel() {
+					t.Errorf("cancel after Stop reported that the message may reach the wire")
+				}
+			})
+			h.k.RunFor(time.Millisecond)
+			for _, id := range ids {
+				for _, p := range h.payloads(id) {
+					if p == "late" || p == "late-cancelable" {
+						t.Fatalf("node %v delivered %q, broadcast after Stop", id, p)
 					}
 				}
 			}

@@ -19,14 +19,12 @@ import (
 //
 // All hub state is confined to the shared runtime loop.
 type InstantHub struct {
-	rt          sim.Runtime
-	quorum      int
-	epoch       uint64
-	seq         uint64
-	nodes       map[transport.NodeID]*instantNode // registered (Start/Stop toggle active)
-	pending     []*instantPending
-	flushQueued bool
-	seen        keyWindow // dupKeys ordered, for suppression
+	rt     sim.Runtime
+	quorum int
+	epoch  uint64
+	seq    uint64
+	nodes  map[transport.NodeID]*instantNode // registered (Start/Stop toggle active)
+	out    outbox                            // every node's broadcasts, and the dupKeys ordered
 	// active caches the active nodes in id order, so a delivery walks a
 	// slice instead of looking every receiver up in nodes. Rebuilding it on
 	// every delivery is O(N log N) per message, which dominates
@@ -47,31 +45,18 @@ type InstantHub struct {
 // NewInstantHub creates an empty hub. Nodes attach via New with
 // Options{Kind: KindInstant, Instant: InstantTuning{Hub: hub}}.
 func NewInstantHub() *InstantHub {
-	return &InstantHub{
-		nodes: make(map[transport.NodeID]*instantNode),
-	}
-}
-
-// instantPending is one queued broadcast awaiting the hub's flush step.
-type instantPending struct {
-	sender    transport.NodeID
-	payload   []byte
-	safe      bool
-	dupKey    uint64
-	sent      bool
-	cancelled bool
+	h := &InstantHub{nodes: make(map[transport.NodeID]*instantNode)}
+	h.out.flush = h.flush
+	return h
 }
 
 // instantNode is one processor's endpoint of the hub.
 type instantNode struct {
-	hub        *InstantHub
-	env        Env
-	me         transport.NodeID
-	active     bool
-	totalOrder uint64
-	stats      struct {
+	endpoint
+	hub    *InstantHub
+	active bool
+	stats  struct {
 		Broadcasts uint64
-		Delivered  uint64
 		Suppressed uint64
 	}
 }
@@ -79,7 +64,7 @@ type instantNode struct {
 func newInstantOrderer(env Env, opts Options) (Orderer, error) {
 	hub := opts.Instant.Hub
 	me := env.Transport.LocalID()
-	n := &instantNode{hub: hub, env: env, me: me}
+	n := &instantNode{endpoint: endpoint{env: env, me: me}, hub: hub}
 	if hub.rt == nil {
 		hub.rt = env.Runtime
 		hub.quorum = majority(len(env.Members))
@@ -115,90 +100,53 @@ func (n *instantNode) Stop() {
 	})
 }
 
-// LocalID implements Orderer.
-func (n *instantNode) LocalID() transport.NodeID { return n.me }
-
 // Broadcast implements Orderer. The message is ordered and delivered to
 // every active node in one simulated step.
 func (n *instantNode) Broadcast(payload []byte) error {
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
+	p := newPending(n.me, payload, false, 0)
 	n.hub.rt.Post(func() {
-		n.hub.enqueue(&instantPending{sender: n.me, payload: cp})
+		n.submit(p)
 		n.hub.flush()
 	})
 	return nil
 }
 
-// BroadcastCancelable implements Orderer. Loop-only; the hub's flush runs as
-// a separate posted step, so a cancel within the same instant withdraws the
-// message before ordering, mirroring the wire orderers' suppression window.
+// BroadcastCancelable implements Orderer. The hub's flush runs as a
+// separate posted step, so a cancel within the submitting instant withdraws
+// the message before ordering, mirroring the wire orderers' suppression
+// window.
 func (n *instantNode) BroadcastCancelable(payload []byte, safe bool, dupKey uint64) func() bool {
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	p := &instantPending{sender: n.me, payload: cp, safe: safe, dupKey: dupKey}
-	n.hub.enqueue(p)
-	hub := n.hub
-	if !hub.flushQueued {
-		hub.flushQueued = true
-		hub.rt.Post(func() {
-			hub.flushQueued = false
-			hub.flush()
-		})
-	}
-	return func() bool {
-		if p.sent {
-			return false
-		}
-		p.cancelled = true
-		return true
-	}
+	p := newPending(n.me, payload, safe, dupKey)
+	n.submit(p)
+	n.hub.out.flushSoon(n.hub.rt)
+	return p.cancel
 }
 
-func (h *InstantHub) enqueue(p *instantPending) {
-	h.pending = append(h.pending, p)
-	if n := h.nodes[p.sender]; n != nil {
-		n.stats.Broadcasts++
-	}
+// submit queues p on the hub and counts it as this node's broadcast.
+func (n *instantNode) submit(p *pending) {
+	n.hub.out.add(p)
+	n.stats.Broadcasts++
 }
 
 // flush orders every queued broadcast. Loop-only.
 func (h *InstantHub) flush() {
-	pend := h.pending
-	h.pending = nil
+	pend := h.out.q
+	h.out.q = nil
 	for _, p := range pend {
-		if p.cancelled {
-			continue
-		}
 		sender := h.nodes[p.sender]
 		if sender == nil || !sender.active {
 			continue // sender stopped between queue and flush
 		}
-		if h.seen.Seen(p.dupKey) {
-			p.cancelled = true
-			sender.stats.Suppressed++
+		if h.out.withdrawn(p, &sender.stats.Suppressed) {
 			continue
 		}
 		p.sent = true
-		h.seen.Note(p.dupKey, keyGeneration(len(h.activeNodes())))
+		h.out.see(p.dupKey, len(h.activeNodes()))
 		h.seq++
-		h.deliverAll(p)
-	}
-}
-
-// deliverAll hands one ordered message to every active node, in id order.
-func (h *InstantHub) deliverAll(p *instantPending) {
-	view := h.viewID()
-	for _, n := range h.activeNodes() {
-		n.totalOrder++
-		n.stats.Delivered++
-		n.env.Deliver(Delivery{
-			TotalOrder: n.totalOrder,
-			ViewID:     view,
-			Seq:        h.seq,
-			Sender:     p.sender,
-			Payload:    p.payload,
-		})
+		view := h.viewID()
+		for _, n := range h.activeNodes() {
+			n.deliver(view, h.seq, p.sender, p.payload)
+		}
 	}
 }
 
@@ -237,9 +185,7 @@ func (h *InstantHub) emitViews() {
 		Primary: len(members) >= h.quorum,
 	}
 	for _, n := range active {
-		if n.env.OnView != nil {
-			n.env.OnView(view)
-		}
+		n.emitView(view)
 	}
 }
 
@@ -273,7 +219,7 @@ func (n *instantNode) ObsSamples() []obs.Sample {
 	id := uint32(n.me)
 	return []obs.Sample{
 		{Node: id, Name: "instant.broadcasts", Value: n.stats.Broadcasts},
-		{Node: id, Name: "instant.delivered", Value: n.stats.Delivered},
+		{Node: id, Name: "instant.delivered", Value: n.totalOrder},
 		{Node: id, Name: "instant.suppressed", Value: n.stats.Suppressed},
 	}
 }

@@ -24,11 +24,11 @@ func TestKeyWindowBounded(t *testing.T) {
 			gen := keyGeneration(len(ids))
 			windows := func() []*keyWindow {
 				if kind == KindInstant {
-					return []*keyWindow{&h.hub.seen}
+					return []*keyWindow{&h.hub.out.keys}
 				}
 				var out []*keyWindow
 				for _, id := range ids {
-					out = append(out, &h.nodes[id].(*seqNode).seenKeys)
+					out = append(out, &h.nodes[id].(*seqNode).out.keys)
 				}
 				return out
 			}

@@ -87,6 +87,11 @@ type View struct {
 // Orderer is one processor's endpoint of a total-order multicast protocol.
 // All callbacks (Deliver, OnView) run on the configured runtime loop; state
 // above the orderer may rely on that serialization.
+//
+// Per-sender order holds between two Broadcasts and between two
+// BroadcastCancelables, but not across the kinds: Broadcast enqueues from a
+// Post, while BroadcastCancelable enqueues at once, so a later cancelable
+// broadcast can be ordered before an earlier plain one from the same sender.
 type Orderer interface {
 	// Start begins protocol activity. Safe from any goroutine.
 	Start()
@@ -99,10 +104,13 @@ type Orderer interface {
 	// BroadcastCancelable submits payload like Broadcast but returns a cancel
 	// function reporting whether the message is guaranteed not to reach the
 	// wire — the duplicate-suppression primitive behind CCS messages and
-	// replica replies. A queued message whose dupKey (logical identity,
-	// 0 = none) has already been seen is withdrawn automatically. When safe
-	// is true, delivery additionally waits until every member of the view
-	// holds the message. Must be called (and cancelled) on the runtime loop.
+	// replica replies (§4.3 of the paper). When cancel reports true, no member
+	// delivers the message; once it has reached the wire, cancel reports
+	// false and the message is delivered as if never cancelled. A queued
+	// message whose dupKey (logical identity, 0 = none) has already been
+	// ordered is withdrawn automatically. When safe is true, delivery
+	// additionally waits until every member of the view holds the message.
+	// Must be called (and cancelled) on the runtime loop.
 	BroadcastCancelable(payload []byte, safe bool, dupKey uint64) func() bool
 	// LocalID reports the processor identity of this endpoint.
 	LocalID() transport.NodeID

@@ -33,25 +33,15 @@ const (
 // seqStats are cumulative counters, exported through obs.
 type seqStats struct {
 	Proposals  uint64 // proposals submitted locally
-	Suppressed uint64 // proposals withdrawn by duplicate suppression
+	Suppressed uint64 // queued proposals withdrawn because their dupKey was seen
+	Refused    uint64 // proposals refused as leader because their dupKey was seen
 	Ordered    uint64 // entries this node sequenced as leader
-	Delivered  uint64
 	Resends    uint64 // proposal retransmissions
 	Retrans    uint64 // entry retransmissions served as leader
 	Nacks      uint64 // gap nacks sent
 	Heartbeats uint64 // heartbeats broadcast as leader
 	Elections  uint64 // elections this node initiated or joined
 	Views      uint64 // views installed
-}
-
-// seqPending is one locally-submitted proposal awaiting ordering.
-type seqPending struct {
-	local     uint64 // per-epoch local id, assigned at first send (0 before); reset at view change
-	safe      bool
-	dupKey    uint64
-	payload   []byte
-	sent      bool // reached the wire (or the local ordering path)
-	cancelled bool
 }
 
 // seqNode implements the leader-sequencer orderer: the lowest-id member of
@@ -69,11 +59,10 @@ type seqPending struct {
 // All state is confined to the runtime loop: the transport receiver copies
 // the datagram and posts, and public methods post.
 type seqNode struct {
-	env Env
+	endpoint
 	tun SeqTuning
 	rt  sim.Runtime
 	tr  transport.Transport
-	me  transport.NodeID
 
 	universe []transport.NodeID // initial membership (quorum base)
 	quorum   int
@@ -93,9 +82,7 @@ type seqNode struct {
 	highSeq     uint64 // highest seq seen (== last sequenced when leader)
 	safePoint   uint64
 	prunedTo    uint64
-	totalOrder  uint64
 	safeWaitSeq uint64
-	seenKeys    keyWindow // dupKeys of entries seen, for suppression
 
 	// Leader state.
 	nextLocal map[transport.NodeID]uint64                 // next expected Local per sender (this epoch)
@@ -108,10 +95,10 @@ type seqNode struct {
 	lastHeard []time.Duration
 	atSafe    int
 
-	// Proposer state.
+	// Proposer state. out queues local proposals, and its key window holds
+	// the dupKeys of the entries seen.
 	localSeq       uint64 // last local id assigned (this epoch)
-	pend           []*seqPending
-	flushQueued    bool
+	out            outbox
 	lastLeaderSeen time.Duration
 
 	// Election state (valid while state == seqElecting).
@@ -143,17 +130,17 @@ func newSeqOrderer(env Env, opts Options) (Orderer, error) {
 		universe = []transport.NodeID{me}
 	}
 	n := &seqNode{
-		env:      env,
+		endpoint: endpoint{env: env, me: me},
 		tun:      t,
 		rt:       env.Runtime,
 		tr:       env.Transport,
-		me:       me,
 		universe: universe,
 		quorum:   majority(len(universe)),
 		received: make(map[uint64]*seqEntry),
 		obs:      env.Obs,
 	}
-	env.Transport.SetReceiver(n.receive)
+	n.out.flush = n.flushPending
+	env.Transport.SetReceiver(hop(n.rt, n.dispatch))
 	env.Obs.Register(n)
 	return n, nil
 }
@@ -185,69 +172,52 @@ func (n *seqNode) Stop() {
 	})
 }
 
-// LocalID implements Orderer.
-func (n *seqNode) LocalID() transport.NodeID { return n.me }
-
 // Broadcast implements Orderer. Safe from any goroutine.
 func (n *seqNode) Broadcast(payload []byte) error {
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
+	p := newPending(n.me, payload, false, 0)
 	n.rt.Post(func() {
 		if n.state == seqStopped {
 			return
 		}
-		n.submit(&seqPending{payload: cp})
+		n.submit(p)
 		n.flushPending()
 	})
 	return nil
 }
 
-// BroadcastCancelable implements Orderer. Loop-only. The proposal is flushed
-// to the wire by a posted step, so a cancellation arriving within the same
-// loop instant (the duplicate-suppression window) withdraws it before it is
-// sent; after that the leader's dupKey check suppresses redundant ordering.
+// BroadcastCancelable implements Orderer. The proposal is flushed to the
+// wire by a posted step, so a cancel within the submitting loop instant
+// withdraws it before it is sent; after that the leader's dupKey check
+// refuses redundant ordering.
 func (n *seqNode) BroadcastCancelable(payload []byte, safe bool, dupKey uint64) func() bool {
+	p := newPending(n.me, payload, safe, dupKey)
 	if n.state == seqStopped {
-		return func() bool { return false }
+		return p.cancel
 	}
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	p := &seqPending{payload: cp, safe: safe, dupKey: dupKey}
 	n.submit(p)
-	if !n.flushQueued {
-		n.flushQueued = true
-		n.rt.Post(func() {
-			n.flushQueued = false
-			n.flushPending()
-		})
-	}
-	return func() bool {
-		if p.sent {
-			return false
-		}
-		p.cancelled = true
-		return true
-	}
+	n.out.flushSoon(n.rt)
+	return p.cancel
 }
 
 // submit queues a proposal. It is numbered only when first sent
 // (sendPropose): a proposal cancelled or suppressed before then must not
 // leave a hole in this sender's numbering, which the leader would wait on
 // for the rest of the view.
-func (n *seqNode) submit(p *seqPending) {
-	n.pend = append(n.pend, p)
+func (n *seqNode) submit(p *pending) {
+	n.out.add(p)
 	n.stats.Proposals++
 }
 
-// flushPending pushes queued proposals toward the current leader. Proposals
-// stay queued (still cancellable) while the node has no primary view.
+// flushPending pushes queued proposals toward the current leader, after
+// withdrawing those whose dupKey has been ordered: the leader would refuse
+// them. Proposals stay queued (still cancellable) while the node has no
+// primary view.
 func (n *seqNode) flushPending() {
+	n.out.sweep(&n.stats.Suppressed)
 	if n.state != seqOperational || !n.view.Primary {
-		n.sweepPending()
 		return
 	}
-	n.suppressSeenPending()
-	for _, p := range n.pend {
+	for _, p := range n.out.q {
 		if !p.sent {
 			n.sendPropose(p, false)
 		}
@@ -256,7 +226,7 @@ func (n *seqNode) flushPending() {
 
 // sendPropose transmits one proposal to the leader (or orders it directly
 // when this node is the leader), numbering it at its first send in the view.
-func (n *seqNode) sendPropose(p *seqPending, resend bool) {
+func (n *seqNode) sendPropose(p *pending, resend bool) {
 	if p.local == 0 {
 		n.localSeq++
 		p.local = n.localSeq
@@ -278,45 +248,6 @@ func (n *seqNode) sendPropose(p *seqPending, resend bool) {
 		return
 	}
 	_ = n.tr.Send(n.leader, encodePropose(m))
-}
-
-// suppressSeenPending retires queued proposals whose dupKey has already been
-// ordered somewhere: the leader's duplicate check guarantees they can never
-// be ordered, so resending them is pure waste.
-func (n *seqNode) suppressSeenPending() {
-	for _, p := range n.pend {
-		if !p.cancelled && n.seenKeys.Seen(p.dupKey) {
-			p.cancelled = true
-			n.stats.Suppressed++
-		}
-	}
-	n.sweepPending()
-}
-
-// sweepPending drops cancelled proposals.
-func (n *seqNode) sweepPending() {
-	out := n.pend[:0]
-	for _, p := range n.pend {
-		if !p.cancelled {
-			out = append(out, p)
-		}
-	}
-	for i := len(out); i < len(n.pend); i++ {
-		n.pend[i] = nil
-	}
-	n.pend = out
-}
-
-// receive is the transport receiver: it copies the datagram and hops onto
-// the runtime loop. Only simnet happens to call it there; udptransport calls
-// it on its read goroutine, with a buffer it reuses.
-func (n *seqNode) receive(from transport.NodeID, payload []byte) {
-	if len(payload) == 0 {
-		return
-	}
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	n.rt.Post(func() { n.dispatch(from, cp) })
 }
 
 // dispatch handles one inbound datagram. Loop-only.
@@ -421,8 +352,8 @@ func (n *seqNode) onPropose(p *seqPropose) {
 
 func (n *seqNode) orderProposal(p *seqPropose) {
 	n.nextLocal[p.Sender] = p.Local + 1
-	if n.seenKeys.Seen(p.DupKey) {
-		n.stats.Suppressed++
+	if n.out.keys.Seen(p.DupKey) {
+		n.stats.Refused++
 		return
 	}
 	n.highSeq++
@@ -436,7 +367,7 @@ func (n *seqNode) orderProposal(p *seqPropose) {
 		Payload: p.Payload,
 	}
 	n.stats.Ordered++
-	n.noteSeen(e.DupKey)
+	n.out.see(e.DupKey, len(n.view.Members))
 	n.received[e.Seq] = e
 	n.clearPendingFor(e)
 	_ = n.tr.Broadcast(encodeOrdered(e))
@@ -498,7 +429,7 @@ func (n *seqNode) onOrdered(e *seqEntry) {
 	if e.Seq > n.highSeq {
 		n.highSeq = e.Seq
 	}
-	n.noteSeen(e.DupKey)
+	n.out.see(e.DupKey, len(n.view.Members))
 	n.clearPendingFor(e)
 	prev := n.myAru
 	n.tryDeliver()
@@ -618,20 +549,8 @@ func (n *seqNode) tryDeliver() {
 			n.safeWaitSeq = 0
 		}
 		n.delivered = s
-		n.deliverEntry(e)
+		n.deliver(e.View, e.Seq, e.Sender, e.Payload)
 	}
-}
-
-func (n *seqNode) deliverEntry(e *seqEntry) {
-	n.totalOrder++
-	n.stats.Delivered++
-	n.env.Deliver(Delivery{
-		TotalOrder: n.totalOrder,
-		ViewID:     e.View,
-		Seq:        e.Seq,
-		Sender:     e.Sender,
-		Payload:    e.Payload,
-	})
 }
 
 // prune discards retained entries the whole view holds.
@@ -646,18 +565,12 @@ func (n *seqNode) prune() {
 	}
 }
 
-// noteSeen records an entry's dupKey in a window sized like a Totem ring of
-// the same view.
-func (n *seqNode) noteSeen(dupKey uint64) {
-	n.seenKeys.Note(dupKey, keyGeneration(len(n.view.Members)))
-}
-
 // clearPendingFor retires the local proposal matched by an ordered entry.
 func (n *seqNode) clearPendingFor(e *seqEntry) {
 	if e.Sender != n.me {
 		return
 	}
-	for _, p := range n.pend {
+	for _, p := range n.out.q {
 		if p.local == e.Local && !p.cancelled {
 			p.cancelled = true // retired; swept lazily
 			return
@@ -864,7 +777,7 @@ func (n *seqNode) applyInstall(m *seqInstall) {
 			n.safeWaitSeq = 0
 		}
 		n.delivered = e.Seq // skips seqs lost by every surviving member
-		n.deliverEntry(&e)
+		n.deliver(e.View, e.Seq, e.Sender, e.Payload)
 		n.clearPendingFor(&e)
 	}
 	if m.HighSeq > n.delivered {
@@ -903,19 +816,13 @@ func (n *seqNode) installView(v View) {
 	// Relabel surviving proposals under the new epoch: each is numbered
 	// afresh, densely and in queue order, when it is sent in this view.
 	n.localSeq = 0
-	for _, p := range n.pend {
+	for _, p := range n.out.q {
 		p.local = 0
 		p.sent = false
 	}
 
 	n.cancelAllTimers()
-	if n.env.OnView != nil {
-		n.env.OnView(View{
-			ID:      v.ID,
-			Members: append([]transport.NodeID(nil), v.Members...),
-			Primary: v.Primary,
-		})
-	}
+	n.emitView(View{ID: v.ID, Members: slices.Clone(v.Members), Primary: v.Primary})
 	if n.leader == n.me {
 		n.armHeartbeat()
 	} else {
@@ -992,8 +899,8 @@ func (n *seqNode) armResendTimer() {
 			return
 		}
 		if n.view.Primary {
-			n.suppressSeenPending()
-			for _, p := range n.pend {
+			n.out.sweep(&n.stats.Suppressed)
+			for _, p := range n.out.q {
 				n.sendPropose(p, p.sent)
 			}
 		}
@@ -1036,8 +943,9 @@ func (n *seqNode) ObsSamples() []obs.Sample {
 	return []obs.Sample{
 		{Node: id, Name: "seq.proposals", Value: n.stats.Proposals},
 		{Node: id, Name: "seq.suppressed", Value: n.stats.Suppressed},
+		{Node: id, Name: "seq.refused", Value: n.stats.Refused},
 		{Node: id, Name: "seq.ordered", Value: n.stats.Ordered},
-		{Node: id, Name: "seq.delivered", Value: n.stats.Delivered},
+		{Node: id, Name: "seq.delivered", Value: n.totalOrder},
 		{Node: id, Name: "seq.resends", Value: n.stats.Resends},
 		{Node: id, Name: "seq.retransmissions", Value: n.stats.Retrans},
 		{Node: id, Name: "seq.nacks", Value: n.stats.Nacks},

@@ -2,7 +2,7 @@ package order
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"cts/internal/obs"
@@ -73,11 +73,10 @@ func (s nodeState) String() string {
 // safe to call from any goroutine (they post to the loop), and accessor
 // methods document when they must run on the loop.
 type totemNode struct {
-	env Env
+	endpoint
 	tun TotemTuning
 	rt  sim.Runtime
 	tr  transport.Transport
-	me  transport.NodeID
 
 	state   nodeState
 	ring    ViewID
@@ -87,10 +86,10 @@ type totemNode struct {
 
 	// Operational ring state.
 	//
-	// keys are the logical identities seen, for duplicate suppression, sized
-	// by keyGeneration. Keys outlive their message — discarding received[s]
-	// does not forget its key.
-	keys         keyWindow
+	// out queues application broadcasts for the token visit, and its key
+	// window holds the logical identities received. Keys outlive their
+	// message: discarding received[s] does not forget its key.
+	out          outbox
 	lastTokenSeq uint64
 	highSeq      uint64
 	myAru        uint64
@@ -104,7 +103,6 @@ type totemNode struct {
 	// with this visit's incoming aru it is the discard rule's evidence.
 	prevTokenAru uint64
 	safePoint    uint64
-	sendq        []*queuedMsg
 	recq         []*dataMsg
 	retained     []byte // encoded last-forwarded token, for retransmission
 
@@ -113,8 +111,6 @@ type totemNode struct {
 	consensusTimer sim.Canceler
 	commitTimer    sim.Canceler
 	announceTimer  sim.Canceler
-
-	totalOrder uint64
 
 	// Gather state.
 	procSet    map[transport.NodeID]bool
@@ -151,15 +147,14 @@ func newTotemOrderer(env Env, opts Options) (Orderer, error) {
 	t.AnnounceInterval = defaultDur(t.AnnounceInterval, defaultAnnounce)
 	me := env.Transport.LocalID()
 	members := sortedNodes(env.Members)
-	if !containsNode(members, me) {
+	if !slices.Contains(members, me) {
 		members = sortedNodes(append(members, me))
 	}
 	n := &totemNode{
-		env:      env,
+		endpoint: endpoint{env: env, me: me},
 		tun:      t,
 		rt:       env.Runtime,
 		tr:       env.Transport,
-		me:       me,
 		members:  members,
 		quorum:   majority(len(members)),
 		received: make(map[uint64]*dataMsg),
@@ -167,7 +162,7 @@ func newTotemOrderer(env Env, opts Options) (Orderer, error) {
 		obs:      env.Obs,
 	}
 	env.Obs.Register(n)
-	env.Transport.SetReceiver(n.receive)
+	env.Transport.SetReceiver(hop(n.rt, n.dispatch))
 	return n, nil
 }
 
@@ -182,7 +177,7 @@ func (n *totemNode) Start() {
 			n.maxRingSeq = 1
 			n.state = stateOperational
 			n.primary = len(n.members) >= n.quorum
-			n.emitView()
+			n.emitView(View{ID: n.ring, Members: slices.Clone(n.members), Primary: n.primary})
 			if n.me == n.ring.Rep {
 				tk := &ringToken{Ring: n.ring, TokenSeq: 1, AruID: aruNone}
 				n.rt.Post(func() { n.onToken(tk) })
@@ -206,66 +201,29 @@ func (n *totemNode) Stop() {
 	})
 }
 
-// LocalID reports the node's transport identity.
-func (n *totemNode) LocalID() transport.NodeID { return n.me }
-
-// queuedMsg is a pending application broadcast awaiting a token visit.
-type queuedMsg struct {
-	payload   []byte
-	safe      bool
-	dupKey    uint64
-	cancelled bool
-	sent      bool
-}
-
 // Broadcast queues payload for totally-ordered delivery to the group. The
 // payload is copied. Safe to call from any goroutine.
 func (n *totemNode) Broadcast(payload []byte) error {
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
+	p := newPending(n.me, payload, false, 0)
 	n.rt.Post(func() {
-		if n.state == stateStopped {
-			return
+		if n.state != stateStopped {
+			n.out.add(p)
 		}
-		n.sendq = append(n.sendq, &queuedMsg{payload: cp})
 	})
 	return nil
 }
 
-// BroadcastCancelable queues payload like Broadcast but returns a cancel
-// function that withdraws the message if it has not yet been put on the
-// wire. This is the duplicate-suppression hook the replication
-// infrastructure uses (§4.3 of the paper: per CCS round, every replica
-// attempts to send one CCS message, yet only one reaches the network).
-//
-// When safe is true the message is delivered with safe semantics: only once
-// the token's all-received-up-to field shows that every processor on the
-// ring holds it ("if the message is delivered to any non-faulty replica, it
-// will be delivered to all non-faulty replicas", §3 of the paper).
-//
-// A non-zero dupKey names the message's logical identity: if a message with
-// the same key has already been received from another processor, the queued
-// message is withdrawn automatically at the token visit — the paper's
-// infrastructure-level duplicate detection ([20], §4.3).
-//
-// Both BroadcastCancelable and the returned cancel function must be called
-// on the node's runtime loop; cancel reports whether the message is
-// guaranteed not to reach the wire (idempotently).
+// BroadcastCancelable implements Orderer. The message goes out at the next
+// token visit; a safe one is delivered once the token's all-received-up-to
+// field shows that every processor on the ring holds it ("if the message is
+// delivered to any non-faulty replica, it will be delivered to all
+// non-faulty replicas", §3 of the paper).
 func (n *totemNode) BroadcastCancelable(payload []byte, safe bool, dupKey uint64) func() bool {
-	if n.state == stateStopped {
-		return func() bool { return false }
+	p := newPending(n.me, payload, safe, dupKey)
+	if n.state != stateStopped {
+		n.out.add(p)
 	}
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	q := &queuedMsg{payload: cp, safe: safe, dupKey: dupKey}
-	n.sendq = append(n.sendq, q)
-	return func() bool {
-		if q.sent {
-			return false
-		}
-		q.cancelled = true
-		return true
-	}
+	return p.cancel
 }
 
 // ObsSamples implements obs.Source under the canonical totem.* names.
@@ -276,7 +234,8 @@ func (n *totemNode) ObsSamples() []obs.Sample {
 		{Node: id, Name: "totem.tokens_handled", Value: n.stats.TokensHandled},
 		{Node: id, Name: "totem.broadcasts", Value: n.stats.Broadcasts},
 		{Node: id, Name: "totem.retransmissions", Value: n.stats.Retransmissions},
-		{Node: id, Name: "totem.delivered", Value: n.stats.Delivered},
+		{Node: id, Name: "totem.delivered", Value: n.totalOrder},
+		{Node: id, Name: "totem.suppressed", Value: n.stats.Suppressed},
 		{Node: id, Name: "totem.memberships", Value: n.stats.Memberships},
 		{Node: id, Name: "totem.token_retrans", Value: n.stats.TokenRetrans},
 		{Node: id, Name: "totem.token_losses", Value: n.stats.TokenLosses},
@@ -284,23 +243,13 @@ func (n *totemNode) ObsSamples() []obs.Sample {
 		// and up to where it let go.
 		{Node: id, Name: "totem.retained_msgs", Value: uint64(len(n.received))},
 		{Node: id, Name: "totem.discard_point", Value: n.gcPoint},
-		{Node: id, Name: "totem.dup_keys", Value: uint64(n.keys.Len())},
+		{Node: id, Name: "totem.dup_keys", Value: uint64(n.out.keys.Len())},
 	}
 }
 
-// receive is the transport receiver: it copies the datagram and hops onto
-// the runtime loop.
-func (n *totemNode) receive(from transport.NodeID, payload []byte) {
-	if len(payload) == 0 {
-		return
-	}
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	n.rt.Post(func() { n.dispatch(from, cp) })
-}
-
+// dispatch handles one inbound datagram. Loop-only.
 func (n *totemNode) dispatch(_ transport.NodeID, pkt []byte) {
-	if n.state == stateStopped || len(pkt) == 0 {
+	if n.state == stateStopped {
 		return
 	}
 	switch pkt[0] {
@@ -390,22 +339,16 @@ func (n *totemNode) onToken(tk *ringToken) {
 		budget--
 		fcc++
 	}
-	for budget > 0 && len(n.sendq) > 0 && n.state == stateOperational {
-		q := n.sendq[0]
-		n.sendq = n.sendq[1:]
-		if q.cancelled {
-			continue
-		}
-		if n.keys.Seen(q.dupKey) {
-			// Duplicate detection: a message with the same logical identity
-			// has already been received from another processor (§4.3).
-			q.cancelled = true
+	for budget > 0 && len(n.out.q) > 0 && n.state == stateOperational {
+		p := n.out.q[0]
+		n.out.q = n.out.q[1:]
+		if n.out.withdrawn(p, &n.stats.Suppressed) {
 			continue
 		}
 		tk.Seq++
 		m := &dataMsg{Ring: n.ring, Seq: tk.Seq, Sender: n.me,
-			Kind: msgRegular, Safe: q.safe, DupKey: q.dupKey, Payload: q.payload}
-		q.sent = true
+			Kind: msgRegular, Safe: p.safe, DupKey: p.dupKey, Payload: p.payload}
+		p.sent = true
 		n.storeReceived(m)
 		n.sendData(m)
 		budget--
@@ -454,7 +397,7 @@ func (n *totemNode) onToken(tk *ringToken) {
 	// Recovery reads received (salvage, and oldHold aliases it), so a ring
 	// still recovering keeps everything.
 	if n.state == stateOperational {
-		n.discardThrough(minU64(n.delivered, minU64(aruIn, n.prevTokenAru)))
+		n.discardThrough(min(n.delivered, aruIn, n.prevTokenAru))
 	}
 	n.prevTokenAru = aruIn
 }
@@ -487,7 +430,7 @@ func (n *totemNode) storeReceived(m *dataMsg) {
 	if _, ok := n.received[m.Seq]; !ok {
 		n.received[m.Seq] = m
 	}
-	n.keys.Note(m.DupKey, n.keyGeneration())
+	n.out.see(m.DupKey, len(n.members))
 }
 
 // discardThrough releases every retained message at or below limit.
@@ -496,13 +439,6 @@ func (n *totemNode) discardThrough(limit uint64) {
 		n.gcPoint++
 		delete(n.received, n.gcPoint)
 	}
-}
-
-// keyGeneration sizes the ring's key window: four rotations at the full
-// per-visit budget, so a duplicate, which is queued within a rotation or two
-// of its original, still finds the original's key.
-func (n *totemNode) keyGeneration() int {
-	return keyGeneration(len(n.members))
 }
 
 func (n *totemNode) updateAru() {
@@ -549,7 +485,7 @@ func (n *totemNode) handleDelivered(m *dataMsg) {
 	switch n.state {
 	case stateOperational:
 		if m.Kind == msgRegular {
-			n.deliverToApp(m.Ring, m.Seq, m.Sender, m.Payload)
+			n.deliver(m.Ring, m.Seq, m.Sender, m.Payload)
 		}
 	case stateRecover:
 		switch m.Kind {
@@ -568,18 +504,6 @@ func (n *totemNode) handleDelivered(m *dataMsg) {
 			n.heldRegular = append(n.heldRegular, m)
 		}
 	}
-}
-
-func (n *totemNode) deliverToApp(ring ViewID, seq uint64, sender transport.NodeID, payload []byte) {
-	n.totalOrder++
-	n.stats.Delivered++
-	n.env.Deliver(Delivery{
-		TotalOrder: n.totalOrder,
-		ViewID:     ring,
-		Seq:        seq,
-		Sender:     sender,
-		Payload:    payload,
-	})
 }
 
 func (n *totemNode) sendData(m *dataMsg) {
@@ -652,15 +576,6 @@ func (n *totemNode) armLossTimer() {
 	})
 }
 
-func (n *totemNode) emitView() {
-	if n.env.OnView == nil {
-		return
-	}
-	members := make([]transport.NodeID, len(n.members))
-	copy(members, n.members)
-	n.env.OnView(View{ID: n.ring, Members: members, Primary: n.primary})
-}
-
 func (n *totemNode) cancelAllTimers() {
 	cancelTimer(&n.retransTimer)
 	cancelTimer(&n.lossTimer)
@@ -713,46 +628,15 @@ func (n *totemNode) onAnnounce(a *announceMsg) {
 	}
 }
 
+// sortedNodes returns a sorted copy of in without repeats.
 func sortedNodes(in []transport.NodeID) []transport.NodeID {
-	out := make([]transport.NodeID, len(in))
-	copy(out, in)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	// Deduplicate.
-	uniq := out[:0]
-	for i, id := range out {
-		if i == 0 || id != out[i-1] {
-			uniq = append(uniq, id)
-		}
-	}
-	return uniq
+	out := slices.Clone(in)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-func containsNode(set []transport.NodeID, id transport.NodeID) bool {
-	for _, m := range set {
-		if m == id {
-			return true
-		}
-	}
-	return false
-}
-
+// dedupSorted sorts in place and drops repeats.
 func dedupSorted(in []uint64) []uint64 {
-	if len(in) == 0 {
-		return nil
-	}
-	sort.Slice(in, func(i, j int) bool { return in[i] < in[j] })
-	out := in[:0]
-	for i, v := range in {
-		if i == 0 || v != in[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
+	slices.Sort(in)
+	return slices.Compact(in)
 }

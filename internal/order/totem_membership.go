@@ -1,6 +1,7 @@
 package order
 
 import (
+	"slices"
 	"sort"
 
 	"cts/internal/transport"
@@ -67,12 +68,12 @@ func (n *totemNode) startGatherInclude(include, suspect []transport.NodeID) {
 			}
 		}
 		sort.Slice(mine, func(i, j int) bool { return mine[i].Seq < mine[j].Seq })
-		requeued := make([]*queuedMsg, 0, len(mine)+len(n.sendq))
+		requeued := make([]*pending, 0, len(mine)+len(n.out.q))
 		for _, m := range mine {
-			requeued = append(requeued, &queuedMsg{
-				payload: m.Payload, safe: m.Safe, dupKey: m.DupKey})
+			requeued = append(requeued, &pending{
+				payload: m.Payload, safe: m.Safe, dupKey: m.DupKey, sender: n.me})
 		}
-		n.sendq = append(requeued, n.sendq...)
+		n.out.q = append(requeued, n.out.q...)
 	}
 	n.state = stateGather
 	n.cancelAllTimers()
@@ -157,7 +158,7 @@ func (n *totemNode) onJoin(j *joinMsg) {
 	case stateIdle:
 		// Not started yet; the joiner will retry.
 	case stateOperational, stateCommit, stateRecover:
-		if containsNode(n.members, j.Sender) && j.MaxRingSeq < n.maxRingSeq {
+		if slices.Contains(n.members, j.Sender) && j.MaxRingSeq < n.maxRingSeq {
 			// A straggler join from the gather that produced the current
 			// (or forming) ring: the sender is already with us, or — if it
 			// is genuinely stuck — the ring's token-loss timeout will
@@ -220,7 +221,7 @@ func (n *totemNode) checkConsensus() {
 		return
 	}
 	cand := n.candidates()
-	if len(cand) == 0 || !containsNode(cand, n.me) {
+	if len(cand) == 0 || !slices.Contains(cand, n.me) {
 		return
 	}
 	for _, id := range cand {
@@ -344,7 +345,7 @@ func successorIn(members []transport.NodeID, me transport.NodeID) transport.Node
 
 // onCommit handles a commit token.
 func (n *totemNode) onCommit(ct *commitToken) {
-	if n.state == stateStopped || !containsNode(ct.Members, n.me) {
+	if n.state == stateStopped || !slices.Contains(ct.Members, n.me) {
 		return
 	}
 	switch n.state {
@@ -532,7 +533,7 @@ func (n *totemNode) completeRecovery() {
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	for _, s := range seqs {
 		m := n.recOld[s]
-		n.deliverToApp(m.OldRing, m.OldSeq, m.OldSndr, m.Payload)
+		n.deliver(m.OldRing, m.OldSeq, m.OldSndr, m.Payload)
 	}
 	n.recOld = nil
 
@@ -547,11 +548,11 @@ func (n *totemNode) completeRecovery() {
 	if n.me == n.ring.Rep {
 		n.armAnnounceTimer()
 	}
-	n.emitView()
+	n.emitView(View{ID: n.ring, Members: slices.Clone(n.members), Primary: n.primary})
 
 	held := n.heldRegular
 	n.heldRegular = nil
 	for _, m := range held {
-		n.deliverToApp(m.Ring, m.Seq, m.Sender, m.Payload)
+		n.deliver(m.Ring, m.Seq, m.Sender, m.Payload)
 	}
 }

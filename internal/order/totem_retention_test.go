@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cts/internal/obs"
 	"cts/internal/transport"
 )
 
@@ -13,21 +14,23 @@ import (
 
 // gauge reads one of the node's obs samples. Loop-only, like ObsSamples: call
 // it from kernel callbacks or between kernel steps.
-func gauge(t *testing.T, n *totemNode, name string) uint64 {
+func gauge(t *testing.T, n obs.Source, name string) uint64 {
 	t.Helper()
 	for _, s := range n.ObsSamples() {
 		if s.Name == name {
 			return s.Value
 		}
 	}
-	t.Fatalf("node %v has no sample %q", n.me, name)
+	t.Fatalf("no sample %q", name)
 	return 0
 }
 
 // TestRetentionBoundedUnderLoss pushes 50k broadcasts through a lossy 3-node
 // ring and samples totem.retained_msgs at every token visit: it must stay
 // under a constant that does not depend on the run length, while lost
-// messages are still retransmitted and the total order stays gap-free.
+// messages are still retransmitted and the total order stays gap-free. The
+// first sample over the bound fails the test: a ring that stops recovering
+// losses would otherwise pile up messages until the run slows to a crawl.
 func TestRetentionBoundedUnderLoss(t *testing.T) {
 	const (
 		perNode = 16667 // ×3 ≈ 50k
@@ -41,9 +44,11 @@ func TestRetentionBoundedUnderLoss(t *testing.T) {
 	for _, id := range ids {
 		n := h.addNode(id, ids, true)
 		n.tokenHook = func(ringToken) {
-			if v := gauge(t, n, "totem.retained_msgs"); v > peak[id] {
-				peak[id] = v
+			v := gauge(t, n, "totem.retained_msgs")
+			if v > maxRetained {
+				t.Fatalf("%v: totem.retained_msgs = %d at %v, bound is %d", id, v, h.k.Now(), maxRetained)
 			}
+			peak[id] = max(peak[id], v)
 		}
 	}
 	h.net.SetLoss(0.02)
@@ -55,7 +60,7 @@ func TestRetentionBoundedUnderLoss(t *testing.T) {
 		i, n, sent := i, h.nodes[id], 0
 		var pump func()
 		pump = func() {
-			for len(n.sendq) < 2*maxMessagesPerToken && sent < perNode {
+			for len(n.out.q) < 2*maxMessagesPerToken && sent < perNode {
 				n.BroadcastCancelable([]byte(fmt.Sprintf("n%d-m%d", i, sent)), false, 0)
 				sent++
 			}
@@ -83,8 +88,8 @@ func TestRetentionBoundedUnderLoss(t *testing.T) {
 	var retrans uint64
 	for _, id := range ids {
 		n := h.nodes[id]
-		if peak[id] == 0 || peak[id] > maxRetained {
-			t.Errorf("%v: peak totem.retained_msgs = %d, want in (0, %d]", id, peak[id], maxRetained)
+		if peak[id] == 0 {
+			t.Errorf("%v: totem.retained_msgs never above 0; the test exercises nothing", id)
 		}
 		if v := gauge(t, n, "totem.retained_msgs"); v != 0 {
 			t.Errorf("%v: idle ring still retains %d messages", id, v)
@@ -180,10 +185,7 @@ func TestKeyWindowKeepsRecentKeys(t *testing.T) {
 		{members: 1000, gen: 64000},
 	} {
 		t.Run(fmt.Sprintf("members=%d", tc.members), func(t *testing.T) {
-			n := &totemNode{
-				members: nodeIDs(tc.members),
-			}
-			gen := n.keyGeneration()
+			gen := keyGeneration(tc.members)
 			if gen != tc.gen {
 				t.Fatalf("%d-member ring: generation %d, want %d", tc.members, gen, tc.gen)
 			}

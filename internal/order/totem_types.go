@@ -79,7 +79,7 @@ type totemStats struct {
 	TokensHandled   uint64
 	Broadcasts      uint64 // data messages this node put on the wire (incl. retransmissions)
 	Retransmissions uint64
-	Delivered       uint64
+	Suppressed      uint64 // queued broadcasts withdrawn because their dupKey was seen
 	Memberships     uint64 // rings this node has installed
 	TokenRetrans    uint64 // token retransmissions by this node
 	TokenLosses     uint64 // token-loss timeouts at this node

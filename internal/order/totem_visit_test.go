@@ -93,7 +93,7 @@ func (p *visitProbe) endVisit() {
 	p.lastRing, p.lastAru = p.visit.Ring, p.visit.Aru
 	want := p.gcBefore
 	if p.n.state == stateOperational {
-		if lim := minU64(p.n.delivered, minU64(p.visit.Aru, prev)); lim > want {
+		if lim := min(p.n.delivered, p.visit.Aru, prev); lim > want {
 			want = lim
 		}
 	}
@@ -145,7 +145,7 @@ func TestTokenForwardedBeforeDelivery(t *testing.T) {
 		i, n, sent := i, h.nodes[id], 0
 		var pump func()
 		pump = func() {
-			for len(n.sendq) < maxMessagesPerToken && sent < perNode && n.state != stateStopped {
+			for len(n.out.q) < maxMessagesPerToken && sent < perNode && n.state != stateStopped {
 				n.BroadcastCancelable([]byte(fmt.Sprintf("n%d-m%d", i, sent)), sent%2 == 0, 0)
 				sent++
 			}
