@@ -278,12 +278,13 @@ func (s *Stack) Multicast(m wire.Message) error {
 }
 
 // MulticastCancelable queues m like Multicast but returns a cancel function
-// reporting whether the message is guaranteed not to reach the wire — the
-// duplicate-suppression primitive used for CCS messages and replica replies.
+// reporting whether the message is guaranteed not to reach the wire.
 // Messages with identical headers (the paper's message identifier: source
 // group, destination group, connection, sequence number) share a logical
-// identity, and a queued message whose identity has already been received
-// from another replica is withdrawn automatically before it is sent.
+// identity, and the orderer withdraws a queued message whose identity it
+// has already ordered (§4.3): this is the one duplicate suppression for CCS
+// messages, replica replies and checkpoints, and callers that need no early
+// withdrawal drop the cancel.
 // When safe is true, delivery waits until every processor of the component
 // holds the message. Must be called (and cancelled) on the runtime loop.
 func (s *Stack) MulticastCancelable(m wire.Message, safe bool) (func() bool, error) {
@@ -319,10 +320,8 @@ func messageIdentity(h wire.Header) uint64 {
 }
 
 // WatchMessages registers a handler that observes every application message
-// in total order, regardless of destination group. The replication
-// infrastructure uses this to suppress duplicate replies: a replica watching
-// the stream sees another replica's identical reply and withdraws its own.
-// Safe to call from any goroutine.
+// in total order, regardless of destination group, as an experiment or test
+// that counts the traffic does. Safe to call from any goroutine.
 func (s *Stack) WatchMessages(h MessageHandler) {
 	s.rt.Post(func() {
 		s.msgWatchers = append(s.msgWatchers, h)

@@ -23,10 +23,12 @@ import (
 // unmutated module, race, takes under two minutes on 2 vCPUs.
 const columnTimeout = 5 * time.Minute
 
-// columns are the checks every row runs through: tier-1 (`go test ./...`)
-// and each step of ci.sh's own step list, run as `./ci.sh STEP`, so a step
-// added to CI becomes a column with no ledger edit. fmt is not a column:
-// TestEditsApply keeps every row gofmt-clean.
+// columns are the checks every row runs through: tier-1 (`go test
+// -timeout 4m ./...`, so that a hung test fails with its name printed
+// inside columnTimeout instead of being killed silently) and each step of
+// ci.sh's own step list, run as `./ci.sh STEP`, so a step added to CI
+// becomes a column with no ledger edit. fmt is not a column: TestEditsApply
+// keeps every row gofmt-clean.
 func columns(t *testing.T) []string {
 	t.Helper()
 	src, err := os.ReadFile(filepath.Join(root, "ci.sh"))
@@ -111,7 +113,7 @@ func (cs *copyState) run(t *testing.T, col string) outcome {
 	defer cs.restore(t)
 	cmd := "./ci.sh " + col
 	if col == "tier-1" {
-		cmd = "go test ./..."
+		cmd = "go test -timeout 4m ./..."
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), columnTimeout)
 	defer cancel()

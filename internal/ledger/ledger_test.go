@@ -129,9 +129,10 @@ var lintRows = []row{
 // time service: the CCS round rule (§3, Fig. 2–3 of the paper), the lease
 // plane's staleness bound, Totem's safe delivery and retransmission, the
 // duplicate withdrawal and cancel every orderer shares (§4.3), state
-// transfer and reply suppression in replication, request/reply matching in
-// rpc, and the timeserve answer. `make ledger` records which CI steps catch
-// each; a row no failing check catches is an oracle gap (DESIGN.md §5).
+// transfer and at-most-once execution in replication, request/reply
+// matching in rpc, and the timeserve answer. `make ledger` records which
+// CI steps catch each; a row no failing check catches is an oracle gap
+// (DESIGN.md §5).
 var protocolRows = []row{
 	{"round rule", "clamp-off", "internal/core/core.go", []edit{{
 		"\tif grp < s.lastGroup {\n\t\t// A round proposed before the last federated nudge",
@@ -183,10 +184,9 @@ var protocolRows = []row{
 		"st := ccsState{specialRound: s.special.round, groupClock: s.lastGroup,\n",
 		"st := ccsState{specialRound: s.special.round,\n",
 	}}},
-	{"replication", "reply-suppression-off", "internal/replication/replication.go", []edit{
-		{"\tif cancel, ok := m.pendingReplies[key]; ok {\n", "\tif cancel, ok := m.pendingReplies[key]; ok && msg.Type != wire.TypeReply {\n"},
-		{"\tif m.seenReplies[key] {\n\t\tm.stats.RepliesSuppressed++\n", "\tif false && m.seenReplies[key] {\n\t\tm.stats.RepliesSuppressed++\n"},
-	}},
+	{"replication", "retransmit-reexecuted", "internal/replication/replication.go", []edit{{
+		"\tif msg.Seq <= last && ok {\n\t\treturn true\n", "\tif msg.Seq <= last && ok && false {\n\t\treturn true\n",
+	}}},
 
 	{"rpc", "stale-reply-matched", "internal/rpc/rpc.go", []edit{{
 		"\tcl, ok := c.calls[p.InvocationID]\n\tif !ok {\n\t\tc.stats.DupReplies++\n\t\treturn // duplicate or stale reply\n\t}\n",

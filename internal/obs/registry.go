@@ -7,7 +7,7 @@ import (
 
 // Sample is one gathered metric value. Names follow the stack's canonical
 // scheme — "<scope>.<metric>", e.g. "totem.tokens_handled",
-// "core.rounds_initiated", "repl.replies_suppressed" — so counters from
+// "core.rounds_initiated", "totem.suppressed" — so counters from
 // every layer land in one flat, greppable namespace.
 type Sample struct {
 	// Node is the transport identity of the processor the sample describes.

@@ -365,6 +365,42 @@ func TestConformanceDupKeySuppression(t *testing.T) {
 			h.stopAll()
 		})
 	}
+	// A copy queued while its node elects: the original is ordered in the
+	// old view and reaches that node only in the new view's install, which
+	// must note its key, or the copy is ordered a second time. The instant
+	// hub has no links to block.
+	for _, kind := range []Kind{KindTotem, KindSeq} {
+		t.Run(string(kind)+"/during-election", func(t *testing.T) {
+			h := newConfHarness(t, kind, 3, nil)
+			ids := confIDs(3)
+			for _, id := range ids {
+				h.addNode(id, ids, true)
+			}
+			h.startAll()
+			h.k.RunFor(5 * time.Millisecond)
+			heal := h.net.BlockLinks(ids[:1], ids[1:2])
+
+			const key = 77
+			h.k.Post(func() { h.nodes[0].BroadcastCancelable([]byte("first"), false, key) })
+			h.k.RunFor(12 * time.Millisecond)
+			h.k.Post(func() { h.nodes[1].BroadcastCancelable([]byte("dup"), false, key) })
+			h.k.RunFor(200 * time.Millisecond)
+			heal()
+			h.k.RunFor(200 * time.Millisecond)
+
+			for _, id := range ids {
+				for _, p := range h.payloads(id) {
+					if p == "dup" {
+						t.Errorf("%v node %v delivered %q", kind, id, p)
+					}
+				}
+			}
+			if got := gauge(t, h.nodes[1].(obs.Source), string(kind)+".suppressed"); got != 1 {
+				t.Errorf("node 1: %s.suppressed = %d, want 1", kind, got)
+			}
+			h.stopAll()
+		})
+	}
 }
 
 // TestConformanceCancelAfterSend: cancel tells the truth. One node submits

@@ -122,9 +122,10 @@ func keyGeneration(members int) int {
 // the duplicate suppression of §4.3. It keeps two generations and retires
 // the older one when the current reaches the generation size, so it
 // remembers at least that many of the most recent keys and at most twice as
-// many. Forgetting an old key only costs a redundant send, which the core's
-// and replication's duplicate paths absorb. Key 0 means "no identity" and is
-// never noted. The zero value is an empty window.
+// many. Forgetting an old key only costs a redundant send, which core's
+// round tracking (a copy for a decided round is ignored) and the rpc
+// client's invocation-id match (a call completes once) absorb. Key 0 means
+// "no identity" and is never noted. The zero value is an empty window.
 type keyWindow struct {
 	cur, prev map[uint64]bool
 }

@@ -777,6 +777,7 @@ func (n *seqNode) applyInstall(m *seqInstall) {
 			n.safeWaitSeq = 0
 		}
 		n.delivered = e.Seq // skips seqs lost by every surviving member
+		n.out.see(e.DupKey, len(m.Members))
 		n.deliver(e.View, e.Seq, e.Sender, e.Payload)
 		n.clearPendingFor(&e)
 	}

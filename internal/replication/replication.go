@@ -7,10 +7,10 @@
 // Executors (all replicas under active and semi-active replication; only the
 // primary under passive replication) advance through the log, running each
 // invocation on a deterministic logical thread and multicasting the reply.
-// Duplicate replies are suppressed: each replica's reply is queued
-// cancellably and withdrawn when another replica's identical reply is
-// observed in the total order — the mechanism behind the paper's CCS
-// message counts (§4.3). Passive backups follow checkpoints; when the
+// Every executor multicasts its reply, and GET_STATE checkpoints alike,
+// under the header that names it; the orderer withdraws the copies queued
+// once one of them has been ordered (§4.3), so this package keeps no table
+// of seen replies. Passive backups follow checkpoints; when the
 // primary fails, the next member replays the logged requests the checkpoint
 // did not cover. Recovering replicas obtain state with an ordered GET_STATE
 // message: the existing replicas checkpoint at its delivery point — taking
@@ -86,9 +86,8 @@ type Status struct {
 // Stats counts manager activity, for experiments.
 type Stats struct {
 	Executed           uint64
-	RepliesSent        uint64
-	RepliesSuppressed  uint64
-	CheckpointsSent    uint64
+	RepliesSent        uint64 // copies handed to the orderer, withdrawn ones included
+	CheckpointsSent    uint64 // copies handed to the orderer, withdrawn ones included
 	CheckpointsApplied uint64
 	Replayed           uint64
 	Resyncs            uint64 // state transfers forced by detected delivery gaps
@@ -151,11 +150,10 @@ func (c Config) Validate() (Config, error) {
 	return c, nil
 }
 
-// invKey identifies an invocation (or checkpoint) for duplicate suppression.
+// invKey identifies a client connection.
 type invKey struct {
 	dst  wire.GroupID
 	conn wire.ConnID
-	seq  uint64
 }
 
 // cachedReply is the reply to a connection's most recent invocation.
@@ -229,9 +227,6 @@ type Manager struct {
 	currentEntry logEntry
 	currentReply []byte
 
-	pendingReplies map[invKey]func() bool
-	seenReplies    map[invKey]bool
-
 	// Hooks installed by the consistent time service (see below).
 	ccsHandler   func(wire.Message, gcs.Meta)
 	captureExtra func(done func(extra []byte, groupClock int64))
@@ -251,25 +246,23 @@ func New(cfg Config) (*Manager, error) {
 		return nil, err
 	}
 	m := &Manager{
-		rt:             cfg.Runtime,
-		stack:          cfg.Stack,
-		gid:            cfg.Group,
-		style:          cfg.Style,
-		app:            cfg.App,
-		me:             cfg.Stack.LocalID(),
-		cfg:            cfg,
-		rank:           -1,
-		live:           !cfg.Recovering,
-		recovering:     cfg.Recovering,
-		invThread:      newThread(1),
-		nextThreadID:   2,
-		pendingReplies: make(map[invKey]func() bool),
-		seenReplies:    make(map[invKey]bool),
-		connSeq:        make(map[invKey]uint64),
-		replyCache:     make(map[invKey]cachedReply),
-		dupCount:       make(map[invKey]uint64),
-		getstatePos:    make(map[uint64]uint64),
-		obs:            cfg.Obs,
+		rt:           cfg.Runtime,
+		stack:        cfg.Stack,
+		gid:          cfg.Group,
+		style:        cfg.Style,
+		app:          cfg.App,
+		me:           cfg.Stack.LocalID(),
+		cfg:          cfg,
+		rank:         -1,
+		live:         !cfg.Recovering,
+		recovering:   cfg.Recovering,
+		invThread:    newThread(1),
+		nextThreadID: 2,
+		connSeq:      make(map[invKey]uint64),
+		replyCache:   make(map[invKey]cachedReply),
+		dupCount:     make(map[invKey]uint64),
+		getstatePos:  make(map[uint64]uint64),
+		obs:          cfg.Obs,
 	}
 	cfg.Obs.Register(m)
 	return m, nil
@@ -282,7 +275,6 @@ func (m *Manager) Start() error {
 		return fmt.Errorf("replication: %w", err)
 	}
 	m.group = g
-	m.stack.WatchMessages(m.sniff)
 	return nil
 }
 
@@ -378,7 +370,6 @@ func (m *Manager) ObsSamples() []obs.Sample {
 	return []obs.Sample{
 		{Node: id, Name: "repl.executed", Value: m.stats.Executed},
 		{Node: id, Name: "repl.replies_sent", Value: m.stats.RepliesSent},
-		{Node: id, Name: "repl.replies_suppressed", Value: m.stats.RepliesSuppressed},
 		{Node: id, Name: "repl.checkpoints_sent", Value: m.stats.CheckpointsSent},
 		{Node: id, Name: "repl.checkpoints_applied", Value: m.stats.CheckpointsApplied},
 		{Node: id, Name: "repl.replayed", Value: m.stats.Replayed},
@@ -474,7 +465,7 @@ func (m *Manager) onMsg(msg wire.Message, meta gcs.Meta) {
 // sender was cut off and will retransmit), so the gap is recorded and
 // ignored.
 func (m *Manager) noteRequestSeq(msg wire.Message) (dup bool) {
-	key := invKey{dst: msg.SrcGroup, conn: msg.Conn, seq: 0}
+	key := invKey{dst: msg.SrcGroup, conn: msg.Conn}
 	last, ok := m.connSeq[key]
 	if msg.Seq <= last && ok {
 		return true
@@ -499,38 +490,6 @@ func (m *Manager) sendGetState() {
 		Type: wire.TypeGetState, SrcGroup: m.gid, DstGroup: m.gid,
 		Conn: 0, Seq: uint64(m.me)<<32 | uint64(m.getstateSeq),
 	}})
-}
-
-// sniff observes every message in total order for duplicate suppression.
-func (m *Manager) sniff(msg wire.Message, meta gcs.Meta) {
-	if msg.Type != wire.TypeReply && msg.Type != wire.TypeCheckpoint {
-		return
-	}
-	key := invKey{dst: msg.DstGroup, conn: msg.Conn, seq: msg.Seq}
-	if msg.Type == wire.TypeReply {
-		m.markSeen(key)
-	}
-	if cancel, ok := m.pendingReplies[key]; ok {
-		if cancel() {
-			// The queued duplicate never reached the wire.
-			m.stats.RepliesSuppressed++
-			if msg.Type == wire.TypeReply {
-				m.stats.RepliesSent--
-			} else {
-				m.stats.CheckpointsSent--
-			}
-		}
-		delete(m.pendingReplies, key)
-	}
-}
-
-func (m *Manager) markSeen(key invKey) {
-	// Bound the dedup table; clients also deduplicate by invocation id, so
-	// occasionally forgetting an old reply only costs a redundant send.
-	if len(m.seenReplies) > 8192 {
-		m.seenReplies = make(map[invKey]bool)
-	}
-	m.seenReplies[key] = true
 }
 
 func (m *Manager) tryExecute() {
@@ -566,14 +525,14 @@ func (m *Manager) tryExecute() {
 // deduplicated across replicas per retransmission instance rather than
 // being suppressed by the original reply's identity.
 func (m *Manager) answerDuplicate(e logEntry) {
-	key := invKey{dst: e.msg.SrcGroup, conn: e.msg.Conn, seq: 0}
+	key := invKey{dst: e.msg.SrcGroup, conn: e.msg.Conn}
 	cached, ok := m.replyCache[key]
 	if !ok || cached.seq != e.msg.Seq {
 		return
 	}
 	m.dupCount[key]++
 	seq := e.msg.Seq | m.dupCount[key]<<48
-	m.sendReplyAs(e, cached.body, seq)
+	m.sendReply(e, cached.body, seq)
 }
 
 func (m *Manager) execute(e logEntry) {
@@ -603,32 +562,22 @@ func (m *Manager) onThreadDone(t *thread) {
 	e := m.currentEntry
 	m.busy = false
 	m.stats.Executed++
-	m.replyCache[invKey{dst: e.msg.SrcGroup, conn: e.msg.Conn, seq: 0}] =
+	m.replyCache[invKey{dst: e.msg.SrcGroup, conn: e.msg.Conn}] =
 		cachedReply{seq: e.msg.Seq, body: m.currentReply}
 	if len(m.replyCache) > 4096 {
 		m.replyCache = make(map[invKey]cachedReply)
 	}
-	m.sendReply(e, m.currentReply)
+	m.sendReply(e, m.currentReply, e.msg.Seq)
 	m.maybePeriodicCheckpoint(e)
 	m.tryExecute()
 }
 
-func (m *Manager) sendReply(e logEntry, body []byte) {
-	key := invKey{dst: e.msg.SrcGroup, conn: e.msg.Conn, seq: e.msg.Seq}
-	if m.seenReplies[key] {
-		m.stats.RepliesSuppressed++
-		return // another replica's reply already went through
-	}
-	m.sendReplyAs(e, body, e.msg.Seq)
-}
-
-// sendReplyAs multicasts a reply under the given wire sequence number.
-func (m *Manager) sendReplyAs(e logEntry, body []byte, seq uint64) {
+// sendReply multicasts a reply under the given wire sequence number.
+func (m *Manager) sendReply(e logEntry, body []byte, seq uint64) {
 	req, err := wire.UnmarshalRequest(e.msg.Payload)
 	if err != nil {
 		return
 	}
-	key := invKey{dst: e.msg.SrcGroup, conn: e.msg.Conn, seq: seq}
 	reply := wire.ReplyPayload{
 		InvocationID: req.InvocationID,
 		ReplicaNode:  uint32(m.me),
@@ -641,7 +590,7 @@ func (m *Manager) sendReplyAs(e logEntry, body []byte, seq uint64) {
 	if err != nil {
 		return
 	}
-	cancel, err := m.stack.MulticastCancelable(wire.Message{
+	_, err = m.stack.MulticastCancelable(wire.Message{
 		Header: wire.Header{Type: wire.TypeReply, SrcGroup: m.gid,
 			DstGroup: e.msg.SrcGroup, Conn: e.msg.Conn, Seq: seq},
 		Payload: payload,
@@ -650,7 +599,6 @@ func (m *Manager) sendReplyAs(e logEntry, body []byte, seq uint64) {
 		return
 	}
 	m.stats.RepliesSent++
-	m.pendingReplies[key] = cancel
 }
 
 func (m *Manager) maybePeriodicCheckpoint(e logEntry) {
@@ -694,10 +642,6 @@ func (m *Manager) checkpoint(id uint64, conn wire.ConnID, marker uint64) {
 
 func (m *Manager) sendCheckpoint(id uint64, conn wire.ConnID, marker uint64,
 	appState, extra []byte, groupClock int64) {
-	key := invKey{dst: m.gid, conn: conn, seq: id}
-	if m.seenReplies[key] {
-		return // another replica's identical checkpoint already delivered
-	}
 	payload, err := wire.MarshalCheckpoint(wire.CheckpointPayload{
 		Round:      marker,
 		GroupClock: time.Duration(groupClock),
@@ -706,7 +650,7 @@ func (m *Manager) sendCheckpoint(id uint64, conn wire.ConnID, marker uint64,
 	if err != nil {
 		return
 	}
-	cancel, err := m.stack.MulticastCancelable(wire.Message{
+	_, err = m.stack.MulticastCancelable(wire.Message{
 		Header: wire.Header{Type: wire.TypeCheckpoint, SrcGroup: m.gid,
 			DstGroup: m.gid, Conn: conn, Seq: id},
 		Payload: payload,
@@ -715,7 +659,6 @@ func (m *Manager) sendCheckpoint(id uint64, conn wire.ConnID, marker uint64,
 		return
 	}
 	m.stats.CheckpointsSent++
-	m.pendingReplies[key] = cancel
 }
 
 func (m *Manager) onCheckpoint(msg wire.Message, meta gcs.Meta) {
@@ -723,8 +666,6 @@ func (m *Manager) onCheckpoint(msg wire.Message, meta gcs.Meta) {
 	if err != nil {
 		return
 	}
-	m.markSeen(invKey{dst: m.gid, conn: msg.Conn, seq: msg.Seq})
-
 	// Determine the prune point in LOCAL delivery order. For a
 	// GET_STATE-answering checkpoint (conn 1) that is this replica's own
 	// delivery position of the GET_STATE; replicas that never delivered it

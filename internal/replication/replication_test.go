@@ -11,6 +11,7 @@ import (
 
 	"cts/internal/gcs"
 	"cts/internal/obs"
+	"cts/internal/order"
 	"cts/internal/rpc"
 	"cts/internal/sim"
 	"cts/internal/simnet"
@@ -57,13 +58,15 @@ func (a *counterApp) Restore(state []byte) {
 }
 
 type repHarness struct {
-	t      *testing.T
-	k      *sim.Kernel
-	net    *simnet.Network
-	rec    *obs.Recorder
-	stacks map[transport.NodeID]*gcs.Stack
-	mgrs   map[transport.NodeID]*Manager
-	apps   map[transport.NodeID]*counterApp
+	t   *testing.T
+	k   *sim.Kernel
+	net *simnet.Network
+	rec *obs.Recorder
+	// orderer is the total-order protocol of the stacks addStack builds.
+	orderer order.Kind
+	stacks  map[transport.NodeID]*gcs.Stack
+	mgrs    map[transport.NodeID]*Manager
+	apps    map[transport.NodeID]*counterApp
 }
 
 func newRepHarness(t *testing.T, seed int64) *repHarness {
@@ -138,12 +141,22 @@ func (h *repHarness) addStack(id transport.NodeID, ring []transport.NodeID, boot
 		Transport: h.net.Endpoint(id),
 		Members:   ring,
 		Bootstrap: bootstrap,
+		Order:     order.Options{Kind: h.orderer},
 	})
 	if err != nil {
 		h.t.Fatal(err)
 	}
 	h.stacks[id] = s
 	return s
+}
+
+// watchOrdered counts, by type, the messages node id's stack delivers in
+// total order, whatever their destination group. Read it between kernel
+// steps.
+func (h *repHarness) watchOrdered(id transport.NodeID) map[wire.MsgType]int {
+	n := make(map[wire.MsgType]int)
+	h.stacks[id].WatchMessages(func(msg wire.Message, _ gcs.Meta) { n[msg.Type]++ })
+	return n
 }
 
 func (h *repHarness) addReplica(id transport.NodeID, style Style, recovering bool) *Manager {
@@ -247,53 +260,79 @@ func TestActiveReplicationExecutesEverywhere(t *testing.T) {
 	}
 }
 
+// TestActiveReplyDuplicateSuppression counts what the total order carries:
+// every executor multicasts its reply and its GET_STATE checkpoint, and the
+// orderer withdraws the copies of one already ordered, so each invocation
+// puts exactly one reply in the order and each GET_STATE one checkpoint.
 func TestActiveReplyDuplicateSuppression(t *testing.T) {
-	h := newRepHarness(t, 2)
-	ring := []transport.NodeID{0, 1, 2, 3}
-	for _, id := range ring {
-		h.addStack(id, ring, true)
-	}
-	for _, id := range ring[1:] {
-		h.addReplica(id, Active, false)
-	}
-	client := h.newClient(0, 0)
-	h.start()
-	h.k.RunFor(3 * time.Millisecond)
+	for _, kind := range []order.Kind{order.KindTotem, order.KindSeq} {
+		t.Run(string(kind)+"/replies", func(t *testing.T) {
+			h := newRepHarness(t, 2)
+			h.orderer = kind
+			ring := []transport.NodeID{0, 1, 2, 3}
+			for _, id := range ring {
+				h.addStack(id, ring, true)
+			}
+			for _, id := range ring[1:] {
+				h.addReplica(id, Active, false)
+			}
+			client := h.newClient(0, 0)
+			ordered := h.watchOrdered(0)
+			h.start()
+			h.k.RunFor(3 * time.Millisecond)
 
-	// Sequential invocations, as in the paper's measurement loop: the
-	// winner's reply is on the wire well before the laggards' token visits.
-	done := 0
-	const n = 50
-	var invoke func()
-	invoke = func() {
-		client.Invoke("add", []byte{1}, func(r rpc.Reply) {
-			done++
-			if done < n {
-				invoke()
+			// Sequential invocations, as in the paper's measurement loop.
+			done := 0
+			const n = 50
+			var invoke func()
+			invoke = func() {
+				client.Invoke("add", []byte{1}, func(r rpc.Reply) {
+					done++
+					if done < n {
+						invoke()
+					}
+				})
+			}
+			invoke()
+			if !h.runUntil(10*time.Second, func() bool { return done == n }) {
+				t.Fatalf("got %d/%d replies", done, n)
+			}
+			h.k.RunFor(10 * time.Millisecond) // let stragglers settle
+			if got := ordered[wire.TypeReply]; got != n {
+				t.Fatalf("%d invocations put %d replies in the total order, want %d", n, got, n)
 			}
 		})
-	}
-	invoke()
-	if !h.runUntil(10*time.Second, func() bool { return done == n }) {
-		t.Fatalf("got %d/%d replies", done, n)
-	}
-	h.k.RunFor(10 * time.Millisecond) // let stragglers settle
+		t.Run(string(kind)+"/checkpoint", func(t *testing.T) {
+			h := newRepHarness(t, 5)
+			h.orderer = kind
+			ring := []transport.NodeID{0, 1, 2, 3, 4}
+			for _, id := range ring {
+				h.addStack(id, ring, true)
+			}
+			for _, id := range ring[1:4] {
+				h.addReplica(id, Active, false)
+			}
+			client := h.newClient(0, 0)
+			ordered := h.watchOrdered(0)
+			h.start()
+			h.k.RunFor(3 * time.Millisecond)
+			done := 0
+			client.Invoke("add", []byte{3}, func(r rpc.Reply) { done++ })
+			if !h.runUntil(2*time.Second, func() bool { return done == 1 }) {
+				t.Fatal("invocation incomplete")
+			}
 
-	var sent, suppressed uint64
-	for _, id := range ring[1:] {
-		sent += h.counter(id, "repl.replies_sent")
-		suppressed += h.counter(id, "repl.replies_suppressed")
-	}
-	// 3 replicas × 50 invocations = 150 reply attempts. Suppression must
-	// remove a substantial share of the redundant replies (the paper's
-	// duplicate-suppression result: per round, every replica attempts one
-	// send yet few duplicates reach the network).
-	if sent+suppressed != 3*n {
-		t.Fatalf("attempts = %d (sent %d + suppressed %d), want %d",
-			sent+suppressed, sent, suppressed, 3*n)
-	}
-	if suppressed < n/2 {
-		t.Fatalf("suppressed only %d of %d redundant replies", suppressed, 2*n)
+			h.addReplica(4, Active, true)
+			if !h.runUntil(5*time.Second, func() bool { return h.apps[4].count == 3 }) {
+				t.Fatalf("recovered replica count = %d, want 3", h.apps[4].count)
+			}
+			h.k.RunFor(10 * time.Millisecond)
+			gets, ckpts := ordered[wire.TypeGetState], ordered[wire.TypeCheckpoint]
+			if gets == 0 || ckpts != gets {
+				t.Fatalf("%d GET_STATE messages put %d checkpoints in the total order, want one each",
+					gets, ckpts)
+			}
+		})
 	}
 }
 
