@@ -54,22 +54,24 @@ step() {
 		done
 		;;
 	race)
+		# Each race step's -timeout stays under the mutation ledger's
+		# 5-minute column limit, so a hung test fails with its name printed.
 		echo "== go test -race =="
-		go test -race -count=1 ./...
+		go test -race -count=1 -timeout 4m ./...
 		;;
 	allocs)
 		# The zero-allocation tests skip under the race detector, which
 		# inflates allocation counts; this plain run is where they gate the
 		# hot paths.
 		echo "== allocation gates (no -race) =="
-		go test -count=1 -run 'AllocatesNothing|AllocFree' ./internal/sim ./internal/simnet ./internal/core ./internal/timeserve ./internal/invariant
+		go test -count=1 -run 'AllocatesNothing|AllocFree' ./internal/sim ./internal/simnet ./internal/gcs ./internal/core ./internal/timeserve ./internal/invariant
 		;;
 	race-seq)
 		# The experiment suite reruns over the leader-sequencer orderer;
 		# tests that pin Totem wire behavior (token timing, suppression
 		# counts, rotation) skip themselves via totemOnly.
 		echo "== go test -race (experiments under -orderer=seq) =="
-		go test -race -count=1 ./internal/experiment -orderer=seq
+		go test -race -count=1 -timeout 4m ./internal/experiment -orderer=seq
 		;;
 	race-poison)
 		# simnet reuses a datagram's bytes once its receiver returns; this
@@ -77,7 +79,7 @@ step() {
 		# the payload slice reads garbage (and, from another goroutine,
 		# races).
 		echo "== go test -race (orderer suites over poisoned simnet deliveries) =="
-		go test -race -count=1 -tags simnetpoison ./internal/simnet ./internal/order
+		go test -race -count=1 -timeout 4m -tags simnetpoison ./internal/simnet ./internal/order
 		;;
 	fuzz)
 		# The timeserve decoders, the two wire orderers' packet decoders

@@ -35,8 +35,12 @@ type Meta struct {
 // membership view and the group-announcement traffic, identical in content
 // and order at every processor of the component.
 type GroupView struct {
-	Group   wire.GroupID
-	Members []transport.NodeID // processors hosting members of the group
+	Group wire.GroupID
+	// Members are the processors hosting members of the group, sorted and
+	// never nil. The slice is the stack's own snapshot, shared by every
+	// handler: read-only, as order.View.Members is. The stack panics at its
+	// next edit or emission if a handler wrote to it.
+	Members []transport.NodeID
 	ViewID  order.ViewID
 	Primary bool
 }
@@ -136,6 +140,7 @@ type Stack struct {
 	// groups to all N) costs a processor O(G log N) per announce, G the
 	// groups it knows of, and O(N) per view it emits.
 	emitQueued bool
+	emitPosted func() // the posted emission, made once
 	// known holds one bit per member of ordView, by rank: set while this
 	// stack holds that member's current group list. A delivered announce,
 	// rejoin or dump entry sets its sender's bit, a view carries the bits of
@@ -385,13 +390,50 @@ type groupTable struct {
 	// change (ViewID and Primary are part of the view); emitChangedViews
 	// looks at no other table.
 	dirty bool
-	// The last emitted view. lastMembers is the table's own copy, so a
-	// handler that scribbles on the Members it was handed cannot disturb the
-	// comparison that decides the next emission.
+	// The last emitted view. lastMembers is the snapshot every handler was
+	// handed and lastSum its FNV-1a. While shared is set, members is that
+	// snapshot too, and the first edit copies it (own): no one writes to an
+	// emitted snapshot.
 	emitted     bool
 	lastID      order.ViewID
 	lastPrimary bool
 	lastMembers []transport.NodeID
+	lastSum     uint64
+	shared      bool
+}
+
+// own makes members the table's own before an edit: a table that still
+// shares the emitted snapshot checks it and copies it.
+func (t *groupTable) own() {
+	if !t.shared {
+		return
+	}
+	t.checkSnapshot()
+	t.members = append(make([]transport.NodeID, 0, len(t.members)+1), t.members...)
+	t.shared = false
+}
+
+// checkSnapshot panics if a view handler wrote to the Members it was handed.
+func (t *groupTable) checkSnapshot() {
+	if membersSum(t.lastMembers) != t.lastSum {
+		panic(fmt.Sprintf("gcs: a view handler wrote to the Members of group %d", t.id))
+	}
+}
+
+// membersSum is the 64-bit FNV-1a of members, taken a 64-bit word (two ids)
+// at a time rather than a byte at a time: it runs over every emitted list,
+// and each step is a bijection, so any one changed id still changes the sum.
+func membersSum(members []transport.NodeID) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	i := 0
+	for ; i+1 < len(members); i += 2 {
+		h = (h ^ (uint64(members[i]) | uint64(members[i+1])<<32)) * prime
+	}
+	if i < len(members) {
+		h = (h ^ uint64(members[i])) * prime
+	}
+	return h
 }
 
 // find returns p's position in members, or where it would be inserted.
@@ -413,6 +455,7 @@ func (t *groupTable) add(p transport.NodeID) bool {
 	if found {
 		return false
 	}
+	t.own()
 	t.members = slices.Insert(t.members, i, p)
 	t.finger = i + 1
 	t.dirty = true
@@ -425,6 +468,7 @@ func (t *groupTable) remove(p transport.NodeID) bool {
 	if !found {
 		return false
 	}
+	t.own()
 	t.members = slices.Delete(t.members, i, i+1)
 	t.finger = i
 	t.dirty = true
@@ -464,7 +508,7 @@ func (s *Stack) onOrderView(v order.View) {
 	gained, shrank, repKept, othersKept, held := s.carryKnown(v.Members)
 	s.ordView = v
 	for _, t := range s.tables {
-		t.members = keepOnly(t.members, v.Members)
+		t.prune(v.Members)
 		t.dirty = true
 	}
 	// Local memberships survive the transition unconditionally.
@@ -630,19 +674,30 @@ func (s *Stack) applyDump(body []byte) {
 	}
 }
 
-// keepOnly prunes members in place to those also in live. Both are sorted
-// (order.View promises it of its Members), so one merge pass decides.
-func keepOnly(members, live []transport.NodeID) []transport.NodeID {
-	kept := members[:0]
-	for _, p := range members {
+// prune drops the members not in live. Both are sorted (order.View promises
+// it of its Members), so one merge pass decides. Nothing is written before
+// the first member goes, so a table that loses nobody still shares its
+// emitted snapshot.
+func (t *groupTable) prune(live []transport.NodeID) {
+	kept := -1 // members kept so far, counted from the first one gone
+	for i, p := range t.members {
 		for len(live) > 0 && live[0] < p {
 			live = live[1:]
 		}
-		if len(live) > 0 && live[0] == p {
-			kept = append(kept, p)
+		switch {
+		case len(live) == 0 || live[0] != p:
+			if kept < 0 {
+				t.own()
+				kept = i
+			}
+		case kept >= 0:
+			t.members[kept] = p
+			kept++
 		}
 	}
-	return kept
+	if kept >= 0 {
+		t.members = t.members[:kept]
+	}
 }
 
 // scheduleEmitViews posts one deferred emitChangedViews for the current
@@ -653,10 +708,13 @@ func (s *Stack) scheduleEmitViews() {
 		return
 	}
 	s.emitQueued = true
-	s.rt.Post(func() {
-		s.emitQueued = false
-		s.emitChangedViews()
-	})
+	if s.emitPosted == nil {
+		s.emitPosted = func() {
+			s.emitQueued = false
+			s.emitChangedViews()
+		}
+	}
+	s.rt.Post(s.emitPosted)
 }
 
 // onDeliver handles one totally-ordered delivery.
@@ -735,22 +793,30 @@ func (s *Stack) setGroups(p transport.NodeID, announced []wire.GroupID) bool {
 }
 
 // emitChangedViews delivers a GroupView, in group-id order, for every group
-// whose view content changed since the last emission.
+// whose view content changed since the last emission. The table, its last
+// view and every handler share one snapshot of the member list.
 func (s *Stack) emitChangedViews() {
 	for _, t := range s.tables {
 		if !t.dirty {
 			continue
 		}
 		t.dirty = false
+		if t.shared {
+			t.checkSnapshot()
+		}
 		if t.emitted && t.lastID == s.ordView.ID && t.lastPrimary == s.ordView.Primary &&
-			slices.Equal(t.lastMembers, t.members) {
+			(t.shared || slices.Equal(t.lastMembers, t.members)) {
 			continue
 		}
+		if !t.shared {
+			if t.members == nil {
+				t.members = []transport.NodeID{} // views are never nil
+			}
+			t.members = slices.Clip(t.members) // so that a handler's append copies
+			t.lastMembers, t.lastSum, t.shared = t.members, membersSum(t.members), true
+		}
 		t.emitted, t.lastID, t.lastPrimary = true, s.ordView.ID, s.ordView.Primary
-		t.lastMembers = append(t.lastMembers[:0], t.members...)
-		// Handlers get a copy, never the table: non-nil even when empty.
-		view := GroupView{Group: t.id, Members: append([]transport.NodeID{}, t.members...),
-			ViewID: s.ordView.ID, Primary: s.ordView.Primary}
+		view := GroupView{Group: t.id, Members: t.members, ViewID: s.ordView.ID, Primary: s.ordView.Primary}
 		s.stats.ViewsEmitted++
 		if g, ok := s.groups[t.id]; ok && g.onView != nil {
 			g.onView(view)

@@ -5,12 +5,14 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"cts/internal/order"
 	"cts/internal/sim"
 	"cts/internal/simnet"
+	"cts/internal/testutil"
 	"cts/internal/transport"
 	"cts/internal/wire"
 )
@@ -343,9 +345,9 @@ func TestLastMemberLeavingEmitsEmptyView(t *testing.T) {
 	}
 }
 
-// TestEmittedMembersDoNotAliasTables: a handler that overwrites the Members
-// it was handed disturbs neither the table, nor later views, nor the
-// comparison that decides whether a later view is emitted at all.
+// TestEmittedMembersDoNotAliasTables: later edits of a table leave the
+// views it emitted as they were, and the comparison that decides whether a
+// later view is emitted at all sees what was last emitted.
 func TestEmittedMembersDoNotAliasTables(t *testing.T) {
 	const g = wire.GroupID(7)
 	r := newTableRig(0)
@@ -357,15 +359,8 @@ func TestEmittedMembersDoNotAliasTables(t *testing.T) {
 	if len(r.emitted) != 1 || !slices.Equal(r.emitted[0].Members, []transport.NodeID{1, 2, 3}) {
 		t.Fatalf("emitted %+v, want one view of [1 2 3]", r.emitted)
 	}
-	for i := range r.emitted[0].Members {
-		r.emitted[0].Members[i] = 99
-	}
-	if got := r.s.table(g).members; !slices.Equal(got, []transport.NodeID{1, 2, 3}) {
-		t.Fatalf("table became %v after a handler wrote to its view", got)
-	}
 	// Leave and rejoin inside one instant: the table is edited twice and
-	// ends where it began, so nothing is emitted — which it would be if the
-	// remembered last view were the slice the handler overwrote.
+	// ends where it began, so nothing is emitted.
 	r.announce(2)
 	r.announce(2, g)
 	r.flush()
@@ -377,11 +372,115 @@ func TestEmittedMembersDoNotAliasTables(t *testing.T) {
 	if len(r.emitted) != 2 || !slices.Equal(r.emitted[1].Members, []transport.NodeID{1, 2, 3, 4}) {
 		t.Fatalf("emitted %+v, want a second view of [1 2 3 4]", r.emitted)
 	}
-	r.emitted[1].Members[0] = 99
 	r.s.onOrderView(order.View{ID: order.ViewID{Epoch: 2}, Members: []transport.NodeID{0, 1, 4}, Primary: true})
 	r.flush()
 	if len(r.emitted) != 3 || !slices.Equal(r.emitted[2].Members, []transport.NodeID{1, 4}) {
 		t.Fatalf("emitted %+v, want a third view of [1 4]", r.emitted)
+	}
+	for i, want := range [][]transport.NodeID{{1, 2, 3}, {1, 2, 3, 4}} {
+		if !slices.Equal(r.emitted[i].Members, want) {
+			t.Fatalf("view %d became %v after later edits, want %v", i, r.emitted[i].Members, want)
+		}
+	}
+}
+
+// TestScribbledViewPanics: a handler that writes to the Members it was
+// handed makes the table panic, naming the group, at whichever comes first
+// of its next edit (an announce, a leave, a prune) and its next emission.
+func TestScribbledViewPanics(t *testing.T) {
+	const g = wire.GroupID(7)
+	for _, tc := range []struct {
+		name string
+		next func(r *tableRig)
+	}{
+		{"add", func(r *tableRig) { r.announce(4, g) }},
+		{"remove", func(r *tableRig) { r.announce(2) }},
+		{"prune", func(r *tableRig) {
+			r.s.onOrderView(order.View{ID: order.ViewID{Epoch: 2}, Members: []transport.NodeID{0, 1, 3}, Primary: true})
+		}},
+		{"emission", func(r *tableRig) {
+			r.s.onOrderView(order.View{ID: order.ViewID{Epoch: 2}, Members: nodeRange(6), Primary: true})
+			r.flush()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newTableRig(0)
+			r.s.onOrderView(order.View{ID: order.ViewID{Epoch: 1}, Members: nodeRange(6), Primary: true})
+			for _, p := range []transport.NodeID{3, 1, 2} {
+				r.announce(p, g)
+			}
+			r.flush()
+			if len(r.emitted) != 1 {
+				t.Fatalf("emitted %+v, want one view", r.emitted)
+			}
+			// Still sorted, so the lookup before the edit goes as before.
+			r.emitted[0].Members[2] = 99
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "group 7") {
+					t.Fatalf("after a handler wrote to its view, the %s panicked with %q, want one naming group 7", tc.name, msg)
+				}
+			}()
+			tc.next(r)
+		})
+	}
+}
+
+// TestViewChangeEmissionAllocFree: a 1000-member table, its last view, the
+// joined group's handler and every watcher share one member list; an edit
+// after an emission leaves the emitted list as it was; and an ordering view
+// change that prunes nobody, its emission included, allocates nothing.
+func TestViewChangeEmissionAllocFree(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const g = wire.GroupID(7)
+	r := newTableRig(0)
+	var handed, watched GroupView
+	r.s.groups[g] = &Group{stack: r.s, id: g, onMsg: func(wire.Message, Meta) {},
+		onView: func(v GroupView) { handed = v }}
+	r.s.viewWatchers = []ViewHandler{func(v GroupView) { watched = v }}
+	procs := nodeRange(1000)
+	r.s.onOrderView(order.View{ID: order.ViewID{Epoch: 1}, Members: procs, Primary: true})
+	for _, p := range procs {
+		r.announce(p, g)
+	}
+	r.flush()
+	tab := r.s.table(g)
+	if !slices.Equal(handed.Members, procs) {
+		t.Fatalf("handler got %d members, want the 1000 processors", len(handed.Members))
+	}
+	for name, m := range map[string][]transport.NodeID{
+		"watcher": watched.Members, "table": tab.members, "last view": tab.lastMembers,
+	} {
+		if len(m) != len(handed.Members) || &m[0] != &handed.Members[0] {
+			t.Fatalf("the %s's member list is not the one the handler got", name)
+		}
+	}
+
+	emitted := handed.Members
+	r.announce(500) // processor 500 leaves the group
+	if !slices.Equal(emitted, procs) {
+		t.Fatalf("removing 500 from the table changed the emitted view")
+	}
+	r.flush()
+	if len(handed.Members) != 999 || &handed.Members[0] == &emitted[0] {
+		t.Fatalf("after 500 left, the handler got %d members (new list: %v), want 999 in a new list",
+			len(handed.Members), &handed.Members[0] != &emitted[0])
+	}
+
+	epoch := uint64(1)
+	allocs := testing.AllocsPerRun(100, func() {
+		epoch++
+		r.s.onOrderView(order.View{ID: order.ViewID{Epoch: epoch}, Members: procs, Primary: true})
+		r.flush()
+	})
+	if allocs != 0 {
+		t.Fatalf("an ordering view change that prunes nobody allocates %.1f times, want 0", allocs)
+	}
+	if handed.ViewID.Epoch != epoch || len(handed.Members) != 999 {
+		t.Fatalf("last view handed out is %v with %d members, want epoch %d with 999",
+			handed.ViewID, len(handed.Members), epoch)
 	}
 }
 

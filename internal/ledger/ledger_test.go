@@ -128,9 +128,10 @@ var lintRows = []row{
 // protocolRows holds at least two seeded bugs per safety mechanism of the
 // time service: the CCS round rule (§3, Fig. 2–3 of the paper), the lease
 // plane's staleness bound, Totem's safe delivery and retransmission, the
-// duplicate withdrawal and cancel every orderer shares (§4.3), state
-// transfer and at-most-once execution in replication, request/reply
-// matching in rpc, and the timeserve answer. `make ledger` records which
+// duplicate withdrawal and cancel every orderer shares (§4.3), the group
+// view snapshot gcs shares read-only with every handler, state transfer and
+// at-most-once execution in replication, request/reply matching in rpc, and
+// the timeserve answer. `make ledger` records which
 // CI steps catch each; a row no failing check catches is an oracle gap
 // (DESIGN.md §5).
 var protocolRows = []row{
@@ -178,6 +179,13 @@ var protocolRows = []row{
 	}}},
 	{"order", "cancel-after-send", "internal/order/outbox.go", []edit{{
 		"\tif p.sent {\n\t\treturn false\n", "\tif p.sent {\n\t\treturn true\n",
+	}}},
+
+	{"gcs view", "gcs-edit-in-place", "internal/gcs/gcs.go", []edit{{
+		"\tt.members = append(make([]transport.NodeID, 0, len(t.members)+1), t.members...)\n", "",
+	}}},
+	{"gcs view", "gcs-scribble-unchecked", "internal/gcs/gcs.go", []edit{{
+		"\tif membersSum(t.lastMembers) != t.lastSum {\n", "\tif false && membersSum(t.lastMembers) != t.lastSum {\n",
 	}}},
 
 	{"replication", "getstate-no-lastgroup", "internal/core/recovery.go", []edit{{

@@ -79,15 +79,18 @@ func (o *outbox) see(dupKey uint64, members int) { o.keys.Note(dupKey, keyGenera
 
 // withdrawn reports whether queued p must not be sent: it was cancelled, or
 // a message with its dupKey has already been ordered, in which case it is
-// withdrawn here and counted in *suppressed, the sender's counter (the
-// instant hub's one outbox serves every node). This is the paper's
-// infrastructure-level duplicate detection (§4.3): per CCS round every
-// replica attempts to send one CCS message, yet only one reaches the
-// network.
+// withdrawn here. A copy withdrawn before it reached the wire is counted in
+// *suppressed, the sender's counter (the instant hub's one outbox serves
+// every node); a seq proposal already sent is the leader's to refuse, and
+// its count. This is the paper's infrastructure-level duplicate detection
+// (§4.3): per CCS round every replica attempts to send one CCS message, yet
+// only one reaches the network.
 func (o *outbox) withdrawn(p *pending, suppressed *uint64) bool {
 	if !p.cancelled && o.keys.Seen(p.dupKey) {
 		p.cancelled = true
-		*suppressed++
+		if !p.sent {
+			*suppressed++
+		}
 	}
 	return p.cancelled
 }

@@ -33,7 +33,7 @@ const (
 // seqStats are cumulative counters, exported through obs.
 type seqStats struct {
 	Proposals  uint64 // proposals submitted locally
-	Suppressed uint64 // queued proposals withdrawn because their dupKey was seen
+	Suppressed uint64 // queued proposals withdrawn unsent because their dupKey was seen
 	Refused    uint64 // proposals refused as leader because their dupKey was seen
 	Ordered    uint64 // entries this node sequenced as leader
 	Resends    uint64 // proposal retransmissions

@@ -1,8 +1,11 @@
 package order
 
 import (
+	"fmt"
 	"testing"
 	"time"
+
+	"cts/internal/obs"
 )
 
 // Leader crashes while safe cancelable traffic is in flight; survivors must
@@ -76,4 +79,45 @@ func TestSeqLeaderCrashSafeInFlight(t *testing.T) {
 			t.Fatalf("round %d never delivered post-crash", kk)
 		}
 	}
+}
+
+// TestSeqCopiesCountedOnce: every copy of a dupKey that is not ordered is
+// counted exactly once, as its proposer's seq.suppressed when it was
+// withdrawn before the wire or as the leader's seq.refused when it was sent.
+// For each of 50 keys nodes 0 and 1 propose a copy in the same instant, so
+// both reach the leader, and node 2 proposes one after the key was ordered.
+func TestSeqCopiesCountedOnce(t *testing.T) {
+	h := newConfHarness(t, KindSeq, 3, nil)
+	ids := confIDs(3)
+	for _, id := range ids {
+		h.addNode(id, ids, true)
+	}
+	h.startAll()
+	const keys = 50
+	copies := 0
+	for key := uint64(1); key <= keys; key++ {
+		payload := []byte(fmt.Sprint("reply ", key))
+		h.k.Post(func() {
+			for _, id := range ids[:2] {
+				h.nodes[id].BroadcastCancelable(payload, false, key)
+			}
+		})
+		if !h.runUntil(time.Second, func() bool { return len(h.deliveries[2]) == int(key) }) {
+			t.Fatalf("key %d not ordered at node 2", key)
+		}
+		h.k.Post(func() { h.nodes[2].BroadcastCancelable(payload, false, key) })
+		copies += 3
+	}
+	h.k.RunFor(100 * time.Millisecond) // resend sweeps withdraw what is left
+	ordered := len(h.deliveries[0])
+	var suppressed, refused uint64
+	for _, id := range ids {
+		suppressed += gauge(t, h.nodes[id].(obs.Source), "seq.suppressed")
+		refused += gauge(t, h.nodes[id].(obs.Source), "seq.refused")
+	}
+	if ordered != keys || suppressed+refused != uint64(copies-ordered) {
+		t.Fatalf("%d copies, %d ordered: seq.suppressed %d + seq.refused %d, want %d ordered and a sum of %d",
+			copies, ordered, suppressed, refused, keys, copies-ordered)
+	}
+	h.stopAll()
 }

@@ -80,7 +80,8 @@ type Status struct {
 	Primary   bool // this replica is the group's current primary
 	InPrimary bool // the component holds a quorum
 	Live      bool // state is current (not awaiting a state transfer)
-	Members   []transport.NodeID
+	// Members is the group view's member list, shared: read-only.
+	Members []transport.NodeID
 }
 
 // Stats counts manager activity, for experiments.

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -214,6 +215,34 @@ func u64(b []byte) uint64 {
 		return ^uint64(0)
 	}
 	return binary.BigEndian.Uint64(b)
+}
+
+// TestIdleManagersStartNoGoroutine: a logical thread's goroutine starts with
+// its first work item, so managers built, started and stopped on a kernel
+// without executing anything leave the goroutine count unchanged.
+func TestIdleManagersStartNoGoroutine(t *testing.T) {
+	h := newRepHarness(t, 1)
+	ring := []transport.NodeID{0, 1, 2}
+	before := runtime.NumGoroutine()
+	for _, id := range ring {
+		h.addStack(id, ring, true)
+		h.addReplica(id, Active, false)
+	}
+	h.start()
+	h.k.RunFor(3 * time.Millisecond)
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d idle managers run %d goroutines more than before they were built", len(ring), n-before)
+	}
+	var mgrs []*Manager
+	for _, id := range ring {
+		mgrs = append(mgrs, h.mgrs[id])
+	}
+	retire(h.k, h.stacks, mgrs...)
+	clear(h.mgrs) // retired here, not again at cleanup
+	clear(h.stacks)
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("stopped idle managers left %d goroutines more than before they were built", n-before)
+	}
 }
 
 func TestActiveReplicationExecutesEverywhere(t *testing.T) {

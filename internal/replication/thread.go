@@ -18,6 +18,10 @@ import (
 // replica, or during runtime, in the same order at different replicas"; the
 // Manager assigns thread identifiers in creation order, and creation happens
 // inside deterministic execution, so identifiers agree across replicas.
+//
+// A thread's goroutine starts with its first work item: a replica that
+// never executes anything (a campaign replica, a passive backup) parks no
+// goroutine for its invocation thread.
 
 // yield is what a thread hands to the loop when it stops running.
 type yield struct {
@@ -25,22 +29,15 @@ type yield struct {
 	action func() // loop-side action to perform before the thread resumes
 }
 
-// thread is one logical thread.
+// thread is one logical thread. Its channels are made, and its goroutine
+// started, by its first work item (runOnThread).
 type thread struct {
 	id      uint64
 	workCh  chan func()
 	yieldCh chan yield
 }
 
-func newThread(id uint64) *thread {
-	t := &thread{
-		id:      id,
-		workCh:  make(chan func()),
-		yieldCh: make(chan yield),
-	}
-	go t.run()
-	return t
-}
+func newThread(id uint64) *thread { return &thread{id: id} }
 
 func (t *thread) run() {
 	for f := range t.workCh {
@@ -49,9 +46,13 @@ func (t *thread) run() {
 	}
 }
 
-// close retires the thread goroutine. Must only be called while the thread
-// is idle (not executing a work item).
-func (t *thread) close() { close(t.workCh) }
+// close retires the thread goroutine, if it ever started. Must only be
+// called while the thread is idle (not executing a work item).
+func (t *thread) close() {
+	if t.workCh != nil {
+		close(t.workCh)
+	}
+}
 
 // Ctx is the execution context handed to application code running on a
 // logical thread. Its blocking methods suspend the logical thread while the
@@ -94,9 +95,13 @@ func (c *Ctx) Sleep(d time.Duration) {
 	})
 }
 
-// runOnThread hands f to the thread and processes its first yield. Called on
-// the loop.
+// runOnThread hands f to the thread, starting it on its first work item,
+// and processes its first yield. Called on the loop.
 func (m *Manager) runOnThread(t *thread, f func()) {
+	if t.workCh == nil {
+		t.workCh, t.yieldCh = make(chan func()), make(chan yield)
+		go t.run()
+	}
 	t.workCh <- f
 	m.dispatchYield(t, <-t.yieldCh)
 }

@@ -84,8 +84,12 @@ func (l *Loop) Close() {
 	<-l.done
 }
 
+// run drains the mailbox a batch at a time: it swaps the queue for the
+// emptied slice of the previous batch and runs the batch unlocked, so posts
+// keep appending to a slice that has grown, and order stays FIFO.
 func (l *Loop) run() {
 	defer close(l.done)
+	var batch []func()
 	for {
 		l.mu.Lock()
 		for len(l.queue) == 0 && !l.closed {
@@ -95,10 +99,12 @@ func (l *Loop) run() {
 			l.mu.Unlock()
 			return
 		}
-		fn := l.queue[0]
-		l.queue = l.queue[1:]
+		batch, l.queue = l.queue, batch[:0]
 		l.mu.Unlock()
-		fn()
+		for i, fn := range batch {
+			batch[i] = nil // the callback may be collected once it ran
+			fn()
+		}
 	}
 }
 
