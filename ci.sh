@@ -49,6 +49,9 @@ step() {
 		# clock); each exits non-zero when its own check fails.
 		echo "== go build, run the simulated examples =="
 		go build ./...
+		# Nothing else compiles the !linux stubs (mmsg_other.go,
+		# reuseport_other.go); vet them for one non-Linux target.
+		GOOS=darwin GOARCH=arm64 go vet ./internal/timeserve
 		for ex in quickstart multigroup failover recovery driftcontrol; do
 			go run ./examples/$ex >/dev/null
 		done

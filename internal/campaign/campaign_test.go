@@ -74,6 +74,7 @@ func TestScenarioValidate(t *testing.T) {
 		{"no gate", func(s *Scenario) { s.Gates = Gates{} }},
 		{"bad orderer", func(s *Scenario) { s.Orderer = "gossip" }},
 		{"bad link profile", func(s *Scenario) { s.Links.Profile = "carrier-pigeon" }},
+		{"removed fixed link profile", func(s *Scenario) { s.Links.Profile = "fixed" }},
 		{"partition under instant", func(s *Scenario) {
 			s.Faults = []FaultEvent{{Kind: FaultPartition, At: 100 * time.Millisecond,
 				For: 100 * time.Millisecond, Fraction: 0.3}}
@@ -287,6 +288,8 @@ func TestParseMatrix(t *testing.T) {
 		{"removed clamp_nodes", matrix(`,"max_nodes":8,"clamp_nodes":true`, "[10]")},
 		{"removed sample_every_ns", matrix(`,"sample_every_ns":1000000`, "[10]")},
 		{"removed totem", matrix(`,"totem":{}`, "[10]")},
+		{"removed fixed link profile", matrix(`,"links":{"profile":"fixed"}`, "[10]")},
+		{"removed fixed_ns", matrix(`,"links":{"fixed_ns":1000000}`, "[10]")},
 		{"negative seq timeout", matrix(`,"orderer":"seq","seq":{"leader_timeout_ns":-1}`, "[10]")},
 		{"seq tuning on instant", matrix(`,"seq":{"leader_timeout_ns":1000000}`, "[10]")},
 		{"seq tuning on totem", matrix(`,"orderer":"totem","seq":{"leader_timeout_ns":1000000}`, "[10]")},

@@ -240,11 +240,9 @@ func RunFederated(spec FedSpec, seed int64) (FedResult, error) {
 	mo := newMonitor(healAt, spec.Gates.MaxSeamSkew)
 	mo.drive(k, start+spec.Duration, fedSampleEvery, groups...)
 
-	c := obs.SampleMap(rec.Samples())
 	m := FedMetrics{
 		Regressions:         mo.m.Regressions,
 		StalenessViolations: mo.m.StalenessViolations,
-		MonotonicityFixes:   c["core.monotonicity_fixes"],
 		SeamViolations:      mo.seamViolations,
 		FinalSeamSkewUS:     mo.finalSeamSkewUS,
 		MaxSeamSkewUS:       mo.maxSeamSkewUS,
@@ -252,12 +250,28 @@ func RunFederated(spec FedSpec, seed int64) (FedResult, error) {
 		MaxBoundUS:          mo.m.MaxBoundUS,
 		MeanBoundUS:         mo.m.MeanBoundUS,
 		Samples:             mo.m.Samples,
-		FedCoalesced:        c["core.fed_coalesced"],
-		SummariesSent:       c["fed.summaries_sent"],
-		SummariesRecv:       c["fed.summaries_recv"],
-		Rejected:            c["fed.rejected"],
-		Nudges:              c["fed.nudges"],
 		FabricDropped:       fabric.Dropped,
+	}
+	// Sum the counters over each replica's own core and agent sources
+	// rather than gathering the whole registry.
+	for _, d := range groups {
+		for _, nd := range d.nodes {
+			core := nd.Core().ObsSamples()
+			m.MonotonicityFixes += sampleValue(core, "core.monotonicity_fixes")
+			m.FedCoalesced += sampleValue(core, "core.fed_coalesced")
+			for _, s := range nd.Federation().ObsSamples() {
+				switch s.Name {
+				case "fed.summaries_sent":
+					m.SummariesSent += s.Value
+				case "fed.summaries_recv":
+					m.SummariesRecv += s.Value
+				case "fed.rejected":
+					m.Rejected += s.Value
+				case "fed.nudges":
+					m.Nudges += s.Value
+				}
+			}
+		}
 	}
 	fails := append(mo.gate(m.MonotonicityFixes, spec.Gates.ReconvergeWithin), fedGate(spec, m)...)
 	return FedResult{

@@ -272,15 +272,37 @@ func prime(k *sim.Kernel, refreshEvery time.Duration, groups ...*deployment) boo
 	})
 }
 
-// gather sums the deployment's obs-registry counters into the metrics.
+// gather sums the replicas' counters into the metrics. It reads each
+// replica's own core and gcs sources rather than gathering, sorting and
+// folding the whole registry for six sums.
 func gather(d *deployment, m *Metrics) {
-	c := obs.SampleMap(d.rec.Samples())
-	m.Rounds = c["core.rounds_initiated"] + c["core.rounds_observed"]
-	m.Refreshes = c["core.lease_refreshes"]
-	m.CCSSent = c["core.ccs_sent"]
-	m.Invalidations = c["core.lease_invalidations"]
-	m.MonotonicityFixes = c["core.monotonicity_fixes"]
-	m.ViewsEmitted = c["gcs.views_emitted"]
+	for _, nd := range d.nodes {
+		for _, s := range nd.Core().ObsSamples() {
+			switch s.Name {
+			case "core.rounds_initiated", "core.rounds_observed":
+				m.Rounds += s.Value
+			case "core.lease_refreshes":
+				m.Refreshes += s.Value
+			case "core.ccs_sent":
+				m.CCSSent += s.Value
+			case "core.lease_invalidations":
+				m.Invalidations += s.Value
+			case "core.monotonicity_fixes":
+				m.MonotonicityFixes += s.Value
+			}
+		}
+		m.ViewsEmitted += sampleValue(nd.Stack().ObsSamples(), "gcs.views_emitted")
+	}
 	_, _, dropped := d.net.Stats()
 	m.NetDropped = dropped
+}
+
+// sampleValue returns the named sample's value, or 0 if samples lack it.
+func sampleValue(samples []obs.Sample, name string) uint64 {
+	for _, s := range samples {
+		if s.Name == name {
+			return s.Value
+		}
+	}
+	return 0
 }

@@ -83,20 +83,14 @@ const (
 	// ProfileWAN is an inter-region link: WANBase propagation delay with an
 	// exponential jitter tail and rare congestion spikes (simnet.WAN).
 	ProfileWAN LinkProfile = "wan"
-	// ProfileFixed is a constant-delay link, for calibration cells.
-	ProfileFixed LinkProfile = "fixed"
 )
 
 // Links declares the fabric of a deployment.
 type Links struct {
 	Profile LinkProfile   `json:"profile,omitempty"`
 	WANBase time.Duration `json:"wan_base_ns,omitempty"`
-	Fixed   time.Duration `json:"fixed_ns,omitempty"`
 	// Loss is a steady network-wide datagram loss probability.
 	Loss float64 `json:"loss,omitempty"`
-	// Custom overrides the profile with an arbitrary model (Go callers
-	// only; not expressible in JSON).
-	Custom simnet.LatencyModel `json:"-"`
 }
 
 // Model returns the latency model for the declared profile. A nil return
@@ -105,19 +99,11 @@ type Links struct {
 // with the pre-campaign harness, whose RNG draws flow through the same
 // closure instance.
 func (l Links) Model() (simnet.LatencyModel, error) {
-	if l.Custom != nil {
-		return l.Custom, nil
-	}
 	switch l.Profile {
 	case "", ProfileLAN:
 		return nil, nil
 	case ProfileWAN:
 		return simnet.WAN(l.WANBase), nil
-	case ProfileFixed:
-		if l.Fixed <= 0 {
-			return nil, fmt.Errorf("campaign: fixed link profile needs fixed_ns > 0")
-		}
-		return simnet.Fixed(l.Fixed), nil
 	}
 	return nil, fmt.Errorf("campaign: unknown link profile %q", l.Profile)
 }

@@ -28,9 +28,9 @@ type ClientConfig struct {
 	// Mono measures elapsed time for cache aging. Defaults to the machine's
 	// monotonic clock (hwclock.Monotonic); tests inject a manual source.
 	Mono hwclock.Source
-	// IO selects the I/O path QueryBurst uses: IOAuto (batched syscalls
-	// where the build supports them), IOSequential (one datagram per
-	// syscall), or IOMmsg (require batching; Validate errors on builds
+	// IO selects the I/O path every exchange uses: IOAuto (batched
+	// syscalls where the build supports them), IOSequential (one datagram
+	// per syscall), or IOMmsg (require batching; Validate errors on builds
 	// without it).
 	IO IOMode
 }
@@ -64,8 +64,14 @@ func (c ClientConfig) Validate() (ClientConfig, error) {
 // MaxBurst is the most request datagrams QueryBurst sends in one call.
 const MaxBurst = 64
 
-// ErrNoReplica is returned when every attempt timed out or was refused.
-var ErrNoReplica = errors.New("timeserve: no replica answered from a valid lease")
+// Errors an exchange wraps. ErrNoReplica: the target sent no answer before
+// the deadline. ErrStale: a replica answered but holds no valid lease (a
+// FlagStale refusal); a Query or QueryBatch whose every attempt was refused
+// returns it.
+var (
+	ErrNoReplica = errors.New("timeserve: no replica answered from a valid lease")
+	ErrStale     = errors.New("timeserve: replica refused (no valid lease)")
+)
 
 // Client queries the replica group's timeserve frontends. It caches the last
 // leased reading and extrapolates it locally for up to CacheFor, falling
@@ -88,16 +94,16 @@ type Client struct {
 
 	hits, misses uint64
 
-	rbuf []byte
-	wbuf []byte
-
-	// Burst state: resps is the reused response slice QueryBurst returns
-	// (valid until the next call), bursts the lazily built per-target
-	// batched-I/O rings, mmsgFell whether a runtime probe proved the batched
-	// syscalls unavailable (seccomp, exotic kernels) so bursts degraded to
-	// the sequential path.
+	// Exchange state: resps is the reused response slice QueryBatch and
+	// QueryBurst return (valid until the next call); rbuf and wbuf serve the
+	// sequential path, rings are the lazily built per-target batched-I/O
+	// rings; mmsgFell records that the batched syscalls proved unavailable
+	// (seccomp, exotic kernels) so exchanges degraded to the sequential path,
+	// mmsgProven that they worked once.
 	resps      []Response
-	bursts     []*clientBurst
+	rbuf       []byte
+	wbuf       []byte
+	rings      []*mmsgRing
 	mmsgFell   bool
 	mmsgProven bool
 }
@@ -109,11 +115,11 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		return nil, err
 	}
 	return &Client{
-		cfg:    cfg,
-		conns:  make([]*net.UDPConn, len(cfg.Targets)),
-		bursts: make([]*clientBurst, len(cfg.Targets)),
-		rbuf:   make([]byte, MaxDatagram),
-		wbuf:   make([]byte, 0, MaxBatch*ReqSize),
+		cfg:   cfg,
+		conns: make([]*net.UDPConn, len(cfg.Targets)),
+		rings: make([]*mmsgRing, len(cfg.Targets)),
+		rbuf:  make([]byte, MaxDatagram),
+		wbuf:  make([]byte, 0, MaxBatch*ReqSize),
 	}, nil
 }
 
@@ -141,7 +147,7 @@ func (c *Client) Now() (Reading, error) {
 // Query performs one network query, rotating across replicas on timeout or
 // stale refusal, and refreshes the cache.
 func (c *Client) Query() (Reading, error) {
-	resps, err := c.exchange(1)
+	resps, err := c.QueryBatch(1)
 	if err != nil {
 		return Reading{}, err
 	}
@@ -153,13 +159,15 @@ func (c *Client) Query() (Reading, error) {
 }
 
 // QueryBatch sends k queries in one datagram and returns the k leased
-// responses. Load generators use it to amortize the per-datagram syscall
-// cost. k must be in [1, MaxBatch].
+// responses, rotating across replicas on timeout or stale refusal; when
+// every attempt was refused the error wraps ErrStale. Load generators use it
+// to amortize the per-datagram syscall cost. k must be in [1, MaxBatch].
+// The returned slice is valid until the client's next call.
 func (c *Client) QueryBatch(k int) ([]Response, error) {
 	if k < 1 || k > MaxBatch {
 		return nil, fmt.Errorf("timeserve: batch size %d outside [1, %d]", k, MaxBatch)
 	}
-	return c.exchange(k)
+	return c.query(1, k, true)
 }
 
 // QueryBurst sends dgrams request datagrams of k queries each in one burst
@@ -167,10 +175,11 @@ func (c *Client) QueryBatch(k int) ([]Response, error) {
 // on builds with sendmmsg/recvmmsg the whole burst goes to the kernel in one
 // syscall (unless ClientConfig.IO forces the sequential path), driving the
 // server into multi-datagram drains. The returned slice — valid until the
-// next burst — holds every response that arrived before the deadline,
-// including refusals (FlagStale); callers inspect Flags themselves. A target
-// that returns nothing at all before the deadline rotates the client to the
-// next replica, like Query. The cache is not touched.
+// client's next call — holds every response that arrived before the
+// deadline, including refusals (FlagStale); callers inspect Flags
+// themselves. A target that returns nothing at all before the deadline
+// rotates the client to the next replica, like Query. The cache is not
+// touched.
 func (c *Client) QueryBurst(dgrams, k int) ([]Response, error) {
 	if dgrams < 1 || dgrams > MaxBurst {
 		return nil, fmt.Errorf("timeserve: burst size %d outside [1, %d]", dgrams, MaxBurst)
@@ -178,9 +187,36 @@ func (c *Client) QueryBurst(dgrams, k int) ([]Response, error) {
 	if k < 1 || k > MaxBatch {
 		return nil, fmt.Errorf("timeserve: batch size %d outside [1, %d]", k, MaxBatch)
 	}
+	return c.query(dgrams, k, false)
+}
+
+// IOPath names the I/O path exchanges are using: "mmsg" while the batched
+// syscalls are in play, "seq" when the build lacks them, the config forbids
+// them, or a runtime probe fell back.
+func (c *Client) IOPath() string {
+	if c.batched() {
+		return "mmsg"
+	}
+	return "seq"
+}
+
+// batched reports whether exchanges still try sendmmsg/recvmmsg.
+func (c *Client) batched() bool {
+	return mmsgSupported && c.cfg.IO != IOSequential && !c.mmsgFell
+}
+
+// query is the client's one retry-across-replicas loop: each attempt
+// is one exchange of dgrams datagrams of k queries with the preferred
+// target, and a target that answers nothing before the deadline rotates the
+// client to the next one. With leased set, a FlagStale refusal rotates too;
+// otherwise refusals go back to the caller.
+func (c *Client) query(dgrams, k int, leased bool) ([]Response, error) {
 	var lastErr error = ErrNoReplica
 	for attempt := 0; attempt < c.cfg.Attempts; attempt++ {
 		resps, err := c.burstOnce(c.cur, dgrams, k)
+		if err == nil && leased && !allOK(resps) {
+			err = fmt.Errorf("timeserve: %s: %w", c.cfg.Targets[c.cur], ErrStale)
+		}
 		if err == nil {
 			return resps, nil
 		}
@@ -190,19 +226,19 @@ func (c *Client) QueryBurst(dgrams, k int) ([]Response, error) {
 	return nil, lastErr
 }
 
-// IOPath names the I/O path bursts are using: "mmsg" while the batched
-// syscalls are in play, "seq" when the build lacks them, the config forbids
-// them, or a runtime probe fell back.
-func (c *Client) IOPath() string {
-	if mmsgSupported && c.cfg.IO != IOSequential && !c.mmsgFell {
-		return "mmsg"
+func allOK(resps []Response) bool {
+	for _, r := range resps {
+		if !r.OK() {
+			return false
+		}
 	}
-	return "seq"
+	return true
 }
 
-// burstOnce runs one burst against one target, preferring the batched path
+// burstOnce runs one exchange with one target, preferring the batched path
 // and degrading permanently to sequential writes if the syscalls prove
-// unavailable.
+// unavailable. Responses outside the exchange's nonce window (strays from
+// earlier timed-out attempts) are discarded.
 func (c *Client) burstOnce(target, dgrams, k int) ([]Response, error) {
 	conn, err := c.conn(target)
 	if err != nil {
@@ -211,61 +247,62 @@ func (c *Client) burstOnce(target, dgrams, k int) ([]Response, error) {
 	base := c.nonce
 	c.nonce += uint64(dgrams * k)
 	_ = conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-	if mmsgSupported && c.cfg.IO != IOSequential && !c.mmsgFell {
-		b := c.burstState(target, conn)
-		if b != nil {
-			resps, ok, err := c.mmsgBurst(b, target, base, dgrams, k)
-			if ok {
-				return resps, err
-			}
+	c.resps = c.resps[:0]
+	sent := false
+	if c.batched() {
+		if sent, err = c.mmsgBurst(target, conn, base, dgrams, k); err != nil {
+			return nil, err
 		}
-		c.mmsgFell = true // no batched syscalls here: stay sequential
+		c.mmsgFell = !sent // no batched syscalls here: stay sequential
 	}
-	return c.seqBurst(conn, target, base, dgrams, k)
+	if !sent {
+		if err := c.seqBurst(conn, target, base, dgrams, k); err != nil {
+			return nil, err
+		}
+	}
+	if len(c.resps) == 0 {
+		return nil, fmt.Errorf("timeserve: no answer from %s: %w", c.cfg.Targets[target], ErrNoReplica)
+	}
+	return c.resps, nil
 }
 
-// seqBurst is the portable burst: dgrams writes, then reads until every
-// datagram answered or the deadline fires. Responses outside the burst's
-// nonce window (strays from earlier timed-out attempts) are discarded.
-func (c *Client) seqBurst(conn *net.UDPConn, target int, base uint64, dgrams, k int) ([]Response, error) {
+// seqBurst is the portable exchange: dgrams writes, then reads into c.resps
+// until every datagram answered or the deadline fires.
+func (c *Client) seqBurst(conn *net.UDPConn, target int, base uint64, dgrams, k int) error {
 	for d := 0; d < dgrams; d++ {
 		c.wbuf = c.wbuf[:0]
 		for i := 0; i < k; i++ {
 			c.wbuf = AppendRequest(c.wbuf, Request{Nonce: base + uint64(d*k+i)})
 		}
 		if _, err := conn.Write(c.wbuf); err != nil {
-			return nil, fmt.Errorf("timeserve: send to %s: %w", c.cfg.Targets[target], err)
+			return fmt.Errorf("timeserve: send to %s: %w", c.cfg.Targets[target], err)
 		}
 	}
-	c.resps = c.resps[:0]
-	span := uint64(dgrams * k)
-	got := 0
-	for got < dgrams {
+	for got := 0; got < dgrams; {
 		n, err := conn.Read(c.rbuf)
 		if err != nil {
-			break // deadline: return whatever arrived
+			break // deadline: keep whatever arrived
 		}
-		if c.appendWindow(c.rbuf[:n], base, span, k) {
+		if c.appendWindow(c.rbuf[:n], base, dgrams, k) {
 			got++
 		}
 	}
-	if len(c.resps) == 0 {
-		return nil, fmt.Errorf("timeserve: burst to %s: %w", c.cfg.Targets[target], ErrNoReplica)
-	}
-	return c.resps, nil
+	return nil
 }
 
-// appendWindow parses one response datagram against the burst's nonce window
-// and appends its responses to c.resps. It reports whether the datagram
-// belonged to this burst; strays leave c.resps untouched.
-func (c *Client) appendWindow(b []byte, base, span uint64, k int) bool {
+// appendWindow parses one response datagram against the nonce window of an
+// exchange of dgrams datagrams of k queries from base, and appends its
+// responses to c.resps. It reports whether the datagram belonged to this
+// exchange; strays leave c.resps untouched.
+func (c *Client) appendWindow(b []byte, base uint64, dgrams, k int) bool {
 	if len(b) == 0 || len(b)%RespSize != 0 || len(b) > k*RespSize {
 		return false
 	}
+	end := base + uint64(dgrams*k)
 	mark := len(c.resps)
 	for off := 0; off < len(b); off += RespSize {
 		r, err := ParseResponse(b[off : off+RespSize])
-		if err != nil || r.Nonce < base || r.Nonce >= base+span {
+		if err != nil || r.Nonce < base || r.Nonce >= end {
 			c.resps = c.resps[:mark]
 			return false
 		}
@@ -287,77 +324,6 @@ func (c *Client) monotone(r Reading) Reading {
 		c.floor = r.GroupClock
 	}
 	return r
-}
-
-// exchange runs the retry-across-replicas loop: one request datagram with k
-// queries, one response datagram back. A refusal (no valid lease at that
-// replica) or timeout rotates to the next target.
-func (c *Client) exchange(k int) ([]Response, error) {
-	var lastErr error = ErrNoReplica
-	for attempt := 0; attempt < c.cfg.Attempts; attempt++ {
-		resps, err := c.exchangeOnce(c.cur, k)
-		if err == nil {
-			return resps, nil
-		}
-		lastErr = err
-		c.cur = (c.cur + 1) % len(c.cfg.Targets)
-	}
-	return nil, lastErr
-}
-
-// ErrStale reports a replica that answered but holds no valid lease (a
-// FlagStale refusal). A query whose every attempt was refused returns it.
-var ErrStale = errors.New("timeserve: replica refused (no valid lease)")
-
-func (c *Client) exchangeOnce(target, k int) ([]Response, error) {
-	conn, err := c.conn(target)
-	if err != nil {
-		return nil, err
-	}
-	base := c.nonce
-	c.nonce += uint64(k)
-	c.wbuf = c.wbuf[:0]
-	for i := 0; i < k; i++ {
-		c.wbuf = AppendRequest(c.wbuf, Request{Nonce: base + uint64(i)})
-	}
-	deadline := time.Now().Add(c.cfg.Timeout)
-	_ = conn.SetDeadline(deadline)
-	if _, err := conn.Write(c.wbuf); err != nil {
-		return nil, fmt.Errorf("timeserve: send to %s: %w", c.cfg.Targets[target], err)
-	}
-	for {
-		n, err := conn.Read(c.rbuf)
-		if err != nil {
-			return nil, fmt.Errorf("timeserve: read from %s: %w", c.cfg.Targets[target], err)
-		}
-		resps, ok := c.parseBatch(c.rbuf[:n], base, k)
-		if !ok {
-			continue // stray datagram from an earlier timed-out attempt
-		}
-		for _, r := range resps {
-			if !r.OK() {
-				return nil, ErrStale
-			}
-		}
-		return resps, nil
-	}
-}
-
-// parseBatch validates one response datagram against the attempt's nonce
-// window. It returns ok=false for datagrams belonging to other attempts.
-func (c *Client) parseBatch(b []byte, base uint64, k int) ([]Response, bool) {
-	if len(b) != k*RespSize {
-		return nil, false
-	}
-	resps := make([]Response, 0, k)
-	for off := 0; off < len(b); off += RespSize {
-		r, err := ParseResponse(b[off : off+RespSize])
-		if err != nil || r.Nonce < base || r.Nonce >= base+uint64(k) {
-			return nil, false
-		}
-		resps = append(resps, r)
-	}
-	return resps, true
 }
 
 // conn lazily dials the target's socket.

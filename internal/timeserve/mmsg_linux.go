@@ -1,23 +1,28 @@
 //go:build linux && (amd64 || arm64)
 
-// Batched kernel I/O for the serving hot path: each shard drains its socket
-// with recvmmsg into a preallocated ring of mmsghdr/iovec/sockaddr buffers,
-// answers every datagram in the drain from ONE lease snapshot (steady-state
-// mode: the lease changes far more slowly than a drain lasts, so one
-// extrapolation covers the whole batch), and flushes the replies with a
-// single sendmmsg — two syscalls for up to mmsgRecvMsgs datagrams instead of
-// one recvfrom + one sendto per datagram. Raw Syscall6 over the stdlib
-// syscall package, no golang.org/x/sys, mirroring the SO_REUSEPORT shim in
-// reuseport_linux.go; the per-arch syscall numbers live in
-// mmsg_linux_<arch>.go.
+// Batched kernel I/O, one ring type for both ends of the protocol. Each
+// server shard drains its socket with recvmmsg into a preallocated ring of
+// mmsghdr/iovec/sockaddr buffers, answers every datagram in the drain from
+// ONE lease snapshot (steady-state mode: the lease changes far more slowly
+// than a drain lasts, so one extrapolation covers the whole batch), and
+// flushes the replies with a single sendmmsg — two syscalls for up to
+// mmsgRecvMsgs datagrams instead of one recvfrom + one sendto per datagram.
+// The client's exchanges run the same ring the other way round over a
+// connected socket: one sendmmsg for every request datagram of a burst, then
+// recvmmsg until each is answered. The responses Query, QueryBatch and
+// QueryBurst parse out of it land in one reused slice, valid until the
+// client's next call. Raw Syscall6 over the stdlib syscall package, no
+// golang.org/x/sys, mirroring the SO_REUSEPORT shim in reuseport_linux.go;
+// the per-arch syscall numbers live in mmsg_linux_<arch>.go.
 //
 // The path integrates with the runtime netpoller through syscall.RawConn:
-// the read and write closures are created once per shard (never in the
+// the read and write closures are created once per ring (never in the
 // loop), attempt one non-blocking syscall each, and return false on EAGAIN
 // so the goroutine parks until the fd is ready instead of spinning. Partial
-// sendmmsg completions resume from the first unsent reply; EINTR retries;
-// ENOSYS/EPERM/EOPNOTSUPP before the first successful drain degrades the
-// shard to the sequential serveLoop (seccomp filters and exotic kernels).
+// sendmmsg completions resume from the first unsent datagram; EINTR retries;
+// ENOSYS/EPERM/EOPNOTSUPP before the first success degrades a shard to the
+// sequential serveLoop and a client to sequential writes and reads (seccomp
+// filters and exotic kernels).
 
 package timeserve
 
@@ -42,6 +47,11 @@ const (
 	mmsgRecvSlot = 4096
 	// mmsgReplySlot is the per-datagram reply buffer: MaxBatch responses.
 	mmsgReplySlot = MaxBatch * RespSize
+
+	// clientSendSlot is a client's per-datagram request buffer.
+	clientSendSlot = MaxBatch * ReqSize
+	// clientRecvSlot is a client's per-datagram response buffer.
+	clientRecvSlot = MaxBatch * RespSize
 )
 
 // mmsghdr mirrors struct mmsghdr on 64-bit Linux: a msghdr plus the number
@@ -75,58 +85,85 @@ func rawSendmmsg(fd uintptr, hdrs []mmsghdr) (int, syscall.Errno) {
 	return int(n), errno
 }
 
-// mmsgRing is one shard's preallocated batched-I/O state: receive buffers,
-// reply buffers, the mmsghdr/iovec/sockaddr arrays the syscalls scatter into,
-// and the once-created netpoller closures. Nothing here is allocated after
-// newMmsgRing; the drain-serve-flush cycle reuses it forever.
+// mmsgMissing reports whether a batched syscall's errno means this kernel
+// (or its seccomp filter) lacks the batched path. Before the first success
+// on a ring it degrades the caller to the sequential path; afterwards it is
+// an ordinary I/O error.
+func mmsgMissing(errno syscall.Errno) bool {
+	return errno == syscall.ENOSYS || errno == syscall.EPERM || errno == syscall.EOPNOTSUPP
+}
+
+// mmsgRing is one socket's preallocated batched-I/O state: receive buffers,
+// send buffers, the mmsghdr/iovec arrays the syscalls scatter into, and the
+// once-created netpoller closures. Nothing here is allocated after
+// newMmsgRing; every drain and flush reuses it.
 type mmsgRing struct {
-	rbuf  []byte // mmsgRecvMsgs × mmsgRecvSlot receive bytes
-	wbuf  []byte // mmsgRecvMsgs × mmsgReplySlot reply bytes
+	rc    syscall.RawConn
+	rslot int    // bytes per receive slot
+	rbuf  []byte // receive slots, back to back
+	wbuf  []byte // send slots, back to back
+	// names holds each received datagram's source address, where replies
+	// go back to; nil on a client's connected socket.
 	names []syscall.RawSockaddrAny
 	riov  []syscall.Iovec
 	wiov  []syscall.Iovec
 	rhdr  []mmsghdr
 	whdr  []mmsghdr
-	// waccepted[j] is the query count encoded into staged reply j, so a
-	// failed flush can charge the drop counter exactly.
+	// waccepted[j] is the query count encoded into a shard's staged reply
+	// j, so a failed flush can charge the drop counter exactly.
 	waccepted []uint32
 
+	rwant  int           // datagrams the next drain may take
 	nrecv  int           // datagrams in the current drain
 	rerr   syscall.Errno // fatal recv errno (EAGAIN/EINTR are absorbed)
-	wcount int           // replies staged by serveBatch
-	wsent  int           // replies the kernel has accepted (resume point)
+	wcount int           // datagrams staged for the flush
+	wsent  int           // datagrams the kernel has accepted (resume point)
 	werr   syscall.Errno // fatal send errno
 
 	readFn  func(fd uintptr) bool
 	writeFn func(fd uintptr) bool
 }
 
-// newMmsgRing allocates one shard's ring and wires the scatter tables and
-// netpoller closures. sh is captured so the closures can count syscalls.
-func newMmsgRing(sh *shard) *mmsgRing {
-	r := &mmsgRing{
-		rbuf:      make([]byte, mmsgRecvMsgs*mmsgRecvSlot),
-		wbuf:      make([]byte, mmsgRecvMsgs*mmsgReplySlot),
-		names:     make([]syscall.RawSockaddrAny, mmsgRecvMsgs),
-		riov:      make([]syscall.Iovec, mmsgRecvMsgs),
-		wiov:      make([]syscall.Iovec, mmsgRecvMsgs),
-		rhdr:      make([]mmsghdr, mmsgRecvMsgs),
-		whdr:      make([]mmsghdr, mmsgRecvMsgs),
-		waccepted: make([]uint32, mmsgRecvMsgs),
+// newMmsgRing allocates a ring over rc and wires its scatter tables and
+// netpoller closures. sh is the serving shard, or nil for a client. A shard
+// gets mmsgRecvMsgs slots of mmsgRecvSlot/mmsgReplySlot bytes, a source
+// address per slot (its socket is unconnected) and a syscall count in sh; a
+// client gets MaxBurst slots of clientRecvSlot/clientSendSlot bytes.
+func newMmsgRing(rc syscall.RawConn, sh *shard) *mmsgRing {
+	slots, rslot, wslot := MaxBurst, clientRecvSlot, clientSendSlot
+	if sh != nil {
+		slots, rslot, wslot = mmsgRecvMsgs, mmsgRecvSlot, mmsgReplySlot
 	}
-	for i := 0; i < mmsgRecvMsgs; i++ {
-		r.riov[i].Base = &r.rbuf[i*mmsgRecvSlot]
-		r.riov[i].Len = mmsgRecvSlot
-		r.rhdr[i].hdr.Name = (*byte)(unsafe.Pointer(&r.names[i]))
-		r.rhdr[i].hdr.Namelen = uint32(syscall.SizeofSockaddrAny)
+	r := &mmsgRing{
+		rc:    rc,
+		rslot: rslot,
+		rbuf:  make([]byte, slots*rslot),
+		wbuf:  make([]byte, slots*wslot),
+		riov:  make([]syscall.Iovec, slots),
+		wiov:  make([]syscall.Iovec, slots),
+		rhdr:  make([]mmsghdr, slots),
+		whdr:  make([]mmsghdr, slots),
+	}
+	if sh != nil {
+		r.names = make([]syscall.RawSockaddrAny, slots)
+		r.waccepted = make([]uint32, slots)
+	}
+	for i := 0; i < slots; i++ {
+		r.riov[i].Base = &r.rbuf[i*rslot]
+		r.riov[i].Len = uint64(rslot)
 		r.rhdr[i].hdr.Iov = &r.riov[i]
 		r.rhdr[i].hdr.Iovlen = 1
 		r.whdr[i].hdr.Iov = &r.wiov[i]
 		r.whdr[i].hdr.Iovlen = 1
 	}
+	for i := range r.names {
+		r.rhdr[i].hdr.Name = (*byte)(unsafe.Pointer(&r.names[i]))
+	}
 	r.readFn = func(fd uintptr) bool {
-		n, errno := recvmmsgFn(fd, r.rhdr)
-		sh.syscalls.Add(1)
+		n, errno := recvmmsgFn(fd, r.rhdr[:r.rwant])
+		if sh != nil {
+			sh.syscalls.Add(1)
+		}
 		switch errno {
 		case 0:
 			r.nrecv, r.rerr = n, 0
@@ -144,7 +181,9 @@ func newMmsgRing(sh *shard) *mmsgRing {
 	}
 	r.writeFn = func(fd uintptr) bool {
 		n, errno := sendmmsgFn(fd, r.whdr[r.wsent:r.wcount])
-		sh.syscalls.Add(1)
+		if sh != nil {
+			sh.syscalls.Add(1)
+		}
 		switch {
 		case errno == syscall.EAGAIN:
 			return false // park until writable, then resume
@@ -163,13 +202,24 @@ func newMmsgRing(sh *shard) *mmsgRing {
 	return r
 }
 
-// resetRecv restores the kernel-written header fields before a drain: the
-// kernel reads Namelen as the sockaddr buffer size and overwrites it with
-// the actual source address length per message.
-func (r *mmsgRing) resetRecv() {
-	for i := range r.rhdr {
+// resetRecv arms a drain of up to want datagrams. The kernel reads each
+// Namelen as the sockaddr buffer size and overwrites it with the actual
+// source address length, so a shard's ring restores them first.
+func (r *mmsgRing) resetRecv(want int) {
+	r.rwant = want
+	for i := range r.names {
 		r.rhdr[i].hdr.Namelen = uint32(syscall.SizeofSockaddrAny)
 	}
+}
+
+// received returns datagram i of the current drain, clamped to its slot
+// (the kernel reports a truncated datagram's full length).
+func (r *mmsgRing) received(i int) []byte {
+	n := int(r.rhdr[i].length)
+	if n > r.rslot {
+		n = r.rslot
+	}
+	return r.rbuf[i*r.rslot : i*r.rslot+n]
 }
 
 // dropUnsent charges every reply the flush could not hand to the kernel to
@@ -193,7 +243,7 @@ func (s *Server) serveBatched(pc net.PacketConn, sh *shard) bool {
 	if err != nil {
 		return false
 	}
-	return s.batchLoop(rc, sh, newMmsgRing(sh))
+	return s.batchLoop(sh, newMmsgRing(rc, sh))
 }
 
 // batchLoop is the batched serve loop: drain the socket with one recvmmsg,
@@ -205,10 +255,11 @@ func (s *Server) serveBatched(pc net.PacketConn, sh *shard) bool {
 // the 0 allocs/op test instead).
 //
 //cts:allocfree
-func (s *Server) batchLoop(rc syscall.RawConn, sh *shard, r *mmsgRing) bool {
+func (s *Server) batchLoop(sh *shard, r *mmsgRing) bool {
 	proven := false // one drain has succeeded: the syscalls exist
+	rc := r.rc      // allocfree vouches for rc.Read/rc.Write by this name
 	for {
-		r.resetRecv()
+		r.resetRecv(mmsgRecvMsgs)
 		if err := rc.Read(r.readFn); err != nil {
 			if s.closed.Load() {
 				return true
@@ -219,7 +270,7 @@ func (s *Server) batchLoop(rc syscall.RawConn, sh *shard, r *mmsgRing) bool {
 			if s.closed.Load() {
 				return true
 			}
-			if !proven && (r.rerr == syscall.ENOSYS || r.rerr == syscall.EPERM || r.rerr == syscall.EOPNOTSUPP) {
+			if !proven && mmsgMissing(r.rerr) {
 				return false // no batched syscalls here: degrade to serveLoop
 			}
 			continue
@@ -254,12 +305,8 @@ func (s *Server) serveBatch(sh *shard, r *mmsgRing) {
 	r.wcount, r.wsent, r.werr = 0, 0, 0
 	rd, haveLease := s.cfg.Source.LeaseRead()
 	for i := 0; i < r.nrecv; i++ {
-		n := int(r.rhdr[i].length)
-		if n > mmsgRecvSlot {
-			n = mmsgRecvSlot
-		}
 		j := r.wcount
-		reply, accepted, drops := s.answerDatagram(r.rbuf[i*mmsgRecvSlot:i*mmsgRecvSlot+n],
+		reply, accepted, drops := s.answerDatagram(r.received(i),
 			r.wbuf[j*mmsgReplySlot:(j+1)*mmsgReplySlot], rd, haveLease)
 		if r.rhdr[i].hdr.Flags&syscall.MSG_TRUNC != 0 {
 			drops++ // oversized datagram: the kernel cut the tail
@@ -277,159 +324,55 @@ func (s *Server) serveBatch(sh *shard, r *mmsgRing) {
 	}
 }
 
-const (
-	// clientSendSlot is a burst client's per-datagram request buffer.
-	clientSendSlot = MaxBatch * ReqSize
-	// clientRecvSlot is a burst client's per-datagram response buffer.
-	clientRecvSlot = MaxBatch * RespSize
-)
-
-// clientBurst is one target's batched-I/O state on the client side: request
-// and response rings for up to MaxBurst datagrams over the connected socket
-// (no sockaddrs needed — the kernel fills in the peer), plus the once-created
-// netpoller closures. Like the server ring, nothing is allocated after
-// newClientBurst.
-type clientBurst struct {
-	rc   syscall.RawConn
-	wbuf []byte // MaxBurst × clientSendSlot request bytes
-	rbuf []byte // MaxBurst × clientRecvSlot response bytes
-	wiov []syscall.Iovec
-	riov []syscall.Iovec
-	whdr []mmsghdr
-	rhdr []mmsghdr
-
-	wcount, wsent int           // staged datagrams / kernel-accepted resume point
-	werr          syscall.Errno // fatal send errno
-	rwant         int           // datagrams still expected by the current drain
-	nrecv         int           // datagrams the last drain delivered
-	rerr          syscall.Errno // fatal recv errno
-
-	readFn  func(fd uintptr) bool
-	writeFn func(fd uintptr) bool
-}
-
-// newClientBurst builds the burst ring over conn's raw fd, or returns nil if
-// the socket cannot expose one (the caller then stays sequential).
-func newClientBurst(conn *net.UDPConn) *clientBurst {
-	rc, err := conn.SyscallConn()
-	if err != nil {
-		return nil
-	}
-	b := &clientBurst{
-		rc:   rc,
-		wbuf: make([]byte, MaxBurst*clientSendSlot),
-		rbuf: make([]byte, MaxBurst*clientRecvSlot),
-		wiov: make([]syscall.Iovec, MaxBurst),
-		riov: make([]syscall.Iovec, MaxBurst),
-		whdr: make([]mmsghdr, MaxBurst),
-		rhdr: make([]mmsghdr, MaxBurst),
-	}
-	for i := 0; i < MaxBurst; i++ {
-		b.riov[i].Base = &b.rbuf[i*clientRecvSlot]
-		b.riov[i].Len = clientRecvSlot
-		b.rhdr[i].hdr.Iov = &b.riov[i]
-		b.rhdr[i].hdr.Iovlen = 1
-		b.whdr[i].hdr.Iov = &b.wiov[i]
-		b.whdr[i].hdr.Iovlen = 1
-	}
-	b.readFn = func(fd uintptr) bool {
-		n, errno := recvmmsgFn(fd, b.rhdr[:b.rwant])
-		switch errno {
-		case 0:
-			b.nrecv, b.rerr = n, 0
-			return true
-		case syscall.EAGAIN:
-			b.nrecv, b.rerr = 0, 0
-			return false // park until readable or the deadline fires
-		case syscall.EINTR:
-			b.nrecv, b.rerr = 0, 0
-			return true
-		default:
-			b.nrecv, b.rerr = 0, errno
-			return true
+// mmsgBurst runs one exchange of dgrams request datagrams of k queries over
+// target's ring: stage every request, flush them with sendmmsg (resuming
+// short completions), then drain replies with recvmmsg into c.resps until
+// each datagram is answered or the deadline fires. batched=false means the
+// syscalls proved unavailable before they ever worked, and nothing was
+// sent: the caller degrades to the sequential exchange.
+func (c *Client) mmsgBurst(target int, conn *net.UDPConn, base uint64, dgrams, k int) (batched bool, err error) {
+	r := c.rings[target]
+	if r == nil {
+		rc, err := conn.SyscallConn()
+		if err != nil {
+			return false, nil
 		}
+		r = newMmsgRing(rc, nil)
+		c.rings[target] = r
 	}
-	b.writeFn = func(fd uintptr) bool {
-		n, errno := sendmmsgFn(fd, b.whdr[b.wsent:b.wcount])
-		switch {
-		case errno == syscall.EAGAIN:
-			return false // park until writable, then resume
-		case errno == syscall.EINTR:
-			return true
-		case errno != 0:
-			b.werr = errno
-			return true
-		case n == 0:
-			b.werr = syscall.EIO
-			return true
-		}
-		b.wsent += n
-		return true
-	}
-	return b
-}
-
-// burstState lazily builds the batched ring for target i.
-func (c *Client) burstState(i int, conn *net.UDPConn) *clientBurst {
-	if c.bursts[i] == nil {
-		c.bursts[i] = newClientBurst(conn)
-	}
-	return c.bursts[i]
-}
-
-// mmsgBurst runs one burst over the batched syscalls: stage every request
-// datagram into the ring, flush with sendmmsg (resuming short completions),
-// then drain replies with recvmmsg until the burst is answered or the
-// deadline fires. ok=false means the syscalls are unavailable before they
-// ever worked — the caller degrades to the sequential burst.
-func (c *Client) mmsgBurst(b *clientBurst, target int, base uint64, dgrams, k int) ([]Response, bool, error) {
-	reqLen := k * ReqSize
 	for d := 0; d < dgrams; d++ {
 		off := d * clientSendSlot
 		for i := 0; i < k; i++ {
-			PutRequest(b.wbuf[off+i*ReqSize:off+(i+1)*ReqSize], Request{Nonce: base + uint64(d*k+i)})
+			PutRequest(r.wbuf[off+i*ReqSize:], Request{Nonce: base + uint64(d*k+i)})
 		}
-		b.wiov[d].Base = &b.wbuf[off]
-		b.wiov[d].Len = uint64(reqLen)
+		r.wiov[d].Base = &r.wbuf[off]
+		r.wiov[d].Len = uint64(k * ReqSize)
 	}
-	b.wcount, b.wsent, b.werr = dgrams, 0, 0
-	for b.wsent < b.wcount {
-		if err := b.rc.Write(b.writeFn); err != nil {
-			return nil, true, fmt.Errorf("timeserve: send to %s: %w", c.cfg.Targets[target], err)
+	r.wcount, r.wsent, r.werr = dgrams, 0, 0
+	for r.wsent < r.wcount {
+		if err := r.rc.Write(r.writeFn); err != nil {
+			return true, fmt.Errorf("timeserve: send to %s: %w", c.cfg.Targets[target], err)
 		}
-		if b.werr != 0 {
-			if !c.mmsgProven && (b.werr == syscall.ENOSYS || b.werr == syscall.EPERM || b.werr == syscall.EOPNOTSUPP) {
-				return nil, false, nil
+		if r.werr != 0 {
+			if !c.mmsgProven && mmsgMissing(r.werr) {
+				return false, nil
 			}
-			return nil, true, fmt.Errorf("timeserve: sendmmsg to %s: %w", c.cfg.Targets[target], error(b.werr))
+			return true, fmt.Errorf("timeserve: sendmmsg to %s: %w", c.cfg.Targets[target], error(r.werr))
 		}
 	}
 	c.mmsgProven = true
-	c.resps = c.resps[:0]
-	span := uint64(dgrams * k)
-	got := 0
-	for got < dgrams {
-		b.rwant = dgrams - got
-		if err := b.rc.Read(b.readFn); err != nil {
-			break // deadline: return whatever arrived
+	for got := 0; got < dgrams; {
+		r.resetRecv(dgrams - got)
+		if err := r.rc.Read(r.readFn); err != nil || r.rerr != 0 {
+			break // deadline: keep whatever arrived
 		}
-		if b.rerr != 0 {
-			break
-		}
-		for i := 0; i < b.nrecv; i++ {
-			ln := int(b.rhdr[i].length)
-			if ln > clientRecvSlot {
-				ln = clientRecvSlot
-			}
-			if c.appendWindow(b.rbuf[i*clientRecvSlot:i*clientRecvSlot+ln], base, span, k) {
+		for i := 0; i < r.nrecv; i++ {
+			if c.appendWindow(r.received(i), base, dgrams, k) {
 				got++
 			}
 		}
 	}
-	if len(c.resps) == 0 {
-		return nil, true, fmt.Errorf("timeserve: burst to %s: %w", c.cfg.Targets[target], ErrNoReplica)
-	}
-	return c.resps, true, nil
+	return true, nil
 }
 
 // steadySource is the fixed lease the allocation probe serves from.
@@ -453,7 +396,7 @@ func (steadySource) LeaseRead() (Reading, bool) {
 func ServeAllocsPerOp() float64 {
 	s := &Server{cfg: Config{Node: 1, Source: steadySource{}}}
 	sh := &shard{}
-	r := newMmsgRing(sh)
+	r := newMmsgRing(nil, sh)
 	var req [ReqSize]byte
 	for i := 0; i < mmsgRecvMsgs; i++ {
 		for q := 0; q < MaxBatch; q++ {

@@ -194,7 +194,7 @@ func TestServeBatchAllocFree(t *testing.T) {
 	}
 	s := &Server{cfg: Config{Node: 1, Source: steadySource{}}}
 	sh := &shard{}
-	r := newMmsgRing(sh)
+	r := newMmsgRing(nil, sh)
 	var req [ReqSize]byte
 	for i := 0; i < mmsgRecvMsgs; i++ {
 		for q := 0; q < MaxBatch; q++ {

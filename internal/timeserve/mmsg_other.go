@@ -5,8 +5,8 @@ package timeserve
 import "net"
 
 // This platform has no recvmmsg/sendmmsg shim; shards always run the
-// sequential serve loop and burst clients fall back to one datagram per
-// syscall. The stubs keep the fallback ladder identical across builds.
+// sequential serve loop and clients send one datagram per syscall. The stubs
+// keep the fallback ladder identical across builds.
 const mmsgSupported = false
 
 // serveBatched reports that the batched path is unavailable; serve falls
@@ -16,15 +16,10 @@ func (s *Server) serveBatched(pc net.PacketConn, sh *shard) bool { return false 
 // ServeAllocsPerOp reports -1: no batched path to measure on this build.
 func ServeAllocsPerOp() float64 { return -1 }
 
-// clientBurst is the client-side batched-I/O state on builds that have none.
-type clientBurst struct{}
+// mmsgRing is the batched-I/O ring on builds that have none.
+type mmsgRing struct{}
 
-// burstState reports no batched ring; QueryBurst stays on the sequential
-// path.
-func (c *Client) burstState(i int, conn *net.UDPConn) *clientBurst { return nil }
-
-// mmsgBurst is unreachable on this build (burstState never returns a ring);
-// the stub keeps client.go portable.
-func (c *Client) mmsgBurst(b *clientBurst, target int, base uint64, dgrams, k int) ([]Response, bool, error) {
-	return nil, false, nil
+// mmsgBurst reports the batched path unavailable; exchanges stay sequential.
+func (c *Client) mmsgBurst(target int, conn *net.UDPConn, base uint64, dgrams, k int) (bool, error) {
+	return false, nil
 }

@@ -24,10 +24,8 @@ func TestWireRoundTrip(t *testing.T) {
 
 	r := Response{Flags: FlagOK, Node: 3, Nonce: 7, Echo: 42,
 		Group: 123456789 * time.Nanosecond, Bound: time.Millisecond, Epoch: 9}
-	rb := AppendResponse(nil, r)
-	if len(rb) != RespSize {
-		t.Fatalf("response size %d, want %d", len(rb), RespSize)
-	}
+	rb := make([]byte, RespSize)
+	PutResponse(rb, r)
 	rgot, err := ParseResponse(rb)
 	if err != nil {
 		t.Fatal(err)

@@ -145,13 +145,6 @@ func PutResponse(b []byte, r Response) {
 	binary.BigEndian.PutUint64(b[40:], r.Epoch)
 }
 
-// AppendResponse appends r's encoding to buf.
-func AppendResponse(buf []byte, r Response) []byte {
-	var b [RespSize]byte
-	PutResponse(b[:], r)
-	return append(buf, b[:]...)
-}
-
 // ParseResponse decodes one response from the front of b.
 //
 //cts:allocfree
