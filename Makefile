@@ -1,13 +1,13 @@
 GO ?= go
 
 # ci.sh holds the one list of CI steps. `make check` runs all of them in
-# order; every other target below but test, ledger and churn-sweep runs its
+# order; every other target below but test, ledger, churn-sweep and cover runs its
 # namesake step (race also runs the -orderer=seq and simnetpoison reruns).
 # See ci.sh for what each step checks.
 STEPS := fmt vet lint assembly build allocs race-seq race-poison fuzz sim-smoke \
 	bench-all bench bench-concurrent loadtest campaign federation-smoke
 
-.PHONY: check test race ledger churn-sweep $(STEPS)
+.PHONY: check test race ledger churn-sweep cover $(STEPS)
 
 check:
 	./ci.sh
@@ -41,3 +41,17 @@ churn-sweep:
 		$(GO) test -count=1 -run '^TestChurnStress$$' ./internal/experiment -churn-seeds=80-139 -orderer=$$o 2>&1 | \
 			grep -E -A3 -- '--- FAIL: TestChurnStress/|^(ok|FAIL)[[:space:]]' || true; \
 	done
+
+# cover runs tier-1 with statement coverage of every package but bench,
+# sums each block's counts across the test binaries, and prints the total
+# and every function outside cmd/ and examples/ that no test runs (ROADMAP
+# item 31). It reports and does not fail.
+cover:
+	@prof=$$(mktemp -d) && trap 'rm -rf "$$prof"' EXIT && \
+	$(GO) test -count=1 -coverpkg=$$($(GO) list ./... | grep -vx cts/bench | paste -sd, -) \
+		-coverprofile="$$prof/raw" ./... | grep -Ev '^ok|coverage: ' || true; \
+	awk 'NR == 1 { print; next } !($$1 in n) { k[++m] = $$1 } { n[$$1] += $$3; s[$$1] = $$2 } \
+		END { for (i = 1; i <= m; i++) print k[i], s[k[i]], n[k[i]] }' "$$prof/raw" >"$$prof/merged" && \
+	$(GO) tool cover -func="$$prof/merged" >"$$prof/func" && \
+	grep '^total:' "$$prof/func" && \
+	awk '$$NF == "0.0%" && $$1 !~ /^cts\/(cmd|examples)\// { z++; print } END { print z + 0, "functions never run" }' "$$prof/func"

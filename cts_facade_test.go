@@ -14,6 +14,7 @@ import (
 	"cts/internal/sim"
 	"cts/internal/simnet"
 	"cts/internal/transport"
+	"cts/internal/wire"
 )
 
 // TestFacadeThreeReplicaGroup assembles a three-way actively replicated time
@@ -227,4 +228,120 @@ func TestFacadeOrdererOptions(t *testing.T) {
 	if _, err := cts.ParseOrdererKind("lockstep"); err == nil {
 		t.Error(`ParseOrdererKind("lockstep") succeeded, want error`)
 	}
+}
+
+// variantApp answers each §4.1 clock variant by name through the Service's
+// per-variant entry points.
+type variantApp struct{ svc *cts.Service }
+
+func (a *variantApp) Invoke(ctx *cts.Ctx, method string, _ []byte) []byte {
+	var v time.Duration
+	switch method {
+	case "time":
+		v = a.svc.Time(ctx)
+	case "ftime":
+		v = a.svc.Ftime(ctx)
+	case "clock":
+		v = a.svc.Clock(ctx).Gettimeofday()
+	}
+	return binary.BigEndian.AppendUint64(nil, uint64(v))
+}
+
+func (a *variantApp) Snapshot() []byte { return nil }
+func (a *variantApp) Restore([]byte)   {}
+
+// TestFacadeClockVariants drives time(), ftime() and gettimeofday() (the
+// latter through Service.Clock) from an application's Invoke: each read's
+// CCS message carries its own op, and each value is truncated to the op's
+// granularity. ObserveTimestamp's causal floor lifts the next read above
+// it, and Timestamp reports at least that read.
+func TestFacadeClockVariants(t *testing.T) {
+	k := sim.NewKernel(11)
+	net := simnet.NewNetwork(k, nil)
+	ring := []transport.NodeID{0, 1}
+	app := &variantApp{}
+	svc, err := cts.New(
+		cts.WithRuntime(k),
+		cts.WithTransport(net.Endpoint(1)),
+		cts.WithMembers(ring),
+		cts.WithClock(hwclock.NewSim(k.Now, hwclock.WithOffset(7*time.Second+123456789))),
+		cts.WithApplication(app),
+	)
+	if err != nil {
+		t.Fatalf("cts.New: %v", err)
+	}
+	app.svc = svc
+	var ops []wire.ClockOp
+	var proposed []time.Duration
+	svc.Stack().WatchMessages(func(m wire.Message, _ gcs.Meta) {
+		if p, err := wire.UnmarshalCCS(m.Payload); m.Type == wire.TypeCCS && err == nil {
+			ops = append(ops, p.Op)
+			proposed = append(proposed, p.Proposed)
+		}
+	})
+	if err := svc.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	cstack, err := gcs.New(gcs.Config{Runtime: k, Transport: net.Endpoint(0), Members: ring, Bootstrap: true})
+	if err != nil {
+		t.Fatalf("client gcs.New: %v", err)
+	}
+	client, err := rpc.NewClient(rpc.ClientConfig{Runtime: k, Stack: cstack, ClientGroup: 900, ServerGroup: cts.DefaultGroup})
+	if err != nil {
+		t.Fatalf("rpc.NewClient: %v", err)
+	}
+	cstack.Start()
+	k.RunFor(3 * time.Millisecond)
+
+	read := func(method string) time.Duration {
+		t.Helper()
+		var body []byte
+		client.Invoke(method, nil, func(r rpc.Reply) {
+			if r.Err != nil {
+				t.Errorf("%s: %v", method, r.Err)
+			}
+			body = r.Body
+		})
+		for k.Now() < 5*time.Second && body == nil {
+			k.RunFor(time.Millisecond)
+		}
+		if len(body) != 8 {
+			t.Fatalf("%s: reply %x", method, body)
+		}
+		return time.Duration(binary.BigEndian.Uint64(body))
+	}
+	var last time.Duration
+	for _, c := range []struct {
+		method string
+		op     wire.ClockOp
+		unit   time.Duration
+	}{
+		{"time", wire.OpTime, time.Second},
+		{"ftime", wire.OpFtime, time.Millisecond},
+		{"clock", wire.OpGettimeofday, time.Microsecond},
+	} {
+		before := len(ops)
+		v := read(c.method)
+		if len(ops) != before+1 || ops[before] != c.op {
+			t.Fatalf("%s: CCS ops %v after %d, want one %v", c.method, ops, before, c.op)
+		}
+		if p := proposed[before]; v != p-p%c.unit || p%c.unit == 0 && c.unit > time.Microsecond {
+			t.Fatalf("%s = %v for proposed %v, want it truncated to %v", c.method, v, p, c.unit)
+		}
+		last = v
+	}
+
+	floor := last + 10*time.Second
+	k.Post(func() { svc.ObserveTimestamp(floor) })
+	v := read("clock")
+	if v <= floor {
+		t.Fatalf("read %v after ObserveTimestamp(%v), want above the causal floor", v, floor)
+	}
+	var stamp time.Duration
+	k.Post(func() { stamp = svc.Timestamp() })
+	k.RunFor(time.Millisecond)
+	if stamp < v {
+		t.Fatalf("Timestamp() = %v, want at least the last read %v", stamp, v)
+	}
+	svc.Stop()
 }

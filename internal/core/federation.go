@@ -77,8 +77,9 @@ type fedState struct {
 	// monotone clamp is a benign coalesce, not a clock anomaly. Updated in
 	// total order, so every replica attributes clamps identically.
 	clampFloor time.Duration
-	// restored carries checkpoint-restored slack observed before
-	// EnableFederation has run (state transfer racing enablement).
+	// restored is a checkpoint's slack, anchored at restoredAnchor, until
+	// applyRestoredFedSlack folds it in (at once, or from EnableFederation
+	// when state transfer ran first).
 	restored       time.Duration
 	restoredAnchor time.Duration
 	haveRestored   bool
@@ -88,8 +89,8 @@ type fedState struct {
 
 // EnableFederation turns on federated offset adoption. Safe to call from any
 // goroutine; takes effect on the loop. Until the first federated round is
-// delivered, published bounds carry InitialSlack (or a restored checkpoint's
-// slack, whichever is larger), aging at AgingPPM.
+// delivered, published bounds carry InitialSlack, or in its place a restored
+// checkpoint's slack (applyRestoredFedSlack), aging at AgingPPM.
 func (s *TimeService) EnableFederation(cfg FedConfig) error {
 	cfg, err := cfg.Validate()
 	if err != nil {

@@ -222,3 +222,51 @@ func TestJoinerInheritsFederationState(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoredFedSlackEitherOrder: a checkpoint's federation slack goes
+// through one rule whether the restore comes before EnableFederation or
+// after it. It replaces the blind InitialSlack pad; against an informed
+// anchor, the wider projection wins.
+func TestRestoredFedSlackEitherOrder(t *testing.T) {
+	const ms = time.Millisecond
+	for _, restoreFirst := range []bool{true, false} {
+		h := newCoreHarness(t, 35)
+		h.addStack(1, []transport.NodeID{1}, true)
+		h.addReplica(1, replication.Active, false, h.simClock(0, 0))
+		h.start()
+		h.k.RunFor(ms)
+		s := h.svcs[1]
+		var slack time.Duration
+		read := func() {
+			h.k.RunFor(ms)
+			h.k.Post(func() { slack = s.FederationSlack() })
+			h.k.RunFor(ms)
+		}
+		restore := func(fedSlack time.Duration) {
+			h.k.Post(func() { s.restoreFromCheckpoint(ccsState{fedSlack: fedSlack}.encode()) })
+			read()
+		}
+		check := func(step string, lo, hi time.Duration) {
+			t.Helper()
+			if slack < lo || slack >= hi {
+				t.Fatalf("restoreFirst=%v, %s: slack %v, want in [%v, %v)", restoreFirst, step, slack, lo, hi)
+			}
+		}
+		if restoreFirst {
+			restore(3 * ms)
+			check("restored before federation is on", 0, 1)
+		}
+		if err := s.EnableFederation(FedConfig{InitialSlack: 20 * ms, AgingPPM: 1000}); err != nil {
+			t.Fatal(err)
+		}
+		if read(); !restoreFirst {
+			check("federation on, nothing restored", 20*ms, 21*ms)
+			restore(3 * ms)
+		}
+		check("checkpoint against the blind pad", 3*ms, 4*ms)
+		restore(ms)
+		check("narrower checkpoint against an informed anchor", 3*ms, 4*ms)
+		restore(10 * ms)
+		check("wider checkpoint against an informed anchor", 10*ms, 11*ms)
+	}
+}

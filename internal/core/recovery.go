@@ -112,24 +112,15 @@ func (s *TimeService) restoreFromCheckpoint(extra []byte) {
 	// at the start of recovery (at or before the donor captured it), so the
 	// joiner's published bound stays honest about inter-group skew from its
 	// very first lease instead of waiting one exchange interval blind.
+	// It is applied at once if federation is on, else by EnableFederation.
 	if st.fedSlack > 0 {
 		anchor := s.clock.Read()
 		if s.joinLagDue && s.recoveryStart < anchor {
 			anchor = s.recoveryStart
 		}
+		s.fed.restored, s.fed.restoredAnchor, s.fed.haveRestored = st.fedSlack, anchor, true
 		if s.fed.enabled {
-			aged := st.fedSlack + s.fedAgingOver(s.clock.Read()-anchor)
-			// Real information replaces a blind InitialSlack pad outright;
-			// against an informed anchor, keep the wider projection.
-			if !s.fed.anchored || aged > s.fedSlackAt(s.clock.Read()) {
-				s.fed.slack = st.fedSlack
-				s.fed.anchor = anchor
-				s.fed.anchored = true
-			}
-		} else {
-			s.fed.restored = st.fedSlack
-			s.fed.restoredAnchor = anchor
-			s.fed.haveRestored = true
+			s.applyRestoredFedSlack()
 		}
 	}
 	for tid, round := range st.threadRounds {

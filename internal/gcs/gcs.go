@@ -263,12 +263,6 @@ func (g *Group) Leave() {
 	})
 }
 
-// ID reports the group identifier.
-func (g *Group) ID() wire.GroupID { return g.id }
-
-// Multicast sends m through the total order to the members of m.DstGroup.
-func (g *Group) Multicast(m wire.Message) error { return g.stack.Multicast(m) }
-
 // Multicast sends a fault-tolerant protocol message through the total order.
 // The message is delivered, in the same order at every processor, to the
 // local members of m.DstGroup. The sender needs no membership in the

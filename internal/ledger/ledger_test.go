@@ -173,6 +173,12 @@ var protocolRows = []row{
 		"\t\tif m, ok := n.received[s]; ok {\n\t\t\tn.sendData(m)\n\t\t\tn.stats.Retransmissions++\n",
 		"\t\tif m, ok := n.received[s]; ok && false {\n\t\t\tn.sendData(m)\n\t\t\tn.stats.Retransmissions++\n",
 	}}},
+	{"totem", "salvage-drops-own", "internal/order/totem_membership.go", []edit{{
+		"\t\tcase r.Kind == msgRegular && r.Sender == mb.self:\n\t\t\tmine = append(mine, r)\n", "",
+	}}},
+	{"totem", "formring-reuses-epoch", "internal/order/totem_membership.go", []edit{{
+		"\tmb.maxRingSeq = max(mb.maxRingSeq, mb.ring.Epoch) + 1\n", "\tmb.maxRingSeq = mb.ring.Epoch\n",
+	}}},
 
 	{"order", "seen-key-kept", "internal/order/outbox.go", []edit{{
 		"\tif !p.cancelled && o.keys.Seen(p.dupKey) {\n", "\tif false && !p.cancelled && o.keys.Seen(p.dupKey) {\n",

@@ -74,22 +74,39 @@ func (s nodeState) String() string {
 // methods document when they must run on the loop.
 type totemNode struct {
 	endpoint
+	membership
+	ringState
 	tun TotemTuning
 	rt  sim.Runtime
 	tr  transport.Transport
 
-	state   nodeState
-	ring    ViewID
-	members []transport.NodeID
 	primary bool
 	quorum  int
 
-	// Operational ring state.
-	//
 	// out queues application broadcasts for the token visit, and its key
 	// window holds the logical identities received. Keys outlive their
 	// message: discarding received[s] does not forget its key.
-	out          outbox
+	out outbox
+
+	retransTimer   sim.Canceler
+	lossTimer      sim.Canceler
+	consensusTimer sim.Canceler
+	commitTimer    sim.Canceler
+	announceTimer  sim.Canceler
+
+	stats totemStats
+	obs   *obs.Recorder
+	// tokenHook, when set, sees every regular token this node handles
+	// (after deduplication), for tests that inspect whole tokens.
+	tokenHook func(ringToken)
+	// safeWaitSeq is the message sequence currently blocked on the safe
+	// point, for the safe_wait/safe_delivered trace pair.
+	safeWaitSeq uint64
+}
+
+// ringState is the token path's state for one ring, reset as a whole when
+// the node enters a new ring's recovery.
+type ringState struct {
 	lastTokenSeq uint64
 	highSeq      uint64
 	myAru        uint64
@@ -106,36 +123,10 @@ type totemNode struct {
 	recq         []*dataMsg
 	retained     []byte // encoded last-forwarded token, for retransmission
 
-	retransTimer   sim.Canceler
-	lossTimer      sim.Canceler
-	consensusTimer sim.Canceler
-	commitTimer    sim.Canceler
-	announceTimer  sim.Canceler
-
-	// Gather state.
-	procSet    map[transport.NodeID]bool
-	failSet    map[transport.NodeID]bool
-	joins      map[transport.NodeID]*joinMsg
-	maxRingSeq uint64
-
-	// Old-ring snapshot carried through membership for recovery.
-	oldRing      ViewID
-	oldDelivered uint64
-	oldHold      map[uint64]*dataMsg
-
 	// Recovery state.
 	recOld      map[uint64]*dataMsg
 	endMarkers  map[transport.NodeID]bool
 	heldRegular []*dataMsg
-
-	stats totemStats
-	obs   *obs.Recorder
-	// tokenHook, when set, sees every regular token this node handles
-	// (after deduplication), for tests that inspect whole tokens.
-	tokenHook func(ringToken)
-	// safeWaitSeq is the message sequence currently blocked on the safe
-	// point, for the safe_wait/safe_delivered trace pair.
-	safeWaitSeq uint64
 }
 
 func newTotemOrderer(env Env, opts Options) (Orderer, error) {
@@ -146,20 +137,18 @@ func newTotemOrderer(env Env, opts Options) (Orderer, error) {
 	t.CommitTimeout = defaultDur(t.CommitTimeout, defaultCommitTimeout)
 	t.AnnounceInterval = defaultDur(t.AnnounceInterval, defaultAnnounce)
 	me := env.Transport.LocalID()
-	members := sortedNodes(env.Members)
-	if !slices.Contains(members, me) {
-		members = sortedNodes(append(members, me))
-	}
+	set := setOf(env.Members)
+	set[me] = true
+	members := sortedNodes(set)
 	n := &totemNode{
-		endpoint: endpoint{env: env, me: me},
-		tun:      t,
-		rt:       env.Runtime,
-		tr:       env.Transport,
-		members:  members,
-		quorum:   majority(len(members)),
-		received: make(map[uint64]*dataMsg),
-		oldHold:  make(map[uint64]*dataMsg),
-		obs:      env.Obs,
+		endpoint:   endpoint{env: env, me: me},
+		membership: membership{self: me, members: members, oldHold: make(map[uint64]*dataMsg)},
+		ringState:  ringState{received: make(map[uint64]*dataMsg)},
+		tun:        t,
+		rt:         env.Runtime,
+		tr:         env.Transport,
+		quorum:     majority(len(members)),
+		obs:        env.Obs,
 	}
 	env.Obs.Register(n)
 	env.Transport.SetReceiver(hop(n.rt, n.dispatch))
@@ -263,15 +252,15 @@ func (n *totemNode) dispatch(_ transport.NodeID, pkt []byte) {
 		}
 	case pktJoin:
 		if j, err := decodeJoin(pkt[1:]); err == nil {
-			n.onJoin(j)
+			n.apply(n.join(j, n.hold()))
 		}
 	case pktCommit:
 		if ct, err := decodeCommit(pkt[1:]); err == nil {
-			n.onCommit(ct)
+			n.apply(n.commit(ct))
 		}
 	case pktAnnounce:
 		if a, err := decodeAnnounce(pkt[1:]); err == nil {
-			n.onAnnounce(a)
+			n.apply(n.announce(a, n.hold()))
 		}
 	}
 }
@@ -511,16 +500,6 @@ func (n *totemNode) sendData(m *dataMsg) {
 	_ = n.tr.Broadcast(encodeData(m))
 }
 
-// successor returns the next member after this node in ring order.
-func (n *totemNode) successor() transport.NodeID {
-	for _, id := range n.members {
-		if id > n.me {
-			return id
-		}
-	}
-	return n.members[0]
-}
-
 func (n *totemNode) forwardToken(tk *ringToken) {
 	pkt, err := encodeToken(tk)
 	if err != nil {
@@ -530,7 +509,7 @@ func (n *totemNode) forwardToken(tk *ringToken) {
 		pkt, _ = encodeToken(tk)
 	}
 	n.retained = pkt
-	succ := n.successor()
+	succ := successor(n.members, n.me)
 	if succ == n.me {
 		// Ring of one: loop the token back through the runtime.
 		n.rt.After(selfHopDelay, func() {
@@ -558,7 +537,7 @@ func (n *totemNode) retransmitToken() {
 		return
 	}
 	n.stats.TokenRetrans++
-	succ := n.successor()
+	succ := successor(n.members, n.me)
 	if succ != n.me {
 		_ = n.tr.Send(succ, n.retained)
 	}
@@ -597,42 +576,123 @@ func (n *totemNode) armAnnounceTimer() {
 	})
 }
 
-// onAnnounce reacts to a foreign ring's beacon: an operational node that
-// sees a ring ordered above its own starts a membership round to merge (the
-// joins it broadcasts pull the other ring into the gather); a gathering node
-// refreshes its ring-sequence knowledge so that its joins are not discarded
-// as stale by operational peers.
-func (n *totemNode) onAnnounce(a *announceMsg) {
-	if a.Ring.Epoch > n.maxRingSeq {
-		n.maxRingSeq = a.Ring.Epoch
+// startGather starts a gather (membership.gather) whose proposal also names
+// include.
+func (n *totemNode) startGather(include []transport.NodeID) {
+	n.apply(n.gather(include, n.hold()))
+}
+
+// hold returns the ring a gather would leave. An operational ring first
+// delivers what it can, so that its snapshot is of a delivered prefix.
+func (n *totemNode) hold() *ringState {
+	if n.state == stateOperational || n.state == stateIdle {
+		n.tryDeliver()
 	}
-	switch n.state {
-	case stateOperational:
-		if n.ring.Less(a.Ring) {
-			n.startGatherInclude(a.Members, nil)
-		}
-	case stateGather:
-		// Make sure the foreign ring's members are part of our proposal,
-		// then re-broadcast so they hear from us.
-		changed := false
-		for _, id := range a.Members {
-			if !n.procSet[id] {
-				n.procSet[id] = true
-				changed = true
+	return &n.ringState
+}
+
+// apply carries out membership's actions, in order.
+func (n *totemNode) apply(acts []action) {
+	for _, a := range acts {
+		switch a.kind {
+		case actJoin:
+			_ = n.tr.Broadcast(encodeJoin(a.join))
+		case actCommit:
+			if a.to == n.me {
+				cp := *a.ct
+				n.rt.Post(func() { n.apply(n.commit(&cp)) })
+			} else {
+				_ = n.tr.Send(a.to, encodeCommit(a.ct))
 			}
-		}
-		n.sendJoin()
-		if changed {
-			n.checkConsensus()
+		case actArmConsensus:
+			cancelTimer(&n.consensusTimer)
+			n.consensusTimer = n.rt.After(n.tun.JoinTimeout, func() { n.apply(n.consensusExpired()) })
+		case actCancelConsensus:
+			cancelTimer(&n.consensusTimer)
+		case actArmCommit:
+			cancelTimer(&n.commitTimer)
+			n.commitTimer = n.rt.After(n.tun.CommitTimeout, func() { n.apply(n.commitExpired()) })
+		case actLeaveRing:
+			n.cancelAllTimers()
+			n.retained = nil
+		case actRequeue:
+			q := make([]*pending, 0, len(a.msgs)+len(n.out.q))
+			for _, m := range a.msgs {
+				q = append(q, &pending{payload: m.Payload, safe: m.Safe, dupKey: m.DupKey, sender: n.me})
+			}
+			n.out.q = append(q, n.out.q...)
+		case actRecover:
+			n.cancelAllTimers()
+			n.ringState = ringState{received: make(map[uint64]*dataMsg), recq: a.msgs,
+				recOld: make(map[uint64]*dataMsg), endMarkers: make(map[transport.NodeID]bool)}
+			if n.me == n.ring.Rep {
+				tk := &ringToken{Ring: n.ring, TokenSeq: 1, AruID: aruNone}
+				n.rt.Post(func() { n.onToken(tk) })
+			} else {
+				n.armLossTimer()
+			}
+		case actInstall:
+			n.stats.Memberships++
+			n.primary = len(n.members) >= n.quorum
+			if n.me == n.ring.Rep {
+				n.armAnnounceTimer()
+			}
+			n.emitView(View{ID: n.ring, Members: slices.Clone(n.members), Primary: n.primary})
 		}
 	}
 }
 
-// sortedNodes returns a sorted copy of in without repeats.
-func sortedNodes(in []transport.NodeID) []transport.NodeID {
-	out := slices.Clone(in)
+// completeRecovery delivers the recovered old-ring messages in old order,
+// installs the new view, and flushes any regular messages that were
+// delivered on the new ring while recovery was in progress.
+func (n *totemNode) completeRecovery() {
+	seqs := make([]uint64, 0, len(n.recOld))
+	for s := range n.recOld {
+		seqs = append(seqs, s)
+	}
+	slices.Sort(seqs)
+	for _, s := range seqs {
+		m := n.recOld[s]
+		n.deliver(m.OldRing, m.OldSeq, m.OldSndr, m.Payload)
+	}
+	n.recOld = nil
+	n.apply(n.recovered())
+	held := n.heldRegular
+	n.heldRegular = nil
+	for _, m := range held {
+		n.deliver(m.Ring, m.Seq, m.Sender, m.Payload)
+	}
+}
+
+// successor returns the member after me in ring order.
+func successor(members []transport.NodeID, me transport.NodeID) transport.NodeID {
+	for _, id := range members {
+		if id > me {
+			return id
+		}
+	}
+	return members[0]
+}
+
+// sortedNodes returns the ids in set and in no minus set, sorted.
+func sortedNodes(set map[transport.NodeID]bool, minus ...map[transport.NodeID]bool) []transport.NodeID {
+	out := make([]transport.NodeID, 0, len(set))
+	for id := range set {
+		if !slices.ContainsFunc(minus, func(m map[transport.NodeID]bool) bool { return m[id] }) {
+			out = append(out, id)
+		}
+	}
 	slices.Sort(out)
-	return slices.Compact(out)
+	return out
+}
+
+// setOf returns ids as a set.
+func setOf(ids []transport.NodeID) map[transport.NodeID]bool {
+	set := make(map[transport.NodeID]bool, len(ids))
+	for _, id := range ids {
+		set[id] = true
+	}
+	return set
 }
 
 // dedupSorted sorts in place and drops repeats.

@@ -621,15 +621,15 @@ func TestHelperFunctions(t *testing.T) {
 	if got := dedupSorted(nil); got != nil {
 		t.Fatalf("dedupSorted(nil) = %v", got)
 	}
-	s := sortedNodes([]transport.NodeID{3, 1, 3, 2})
+	s := sortedNodes(setOf([]transport.NodeID{3, 1, 3, 2, 4}), setOf([]transport.NodeID{4}))
 	if len(s) != 3 || s[0] != 1 || s[1] != 2 || s[2] != 3 {
 		t.Fatalf("sortedNodes = %v", s)
 	}
-	if successorIn([]transport.NodeID{1, 3, 5}, 3) != 5 {
-		t.Fatal("successorIn middle")
+	if successor([]transport.NodeID{1, 3, 5}, 3) != 5 {
+		t.Fatal("successor middle")
 	}
-	if successorIn([]transport.NodeID{1, 3, 5}, 5) != 1 {
-		t.Fatal("successorIn wrap")
+	if successor([]transport.NodeID{1, 3, 5}, 5) != 1 {
+		t.Fatal("successor wrap")
 	}
 }
 

@@ -67,9 +67,6 @@ type Ctx struct {
 // thread identifier).
 func (c *Ctx) ThreadID() uint64 { return c.t.id }
 
-// Manager returns the replica manager this context executes under.
-func (c *Ctx) Manager() *Manager { return c.m }
-
 // Call suspends the logical thread, runs action on the replica's event loop,
 // and resumes the thread with the value eventually passed to complete.
 // complete may be invoked synchronously by action or later from any loop
